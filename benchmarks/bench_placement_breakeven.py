@@ -11,7 +11,11 @@ link class, per block or end-to-end.
 import math
 import zlib
 
-from repro.core.bicriteria import default_candidates, evaluate_candidates
+from repro.core.bicriteria import (
+    default_candidates,
+    evaluate_candidates,
+    fastest_compressing_point,
+)
 from repro.core.placement import (
     choose_placement,
     evaluate_placements,
@@ -37,8 +41,7 @@ def _best_point(sending_time, sampled_ratio=0.35):
         sample=sampled_ratio,
         base_block_size=_BLOCK_SIZE,
     )
-    compressing = [p for p in points.values() if p.method != "none"]
-    return min(compressing, key=lambda p: (p.total_seconds, p.space))
+    return fastest_compressing_point(points.values())
 
 
 def _decide_once(sending_time, point):

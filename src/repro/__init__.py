@@ -43,7 +43,6 @@ from .core import (
     AdaptivePipeline,
     AdaptivePolicy,
     BlockEngine,
-    BlockExecution,
     BlockRecord,
     BlockStats,
     CodecExecutor,
@@ -103,7 +102,6 @@ __all__ = [
     "ArithmeticCodec",
     "BenchReport",
     "BlockEngine",
-    "BlockExecution",
     "BlockRecord",
     "BlockStats",
     "BlockTelemetry",

@@ -23,6 +23,7 @@ __all__ = [
     "CodecError",
     "CorruptStreamError",
     "CompressionResult",
+    "ReductionMetrics",
     "canonical_params",
     "params_label",
 ]
@@ -152,21 +153,16 @@ class Codec(abc.ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-@dataclass
-class CompressionResult:
-    """Outcome of one timed compression call.
+class ReductionMetrics:
+    """How far, and how fast, one timed codec run shrank its input.
 
-    ``reducing_speed`` is the paper's central metric: the number of bytes by
-    which the CPU shrank the data per second of compression work.  It is
-    ``0.0`` when the codec failed to shrink the data, and ``inf`` only for
-    the sentinel "first block" case created by the selector itself.
+    The one definition of ``ratio`` / ``bytes_saved`` / ``reducing_speed``,
+    mixed into every record that carries ``original_size``,
+    ``compressed_size`` and the run's CPU seconds (under the attribute
+    the record names in ``_seconds_attr``).
     """
 
-    codec_name: str
-    original_size: int
-    compressed_size: int
-    elapsed_seconds: float
-    payload: Optional[bytes] = field(default=None, repr=False)
+    _seconds_attr = "elapsed_seconds"
 
     @property
     def ratio(self) -> float:
@@ -183,9 +179,27 @@ class CompressionResult:
     @property
     def reducing_speed(self) -> float:
         """Bytes removed per second of CPU time (paper §4.1, Figure 4)."""
-        if self.elapsed_seconds <= 0.0:
+        seconds = getattr(self, self._seconds_attr)
+        if seconds <= 0.0:
             return float("inf") if self.bytes_saved else 0.0
-        return self.bytes_saved / self.elapsed_seconds
+        return self.bytes_saved / seconds
+
+
+@dataclass
+class CompressionResult(ReductionMetrics):
+    """Outcome of one timed compression call.
+
+    ``reducing_speed`` is the paper's central metric: the number of bytes by
+    which the CPU shrank the data per second of compression work.  It is
+    ``0.0`` when the codec failed to shrink the data, and ``inf`` only for
+    the sentinel "first block" case created by the selector itself.
+    """
+
+    codec_name: str
+    original_size: int
+    compressed_size: int
+    elapsed_seconds: float
+    payload: Optional[bytes] = field(default=None, repr=False)
 
     @property
     def throughput(self) -> float:

@@ -23,7 +23,6 @@ from .calibration import (
 )
 from .engine import (
     BlockEngine,
-    BlockExecution,
     BlockStats,
     CodecExecutor,
     cut_blocks,
@@ -70,7 +69,6 @@ __all__ = [
     "AdaptivePipeline",
     "AdaptivePolicy",
     "BlockEngine",
-    "BlockExecution",
     "BlockRecord",
     "BlockStats",
     "CandidateSpec",

@@ -52,6 +52,8 @@ __all__ = [
     "DICTIONARY_METHODS",
     "default_candidates",
     "evaluate_candidates",
+    "fastest_compressing_point",
+    "sample_ratio",
     "pareto_frontier",
     "build_frontier",
     "select_point",
@@ -270,14 +272,12 @@ def _param_factors(
     return throughput_factor, ratio_factor
 
 
-def _sample_ratio(sample: object) -> Optional[float]:
-    """Extract a compressed/original ratio from a probe result or a float."""
-    if sample is None:
-        return None
-    ratio = getattr(sample, "ratio", sample)
-    if not isinstance(ratio, (int, float)) or math.isnan(ratio) or ratio < 0:
-        return None
-    return float(ratio)
+def sample_ratio(sample: object) -> Optional[float]:
+    """The compressed/original ratio of a probe result, a bare float, or None.
+
+    The one reading of the policies' duck-typed ``sample`` argument.
+    """
+    return getattr(sample, "ratio", sample)
 
 
 def _base_estimate(
@@ -344,7 +344,9 @@ def evaluate_candidates(
         raise ValueError("sending_time must be non-negative")
     if latency < 0 or latency > sending_time:
         latency = min(max(latency, 0.0), sending_time)
-    probe = _sample_ratio(sample)
+    probe = sample_ratio(sample)
+    if not isinstance(probe, (int, float)) or math.isnan(probe) or probe < 0:
+        probe = None  # an unusable probe prices like no probe
     lz_base = _base_estimate("lempel-ziv", calibration, cpu, monitor)
     points: Dict[CandidateSpec, FrontierPoint] = {}
     for spec in candidates:
@@ -403,6 +405,21 @@ def pareto_frontier(points: Iterable[FrontierPoint]) -> List[FrontierPoint]:
             frontier.append(point)
             best_space = point.space
     return frontier
+
+
+def fastest_compressing_point(
+    points: Iterable[FrontierPoint],
+) -> Optional[FrontierPoint]:
+    """The modeled-fastest point that really compresses (ties: the smaller).
+
+    What a placement is priced for when the selector itself chose
+    ``none``; ``None`` when nothing compressing could be priced.
+    """
+    return min(
+        (p for p in points if p.method != "none"),
+        key=lambda p: (p.total_seconds, p.space),
+        default=None,
+    )
 
 
 def build_frontier(

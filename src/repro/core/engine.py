@@ -21,7 +21,8 @@ exist in exactly one place:
 :class:`BlockEngine` layers the paper's block discipline on top: cut a
 byte stream into fixed-size blocks, pick a method per block through a
 selection callback, execute it on the :class:`CodecExecutor`, and emit
-one :class:`BlockStats` per block to pluggable observers.  This is the
+its :class:`BlockStats` — the one record of a codec run, from executor
+to cache to observers — per block to pluggable observers.  This is the
 substrate later scaling work (parallel workers, async transports,
 metrics export) plugs into.
 """
@@ -29,15 +30,15 @@ metrics export) plugs into.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
-from ..compression.base import Codec, CodecError, CompressionResult
+from ..compression.base import Codec, CodecError, CompressionResult, ReductionMetrics
 from ..compression.registry import get_codec
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
-    "BlockExecution",
     "BlockStats",
     "BlockEngine",
     "CodecExecutor",
@@ -108,77 +109,46 @@ def measure_callable(
     )
 
 
-# -- execution records -----------------------------------------------------------
+# -- the codec-run record --------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class BlockExecution:
-    """Outcome of compressing one block through the executor.
+class BlockStats(ReductionMetrics):
+    """One codec run on one block: what was asked, what ran, what it cost.
 
-    ``method`` is the method that actually produced ``payload``; it
+    :class:`CodecExecutor` builds it with the wire ``payload``;
+    :class:`~repro.fabric.cache.BlockCache` remembers that very object;
+    :class:`BlockEngine` hands observers a copy with ``index`` and
+    ``decompression_seconds`` filled in and the payload dropped, so an
+    observer that keeps its rows does not pin wire bytes.
+
+    ``method`` is the method that actually produced the bytes; it
     differs from ``requested_method`` only when the expansion guard fell
     back to ``none`` because the codec grew the block.
     """
 
-    requested_method: str
-    method: str
-    original_size: int
-    payload: bytes
-    seconds: float
-    fell_back: bool = False
-    verified: bool = False
+    _seconds_attr = "compression_seconds"
 
-    @property
-    def compressed_size(self) -> int:
-        return len(self.payload)
-
-    @property
-    def ratio(self) -> float:
-        if self.original_size == 0:
-            return 1.0
-        return self.compressed_size / self.original_size
-
-    @property
-    def bytes_saved(self) -> int:
-        return max(0, self.original_size - self.compressed_size)
-
-    @property
-    def reducing_speed(self) -> float:
-        """Bytes removed per second of CPU time (paper §4.1, Figure 4)."""
-        if self.seconds <= 0.0:
-            return float("inf") if self.bytes_saved else 0.0
-        return self.bytes_saved / self.seconds
-
-
-@dataclass(frozen=True)
-class BlockStats:
-    """Per-block accounting emitted to :class:`BlockEngine` observers."""
-
-    index: int
     requested_method: str
     method: str
     original_size: int
     compressed_size: int
     compression_seconds: float
-    decompression_seconds: float
+    decompression_seconds: float = 0.0
     fell_back: bool = False
     verified: bool = False
+    payload: Optional[bytes] = field(default=None, repr=False)
+    index: Optional[int] = None
 
-    @property
-    def ratio(self) -> float:
-        if self.original_size == 0:
-            return 1.0
-        return self.compressed_size / self.original_size
+    @cached_property
+    def view(self) -> memoryview:
+        """**One** shared read-only view of ``payload``.
 
-    @property
-    def bytes_saved(self) -> int:
-        return max(0, self.original_size - self.compressed_size)
-
-    @property
-    def reducing_speed(self) -> float:
-        if self.compression_seconds <= 0.0:
-            return float("inf") if self.bytes_saved else 0.0
-        return self.bytes_saved / self.compression_seconds
+        cached_property writes straight to ``__dict__``, bypassing the
+        frozen guard: every consumer of a cached block reads this same
+        object, so fan-out allocates nothing per subscriber.
+        """
+        return memoryview(self.payload).toreadonly()
 
 
 # -- the executor ----------------------------------------------------------------
@@ -247,7 +217,7 @@ class CodecExecutor:
 
     def compress(
         self, method: str, block: bytes, codec: Optional[Codec] = None
-    ) -> BlockExecution:
+    ) -> BlockStats:
         """Compress ``block`` with ``method`` and account for the cost.
 
         ``codec`` overrides the registry lookup (runtime-tunable or
@@ -255,12 +225,13 @@ class CodecExecutor:
         under ``method``.
         """
         if method == "none":
-            return BlockExecution(
+            return BlockStats(
                 requested_method="none",
                 method="none",
                 original_size=len(block),
+                compressed_size=len(block),
+                compression_seconds=0.0,
                 payload=block,
-                seconds=0.0,
             )
         if codec is None and self.pool is not None and self.pool.accepts(method):
             payload, measured = self.pool.run(method, block)
@@ -280,7 +251,7 @@ class CodecExecutor:
         payload: bytes,
         measured_seconds: float,
         codec: Optional[Codec] = None,
-    ) -> BlockExecution:
+    ) -> BlockStats:
         """Account for a compression that already ran (locally or on a worker).
 
         Applies the cost-model/CPU scaling rules, the optional round-trip
@@ -295,23 +266,18 @@ class CodecExecutor:
             if codec.decompress(payload) != block:
                 raise CodecError(f"codec {method!r} failed to round-trip a block")
             verified = True
-        if self.expansion_fallback and len(payload) >= len(block):
-            return BlockExecution(
-                requested_method=method,
-                method="none",
-                original_size=len(block),
-                payload=block,
-                seconds=seconds,
-                fell_back=True,
-                verified=verified,
-            )
-        return BlockExecution(
+        fell_back = self.expansion_fallback and len(payload) >= len(block)
+        if fell_back:
+            payload = block
+        return BlockStats(
             requested_method=method,
-            method=method,
+            method="none" if fell_back else method,
             original_size=len(block),
-            payload=payload,
-            seconds=seconds,
+            compressed_size=len(payload),
+            compression_seconds=seconds,
+            fell_back=fell_back,
             verified=verified,
+            payload=payload,
         )
 
     def decompression_time(
@@ -341,7 +307,7 @@ class CodecExecutor:
 
     def measure_roundtrip(
         self, method: str, data: bytes, codec: Optional[Codec] = None
-    ) -> Tuple[BlockExecution, float]:
+    ) -> Tuple[BlockStats, float]:
         """Compress then decompress ``data``; returns (execution, decompress seconds).
 
         The microbenchmark primitive (Figures 2, 3, 6): both directions
@@ -459,11 +425,11 @@ class BlockEngine:
 
     def emit(
         self,
-        execution: BlockExecution,
+        execution: BlockStats,
         index: int,
         codec: Optional[Codec] = None,
     ) -> Tuple[bytes, BlockStats]:
-        """Turn a finished :class:`BlockExecution` into stats + notifications.
+        """Index a finished execution, price its decode, notify observers.
 
         The shared tail of :meth:`execute`, also driven by
         :class:`~repro.core.workers.PipelinedBlockEngine` when it drains
@@ -474,16 +440,11 @@ class BlockEngine:
             decompression_seconds = self.executor.decompression_time(
                 execution.method, execution.original_size, execution.payload, codec=codec
             )
-        stats = BlockStats(
+        stats = replace(
+            execution,
             index=index,
-            requested_method=execution.requested_method,
-            method=execution.method,
-            original_size=execution.original_size,
-            compressed_size=execution.compressed_size,
-            compression_seconds=execution.seconds,
             decompression_seconds=decompression_seconds,
-            fell_back=execution.fell_back,
-            verified=execution.verified,
+            payload=None,
         )
         self.blocks_executed += 1
         for observer in list(self.observers):

@@ -40,6 +40,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..compression.base import ReductionMetrics
 from ..netsim.bandwidth import BandwidthEstimator, EwmaBandwidthEstimator
 from ..netsim.clock import Clock, VirtualClock
 from ..netsim.cpu import CodecCostModel, CpuModel
@@ -73,8 +74,15 @@ METHOD_CODES: Dict[str, int] = {
 
 
 @dataclass(frozen=True)
-class BlockRecord:
-    """Everything observed while handling one block."""
+class BlockRecord(ReductionMetrics):
+    """One row of the replay's timeline: everything observed for one block.
+
+    Built from the block's :class:`~repro.core.engine.BlockStats` and
+    :class:`~repro.core.decision.Decision`, plus what only the link and
+    the clock know.
+    """
+
+    _seconds_attr = "compression_time"
 
     index: int
     start_time: float
@@ -102,12 +110,6 @@ class BlockRecord:
     #: ``consumer`` block names the codec a downstream relay applies.
     placement: str = "producer"
     relay_method: str = "none"
-
-    @property
-    def ratio(self) -> float:
-        if self.original_size == 0:
-            return 1.0
-        return self.compressed_size / self.original_size
 
     @property
     def method_code(self) -> int:
@@ -344,7 +346,7 @@ class AdaptivePipeline:
             lz_speed = monitor.reducing_speed("lempel-ziv")
             decision = self.policy.choose(len(block), sending_time_estimate, monitor, sample)
             method = decision.method
-            params = tuple(getattr(decision, "params", ()) or ())
+            params = decision.params
             codec = codec_for(method, params) if params and method != "none" else None
 
             payload, stats = self.engine.execute(
@@ -352,9 +354,7 @@ class AdaptivePipeline:
             )
             compression_time = stats.compression_seconds
             if method != "none" and compression_time > 0:
-                monitor.observe_raw(
-                    method, max(0, len(block) - len(payload)), compression_time
-                )
+                monitor.observe_raw(method, stats.bytes_saved, compression_time)
 
             # Fork the probe on the next block; it runs while this block is
             # on the wire ("Send the block.  Wait for child process.").
@@ -390,8 +390,8 @@ class AdaptivePipeline:
                     start_time=start_time,
                     send_start_time=send_start,
                     method=method,
-                    original_size=len(block),
-                    compressed_size=len(payload),
+                    original_size=stats.original_size,
+                    compressed_size=stats.compressed_size,
                     compression_time=compression_time,
                     send_time=send_time,
                     decompression_time=decompression_time,
@@ -402,8 +402,8 @@ class AdaptivePipeline:
                     connections=connections,
                     params=params,
                     payload_crc32=zlib.crc32(payload) & 0xFFFFFFFF,
-                    placement=getattr(decision, "placement", "producer"),
-                    relay_method=getattr(decision, "relay_method", "none"),
+                    placement=decision.placement,
+                    relay_method=decision.relay_method,
                 )
             )
             sample = next_sample

@@ -5,37 +5,49 @@ The paper's evaluation implicitly compares the adaptive selector against
 Expressing all of these behind one interface lets the pipeline,
 middleware, and the headline end-to-end benchmark treat them uniformly.
 
-:class:`AdaptivePolicy` now speaks two dialects of "adaptive":
+:class:`AdaptivePolicy` is one pipeline per block — *candidates* →
+*price* → *constrain* → *choose* — and its dialects are presets of it:
 
-* ``policy="table"`` (default) — the paper-faithful §2.5 threshold
-  table, unchanged;
-* ``policy="bicriteria"`` — the :mod:`repro.core.bicriteria` optimizer:
-  build a per-block Pareto frontier over (codec, parameters, block
-  size) points from calibration data plus live monitor gauges, then
-  take the point minimizing modeled end-to-end time under a space
-  budget.  The table stays the default until the CI bench gate proves
-  the optimizer wins.
+* ``policy="table"`` (default) — the chooser is the paper-faithful §2.5
+  threshold table, :func:`~repro.core.decision.select_method`, verbatim;
+* ``policy="bicriteria"`` — the chooser is the argmin of modeled
+  end-to-end time over the Pareto frontier of the priced candidates,
+  under a space budget (:mod:`repro.core.bicriteria`);
+* ``placement`` other than ``"producer"`` — one more argmin, over the
+  arrangements :mod:`repro.core.placement` prices for the point the
+  chooser picked.
+
+The grid is priced at most once per decision, and never for the
+``table``/``producer`` preset, which stays the paper's pseudocode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Dict, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Protocol, Sequence, Tuple
 
 from ..compression.registry import get_codec
 from ..obs.bicriteria import record_choice
 from ..obs.placement import record_placement, record_placement_degraded
 from .bicriteria import (
     CandidateSpec,
+    FrontierPoint,
     default_candidates,
     evaluate_candidates,
+    fastest_compressing_point,
     pareto_frontier,
+    sample_ratio,
     select_point,
 )
 from .decision import Decision, DecisionInputs, DecisionThresholds, select_method
 from .monitor import ReducingSpeedMonitor
-from .placement import PLACEMENT_MODES, choose_placement, evaluate_placements
+from .placement import (
+    PLACEMENT_MODES,
+    PlacementCost,
+    choose_placement,
+    evaluate_placements,
+)
 from .sampler import SampleResult
 
 __all__ = [
@@ -68,88 +80,125 @@ class CompressionPolicy(Protocol):
         ...
 
 
-def _lz_reduce_time(block_size: int, lz_reducing_speed: float) -> float:
-    """The table's pivot quantity, shared by both dialects for visibility."""
-    if math.isinf(lz_reducing_speed):
-        return 0.0
-    if lz_reducing_speed == 0.0:
-        return math.inf
-    return block_size / lz_reducing_speed
+def _frontier_decision(
+    points: Mapping[CandidateSpec, FrontierPoint],
+    table: Decision,
+    space_budget: float,
+    block_size: int,
+) -> Decision:
+    """The bicriteria chooser: argmin over the frontier, within the budget.
+
+    ``table`` is what §2.5 chose on the same inputs; its default-param
+    spec is always in the priced set, so ``table_modeled_seconds`` prices
+    both choices identically.
+    """
+    frontier = pareto_frontier(points.values())
+    point, violated = select_point(frontier, space_budget)
+    table_point = points.get(CandidateSpec(method=table.method, block_size=block_size))
+    return replace(
+        table,
+        method=point.method,
+        effective_ratio=point.ratio,
+        params=point.params,
+        frontier_size=len(frontier),
+        budget_violated=violated,
+        modeled_seconds=point.total_seconds,
+        table_modeled_seconds=(
+            table_point.total_seconds if table_point is not None else math.nan
+        ),
+    )
+
+
+def _placed_decision(
+    decision: Decision, chosen: PlacementCost, producer: PlacementCost
+) -> Decision:
+    """``decision`` rescheduled onto ``chosen``: off the producer, it ships raw."""
+    at_producer = chosen.placement == "producer"
+    offloaded = chosen.placement == "consumer"
+    return replace(
+        decision,
+        method=chosen.method if at_producer else "none",
+        params=chosen.params if at_producer else (),
+        effective_ratio=chosen.ratio if at_producer else 1.0,
+        placement=chosen.placement,
+        relay_method=chosen.method if offloaded else "none",
+        relay_params=chosen.params if offloaded else (),
+        placement_seconds=chosen.total_seconds,
+        producer_seconds=producer.total_seconds,
+    )
 
 
 class AdaptivePolicy:
-    """The adaptive selector: threshold table or bicriteria optimizer.
+    """The adaptive selector: candidates → price → constrain → choose.
 
-    ``staleness_horizon`` arms the degradation contract: the policy
-    watches the monitor's observation counter, and once it has made more
-    than ``staleness_horizon`` consecutive decisions without a single
-    fresh lempel-ziv observation arriving, the feedback loop is
-    considered broken — the selector stops trusting its numbers, falls
-    back to ``none`` (marked ``degraded=True``), and increments
-    :data:`DEGRADED_COUNTER` on the monitor's registry.  The fallback
-    clears itself the moment fresh observations resume.  ``None``
-    (default) disables the horizon entirely, preserving the paper's
-    always-optimistic behaviour.  The horizon guards both dialects: a
-    dead feedback loop poisons modeled frontiers exactly as it poisons
-    thresholds.
+    Each argument is read by one stage of :meth:`choose`.
 
-    Bicriteria knobs (ignored under ``policy="table"``):
+    *candidates* — the grid to price, cached per block size:
 
-    * ``space_budget`` — modeled compressed/original ratio cap; 1.0
-      (default) only rules out modeled expansion.
+    * ``candidates`` — override the grid (default:
+      :func:`~repro.core.bicriteria.default_candidates` at each block's
+      size).
+    * ``native`` / ``structured`` — forwarded to ``default_candidates``:
+      ``native=None`` auto-includes the zstd/lz4 tier when its bindings
+      registered, ``False`` pins the grid to the pure-Python methods,
+      ``True`` demands the native tier; ``structured`` admits
+      template/columnar, whose modeled ratios only hold on
+      sniffed-structured streams (off by default).
+
+    *price* — :func:`~repro.core.bicriteria.evaluate_candidates` for the
+    grid, at most once per decision and never for ``policy="table"`` with
+    ``placement="producer"``; then
+    :func:`~repro.core.placement.evaluate_placements` for the
+    arrangements of the one chosen point:
+
     * ``cost_model`` / ``cpu`` — the calibration substrate
       (:class:`~repro.netsim.cpu.CodecCostModel` scaled by a
-      :class:`~repro.netsim.cpu.CpuModel`).  Without it the optimizer
-      prices only what the monitor has observed, degenerating to a
-      lone ``none`` point on a cold start.
-    * ``candidates`` — override the search grid (defaults to
-      :func:`~repro.core.bicriteria.default_candidates` at each
-      block's size).
-    * ``native`` — forwarded to
-      :func:`~repro.core.bicriteria.default_candidates`: ``None``
-      auto-includes the zstd/lz4 tier when its bindings registered,
-      ``False`` pins the grid to the pure-Python methods, ``True``
-      demands the native tier.
+      :class:`~repro.netsim.cpu.CpuModel`).  Without it only what the
+      monitor has observed is priceable: a lone ``none`` point on a cold
+      start.
+    * ``interference`` — producer-side surcharge on compression time for
+      competing with the producer's real work (DTSchedule measures
+      ~15 %; a relay compresses unloaded).
+    * ``downstream_factor`` — the relay's downstream hop as a multiple
+      of the upstream raw send time (``None`` = no relay, so the
+      ``consumer`` placement does not exist).
 
-    Table-dialect knob:
+    *constrain*:
 
-    * ``method_map`` — rename the table's paper-method choices before
-      they leave the selector, e.g. ``{"lempel-ziv": "zstd-native"}``
-      swaps the native operating point in wherever the §2.5 thresholds
-      would pick Lempel-Ziv.  Target names are validated against the
-      registry eagerly, so an unmapped binding fails at construction
-      rather than mid-stream.  The thresholds themselves still reason
-      in paper-method terms.
+    * ``staleness_horizon`` — after more than this many consecutive
+      decisions without a fresh lempel-ziv observation the feedback loop
+      is considered broken: the selector falls back to ``none`` at the
+      producer (``degraded=True``, :data:`DEGRADED_COUNTER` and
+      ``repro_placement_degraded_total`` on the monitor's registry) until
+      observations resume.  ``None`` (default) keeps the paper's
+      always-optimistic behaviour.
+    * ``space_budget`` — modeled compressed/original ratio cap of the
+      bicriteria chooser; 1.0 (default) only rules out modeled expansion.
 
-    Placement knobs (:mod:`repro.core.placement`):
+    *choose*:
 
-    * ``placement`` — where compression runs.  ``"producer"`` (default)
-      is the paper's arrangement and leaves every decision untouched;
-      ``"raw"`` always ships uncompressed; ``"consumer"`` always
-      offloads to a downstream relay; ``"auto"`` prices all available
-      placements per block — from the same bicriteria candidate set both
-      dialects use — and takes the modeled-fastest one.
-    * ``interference`` — producer-side interference fraction: the
-      compression-time surcharge for competing with the producer's real
-      work (DTSchedule measures ~15 %; a relay compresses unloaded).
-    * ``downstream_factor`` — the relay's downstream hop modeled as a
-      multiple of the upstream raw send time (``None`` = no relay, so
-      the ``consumer`` placement does not exist).
+    * ``policy`` — ``"table"``: :func:`~repro.core.decision.select_method`
+      with ``thresholds``, verbatim; ``"bicriteria"``: the modeled-fastest
+      frontier point within the budget.
+    * ``method_map`` — rename the table's choices before they leave the
+      selector, e.g. ``{"lempel-ziv": "zstd-native"}``; targets are
+      validated against the registry at construction.  The thresholds
+      still reason in paper-method terms.
+    * ``placement`` — ``"producer"`` (default) is the paper's arrangement
+      and leaves every decision untouched; ``"raw"`` always ships
+      uncompressed; ``"consumer"`` always offloads to a downstream relay;
+      ``"auto"`` takes the modeled-fastest arrangement of the chosen
+      point, keeping the decision as it is when nothing compressing can
+      be priced.
 
-    Placement decisions degrade with the same staleness horizon: on a
-    dead feedback loop the scheduler stops trusting its break-even
-    numbers and falls back to the ``producer`` arrangement (counted in
-    ``repro_placement_degraded_total``).  The running totals
+    Bicriteria decisions land in the monitor's registry as
+    ``repro_bicriteria_*`` and placements as ``repro_placement_*``.  The
+    running totals ``modeled_seconds_total`` /
+    ``table_modeled_seconds_total`` and
     ``placement_modeled_seconds_total`` /
-    ``producer_placement_seconds_total`` compare the chosen placements
-    against always-producer on the same observed inputs — the pair the
-    CI placement gate holds ≤.
-
-    Every bicriteria decision lands in the monitor's registry under the
-    ``repro_bicriteria_*`` vocabulary, and the running totals
-    ``modeled_seconds_total`` / ``table_modeled_seconds_total`` compare
-    the optimizer against what the table would have chosen on the same
-    observed inputs — the quantity the CI bench gate holds ≤.
+    ``producer_placement_seconds_total`` compare the choices against the
+    table and against always-producer on the same observed inputs — the
+    pairs the CI gates hold ≤.
     """
 
     def __init__(
@@ -198,9 +247,6 @@ class AdaptivePolicy:
         self.cpu = cpu
         self.candidates = tuple(candidates) if candidates is not None else None
         self.native = native
-        #: Admit the structure-aware tier (template/columnar) to the
-        #: bicriteria grid.  Off by default: their modeled ratios only
-        #: hold on sniffed-structured streams (see default_candidates).
         self.structured = structured
         self.method_map = dict(method_map) if method_map else {}
         self.placement = placement
@@ -245,156 +291,6 @@ class AdaptivePolicy:
             self._grids[block_size] = grid
         return grid
 
-    def _choose_bicriteria(
-        self,
-        block_size: int,
-        sending_time: float,
-        monitor: ReducingSpeedMonitor,
-        sample: Optional[SampleResult],
-        inputs: DecisionInputs,
-    ) -> Decision:
-        points = evaluate_candidates(
-            self._grid(block_size),
-            sending_time,
-            calibration=self.cost_model,
-            cpu=self.cpu,
-            monitor=monitor,
-            sample=sample,
-            base_block_size=block_size,
-        )
-        frontier = pareto_frontier(points.values())
-        point, violated = select_point(frontier, self.space_budget)
-
-        # What would the table have done with the same observations?  The
-        # default-param spec for its choice is always in the evaluated
-        # set, so the comparison prices both choices identically.
-        table_method = select_method(inputs, self.thresholds).method
-        table_point = points.get(
-            CandidateSpec(method=table_method, block_size=block_size)
-        )
-        table_seconds = (
-            table_point.total_seconds if table_point is not None else math.nan
-        )
-
-        self.choices += 1
-        if violated:
-            self.budget_violations += 1
-        self.modeled_seconds_total += point.total_seconds
-        if not math.isnan(table_seconds):
-            self.table_modeled_seconds_total += table_seconds
-        record_choice(
-            monitor.registry,
-            frontier_size=len(frontier),
-            method=point.method,
-            params=point.params,
-            modeled_seconds=point.total_seconds,
-            budget_violated=violated,
-        )
-        return Decision(
-            method=point.method,
-            lz_reduce_time=_lz_reduce_time(block_size, inputs.lz_reducing_speed),
-            sending_time=sending_time,
-            effective_ratio=point.ratio,
-            params=point.params,
-            frontier_size=len(frontier),
-            budget_violated=violated,
-            modeled_seconds=point.total_seconds,
-            table_modeled_seconds=table_seconds,
-        )
-
-    def _apply_placement(
-        self,
-        decision: Decision,
-        block_size: int,
-        sending_time: float,
-        monitor: ReducingSpeedMonitor,
-        sample: Optional[SampleResult],
-    ) -> Decision:
-        """Re-decide *where* the chosen compression runs (if anywhere).
-
-        Prices the placements from the same candidate set the codec
-        choice came from; when nothing compressing is priceable (no
-        calibration, no observations) the paper's producer arrangement
-        is kept untouched rather than scheduled on guesswork.
-        """
-        points = evaluate_candidates(
-            self._grid(block_size),
-            sending_time,
-            calibration=self.cost_model,
-            cpu=self.cpu,
-            monitor=monitor,
-            sample=sample,
-            base_block_size=block_size,
-        )
-        point = None
-        if decision.compresses:
-            point = points.get(
-                CandidateSpec(
-                    method=decision.method,
-                    params=decision.params,
-                    block_size=block_size,
-                )
-            )
-        if point is None:
-            compressing = [p for p in points.values() if p.method != "none"]
-            if compressing:
-                point = min(compressing, key=lambda p: (p.total_seconds, p.space))
-        downstream = (
-            sending_time * self.downstream_factor
-            if self.downstream_factor is not None
-            else None
-        )
-        costs = evaluate_placements(
-            point,
-            sending_time,
-            downstream_seconds=downstream,
-            interference=self.interference,
-        )
-        chosen = (
-            choose_placement(costs)
-            if self.placement == "auto"
-            else costs.get(self.placement)
-        )
-        if chosen is None:
-            return decision
-        producer_cost = costs.get("producer", costs["raw"])
-        self.placement_counts[chosen.placement] = (
-            self.placement_counts.get(chosen.placement, 0) + 1
-        )
-        self.placement_modeled_seconds_total += chosen.total_seconds
-        self.producer_placement_seconds_total += producer_cost.total_seconds
-        record_placement(
-            monitor.registry,
-            placement=chosen.placement,
-            method=chosen.method,
-            params=chosen.params,
-            modeled_seconds=chosen.total_seconds,
-            producer_seconds=producer_cost.total_seconds,
-        )
-        if chosen.placement == "producer":
-            return replace(
-                decision,
-                method=chosen.method,
-                params=chosen.params,
-                effective_ratio=chosen.ratio,
-                placement="producer",
-                placement_seconds=chosen.total_seconds,
-                producer_seconds=producer_cost.total_seconds,
-            )
-        relay_method = chosen.method if chosen.placement == "consumer" else "none"
-        relay_params = chosen.params if chosen.placement == "consumer" else ()
-        return replace(
-            decision,
-            method="none",
-            params=(),
-            effective_ratio=1.0,
-            placement=chosen.placement,
-            relay_method=relay_method,
-            relay_params=relay_params,
-            placement_seconds=chosen.total_seconds,
-            producer_seconds=producer_cost.total_seconds,
-        )
-
     def choose(
         self,
         block_size: int,
@@ -402,9 +298,11 @@ class AdaptivePolicy:
         monitor: ReducingSpeedMonitor,
         sample: Optional[SampleResult],
     ) -> Decision:
+        registry = monitor.registry
+        # constrain: a dead feedback loop poisons every price below.
         if self._feedback_is_stale(monitor):
             self.degraded_decisions += 1
-            monitor.registry.counter(
+            registry.counter(
                 DEGRADED_COUNTER,
                 help="selector fell back to 'none' on stale monitor feedback",
             ).inc()
@@ -412,7 +310,7 @@ class AdaptivePolicy:
                 # The break-even numbers are no more trustworthy than the
                 # thresholds: scheduling degrades to the paper's
                 # producer-side arrangement alongside the method fallback.
-                record_placement_degraded(monitor.registry)
+                record_placement_degraded(registry)
             return Decision(
                 method="none",
                 lz_reduce_time=math.nan,
@@ -420,31 +318,96 @@ class AdaptivePolicy:
                 effective_ratio=1.0,
                 degraded=True,
             )
-        # Duck-typed like the bicriteria evaluator: a SampleResult or a
-        # bare ratio float both work.
-        sampled_ratio = getattr(sample, "ratio", sample) if sample is not None else None
-        inputs = DecisionInputs(
-            block_size=block_size,
-            sending_time=sending_time,
-            lz_reducing_speed=monitor.reducing_speed("lempel-ziv"),
-            sampled_ratio=sampled_ratio,
+        table = select_method(
+            DecisionInputs(
+                block_size=block_size,
+                sending_time=sending_time,
+                lz_reducing_speed=monitor.reducing_speed("lempel-ziv"),
+                sampled_ratio=sample_ratio(sample),
+            ),
+            self.thresholds,
+        )
+        # candidates -> price: one pass, shared by every stage below; the
+        # table/producer preset is the paper's pseudocode and prices nothing.
+        points = (
+            evaluate_candidates(
+                self._grid(block_size),
+                sending_time,
+                calibration=self.cost_model,
+                cpu=self.cpu,
+                monitor=monitor,
+                sample=sample,
+                base_block_size=block_size,
+            )
+            if self.policy == "bicriteria" or self.placement != "producer"
+            else {}
         )
         if self.policy == "bicriteria":
-            decision = self._choose_bicriteria(
-                block_size, sending_time, monitor, sample, inputs
+            # constrain (space budget) + choose (argmin over the frontier).
+            decision = _frontier_decision(points, table, self.space_budget, block_size)
+            self.choices += 1
+            self.budget_violations += decision.budget_violated
+            self.modeled_seconds_total += decision.modeled_seconds
+            if not math.isnan(decision.table_modeled_seconds):
+                self.table_modeled_seconds_total += decision.table_modeled_seconds
+            record_choice(
+                registry,
+                frontier_size=decision.frontier_size,
+                method=decision.method,
+                params=decision.params,
+                modeled_seconds=decision.modeled_seconds,
+                budget_violated=decision.budget_violated,
             )
         else:
-            decision = select_method(inputs, self.thresholds)
-            mapped = self.method_map.get(decision.method)
-            if mapped is not None and mapped != decision.method:
-                decision = replace(decision, method=mapped)
+            # choose (table preset): §2.5 verbatim is the chooser.
+            mapped = self.method_map.get(table.method)
+            decision = replace(table, method=mapped) if mapped else table
         if self.placement == "producer":
-            # The default arrangement is the paper's: decisions leave
-            # exactly as the dialects made them, baseline CRCs never move.
             return decision
-        return self._apply_placement(
-            decision, block_size, sending_time, monitor, sample
+
+        # choose (placement): where the chosen compression runs, if anywhere.
+        point = None
+        if decision.compresses:
+            point = points.get(
+                CandidateSpec(decision.method, decision.params, block_size)
+            )
+        if point is None:
+            point = fastest_compressing_point(points.values())
+        costs = evaluate_placements(
+            point,
+            sending_time,
+            downstream_seconds=(
+                sending_time * self.downstream_factor
+                if self.downstream_factor is not None
+                else None
+            ),
+            interference=self.interference,
         )
+        # constrain: only arrangements the data can price exist.  With
+        # nothing compressing priceable (no calibration, no observations)
+        # ``auto`` keeps the paper's arrangement rather than schedule on
+        # guesswork; an explicit ``raw`` still ships raw.
+        if self.placement != "auto":
+            chosen = costs.get(self.placement)
+        else:
+            chosen = choose_placement(costs) if point is not None else None
+        if chosen is None:
+            return decision
+        producer = costs.get("producer", costs["raw"])
+        self.placement_counts[chosen.placement] = (
+            self.placement_counts.get(chosen.placement, 0) + 1
+        )
+        self.placement_modeled_seconds_total += chosen.total_seconds
+        self.producer_placement_seconds_total += producer.total_seconds
+        record_placement(
+            registry,
+            placement=chosen.placement,
+            method=chosen.method,
+            params=chosen.params,
+            modeled_seconds=chosen.total_seconds,
+            producer_seconds=producer.total_seconds,
+        )
+        return _placed_decision(decision, chosen, producer)
 
 
 class FixedPolicy:
@@ -461,9 +424,10 @@ class FixedPolicy:
         monitor: ReducingSpeedMonitor,
         sample: Optional[SampleResult],
     ) -> Decision:
+        ratio = sample_ratio(sample)
         return Decision(
             method=self.method,
             lz_reduce_time=float("nan"),
             sending_time=sending_time,
-            effective_ratio=sample.ratio if sample is not None else 1.0,
+            effective_ratio=ratio if ratio is not None else 1.0,
         )

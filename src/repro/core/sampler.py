@@ -81,5 +81,5 @@ class LzSampler:
         return SampleResult(
             sample_size=len(head),
             compressed_size=execution.compressed_size,
-            elapsed_seconds=execution.seconds,
+            elapsed_seconds=execution.compression_seconds,
         )

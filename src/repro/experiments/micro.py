@@ -69,7 +69,7 @@ def _measure_method(method: str, data: bytes) -> MicroResult:
     return MicroResult(
         method=method,
         ratio=execution.ratio,
-        compress_seconds=execution.seconds,
+        compress_seconds=execution.compression_seconds,
         decompress_seconds=decompress_seconds,
     )
 

@@ -27,7 +27,11 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.bicriteria import default_candidates, evaluate_candidates
+from ..core.bicriteria import (
+    default_candidates,
+    evaluate_candidates,
+    fastest_compressing_point,
+)
 from ..core.engine import CodecExecutor
 from ..core.placement import PLACEMENTS, PlacementCost, choose_placement
 from ..core.sampler import LzSampler
@@ -199,11 +203,10 @@ def placement_breakdown(
                 sample=sample,
                 base_block_size=len(block),
             )
-            compressing = [p for p in points.values() if p.method != "none"]
-            point = min(compressing, key=lambda p: (p.total_seconds, p.space))
+            point = fastest_compressing_point(points.values())
             execution = executor.compress(point.method, block)
             payloads.append(execution.payload)
-            comp_seconds = execution.seconds
+            comp_seconds = execution.compression_seconds
             dec_seconds = DEFAULT_COSTS.decompression_time(
                 execution.method, len(block), SUN_FIRE
             ) if execution.method != "none" else 0.0

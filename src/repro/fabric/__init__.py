@@ -9,14 +9,13 @@ ownership rules.
 """
 
 from .broker import DeliveryCallback, EventFabric, FabricSubscription
-from .cache import BlockCache, CachedBlock, CacheKey
+from .cache import BlockCache, CacheKey
 from .loadgen import DEFAULT_SPECS, FanoutConfig, FanoutResult, run_fanout
 from .sharding import shard_assignments, shard_index, shard_load
 
 __all__ = [
     "BlockCache",
     "CacheKey",
-    "CachedBlock",
     "DeliveryCallback",
     "DEFAULT_SPECS",
     "EventFabric",

@@ -477,7 +477,7 @@ class EventFabric:
         attributes = {
             ATTR_COMPRESSION_METHOD: execution.method,
             ATTR_ORIGINAL_SIZE: event.size,
-            ATTR_COMPRESSION_SECONDS: execution.seconds,
+            ATTR_COMPRESSION_SECONDS: execution.compression_seconds,
         }
         if execution.method == "none":
             # Expansion guard fell back: original bytes, truthful method.

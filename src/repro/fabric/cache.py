@@ -5,11 +5,13 @@ at fan-out scale that repeats identical codec work every time several
 derived channels resolve to the same method for the same payload.  This
 module is the amortization point: a bounded LRU keyed by
 ``(payload_crc32, payload_length, method, canonical_params)`` whose
-values are the compressed wire bytes plus the engine-accounted cost of
-producing them.  The first subscriber group pays the codec; every other
-group that resolved to the same configuration is served the *same*
-``bytes`` object (zero-copy — consumers take :class:`memoryview` slices,
-never mutate, and must copy before retaining past the delivery).
+values are the executor's own :class:`~repro.core.engine.BlockStats` —
+the compressed wire bytes plus the engine-accounted cost of producing
+them.  The first subscriber group pays the codec; every other group
+that resolved to the same configuration is served the *same* record,
+hence the same ``bytes`` object and the same read-only ``view``
+(zero-copy — consumers never mutate, and must copy before retaining
+past the delivery).
 
 Keying discipline: the payload is identified by CRC32 **and length**
 (length is free and removes the cheap collision class), the method by
@@ -30,12 +32,11 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import replace
 from typing import Mapping, Optional, Tuple
 
 from ..compression.base import canonical_params, params_label
-from ..core.engine import BlockExecution, CodecExecutor
+from ..core.engine import BlockStats, CodecExecutor
 from ..obs.fabric import (
     record_cache_eviction,
     record_cache_hit,
@@ -44,52 +45,14 @@ from ..obs.fabric import (
 )
 from ..obs.metrics import MetricsRegistry
 
-__all__ = ["BlockCache", "CacheKey", "CachedBlock"]
+__all__ = ["BlockCache", "CacheKey"]
 
 #: ``(payload_crc32, payload_length, method, canonical_params)``.
 CacheKey = Tuple[int, int, str, Tuple[Tuple[str, object], ...]]
 
 
-@dataclass(frozen=True)
-class CachedBlock:
-    """One remembered compression: the wire bytes and what they cost.
-
-    ``payload`` is shared by every consumer (bytes are immutable);
-    ``view`` is **one** shared read-only :class:`memoryview` over it,
-    created on first access and handed to every subsequent consumer —
-    fan-out of a cached block allocates nothing per subscriber, and the
-    fanout bench asserts the identity.  ``method`` is the method that
-    actually produced the bytes — it differs from ``requested_method``
-    when the expansion guard fell back to ``none``.
-    """
-
-    requested_method: str
-    method: str
-    original_size: int
-    payload: bytes
-    seconds: float
-    fell_back: bool = False
-
-    @cached_property
-    def view(self) -> memoryview:
-        # cached_property writes straight to __dict__, bypassing the
-        # frozen dataclass guard: every caller shares this one view.
-        return memoryview(self.payload).toreadonly()
-
-    def as_execution(self) -> BlockExecution:
-        """Re-materialize the engine's execution record for observers."""
-        return BlockExecution(
-            requested_method=self.requested_method,
-            method=self.method,
-            original_size=self.original_size,
-            payload=self.payload,
-            seconds=self.seconds,
-            fell_back=self.fell_back,
-        )
-
-
 class BlockCache:
-    """Bounded LRU of :class:`CachedBlock`, keyed by payload+configuration.
+    """Bounded LRU of codec-run records, keyed by payload+configuration.
 
     Thread-safe: shards of the fabric share one instance, and the lock
     only guards the map bookkeeping — codec runs happen outside it (a
@@ -110,7 +73,7 @@ class BlockCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.registry = registry
-        self._entries: "OrderedDict[CacheKey, CachedBlock]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, BlockStats]" = OrderedDict()
         self._lock = threading.Lock()
         self.bytes_held = 0
         self.hits = 0
@@ -134,13 +97,14 @@ class BlockCache:
         method: str,
         payload: bytes,
         params: Optional[Mapping[str, object]] = None,
-    ) -> Tuple[BlockExecution, bool]:
+    ) -> Tuple[BlockStats, bool]:
         """Compress once per configuration; returns ``(execution, hit)``.
 
-        A hit replays the remembered execution (same bytes object, same
-        accounted seconds — the cost that was actually paid, once); a
-        miss runs the executor and caches the outcome.  Method ``none``
-        is never cached: passthrough costs nothing to "recompute".
+        A hit returns the remembered execution itself (same record, same
+        bytes object, same accounted seconds — the cost that was actually
+        paid, once); a miss runs the executor and caches the outcome.
+        Method ``none`` is never cached: passthrough costs nothing to
+        "recompute".
         """
         label = params_label(params)
         if method == "none":
@@ -154,24 +118,15 @@ class BlockCache:
         if cached is not None:
             if self.registry is not None:
                 record_cache_hit(self.registry, method, label)
-            return cached.as_execution(), True
+            return cached, True
         execution = executor.compress(method, payload)
         with self._lock:
             self.misses += 1
-        stored = execution.payload
-        if not isinstance(stored, bytes):
+        if not isinstance(execution.payload, bytes):
             # copy-ok: a cached entry outlives the event; retaining a view
             # here would pin the producer's whole backing buffer in the LRU.
-            stored = bytes(stored)
-        block = CachedBlock(
-            requested_method=execution.requested_method,
-            method=execution.method,
-            original_size=execution.original_size,
-            payload=stored,
-            seconds=execution.seconds,
-            fell_back=execution.fell_back,
-        )
-        self._store(key, block, method, label)
+            execution = replace(execution, payload=bytes(execution.payload))
+        self._store(key, execution, method, label)
         if self.registry is not None:
             record_cache_miss(self.registry, method, label)
             record_cache_size(self.registry, self.bytes_held, len(self._entries))
@@ -179,7 +134,7 @@ class BlockCache:
 
     # -- bookkeeping -------------------------------------------------------------
 
-    def _store(self, key: CacheKey, block: CachedBlock, method: str, label: str) -> None:
+    def _store(self, key: CacheKey, block: BlockStats, method: str, label: str) -> None:
         size = len(block.payload)
         if size > self.max_bytes:
             return  # one oversized block must not flush the whole cache

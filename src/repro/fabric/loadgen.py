@@ -166,7 +166,7 @@ class _AccountingExecutor(CodecExecutor):
 
     def compress(self, method, block, codec=None):
         execution = super().compress(method, block, codec=codec)
-        self.seconds_charged += execution.seconds
+        self.seconds_charged += execution.compression_seconds
         self.runs += 1
         return execution
 
@@ -316,7 +316,7 @@ def run_fanout(
                     wire = WireFormat.encode(delivered)
                     channel_wires[spec_index] = wire
                 baseline_crcs[subscriber] = zlib.crc32(wire, baseline_crcs[subscriber])
-                baseline_seconds += execution.seconds
+                baseline_seconds += execution.compression_seconds
                 baseline_seconds += link.mean_transfer_time(len(wire))
                 baseline_compressions += 1
 
@@ -380,5 +380,5 @@ def _compression_attributes(execution, event: Event) -> Dict[str, object]:
     return {
         ATTR_COMPRESSION_METHOD: execution.method,
         ATTR_ORIGINAL_SIZE: event.size,
-        ATTR_COMPRESSION_SECONDS: execution.seconds,
+        ATTR_COMPRESSION_SECONDS: execution.compression_seconds,
     }

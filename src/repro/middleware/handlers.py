@@ -107,20 +107,11 @@ class CompressionHandler:
         else:
             execution = self.executor.compress(self.method, event.payload)
         if self.registry is not None:
-            record_execution(
-                self.registry,
-                channel=self.channel,
-                method=execution.method,
-                requested_method=execution.requested_method,
-                original_size=execution.original_size,
-                compressed_size=execution.compressed_size,
-                compression_seconds=execution.seconds,
-                fell_back=execution.fell_back,
-            )
+            record_execution(self.registry, self.channel, execution)
         attributes = {
             ATTR_COMPRESSION_METHOD: execution.method,
             ATTR_ORIGINAL_SIZE: event.size,
-            ATTR_COMPRESSION_SECONDS: execution.seconds,
+            ATTR_COMPRESSION_SECONDS: execution.compression_seconds,
         }
         if execution.method == "none":
             # Requested passthrough, or the expansion guard fell back:
@@ -212,22 +203,13 @@ class TunableCompressionHandler:
     def __call__(self, event: Event) -> Event:
         execution = self.executor.compress(self.method, event.payload, codec=self.codec)
         if self.registry is not None:
-            record_execution(
-                self.registry,
-                channel=self.channel,
-                method=execution.method,
-                requested_method=execution.requested_method,
-                original_size=execution.original_size,
-                compressed_size=execution.compressed_size,
-                compression_seconds=execution.seconds,
-                fell_back=execution.fell_back,
-            )
+            record_execution(self.registry, self.channel, execution)
         return event.with_payload(
             execution.payload,
             **{
                 ATTR_COMPRESSION_METHOD: execution.method,
                 ATTR_ORIGINAL_SIZE: event.size,
-                ATTR_COMPRESSION_SECONDS: execution.seconds,
+                ATTR_COMPRESSION_SECONDS: execution.compression_seconds,
             },
         )
 

@@ -177,7 +177,7 @@ class CompressionRelay:
                 )
                 execution = self.executor.compress(method, event.payload, codec=codec)
             self.events_compressed += 1
-            self.relay_seconds += execution.seconds
+            self.relay_seconds += execution.compression_seconds
             if self.registry is not None:
                 record_relay_event(
                     self.registry,
@@ -189,7 +189,7 @@ class CompressionRelay:
             attributes = {
                 ATTR_COMPRESSION_METHOD: execution.method,
                 ATTR_ORIGINAL_SIZE: event.size,
-                ATTR_COMPRESSION_SECONDS: execution.seconds,
+                ATTR_COMPRESSION_SECONDS: execution.compression_seconds,
                 ATTR_PLACEMENT: "consumer",
             }
             if execution.method == "none":

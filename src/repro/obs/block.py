@@ -82,47 +82,37 @@ def record_pipeline_block(
     ).inc(pool_mode=pool_mode, queue_depth=str(queue_depth))
 
 
-def record_execution(
-    registry: MetricsRegistry,
-    channel: str,
-    method: str,
-    requested_method: str,
-    original_size: int,
-    compressed_size: int,
-    compression_seconds: float,
-    decompression_seconds: float = 0.0,
-    fell_back: bool = False,
-) -> None:
-    """Fold one block execution into ``registry`` under channel/method labels."""
-    labels = {"channel": channel, "method": method}
+def record_execution(registry: MetricsRegistry, channel: str, stats: "BlockStats") -> None:
+    """Fold one codec run into ``registry`` under channel/method labels."""
+    labels = {"channel": channel, "method": stats.method}
     registry.counter(BLOCKS_TOTAL, help="blocks executed").inc(**labels)
     registry.counter(BYTES_IN_TOTAL, help="uncompressed bytes in").inc(
-        original_size, **labels
+        stats.original_size, **labels
     )
     registry.counter(BYTES_OUT_TOTAL, help="wire bytes out").inc(
-        compressed_size, **labels
+        stats.compressed_size, **labels
     )
-    if fell_back:
+    if stats.fell_back:
         registry.counter(
             FALLBACKS_TOTAL, help="expansion-guard fallbacks to method=none"
-        ).inc(channel=channel, method=requested_method)
+        ).inc(channel=channel, method=stats.requested_method)
     registry.histogram(
         COMPRESSION_SECONDS,
         boundaries=DEFAULT_SECONDS_BUCKETS,
         help="per-block compression seconds (engine-accounted)",
-    ).observe(compression_seconds, **labels)
-    if decompression_seconds:
+    ).observe(stats.compression_seconds, **labels)
+    if stats.decompression_seconds:
         registry.histogram(
             DECOMPRESSION_SECONDS,
             boundaries=DEFAULT_SECONDS_BUCKETS,
             help="per-block decompression seconds (engine-accounted)",
-        ).observe(decompression_seconds, **labels)
-    if original_size:
+        ).observe(stats.decompression_seconds, **labels)
+    if stats.original_size:
         registry.histogram(
             BLOCK_RATIO,
             boundaries=DEFAULT_RATIO_BUCKETS,
             help="per-block compressed/original ratio",
-        ).observe(compressed_size / original_size, **labels)
+        ).observe(stats.ratio, **labels)
 
 
 class BlockTelemetry:
@@ -151,17 +141,7 @@ class BlockTelemetry:
 
     def __call__(self, stats: "BlockStats") -> None:
         self.blocks_seen += 1
-        record_execution(
-            self.registry,
-            channel=self.channel,
-            method=stats.method,
-            requested_method=stats.requested_method,
-            original_size=stats.original_size,
-            compressed_size=stats.compressed_size,
-            compression_seconds=stats.compression_seconds,
-            decompression_seconds=stats.decompression_seconds,
-            fell_back=stats.fell_back,
-        )
+        record_execution(self.registry, self.channel, stats)
         if self.keep_series:
             self._series.append(
                 (stats.method, stats.original_size, stats.compressed_size)

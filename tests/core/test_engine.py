@@ -36,7 +36,7 @@ class TestCodecExecutorModes:
     def test_measured_mode_reports_wall_clock(self, commercial_block):
         execution = CodecExecutor().compress("lempel-ziv", commercial_block)
         assert execution.method == "lempel-ziv"
-        assert execution.seconds > 0
+        assert execution.compression_seconds > 0
         assert execution.compressed_size < len(commercial_block)
 
     def test_cpu_scaled_mode_slows_by_factor(self, commercial_block):
@@ -44,8 +44,8 @@ class TestCodecExecutorModes:
         # modeled reference for the same (deterministic) cost table.
         fast = CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
         slow = CodecExecutor(cost_model=DEFAULT_COSTS, cpu=ULTRA_SPARC)
-        t_fast = fast.compress("huffman", commercial_block).seconds
-        t_slow = slow.compress("huffman", commercial_block).seconds
+        t_fast = fast.compress("huffman", commercial_block).compression_seconds
+        t_slow = slow.compress("huffman", commercial_block).compression_seconds
         assert t_slow == pytest.approx(
             t_fast * SUN_FIRE.speed_factor / ULTRA_SPARC.speed_factor
         )
@@ -54,8 +54,8 @@ class TestCodecExecutorModes:
         executor = CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
         first = executor.compress("burrows-wheeler", commercial_block)
         second = executor.compress("burrows-wheeler", commercial_block)
-        assert first.seconds == second.seconds
-        assert first.seconds == DEFAULT_COSTS.compression_time(
+        assert first.compression_seconds == second.compression_seconds
+        assert first.compression_seconds == DEFAULT_COSTS.compression_time(
             "burrows-wheeler", len(commercial_block), SUN_FIRE
         )
         # Sizes are still real codec output, not modeled.
@@ -78,13 +78,13 @@ class TestCodecExecutorModes:
         executor = CodecExecutor(cost_model=DEFAULT_COSTS, cost_model_fallback=True)
         execution = executor.compress("lzw", commercial_block)
         assert execution.method == "lzw"
-        assert execution.seconds > 0
+        assert execution.compression_seconds > 0
 
     def test_none_shortcut_is_free_and_identity(self, commercial_block):
         execution = CodecExecutor().compress("none", commercial_block)
         assert execution.method == "none"
         assert execution.payload == commercial_block
-        assert execution.seconds == 0.0
+        assert execution.compression_seconds == 0.0
         assert CodecExecutor().decompression_time("none", 1024, b"") == 0.0
 
 

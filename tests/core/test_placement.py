@@ -224,6 +224,27 @@ class TestPolicyPlacement:
         decision = policy.choose(BLOCK, 0.01, self._monitor(), sample)
         assert decision.placement == "raw"
 
+    def test_auto_does_not_schedule_on_guesswork(self):
+        # No cost substrate, cold monitor: nothing compressing is
+        # priceable, so auto must leave the table's decision exactly as
+        # it was — and count nothing.
+        cold = ReducingSpeedMonitor()
+        untouched = AdaptivePolicy().choose(BLOCK, 0.5, cold, None)
+        policy = AdaptivePolicy(placement="auto")
+        monitor = ReducingSpeedMonitor()
+        decision = policy.choose(BLOCK, 0.5, monitor, None)
+        assert decision == untouched
+        assert (decision.method, decision.placement) == ("huffman", "producer")
+        assert policy.placement_counts == {}
+        assert policy.placement_modeled_seconds_total == 0.0
+        assert monitor.registry.to_json() == cold.registry.to_json()
+
+    def test_explicit_raw_ships_raw_even_unpriced(self):
+        policy = AdaptivePolicy(placement="raw")
+        decision = policy.choose(BLOCK, 0.5, ReducingSpeedMonitor(), None)
+        assert (decision.method, decision.placement) == ("none", "raw")
+        assert policy.placement_counts == {"raw": 1}
+
 
 class TestRelayPipeline:
     def test_degenerates_to_simulate_pipeline(self):

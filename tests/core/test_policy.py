@@ -5,9 +5,12 @@ import math
 import pytest
 
 from repro.compression.base import CodecError
+from repro.core import policy as policy_module
+from repro.core.bicriteria import evaluate_candidates
 from repro.core.monitor import ReducingSpeedMonitor
 from repro.core.policy import AdaptivePolicy, FixedPolicy
 from repro.core.sampler import SampleResult
+from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
 
 
 class TestFixedPolicy:
@@ -25,6 +28,15 @@ class TestFixedPolicy:
     def test_none_policy(self):
         decision = FixedPolicy("none").choose(1024, 1.0, ReducingSpeedMonitor(), None)
         assert not decision.compresses
+
+    def test_sample_may_be_a_probe_result_or_a_bare_ratio(self):
+        policy = FixedPolicy("huffman")
+        monitor = ReducingSpeedMonitor()
+        probe = policy.choose(1024, 1.0, monitor, SampleResult(4096, 1638, 0.001))
+        bare = policy.choose(1024, 1.0, monitor, 0.4)
+        assert probe.effective_ratio == pytest.approx(0.4, abs=1e-3)
+        assert bare.effective_ratio == 0.4
+        assert policy.choose(1024, 1.0, monitor, None).effective_ratio == 1.0
 
 
 class TestAdaptivePolicy:
@@ -101,3 +113,37 @@ class TestStalenessDegradation:
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             AdaptivePolicy(staleness_horizon=0)
+
+
+class TestPriceOnce:
+    """The grid is priced at most once per decision, whatever the preset."""
+
+    MODELED = dict(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, native=False)
+
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            (dict(), 0),
+            (dict(staleness_horizon=2), 0),
+            (dict(policy="bicriteria", **MODELED), 1),
+            (dict(placement="auto", **MODELED), 1),
+            (dict(placement="raw"), 1),
+            (dict(policy="bicriteria", placement="auto", downstream_factor=4.0, **MODELED), 1),
+            (dict(policy="bicriteria", placement="consumer", downstream_factor=4.0, **MODELED), 1),
+        ],
+    )
+    def test_evaluate_candidates_calls_per_choose(self, monkeypatch, kwargs, expected):
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return evaluate_candidates(*args, **kw)
+
+        monkeypatch.setattr(policy_module, "evaluate_candidates", counting)
+        policy = AdaptivePolicy(**kwargs)
+        monitor = ReducingSpeedMonitor()
+        for sending_time in (0.001, 0.05, 2.0):
+            monitor.observe_raw("lempel-ziv", 140_000, 0.1)
+            calls.clear()
+            policy.choose(128 * 1024, sending_time, monitor, SampleResult(4096, 1400, 0.001))
+            assert len(calls) == expected

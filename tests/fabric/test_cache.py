@@ -30,7 +30,7 @@ def test_hit_replays_execution_without_codec_run():
     assert (hit1, hit2) == (False, True)
     assert executor.runs == 1
     assert second.payload == first.payload
-    assert second.seconds == first.seconds
+    assert second.compression_seconds == first.compression_seconds
     assert second.method == first.method
     assert cache.hits == 1 and cache.misses == 1
 
@@ -146,6 +146,21 @@ def test_bounds_must_be_positive():
         BlockCache(max_entries=0)
     with pytest.raises(ValueError):
         BlockCache(max_bytes=0)
+
+
+def test_hit_returns_the_stored_record_and_its_view():
+    # The cache stores the executor's own record: a hit hands back that
+    # very object, so every consumer also shares its one view.
+    executor = CountingExecutor()
+    cache = BlockCache()
+    missed, _ = cache.execute(executor, "huffman", PAYLOAD)
+    (stored,) = cache._entries.values()
+    view = stored.view
+    for _ in range(3):
+        hit, was_hit = cache.execute(executor, "huffman", PAYLOAD)
+        assert was_hit
+        assert hit is stored is missed
+        assert hit.view is view
 
 
 def test_cached_block_view_is_one_shared_readonly_memoryview():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import BlockEngine, CodecExecutor
+from repro.core.engine import BlockEngine, BlockStats, CodecExecutor
 from repro.experiments.replay import (
     figure8_commercial_replay,
     figure11_molecular_replay,
@@ -41,13 +41,15 @@ class TestRecordExecution:
         registry = MetricsRegistry()
         record_execution(
             registry,
-            channel="test",
-            method="lempel-ziv",
-            requested_method="lempel-ziv",
-            original_size=1000,
-            compressed_size=400,
-            compression_seconds=0.02,
-            decompression_seconds=0.01,
+            "test",
+            BlockStats(
+                method="lempel-ziv",
+                requested_method="lempel-ziv",
+                original_size=1000,
+                compressed_size=400,
+                compression_seconds=0.02,
+                decompression_seconds=0.01,
+            ),
         )
         labels = {"channel": "test", "method": "lempel-ziv"}
         assert registry.counter(BLOCKS_TOTAL).value(**labels) == 1
@@ -63,13 +65,15 @@ class TestRecordExecution:
         registry = MetricsRegistry()
         record_execution(
             registry,
-            channel="test",
-            method="none",
-            requested_method="huffman",
-            original_size=1000,
-            compressed_size=1000,
-            compression_seconds=0.01,
-            fell_back=True,
+            "test",
+            BlockStats(
+                method="none",
+                requested_method="huffman",
+                original_size=1000,
+                compressed_size=1000,
+                compression_seconds=0.01,
+                fell_back=True,
+            ),
         )
         fallbacks = registry.counter(FALLBACKS_TOTAL)
         assert fallbacks.value(channel="test", method="huffman") == 1
