@@ -2,24 +2,17 @@
 
 The optimizer runs once per 128 KB block in production, exactly like the
 §2.5 selector it replaces, so building and pruning the candidate frontier
-must stay microseconds-cheap.  The dominance half is the same invariant
-the CI smoke gate enforces: because the table's choice (at default
-parameters) is always in the evaluated candidate set, the frontier's
-budget-feasible minimum can never model slower than the table.
+must stay microseconds-cheap.  The dominance half *is* the CI smoke
+gate's ``bicriteria_model_grid`` check: because the table's choice (at
+default parameters) is always in the evaluated candidate set, the
+frontier's budget-feasible minimum can never model slower than the table.
 """
 
-from repro.core.bicriteria import (
-    CandidateSpec,
-    build_frontier,
-    default_candidates,
-    evaluate_candidates,
-    pareto_frontier,
-    select_point,
-)
-from repro.core.decision import DecisionInputs, select_method
+from repro.core.bicriteria import build_frontier, select_point
 from repro.core.monitor import ReducingSpeedMonitor
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
 from repro.netsim.link import PAPER_LINKS
+from repro.verify.gates.smoke import bicriteria_model_grid
 
 _BLOCK_SIZE = 128 * 1024
 
@@ -48,39 +41,6 @@ def test_bicriteria_frontier_speed(benchmark, record_bench):
     record_bench("bicriteria.chosen_method_100mbit", hash(point.label) % 2**32)
 
 
-def test_bicriteria_dominates_table(record_bench):
-    """Per link class, the chosen point models <= the table's choice."""
-    advantage = 0.0
-    for link_name, spec in PAPER_LINKS.items():
-        sending_time = _BLOCK_SIZE / spec.throughput
-        monitor = ReducingSpeedMonitor()
-        monitor.observe_speed("lempel-ziv", 1.4e6)
-        points = evaluate_candidates(
-            default_candidates(_BLOCK_SIZE),
-            sending_time,
-            calibration=DEFAULT_COSTS,
-            cpu=SUN_FIRE,
-            monitor=monitor,
-            sample=0.35,
-            base_block_size=_BLOCK_SIZE,
-        )
-        point, violated = select_point(pareto_frontier(points.values()), 1.0)
-        assert not violated
-        table_method = select_method(
-            DecisionInputs(
-                block_size=_BLOCK_SIZE,
-                sending_time=sending_time,
-                lz_reducing_speed=1.4e6,
-                sampled_ratio=0.35,
-            )
-        ).method
-        table_point = points[CandidateSpec(method=table_method, block_size=_BLOCK_SIZE)]
-        assert point.total_seconds <= table_point.total_seconds + 1e-9, link_name
-        advantage += table_point.total_seconds - point.total_seconds
-    record_bench(
-        "bicriteria.model_advantage_seconds",
-        advantage,
-        unit="seconds",
-        better="higher",
-        tolerance=0.10,
-    )
+def test_bicriteria_dominates_table(run_check):
+    """The smoke gate's model-grid check: chosen point models <= the table's."""
+    run_check(bicriteria_model_grid)

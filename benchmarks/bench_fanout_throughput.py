@@ -5,77 +5,14 @@ of the reproduction.  A Zipf-skewed population of 1024 subscribers over
 64 channels shares 8 distinct ``(method, params)`` compression choices;
 the fabric compresses each payload once per choice through the shared
 block cache while the baseline models the pre-fabric middleware, where
-every subscriber's derived channel runs the codec itself.  Both paths
-are costed on the calibrated model over deterministic link means, so
-every number here is exact run-to-run — and the delivered frames must be
-byte-identical between the two paths (compress-once is an optimization,
-never a semantic change).
+every subscriber's derived channel runs the codec itself.  The scenario,
+its verdicts (byte identity, cache amortization, >=3x speedup, shard
+balance) and its metrics are the smoke gate's ``fanout_throughput``
+check; this module runs it so ``pytest benchmarks/`` reports it too.
 """
 
-from repro.fabric import FanoutConfig, run_fanout
-
-import pytest
-
-#: The same scenario the smoke gate runs (loadgen defaults).
-FANOUT_CONFIG = FanoutConfig()
+from repro.verify.gates.smoke import fanout_throughput
 
 
-@pytest.fixture(scope="module")
-def fanout_result():
-    return run_fanout(FANOUT_CONFIG)
-
-
-def test_fanout_byte_identity(fanout_result, record_bench):
-    assert fanout_result.crc_ok, "fabric frames diverged from the serial path"
-    record_bench(
-        "fanout.wire_crc32", fanout_result.wire_crc32, unit="crc32",
-        better="near", tolerance=0.0,
-    )
-    record_bench(
-        "fanout.deliveries", fanout_result.deliveries, unit="events",
-        better="near", tolerance=0.0,
-    )
-
-
-def test_fanout_cache_amortization(fanout_result, record_bench):
-    assert fanout_result.cache_hit_rate >= 0.90
-    # Compress-once really means once: codec runs bounded by
-    # (payloads x specs), not by deliveries.
-    assert fanout_result.fabric_compressions <= (
-        FANOUT_CONFIG.events * len(FANOUT_CONFIG.specs)
-    )
-    record_bench(
-        "fanout.cache_hit_rate", fanout_result.cache_hit_rate, unit="fraction",
-        better="higher", tolerance=0.02,
-    )
-    record_bench(
-        "fanout.codec_runs", fanout_result.fabric_compressions, unit="runs",
-        better="lower", tolerance=0.0,
-    )
-
-
-def test_fanout_speedup(fanout_result, record_bench):
-    assert fanout_result.speedup >= 3.0
-    record_bench(
-        "fanout.speedup", fanout_result.speedup, unit="x",
-        better="higher", tolerance=0.05,
-    )
-    record_bench(
-        "fanout.events_per_second", fanout_result.fabric_events_per_second,
-        unit="events/s", better="higher", tolerance=0.05,
-    )
-    record_bench(
-        "fanout.baseline_events_per_second",
-        fanout_result.baseline_events_per_second,
-        unit="events/s", better="higher", tolerance=0.05,
-    )
-
-
-def test_fanout_shard_balance(fanout_result, record_bench):
-    # CRC sharding over 63 active channels: no shard should starve.
-    assert min(fanout_result.shard_events) > 0
-    spread = max(fanout_result.shard_events) / min(fanout_result.shard_events)
-    assert spread <= 2.0
-    record_bench(
-        "fanout.shard_spread", spread, unit="ratio", better="lower", tolerance=0.05,
-    )
+def test_fanout_gate(run_check):
+    run_check(fanout_throughput)

@@ -2,14 +2,14 @@
 
 The placement decision runs once per block on top of the bicriteria
 candidate evaluation, so pricing the three arrangements and picking the
-winner must stay microseconds-cheap.  The dominance half mirrors the CI
-placement gate: because always-``producer`` is itself in the priced set,
-the break-even ``auto`` choice can never model slower than it — on any
-link class, per block or end-to-end.
+winner must stay microseconds-cheap.  The dominance half *is* the CI smoke
+gate's ``placement_breakeven`` check (verdict:
+``repro.experiments.placement.placement_failures``): because
+always-``producer`` is itself in the priced set, the break-even ``auto``
+choice can never model slower than it — on any link class.
 """
 
 import math
-import zlib
 
 from repro.core.bicriteria import (
     default_candidates,
@@ -21,13 +21,10 @@ from repro.core.placement import (
     evaluate_placements,
     raw_breakeven_seconds,
 )
-from repro.experiments.placement import (
-    DEFAULT_INTERFERENCE,
-    LINK_CLASSES,
-    placement_breakdown,
-)
+from repro.experiments.placement import DEFAULT_INTERFERENCE
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
 from repro.netsim.link import PAPER_LINKS
+from repro.verify.gates.smoke import placement_breakeven
 
 _BLOCK_SIZE = 128 * 1024
 
@@ -72,32 +69,6 @@ def test_placement_decision_speed(benchmark, record_bench):
     )
 
 
-def test_placement_auto_never_loses(record_bench):
-    """Per link class, auto's modeled makespan <= always-producer's."""
-    cells = placement_breakdown(
-        total_blocks=6, block_size=_BLOCK_SIZE, interference=DEFAULT_INTERFERENCE
-    )
-    by_key = {(c.link, c.mode): c for c in cells}
-    advantage = 0.0
-    crcs = []
-    for link in LINK_CLASSES:
-        producer = by_key[(link, "producer")]
-        consumer = by_key[(link, "consumer")]
-        auto = by_key[(link, "auto")]
-        assert auto.makespan <= producer.makespan * (1.0 + 1e-9), link
-        assert auto.serial_seconds <= producer.serial_seconds * (1.0 + 1e-9), link
-        # The relay contract: consumer-placed bytes equal producer-placed.
-        assert consumer.downstream_crc32 == producer.downstream_crc32, link
-        # The offload signature: nothing compresses at the producer.
-        assert consumer.compress_seconds == 0.0, link
-        advantage += producer.makespan - auto.makespan
-        crcs.append(auto.downstream_crc32)
-    record_bench(
-        "placement.auto_advantage_seconds", advantage,
-        unit="seconds", better="higher", tolerance=0.10,
-    )
-    record_bench(
-        "placement.auto_downstream_crc32",
-        zlib.crc32(",".join(str(c) for c in crcs).encode()),
-        unit="crc32",
-    )
+def test_placement_auto_never_loses(run_check):
+    """The smoke gate's placement check: the one verdict, on its matrix."""
+    run_check(placement_breakeven)

@@ -5,79 +5,12 @@ the reproduction.  The modeled schedule (calibrated costs on the SUN_FIRE
 CPU, nominal 100 MBit wire) quantifies how much of the paper's "slightly
 more than 60%" compression share a 4-worker compress/send pipeline hides;
 the real process-pool run proves the pool changes wall clock only, never
-wire bytes.
+wire bytes.  Scenario and verdicts are the smoke gate's
+``pool_throughput`` check; what this module adds is its wall time.
 """
 
-import zlib
-
-import pytest
-
-from repro.core import (
-    BlockEngine,
-    CodecExecutor,
-    PipelinedBlockEngine,
-    WorkerPool,
-    simulate_pipeline,
-)
-from repro.data.commercial import CommercialDataGenerator
-from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
-from repro.netsim.link import PAPER_LINKS
-
-BLOCK_SIZE = 8 * 1024
-BLOCK_COUNT = 64
-WORKERS = 4
-QUEUE_DEPTH = 8
+from repro.verify.gates.smoke import pool_throughput
 
 
-@pytest.fixture(scope="module")
-def pool_stream():
-    generator = CommercialDataGenerator(seed=2004)
-    return b"".join(generator.stream(BLOCK_SIZE, BLOCK_COUNT))
-
-
-@pytest.fixture(scope="module")
-def serial_run(pool_stream):
-    engine = BlockEngine(
-        CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE), block_size=BLOCK_SIZE
-    )
-    return engine.run(pool_stream, method="burrows-wheeler")
-
-
-def test_pool_schedule_speedup(serial_run, record_bench):
-    compression = [stats.compression_seconds for _, stats in serial_run]
-    wire_rate = PAPER_LINKS["100mbit"].throughput
-    send = [len(payload) / wire_rate for payload, _ in serial_run]
-    schedule = simulate_pipeline(
-        compression, send, workers=WORKERS, queue_depth=QUEUE_DEPTH
-    )
-    record_bench(
-        "pool.speedup", schedule.speedup, unit="x", better="higher", tolerance=0.05
-    )
-    record_bench(
-        "pool.overlap_fraction", schedule.overlap_fraction, unit="fraction",
-        better="higher", tolerance=0.05,
-    )
-    assert schedule.speedup >= 2.0
-    # One wire, in order: the pipeline can never beat the pure
-    # compression bound plus the pure send bound.
-    assert schedule.makespan >= max(
-        schedule.send_seconds, schedule.compression_seconds / WORKERS
-    )
-
-
-def test_pooled_wire_bytes_identical(pool_stream, serial_run, benchmark):
-    def pooled():
-        with WorkerPool(workers=WORKERS, mode="processes") as pool:
-            engine = PipelinedBlockEngine(
-                CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, pool=pool),
-                block_size=BLOCK_SIZE,
-                pool=pool,
-                queue_depth=QUEUE_DEPTH,
-            )
-            return engine.run(pool_stream, method="burrows-wheeler")
-
-    pooled_out = benchmark.pedantic(pooled, rounds=1, iterations=1)
-    serial_wire = b"".join(payload for payload, _ in serial_run)
-    pooled_wire = b"".join(payload for payload, _ in pooled_out)
-    assert zlib.crc32(pooled_wire) == zlib.crc32(serial_wire)
-    assert pooled_wire == serial_wire
+def test_pool_gate_wall_time(run_check, benchmark):
+    benchmark.pedantic(run_check, args=(pool_throughput,), rounds=1, iterations=1)

@@ -1,57 +1,35 @@
 """Structure-aware codecs — ratio and throughput on their own workloads.
 
 Not a paper figure: the structured family extends the paper's generic
-method table with format-aware coding.  Each benchmark compresses one
-64 KB seeded block of the matching workload; the report prints the
-structured ratio next to the best generic ratio on the same bytes, and
-the shape assertions mirror the CI ``structured_ratio`` gate (template
-beats the generic field by >=1.3x on logs, columnar beats zlib level-6
-on telemetry).
+method table with format-aware coding.  The ratio verdicts (template
+beats the generic field by >=1.3x on logs, columnar beats zlib level-6 on
+telemetry, neither falls back) are the smoke gate's ``structured_ratio``
+check, run here as-is; the benchmarks time one 64 KB seeded block of
+each workload through compress and decompress.
 """
-
-import zlib
 
 import pytest
 
 from repro.compression import get_codec
-from repro.data.logs import LogDataGenerator
-from repro.data.timeseries import TimeSeriesGenerator
+from repro.verify.gates.smoke import structured_blocks, structured_ratio
 
-_SIZE = 64 * 1024
-_SEED = 2004
-_GENERIC = ("huffman", "arithmetic", "lempel-ziv", "lzw", "burrows-wheeler")
-
-_LOG_BLOCK = next(iter(LogDataGenerator(seed=_SEED).stream(_SIZE, 1)))
-_RECORD_BLOCK = next(iter(TimeSeriesGenerator(seed=_SEED).stream(_SIZE, 1)))
-_BLOCKS = {"template": _LOG_BLOCK, "columnar": _RECORD_BLOCK}
+_BLOCKS = structured_blocks()
 
 
-def _best_generic(data: bytes) -> float:
-    return min(len(get_codec(name).compress(data)) / len(data) for name in _GENERIC)
+def test_structured_gate(run_check):
+    run_check(structured_ratio)
 
 
 @pytest.mark.parametrize("name", ["template", "columnar"])
 def test_structured_compress(benchmark, name):
     codec = get_codec(name)
-    data = _BLOCKS[name]
-    payload = benchmark(codec.compress, data)
-    assert not codec.is_fallback(payload)
-    ratio = len(payload) / len(data)
-    rival = _best_generic(data)
-    print(
-        f"\nstructured {name:9s} ratio {100.0 * ratio:5.1f}%   "
-        f"best generic {100.0 * rival:5.1f}%"
-    )
-    if name == "template":
-        assert rival / ratio >= 1.3
-    else:
-        assert ratio < len(zlib.compress(data, 6)) / len(data)
+    payload = benchmark(codec.compress, _BLOCKS[name])
+    assert len(payload) < len(_BLOCKS[name])
 
 
 @pytest.mark.parametrize("name", ["template", "columnar"])
 def test_structured_decompress(benchmark, name):
     codec = get_codec(name)
     data = _BLOCKS[name]
-    payload = codec.compress(data)
-    restored = benchmark(codec.decompress, payload)
+    restored = benchmark(codec.decompress, codec.compress(data))
     assert restored == data

@@ -17,6 +17,11 @@ Two obs-era duties also live here:
   :func:`record_bench` fixture; pytest-benchmark wall-clock timings are
   folded in (as non-gating ``kind="timing"`` metrics) at session end.
   Set ``REPRO_BENCH_OUT=path.json`` to write the report.
+* **No second copy of a gate.**  Scenarios the CI gates already define
+  (``repro.verify.gates``) run here through :func:`run_check` — the
+  gate's own check function, its verdicts asserted and its metrics
+  folded into the session report — so a benchmark module keeps only
+  what no gate checks (the ``benchmark``-fixture timings).
 """
 
 import os
@@ -26,6 +31,7 @@ import pytest
 
 from repro.experiments import ReplayConfig, commercial_blocks, molecular_blocks, run_replay
 from repro.obs.benchfmt import BenchReport
+from repro.verify.gates import GateContext
 
 #: The single ambient seed every benchmark starts from.
 BENCH_SEED = 20040431
@@ -64,6 +70,21 @@ def record_bench(bench_report):
         )
 
     return record
+
+
+@pytest.fixture()
+def run_check(bench_report):
+    """Run one gate check in a throw-away context; its verdicts must hold."""
+
+    def run(check):
+        ctx = GateContext()
+        check(ctx)
+        assert not ctx.failures, ctx.failures
+        for metric in ctx.report.metrics.values():
+            bench_report.add(metric)
+        return ctx.report
+
+    return run
 
 
 def pytest_sessionfinish(session, exitstatus):

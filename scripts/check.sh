@@ -5,46 +5,29 @@
 #   1. invariant greps   — clock reads, struct framing, stray print()
 #   2. ruff lint         — style/import hygiene (skipped if not installed)
 #   3. tier-1 tests      — the full pytest suite (skipped by --fast)
-#   4. bench smoke       — deterministic subset vs BENCH_baseline.json
-#                          (opt-in via --bench-smoke; same job CI runs)
-#   5. chaos gate        — seeded fault-plan matrix with byte-exact
-#                          recovery + CRC-rejection proof (opt-in via
-#                          --chaos; same job CI runs)
-#   6. fuzz gate         — regression-corpus replay, conformance kit,
-#                          differential sweep, and a time-boxed seeded
-#                          fuzz run (opt-in via --fuzz; same job CI runs)
-#   7. placement gate    — break-even placement never loses to
-#                          always-producer; relay fan-out byte-exact
-#                          through a hostile wire (opt-in via
-#                          --placement; same job CI runs)
+#   4. named gates       — each `--gate NAME` forwards to the one runner,
+#                          `python -m repro gate NAME` (bench-smoke, chaos,
+#                          placement, fuzz) — the same commands the CI
+#                          jobs run
 #
-# Usage: scripts/check.sh [--fast] [--bench-smoke] [--chaos] [--fuzz] [--placement]
-#   --fast         skip the test suite (invariant grep + lint only)
-#   --bench-smoke  also run the deterministic bench subset and gate it
-#                  against BENCH_baseline.json (same job CI runs)
-#   --chaos        also run scripts/chaos.py (fault injection + recovery)
-#   --fuzz         also run scripts/fuzz.py (conformance + differential +
-#                  deterministic byte fuzzing, 30s budget)
-#   --placement    also run scripts/placement.py (auto-placement vs
-#                  always-producer + relay CRC-chain byte-exactness)
+# Usage: scripts/check.sh [--fast] [--gate NAME]...
+#   --fast       skip the test suite (invariant grep + lint only)
+#   --gate NAME  also run that gate (repeatable)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 fast=0
-bench_smoke=0
-chaos=0
-fuzz=0
-placement=0
-for arg in "$@"; do
-    case "$arg" in
+gates=()
+while [ "$#" -gt 0 ]; do
+    case "$1" in
         --fast) fast=1 ;;
-        --bench-smoke) bench_smoke=1 ;;
-        --chaos) chaos=1 ;;
-        --fuzz) fuzz=1 ;;
-        --placement) placement=1 ;;
-        *) echo "unknown argument: $arg" >&2; exit 2 ;;
+        --gate)
+            [ "$#" -ge 2 ] || { echo "--gate needs a NAME" >&2; exit 2; }
+            gates+=("$2"); shift ;;
+        *) echo "unknown argument: $1" >&2; exit 2 ;;
     esac
+    shift
 done
 
 # --- Invariant: one timing site -------------------------------------------------
@@ -153,26 +136,8 @@ else
     PYTHONPATH=src python -m pytest -x -q
 fi
 
-# --- Bench smoke gate -----------------------------------------------------------
-if [ "$bench_smoke" -eq 1 ]; then
-    echo "== bench smoke (deterministic subset vs BENCH_baseline.json)"
-    python scripts/bench_smoke.py
-fi
-
-# --- Chaos gate -----------------------------------------------------------------
-if [ "$chaos" -eq 1 ]; then
-    echo "== chaos gate (seeded fault plans, byte-exact recovery)"
-    python scripts/chaos.py --trace chaos_trace.jsonl
-fi
-
-# --- Fuzz gate ------------------------------------------------------------------
-if [ "$fuzz" -eq 1 ]; then
-    echo "== fuzz gate (conformance + differential + seeded byte fuzzing)"
-    python scripts/fuzz.py --budget 30s --artifact fuzz_crashes.jsonl
-fi
-
-# --- Placement gate -------------------------------------------------------------
-if [ "$placement" -eq 1 ]; then
-    echo "== placement gate (auto vs always-producer, relay byte-exactness)"
-    python scripts/placement.py --trace placement_breakdown.jsonl
+# --- Named gates ----------------------------------------------------------------
+if [ "${#gates[@]}" -gt 0 ]; then
+    echo "== gates: ${gates[*]}"
+    PYTHONPATH=src python -m repro gate "${gates[@]}"
 fi

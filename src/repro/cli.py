@@ -9,6 +9,7 @@ Usage (also available as ``python -m repro``)::
     repro replay    [--dataset D] [--link L] ...  # run a simulated stream
     repro figure    N                             # print a paper figure
     repro fuzz      [--seed S] [--budget 30s] ... # fuzz the decode surfaces
+    repro gate      NAME...                       # run CI gates (bench-smoke, ...)
 
 ``compress --method adaptive`` profiles a sample of the input (entropy +
 repetition, §4.1) and picks the recommended method.  Compressed output is
@@ -315,20 +316,17 @@ def cmd_fanout(args: argparse.Namespace) -> int:
     return 0 if result.crc_ok else 1
 
 
-#: Relative slack for placement makespan comparisons: on slow links the
-#: auto and producer arrangements tie to the last ulp, so the gate only
-#: tolerates float-summation noise, never a real regression.
-_PLACEMENT_RTOL = 1e-9
-
-
 def cmd_placement(args: argparse.Namespace) -> int:
     """Run the DTSchedule-style placement time-breakdown matrix."""
     import json
+    from dataclasses import asdict
 
     from .experiments.placement import (
         LINK_CLASSES,
         PLACEMENT_MODES_ORDER,
+        UPSTREAM_LINK,
         placement_breakdown,
+        placement_failures,
     )
 
     links = tuple(args.links) if args.links else LINK_CLASSES
@@ -341,48 +339,14 @@ def cmd_placement(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         seed=args.seed,
     )
-    by_key = {(c.link, c.mode): c for c in cells}
-    failures: List[str] = []
-    for link in links:
-        producer, auto = by_key[(link, "producer")], by_key[(link, "auto")]
-        consumer = by_key[(link, "consumer")]
-        if auto.makespan > producer.makespan * (1.0 + _PLACEMENT_RTOL):
-            failures.append(
-                f"{link}: auto makespan {auto.makespan:.6f}s exceeds "
-                f"always-producer {producer.makespan:.6f}s"
-            )
-        if auto.serial_seconds > producer.serial_seconds * (1.0 + _PLACEMENT_RTOL):
-            failures.append(
-                f"{link}: auto serial {auto.serial_seconds:.6f}s exceeds "
-                f"always-producer {producer.serial_seconds:.6f}s"
-            )
-        if consumer.downstream_crc32 != producer.downstream_crc32:
-            failures.append(
-                f"{link}: consumer downstream CRC {consumer.downstream_crc32:#010x} "
-                f"!= producer {producer.downstream_crc32:#010x}"
-            )
+    failures = placement_failures(cells)
     if args.json:
         payload = {
             "blocks": args.blocks,
             "block_size": args.block_size,
             "interference": args.interference,
-            "upstream": "1gbit",
-            "cells": [
-                {
-                    "link": c.link,
-                    "mode": c.mode,
-                    "compress_seconds": c.compress_seconds,
-                    "upstream_seconds": c.upstream_seconds,
-                    "relay_seconds": c.relay_seconds,
-                    "downstream_seconds": c.downstream_seconds,
-                    "decompress_seconds": c.decompress_seconds,
-                    "makespan": c.makespan,
-                    "serial_seconds": c.serial_seconds,
-                    "placements": c.placements,
-                    "downstream_crc32": c.downstream_crc32,
-                }
-                for c in cells
-            ],
+            "upstream": UPSTREAM_LINK,
+            "cells": [asdict(c) for c in cells],
             "failures": failures,
             "ok": not failures,
         }
@@ -390,12 +354,13 @@ def cmd_placement(args: argparse.Namespace) -> int:
         return 0 if not failures else 1
     print(
         f"placement breakdown: {args.blocks} blocks x {args.block_size} bytes, "
-        f"1gbit upstream, interference {args.interference:.2f}"
+        f"{UPSTREAM_LINK} upstream, interference {args.interference:.2f}"
     )
     header = (
         f"{'link':14s} {'mode':9s} {'compress':>9s} {'wire':>9s} "
         f"{'relay':>9s} {'decomp':>9s} {'makespan':>9s} placements"
     )
+    by_key = {(c.link, c.mode): c for c in cells}
     for link in links:
         print()
         print(header)
@@ -419,23 +384,6 @@ def cmd_placement(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_budget(text: str) -> float:
-    """Parse a wall budget like ``30``, ``30s``, or ``2m`` into seconds."""
-    text = text.strip().lower()
-    scale = 1.0
-    if text.endswith("m"):
-        scale, text = 60.0, text[:-1]
-    elif text.endswith("s"):
-        text = text[:-1]
-    try:
-        seconds = float(text) * scale
-    except ValueError:
-        raise SystemExit(f"error: bad --budget {text!r} (try 30s or 2m)") from None
-    if seconds <= 0:
-        raise SystemExit("error: --budget must be positive")
-    return seconds
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from .verify.fuzz import Fuzzer, load_corpus, replay_corpus, write_corpus
 
@@ -452,13 +400,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"{len(entries)} entries, {still_failing} still failing")
         return 1 if still_failing else 0
 
-    budget = _parse_budget(args.budget) if args.budget else None
-    report = Fuzzer(seed=args.seed).run(iterations=args.iterations, budget_seconds=budget)
-    suffix = " (budget exhausted)" if report.budget_exhausted else ""
-    print(
-        f"seed={report.seed} iterations={report.iterations_run} "
-        f"signatures={report.signatures} crashes={len(report.crashes)}{suffix}"
+    report = Fuzzer(seed=args.seed).run(
+        iterations=args.iterations, budget_seconds=args.budget
     )
+    print(report.describe())
     for crash in report.crashes:
         print(
             f"CRASH {crash.id} target={crash.target} "
@@ -468,6 +413,21 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         write_corpus(args.corpus_out, report.crashes)
         print(f"crash corpus -> {args.corpus_out}")
     return 1 if report.crashes else 0
+
+
+def cmd_gate(args: argparse.Namespace) -> int:
+    """Run CI gates: the one runner over the declarative gate table."""
+    from .verify.gates import GATES, run_gates
+
+    return run_gates(
+        args.names,
+        GATES,
+        print,
+        baseline=args.baseline,
+        write_baseline=args.write_baseline,
+        artifacts=args.artifacts,
+        budget_seconds=args.budget,
+    )
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -506,6 +466,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         print(document)
     return 0
+
+
+def _budget(text: str) -> float:
+    """``--budget`` values; imported lazily to keep ``repro.verify`` off startup."""
+    from .verify.fuzz import parse_budget
+
+    return parse_budget(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,6 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         metavar="30s",
+        type=_budget,
         help="wall-clock cap (e.g. 30s, 2m); only truncates the schedule",
     )
     p.add_argument(
@@ -635,6 +603,36 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a JSONL crash corpus instead of fuzzing; exits 1 if any entry still fails",
     )
     p.set_defaults(func=cmd_fuzz)
+
+    p = sub.add_parser(
+        "gate",
+        help="run CI gates (bench-smoke, chaos, placement, fuzz); exit 0 = every "
+        "assertion held, 1 = some did not, 2 = the gate could not run",
+    )
+    p.add_argument("names", nargs="*", metavar="NAME", help="gates to run, in order")
+    p.add_argument(
+        "--baseline",
+        help="bench-smoke: report to gate against (default: BENCH_baseline.json)",
+    )
+    p.add_argument(
+        "--write-baseline",
+        action="store_true",
+        help="bench-smoke: write the candidate as the new baseline instead of gating",
+    )
+    p.add_argument(
+        "--budget",
+        metavar="30s",
+        type=_budget,
+        default="30s",
+        help="fuzz: wall cap of the mutation stage, e.g. 30s or 2m (default %(default)s)",
+    )
+    p.add_argument(
+        "--artifacts",
+        metavar="DIR",
+        default=".",
+        help="where traces, the candidate report and crash corpora land (default: .)",
+    )
+    p.set_defaults(func=cmd_gate)
 
     p = sub.add_parser(
         "fanout",

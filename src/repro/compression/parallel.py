@@ -36,16 +36,19 @@ from __future__ import annotations
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .base import Codec, CorruptStreamError
 from .huffman import HuffmanCode
 from .varint import read_varint, write_varint
 
 __all__ = [
+    "DegradingPool",
     "ParallelCodec",
     "POOL_STRATEGIES",
     "parallel_huffman_decode",
@@ -56,6 +59,102 @@ _MAGIC = b"PAR1"
 DEFAULT_CHUNK_SIZE = 64 * 1024
 
 POOL_STRATEGIES = ("threads", "processes", "serial")
+
+
+def _validate_pool(workers: int, mode: str) -> None:
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    if mode not in POOL_STRATEGIES:
+        raise ValueError(f"unknown pool mode {mode!r} (want one of {POOL_STRATEGIES})")
+
+
+def _pool_executor(mode: str, workers: int) -> Executor:
+    """The executor behind a non-serial pool mode."""
+    if mode == "processes":
+        return ProcessPoolExecutor(max_workers=workers)
+    return ThreadPoolExecutor(max_workers=workers)
+
+
+class DegradingPool:
+    """Run calls under threads, processes or in-process; break to serial.
+
+    The one implementation of "mode -> executor, and a pool that breaks
+    (killed worker, failed fork, shutdown race) degrades to ``serial``
+    for the rest of its life while the call that hit the breakage re-runs
+    in-process" — :class:`ParallelCodec`, :func:`parallel_huffman_decode`
+    and :class:`repro.core.workers.WorkerPool` all execute through it, so
+    callers never see the breakage, only identical results.
+
+    The executor is created on first use and released by
+    :meth:`shutdown` (also the context-manager exit).  ``spawn`` builds
+    it; the default is the mode's thread or process pool.
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        mode: str,
+        spawn: Optional[Callable[[], Executor]] = None,
+    ) -> None:
+        _validate_pool(workers, mode)
+        self.workers = workers
+        self.mode = mode
+        self.degradations = 0
+        self._spawn = spawn or partial(_pool_executor, mode, workers)
+        self._executor: Optional[Executor] = None
+
+    def shutdown(self) -> None:
+        """Release pool workers (idempotent)."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._executor = None
+
+    def __enter__(self) -> "DegradingPool":
+        return self
+
+    def __exit__(self, *_exc: object) -> None:
+        self.shutdown()
+
+    def _degrade(self) -> None:
+        """Fall back to serial for the rest of this pool's life."""
+        if self.mode == "serial":
+            return
+        self.degradations += 1
+        self.shutdown()
+        self.mode = "serial"
+
+    def submit_call(self, fn: Callable, *args: object) -> "Future":
+        """Schedule ``fn(*args)``; serial (or just-broken) pools answer inline.
+
+        Every mode returns a future, so callers treat them uniformly.  A
+        future whose worker dies mid-task raises ``BrokenExecutor``;
+        :meth:`map` degrades and re-runs on that.
+        """
+        if self.mode != "serial":
+            try:
+                if self._executor is None:
+                    self._executor = self._spawn()
+                return self._executor.submit(fn, *args)
+            except (BrokenExecutor, RuntimeError, OSError):
+                # Fork/spawn failed, or the pool broke (or was shut down)
+                # before the task was accepted: degrade, answer inline.
+                self._degrade()
+        future: "Future" = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def map(self, fn: Callable, items: Sequence[object]) -> List:
+        """``[fn(item) for item in items]`` across the workers, in order.
+
+        A pool that breaks under the map degrades and the whole map
+        re-runs in-process.
+        """
+        futures = [self.submit_call(fn, item) for item in items]
+        try:
+            return [future.result() for future in futures]
+        except BrokenExecutor:
+            self._degrade()
+            return [fn(item) for item in items]
 
 
 def _apply_codec(codec: Codec, operation: str, chunk: bytes) -> bytes:
@@ -97,12 +196,7 @@ class ParallelCodec(Codec):
     ) -> None:
         if chunk_size < 1024:
             raise ValueError("chunk_size must be at least 1 KB")
-        if workers < 1:
-            raise ValueError("workers must be positive")
-        if strategy not in POOL_STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {strategy!r} (want one of {POOL_STRATEGIES})"
-            )
+        _validate_pool(workers, strategy)
         self.base = base
         self.chunk_size = chunk_size
         self.workers = workers
@@ -110,39 +204,24 @@ class ParallelCodec(Codec):
         self.degradations = 0
         self.name = f"parallel:{base.name}"
 
-    def _make_executor(self) -> Optional[Executor]:
-        if self.strategy == "threads":
-            return ThreadPoolExecutor(max_workers=self.workers)
-        if self.strategy == "processes":
-            return ProcessPoolExecutor(max_workers=self.workers)
-        return None
+    def _make_executor(self) -> Executor:
+        return _pool_executor(self.strategy, self.workers)
 
     def _map(self, operation: str, chunks: Sequence[bytes]) -> List[bytes]:
-        """Apply the base codec over ``chunks`` under the current strategy."""
+        """Apply the base codec over ``chunks`` under the current strategy.
+
+        One pool per map: this codec instance may be shared (the registry
+        hands out singletons), so no executor outlives the call.
+        """
         if not chunks:
             return []
-        if self.strategy != "serial":
-            try:
-                executor = self._make_executor()
-            except (OSError, BrokenExecutor):
-                executor = None  # fork/spawn failed: degrade below
-            if executor is not None:
-                try:
-                    with executor:
-                        if self.strategy == "processes":
-                            tasks = [
-                                executor.submit(_apply_codec, self.base, operation, chunk)
-                                for chunk in chunks
-                            ]
-                            return [task.result() for task in tasks]
-                        apply = getattr(self.base, operation)
-                        return list(executor.map(apply, chunks))
-                except BrokenExecutor:
-                    pass  # degrade below
+        apply = partial(_apply_codec, self.base, operation)
+        with DegradingPool(self.workers, self.strategy, self._make_executor) as pool:
+            results = pool.map(apply, chunks)
+        if pool.degradations:
             self.degradations += 1
             self.strategy = "serial"
-        apply = getattr(self.base, operation)
-        return [apply(chunk) for chunk in chunks]
+        return results
 
     def compress(self, data: bytes) -> bytes:
         chunks = [
@@ -284,8 +363,8 @@ def parallel_huffman_decode(
     def speculate(bounds: Tuple[int, int]) -> Tuple[List[int], List[int], int]:
         return huffman_segment_table(code, data, bounds[0], bounds[1])
 
-    with ThreadPoolExecutor(max_workers=workers or len(starts)) as pool:
-        tables = list(pool.map(speculate, zip(starts, ends)))
+    with DegradingPool(workers or len(starts), "threads") as pool:
+        tables = pool.map(speculate, list(zip(starts, ends)))
 
     symbols: List[int] = []
     position = start_bit

@@ -42,7 +42,7 @@ Both codecs share a strict contract:
 
 The numpy delta/zigzag/bitpack primitives are exported so
 ``repro.verify.references`` can hold scalar oracles against them
-bit-for-bit (the differential gate in ``scripts/fuzz.py``).
+bit-for-bit (the differential stage of the ``fuzz`` gate).
 """
 
 from __future__ import annotations

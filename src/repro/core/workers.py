@@ -32,15 +32,12 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
+from ..compression.parallel import DegradingPool
 from ..compression.registry import available_codecs, get_codec
 from ..obs.block import record_pipeline_block, record_pool_degraded, record_pool_task
 from ..obs.metrics import MetricsRegistry
@@ -88,7 +85,7 @@ def _pool_compress(method: str, data: bytes) -> Tuple[bytes, float]:
     return payload, result.elapsed_seconds
 
 
-class WorkerPool:
+class WorkerPool(DegradingPool):
     """A pool of codec workers with graceful degradation to serial.
 
     Process workers are initialized once per pool (the registry's builtin
@@ -97,7 +94,9 @@ class WorkerPool:
     the worker-measured seconds.  ``mode="threads"`` suits codecs that
     release the GIL (the zlib/bz2 natives); ``"processes"`` suits the
     pure-Python codecs; ``"serial"`` executes inline and is what a broken
-    pool degrades to — permanently, so one dead worker cannot flap.
+    pool degrades to — permanently, so one dead worker cannot flap
+    (:class:`~repro.compression.parallel.DegradingPool` owns the executor
+    and that rule; this class adds the codec task and the metrics).
     """
 
     def __init__(
@@ -106,55 +105,14 @@ class WorkerPool:
         mode: str = "processes",
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be positive")
-        if mode not in POOL_MODES:
-            raise ValueError(f"unknown pool mode {mode!r} (want one of {POOL_MODES})")
-        self.workers = workers
-        self.mode = mode
+        super().__init__(workers, mode)
         self.registry = registry
-        self.degradations = 0
-        self._executor: Optional[Union[ProcessPoolExecutor, ThreadPoolExecutor]] = None
         self._known = frozenset(available_codecs())
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    @property
-    def effective_mode(self) -> str:
-        """The mode tasks actually run under (``serial`` after degradation)."""
-        return self.mode
-
-    def _ensure_executor(self) -> Optional[Union[ProcessPoolExecutor, ThreadPoolExecutor]]:
-        if self.mode == "serial":
-            return None
-        if self._executor is None:
-            if self.mode == "processes":
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
-            else:
-                self._executor = ThreadPoolExecutor(max_workers=self.workers)
-        return self._executor
-
-    def shutdown(self) -> None:
-        """Release pool workers (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        self.shutdown()
-
-    # -- degradation -------------------------------------------------------------
-
     def _degrade(self) -> None:
-        """Fall back to serial for the rest of this pool's life."""
-        self.degradations += 1
-        if self.registry is not None:
+        if self.registry is not None and self.mode != "serial":
             record_pool_degraded(self.registry, self.mode)
-        self.shutdown()
-        self.mode = "serial"
+        super()._degrade()
 
     # -- execution ---------------------------------------------------------------
 
@@ -167,44 +125,28 @@ class WorkerPool:
         """
         return method in self._known
 
-    def submit(self, method: str, data: bytes) -> "Future[Tuple[bytes, float]]":
-        """Schedule one block compression; returns a future of (payload, seconds).
-
-        A pool that is (or becomes) serial returns an already-completed
-        future, so callers can treat every mode uniformly.  Futures from a
-        worker that dies mid-task raise ``BrokenExecutor``; callers that
-        cannot tolerate that use :meth:`run`, which degrades and retries.
-        """
+    def _task(self, data: bytes) -> bytes:
         if not isinstance(data, bytes):
             # Process workers receive blocks by pickling, and memoryview
             # blocks (the zero-copy cut path) don't pickle — the IPC copy
             # is inherent to pool mode, so materialize here, once.
             data = bytes(data)
         if self.registry is not None:
-            record_pool_task(self.registry, self.effective_mode, self.workers)
-        executor = self._ensure_executor()
-        if executor is None:
-            future: "Future[Tuple[bytes, float]]" = Future()
-            future.set_result(_pool_compress(method, data))
-            return future
-        try:
-            return executor.submit(_pool_compress, method, data)
-        except (BrokenExecutor, RuntimeError):
-            # The pool broke before the task was accepted (killed worker,
-            # shutdown race): degrade and answer inline.
-            self._degrade()
-            future = Future()
-            future.set_result(_pool_compress(method, data))
-            return future
+            record_pool_task(self.registry, self.mode, self.workers)
+        return data
+
+    def submit(self, method: str, data: bytes) -> "Future[Tuple[bytes, float]]":
+        """Schedule one block compression; returns a future of (payload, seconds).
+
+        Futures from a worker that dies mid-task raise ``BrokenExecutor``;
+        callers that cannot tolerate that use :meth:`run`, which degrades
+        and retries.
+        """
+        return self.submit_call(_pool_compress, method, self._task(data))
 
     def run(self, method: str, data: bytes) -> Tuple[bytes, float]:
         """Compress one block on the pool, degrading to serial on breakage."""
-        future = self.submit(method, data)
-        try:
-            return future.result()
-        except BrokenExecutor:
-            self._degrade()
-            return _pool_compress(method, data)
+        return self.map(partial(_pool_compress, method), [self._task(data)])[0]
 
 
 class PipelinedBlockEngine(BlockEngine):
@@ -294,7 +236,7 @@ class PipelinedBlockEngine(BlockEngine):
             )
         if self.registry is not None:
             record_pipeline_block(
-                self.registry, self.pool.effective_mode, self.queue_depth
+                self.registry, self.pool.mode, self.queue_depth
             )
         results.append(self.emit(execution, index))
 

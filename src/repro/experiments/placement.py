@@ -45,8 +45,10 @@ __all__ = [
     "UPSTREAM_LINK",
     "DEFAULT_INTERFERENCE",
     "PLACEMENT_MODES_ORDER",
+    "PLACEMENT_RTOL",
     "PlacementBreakdown",
     "placement_breakdown",
+    "placement_failures",
 ]
 
 #: The paper's four link classes, fastest first — the figure's x-axis.
@@ -63,6 +65,11 @@ DEFAULT_INTERFERENCE = 0.15
 
 #: Row order of the figure: the three forced arrangements, then auto.
 PLACEMENT_MODES_ORDER = PLACEMENTS + ("auto",)
+
+#: Relative slack for the auto-vs-producer comparisons: on slow links the
+#: two arrangements tie to the last ulp, so the verdict tolerates
+#: float-summation noise only, never a real regression.
+PLACEMENT_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -273,3 +280,48 @@ def placement_breakdown(
                 )
             )
     return cells
+
+
+def placement_failures(cells: Sequence[PlacementBreakdown]) -> List[str]:
+    """The placement verdict, once: what a breakdown matrix must satisfy.
+
+    Per link class (each message starts ``"<link>: "``):
+
+    * **auto never loses** — the break-even ``auto`` arrangement's modeled
+      end-to-end makespan *and* serial phase sum are no worse than
+      always-``producer`` (within :data:`PLACEMENT_RTOL`);
+    * **offload signature** — the ``consumer`` bar has zero producer-side
+      compression (the empty bar that is the whole point of offloading);
+    * **byte-exactness** — the ``consumer`` downstream CRC chain equals
+      the ``producer`` one: relay-side compression produced identical
+      wire bytes.
+
+    The CLI, the placement gate, the smoke section and the pytest
+    benchmark all read their verdict from here.
+    """
+    by_key = {(c.link, c.mode): c for c in cells}
+    failures: List[str] = []
+    for link in dict.fromkeys(c.link for c in cells):
+        producer = by_key[(link, "producer")]
+        consumer = by_key[(link, "consumer")]
+        auto = by_key[(link, "auto")]
+        for what, mine, theirs in (
+            ("makespan", auto.makespan, producer.makespan),
+            ("serial", auto.serial_seconds, producer.serial_seconds),
+        ):
+            if mine > theirs * (1.0 + PLACEMENT_RTOL):
+                failures.append(
+                    f"{link}: auto {what} {mine:.6f}s slower than "
+                    f"always-producer {theirs:.6f}s"
+                )
+        if consumer.compress_seconds != 0.0:
+            failures.append(
+                f"{link}: consumer arrangement spent "
+                f"{consumer.compress_seconds:.6f}s compressing at the producer"
+            )
+        if consumer.downstream_crc32 != producer.downstream_crc32:
+            failures.append(
+                f"{link}: consumer downstream CRC {consumer.downstream_crc32:#010x}"
+                f" != producer {producer.downstream_crc32:#010x}"
+            )
+    return failures

@@ -45,12 +45,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..compression.base import canonical_params
 from ..core.engine import CodecExecutor
-from ..middleware.attributes import (
-    ATTR_COMPRESSION_METHOD,
-    ATTR_COMPRESSION_SECONDS,
-    ATTR_ORIGINAL_SIZE,
-)
 from ..middleware.events import Event
+from ..middleware.handlers import stamp_compression
 from ..middleware.transport import WireFormat
 from ..obs.fabric import (
     record_batch_flush,
@@ -466,23 +462,16 @@ class EventFabric:
     ) -> Tuple[Event, bool]:
         """The compressed (or passthrough) event for one delivery group.
 
-        Attribute layout matches
-        :class:`~repro.middleware.handlers.CompressionHandler` exactly,
-        so a fabric delivery is byte-identical on the wire to the serial
+        Stamped by the same
+        :func:`~repro.middleware.handlers.stamp_compression` as
+        :class:`~repro.middleware.handlers.CompressionHandler`, so a
+        fabric delivery is byte-identical on the wire to the serial
         per-subscriber path (the fan-out bench's CRC gate).
         """
         if method == "none":
             return event, False
         execution, hit = self.cache.execute(self.executor, method, event.payload, params)
-        attributes = {
-            ATTR_COMPRESSION_METHOD: execution.method,
-            ATTR_ORIGINAL_SIZE: event.size,
-            ATTR_COMPRESSION_SECONDS: execution.compression_seconds,
-        }
-        if execution.method == "none":
-            # Expansion guard fell back: original bytes, truthful method.
-            return event.with_attributes(**attributes), hit
-        return event.with_payload(execution.payload, **attributes), hit
+        return stamp_compression(event, execution), hit
 
     @property
     def fanout_ratio(self) -> float:

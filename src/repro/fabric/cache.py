@@ -35,7 +35,7 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import Mapping, Optional, Tuple
 
-from ..compression.base import canonical_params, params_label
+from ..compression.base import Codec, canonical_params, params_label
 from ..core.engine import BlockStats, CodecExecutor
 from ..obs.fabric import (
     record_cache_eviction,
@@ -97,8 +97,13 @@ class BlockCache:
         method: str,
         payload: bytes,
         params: Optional[Mapping[str, object]] = None,
+        codec: Optional[Codec] = None,
     ) -> Tuple[BlockStats, bool]:
         """Compress once per configuration; returns ``(execution, hit)``.
+
+        ``params`` keys the entry; ``codec`` is the instance a caller has
+        already resolved for those params (the relay), run on a miss in
+        place of the registry default for ``method``.
 
         A hit returns the remembered execution itself (same record, same
         bytes object, same accounted seconds — the cost that was actually
@@ -119,7 +124,7 @@ class BlockCache:
             if self.registry is not None:
                 record_cache_hit(self.registry, method, label)
             return cached, True
-        execution = executor.compress(method, payload)
+        execution = executor.compress(method, payload, codec=codec)
         with self._lock:
             self.misses += 1
         if not isinstance(execution.payload, bytes):

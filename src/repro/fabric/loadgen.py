@@ -37,6 +37,7 @@ from ..compression.varint import read_canonical_varint
 from ..core.engine import CodecExecutor
 from ..data.commercial import CommercialDataGenerator
 from ..middleware.events import Event
+from ..middleware.handlers import stamp_compression
 from ..middleware.transport import WireFormat
 from ..netsim.cpu import DEFAULT_COSTS, SUN_FIRE, CodecCostModel, CpuModel
 from ..netsim.link import SimulatedLink, make_link
@@ -307,13 +308,7 @@ def run_fanout(
                     execution_by_spec[spec_index] = execution
                 wire = channel_wires.get(spec_index)
                 if wire is None:
-                    attributes = _compression_attributes(execution, event)
-                    delivered = (
-                        event.with_attributes(**attributes)
-                        if execution.method == "none"
-                        else event.with_payload(execution.payload, **attributes)
-                    )
-                    wire = WireFormat.encode(delivered)
+                    wire = WireFormat.encode(stamp_compression(event, execution))
                     channel_wires[spec_index] = wire
                 baseline_crcs[subscriber] = zlib.crc32(wire, baseline_crcs[subscriber])
                 baseline_seconds += execution.compression_seconds
@@ -368,17 +363,3 @@ def _crc_member_frames(wire: memoryview, crc: int) -> int:
         crc = zlib.crc32(payload[offset : offset + length], crc)
         offset += length
     return crc
-
-
-def _compression_attributes(execution, event: Event) -> Dict[str, object]:
-    from ..middleware.attributes import (
-        ATTR_COMPRESSION_METHOD,
-        ATTR_COMPRESSION_SECONDS,
-        ATTR_ORIGINAL_SIZE,
-    )
-
-    return {
-        ATTR_COMPRESSION_METHOD: execution.method,
-        ATTR_ORIGINAL_SIZE: event.size,
-        ATTR_COMPRESSION_SECONDS: execution.compression_seconds,
-    }

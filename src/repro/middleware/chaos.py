@@ -18,7 +18,7 @@ backoff + deterministic jitter, every wait charged to the injected clock
 All recovery activity is observable: counters land in a
 :class:`~repro.obs.metrics.MetricsRegistry` and per-event delivery spans
 (with attempt counts) in a :class:`~repro.obs.trace.TraceWriter` when
-either is attached.  This is the substrate ``scripts/chaos.py`` drives
+either is attached.  This is the substrate the ``chaos`` gate drives
 to prove byte-exact recovery under every seeded fault plan.
 """
 

@@ -36,6 +36,7 @@ from .events import Event
 
 __all__ = [
     "Handler",
+    "stamp_compression",
     "CompressionHandler",
     "DecompressionHandler",
     "FilterHandler",
@@ -44,6 +45,28 @@ __all__ = [
 ]
 
 Handler = Callable[[Event], Optional[Event]]
+
+
+def stamp_compression(event: Event, execution: "object", **extra: object) -> Event:
+    """The event one codec run turns ``event`` into — the one "compress an
+    event" stage every compression site (handlers, relay, fabric, the
+    fan-out baseline) shares, so their wire frames are byte-identical.
+
+    ``execution`` is the :class:`~repro.core.engine.BlockStats` of the run;
+    the event gains the method that actually produced the bytes, the
+    original size and the accounted seconds (plus any ``extra``
+    attributes, stamped last).  Method ``none`` — requested passthrough
+    or the expansion guard's fallback — keeps the original payload.
+    """
+    attributes = {
+        ATTR_COMPRESSION_METHOD: execution.method,
+        ATTR_ORIGINAL_SIZE: event.size,
+        ATTR_COMPRESSION_SECONDS: execution.compression_seconds,
+        **extra,
+    }
+    if execution.method == "none":
+        return event.with_attributes(**attributes)
+    return event.with_payload(execution.payload, **attributes)
 
 
 class CompressionHandler:
@@ -108,16 +131,7 @@ class CompressionHandler:
             execution = self.executor.compress(self.method, event.payload)
         if self.registry is not None:
             record_execution(self.registry, self.channel, execution)
-        attributes = {
-            ATTR_COMPRESSION_METHOD: execution.method,
-            ATTR_ORIGINAL_SIZE: event.size,
-            ATTR_COMPRESSION_SECONDS: execution.compression_seconds,
-        }
-        if execution.method == "none":
-            # Requested passthrough, or the expansion guard fell back:
-            # either way the payload is the original bytes.
-            return event.with_attributes(**attributes)
-        return event.with_payload(execution.payload, **attributes)
+        return stamp_compression(event, execution)
 
 
 class DecompressionHandler:
@@ -204,14 +218,7 @@ class TunableCompressionHandler:
         execution = self.executor.compress(self.method, event.payload, codec=self.codec)
         if self.registry is not None:
             record_execution(self.registry, self.channel, execution)
-        return event.with_payload(
-            execution.payload,
-            **{
-                ATTR_COMPRESSION_METHOD: execution.method,
-                ATTR_ORIGINAL_SIZE: event.size,
-                ATTR_COMPRESSION_SECONDS: execution.compression_seconds,
-            },
-        )
+        return stamp_compression(event, execution)
 
 
 class FilterHandler:

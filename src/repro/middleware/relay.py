@@ -44,12 +44,9 @@ from ..core.bicriteria import codec_for
 from ..core.engine import CodecExecutor
 from ..obs.metrics import MetricsRegistry
 from ..obs.placement import record_relay_event
-from .attributes import (
-    ATTR_COMPRESSION_METHOD,
-    ATTR_COMPRESSION_SECONDS,
-    ATTR_ORIGINAL_SIZE,
-)
+from .attributes import ATTR_COMPRESSION_METHOD
 from .events import Event
+from .handlers import stamp_compression
 
 __all__ = [
     "ATTR_PLACEMENT",
@@ -165,16 +162,16 @@ class CompressionRelay:
         if already != "none" or method == "none":
             forwarded = event
         else:
+            # Resolved once, so the bytes cannot depend on whether a cache
+            # is attached: both branches run this very codec.
+            codec = codec_for(method, canonical_params(params)) if params else None
             if self.cache is not None:
                 execution, hit = self.cache.execute(
-                    self.executor, method, event.payload, params
+                    self.executor, method, event.payload, params, codec=codec
                 )
                 if hit:
                     self.cache_hits += 1
             else:
-                codec = (
-                    codec_for(method, canonical_params(params)) if params else None
-                )
                 execution = self.executor.compress(method, event.payload, codec=codec)
             self.events_compressed += 1
             self.relay_seconds += execution.compression_seconds
@@ -186,17 +183,9 @@ class CompressionRelay:
                     bytes_in=event.size,
                     bytes_out=execution.compressed_size,
                 )
-            attributes = {
-                ATTR_COMPRESSION_METHOD: execution.method,
-                ATTR_ORIGINAL_SIZE: event.size,
-                ATTR_COMPRESSION_SECONDS: execution.compression_seconds,
-                ATTR_PLACEMENT: "consumer",
-            }
-            if execution.method == "none":
-                # Expansion guard: the codec would have grown the block.
-                forwarded = event.with_attributes(**attributes)
-            else:
-                forwarded = event.with_payload(execution.payload, **attributes)
+            forwarded = stamp_compression(
+                event, execution, **{ATTR_PLACEMENT: "consumer"}
+            )
         self.events_forwarded += 1
         self.bytes_out += forwarded.size
         self.crc_chain = zlib.crc32(forwarded.payload, self.crc_chain) & 0xFFFFFFFF

@@ -54,6 +54,7 @@ __all__ = [
     "build_default_targets",
     "load_corpus",
     "mutated_copies",
+    "parse_budget",
     "replay_corpus",
     "write_corpus",
 ]
@@ -184,6 +185,28 @@ class FuzzReport:
     @property
     def ok(self) -> bool:
         return not self.crashes
+
+    def describe(self) -> str:
+        """The one-line outcome the CLI and the fuzz gate both print."""
+        suffix = " (budget exhausted)" if self.budget_exhausted else ""
+        return (
+            f"seed={self.seed} iterations={self.iterations_run} "
+            f"signatures={self.signatures} crashes={len(self.crashes)}{suffix}"
+        )
+
+
+def parse_budget(text: str) -> float:
+    """A wall budget like ``30``, ``30s`` or ``2m``, in seconds."""
+    text = text.strip().lower()
+    scale = 1.0
+    if text.endswith("m"):
+        scale, text = 60.0, text[:-1]
+    elif text.endswith("s"):
+        text = text[:-1]
+    seconds = float(text) * scale
+    if seconds <= 0:
+        raise ValueError("budget must be positive")
+    return seconds
 
 
 def _decode_framing(data: bytes) -> object:

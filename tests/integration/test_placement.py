@@ -1,5 +1,7 @@
 """Integration: the DTSchedule-style placement time-breakdown matrix."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.placement import (
@@ -7,6 +9,7 @@ from repro.experiments.placement import (
     PLACEMENT_MODES_ORDER,
     UPSTREAM_LINK,
     placement_breakdown,
+    placement_failures,
 )
 
 BLOCKS = 6
@@ -19,6 +22,32 @@ def matrix():
 
 def _cell(matrix, link, mode):
     return next(c for c in matrix if c.link == link and c.mode == mode)
+
+
+class TestPlacementVerdict:
+    def test_real_matrix_satisfies_it(self, matrix):
+        assert placement_failures(matrix) == []
+
+    def test_each_broken_promise_is_named_per_link(self, matrix):
+        def tampered(link, mode, **changes):
+            return [
+                replace(c, **changes) if (c.link, c.mode) == (link, mode) else c
+                for c in matrix
+            ]
+
+        producer = _cell(matrix, "1mbit", "producer")
+        [slow] = placement_failures(
+            tampered("1mbit", "auto", makespan=producer.makespan * 1.01)
+        )
+        assert slow.startswith("1mbit: auto makespan")
+        [serial] = placement_failures(
+            tampered("1gbit", "auto", serial_seconds=producer.serial_seconds * 2)
+        )
+        assert serial.startswith("1gbit: auto serial")
+        [busy] = placement_failures(tampered("100mbit", "consumer", compress_seconds=0.5))
+        assert busy.startswith("100mbit: consumer arrangement spent")
+        [crc] = placement_failures(tampered("international", "consumer", downstream_crc32=1))
+        assert crc.startswith("international: consumer downstream CRC")
 
 
 class TestPlacementBreakdown:

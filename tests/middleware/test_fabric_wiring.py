@@ -9,8 +9,9 @@ from repro.fabric.cache import BlockCache
 from repro.middleware.channels import EventChannel
 from repro.middleware.events import Event
 from repro.middleware.handlers import CompressionHandler
+from repro.middleware.relay import ATTR_PLACEMENT, CompressionRelay
 from repro.middleware.tcp import ChannelServer, RemoteChannel
-from repro.middleware.transport import TransportBridge
+from repro.middleware.transport import TransportBridge, WireFormat
 from repro.netsim.clock import VirtualClock
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
 from repro.netsim.link import PAPER_LINKS, SimulatedLink
@@ -30,6 +31,32 @@ class CountingExecutor(CodecExecutor):
     def compress(self, method, block, codec=None):
         self.runs += 1
         return super().compress(method, block, codec=codec)
+
+
+class TestOneCompressionStage:
+    def test_handler_relay_and_fabric_frame_identical_bytes(self):
+        """Every compression site stamps events through one function."""
+        method = "lempel-ziv"
+        event = Event(
+            payload=PAYLOAD,
+            attributes={ATTR_PLACEMENT: "consumer"},
+            channel_id="a",
+            sequence=7,
+            timestamp=3.0,
+        )
+        handled = CompressionHandler(method, executor=modeled_executor())(event)
+        relayed = CompressionRelay(method=method, executor=modeled_executor())(event)
+        frames = []
+        fabric = EventFabric(executor=modeled_executor())
+        fabric.subscribe(
+            "a", lambda _event, wire: frames.append(bytes(wire)), method=method, wire=True
+        )
+        fabric.publish("a", event)
+        fabric.close()
+        expected = bytes(WireFormat.encode(handled))
+        assert len(handled.payload) < len(PAYLOAD)
+        assert bytes(WireFormat.encode(relayed)) == expected
+        assert frames == [expected]
 
 
 class TestHandlerCache:

@@ -150,6 +150,22 @@ class TestCompressionRelay:
         assert len(payloads) == 1
         assert relay.cache_hits == 2
 
+    def test_parameterised_bytes_do_not_depend_on_the_cache(self):
+        """Same relay, event and params: a cache may only save time."""
+        [block] = _blocks(count=1, size=64 * 1024)
+        [event] = _events([block])
+        params = {"max_chain": 4}
+        plain = CompressionRelay(params=params, cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        cached = CompressionRelay(
+            params=params, cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, cache=BlockCache()
+        )
+        expected = plain(event)
+        assert cached(event).payload == expected.payload  # miss
+        assert cached(event).payload == expected.payload  # hit
+        assert cached.crc_chain == chain_crc([expected.payload] * 2)
+        # ...and the parameters really took effect (not the registry default).
+        assert expected.payload != get_codec("lempel-ziv").compress(block)
+
     def test_registry_metrics(self):
         registry = MetricsRegistry()
         relay = CompressionRelay(
