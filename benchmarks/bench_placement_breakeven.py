@@ -10,6 +10,7 @@ choice can never model slower than it — on any link class.
 """
 
 import math
+import zlib
 
 from repro.core.bicriteria import (
     default_candidates,
@@ -59,7 +60,7 @@ def test_placement_decision_speed(benchmark, record_bench):
     assert chosen.placement in ("producer", "raw", "consumer")
     assert chosen.total_seconds > 0
     record_bench(
-        "placement.chosen_100mbit", hash(chosen.placement) % 2**32, unit="hash"
+        "placement.chosen_100mbit", zlib.crc32(chosen.placement.encode()), unit="hash"
     )
     knee = raw_breakeven_seconds(point, interference=DEFAULT_INTERFERENCE)
     assert math.isfinite(knee) and knee > 0

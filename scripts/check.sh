@@ -2,7 +2,8 @@
 # Repository check gate: invariants + lint + tier-1 tests.
 #
 # Gate order (cheapest first, so failures surface fast):
-#   1. invariant greps   — clock reads, struct framing, stray print()
+#   1. invariant greps   — clock reads, struct framing, stray print(),
+#                          metric names outside the catalogue
 #   2. ruff lint         — style/import hygiene (skipped if not installed)
 #   3. tier-1 tests      — the full pytest suite (skipped by --fast)
 #   4. named gates       — each `--gate NAME` forwards to the one runner,
@@ -115,6 +116,20 @@ stray=$(grep -rn "print(" src/repro --include="*.py" \
     | grep -v "src/repro/__main__.py" || true)
 if [ -n "$stray" ]; then
     echo "FAIL: print() in library code (route through repro.obs or logging):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "ok"
+
+# --- Invariant: one metric catalogue ------------------------------------------
+# Every repro_* series is declared once, in obs/catalogue.py (name, kind,
+# help, label keys); emitters import the row.  A name spelled anywhere
+# else is a series the catalogue test and the docs check cannot see.
+echo "== invariant: no \"repro_ metric-name literal in src/repro outside obs/catalogue.py"
+stray=$(grep -rn '"repro_' src/repro --include="*.py" \
+    | grep -v "src/repro/obs/catalogue.py" || true)
+if [ -n "$stray" ]; then
+    echo "FAIL: metric name spelled outside the catalogue (declare a row in repro.obs.catalogue and import it):" >&2
     echo "$stray" >&2
     exit 1
 fi

@@ -52,6 +52,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs.catalogue import record_structured_block
+from ..obs.metrics import get_registry
 from .base import Codec, CorruptStreamError
 from .varint import read_varint, varint_size, write_varint
 
@@ -154,22 +156,6 @@ def _unzigzag_int(value: int) -> int:
     return (value >> 1) if not (value & 1) else -((value + 1) >> 1)
 
 
-def _record_structured_block(codec: str, *, fallback: bool, templates: int = 0,
-                             channel_bytes: Optional[Dict[str, int]] = None) -> None:
-    # Lazy import: repro.obs imports compression.base at module level, so a
-    # module-level import here would be circular.
-    from ..obs import get_registry
-    from ..obs.structured import record_structured_block
-
-    record_structured_block(
-        get_registry(),
-        codec=codec,
-        fallback=fallback,
-        templates=templates,
-        channel_bytes=channel_bytes or {},
-    )
-
-
 # ---------------------------------------------------------------------------
 # Template codec
 # ---------------------------------------------------------------------------
@@ -250,12 +236,12 @@ class TemplateCodec(Codec):
         structured = self._encode_structured(data)
         if structured is not None and len(structured[0]) < len(data):
             payload, templates, channel_bytes = structured
-            _record_structured_block(
-                self.name, fallback=False, templates=templates,
+            record_structured_block(
+                get_registry(), self.name, fallback=False, templates=templates,
                 channel_bytes=channel_bytes,
             )
             return payload
-        _record_structured_block(self.name, fallback=True)
+        record_structured_block(get_registry(), self.name, fallback=True)
         return _TEMPLATE_MAGIC + bytes((_VERSION, _MODE_RAW)) + data
 
     def _encode_structured(
@@ -556,12 +542,12 @@ class ColumnarCodec(Codec):
         structured = self._encode_structured(data)
         if structured is not None and len(structured[0]) < len(data):
             payload, fields, channel_bytes = structured
-            _record_structured_block(
-                self.name, fallback=False, templates=fields,
+            record_structured_block(
+                get_registry(), self.name, fallback=False, templates=fields,
                 channel_bytes=channel_bytes,
             )
             return payload
-        _record_structured_block(self.name, fallback=True)
+        record_structured_block(get_registry(), self.name, fallback=True)
         return _COLUMNAR_MAGIC + bytes((_VERSION, _MODE_RAW)) + data
 
     def _encode_structured(

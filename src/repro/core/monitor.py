@@ -24,14 +24,10 @@ import math
 from typing import Optional, Set
 
 from ..compression.base import CompressionResult
+from ..obs.catalogue import CODEC_OBSERVATIONS_TOTAL, CODEC_RATIO, REDUCING_SPEED
 from ..obs.metrics import MetricsRegistry
 
 __all__ = ["ReducingSpeedMonitor"]
-
-#: Gauge names under which the monitor stores its estimates.
-SPEED_GAUGE = "repro_reducing_speed_bytes_per_second"
-RATIO_GAUGE = "repro_codec_ratio"
-OBSERVATIONS_COUNTER = "repro_codec_observations_total"
 
 
 class ReducingSpeedMonitor:
@@ -50,15 +46,9 @@ class ReducingSpeedMonitor:
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._speeds = self.registry.gauge(
-            SPEED_GAUGE, help="EWMA reducing speed (bytes removed / second)"
-        )
-        self._ratios = self.registry.gauge(
-            RATIO_GAUGE, help="EWMA compression ratio (compressed / original)"
-        )
-        self._observations = self.registry.counter(
-            OBSERVATIONS_COUNTER, help="speed observations folded into the EWMA"
-        )
+        self._speeds = self.registry.family(REDUCING_SPEED)
+        self._ratios = self.registry.family(CODEC_RATIO)
+        self._observations = self.registry.family(CODEC_OBSERVATIONS_TOTAL)
         # Track which codec labels this monitor wrote, so reset() on a
         # shared registry only clears its own series.
         self._codecs: Set[str] = set()

@@ -27,9 +27,14 @@ import math
 from dataclasses import replace
 from typing import Dict, Mapping, Optional, Protocol, Sequence, Tuple
 
+from ..compression.base import params_label
 from ..compression.registry import get_codec
-from ..obs.bicriteria import record_choice
-from ..obs.placement import record_placement, record_placement_degraded
+from ..obs.catalogue import (
+    PLACEMENT_DEGRADED_TOTAL,
+    SELECTOR_DEGRADED_TOTAL,
+    record_choice,
+    record_placement,
+)
 from .bicriteria import (
     CandidateSpec,
     FrontierPoint,
@@ -54,13 +59,8 @@ __all__ = [
     "CompressionPolicy",
     "AdaptivePolicy",
     "FixedPolicy",
-    "DEGRADED_COUNTER",
     "POLICY_NAMES",
 ]
-
-#: Counter incremented (on the monitor's registry) for every degraded
-#: fallback decision.
-DEGRADED_COUNTER = "repro_selector_degraded_total"
 
 #: The two selection dialects AdaptivePolicy speaks.
 POLICY_NAMES = ("table", "bicriteria")
@@ -168,8 +168,8 @@ class AdaptivePolicy:
     * ``staleness_horizon`` — after more than this many consecutive
       decisions without a fresh lempel-ziv observation the feedback loop
       is considered broken: the selector falls back to ``none`` at the
-      producer (``degraded=True``, :data:`DEGRADED_COUNTER` and
-      ``repro_placement_degraded_total`` on the monitor's registry) until
+      producer (``degraded=True``, ``repro_selector_degraded_total``
+      and ``repro_placement_degraded_total`` on the monitor's registry) until
       observations resume.  ``None`` (default) keeps the paper's
       always-optimistic behaviour.
     * ``space_budget`` — modeled compressed/original ratio cap of the
@@ -302,15 +302,12 @@ class AdaptivePolicy:
         # constrain: a dead feedback loop poisons every price below.
         if self._feedback_is_stale(monitor):
             self.degraded_decisions += 1
-            registry.counter(
-                DEGRADED_COUNTER,
-                help="selector fell back to 'none' on stale monitor feedback",
-            ).inc()
+            registry.family(SELECTOR_DEGRADED_TOTAL).inc()
             if self.placement != "producer":
                 # The break-even numbers are no more trustworthy than the
                 # thresholds: scheduling degrades to the paper's
                 # producer-side arrangement alongside the method fallback.
-                record_placement_degraded(registry)
+                registry.family(PLACEMENT_DEGRADED_TOTAL).inc()
             return Decision(
                 method="none",
                 lz_reduce_time=math.nan,
@@ -354,7 +351,7 @@ class AdaptivePolicy:
                 registry,
                 frontier_size=decision.frontier_size,
                 method=decision.method,
-                params=decision.params,
+                params=params_label(decision.params),
                 modeled_seconds=decision.modeled_seconds,
                 budget_violated=decision.budget_violated,
             )
@@ -403,7 +400,7 @@ class AdaptivePolicy:
             registry,
             placement=chosen.placement,
             method=chosen.method,
-            params=chosen.params,
+            params=params_label(chosen.params),
             modeled_seconds=chosen.total_seconds,
             producer_seconds=producer.total_seconds,
         )

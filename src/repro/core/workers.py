@@ -39,7 +39,12 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..compression.parallel import DegradingPool
 from ..compression.registry import available_codecs, get_codec
-from ..obs.block import record_pipeline_block, record_pool_degraded, record_pool_task
+from ..obs.catalogue import (
+    PIPELINE_BLOCKS_TOTAL,
+    POOL_DEGRADED_TOTAL,
+    POOL_TASKS_TOTAL,
+    POOL_WORKERS,
+)
 from ..obs.metrics import MetricsRegistry
 from .engine import (
     DEFAULT_BLOCK_SIZE,
@@ -111,7 +116,7 @@ class WorkerPool(DegradingPool):
 
     def _degrade(self) -> None:
         if self.registry is not None and self.mode != "serial":
-            record_pool_degraded(self.registry, self.mode)
+            self.registry.family(POOL_DEGRADED_TOTAL).inc(pool_mode=self.mode)
         super()._degrade()
 
     # -- execution ---------------------------------------------------------------
@@ -132,7 +137,8 @@ class WorkerPool(DegradingPool):
             # is inherent to pool mode, so materialize here, once.
             data = bytes(data)
         if self.registry is not None:
-            record_pool_task(self.registry, self.mode, self.workers)
+            self.registry.family(POOL_TASKS_TOTAL).inc(pool_mode=self.mode)
+            self.registry.family(POOL_WORKERS).set(self.workers, pool_mode=self.mode)
         return data
 
     def submit(self, method: str, data: bytes) -> "Future[Tuple[bytes, float]]":
@@ -235,8 +241,8 @@ class PipelinedBlockEngine(BlockEngine):
                 method, block, payload, measured
             )
         if self.registry is not None:
-            record_pipeline_block(
-                self.registry, self.pool.mode, self.queue_depth
+            self.registry.family(PIPELINE_BLOCKS_TOTAL).inc(
+                pool_mode=self.pool.mode, queue_depth=str(self.queue_depth)
             )
         results.append(self.emit(execution, index))
 
@@ -245,24 +251,15 @@ class PipelinedBlockEngine(BlockEngine):
 
 
 @dataclass(frozen=True)
-class PipelineSchedule:
-    """Outcome of scheduling a block stream onto workers + an in-order wire.
-
-    All quantities derive from engine-accounted per-block seconds, so a
-    modeled replay produces the identical schedule on every machine — the
-    property the bench regression gate relies on.
-    """
+class _Schedule:
+    """What every modeled schedule reports: pipelined vs serial time."""
 
     makespan: float
     serial_seconds: float
-    compression_seconds: float
-    send_seconds: float
-    workers: int
-    queue_depth: int
 
     @property
     def speedup(self) -> float:
-        """Serial (compress-then-send) time over the pipelined makespan."""
+        """Serial (phase-sum) time over the pipelined makespan."""
         if self.makespan <= 0.0:
             return 1.0
         return self.serial_seconds / self.makespan
@@ -273,6 +270,22 @@ class PipelineSchedule:
         if self.serial_seconds <= 0.0:
             return 0.0
         return max(0.0, 1.0 - self.makespan / self.serial_seconds)
+
+
+@dataclass(frozen=True)
+class PipelineSchedule(_Schedule):
+    """Outcome of scheduling a block stream onto workers + an in-order wire.
+
+    All quantities derive from engine-accounted per-block seconds, so a
+    modeled replay produces the identical schedule on every machine — the
+    property the bench regression gate relies on.  The serial reference
+    is compress-then-send, one block at a time.
+    """
+
+    compression_seconds: float
+    send_seconds: float
+    workers: int
+    queue_depth: int
 
 
 def simulate_pipeline(
@@ -288,41 +301,31 @@ def simulate_pipeline(
     queue); it may start sending once compressed and once block ``i-1``
     left the wire (in-order emission).  The serial reference is the
     paper's unpipelined loop: compress, then send, one block at a time.
+
+    This is :func:`simulate_relay_pipeline` with zero relay, downstream
+    and decompress stages — those contribute only ``max`` and ``+ 0.0``,
+    so the one scheduler loop reproduces this schedule float-exactly.
     """
     if len(compression_seconds) != len(send_seconds):
         raise ValueError("compression and send series must have equal length")
     if workers < 1:
         raise ValueError("workers must be positive")
-    if queue_depth < 1:
-        raise ValueError("queue_depth must be positive")
-    total_compression = float(sum(compression_seconds))
-    total_send = float(sum(send_seconds))
-    worker_free = [0.0] * workers
-    heapq.heapify(worker_free)
-    wire_free = 0.0
-    send_done: List[float] = []
-    for index, (compress_time, send_time) in enumerate(
-        zip(compression_seconds, send_seconds)
-    ):
-        gate = send_done[index - queue_depth] if index >= queue_depth else 0.0
-        start = max(heapq.heappop(worker_free), gate)
-        compressed_at = start + compress_time
-        heapq.heappush(worker_free, compressed_at)
-        send_start = max(compressed_at, wire_free)
-        wire_free = send_start + send_time
-        send_done.append(wire_free)
+    idle = [0.0] * len(send_seconds)
+    relay = simulate_relay_pipeline(
+        compression_seconds, send_seconds, idle, idle, workers=workers, queue_depth=queue_depth
+    )
     return PipelineSchedule(
-        makespan=wire_free,
-        serial_seconds=total_compression + total_send,
-        compression_seconds=total_compression,
-        send_seconds=total_send,
+        makespan=relay.makespan,
+        serial_seconds=relay.serial_seconds,
+        compression_seconds=relay.compress_seconds,
+        send_seconds=relay.upstream_seconds,
         workers=workers,
         queue_depth=queue_depth,
     )
 
 
 @dataclass(frozen=True)
-class RelaySchedule:
+class RelaySchedule(_Schedule):
     """Outcome of scheduling a block stream through a consumer-offload relay.
 
     The five per-phase totals are the stacked bars of the DTSchedule-style
@@ -333,8 +336,6 @@ class RelaySchedule:
     seconds, so the schedule is identical on every machine.
     """
 
-    makespan: float
-    serial_seconds: float
     compress_seconds: float
     upstream_seconds: float
     relay_seconds: float
@@ -343,20 +344,6 @@ class RelaySchedule:
     workers: int
     relay_workers: int
     queue_depth: int
-
-    @property
-    def speedup(self) -> float:
-        """Serial (phase-sum) time over the pipelined makespan."""
-        if self.makespan <= 0.0:
-            return 1.0
-        return self.serial_seconds / self.makespan
-
-    @property
-    def overlap_fraction(self) -> float:
-        """Fraction of serial time hidden by overlap across the stages."""
-        if self.serial_seconds <= 0.0:
-            return 0.0
-        return max(0.0, 1.0 - self.makespan / self.serial_seconds)
 
     @property
     def wire_seconds(self) -> float:

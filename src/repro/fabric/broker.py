@@ -48,10 +48,10 @@ from ..core.engine import CodecExecutor
 from ..middleware.events import Event
 from ..middleware.handlers import stamp_compression
 from ..middleware.transport import WireFormat
-from ..obs.fabric import (
+from ..obs.catalogue import (
+    FABRIC_SHARD_QUEUE_DEPTH,
     record_batch_flush,
     record_fabric_delivery,
-    record_shard_queue_depth,
 )
 from ..obs.metrics import MetricsRegistry
 from .batching import BatchConfig, FrameBatcher
@@ -261,7 +261,9 @@ class EventFabric:
             self._pending += 1
         self._queues[shard].put(item)
         if self.registry is not None:
-            record_shard_queue_depth(self.registry, shard, self._queues[shard].qsize())
+            self.registry.family(FABRIC_SHARD_QUEUE_DEPTH).set(
+                self._queues[shard].qsize(), shard=str(shard)
+            )
 
     def _execute_item(self, shard: int, item: Tuple[str, object, object]) -> None:
         kind, a, b = item

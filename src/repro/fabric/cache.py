@@ -37,10 +37,10 @@ from typing import Mapping, Optional, Tuple
 
 from ..compression.base import Codec, canonical_params, params_label
 from ..core.engine import BlockStats, CodecExecutor
-from ..obs.fabric import (
-    record_cache_eviction,
-    record_cache_hit,
-    record_cache_miss,
+from ..obs.catalogue import (
+    CACHE_EVICTIONS_TOTAL,
+    CACHE_HITS_TOTAL,
+    CACHE_MISSES_TOTAL,
     record_cache_size,
 )
 from ..obs.metrics import MetricsRegistry
@@ -122,7 +122,7 @@ class BlockCache:
                 self.hits += 1
         if cached is not None:
             if self.registry is not None:
-                record_cache_hit(self.registry, method, label)
+                self.registry.family(CACHE_HITS_TOTAL).inc(method=method, params=label)
             return cached, True
         execution = executor.compress(method, payload, codec=codec)
         with self._lock:
@@ -133,7 +133,7 @@ class BlockCache:
             execution = replace(execution, payload=bytes(execution.payload))
         self._store(key, execution, method, label)
         if self.registry is not None:
-            record_cache_miss(self.registry, method, label)
+            self.registry.family(CACHE_MISSES_TOTAL).inc(method=method, params=label)
             record_cache_size(self.registry, self.bytes_held, len(self._entries))
         return execution, False
 
@@ -160,7 +160,9 @@ class BlockCache:
                 evicted.append(old_key)
         if self.registry is not None:
             for old_key in evicted:
-                record_cache_eviction(self.registry, old_key[2], params_label(old_key[3]))
+                self.registry.family(CACHE_EVICTIONS_TOTAL).inc(
+                    method=old_key[2], params=params_label(old_key[3])
+                )
 
     # -- views -------------------------------------------------------------------
 

@@ -31,6 +31,13 @@ from ..compression.framing import decode_frame
 from ..netsim.clock import Clock
 from ..netsim.faults import FaultExhaustedError, FaultPlan, RetryPolicy
 from ..netsim.link import SimulatedLink
+from ..obs.catalogue import (
+    DELIVERIES_FAILED_TOTAL,
+    DUPLICATES_DROPPED_TOTAL,
+    EVENT_RETRIES_TOTAL,
+    FRAGMENTS_REREQUESTED_TOTAL,
+    FRAMES_REJECTED_TOTAL,
+)
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceWriter
 from .events import Event
@@ -151,15 +158,10 @@ class ReliableEventLink:
 
     # -- observability -----------------------------------------------------------
 
-    def _count(self, name: str, amount: float = 1.0, **labels: str) -> None:
-        if self.registry is not None:
-            self.registry.counter(
-                name, help="reliable-delivery bookkeeping (repro.middleware.chaos)"
-            ).inc(amount, **labels)
-
     def _note_rerequest(self, sequence: int) -> None:
         self.rerequests += 1
-        self._count("repro_fragments_rerequested_total")
+        if self.registry is not None:
+            self.registry.family(FRAGMENTS_REREQUESTED_TOTAL).inc()
         if self.tracer is not None:
             self.tracer.event("chaos.rerequest", sequence=sequence)
 
@@ -173,13 +175,15 @@ class ReliableEventLink:
                 event = WireFormat.from_frame(frame)
             except (CorruptStreamError, ValueError, KeyError) as exc:
                 self.frames_rejected += 1
-                self._count("repro_frames_rejected_total")
+                if self.registry is not None:
+                    self.registry.family(FRAMES_REJECTED_TOTAL).inc()
                 if self.tracer is not None:
                     self.tracer.event("chaos.frame_rejected", reason=str(exc))
                 continue
             if event.sequence in self._accepted:
                 self.duplicates_dropped += 1
-                self._count("repro_duplicates_dropped_total")
+                if self.registry is not None:
+                    self.registry.family(DUPLICATES_DROPPED_TOTAL).inc()
                 continue
             self._accepted.add(event.sequence)
             self.reassembly.push(event)
@@ -201,7 +205,8 @@ class ReliableEventLink:
                     )
                 return attempt
             if attempt >= self.retry.max_attempts:
-                self._count("repro_deliveries_failed_total")
+                if self.registry is not None:
+                    self.registry.family(DELIVERIES_FAILED_TOTAL).inc()
                 raise DeliveryError(
                     f"event sequence {event.sequence} undelivered after "
                     f"{attempt} attempts"
@@ -211,7 +216,8 @@ class ReliableEventLink:
                 self.clock.advance(backoff)
             self.retries += 1
             self.recovery_seconds += backoff
-            self._count("repro_event_retries_total")
+            if self.registry is not None:
+                self.registry.family(EVENT_RETRIES_TOTAL).inc()
             if self.tracer is not None:
                 self.tracer.event(
                     "chaos.retry",

@@ -25,7 +25,7 @@ from typing import Callable, List, Optional
 from ..compression.registry import get_codec
 from ..core.engine import CodecExecutor
 from ..netsim.cpu import CodecCostModel, CpuModel
-from ..obs.block import record_execution
+from ..obs.catalogue import HANDLER_RECONFIGURATIONS_TOTAL, record_execution
 from ..obs.metrics import MetricsRegistry
 from .attributes import (
     ATTR_COMPRESSION_METHOD,
@@ -197,10 +197,9 @@ class TunableCompressionHandler:
         self.codec = self.factory(**self.parameters)
         self.reconfigurations += 1
         if self.registry is not None:
-            self.registry.counter(
-                "repro_handler_reconfigurations_total",
-                help="runtime codec parameter changes",
-            ).inc(channel=self.channel, method=self.method)
+            self.registry.family(HANDLER_RECONFIGURATIONS_TOTAL).inc(
+                channel=self.channel, method=self.method
+            )
 
     def bind(self, attributes: "object", attribute_name: str) -> Callable[[], None]:
         """Follow a quality attribute: its value (a dict) reconfigures us.

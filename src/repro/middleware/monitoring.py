@@ -18,6 +18,12 @@ from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
 from ..netsim.clock import Clock, VirtualClock
+from ..obs.catalogue import (
+    CHANNEL_EVENTS_TOTAL,
+    CHANNEL_ORIGINAL_BYTES_TOTAL,
+    CHANNEL_QUALITY,
+    CHANNEL_WIRE_BYTES_TOTAL,
+)
 from ..obs.metrics import MetricsRegistry
 from .attributes import (
     ATTR_COMPRESSION_METHOD,
@@ -33,12 +39,6 @@ __all__ = ["ChannelQuality", "ChannelMonitor"]
 #: Attribute name prefix under which monitors publish, completed with the
 #: channel id: ``quality.<channel_id>``.
 QUALITY_ATTR_PREFIX = "quality"
-
-#: Obs metric names for channel quality (labeled ``channel=<id>``).
-EVENTS_COUNTER = "repro_channel_events_total"
-ORIGINAL_BYTES_COUNTER = "repro_channel_original_bytes_total"
-WIRE_BYTES_COUNTER = "repro_channel_wire_bytes_total"
-QUALITY_GAUGE_PREFIX = "repro_channel_quality"
 
 
 @dataclass(frozen=True)
@@ -110,17 +110,11 @@ class ChannelMonitor:
         transport = float(event.attributes.get(ATTR_TRANSPORT_SECONDS, 0.0))
         self._samples.append((self.clock.now(), original, wire, transport))
         if self.registry is not None:
-            labels = {"channel": self.channel.channel_id}
+            channel_id = self.channel.channel_id
             method = str(event.attributes.get(ATTR_COMPRESSION_METHOD, "none"))
-            self.registry.counter(EVENTS_COUNTER, help="events observed").inc(
-                channel=self.channel.channel_id, method=method
-            )
-            self.registry.counter(
-                ORIGINAL_BYTES_COUNTER, help="application bytes observed"
-            ).inc(original, **labels)
-            self.registry.counter(WIRE_BYTES_COUNTER, help="wire bytes observed").inc(
-                wire, **labels
-            )
+            self.registry.family(CHANNEL_EVENTS_TOTAL).inc(channel=channel_id, method=method)
+            self.registry.family(CHANNEL_ORIGINAL_BYTES_TOTAL).inc(original, channel=channel_id)
+            self.registry.family(CHANNEL_WIRE_BYTES_TOTAL).inc(wire, channel=channel_id)
         if self.attributes is not None and self.total_events % self.publish_every == 0:
             self.publish()
 
@@ -163,16 +157,8 @@ class ChannelMonitor:
                 f"{QUALITY_ATTR_PREFIX}.{self.channel.channel_id}", quality.as_dict()
             )
         if self.registry is not None:
-            labels = {"channel": self.channel.channel_id}
-            for field_name in (
-                "event_rate",
-                "goodput",
-                "wire_throughput",
-                "mean_transport_seconds",
-                "compression_ratio",
-            ):
-                self.registry.gauge(
-                    f"{QUALITY_GAUGE_PREFIX}_{field_name}",
-                    help=f"windowed {field_name.replace('_', ' ')}",
-                ).set(getattr(quality, field_name), **labels)
+            for field_name, row in CHANNEL_QUALITY.items():
+                self.registry.family(row).set(
+                    getattr(quality, field_name), channel=self.channel.channel_id
+                )
         return quality

@@ -39,11 +39,11 @@ import time
 import zlib
 from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
-from ..compression.base import canonical_params
+from ..compression.base import canonical_params, params_label
 from ..core.bicriteria import codec_for
 from ..core.engine import CodecExecutor
+from ..obs.catalogue import record_relay_event
 from ..obs.metrics import MetricsRegistry
-from ..obs.placement import record_relay_event
 from .attributes import ATTR_COMPRESSION_METHOD
 from .events import Event
 from .handlers import stamp_compression
@@ -179,7 +179,7 @@ class CompressionRelay:
                 record_relay_event(
                     self.registry,
                     method=execution.method,
-                    params=params,
+                    params=params_label(params),
                     bytes_in=event.size,
                     bytes_out=execution.compressed_size,
                 )

@@ -58,6 +58,14 @@ from ..compression.framing import (
     unpack_jumbo_frame,
 )
 from ..netsim.faults import RetryPolicy
+from ..obs.catalogue import (
+    TCP_FRAMES_FORWARDED_TOTAL,
+    TCP_FRAMES_RECEIVED_TOTAL,
+    TCP_RECONNECTS_TOTAL,
+    TCP_SUBSCRIPTIONS_TOTAL,
+    TCP_WIRE_BYTES_RECEIVED_TOTAL,
+    TCP_WIRE_BYTES_TOTAL,
+)
 from ..obs.metrics import MetricsRegistry
 from .attributes import ATTR_COMPRESSION_METHOD
 from .channels import EventChannel, Subscription
@@ -256,14 +264,10 @@ class ChannelServer:
                         subscription.cancel()
                     return
                 if self.registry is not None:
-                    self.registry.counter(
-                        "repro_tcp_frames_forwarded_total",
-                        help="event frames forwarded to remote subscribers",
-                    ).inc(channel=channel_id)
-                    self.registry.counter(
-                        "repro_tcp_wire_bytes_total",
-                        help="frame bytes sent to remote subscribers",
-                    ).inc(len(wire), channel=channel_id)
+                    self.registry.family(TCP_FRAMES_FORWARDED_TOTAL).inc(channel=channel_id)
+                    self.registry.family(TCP_WIRE_BYTES_TOTAL).inc(
+                        len(wire), channel=channel_id
+                    )
 
             # Subscribe BEFORE acking: the moment the client sees OK it may
             # submit events, and an ack-then-subscribe window would drop them.
@@ -273,9 +277,7 @@ class ChannelServer:
             _send_frame(connection, b"OK")
             self.connections_served += 1
             if self.registry is not None:
-                self.registry.counter(
-                    "repro_tcp_subscriptions_total", help="accepted remote subscriptions"
-                ).inc(channel=channel_id)
+                self.registry.family(TCP_SUBSCRIPTIONS_TOTAL).inc(channel=channel_id)
             # Block until the client goes away (any inbound data/EOF ends it).
             while self._running:
                 if connection.recv(1) == b"":
@@ -412,10 +414,7 @@ class RemoteChannel:
                 continue
             self.reconnects += 1
             if self.registry is not None:
-                self.registry.counter(
-                    "repro_tcp_reconnects_total",
-                    help="successful reconnect+resubscribe recoveries",
-                ).inc(channel=self._channel_id)
+                self.registry.family(TCP_RECONNECTS_TOTAL).inc(channel=self._channel_id)
             return True
         return False
 
@@ -467,14 +466,12 @@ class RemoteChannel:
             if self.registry is not None:
                 for event in events:
                     method = str(event.attributes.get(ATTR_COMPRESSION_METHOD, "none"))
-                    self.registry.counter(
-                        "repro_tcp_frames_received_total",
-                        help="event frames received from the server",
-                    ).inc(channel=self._channel_id, method=method)
-                self.registry.counter(
-                    "repro_tcp_wire_bytes_received_total",
-                    help="frame bytes received from the server",
-                ).inc(frame.wire_size, channel=self._channel_id)
+                    self.registry.family(TCP_FRAMES_RECEIVED_TOTAL).inc(
+                        channel=self._channel_id, method=method
+                    )
+                self.registry.family(TCP_WIRE_BYTES_RECEIVED_TOTAL).inc(
+                    frame.wire_size, channel=self._channel_id
+                )
             for event in events:
                 self.mirror.submit_stamped(event)
                 # Count only after local delivery completed, so wait_for(n)

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..obs.catalogue import FAULTS_INJECTED_TOTAL, LINK_RETRIES_TOTAL
 from .link import SimulatedLink
 from .rudp import PacketLink
 
@@ -432,12 +433,6 @@ class FaultyLink:
     def mean_transfer_time(self, size: int, connections: float = 0.0) -> float:
         return self.inner.mean_transfer_time(size, connections)
 
-    def _count(self, name: str, amount: float = 1.0, **labels: str) -> None:
-        if self.registry is not None:
-            self.registry.counter(
-                name, help="fault-injection bookkeeping (repro.netsim.faults)"
-            ).inc(amount, **labels)
-
     def transfer_time(self, size: int, connections: float = 0.0) -> float:
         attempt = 1
         total = 0.0
@@ -446,8 +441,9 @@ class FaultyLink:
             self._index += 1
             decision = self.plan.decide(index)
             total += self.inner.transfer_time(size, connections) + decision.delay
-            for kind in decision.kinds:
-                self._count("repro_faults_injected_total", kind=kind)
+            if self.registry is not None:
+                for kind in decision.kinds:
+                    self.registry.family(FAULTS_INJECTED_TOTAL).inc(kind=kind)
             if not (decision.dropped or decision.corrupted):
                 return total
             if attempt >= self.retry.max_attempts:
@@ -459,5 +455,6 @@ class FaultyLink:
             total += backoff
             self.retries += 1
             self.recovery_seconds += backoff
-            self._count("repro_link_retries_total")
+            if self.registry is not None:
+                self.registry.family(LINK_RETRIES_TOTAL).inc()
             attempt += 1

@@ -2,8 +2,14 @@
 
 One home for everything the system knows about itself:
 
+* :mod:`repro.obs.catalogue` — the one table of every ``repro_*``
+  series (name, kind, help, label keys, histogram boundaries) and the
+  few ``record_*`` helpers that fold one domain event into several of
+  them; import-free, so every layer can name a series;
 * :mod:`repro.obs.metrics` — process-local counters, gauges, and
-  fixed-bucket histograms in a :class:`MetricsRegistry`;
+  fixed-bucket histograms in a :class:`MetricsRegistry`, which resolves
+  a catalogue row to its family (``registry.family(ROW)``) and holds new
+  series to the row's declared label keys;
 * :mod:`repro.obs.trace` — JSON-lines span/event traces
   (:class:`TraceWriter` / :func:`read_trace`);
 * :mod:`repro.obs.block` — :class:`BlockTelemetry`, the
@@ -12,23 +18,13 @@ One home for everything the system knows about itself:
   fallbacks;
 * :mod:`repro.obs.benchfmt` — the machine-readable benchmark-result
   schema and the tolerance-band regression comparator behind the CI
-  bench-smoke gate;
-* :mod:`repro.obs.fabric` — the ``repro_fabric_*`` metric vocabulary for
-  the sharded event fabric (cache hits/misses/evictions, shard queue
-  depth, fan-out ratio), labels bounded by method + canonical params.
+  bench-smoke gate.
 
 Nothing here reads wall-clock time: values arrive from the sanctioned
 timing sites (:mod:`repro.core.engine`, ``netsim``) or from virtual
 clocks, so attaching telemetry cannot perturb the deterministic replays.
 """
 
-from .bicriteria import (
-    BUDGET_VIOLATIONS_TOTAL,
-    CHOICES_TOTAL,
-    CHOSEN_SECONDS_GAUGE,
-    FRONTIER_SIZE_GAUGE,
-    record_choice,
-)
 from .benchfmt import (
     SCHEMA as BENCH_SCHEMA,
     BenchMetric,
@@ -38,18 +34,8 @@ from .benchfmt import (
     compare_reports,
     load_report,
 )
-from .block import BlockTelemetry, record_execution
-from .fabric import (
-    BATCH_FILL_RATIO,
-    BATCH_FRAMES_TOTAL,
-    record_batch_flush,
-    record_cache_eviction,
-    record_cache_hit,
-    record_cache_miss,
-    record_cache_size,
-    record_fabric_delivery,
-    record_shard_queue_depth,
-)
+from .block import BlockTelemetry
+from .catalogue import CATALOGUE, Metric
 from .metrics import (
     Counter,
     Gauge,
@@ -58,70 +44,25 @@ from .metrics import (
     get_registry,
     set_registry,
 )
-from .placement import (
-    PLACEMENT_CHOICES_TOTAL,
-    PLACEMENT_DEGRADED_TOTAL,
-    PLACEMENT_PRODUCER_SECONDS_GAUGE,
-    PLACEMENT_SECONDS_GAUGE,
-    RELAY_BYTES_SAVED_TOTAL,
-    RELAY_EVENTS_TOTAL,
-    record_placement,
-    record_placement_degraded,
-    record_relay_event,
-)
-from .structured import (
-    STRUCTURED_BLOCKS_TOTAL,
-    STRUCTURED_CHANNEL_BYTES_TOTAL,
-    STRUCTURED_FALLBACK_TOTAL,
-    STRUCTURED_TEMPLATES_MINED_TOTAL,
-    record_structured_block,
-)
 from .trace import TraceWriter, read_trace
 
 __all__ = [
-    "BATCH_FILL_RATIO",
-    "BATCH_FRAMES_TOTAL",
     "BENCH_SCHEMA",
-    "BUDGET_VIOLATIONS_TOTAL",
     "BenchMetric",
     "BenchReport",
     "BlockTelemetry",
-    "CHOICES_TOTAL",
-    "CHOSEN_SECONDS_GAUGE",
+    "CATALOGUE",
     "Comparison",
     "Counter",
-    "FRONTIER_SIZE_GAUGE",
     "Gauge",
     "Histogram",
+    "Metric",
     "MetricsRegistry",
-    "PLACEMENT_CHOICES_TOTAL",
-    "PLACEMENT_DEGRADED_TOTAL",
-    "PLACEMENT_PRODUCER_SECONDS_GAUGE",
-    "PLACEMENT_SECONDS_GAUGE",
-    "RELAY_BYTES_SAVED_TOTAL",
-    "RELAY_EVENTS_TOTAL",
     "Regression",
-    "STRUCTURED_BLOCKS_TOTAL",
-    "STRUCTURED_CHANNEL_BYTES_TOTAL",
-    "STRUCTURED_FALLBACK_TOTAL",
-    "STRUCTURED_TEMPLATES_MINED_TOTAL",
     "TraceWriter",
     "compare_reports",
     "get_registry",
     "load_report",
     "read_trace",
-    "record_batch_flush",
-    "record_cache_eviction",
-    "record_cache_hit",
-    "record_cache_miss",
-    "record_cache_size",
-    "record_choice",
-    "record_execution",
-    "record_fabric_delivery",
-    "record_placement",
-    "record_placement_degraded",
-    "record_relay_event",
-    "record_shard_queue_depth",
-    "record_structured_block",
     "set_registry",
 ]

@@ -25,13 +25,18 @@ Design constraints:
 * **Bounded cardinality.**  A metric family refuses to grow past
   ``max_series`` label combinations; a typo'd unbounded label (event id,
   timestamp) fails loudly instead of eating memory.
+* **Declared label keys.**  A family built from a
+  :mod:`~repro.obs.catalogue` row refuses a new series whose label keys
+  differ from the row's, so a misspelt key cannot silently fork one.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+
+from .catalogue import DEFAULT_SECONDS_BUCKETS, Metric
 
 __all__ = [
     "Counter",
@@ -49,16 +54,6 @@ LabelKey = Tuple[Tuple[str, str], ...]
 #: far below anything an unbounded label would produce.
 DEFAULT_MAX_SERIES = 1024
 
-#: Default histogram boundaries: sub-millisecond to tens of seconds,
-#: roughly log-spaced — covers codec times from 4 KB samples to 128 KB
-#: Burrows-Wheeler blocks on slow hosts.
-DEFAULT_SECONDS_BUCKETS = (
-    0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0
-)
-
-#: Default boundaries for compression ratios (compressed / original).
-DEFAULT_RATIO_BUCKETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-
 
 def _label_key(labels: Mapping[str, str]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
@@ -68,6 +63,10 @@ class _MetricFamily:
     """Shared label bookkeeping for the three metric kinds."""
 
     kind = "metric"
+
+    #: The exact label keys of every series, for a family built from a
+    #: catalogue row; ``None`` (registered by bare name) is unconstrained.
+    label_keys: Optional[FrozenSet[str]] = None
 
     def __init__(self, name: str, help: str = "", max_series: int = DEFAULT_MAX_SERIES) -> None:
         if not name:
@@ -83,6 +82,12 @@ class _MetricFamily:
         key = _label_key(labels)
         slot = self._series.get(key)
         if slot is None:
+            if self.label_keys is not None and labels.keys() != self.label_keys:
+                stray = sorted(labels.keys() ^ self.label_keys)[0]
+                raise ValueError(
+                    f"metric {self.name!r} declares labels {sorted(self.label_keys)}; "
+                    f"label {stray!r} is {'unknown' if stray in labels else 'missing'}"
+                )
             if len(self._series) >= self.max_series:
                 raise ValueError(
                     f"metric {self.name!r} exceeded max_series={self.max_series}; "
@@ -253,13 +258,19 @@ class Histogram(_MetricFamily):
         }
 
 
+_KINDS = {"counter": Counter, "gauge": Gauge}
+
+
 class MetricsRegistry:
     """A process-local namespace of metric families.
 
     Registration is idempotent: asking for an existing name returns the
-    existing family (histogram boundaries must match).  Asking for an
-    existing name as a *different kind* is an error — one name, one
-    meaning.
+    existing family (histogram boundaries must match), and a family is
+    only constructed on a miss.  Asking for an existing name as a
+    *different kind* is an error — one name, one meaning.  Library
+    emitters go through :meth:`family` with a
+    :mod:`~repro.obs.catalogue` row; the by-name methods remain for
+    reading a family back and for ad-hoc series.
     """
 
     def __init__(self) -> None:
@@ -267,32 +278,42 @@ class MetricsRegistry:
 
     # -- registration ------------------------------------------------------------
 
-    def _register(self, family: _MetricFamily) -> _MetricFamily:
-        existing = self._metrics.get(family.name)
-        if existing is None:
-            self._metrics[family.name] = family
-            return family
-        if existing.kind != family.kind:
-            raise ValueError(
-                f"metric {family.name!r} already registered as {existing.kind}"
-            )
-        if isinstance(family, Histogram):
-            assert isinstance(existing, Histogram)
-            if existing.boundaries != family.boundaries:
-                raise ValueError(
-                    f"histogram {family.name!r} re-registered with different boundaries"
-                )
-        return existing
+    def _existing(self, name: str, kind: str) -> Optional[_MetricFamily]:
+        family = self._metrics.get(name)
+        if family is not None and family.kind != kind:
+            raise ValueError(f"metric {name!r} already registered as {family.kind}")
+        return family
+
+    def family(self, row: Metric) -> Any:
+        """The family a catalogue row declares, built from it on first use.
+
+        One dict lookup on the hot path.  The row is the declaration:
+        kind (so the result is a :class:`Counter`, :class:`Gauge` or
+        :class:`Histogram`), help, boundaries and the label keys every
+        new series must carry all come from it.
+        """
+        family = self._existing(row.name, row.kind)
+        if family is None:
+            if row.kind == "histogram":
+                family = Histogram(row.name, row.boundaries, help=row.help)
+            else:
+                family = _KINDS[row.kind](row.name, help=row.help)
+            family.label_keys = row.labels
+            # setdefault: two shard threads may first-touch one family.
+            family = self._metrics.setdefault(row.name, family)
+        return family
 
     def counter(self, name: str, help: str = "", max_series: int = DEFAULT_MAX_SERIES) -> Counter:
-        family = self._register(Counter(name, help=help, max_series=max_series))
-        assert isinstance(family, Counter)
-        return family
+        family = self._existing(name, "counter")
+        if family is None:
+            family = self._metrics.setdefault(name, Counter(name, help, max_series))
+        return family  # type: ignore[return-value]
 
     def gauge(self, name: str, help: str = "", max_series: int = DEFAULT_MAX_SERIES) -> Gauge:
-        family = self._register(Gauge(name, help=help, max_series=max_series))
-        assert isinstance(family, Gauge)
-        return family
+        family = self._existing(name, "gauge")
+        if family is None:
+            family = self._metrics.setdefault(name, Gauge(name, help, max_series))
+        return family  # type: ignore[return-value]
 
     def histogram(
         self,
@@ -301,9 +322,12 @@ class MetricsRegistry:
         help: str = "",
         max_series: int = DEFAULT_MAX_SERIES,
     ) -> Histogram:
-        family = self._register(Histogram(name, boundaries, help=help, max_series=max_series))
-        assert isinstance(family, Histogram)
-        return family
+        family = self._existing(name, "histogram")
+        if family is None:
+            family = self._metrics.setdefault(name, Histogram(name, boundaries, help, max_series))
+        elif family.boundaries != tuple(float(b) for b in boundaries):  # type: ignore[attr-defined]
+            raise ValueError(f"histogram {name!r} re-registered with different boundaries")
+        return family  # type: ignore[return-value]
 
     # -- access ------------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from repro.experiments.config import ReplayConfig
 from repro.experiments.replay import commercial_blocks, make_policy, run_replay
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE, CodecCostModel
 from repro.netsim.link import make_link
-from repro.obs.bicriteria import (
+from repro.obs.catalogue import (
     BUDGET_VIOLATIONS_TOTAL,
     CHOICES_TOTAL,
     FRONTIER_SIZE_GAUGE,
@@ -193,13 +193,13 @@ class TestAdaptivePolicyBicriteria:
         assert decision.budget_violated
         assert policy.budget_violations == 1
         registry = monitor.registry
-        assert registry.gauge(FRONTIER_SIZE_GAUGE).value() == decision.frontier_size
-        assert registry.counter(BUDGET_VIOLATIONS_TOTAL).value() == 1
+        assert registry.family(FRONTIER_SIZE_GAUGE).value() == decision.frontier_size
+        assert registry.family(BUDGET_VIOLATIONS_TOTAL).value() == 1
         from repro.compression.base import params_label
 
         label = params_label(decision.params)
         assert (
-            registry.counter(CHOICES_TOTAL).value(
+            registry.family(CHOICES_TOTAL).value(
                 method=decision.method, params=label
             )
             == 1

@@ -17,7 +17,7 @@ from repro.core.policy import AdaptivePolicy
 from repro.core.sampler import SampleResult
 from repro.core.workers import RelaySchedule, simulate_pipeline, simulate_relay_pipeline
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
-from repro.obs.placement import (
+from repro.obs.catalogue import (
     PLACEMENT_CHOICES_TOTAL,
     PLACEMENT_DEGRADED_TOTAL,
 )
@@ -194,7 +194,7 @@ class TestPolicyPlacement:
         policy = self._policy(placement="auto")
         monitor = self._monitor()
         policy.choose(BLOCK, 0.01, monitor, SampleResult(4096, 1400, 0.001))
-        counter = monitor.registry.counter(PLACEMENT_CHOICES_TOTAL)
+        counter = monitor.registry.family(PLACEMENT_CHOICES_TOTAL)
         assert counter.value(placement="raw", method="none", params="-") == 1
 
     def test_staleness_degrades_to_producer(self):
@@ -206,7 +206,7 @@ class TestPolicyPlacement:
         assert degraded.degraded
         assert degraded.method == "none"
         assert degraded.placement == "producer"  # the Decision default
-        assert monitor.registry.counter(PLACEMENT_DEGRADED_TOTAL).value() >= 1
+        assert monitor.registry.family(PLACEMENT_DEGRADED_TOTAL).value() >= 1
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

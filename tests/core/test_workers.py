@@ -20,7 +20,7 @@ from repro.core.workers import (
 )
 from repro.compression.registry import available_codecs, get_codec
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
-from repro.obs.block import (
+from repro.obs.catalogue import (
     PIPELINE_BLOCKS_TOTAL,
     POOL_DEGRADED_TOTAL,
     POOL_TASKS_TOTAL,
@@ -81,7 +81,7 @@ class TestWorkerPool:
         registry = MetricsRegistry()
         pool = WorkerPool(workers=2, mode="serial", registry=registry)
         pool.run("huffman", b"count me" * 100)
-        counter = registry.counter(POOL_TASKS_TOTAL)
+        counter = registry.family(POOL_TASKS_TOTAL)
         assert counter.value(pool_mode="serial") == 1
 
     def test_broken_pool_degrades_to_serial(self):
@@ -95,7 +95,7 @@ class TestWorkerPool:
         assert pool.run("lzw", data)[0] == expected
         assert pool.mode == "serial"
         assert pool.degradations == 1
-        assert registry.counter(POOL_DEGRADED_TOTAL).value(pool_mode="processes") == 1
+        assert registry.family(POOL_DEGRADED_TOTAL).value(pool_mode="processes") == 1
         # Degradation is permanent and keeps answering correctly.
         assert pool.run("lzw", data)[0] == expected
 
@@ -147,9 +147,9 @@ class TestPipelinedBlockEngine:
         out = engine.run(data, method="none")
         assert b"".join(payload for payload, _ in out) == data
         # "none" never becomes a pool task, but still counts as a block.
-        assert registry.counter(POOL_TASKS_TOTAL).value(pool_mode="serial") == 0
+        assert registry.family(POOL_TASKS_TOTAL).value(pool_mode="serial") == 0
         assert (
-            registry.counter(PIPELINE_BLOCKS_TOTAL).value(
+            registry.family(PIPELINE_BLOCKS_TOTAL).value(
                 pool_mode="serial", queue_depth=str(DEFAULT_QUEUE_DEPTH)
             )
             == len(out)

@@ -24,7 +24,7 @@ from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
 from repro.netsim.faults import FaultPlan, FaultRule, RetryPolicy
 from repro.netsim.link import PAPER_LINKS, SimulatedLink
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.placement import RELAY_BYTES_SAVED_TOTAL, RELAY_EVENTS_TOTAL
+from repro.obs.catalogue import RELAY_BYTES_SAVED_TOTAL, RELAY_EVENTS_TOTAL
 
 
 def _blocks(count=6, size=4 * 1024, seed=2004):
@@ -174,9 +174,9 @@ class TestCompressionRelay:
         blocks = _blocks(count=2)
         for event in _events(blocks):
             relay(event)
-        counter = registry.counter(RELAY_EVENTS_TOTAL)
+        counter = registry.family(RELAY_EVENTS_TOTAL)
         assert counter.value(method="lempel-ziv", params="-") == 2
-        saved = registry.counter(RELAY_BYTES_SAVED_TOTAL)
+        saved = registry.family(RELAY_BYTES_SAVED_TOTAL)
         assert saved.value(method="lempel-ziv") == relay.bytes_in - relay.bytes_out
 
     def test_liveness_stamp_advances(self):

@@ -18,7 +18,7 @@ from repro.experiments.replay import (
     figure11_molecular_replay,
 )
 from repro.obs import BlockTelemetry, MetricsRegistry, TraceWriter, read_trace
-from repro.obs.block import (
+from repro.obs.catalogue import (
     BLOCK_RATIO,
     BLOCKS_TOTAL,
     BYTES_IN_TOTAL,
@@ -52,14 +52,14 @@ class TestRecordExecution:
             ),
         )
         labels = {"channel": "test", "method": "lempel-ziv"}
-        assert registry.counter(BLOCKS_TOTAL).value(**labels) == 1
-        assert registry.counter(BYTES_IN_TOTAL).value(**labels) == 1000
-        assert registry.counter(BYTES_OUT_TOTAL).value(**labels) == 400
-        assert registry.histogram(COMPRESSION_SECONDS).snapshot(**labels)["count"] == 1
-        ratio = registry.get(BLOCK_RATIO).snapshot(**labels)
+        assert registry.family(BLOCKS_TOTAL).value(**labels) == 1
+        assert registry.family(BYTES_IN_TOTAL).value(**labels) == 1000
+        assert registry.family(BYTES_OUT_TOTAL).value(**labels) == 400
+        assert registry.family(COMPRESSION_SECONDS).snapshot(**labels)["count"] == 1
+        ratio = registry.family(BLOCK_RATIO).snapshot(**labels)
         assert ratio["sum"] == pytest.approx(0.4)
         # no fallback happened, so no fallback series exists
-        assert registry.counter(FALLBACKS_TOTAL).total() == 0
+        assert registry.family(FALLBACKS_TOTAL).total() == 0
 
     def test_fallback_counter_keeps_requested_method(self):
         registry = MetricsRegistry()
@@ -75,10 +75,10 @@ class TestRecordExecution:
                 fell_back=True,
             ),
         )
-        fallbacks = registry.counter(FALLBACKS_TOTAL)
+        fallbacks = registry.family(FALLBACKS_TOTAL)
         assert fallbacks.value(channel="test", method="huffman") == 1
         # the execution itself is counted under the shipped method
-        assert registry.counter(BLOCKS_TOTAL).value(channel="test", method="none") == 1
+        assert registry.family(BLOCKS_TOTAL).value(channel="test", method="none") == 1
 
 
 class TestEngineIntegration:
@@ -91,9 +91,9 @@ class TestEngineIntegration:
         assert telemetry.method_series() == ["lempel-ziv", "none"]
         assert telemetry.original_size_series() == [len(COMPRESSIBLE)] * 2
         registry = telemetry.registry
-        assert registry.counter(BLOCKS_TOTAL).total() == 2
+        assert registry.family(BLOCKS_TOTAL).total() == 2
         assert (
-            registry.counter(BYTES_IN_TOTAL).value(
+            registry.family(BYTES_IN_TOTAL).value(
                 channel="engine-test", method="lempel-ziv"
             )
             == len(COMPRESSIBLE)
@@ -116,7 +116,7 @@ class TestEngineIntegration:
             INCOMPRESSIBLE, method="lempel-ziv", codec=ExpandingCodec()
         )
         assert stats.fell_back, "an expanding codec must trip the expansion guard"
-        fallbacks = telemetry.registry.counter(FALLBACKS_TOTAL)
+        fallbacks = telemetry.registry.family(FALLBACKS_TOTAL)
         assert fallbacks.value(channel="engine-test", method="lempel-ziv") == 1
         assert telemetry.method_series() == ["none"]
 
@@ -181,7 +181,7 @@ class TestGoldenReplayZeroDrift:
 
         # registry aggregates are consistent with the fixture totals
         registry = telemetry.registry
-        assert registry.counter(BLOCKS_TOTAL).total() == len(golden["methods"])
-        assert registry.counter(BYTES_OUT_TOTAL).total() == sum(
+        assert registry.family(BLOCKS_TOTAL).total() == len(golden["methods"])
+        assert registry.family(BYTES_OUT_TOTAL).total() == sum(
             golden["compressed_sizes"]
         )

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.catalogue import BLOCK_RATIO, BLOCKS_TOTAL, DEFAULT_RATIO_BUCKETS
 from repro.obs.metrics import (
     DEFAULT_SECONDS_BUCKETS,
     Counter,
@@ -137,6 +138,34 @@ class TestMetricsRegistry:
             registry.histogram("h", boundaries=[1.0, 3.0])
         # identical boundaries are fine
         registry.histogram("h", boundaries=[1.0, 2.0])
+
+    def test_family_is_built_from_its_catalogue_row_once(self):
+        registry = MetricsRegistry()
+        ratio = registry.family(BLOCK_RATIO)
+        assert registry.family(BLOCK_RATIO) is ratio
+        assert registry.histogram(BLOCK_RATIO.name, DEFAULT_RATIO_BUCKETS) is ratio
+        assert (ratio.kind, ratio.help) == ("histogram", BLOCK_RATIO.help)
+        assert ratio.boundaries == DEFAULT_RATIO_BUCKETS
+        with pytest.raises(ValueError, match="already registered as histogram"):
+            registry.counter(BLOCK_RATIO.name)
+
+    def test_new_series_must_carry_the_rows_label_keys(self):
+        blocks = MetricsRegistry().family(BLOCKS_TOTAL)
+        blocks.inc(channel="feed", method="huffman")
+        with pytest.raises(ValueError, match="'repro_blocks_total'.*'chanel' is unknown"):
+            blocks.inc(chanel="feed", method="huffman")  # the typo that forked a series
+        with pytest.raises(ValueError, match="'repro_blocks_total'.*'method' is missing"):
+            blocks.inc(channel="feed")
+        blocks.inc(channel="feed", method="huffman")  # existing series unaffected
+        assert blocks.series_count == 1
+        assert blocks.total() == 2
+
+    def test_family_registered_by_bare_name_is_unconstrained(self):
+        registry = MetricsRegistry()
+        adhoc = registry.counter(BLOCKS_TOTAL.name)
+        adhoc.inc(anything="goes")
+        assert registry.family(BLOCKS_TOTAL) is adhoc
+        assert adhoc.value(anything="goes") == 1
 
     def test_as_dict_and_json_roundtrip(self):
         registry = MetricsRegistry()
