@@ -5,7 +5,8 @@
 #   1. invariant greps   — clock reads, struct framing, stray print(),
 #                          metric names outside the catalogue
 #   2. ruff lint         — style/import hygiene (skipped if not installed)
-#   3. tier-1 tests      — the full pytest suite (skipped by --fast)
+#   3. tier-1 tests      — the full pytest suite with its 15 slowest tests
+#                          and its wall time (skipped by --fast)
 #   4. named gates       — each `--gate NAME` forwards to the one runner,
 #                          `python -m repro gate NAME` (bench-smoke, chaos,
 #                          placement, fuzz) — the same commands the CI
@@ -144,11 +145,18 @@ else
 fi
 
 # --- Tier-1 tests ---------------------------------------------------------------
+tier1_summary="tier-1 skipped (--fast)"
 if [ "$fast" -eq 1 ]; then
     echo "== --fast: skipping test suite"
 else
+    # The pure-Python codecs are most of the suite's time, so the slowest
+    # tests and the wall time in every CI log are the cheapest codec
+    # slowdown alarm there is.
     echo "== tier-1 test suite"
-    PYTHONPATH=src python -m pytest -x -q
+    tier1_start=$SECONDS
+    PYTHONPATH=src python -m pytest -x -q --durations=15
+    tier1_wall=$((SECONDS - tier1_start))
+    tier1_summary="tier-1 passed in $((tier1_wall / 60)) m $((tier1_wall % 60)) s"
 fi
 
 # --- Named gates ----------------------------------------------------------------
@@ -156,3 +164,5 @@ if [ "${#gates[@]}" -gt 0 ]; then
     echo "== gates: ${gates[*]}"
     PYTHONPATH=src python -m repro gate "${gates[@]}"
 fi
+
+echo "== check.sh: invariants ok, $tier1_summary"

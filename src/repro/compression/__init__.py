@@ -26,7 +26,7 @@ from .framing import (
 )
 from .bwhuff import BurrowsWheelerCodec
 from .bwt import bwt_inverse, bwt_transform, suffix_array
-from .huffman import HuffmanCode, HuffmanCodec, StreamDecoder, huffman_code_lengths
+from .huffman import HuffmanCode, HuffmanCodec, huffman_code_lengths
 from .identity import IdentityCodec
 from .lossy import QuantizedFloatCodec, TruncatedFloatCodec
 from .lz77 import Lz77Codec, tokenize
@@ -94,7 +94,6 @@ __all__ = [
     "PAPER_METHODS",
     "TemplateCodec",
     "QuantizedFloatCodec",
-    "StreamDecoder",
     "StreamingCompressor",
     "StreamingDecompressor",
     "TruncatedFloatCodec",

@@ -128,8 +128,8 @@ class BurrowsWheelerCodec(Codec):
         symbol_count, offset = read_varint(view, offset)
         reader = BitReader(payload, start_bit=offset * 8)
         code = HuffmanCode.read_table(reader, 256)
-        symbols, _ = code.decode_symbols(payload, reader.position, symbol_count)
-        chunks = _split_chunks(bytes(symbols))
+        symbols, _ = code.decode_array(payload, reader.position, symbol_count)
+        chunks = _split_chunks(symbols.astype(np.uint8).tobytes())
         out = b"".join(_decode_chunk(chunk) for chunk in chunks)
         if len(out) != original_length:
             raise CorruptStreamError("decoded size does not match header length")
@@ -155,20 +155,13 @@ class BurrowsWheelerCodec(Codec):
         aligned_start = start_bit <= table_end
         if start_bit < table_end:
             start_bit = table_end
-        symbols: List[int] = []
-        position = start_bit
-        # Decode until the bitstream runs out; the final padding may decode
-        # to a few junk symbols, which _split_chunks discards after the last
-        # terminator.
-        while True:
-            try:
-                batch, position = code.decode_symbols(payload, position, 1)
-            except (CorruptStreamError, EOFError):
-                break
-            symbols.extend(batch)
-            if len(symbols) > symbol_count:
-                break
-        parts = bytes(symbols).split(bytes([CHUNK_TERMINATOR]))
+        if start_bit > len(payload) * 8:
+            return b"", 0
+        # Decode until the bitstream runs out (or one symbol past the
+        # declared count); the final padding may decode to a few junk
+        # symbols, which are discarded after the last terminator.
+        _, symbols = code.walk(code.position_map(payload), start_bit, symbol_count + 1)
+        parts = symbols.astype(np.uint8).tobytes().split(bytes([CHUNK_TERMINATOR]))
         # parts[-1] is padding garbage (or empty); parts[0] is a partial
         # chunk unless decoding started at the true stream beginning.
         chunks = parts[:-1] if aligned_start else parts[1:-1]

@@ -1,28 +1,40 @@
 """Canonical, length-limited Huffman coding (paper §2.1).
 
-This module provides two layers:
+This module provides three layers:
 
 * :class:`HuffmanCode` — a reusable canonical Huffman code over an arbitrary
   integer alphabet.  It is shared by the standalone :class:`HuffmanCodec`,
   by the Lempel-Ziv pointer encoder (§2.3: "pointers … are represented by
   Huffman codes") and by the joint chunk coder of the modified
   Burrows-Wheeler pipeline (§2.4).
+* :class:`PositionMap` — the one decode kernel.  Code lengths are limited
+  to :data:`MAX_CODE_LENGTH` bits, so the codeword starting at *any* bit is
+  determined by the 15-bit window there.  The kernel takes that window at
+  **every** bit position of a span of the payload in one numpy pass, looks
+  each up in the code's flat table, and so obtains a per-position successor
+  map ``step[p] = p + length(p)`` whose invalid windows and past-the-end
+  codewords fall into an absorbing sink.  Decoding is then following
+  ``step`` from a start bit; :meth:`PositionMap.chain` does it by pointer
+  jumping (``step`` composed with itself a few times, one Python iteration
+  per 2**k codewords, the rest filled in by vectorised gathers), an 8 KB
+  span at a time.  Because the map covers every position, not just
+  the true codeword boundaries, one map serves a decode from any start bit
+  — the Huffman self-synchronizing property the paper highlights (§2.4,
+  ref [31]): :meth:`HuffmanCode.decode_symbols`, the chunk-resynchronizing
+  decoder in :mod:`repro.compression.bwhuff`, the speculative segments of
+  :mod:`repro.compression.parallel` and (with a token-level ``step``) the
+  Lempel-Ziv decoder in :mod:`repro.compression.lz77` all walk it.  The
+  per-symbol scalar loop it replaced is the differential oracle
+  :func:`repro.verify.references.reference_huffman_decode`.
 * :class:`HuffmanCodec` — the standalone byte-oriented codec evaluated in
   the paper's microbenchmarks (Figures 2, 3, 4, 6).
-
-Code lengths are limited to :data:`MAX_CODE_LENGTH` bits so that decoding
-can use a single flat lookup table, which keeps pure-Python decode speed
-acceptable for 128 KB blocks.  The paper highlights Huffman's
-self-synchronizing property (§2.4, ref [31]); :meth:`HuffmanCode.decode_symbols`
-accepts an arbitrary start bit, which is what the chunk-resynchronizing
-decoder in :mod:`repro.compression.bwhuff` builds on.
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,13 +46,31 @@ __all__ = [
     "MAX_CODE_LENGTH",
     "HuffmanCode",
     "HuffmanCodec",
-    "StreamDecoder",
+    "PositionMap",
     "huffman_code_lengths",
 ]
 
 #: Longest permitted codeword, in bits.  15 bits keeps the flat decode
 #: table at 32768 entries while being ample for 128 KB blocks.
 MAX_CODE_LENGTH = 15
+
+#: Times a span's successor map is composed with itself before it is
+#: walked: the Python loop then visits one boundary in ``2**_JUMP_ROUNDS``.
+#: Each round is one gather over every bit position, each halving of the
+#: walk saves a few thousand interpreter iterations per 128 KB block; the
+#: two costs cross between 3 and 5 rounds on every corpus measured.
+_JUMP_ROUNDS = 4
+
+#: Payload bytes whose bit positions are mapped at a time.  A map costs
+#: about 20 bytes per position (window, advance, successor and two
+#: generations of its powers), so spans keep the kernel's working set near
+#: 1.3 MB — inside the cache and off the peak RSS — whatever the payload.
+_SPAN_BYTES = 1 << 13
+
+#: Upper bound, in bits, on one unit a map follows (a Lempel-Ziv token is at
+#: most 15 + 5 + 15 + 13 = 48): how far past its span a span's successors
+#: may point, and how much lookahead its windows carry.
+_MAX_UNIT_BITS = 64
 
 #: Distinct decode tables kept alive at once.  The 4 KB Lempel-Ziv
 #: sampling probe and the per-chunk Burrows-Wheeler verify path rebuild
@@ -71,18 +101,21 @@ def _canonical_codes(lengths: Sequence[int]) -> List[int]:
 
 
 @lru_cache(maxsize=_DECODE_TABLE_CACHE)
-def _decode_tables(lengths: Tuple[int, ...]) -> Tuple[List[int], List[int]]:
+def _decode_tables(lengths: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
     """Flat (symbols, lengths) decode tables for a code-length profile.
 
-    Keyed by the length tuple: two :class:`HuffmanCode` instances with the
-    same profile share one table.  Plain lists, not numpy: scalar indexing
-    is faster and yields Python ints, which the bit-accumulator arithmetic
-    requires.  Callers treat the lists as read-only.
+    Indexed by a :data:`MAX_CODE_LENGTH`-bit window; length 0 marks a
+    window no codeword matches.  Keyed by the length tuple: two
+    :class:`HuffmanCode` instances with the same profile share one pair of
+    tables.  They are numpy arrays because the decode kernel gathers
+    through them a whole span of positions at a time
+    (``table.take(windows)``), and read-only because the cache hands the
+    same objects to every caller.
     """
     codes = _canonical_codes(lengths)
     size = 1 << MAX_CODE_LENGTH
-    syms = np.zeros(size, dtype=np.int32)
-    lens = np.zeros(size, dtype=np.int8)
+    syms = np.zeros(size, dtype=np.uint16)
+    lens = np.zeros(size, dtype=np.uint8)
     for sym, length in enumerate(lengths):
         if length == 0:
             continue
@@ -90,7 +123,182 @@ def _decode_tables(lengths: Tuple[int, ...]) -> Tuple[List[int], List[int]]:
         span = 1 << (MAX_CODE_LENGTH - length)
         syms[prefix : prefix + span] = sym
         lens[prefix : prefix + span] = length
-    return syms.tolist(), lens.tolist()
+    syms.setflags(write=False)
+    lens.setflags(write=False)
+    return syms, lens
+
+
+#: ``units(windows, count)`` describes the units starting at the first
+#: ``count`` positions of ``windows`` (which carries ``_MAX_UNIT_BITS`` more
+#: positions of lookahead): ``(advance, invalid, exits)`` — bits spanned,
+#: mask of positions where nothing decodes, and indices of positions whose
+#: unit ends the stream by design.
+Units = Callable[[np.ndarray, int], Tuple[np.ndarray, np.ndarray, Sequence[int]]]
+
+_WINDOW_MASK = (1 << MAX_CODE_LENGTH) - 1
+
+
+class PositionMap:
+    """Successor map over every bit position of one payload.
+
+    Code lengths are bounded by :data:`MAX_CODE_LENGTH`, so what starts at
+    a bit is determined by the 15-bit window there.  ``units`` turns the
+    windows of a span of positions into the bits each unit spans (a
+    codeword; for Lempel-Ziv a whole token); the successor of position
+    ``p`` is ``p + advance(p)``, and following successors from a start bit
+    is decoding.  Two absorbing sinks sit above the last stream bit:
+    ``end_bit + 1`` for "nothing decodes here" (an invalid window, a unit
+    that would end past the last bit, the end of the stream itself) and
+    ``end_bit + 2`` (:attr:`exit_bit`) for a unit that ends the stream by
+    design, such as Lempel-Ziv's end-of-block.
+
+    The map is never materialised whole: :meth:`chain` builds it one
+    :data:`_SPAN_BYTES` span at a time, starting at the byte it is asked to
+    walk from, so memory does not grow with the payload and a map is as
+    cheap to make as it is to ignore.
+    """
+
+    def __init__(self, data: bytes, units: Units) -> None:
+        raw = np.frombuffer(data, dtype=np.uint8)
+        lookahead = _MAX_UNIT_BITS // 8
+        padded = np.zeros(len(raw) + lookahead + 2, dtype=np.uint32)
+        padded[: len(raw)] = raw
+        # Each byte with the two after it: the 24 bits that hold every
+        # window starting in that byte (zeros past the end of the data).
+        triples = padded[:-2] << 16
+        triples |= padded[1:-1] << 8
+        triples |= padded[2:]
+        self._triples = triples
+        self._units = units
+        self.end_bit = len(raw) * 8
+        # Narrowest dtype that holds every absolute position, sinks included.
+        self._position_dtype = np.int32 if self.end_bit + 2 < (1 << 31) else np.int64
+
+    @property
+    def exit_bit(self) -> int:
+        """What a :meth:`chain` that left through an exit unit ends in."""
+        return self.end_bit + 2
+
+    def windows_at(self, positions: np.ndarray) -> np.ndarray:
+        """The 15-bit windows at absolute bit ``positions`` (at most ``end_bit``)."""
+        shifts = ((24 - MAX_CODE_LENGTH) - (positions & 7)).astype(np.uint32)
+        windows = self._triples.take(positions >> 3)
+        windows >>= shifts
+        windows &= _WINDOW_MASK
+        return windows
+
+    def _span_windows(self, first_byte: int, nbytes: int) -> np.ndarray:
+        """The window at every bit of ``nbytes`` bytes from ``first_byte`` (``uint16``)."""
+        triples = self._triples[first_byte : first_byte + nbytes]
+        windows = np.empty((nbytes, 8), dtype=np.uint16)
+        for offset in range(8):
+            np.bitwise_and(
+                triples >> (24 - MAX_CODE_LENGTH - offset),
+                _WINDOW_MASK,
+                out=windows[:, offset],
+                casting="unsafe",
+            )
+        return windows.reshape(-1)
+
+    def _span(self, first_byte: int) -> Tuple[int, np.ndarray, np.ndarray]:
+        """``(count, step, jump)`` of the span that starts at ``first_byte``.
+
+        Local index ``i`` is absolute bit ``first_byte * 8 + i``.  Indices
+        below ``count`` are mapped; the next :data:`_MAX_UNIT_BITS` are
+        where a unit may land past the span (fixed points: the walk leaves
+        the span there); then come the two sinks.  ``jump`` is ``step``
+        composed with itself ``_JUMP_ROUNDS`` times.
+        """
+        nbytes = min(_SPAN_BYTES, self.end_bit // 8 - first_byte)
+        count = nbytes * 8
+        windows = self._span_windows(first_byte, nbytes + _MAX_UNIT_BITS // 8)
+        advance, invalid, exits = self._units(windows, count)
+        sink = count + _MAX_UNIT_BITS
+        last_bit = self.end_bit - first_byte * 8
+        step = np.arange(sink + 2, dtype=np.int32)
+        body = step[:count]
+        body += advance
+        fits = body <= last_bit
+        body[invalid | ~fits] = sink
+        exits = np.asarray(exits, dtype=np.intp)
+        body[exits[fits[exits]]] = sink + 1
+        jump = step
+        for _ in range(_JUMP_ROUNDS):
+            jump = jump.take(jump)
+        return count, step, jump
+
+    def chain(
+        self, start_bit: int, limit: int, stop_bit: Optional[int] = None
+    ) -> np.ndarray:
+        """Follow successors from ``start_bit``; absolute positions, in order.
+
+        Returns ``[p0, p1, ..., pj]`` with ``p0 = start_bit`` and
+        ``p(i+1)`` the successor of ``pi``: at most ``limit + 1`` entries,
+        ending early at the first entry ``>= stop_bit`` (which is
+        included).  ``stop_bit`` defaults to the first sink, so a chain
+        that ends in an entry above :attr:`end_bit` ran into a position
+        where nothing decodes (or, for :attr:`exit_bit`, into an exit).
+        Work is bounded by the number of stream bits whatever ``limit``
+        says, because every step advances at least one bit.
+        """
+        if not 0 <= start_bit <= self.end_bit:
+            raise CorruptStreamError("start bit outside the stream")
+        sink = self.end_bit + 1
+        stop = sink if stop_bit is None else min(stop_bit, sink)
+        pieces = [np.array([start_bit], dtype=self._position_dtype)]
+        position = start_bit
+        while limit > 0 and position < stop:
+            piece = self._span_chain(position, limit, stop)
+            pieces.append(piece)
+            limit -= len(piece)
+            position = int(piece[-1])
+        return np.concatenate(pieces)
+
+    def _span_chain(self, position: int, limit: int, stop: int) -> np.ndarray:
+        """The successors of ``position`` (itself excluded) inside the span
+        that starts at its byte: up to ``limit`` of them, through the first
+        one that reaches ``stop``, leaves the span or is a sink."""
+        sink = self.end_bit + 1
+        if position == self.end_bit:
+            return np.array([sink], dtype=self._position_dtype)
+        first_byte = position >> 3
+        base = first_byte * 8
+        count, step, jump = self._span(first_byte)
+        local = _follow(step, jump, position - base, limit, min(stop - base, count))
+        piece = local[1:].astype(self._position_dtype)
+        piece += base
+        if local[-1] >= count + _MAX_UNIT_BITS:
+            piece[-1] = sink + (local[-1] - count - _MAX_UNIT_BITS)
+        return piece
+
+
+def _follow(
+    step: np.ndarray, jump: np.ndarray, start: int, limit: int, stop: int
+) -> np.ndarray:
+    """``[start, step[start], step[step[start]], ...]`` by pointer jumping.
+
+    At most ``limit + 1`` entries, ending at the first one ``>= stop``.
+    ``jump`` is ``step`` composed ``_JUMP_ROUNDS`` times: the Python loop
+    hops a stride of units at a time and the units in between are filled
+    in by a stride's worth of vectorised gathers.
+    """
+    stride = 1 << _JUMP_ROUNDS
+    anchors = [start]
+    position = start
+    hop = jump.item
+    full_strides = limit // stride
+    while position < stop and len(anchors) <= full_strides:
+        position = hop(position)
+        anchors.append(position)
+    rows = np.empty((stride, len(anchors)), dtype=step.dtype)
+    rows[0] = anchors
+    for row in range(1, stride):
+        np.take(step, rows[row - 1], out=rows[row])
+    chain = rows.T.reshape(-1)
+    # Non-decreasing (fixed points absorb and sit above every mapped bit),
+    # so the first entry at or past the stop is a binary search away.
+    last = min(int(np.searchsorted(chain, stop)), limit)
+    return chain[: last + 1]
 
 
 def huffman_code_lengths(frequencies: Sequence[int], max_length: int = MAX_CODE_LENGTH) -> List[int]:
@@ -163,8 +371,8 @@ class HuffmanCode:
         self.codes: List[int] = [0] * len(lengths)
         self.code_strings: List[str] = [""] * len(lengths)
         self._assign_canonical()
-        self._decode_symbols = None  # type: list | None
-        self._decode_lengths = None  # type: list | None
+        self._decode_symbols: Optional[np.ndarray] = None
+        self._decode_lengths: Optional[np.ndarray] = None
 
     def _assign_canonical(self) -> None:
         self.codes = _canonical_codes(self.lengths)
@@ -198,6 +406,8 @@ class HuffmanCode:
     @classmethod
     def read_table(cls, reader: BitReader, alphabet_size: int) -> "HuffmanCode":
         """Inverse of :meth:`write_table`."""
+        if reader.remaining < 4 * alphabet_size:
+            raise CorruptStreamError("truncated code-length table")
         lengths = [reader.read_bits(4) for _ in range(alphabet_size)]
         return cls(lengths)
 
@@ -210,7 +420,8 @@ class HuffmanCode:
         by one ``int(s, 2)`` conversion is the fastest pure-Python encoder.
         Interleaved encoders (Huffman codewords mixed with raw extra bits,
         as in the Lempel-Ziv pointer stream) index :attr:`code_strings`
-        directly; the matching read side is :class:`StreamDecoder`.
+        directly; the matching read side is a :class:`PositionMap` whose
+        ``step`` spans a whole token.
         """
         table = self.code_strings
         return "".join(map(table.__getitem__, symbols))
@@ -224,6 +435,62 @@ class HuffmanCode:
             tuple(self.lengths)
         )
 
+    def decode_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The shared, read-only ``(symbols, lengths)`` tables of this code,
+        indexed by a :data:`MAX_CODE_LENGTH`-bit window (length 0: no codeword)."""
+        self._ensure_decode_table()
+        assert self._decode_symbols is not None and self._decode_lengths is not None
+        return self._decode_symbols, self._decode_lengths
+
+    def position_map(self, data: bytes) -> PositionMap:
+        """The codeword successor map of ``data``: the successor of bit
+        ``p`` is the end of the codeword that starts there.  Good for a
+        decode from any bit — see :meth:`walk`."""
+        lengths_of = self.decode_tables()[1]
+
+        def codewords(windows: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray, tuple]:
+            lengths = lengths_of.take(windows[:count])
+            return lengths, lengths == 0, ()
+
+        return PositionMap(data, codewords)
+
+    def walk(
+        self,
+        pmap: PositionMap,
+        start_bit: int,
+        limit: int,
+        stop_bit: Optional[int] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Decode along ``pmap`` (from :meth:`position_map`) from ``start_bit``.
+
+        Returns ``(boundaries, symbols)``: ``symbols[i]`` is the codeword
+        at bit ``boundaries[i]`` and ``boundaries[-1]`` is where decoding
+        stopped — after ``limit`` symbols, at the first boundary at or past
+        ``stop_bit``, or where the stream stops decoding (an invalid
+        window, or a codeword cut off by the end), whichever comes first.
+        ``start_bit`` need not be a true codeword boundary (§2.4).
+        """
+        boundaries = pmap.chain(start_bit, limit, stop_bit)
+        if boundaries[-1] > pmap.end_bit:
+            boundaries = boundaries[:-1]
+        symbols = self.decode_tables()[0].take(pmap.windows_at(boundaries[:-1]))
+        return boundaries, symbols
+
+    def decode_array(
+        self, data: bytes, start_bit: int, count: int
+    ) -> Tuple[np.ndarray, int]:
+        """:meth:`decode_symbols` returning the symbols as a ``uint16`` array."""
+        if count == 0:
+            return np.empty(0, dtype=np.uint16), start_bit
+        # Every codeword is at least one bit: a count beyond the remaining
+        # bits cannot be honest, and nothing is sized before this check.
+        if count > len(data) * 8 - start_bit:
+            raise CorruptStreamError("symbol count exceeds the bits in the stream")
+        boundaries, symbols = self.walk(self.position_map(data), start_bit, count)
+        if len(symbols) < count:
+            raise CorruptStreamError("invalid codeword or truncated stream")
+        return symbols, int(boundaries[-1])
+
     def decode_symbols(
         self, data: bytes, start_bit: int, count: int
     ) -> Tuple[List[int], int]:
@@ -233,114 +500,16 @@ class HuffmanCode:
         the stream — the Huffman self-synchronization property (§2.4) means
         decoding from a wrong offset produces a few garbage symbols and then
         locks on; callers exploiting that simply pass a guessed offset.
+        Raises :class:`CorruptStreamError` on a window no codeword matches,
+        a codeword ending past the last bit, or a ``count`` the remaining
+        bits cannot hold.
         """
-        self._ensure_decode_table()
-        table_syms = self._decode_symbols
-        table_lens = self._decode_lengths
-        assert table_syms is not None and table_lens is not None
-        width = MAX_CODE_LENGTH
-        total_bits = len(data) * 8
-        out: List[int] = []
-        append = out.append
-        byte_index = start_bit >> 3
-        acc = 0
-        nbits = 0
-        if start_bit & 7:
-            acc = data[byte_index] & ((1 << (8 - (start_bit & 7))) - 1)
-            nbits = 8 - (start_bit & 7)
-            byte_index += 1
-        consumed = start_bit
-        data_len = len(data)
-        while len(out) < count:
-            while nbits < width and byte_index < data_len:
-                acc = (acc << 8) | data[byte_index]
-                byte_index += 1
-                nbits += 8
-            if nbits >= width:
-                window = (acc >> (nbits - width)) & ((1 << width) - 1)
-            else:
-                window = (acc << (width - nbits)) & ((1 << width) - 1)
-            length = table_lens[window]
-            if length == 0 or length > nbits:
-                raise CorruptStreamError("invalid codeword or truncated stream")
-            append(table_syms[window])
-            nbits -= length
-            acc &= (1 << nbits) - 1
-            consumed += length
-            if consumed > total_bits:
-                raise CorruptStreamError("bit stream exhausted mid-symbol")
-        return out, consumed
+        symbols, end_bit = self.decode_array(data, start_bit, count)
+        return symbols.tolist(), end_bit
 
     def expected_bits(self, frequencies: Sequence[int]) -> int:
         """Encoded size in bits for a stream with the given frequencies."""
         return sum(f * l for f, l in zip(frequencies, self.lengths))
-
-
-class StreamDecoder:
-    """Sequential bit-stream decoder mixing Huffman codes and raw bits.
-
-    The Lempel-Ziv decoder interleaves Huffman codewords (literal/length and
-    distance symbols) with raw extra bits, so it cannot use the batch
-    :meth:`HuffmanCode.decode_symbols`.  This decoder keeps an accumulator
-    over the payload and serves both kinds of reads in input order.
-    """
-
-    def __init__(self, data: bytes, start_bit: int = 0) -> None:
-        self._data = data
-        self._byte_index = start_bit >> 3
-        self._acc = 0
-        self._nbits = 0
-        if start_bit & 7:
-            self._acc = data[self._byte_index] & ((1 << (8 - (start_bit & 7))) - 1)
-            self._nbits = 8 - (start_bit & 7)
-            self._byte_index += 1
-
-    @property
-    def bit_position(self) -> int:
-        """Absolute bit offset of the next unread bit."""
-        return self._byte_index * 8 - self._nbits
-
-    def _fill(self, want: int) -> None:
-        data = self._data
-        length = len(data)
-        while self._nbits < want and self._byte_index < length:
-            self._acc = (self._acc << 8) | data[self._byte_index]
-            self._byte_index += 1
-            self._nbits += 8
-
-    def read_bits(self, width: int) -> int:
-        """Read ``width`` raw bits (MSB first)."""
-        if width == 0:
-            return 0
-        self._fill(width)
-        if self._nbits < width:
-            raise CorruptStreamError("bit stream exhausted")
-        self._nbits -= width
-        value = (self._acc >> self._nbits) & ((1 << width) - 1)
-        self._acc &= (1 << self._nbits) - 1
-        return value
-
-    def read_code(self, code: HuffmanCode) -> int:
-        """Read one Huffman codeword of ``code``."""
-        code._ensure_decode_table()
-        table_syms = code._decode_symbols
-        table_lens = code._decode_lengths
-        assert table_syms is not None and table_lens is not None
-        self._fill(MAX_CODE_LENGTH)
-        if self._nbits >= MAX_CODE_LENGTH:
-            window = (self._acc >> (self._nbits - MAX_CODE_LENGTH)) & (
-                (1 << MAX_CODE_LENGTH) - 1
-            )
-        else:
-            window = (self._acc << (MAX_CODE_LENGTH - self._nbits)) & (
-                (1 << MAX_CODE_LENGTH) - 1
-            )
-        length = table_lens[window]
-        if length == 0 or length > self._nbits:
-            raise CorruptStreamError("invalid codeword or truncated stream")
-        self._nbits -= length
-        self._acc &= (1 << self._nbits) - 1
-        return table_syms[window]
 
 
 class HuffmanCodec(Codec):
@@ -379,8 +548,8 @@ class HuffmanCodec(Codec):
             return b""
         reader = BitReader(payload, start_bit=offset * 8)
         code = HuffmanCode.read_table(reader, 256)
-        symbols, _ = code.decode_symbols(payload, reader.position, original_length)
-        return bytes(symbols)
+        symbols, _ = code.decode_array(payload, reader.position, original_length)
+        return symbols.astype(np.uint8).tobytes()
 
 
 def _bitstring_to_bytes(bits: str) -> bytes:

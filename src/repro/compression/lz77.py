@@ -17,16 +17,28 @@ Matching uses hash chains over 4-byte prefixes with a bounded chain depth —
 the classic speed/ratio compromise; the paper rates Lempel-Ziv
 "Satisfactory" for compression time and "Excellent" for decompression time
 (Figure 1), which this implementation preserves.
+
+Decoding reuses the Huffman decode kernel (:class:`~.huffman.PositionMap`)
+with a *token-level* successor: from any bit, one step spans the
+literal/length codeword and — for a match — its extra bits, the distance
+codeword and the distance extra bits, so following the map from the first
+token visits exactly the token boundaries and ends in the end-of-block
+sink.  Lengths and distances are then extracted at those boundaries only,
+the literals land in one scatter store, and the Python loop runs over
+matches alone.  The token-at-a-time formulation is kept as
+:func:`repro.verify.references.reference_lz77_decode`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Union
+from functools import lru_cache
+from typing import List, Tuple, Union
 
 import numpy as np
 
 from .base import Codec, CorruptStreamError
-from .huffman import HuffmanCode, StreamDecoder
+from .bitio import BitReader
+from .huffman import MAX_CODE_LENGTH, HuffmanCode, PositionMap, _decode_tables
 from .varint import read_varint, write_varint
 
 __all__ = ["Lz77Codec", "tokenize", "MIN_MATCH", "MAX_MATCH", "WINDOW_SIZE"]
@@ -96,9 +108,54 @@ def _build_distance_lookup() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 _LEN_SYMBOL, _LEN_EXTRA, _LEN_BASE = _build_length_lookup()
 _DIST_SYMBOL, _DIST_EXTRA, _DIST_BASE = _build_distance_lookup()
 
-# Decoder-side tables indexed by symbol.
-_LEN_DECODE: Dict[int, Tuple[int, int]] = {s: (e, b) for s, e, b in _LENGTH_CODES}
-_DIST_DECODE: Dict[int, Tuple[int, int]] = {s: (e, b) for s, e, b in _DISTANCE_CODES}
+
+
+def _build_symbol_lookup(
+    codes: List[Tuple[int, int, int]], alphabet: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    extra_bits = np.zeros(alphabet, dtype=np.uint8)
+    bases = np.zeros(alphabet, dtype=np.int32)
+    for symbol, extra, base in codes:
+        extra_bits[symbol] = extra
+        bases[symbol] = base
+    return extra_bits, bases
+
+
+# Decoder-side tables indexed by symbol (literals and EOB carry no extra bits).
+_LEN_EXTRA_OF, _LEN_BASE_OF = _build_symbol_lookup(_LENGTH_CODES, _LITLEN_ALPHABET)
+_DIST_EXTRA_OF, _DIST_BASE_OF = _build_symbol_lookup(_DISTANCE_CODES, _DIST_ALPHABET)
+
+# Per-window token tables pack a token part's bit advance with what follows it.
+_ADVANCE_BITS = 0x1F  # litlen codeword + length extra <= 20; distance part <= 28
+_NO_CODE = 0x20  # no codeword matches the window
+_IS_EOB = 0x40
+_IS_MATCH = 0x80  # a distance part follows
+
+
+@lru_cache(maxsize=16)
+def _token_tables(
+    litlen_lengths: Tuple[int, ...], dist_lengths: Tuple[int, ...]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-window advance of the two parts of a token, with flags folded in.
+
+    ``head[w]`` describes the literal/length part when the 15-bit window
+    ``w`` starts a token: codeword length plus length-extra bits, or-ed
+    with :data:`_IS_MATCH` / :data:`_IS_EOB`; ``tail[w]`` the distance part
+    when ``w`` starts one: codeword length plus distance-extra bits.  A
+    window no codeword matches is :data:`_NO_CODE` in either.
+    """
+    symbols, lengths = _decode_tables(litlen_lengths)
+    head = lengths + _LEN_EXTRA_OF.take(symbols)
+    head[symbols > _END_OF_BLOCK] |= _IS_MATCH
+    head[symbols == _END_OF_BLOCK] |= _IS_EOB
+    head[lengths == 0] = _NO_CODE
+    symbols, lengths = _decode_tables(dist_lengths)
+    tail = lengths + _DIST_EXTRA_OF.take(symbols)
+    tail[lengths == 0] = _NO_CODE
+    head.setflags(write=False)
+    tail.setflags(write=False)
+    return head, tail
+
 
 Token = Union[int, Tuple[int, int]]
 
@@ -263,37 +320,92 @@ class Lz77Codec(Codec):
             if offset != len(payload):
                 raise CorruptStreamError("trailing bytes after empty stream")
             return b""
-        decoder = StreamDecoder(payload, start_bit=offset * 8)
-        litlen_code = HuffmanCode([decoder.read_bits(4) for _ in range(_LITLEN_ALPHABET)])
-        dist_code = HuffmanCode([decoder.read_bits(4) for _ in range(_DIST_ALPHABET)])
+        reader = BitReader(payload, start_bit=offset * 8)
+        litlen_code = HuffmanCode.read_table(reader, _LITLEN_ALPHABET)
+        dist_code = HuffmanCode.read_table(reader, _DIST_ALPHABET)
+        # A token is at least one bit and yields at most MAX_MATCH bytes: a
+        # longer declared length cannot be honest; reject it before sizing
+        # anything from it.
+        if original_length > MAX_MATCH * reader.remaining:
+            raise CorruptStreamError("declared length exceeds what the stream can hold")
+        pmap = _token_map(payload, litlen_code, dist_code)
+        tokens = pmap.chain(reader.position, pmap.end_bit)
+        if tokens[-1] != pmap.exit_bit:
+            raise CorruptStreamError("invalid token or stream ends before end-of-block")
+        tokens = tokens[:-2]  # drop the sink and the end-of-block token itself
 
-        out = bytearray()
-        while True:
-            symbol = decoder.read_code(litlen_code)
-            if symbol < 256:
-                out.append(symbol)
-            elif symbol == _END_OF_BLOCK:
-                break
-            else:
-                if symbol not in _LEN_DECODE:
-                    raise CorruptStreamError(f"invalid length symbol {symbol}")
-                extra, base = _LEN_DECODE[symbol]
-                length = base + (decoder.read_bits(extra) if extra else 0)
-                dist_symbol = decoder.read_code(dist_code)
-                if dist_symbol not in _DIST_DECODE:
-                    raise CorruptStreamError(f"invalid distance symbol {dist_symbol}")
-                extra, base = _DIST_DECODE[dist_symbol]
-                distance = base + (decoder.read_bits(extra) if extra else 0)
-                start = len(out) - distance
-                if start < 0:
-                    raise CorruptStreamError("distance reaches before stream start")
-                if distance >= length:
-                    out += out[start : start + length]
-                else:
-                    for i in range(length):
-                        out.append(out[start + i])
-            if len(out) > original_length:
-                raise CorruptStreamError("decoded size exceeds header length")
-        if len(out) != original_length:
+        symbols = litlen_code.decode_tables()[0].take(pmap.windows_at(tokens))
+        is_match = symbols > _END_OF_BLOCK
+        matches = np.flatnonzero(is_match)
+        lengths, distances = _match_fields(pmap, tokens[matches], litlen_code, dist_code)
+
+        sizes = np.ones(len(tokens), dtype=np.int64)
+        sizes[matches] = lengths
+        ends = np.cumsum(sizes)
+        if (int(ends[-1]) if len(ends) else 0) != original_length:
             raise CorruptStreamError("decoded size does not match header length")
+        starts = ends - sizes
+        match_starts = starts[matches]
+        if (distances > match_starts).any():
+            raise CorruptStreamError("distance reaches before stream start")
+
+        out = bytearray(original_length)
+        literals = ~is_match
+        np.frombuffer(out, dtype=np.uint8)[starts[literals]] = symbols[literals]
+        for start, length, distance in zip(
+            match_starts.tolist(), lengths.tolist(), distances.tolist()
+        ):
+            source = start - distance
+            if distance >= length:
+                out[start : start + length] = out[source : source + length]
+            else:
+                # Overlapping copy: the last `distance` bytes repeat.
+                pattern = out[source:start]
+                out[start : start + length] = (pattern * (length // distance + 1))[:length]
         return bytes(out)
+
+
+def _match_fields(
+    pmap: PositionMap, at: np.ndarray, litlen_code: HuffmanCode, dist_code: HuffmanCode
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lengths, distances)`` of the match tokens starting at bits ``at``.
+
+    A match is a length codeword, its extra bits, a distance codeword and
+    its extra bits; an e-bit field is the top e bits of the window at its
+    first bit.
+    """
+    fields = []
+    for code, extra_of, base_of in (
+        (litlen_code, _LEN_EXTRA_OF, _LEN_BASE_OF),
+        (dist_code, _DIST_EXTRA_OF, _DIST_BASE_OF),
+    ):
+        symbols, code_lengths = code.decode_tables()
+        windows = pmap.windows_at(at)
+        symbol = symbols.take(windows)
+        extra = extra_of.take(symbol)
+        at = at + code_lengths.take(windows)
+        fields.append(base_of.take(symbol) + (pmap.windows_at(at) >> (MAX_CODE_LENGTH - extra)))
+        at += extra
+    return fields[0], fields[1]
+
+
+def _token_map(payload: bytes, litlen_code: HuffmanCode, dist_code: HuffmanCode) -> PositionMap:
+    """Token-level successor map of ``payload``.
+
+    One step spans a whole token.  A window without a codeword in either
+    part is invalid, and an end-of-block codeword is an exit.
+    """
+    head_of, tail_of = _token_tables(tuple(litlen_code.lengths), tuple(dist_code.lengths))
+
+    def tokens(windows: np.ndarray, count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        head = head_of.take(windows[:count])
+        advance = head & _ADVANCE_BITS
+        # The distance part is looked up where the length part ends.
+        after_head = np.arange(count, dtype=np.int32)
+        after_head += advance
+        tail = tail_of.take(windows.take(after_head))
+        tail[head < _IS_MATCH] = 0
+        advance += tail & _ADVANCE_BITS
+        return advance, ((head | tail) & _NO_CODE) != 0, np.flatnonzero(head & _IS_EOB)
+
+    return PositionMap(payload, tokens)

@@ -12,8 +12,12 @@ That same run structure is what the implementation exploits: the recency
 list only changes at the *first* byte of each run (every later byte of the
 run is already at the front and encodes as rank 0), so the Python-level
 list update runs once per run boundary while numpy handles the per-byte
-work — locating boundaries on encode, broadcasting the front byte on
-decode.  Output is byte-identical to the classic per-byte formulation.
+work — gathering the run heads on encode, broadcasting the front byte
+over the zero ranks on decode (one ``cumsum`` + gather).  The recency list
+itself is a ``bytearray``: finding a byte is a ``memchr`` and moving it to
+the front is two in-place ``memmove``s (``pop`` + ``insert``).  Output is
+byte-identical to the classic per-byte formulation, kept as
+:func:`repro.verify.references.reference_mtf_encode` / ``_decode``.
 """
 
 from __future__ import annotations
@@ -29,21 +33,22 @@ def mtf_encode(data: bytes) -> bytes:
     if n == 0:
         return b""
     values = np.frombuffer(data, dtype=np.uint8)
-    # Positions where a new run begins; inside a run every byte after the
+    # Positions where a run begins; inside a run every byte after the
     # first has rank 0, which is what the zero-initialised output encodes.
-    starts = np.empty(0, dtype=np.int64)
+    heads = np.zeros(1, dtype=np.int64)
     if n > 1:
-        starts = np.flatnonzero(values[1:] != values[:-1]) + 1
+        heads = np.append(heads, np.flatnonzero(values[1:] != values[:-1]) + 1)
+    table = bytearray(range(256))
+    find, pop, insert = table.index, table.pop, table.insert
+    ranks = bytearray()
+    append = ranks.append
+    for byte in values[heads].tobytes():
+        rank = find(byte)
+        append(rank)
+        pop(rank)
+        insert(0, byte)
     out = np.zeros(n, dtype=np.uint8)
-    table = list(range(256))
-    index_of = table.index
-    for position in (0, *starts.tolist()):
-        byte = data[position]
-        rank = index_of(byte)
-        if rank:
-            out[position] = rank
-            del table[rank]
-            table.insert(0, byte)
+    out[heads] = np.frombuffer(ranks, dtype=np.uint8)
     return out.tobytes()
 
 
@@ -53,22 +58,17 @@ def mtf_decode(indices: bytes) -> bytes:
     if n == 0:
         return b""
     ranks = np.frombuffer(indices, dtype=np.uint8)
-    out = np.empty(n, dtype=np.uint8)
-    table = list(range(256))
-    front = table[0]
-    previous = 0
     # Rank 0 repeats whatever is at the front of the list, so only the
-    # nonzero ranks touch the recency list; the zero gaps between them are
-    # filled with the current front byte in one numpy store.
-    for position in np.flatnonzero(ranks).tolist():
-        if position > previous:
-            out[previous:position] = front
-        rank = indices[position]
-        byte = table[rank]
-        out[position] = byte
-        del table[rank]
-        table.insert(0, byte)
-        front = byte
-        previous = position + 1
-    out[previous:] = front
-    return out.tobytes()
+    # nonzero ranks touch the recency list.  fronts[j] is the front byte
+    # after the j-th of them; every position then reads the front that was
+    # current there.
+    moves = ranks != 0
+    table = bytearray(range(256))
+    pop, insert = table.pop, table.insert
+    fronts = bytearray(1)
+    append = fronts.append
+    for rank in ranks[moves].tobytes():
+        byte = pop(rank)
+        insert(0, byte)
+        append(byte)
+    return np.frombuffer(fronts, dtype=np.uint8)[np.cumsum(moves)].tobytes()

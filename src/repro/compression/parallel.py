@@ -41,7 +41,9 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .base import Codec, CorruptStreamError
 from .huffman import HuffmanCode
@@ -303,24 +305,15 @@ def huffman_segment_table(
     ``boundary_bits[i]`` is the bit position at which ``symbols[i]`` was
     decoded.  Decoding continues past ``end_bit`` just far enough to land
     exactly on a codeword boundary, so consecutive segments can be
-    stitched.  Raises :class:`CorruptStreamError` only when the stream
-    ends mid-codeword.
+    stitched.  A mis-synchronized speculation that runs into an invalid
+    window (or the end of the stream mid-codeword) reports what it has.
     """
-    boundaries: List[int] = []
-    symbols: List[int] = []
-    position = start_bit
-    total_bits = len(data) * 8
-    while position < end_bit and position < total_bits:
-        boundaries.append(position)
-        try:
-            decoded, position = code.decode_symbols(data, position, 1)
-        except CorruptStreamError:
-            # Mis-synchronized speculation can run into an invalid window
-            # near the end; report what we have.
-            boundaries.pop()
-            break
-        symbols.extend(decoded)
-    return boundaries, symbols, position
+    if start_bit >= len(data) * 8:
+        return [], [], start_bit
+    boundaries, symbols = code.walk(
+        code.position_map(data), start_bit, end_bit - start_bit, stop_bit=end_bit
+    )
+    return boundaries[:-1].tolist(), symbols.tolist(), int(boundaries[-1])
 
 
 def parallel_huffman_decode(
@@ -344,12 +337,21 @@ def parallel_huffman_decode(
     speculative boundary list; on a hit, the speculative suffix is
     accepted; on a miss (the speculation never synchronized) the segment
     is re-decoded sequentially from the true position.
+
+    Speculation and re-decoding are both walks of one
+    :class:`~.huffman.PositionMap` of the payload, which answers "where
+    does the codeword starting at this bit end" for every bit at once.
     """
     if segments < 1:
         raise ValueError("segments must be positive")
     total_bits = len(data) * 8
     if symbol_count == 0:
         return []
+    if symbol_count > total_bits - start_bit:
+        raise CorruptStreamError(
+            f"stream of {max(0, total_bits - start_bit)} bits cannot hold "
+            f"{symbol_count} symbols"
+        )
     segment_span = max(8, ((total_bits - start_bit) // segments + 7) & ~7)
     starts = [start_bit]
     for index in range(1, segments):
@@ -359,42 +361,44 @@ def parallel_huffman_decode(
             break
         starts.append(candidate)
     ends = starts[1:] + [total_bits]
+    pmap = code.position_map(data)
 
-    def speculate(bounds: Tuple[int, int]) -> Tuple[List[int], List[int], int]:
-        return huffman_segment_table(code, data, bounds[0], bounds[1])
+    def speculate(bounds: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+        # A speculative segment table is a walk of the shared map.
+        start, end = bounds
+        return code.walk(pmap, start, end - start, stop_bit=end)
 
     with DegradingPool(workers or len(starts), "threads") as pool:
         tables = pool.map(speculate, list(zip(starts, ends)))
 
-    symbols: List[int] = []
+    pieces: List[np.ndarray] = []
+    decoded = 0
     position = start_bit
-    for index, (boundaries, segment_symbols, final_bit) in enumerate(tables):
-        if len(symbols) >= symbol_count:
+    for index, (boundaries, segment_symbols) in enumerate(tables):
+        if decoded >= symbol_count:
             break
-        if position == starts[index]:
-            # The true boundary coincides with the speculation start
-            # (always true for segment 0).
-            symbols.extend(segment_symbols)
-            position = final_bit
-            continue
-        # Find the true entry position in the speculative boundary list.
-        lookup: Dict[int, int] = {bit: i for i, bit in enumerate(boundaries)}
-        while position < ends[index] and position not in lookup:
-            # Speculation had not synchronized yet at `position`: decode
-            # sequentially until we join its chain (or leave the segment).
-            decoded, position = code.decode_symbols(data, position, 1)
-            symbols.extend(decoded)
-            if len(symbols) >= symbol_count:
-                break
-        if len(symbols) >= symbol_count:
-            break
-        if position in lookup:
-            join = lookup[position]
-            symbols.extend(segment_symbols[join:])
-            position = final_bit
-        # else: we walked past the segment end sequentially; continue.
-    if len(symbols) < symbol_count:
+        if position != starts[index]:
+            # The speculation started off the true boundary sequence:
+            # decode from the true position until the two chains meet (or
+            # the segment ends without their meeting).
+            gap_boundaries, gap_symbols = code.walk(
+                pmap, position, symbol_count - decoded, stop_bit=ends[index]
+            )
+            met = np.flatnonzero(np.isin(gap_boundaries, boundaries[:-1]))
+            if not len(met):
+                pieces.append(gap_symbols)
+                decoded += len(gap_symbols)
+                position = int(gap_boundaries[-1])
+                continue
+            pieces.append(gap_symbols[: met[0]])
+            decoded += int(met[0])
+            join = int(np.searchsorted(boundaries, gap_boundaries[met[0]]))
+            segment_symbols = segment_symbols[join:]
+        pieces.append(segment_symbols)
+        decoded += len(segment_symbols)
+        position = int(boundaries[-1])
+    if decoded < symbol_count:
         raise CorruptStreamError(
-            f"stream exhausted after {len(symbols)} of {symbol_count} symbols"
+            f"stream exhausted after {decoded} of {symbol_count} symbols"
         )
-    return symbols[:symbol_count]
+    return np.concatenate(pieces)[:symbol_count].tolist()

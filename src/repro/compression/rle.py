@@ -12,6 +12,14 @@ move-to-front output into the alphabet ``0..254``:
 * every other byte stands for itself.
 
 Zero-runs shorter than :data:`MIN_RUN` are cheaper raw, so they stay raw.
+
+Both directions are array code: the encoder reduces every run to at most
+two ``(value, repeat)`` pieces by run arithmetic (``// MAX_RUN``,
+``% MAX_RUN``, ``>= MIN_RUN``) and expands them with one ``np.repeat``;
+the decoder classifies escape and argument bytes from the parity of their
+offset inside a run of 254s and expands the tokens the same way.  The
+per-byte loops are the oracles
+:func:`repro.verify.references.reference_rle_encode` / ``_decode``.
 """
 
 from __future__ import annotations
@@ -30,64 +38,65 @@ MIN_RUN = 3
 def rle_encode(data: bytes) -> bytes:
     """Encode ``data`` (any bytes) into the 0..254 alphabet.
 
-    Run boundaries are found in one vectorized pass (``np.diff`` over the
-    byte array); the Python loop then walks *runs*, not bytes — on
-    post-MTF input (long zero runs) that is orders of magnitude fewer
-    iterations.  Output is byte-identical to the classic per-byte greedy
-    encoder: a zero run longer than :data:`MAX_RUN` splits greedily, and
-    each split piece independently chooses escape vs. raw form.
+    Output is byte-identical to the classic per-byte greedy encoder: a
+    zero run longer than :data:`MAX_RUN` splits greedily, and the remainder
+    independently chooses escape vs. raw form.
     """
     n = len(data)
     if n == 0:
         return b""
     values = np.frombuffer(data, dtype=np.uint8)
-    boundaries = np.flatnonzero(values[1:] != values[:-1]) + 1
-    starts = (0, *boundaries.tolist())
-    ends = (*boundaries.tolist(), n)
-    out = bytearray()
-    for start, end in zip(starts, ends):
-        byte = data[start]
-        length = end - start
-        if byte == 0:
-            while length > 0:
-                run = min(length, MAX_RUN)
-                if run >= MIN_RUN:
-                    out.append(ESCAPE)
-                    out.append(run)
-                else:
-                    out += b"\x00" * run
-                length -= run
-        elif byte >= ESCAPE:
-            # 0 -> literal 254, 1 -> literal 255; escapes never form runs.
-            out += bytes((ESCAPE, byte - ESCAPE)) * length
-        else:
-            out += bytes((byte,)) * length
-    return bytes(out)
+    # Runs of equal bytes, except that 254/255 never form runs (each one
+    # is its own escape pair).
+    heads = np.zeros(1, dtype=np.int64)
+    if n > 1:
+        tail = values[1:]
+        heads = np.append(heads, np.flatnonzero((tail != values[:-1]) | (tail >= ESCAPE)) + 1)
+    byte = values[heads].astype(np.int64)
+    length = np.diff(heads, append=n)
+    zero = byte == 0
+    escaped = byte >= ESCAPE
+    full, rest = np.divmod(length, MAX_RUN)
+    long_rest = rest >= MIN_RUN
+    # Every run becomes two (value, repeat) pieces; np.repeat drops the
+    # pieces whose repeat is zero.
+    #   zero run     ESCAPE x (2*full + long_rest)   then (rest x 1) or (0 x rest)
+    #   254 / 255    ESCAPE x 1                      then (byte - ESCAPE) x 1
+    #   other byte   byte x length                   then nothing
+    pieces = np.empty((len(heads), 2), dtype=np.uint8)
+    repeats = np.empty((len(heads), 2), dtype=np.int64)
+    pieces[:, 0] = np.where(zero | escaped, ESCAPE, byte)
+    repeats[:, 0] = np.where(zero, 2 * full + long_rest, length)
+    pieces[:, 1] = np.where(zero, rest * long_rest, byte - ESCAPE)
+    repeats[:, 1] = np.where(zero, np.where(long_rest, 1, rest), escaped)
+    return np.repeat(pieces.reshape(-1), repeats.reshape(-1)).tobytes()
 
 
 def rle_decode(data: bytes) -> bytes:
     """Invert :func:`rle_encode`; raises on 255 or truncated escapes."""
-    out = bytearray()
     n = len(data)
-    position = 0
-    while position < n:
-        byte = data[position]
-        if byte == 255:
-            raise CorruptStreamError("reserved byte 255 inside RLE payload")
-        if byte == ESCAPE:
-            if position + 1 >= n:
-                raise CorruptStreamError("truncated escape sequence")
-            argument = data[position + 1]
-            if argument == 0:
-                out.append(254)
-            elif argument == 1:
-                out.append(255)
-            elif argument == 255:
-                raise CorruptStreamError("reserved byte 255 inside RLE payload")
-            else:
-                out += b"\x00" * argument
-            position += 2
-        else:
-            out.append(byte)
-            position += 1
-    return bytes(out)
+    if n == 0:
+        return b""
+    values = np.frombuffer(data, dtype=np.uint8)
+    if (values == 255).any():
+        raise CorruptStreamError("reserved byte 255 inside RLE payload")
+    # Inside a maximal run of 254s the bytes alternate escape, argument,
+    # escape, ...: the first cannot be an argument because the byte before
+    # it is not an escape.
+    index = np.arange(n)
+    is_escape = values == ESCAPE
+    run_start = np.maximum.accumulate(np.where(is_escape, -1, index)) + 1
+    is_escape &= ((index - run_start) & 1) == 0
+    if is_escape[-1]:
+        raise CorruptStreamError("truncated escape sequence")
+    is_argument = np.zeros(n, dtype=bool)
+    is_argument[1:] = is_escape[:-1]
+    tokens = np.flatnonzero(~is_argument)
+    escapes = is_escape[tokens]
+    argument = values[tokens[escapes] + 1]
+    # argument 0 / 1 is a literal 254 / 255; anything larger a zero run.
+    piece = values[tokens]
+    piece[escapes] = np.where(argument < 2, ESCAPE + argument, 0)
+    repeat = np.ones(len(tokens), dtype=np.int64)
+    repeat[escapes] = np.maximum(argument, 1)
+    return np.repeat(piece, repeat).tobytes()

@@ -9,9 +9,9 @@ compressor choice must be *verified*, not assumed:
   wire bytes, not just a round trip through our own code.  ``lzma`` is
   wired the same way and activates automatically if an xz-family codec
   is ever registered (none is today).
-* **Scalar vs vectorized.**  The numpy hot loops (mtf/rle/bwt) must be
-  byte-identical to the classic scalar formulations kept in
-  :mod:`repro.verify.references`.
+* **Scalar vs vectorized.**  The numpy hot loops (the Huffman and
+  Lempel-Ziv decode kernel, mtf/rle/bwt) must be byte-identical to the
+  classic scalar formulations kept in :mod:`repro.verify.references`.
 * **Serial vs parallel.**  A :class:`ParallelCodec` must emit identical
   container bytes under every pool strategy — the strategy is an
   execution detail, never a wire-format input.
@@ -32,7 +32,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..compression import native as _native
+from ..compression.base import ACCEPTABLE_DECODE_ERRORS
 from ..compression.bwt import bwt_inverse, bwt_transform
+from ..compression.huffman import HuffmanCode, _bitstring_to_bytes
 from ..compression.mtf import mtf_decode, mtf_encode
 from ..compression.parallel import ParallelCodec
 from ..compression.registry import available_codecs, get_codec
@@ -46,6 +48,8 @@ from .references import (
     reference_bwt_inverse,
     reference_bwt_transform,
     reference_delta_zigzag,
+    reference_huffman_decode,
+    reference_lz77_decode,
     reference_mtf_decode,
     reference_mtf_encode,
     reference_rle_decode,
@@ -184,9 +188,62 @@ _SCALAR_PAIRS: Tuple[Tuple[str, Callable, Callable], ...] = (
 )
 
 
-def diff_scalar_vectorized(case: str, data: bytes) -> List[DifferentialResult]:
-    """The vectorized mtf/rle/bwt paths vs the scalar textbook loops."""
+def _outcome(decode: Callable, *args: object) -> Tuple[str, object]:
+    """``("ok", result)`` or ``("raised", exception class)`` — a decoder
+    and its oracle must agree on either."""
+    try:
+        return "ok", decode(*args)
+    except ACCEPTABLE_DECODE_ERRORS as exc:
+        return "raised", type(exc)
+
+
+def _diff_decode_kernel(case: str, data: bytes) -> List[DifferentialResult]:
+    """The Huffman / Lempel-Ziv decode kernel vs the per-symbol loops.
+
+    Huffman is compared from the true start and from a guessed,
+    unaligned one (the self-synchronizing decode of §2.4): same symbols
+    and same end bit, or the same refusal.
+    """
+    frequencies = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
+    code = HuffmanCode.from_frequencies(frequencies.tolist())
+    stream = _bitstring_to_bytes(code.encode_bitstring(data))
+    lz = get_codec("lempel-ziv")
+
+    def huffman_pair(start_bit: int, count: int) -> Tuple[Callable, Callable]:
+        return (
+            lambda bits: _outcome(code.decode_symbols, bits, start_bit, count),
+            lambda bits: _outcome(reference_huffman_decode, code, bits, start_bit, count),
+        )
+
+    rows = (
+        ("huffman-decode", stream, *huffman_pair(0, len(data))),
+        ("huffman-decode-resync", stream, *huffman_pair(13, len(data) // 2)),
+        (
+            "lz77-decode",
+            lz.compress(data),
+            lambda payload: _outcome(lz.decompress, payload),
+            lambda payload: _outcome(reference_lz77_decode, payload),
+        ),
+    )
     results = []
+    for label, encoded, kernel, scalar in rows:
+        fast = measure_callable(f"{label}:numpy", kernel, encoded)
+        slow = measure_callable(f"{label}:scalar", scalar, encoded)
+        ok = fast.payload == slow.payload
+        results.append(
+            DifferentialResult(
+                kind="scalar-vectorized", subject=label, case=case, passed=ok,
+                detail="" if ok else "decode kernel diverged from the per-symbol loop",
+                subject_seconds=fast.elapsed_seconds,
+                reference_seconds=slow.elapsed_seconds,
+            )
+        )
+    return results
+
+
+def diff_scalar_vectorized(case: str, data: bytes) -> List[DifferentialResult]:
+    """The vectorized decode-kernel/mtf/rle/bwt paths vs the scalar textbook loops."""
+    results = _diff_decode_kernel(case, data) if data else []
     for label, vectorized, scalar in _SCALAR_PAIRS:
         fast = measure_callable(f"{label}:numpy", vectorized, data)
         slow = measure_callable(f"{label}:scalar", scalar, data)

@@ -1,12 +1,13 @@
 """Scalar reference implementations for differential testing.
 
-The hot loops in :mod:`repro.compression` (move-to-front, the 254-capped
-RLE, the Burrows-Wheeler transform, and the structured codecs'
-zigzag/delta/bitpack column primitives) are vectorized numpy rewrites of
-classic per-byte algorithms.  This module keeps the classic formulations
-— short, obviously-correct Python loops straight out of the textbook —
-as the differential oracle: the optimized path must be **byte-identical**
-to these on every input, forever.
+The hot loops in :mod:`repro.compression` (Huffman and Lempel-Ziv
+decoding, move-to-front, the 254-capped RLE, the Burrows-Wheeler
+transform, and the structured codecs' zigzag/delta/bitpack column
+primitives) are vectorized numpy rewrites of classic per-byte algorithms.
+This module keeps the classic formulations — short, obviously-correct
+Python loops straight out of the textbook — as the differential oracle:
+the optimized path must be **byte-identical** to these on every input,
+forever.
 
 They are deliberately slow (the BWT reference sorts suffixes with
 Python's ``sorted``, O(n² log n)); use them on test-sized inputs only.
@@ -14,12 +15,24 @@ Python's ``sorted``, O(n² log n)); use them on test-sized inputs only.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..compression.base import CorruptStreamError
+from ..compression.huffman import MAX_CODE_LENGTH, HuffmanCode
+from ..compression.lz77 import (
+    _DIST_ALPHABET,
+    _DISTANCE_CODES,
+    _END_OF_BLOCK,
+    _LENGTH_CODES,
+    _LITLEN_ALPHABET,
+)
 from ..compression.rle import ESCAPE, MAX_RUN, MIN_RUN
+from ..compression.varint import read_varint
 
 __all__ = [
+    "StreamDecoder",
+    "reference_huffman_decode",
+    "reference_lz77_decode",
     "reference_mtf_encode",
     "reference_mtf_decode",
     "reference_rle_encode",
@@ -33,6 +46,172 @@ __all__ = [
 ]
 
 _U64_MASK = (1 << 64) - 1
+
+
+def _scalar_tables(code: HuffmanCode) -> Tuple[List[int], List[int]]:
+    """``code``'s flat decode tables as lists of Python ints.
+
+    The loops below do unbounded bit-accumulator arithmetic, which fixed
+    width numpy scalars would silently wrap.
+    """
+    symbols, lengths = code.decode_tables()
+    return symbols.tolist(), lengths.tolist()
+
+
+def reference_huffman_decode(
+    code: HuffmanCode, data: bytes, start_bit: int, count: int
+) -> Tuple[List[int], int]:
+    """One table lookup per symbol over a bit accumulator.
+
+    The contract of :meth:`HuffmanCode.decode_symbols`: ``(symbols,
+    end_bit)``, or :class:`CorruptStreamError` on a window no codeword
+    matches or a codeword the stream ends inside.
+    """
+    table_syms, table_lens = _scalar_tables(code)
+    width = MAX_CODE_LENGTH
+    total_bits = len(data) * 8
+    out: List[int] = []
+    append = out.append
+    byte_index = start_bit >> 3
+    acc = 0
+    nbits = 0
+    if start_bit & 7:
+        acc = data[byte_index] & ((1 << (8 - (start_bit & 7))) - 1)
+        nbits = 8 - (start_bit & 7)
+        byte_index += 1
+    consumed = start_bit
+    data_len = len(data)
+    while len(out) < count:
+        while nbits < width and byte_index < data_len:
+            acc = (acc << 8) | data[byte_index]
+            byte_index += 1
+            nbits += 8
+        if nbits >= width:
+            window = (acc >> (nbits - width)) & ((1 << width) - 1)
+        else:
+            window = (acc << (width - nbits)) & ((1 << width) - 1)
+        length = table_lens[window]
+        if length == 0 or length > nbits:
+            raise CorruptStreamError("invalid codeword or truncated stream")
+        append(table_syms[window])
+        nbits -= length
+        acc &= (1 << nbits) - 1
+        consumed += length
+        if consumed > total_bits:
+            raise CorruptStreamError("bit stream exhausted mid-symbol")
+    return out, consumed
+
+
+class StreamDecoder:
+    """Sequential bit-stream decoder mixing Huffman codes and raw bits.
+
+    The Lempel-Ziv stream interleaves Huffman codewords (literal/length and
+    distance symbols) with raw extra bits; this decoder keeps an
+    accumulator over the payload and serves both kinds of reads in input
+    order — the token-at-a-time reading that
+    :func:`reference_lz77_decode` is built on.
+    """
+
+    def __init__(self, data: bytes, start_bit: int = 0) -> None:
+        self._data = data
+        self._byte_index = start_bit >> 3
+        self._acc = 0
+        self._nbits = 0
+        self._tables: Dict[int, Tuple[List[int], List[int]]] = {}
+        if start_bit & 7:
+            self._acc = data[self._byte_index] & ((1 << (8 - (start_bit & 7))) - 1)
+            self._nbits = 8 - (start_bit & 7)
+            self._byte_index += 1
+
+    @property
+    def bit_position(self) -> int:
+        """Absolute bit offset of the next unread bit."""
+        return self._byte_index * 8 - self._nbits
+
+    def _fill(self, want: int) -> None:
+        data = self._data
+        length = len(data)
+        while self._nbits < want and self._byte_index < length:
+            self._acc = (self._acc << 8) | data[self._byte_index]
+            self._byte_index += 1
+            self._nbits += 8
+
+    def read_bits(self, width: int) -> int:
+        """Read ``width`` raw bits (MSB first)."""
+        if width == 0:
+            return 0
+        self._fill(width)
+        if self._nbits < width:
+            raise CorruptStreamError("bit stream exhausted")
+        self._nbits -= width
+        value = (self._acc >> self._nbits) & ((1 << width) - 1)
+        self._acc &= (1 << self._nbits) - 1
+        return value
+
+    def read_code(self, code: HuffmanCode) -> int:
+        """Read one Huffman codeword of ``code``."""
+        tables = self._tables.get(id(code))
+        if tables is None:
+            tables = self._tables[id(code)] = _scalar_tables(code)
+        table_syms, table_lens = tables
+        self._fill(MAX_CODE_LENGTH)
+        if self._nbits >= MAX_CODE_LENGTH:
+            window = (self._acc >> (self._nbits - MAX_CODE_LENGTH)) & (
+                (1 << MAX_CODE_LENGTH) - 1
+            )
+        else:
+            window = (self._acc << (MAX_CODE_LENGTH - self._nbits)) & (
+                (1 << MAX_CODE_LENGTH) - 1
+            )
+        length = table_lens[window]
+        if length == 0 or length > self._nbits:
+            raise CorruptStreamError("invalid codeword or truncated stream")
+        self._nbits -= length
+        self._acc &= (1 << self._nbits) - 1
+        return table_syms[window]
+
+
+_LEN_DECODE = {symbol: (extra, base) for symbol, extra, base in _LENGTH_CODES}
+_DIST_DECODE = {symbol: (extra, base) for symbol, extra, base in _DISTANCE_CODES}
+
+
+def reference_lz77_decode(payload: bytes) -> bytes:
+    """Token-at-a-time inverse of ``Lz77Codec.compress`` (§2.3).
+
+    Reads one literal/length codeword, then — for a match — the length
+    extra bits, the distance codeword and the distance extra bits, and
+    copies the match one byte at a time.
+    """
+    original_length, offset = read_varint(memoryview(payload), 0)
+    if original_length == 0:
+        if offset != len(payload):
+            raise CorruptStreamError("trailing bytes after empty stream")
+        return b""
+    decoder = StreamDecoder(payload, start_bit=offset * 8)
+    litlen_code = HuffmanCode([decoder.read_bits(4) for _ in range(_LITLEN_ALPHABET)])
+    dist_code = HuffmanCode([decoder.read_bits(4) for _ in range(_DIST_ALPHABET)])
+    out = bytearray()
+    while True:
+        symbol = decoder.read_code(litlen_code)
+        if symbol < 256:
+            out.append(symbol)
+        elif symbol == _END_OF_BLOCK:
+            break
+        else:
+            extra, base = _LEN_DECODE[symbol]
+            length = base + decoder.read_bits(extra)
+            extra, base = _DIST_DECODE[decoder.read_code(dist_code)]
+            distance = base + decoder.read_bits(extra)
+            start = len(out) - distance
+            if start < 0:
+                raise CorruptStreamError("distance reaches before stream start")
+            for i in range(length):
+                out.append(out[start + i])
+        if len(out) > original_length:
+            raise CorruptStreamError("decoded size exceeds header length")
+    if len(out) != original_length:
+        raise CorruptStreamError("decoded size does not match header length")
+    return bytes(out)
 
 
 def reference_mtf_encode(data: bytes) -> bytes:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.compression.base import CorruptStreamError
 from repro.compression.bwt import bwt_inverse, bwt_transform, suffix_array
+from repro.verify.references import reference_bwt_transform
 
 
 class TestSuffixArray:
@@ -40,6 +41,52 @@ class TestSuffixArray:
         arr = np.array(data, dtype=np.int64)
         assert suffix_array(arr).tolist() == sorted(
             range(len(data)), key=lambda i: data[i:]
+        )
+
+
+def _assert_sorted_suffixes(data: bytes, sa) -> None:
+    """``sa`` is *the* suffix array: a permutation whose consecutive
+    suffixes strictly increase (suffixes of one string are all distinct,
+    so that order is unique — it is ``sorted(range(n), key=suffix)``)."""
+    assert sorted(sa) == list(range(len(data)))
+    for earlier, later in zip(sa, sa[1:]):
+        assert data[earlier:] < data[later:]
+
+
+class TestSuffixArrayLongRepeats:
+    """Inputs on which prefix doubling needs every round it can take."""
+
+    SIZES = [1, 2, 7, 8, 64, 32768]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize(
+        "pattern", [b"\x07", b"ab", bytes(range(255))], ids=["all-equal", "period-2", "period-255"]
+    )
+    def test_equals_sorted_suffixes(self, pattern, size):
+        data = (pattern * (size // len(pattern) + 1))[:size]
+        sa = suffix_array(np.frombuffer(data, dtype=np.uint8)).tolist()
+        if size <= 64:
+            assert sa == sorted(range(size), key=lambda i: data[i:])
+        _assert_sorted_suffixes(data, sa)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_transform_matches_reference_and_inverts(self, size):
+        rng = np.random.default_rng(size)
+        data = bytes(rng.integers(97, 100, size, dtype=np.uint8))
+        last, primary = bwt_transform(data)
+        if size <= 64:
+            assert (last, primary) == reference_bwt_transform(data)
+        assert bwt_inverse(last, primary) == data
+
+    def test_without_a_sentinel_shorter_suffix_sorts_first(self):
+        assert suffix_array(np.array([5, 5, 5])).tolist() == [2, 1, 0]
+        assert suffix_array(np.array([0, 0])).tolist() == [1, 0]
+
+    def test_wide_symbols(self):
+        # Symbols too wide to pack more than one per word still sort.
+        values = [2**40, 3, 2**40, 3, 2**40]
+        assert suffix_array(np.array(values)).tolist() == sorted(
+            range(len(values)), key=lambda i: values[i:]
         )
 
 

@@ -22,8 +22,25 @@ from hypothesis import strategies as st
 from repro.compression import get_codec
 from repro.compression.base import ACCEPTABLE_DECODE_ERRORS, CorruptStreamError
 from repro.middleware.transport import WireFormat
-from repro.verify.fuzz import mutated_copies
+from repro.verify.fuzz import _mutate, mutated_copies
 from tests.strategies import LOSSLESS_CODECS, SEED_DATA
+
+#: The codecs whose decoders are array kernels: numpy indexing on hostile
+#: input raises IndexError/ValueError/OverflowError where a scalar loop
+#: would have run out of stream, so these are held to the strict contract.
+KERNEL_CODECS = ["huffman", "lempel-ziv", "burrows-wheeler"]
+
+#: Seeds spanning the stream shapes the kernels branch on: repetitive text
+#: (long matches, long zero runs after BWT+MTF), every byte value (escape
+#: pairs, deep codes), one-symbol and two-symbol inputs (degenerate codes).
+KERNEL_SEEDS = [
+    SEED_DATA[:1600],
+    bytes(range(256)) * 5,
+    b"\x00" * 1200 + b"abc" * 90,
+    random.Random(1).randbytes(900),
+    b"a",
+    b"ab" * 600,
+]
 
 
 @pytest.mark.parametrize("name", LOSSLESS_CODECS)
@@ -38,6 +55,43 @@ def test_bitflips_never_crash(name):
         except ACCEPTABLE_DECODE_ERRORS:
             continue
         assert isinstance(result, bytes)
+
+
+@pytest.mark.parametrize("name", KERNEL_CODECS)
+def test_kernel_codecs_raise_only_corrupt_stream_error(name):
+    """2 400 seeded flips, splices, duplications, truncations and injections
+    per codec: clean bytes or :class:`CorruptStreamError`, nothing else."""
+    codec = get_codec(name)
+    payloads = [codec.compress(seed) for seed in KERNEL_SEEDS]
+    rng = random.Random(2004)
+    rejected = 0
+    for index in range(2400):
+        mutated = _mutate(payloads[index % len(payloads)], rng)
+        if index % 3 == 0:
+            mutated = _mutate(mutated, rng)
+        try:
+            assert isinstance(codec.decompress(mutated), bytes)
+        except CorruptStreamError:
+            rejected += 1
+    assert 0 < rejected < 2400  # the mutations bite, and not all of them
+
+
+def test_resynchronizing_decode_raises_only_corrupt_stream_error():
+    """``decode_from`` at random bit offsets (inside, at and past the end)
+    of mutated and intact streams."""
+    codec = get_codec("burrows-wheeler")
+    payloads = [codec.compress(seed * 3) for seed in KERNEL_SEEDS]
+    rng = random.Random(31)
+    for index in range(2000):
+        payload = payloads[index % len(payloads)]
+        if index % 4:
+            payload = _mutate(payload, rng)
+        start_bit = rng.randrange(len(payload) * 8 + 24)
+        try:
+            recovered, chunks = codec.decode_from(payload, start_bit)
+        except CorruptStreamError:
+            continue
+        assert isinstance(recovered, bytes) and chunks >= 0
 
 
 @pytest.mark.parametrize("name", ["quantized-float", "truncated-float"])

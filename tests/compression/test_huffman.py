@@ -10,9 +10,9 @@ from repro.compression.huffman import (
     MAX_CODE_LENGTH,
     HuffmanCode,
     HuffmanCodec,
-    StreamDecoder,
     huffman_code_lengths,
 )
+from repro.verify.references import StreamDecoder
 
 
 class TestCodeLengths:

@@ -11,6 +11,7 @@ from repro.compression.lz77 import (
     Lz77Codec,
     tokenize,
 )
+from repro.verify.references import reference_lz77_decode
 
 
 class TestTokenize:
@@ -133,3 +134,23 @@ class TestLz77Codec:
         # Small alphabets maximize overlapping self-referential matches.
         codec = Lz77Codec()
         assert codec.decompress(codec.compress(data)) == data
+
+
+class TestOverlappedCopy:
+    """A match whose distance is below its length replicates a pattern."""
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            (b"a" * 300, (MAX_MATCH, 1)),  # distance 1: a 258-byte run
+            (b"abcde" + b"abcdea" + b"ZYXW", (6, 5)),  # distance = length - 1
+            (b"abcde" + b"abcde" + b"ZYXW", (5, 5)),  # distance = length: no overlap
+            (b"ab" * 200, (MAX_MATCH, 2)),
+            (b"abcdefg" * 50, (MAX_MATCH, 7)),  # length not a multiple of distance
+        ],
+    )
+    def test_matches_the_byte_at_a_time_copy(self, data, match):
+        assert match in tokenize(data)
+        codec = Lz77Codec()
+        payload = codec.compress(data)
+        assert codec.decompress(payload) == reference_lz77_decode(payload) == data

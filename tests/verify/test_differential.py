@@ -49,6 +49,7 @@ class TestScalarVectorized:
         assert not differential_failures(results)
         subjects = {result.subject for result in results}
         assert {"mtf-encode", "rle-encode", "bwt-transform"} <= subjects
+        assert {"huffman-decode", "huffman-decode-resync", "lz77-decode"} <= subjects
 
     def test_timings_are_recorded(self):
         data = _small_corpus()["lowentropy"]
