@@ -6,7 +6,8 @@
 #                          metric names outside the catalogue
 #   2. ruff lint         — style/import hygiene (skipped if not installed)
 #   3. tier-1 tests      — the full pytest suite with its 15 slowest tests
-#                          and its wall time (skipped by --fast)
+#                          and its wall time; fails when any single test
+#                          takes over 60 s (skipped by --fast)
 #   4. named gates       — each `--gate NAME` forwards to the one runner,
 #                          `python -m repro gate NAME` (bench-smoke, chaos,
 #                          placement, fuzz) — the same commands the CI
@@ -154,9 +155,20 @@ else
     # slowdown alarm there is.
     echo "== tier-1 test suite"
     tier1_start=$SECONDS
-    PYTHONPATH=src python -m pytest -x -q --durations=15
+    tier1_log=$(mktemp)
+    trap 'rm -f "$tier1_log"' EXIT
+    PYTHONPATH=src python -m pytest -x -q --durations=15 | tee "$tier1_log"
     tier1_wall=$((SECONDS - tier1_start))
     tier1_summary="tier-1 passed in $((tier1_wall / 60)) m $((tier1_wall % 60)) s"
+    # One test was once a third of the suite (an unbounded decode, found
+    # only by profiling): no single test may take over a minute.  The
+    # --durations rows read "12.34s call     tests/...::test_name".
+    over_budget=$(awk '$1 ~ /^[0-9.]+s$/ && $2 ~ /^(call|setup|teardown)$/ && $1 + 0 > 60' "$tier1_log")
+    if [ -n "$over_budget" ]; then
+        echo "FAIL: single test over the 60 s budget:" >&2
+        echo "$over_budget" >&2
+        exit 1
+    fi
 fi
 
 # --- Named gates ----------------------------------------------------------------

@@ -158,7 +158,7 @@ class ArithmeticCodec(Codec):
 
     def decompress(self, payload: bytes) -> bytes:
         model = AdaptiveByteModel()
-        reader = BitReader(payload)
+        reader = _padded_reader(payload)
         low = 0
         high = _TOP
         value = 0
@@ -194,18 +194,28 @@ class ArithmeticCodec(Codec):
             if symbol == _EOF_SYMBOL:
                 return bytes(out)
             out.append(symbol)
-            # With a rescaled adaptive model a symbol can cost well under a
-            # hundredth of a bit, so the corruption guard must be generous.
-            if len(out) > len(payload) * 8 * 4096 + 4096:
-                raise CorruptStreamError("runaway arithmetic decode")
+
+
+def _padded_reader(payload: bytes) -> BitReader:
+    """Reader over ``payload`` followed by the zero padding WNC decoding allows.
+
+    The decoder runs ``_CODE_BITS`` bits ahead of the symbols it has
+    settled, so it reads past the encoder's last bit — but the encoder's
+    flush writes at least two bits after its last shift, which bounds the
+    overrun of an honest stream at ``_CODE_BITS - 2`` bits.  A stream that
+    needs more has lost its end-of-stream symbol; without the bound the
+    decoder would turn padding into symbols (hundreds per bit once the
+    model saturates) for as long as it was allowed to.
+    """
+    return BitReader(bytes(payload) + bytes(_CODE_BITS // 8))
 
 
 def _next_bit(reader: BitReader) -> int:
-    """Read a bit, treating exhaustion as zero padding (standard WNC)."""
+    """Read a bit of a :func:`_padded_reader`; past the padding is corruption."""
     try:
         return reader.read_bit()
     except EOFError:
-        return 0
+        raise CorruptStreamError("stream ends before its end-of-stream symbol") from None
 
 
 class ContextArithmeticCodec(Codec):
@@ -277,7 +287,7 @@ class ContextArithmeticCodec(Codec):
 
     def decompress(self, payload: bytes) -> bytes:
         models: dict = {}
-        reader = BitReader(payload)
+        reader = _padded_reader(payload)
         low = 0
         high = _TOP
         value = 0
@@ -319,5 +329,3 @@ class ContextArithmeticCodec(Codec):
                 return bytes(out)
             out.append(symbol)
             context = symbol
-            if len(out) > len(payload) * 8 * 4096 + 4096:
-                raise CorruptStreamError("runaway arithmetic decode")

@@ -9,11 +9,57 @@ a stream.  Both keep the bit order compatible so that
 The classes are deliberately simple and allocation-light: the adaptive
 selection loop may compress many 128 KB blocks per run, so the hot paths
 (``write_bits``/``read_bits``) avoid per-bit Python objects where possible.
+
+:func:`pack_fields` is the whole-stream form of ``write_bits``: every field
+of an interleaved stream (codewords mixed with raw extra bits) written in
+one numpy pass — the write-side mirror of the decode kernel
+:class:`~.huffman.PositionMap`, which reads every position in one pass.
 """
 
 from __future__ import annotations
 
-__all__ = ["BitWriter", "BitReader"]
+import numpy as np
+
+__all__ = ["BitWriter", "BitReader", "pack_fields", "MAX_FIELD_WIDTH"]
+
+#: Widest field :func:`pack_fields` places: with up to 7 bits of in-byte
+#: shift a field then spans at most three bytes.
+MAX_FIELD_WIDTH = 16
+
+
+def pack_fields(values: np.ndarray, widths: np.ndarray) -> bytes:
+    """``BitWriter.write_bits(value, width)`` for every field, in order.
+
+    Returns what :meth:`BitWriter.getvalue` would: the fields back to back,
+    most significant bit first, zero-padded to a byte boundary.  Widths are
+    ``0 .. MAX_FIELD_WIDTH`` (a zero-width field writes nothing) and values
+    are masked to their width, as ``write_bits`` does.
+
+    The cumulative widths give each field's first bit, hence its first byte
+    and its shift inside the 24-bit window that starts at that byte.
+    Windows that share a first byte are summed (fields do not overlap, so
+    the sum is the bitwise or — and exact in the ``float64`` that
+    ``bincount`` accumulates in); the three bytes of the summed windows are
+    three planes, and an output byte is the sum of the plane entries that
+    land on it.
+    """
+    widths = np.asarray(widths, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    if not len(widths):
+        return b""
+    if not 0 <= int(widths.min()) <= int(widths.max()) <= MAX_FIELD_WIDTH:
+        raise ValueError(f"field widths must be in [0, {MAX_FIELD_WIDTH}]")
+    ends = np.cumsum(widths)
+    size = (int(ends[-1]) + 7) >> 3
+    first_bit = ends - widths
+    windows = (values & ((1 << widths) - 1)) << (24 - (first_bit & 7) - widths)
+    merged = np.bincount(
+        first_bit >> 3, weights=windows.astype(np.float64), minlength=size + 2
+    ).astype(np.int64)
+    packed = merged >> 16
+    packed[1:] += (merged[:-1] >> 8) & 0xFF
+    packed[2:] += merged[:-2] & 0xFF
+    return packed[:size].astype(np.uint8).tobytes()
 
 
 class BitWriter:

@@ -33,7 +33,7 @@ This module provides three layers:
 from __future__ import annotations
 
 import heapq
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -368,22 +368,24 @@ class HuffmanCode:
         if any(l < 0 or l > MAX_CODE_LENGTH for l in lengths):
             raise CorruptStreamError("code length outside supported range")
         self.lengths = list(lengths)
-        self.codes: List[int] = [0] * len(lengths)
-        self.code_strings: List[str] = [""] * len(lengths)
-        self._assign_canonical()
+        if sum(1 << (MAX_CODE_LENGTH - l) for l in self.lengths if l) > 1 << MAX_CODE_LENGTH:
+            raise CorruptStreamError("code lengths violate the Kraft inequality")
+        self.codes: List[int] = _canonical_codes(self.lengths)
         self._decode_symbols: Optional[np.ndarray] = None
         self._decode_lengths: Optional[np.ndarray] = None
 
-    def _assign_canonical(self) -> None:
-        self.codes = _canonical_codes(self.lengths)
-        kraft = 0
-        for sym, length in enumerate(self.lengths):
-            if length == 0:
-                continue
-            self.code_strings[sym] = format(self.codes[sym], f"0{length}b")
-            kraft += 1 << (MAX_CODE_LENGTH - length)
-        if kraft > (1 << MAX_CODE_LENGTH):
-            raise CorruptStreamError("code lengths violate the Kraft inequality")
+    @cached_property
+    def code_strings(self) -> List[str]:
+        """Codewords as '0'/'1' strings ("" for absent symbols).
+
+        Only :meth:`encode_bitstring` needs them, so they are built on first
+        use: decoding (``read_table`` builds a code per block) and the array
+        emitter of :mod:`~.lz77` never pay for them.
+        """
+        return [
+            format(code, f"0{length}b") if length else ""
+            for code, length in zip(self.codes, self.lengths)
+        ]
 
     @classmethod
     def from_frequencies(cls, frequencies: Sequence[int]) -> "HuffmanCode":
@@ -400,16 +402,18 @@ class HuffmanCode:
 
     def write_table(self, writer: BitWriter) -> None:
         """Serialize code lengths (4 bits each; canonical codes are implied)."""
-        for length in self.lengths:
-            writer.write_bits(length, 4)
+        # One hex digit per length (the low nibble of each byte's two) is
+        # the table, as one integer.
+        digits = bytes(self.lengths).hex()[1::2]
+        writer.write_bits(int(digits, 16), 4 * len(self.lengths))
 
     @classmethod
     def read_table(cls, reader: BitReader, alphabet_size: int) -> "HuffmanCode":
         """Inverse of :meth:`write_table`."""
         if reader.remaining < 4 * alphabet_size:
             raise CorruptStreamError("truncated code-length table")
-        lengths = [reader.read_bits(4) for _ in range(alphabet_size)]
-        return cls(lengths)
+        digits = format(reader.read_bits(4 * alphabet_size), f"0{alphabet_size}x")
+        return cls([int(digit, 16) for digit in digits])
 
     # -- encoding -------------------------------------------------------------
 
@@ -418,10 +422,11 @@ class HuffmanCode:
 
         The single whole-block encoding path: string concatenation followed
         by one ``int(s, 2)`` conversion is the fastest pure-Python encoder.
-        Interleaved encoders (Huffman codewords mixed with raw extra bits,
-        as in the Lempel-Ziv pointer stream) index :attr:`code_strings`
-        directly; the matching read side is a :class:`PositionMap` whose
-        ``step`` spans a whole token.
+        Interleaved encoders — Huffman codewords mixed with raw extra
+        bits, as in the Lempel-Ziv pointer stream — instead lay
+        :attr:`codes` and :attr:`lengths` out as fields for
+        :func:`~.bitio.pack_fields`; the matching read side is a
+        :class:`PositionMap` whose ``step`` spans a whole token.
         """
         table = self.code_strings
         return "".join(map(table.__getitem__, symbols))

@@ -13,10 +13,38 @@ layout:
 with both Huffman tables built from the block's actual symbol frequencies
 and shipped in the header as 4-bit code lengths.
 
-Matching uses hash chains over 4-byte prefixes with a bounded chain depth —
-the classic speed/ratio compromise; the paper rates Lempel-Ziv
+Matching is greedy over chains of 4-byte prefixes with a bounded chain
+depth — the classic speed/ratio compromise; the paper rates Lempel-Ziv
 "Satisfactory" for compression time and "Excellent" for decompression time
-(Figure 1), which this implementation preserves.
+(Figure 1), which this implementation preserves.  The encoder is array
+code around one short Python walk:
+
+* :func:`_prefix_links` reads every 4-byte prefix in place as a ``uint32``,
+  and one sort gives each position its most recent predecessor with the
+  same prefix (``prev`` — the chain, with nothing to insert and no hash
+  collisions) and the next position that has a predecessor inside the
+  window, so runs of literals are stepped over without touching Python.
+* :func:`_parse` walks token starts only.  A candidate is looked at only
+  if it agrees with the position at offset ``best_len`` (it cannot be
+  longer otherwise — the "fifth byte" test for the second candidate), and
+  its length is then the leading zero bytes of one big-integer XOR.  What
+  decides wire bytes is kept exactly: most recent candidate first, strictly
+  longer wins, a 64-byte match ends the search, matches stop at
+  :data:`MAX_MATCH` and at the end of the buffer, and a match longer than
+  16 bytes leaves only every third of its positions as later candidates
+  (one slice-assign into a ``skipped`` bytearray).
+* :meth:`Lz77Codec.compress` takes the matches as three arrays — literals
+  are the complement — counts symbols with two ``bincount`` calls, lays
+  the stream out as one ``(values, widths)`` field list (both tables,
+  then per token codeword / length extra / distance codeword / distance
+  extra, then end-of-block) and writes it with one
+  :func:`~.bitio.pack_fields`.
+
+The per-position hash-chain formulation it replaced, and a
+one-``write_bits``-per-field emitter, are the differential oracles
+:func:`repro.verify.references.reference_lz77_tokenize` and
+:func:`~repro.verify.references.reference_lz77_encode`: same tokens, same
+bytes, on every input.
 
 Decoding reuses the Huffman decode kernel (:class:`~.huffman.PositionMap`)
 with a *token-level* successor: from any bit, one step spans the
@@ -37,7 +65,7 @@ from typing import List, Tuple, Union
 import numpy as np
 
 from .base import Codec, CorruptStreamError
-from .bitio import BitReader
+from .bitio import BitReader, pack_fields
 from .huffman import MAX_CODE_LENGTH, HuffmanCode, PositionMap, _decode_tables
 from .varint import read_varint, write_varint
 
@@ -159,6 +187,115 @@ def _token_tables(
 
 Token = Union[int, Tuple[int, int]]
 
+#: A match longer than this indexes only every third of its positions (the
+#: speed/ratio compromise of the hash-chain formulation; it decides bytes).
+_DENSE_INSERT_MAX = 16
+#: Flags for offsets ``1 ..`` of such a match: offsets 1, 4, 7, … stay
+#: match candidates for later positions, the rest never become one.
+_SKIP_PATTERN = bytes((0, 1, 1)) * (MAX_MATCH // 3 + 1)
+#: A match this long ends the search at its position.
+_GOOD_MATCH = 64
+
+
+def _prefix_links(data: bytes, window: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(prev, upcoming)`` over the 4-byte prefixes of ``data``.
+
+    ``prev[p]`` is the most recent position before ``p`` that starts with
+    the same four bytes (``-1``: none) — following it repeatedly is the
+    hash chain of position ``p``, most recent first, with no insertion work
+    and no collisions.  ``upcoming[p]`` is the first position ``>= p`` whose
+    ``prev`` lies inside the window, or ``len(data)``: where the greedy
+    walk lands next, so literal runs cost it nothing.
+
+    Every prefix is read in place as a ``uint32`` at a one-byte stride;
+    sorting ``prefix << 32 | position`` groups equal prefixes with their
+    positions ascending, which makes each sorted neighbour the predecessor
+    sought.  (The top prefix bit lands on the ``int64`` sign: the groups
+    sort in another order, each still together and ascending.)
+    """
+    n = len(data)
+    count = n - MIN_MATCH + 1
+    positions = np.arange(count, dtype=np.int64)
+    keys = np.ndarray((count,), dtype=np.uint32, buffer=data, strides=(1,)).astype(np.int64)
+    keys <<= 32
+    keys |= positions
+    keys.sort()
+    order = keys & 0xFFFFFFFF
+    keys >>= 32
+    prev = np.full(count, -1, dtype=np.int64)
+    prev[order[1:]] = np.where(keys[1:] == keys[:-1], order[:-1], -1)
+    upcoming = np.full(n + 1, n, dtype=np.int64)
+    reachable = (prev >= 0) & (positions - prev <= window)
+    upcoming[:count][reachable] = positions[reachable]
+    return prev, np.minimum.accumulate(upcoming[::-1])[::-1]
+
+
+def _parse(data: bytes, window: int, max_chain: int) -> Tuple[List[int], List[int], List[int]]:
+    """Greedy LZ77 parse: ``(starts, lengths, distances)`` of the matches.
+
+    Literals are the complement.  At a token start the candidates are the
+    first ``max_chain`` links of the position's prefix chain that lie in the
+    window and were not skipped by a long match; the longest wins, the most
+    recent on ties (short distances are what makes Huffman-coded pointers
+    effective), and a match of :data:`_GOOD_MATCH` ends the search.
+    """
+    if not isinstance(data, bytes):
+        # Snapshot buffer-protocol inputs once: the walk indexes and slices
+        # the block, and bytes are the fastest thing to do either to.
+        data = bytes(data)
+    n = len(data)
+    starts: List[int] = []
+    lengths: List[int] = []
+    distances: List[int] = []
+    if n <= MIN_MATCH:
+        return starts, lengths, distances
+    # Read through memoryviews: an element comes back as a Python int at
+    # twice the cost of a list's, but the walk touches a fraction of the
+    # entries a ``tolist()`` would box, and two lists are 9 MB per 128 KB.
+    prev, upcoming = map(memoryview, _prefix_links(data, window))
+    skipped = bytearray(n)
+    from_bytes = int.from_bytes
+    # A chain always kept its newest entry, whatever ``max_chain`` says.
+    max_chain = max(max_chain, 1)
+    pos = upcoming[0]
+    while pos < n:
+        oldest = pos - window if pos > window else 0
+        max_len = min(MAX_MATCH, n - pos)
+        best_len = 0
+        best_cand = 0
+        target = -1
+        examined = 0
+        cand = prev[pos]
+        while cand >= oldest:
+            if not skipped[cand]:
+                # Only a candidate that agrees at offset ``best_len`` can be
+                # longer; its length is the leading zero bytes of the XOR.
+                if data[cand + best_len] == data[pos + best_len]:
+                    if target < 0:
+                        target = from_bytes(data[pos : pos + max_len], "big")
+                    differing = target ^ from_bytes(data[cand : cand + max_len], "big")
+                    length = max_len - ((differing.bit_length() + 7) >> 3)
+                    if length > best_len:
+                        best_len = length
+                        best_cand = cand
+                        if length >= _GOOD_MATCH or length == max_len:
+                            break
+                examined += 1
+                if examined == max_chain:
+                    break
+            cand = prev[cand]
+        if best_len:
+            starts.append(pos)
+            lengths.append(best_len)
+            distances.append(pos - best_cand)
+            end = pos + best_len
+            if best_len > _DENSE_INSERT_MAX:
+                skipped[pos + 1 : end] = _SKIP_PATTERN[: best_len - 1]
+            pos = upcoming[end]
+        else:
+            pos = upcoming[pos + 1]
+    return starts, lengths, distances
+
 
 def tokenize(
     data: bytes,
@@ -168,84 +305,17 @@ def tokenize(
     """Greedy LZ77 tokenization.
 
     Returns a list whose elements are either a literal byte value (``int``)
-    or a ``(length, distance)`` match tuple.  Matching keeps, per 4-byte
-    prefix, the ``max_chain`` most recent positions and picks the longest
-    match among them (preferring recent = short distances on ties, which is
-    exactly what makes Huffman-coded pointers effective).
+    or a ``(length, distance)`` match tuple: the parse the codec encodes
+    (:func:`_parse`), spelled out token by token.
     """
-    if not isinstance(data, bytes):
-        # Snapshot buffer-protocol inputs once: the 4-byte prefixes below
-        # become dict keys, and bytes slices are both hashable and the
-        # fastest thing to hash.
-        data = bytes(data)
-    n = len(data)
     tokens: List[Token] = []
-    append = tokens.append
-    table: Dict[bytes, List[int]] = {}
-    pos = 0
-    while pos < n:
-        best_len = 0
-        best_dist = 0
-        if pos + MIN_MATCH <= n:
-            quad = data[pos : pos + MIN_MATCH]
-            chain = table.get(quad)
-            if chain is not None:
-                limit = pos - window
-                max_len = min(MAX_MATCH, n - pos)
-                for cand in reversed(chain):
-                    if cand < limit:
-                        break
-                    length = _extend_match(data, cand, pos, max_len)
-                    if length > best_len:
-                        best_len = length
-                        best_dist = pos - cand
-                        if length >= 64:
-                            break
-                chain.append(pos)
-                if len(chain) > max_chain:
-                    del chain[0]
-            else:
-                table[quad] = [pos]
-        if best_len >= MIN_MATCH:
-            append((best_len, best_dist))
-            end = pos + best_len
-            step = 1 if best_len <= 16 else 3
-            j = pos + 1
-            while j < end and j + MIN_MATCH <= n:
-                q = data[j : j + MIN_MATCH]
-                chain = table.get(q)
-                if chain is None:
-                    table[q] = [j]
-                else:
-                    chain.append(j)
-                    if len(chain) > max_chain:
-                        del chain[0]
-                j += step
-            pos = end
-        else:
-            append(data[pos])
-            pos += 1
+    cursor = 0
+    for start, length, distance in zip(*_parse(data, window, max_chain)):
+        tokens.extend(data[cursor:start])
+        tokens.append((length, distance))
+        cursor = start + length
+    tokens.extend(data[cursor:])
     return tokens
-
-
-def _extend_match(data: bytes, cand: int, pos: int, max_len: int) -> int:
-    """Length of the match between ``cand`` and ``pos`` (chunked compare)."""
-    length = MIN_MATCH
-    while length < max_len:
-        step = min(32, max_len - length)
-        if (
-            data[cand + length : cand + length + step]
-            == data[pos + length : pos + length + step]
-        ):
-            length += step
-        else:
-            a = data[cand + length : cand + length + step]
-            b = data[pos + length : pos + length + step]
-            for i in range(step):
-                if a[i] != b[i]:
-                    return length + i
-            return length + step  # pragma: no cover - unequal slices differ
-    return length
 
 
 class Lz77Codec(Codec):
@@ -273,45 +343,55 @@ class Lz77Codec(Codec):
         write_varint(header, len(data))
         if not data:
             return bytes(header)
-        tokens = tokenize(data, window=self.window, max_chain=self.max_chain)
+        n = len(data)
+        starts, lengths, distances = (
+            np.array(column, dtype=np.int64)
+            for column in _parse(data, self.window, self.max_chain)
+        )
 
-        litlen_freq = [0] * _LITLEN_ALPHABET
-        dist_freq = [0] * _DIST_ALPHABET
-        for token in tokens:
-            if isinstance(token, int):
-                litlen_freq[token] += 1
-            else:
-                length, dist = token
-                litlen_freq[_LEN_SYMBOL[length]] += 1
-                dist_freq[_DIST_SYMBOL[dist]] += 1
-        litlen_freq[_END_OF_BLOCK] = 1
-        litlen_code = HuffmanCode.from_frequencies(litlen_freq)
-        dist_code = HuffmanCode.from_frequencies(dist_freq)
+        # Symbol per position; a token starts wherever no match is under
+        # way (+1 after a match start, -1 at its end, running sum zero).
+        # End-of-block is the last token.
+        symbols = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+        symbols[starts] = _LEN_SYMBOL[lengths]
+        edges = np.zeros(n + 1, dtype=np.int8)
+        edges[starts + 1] = 1
+        edges[starts + lengths] -= 1
+        symbols = np.append(symbols[np.cumsum(edges[:n], dtype=np.int8) == 0], _END_OF_BLOCK)
+        is_match = symbols > _END_OF_BLOCK
+        dist_symbols = _DIST_SYMBOL[distances]
 
-        pieces: List[str] = [
-            "".join(format(l, "04b") for l in litlen_code.lengths),
-            "".join(format(l, "04b") for l in dist_code.lengths),
-        ]
-        lit_strings = litlen_code.code_strings
-        dist_strings = dist_code.code_strings
-        for token in tokens:
-            if isinstance(token, int):
-                pieces.append(lit_strings[token])
-            else:
-                length, dist = token
-                pieces.append(lit_strings[_LEN_SYMBOL[length]])
-                extra = int(_LEN_EXTRA[length])
-                if extra:
-                    pieces.append(format(length - int(_LEN_BASE[length]), f"0{extra}b"))
-                pieces.append(dist_strings[_DIST_SYMBOL[dist]])
-                extra = int(_DIST_EXTRA[dist])
-                if extra:
-                    pieces.append(format(dist - int(_DIST_BASE[dist]), f"0{extra}b"))
-        pieces.append(lit_strings[_END_OF_BLOCK])
-        bits = "".join(pieces)
-        padding = (-len(bits)) % 8
-        bits += "0" * padding
-        return bytes(header) + int(bits, 2).to_bytes(len(bits) // 8, "big")
+        litlen_code = HuffmanCode.from_frequencies(
+            np.bincount(symbols, minlength=_LITLEN_ALPHABET).tolist()
+        )
+        dist_code = HuffmanCode.from_frequencies(
+            np.bincount(dist_symbols, minlength=_DIST_ALPHABET).tolist()
+        )
+        litlen_codes = np.array(litlen_code.codes, dtype=np.int64)
+        litlen_widths = np.array(litlen_code.lengths, dtype=np.int64)
+        dist_codes = np.array(dist_code.codes, dtype=np.int64)
+        dist_widths = np.array(dist_code.lengths, dtype=np.int64)
+
+        # Field layout: both tables, then per token the literal/length
+        # codeword and — for a match — length extra, distance codeword and
+        # distance extra.  ``head`` is the index of each token's first field.
+        tables = _LITLEN_ALPHABET + _DIST_ALPHABET
+        head = tables + np.arange(len(symbols)) + 3 * (np.cumsum(is_match) - is_match)
+        total = tables + len(symbols) + 3 * len(starts)
+        values = np.zeros(total, dtype=np.int64)
+        widths = np.zeros(total, dtype=np.int64)
+        values[:tables] = litlen_code.lengths + dist_code.lengths
+        widths[:tables] = 4
+        values[head] = litlen_codes[symbols]
+        widths[head] = litlen_widths[symbols]
+        head = head[is_match]
+        values[head + 1] = lengths - _LEN_BASE[lengths]
+        widths[head + 1] = _LEN_EXTRA[lengths]
+        values[head + 2] = dist_codes[dist_symbols]
+        widths[head + 2] = dist_widths[dist_symbols]
+        values[head + 3] = distances - _DIST_BASE[distances]
+        widths[head + 3] = _DIST_EXTRA[distances]
+        return bytes(header) + pack_fields(values, widths)
 
     def decompress(self, payload: bytes) -> bytes:
         view = memoryview(payload)

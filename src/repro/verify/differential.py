@@ -10,8 +10,9 @@ compressor choice must be *verified*, not assumed:
   wired the same way and activates automatically if an xz-family codec
   is ever registered (none is today).
 * **Scalar vs vectorized.**  The numpy hot loops (the Huffman and
-  Lempel-Ziv decode kernel, mtf/rle/bwt) must be byte-identical to the
-  classic scalar formulations kept in :mod:`repro.verify.references`.
+  Lempel-Ziv decode kernel, the Lempel-Ziv match finder and field
+  packer, mtf/rle/bwt) must be byte-identical to the classic scalar
+  formulations kept in :mod:`repro.verify.references`.
 * **Serial vs parallel.**  A :class:`ParallelCodec` must emit identical
   container bytes under every pool strategy — the strategy is an
   execution detail, never a wire-format input.
@@ -35,6 +36,7 @@ from ..compression import native as _native
 from ..compression.base import ACCEPTABLE_DECODE_ERRORS
 from ..compression.bwt import bwt_inverse, bwt_transform
 from ..compression.huffman import HuffmanCode, _bitstring_to_bytes
+from ..compression.lz77 import Lz77Codec, tokenize
 from ..compression.mtf import mtf_decode, mtf_encode
 from ..compression.parallel import ParallelCodec
 from ..compression.registry import available_codecs, get_codec
@@ -50,6 +52,8 @@ from .references import (
     reference_delta_zigzag,
     reference_huffman_decode,
     reference_lz77_decode,
+    reference_lz77_encode,
+    reference_lz77_tokenize,
     reference_mtf_decode,
     reference_mtf_encode,
     reference_rle_decode,
@@ -185,6 +189,10 @@ def diff_wire_counterpart(name: str, case: str, data: bytes) -> List[Differentia
 _SCALAR_PAIRS: Tuple[Tuple[str, Callable, Callable], ...] = (
     ("mtf-encode", mtf_encode, reference_mtf_encode),
     ("rle-encode", rle_encode, reference_rle_encode),
+    # The array match finder token for token, then parse + field packer
+    # byte for byte against hash chains and one BitWriter call per field.
+    ("lz77-tokenize", tokenize, reference_lz77_tokenize),
+    ("lz77-encode", Lz77Codec().compress, reference_lz77_encode),
 )
 
 
@@ -242,7 +250,7 @@ def _diff_decode_kernel(case: str, data: bytes) -> List[DifferentialResult]:
 
 
 def diff_scalar_vectorized(case: str, data: bytes) -> List[DifferentialResult]:
-    """The vectorized decode-kernel/mtf/rle/bwt paths vs the scalar textbook loops."""
+    """The vectorized decode-kernel/lz77/mtf/rle/bwt paths vs the scalar textbook loops."""
     results = _diff_decode_kernel(case, data) if data else []
     for label, vectorized, scalar in _SCALAR_PAIRS:
         fast = measure_callable(f"{label}:numpy", vectorized, data)

@@ -1,9 +1,10 @@
 """Scalar reference implementations for differential testing.
 
 The hot loops in :mod:`repro.compression` (Huffman and Lempel-Ziv
-decoding, move-to-front, the 254-capped RLE, the Burrows-Wheeler
-transform, and the structured codecs' zigzag/delta/bitpack column
-primitives) are vectorized numpy rewrites of classic per-byte algorithms.
+decoding, the Lempel-Ziv match finder and field emitter, move-to-front,
+the 254-capped RLE, the Burrows-Wheeler transform, and the structured
+codecs' zigzag/delta/bitpack column primitives) are vectorized numpy
+rewrites of classic per-byte algorithms.
 This module keeps the classic formulations — short, obviously-correct
 Python loops straight out of the textbook — as the differential oracle:
 the optimized path must be **byte-identical** to these on every input,
@@ -18,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from ..compression.base import CorruptStreamError
+from ..compression.bitio import BitWriter
 from ..compression.huffman import MAX_CODE_LENGTH, HuffmanCode
 from ..compression.lz77 import (
     _DIST_ALPHABET,
@@ -25,14 +27,20 @@ from ..compression.lz77 import (
     _END_OF_BLOCK,
     _LENGTH_CODES,
     _LITLEN_ALPHABET,
+    MAX_MATCH,
+    MIN_MATCH,
+    WINDOW_SIZE,
+    Token,
 )
 from ..compression.rle import ESCAPE, MAX_RUN, MIN_RUN
-from ..compression.varint import read_varint
+from ..compression.varint import read_varint, write_varint
 
 __all__ = [
     "StreamDecoder",
     "reference_huffman_decode",
     "reference_lz77_decode",
+    "reference_lz77_tokenize",
+    "reference_lz77_encode",
     "reference_mtf_encode",
     "reference_mtf_decode",
     "reference_rle_encode",
@@ -169,6 +177,150 @@ class StreamDecoder:
         self._nbits -= length
         self._acc &= (1 << self._nbits) - 1
         return table_syms[window]
+
+
+def reference_lz77_tokenize(
+    data: bytes,
+    window: int = WINDOW_SIZE,
+    max_chain: int = 8,
+) -> List[Token]:
+    """Greedy LZ77 tokenization over per-prefix hash chains (§2.3).
+
+    The per-position formulation :func:`repro.compression.lz77.tokenize`
+    must match token for token.  Returns a list whose elements are either a
+    literal byte value (``int``) or a ``(length, distance)`` match tuple.
+    Matching keeps, per 4-byte prefix, the ``max_chain`` most recent
+    inserted positions and picks the longest match among them (preferring
+    recent = short distances on ties, which is exactly what makes
+    Huffman-coded pointers effective).  Every position of a match up to 16
+    bytes is inserted, every third of a longer one.
+    """
+    if not isinstance(data, bytes):
+        # Snapshot buffer-protocol inputs once: the 4-byte prefixes below
+        # become dict keys, and bytes slices are both hashable and the
+        # fastest thing to hash.
+        data = bytes(data)
+    n = len(data)
+    tokens: List[Token] = []
+    append = tokens.append
+    table: Dict[bytes, List[int]] = {}
+    pos = 0
+    while pos < n:
+        best_len = 0
+        best_dist = 0
+        if pos + MIN_MATCH <= n:
+            quad = data[pos : pos + MIN_MATCH]
+            chain = table.get(quad)
+            if chain is not None:
+                limit = pos - window
+                max_len = min(MAX_MATCH, n - pos)
+                for cand in reversed(chain):
+                    if cand < limit:
+                        break
+                    length = _extend_match(data, cand, pos, max_len)
+                    if length > best_len:
+                        best_len = length
+                        best_dist = pos - cand
+                        if length >= 64:
+                            break
+                chain.append(pos)
+                if len(chain) > max_chain:
+                    del chain[0]
+            else:
+                table[quad] = [pos]
+        if best_len >= MIN_MATCH:
+            append((best_len, best_dist))
+            end = pos + best_len
+            step = 1 if best_len <= 16 else 3
+            j = pos + 1
+            while j < end and j + MIN_MATCH <= n:
+                q = data[j : j + MIN_MATCH]
+                chain = table.get(q)
+                if chain is None:
+                    table[q] = [j]
+                else:
+                    chain.append(j)
+                    if len(chain) > max_chain:
+                        del chain[0]
+                j += step
+            pos = end
+        else:
+            append(data[pos])
+            pos += 1
+    return tokens
+
+
+def _extend_match(data: bytes, cand: int, pos: int, max_len: int) -> int:
+    """Length of the match between ``cand`` and ``pos`` (chunked compare)."""
+    length = MIN_MATCH
+    while length < max_len:
+        step = min(32, max_len - length)
+        if (
+            data[cand + length : cand + length + step]
+            == data[pos + length : pos + length + step]
+        ):
+            length += step
+        else:
+            a = data[cand + length : cand + length + step]
+            b = data[pos + length : pos + length + step]
+            for i in range(step):
+                if a[i] != b[i]:
+                    return length + i
+            return length + step  # pragma: no cover - unequal slices differ
+    return length
+
+
+def reference_lz77_encode(data: bytes, window: int = WINDOW_SIZE, max_chain: int = 8) -> bytes:
+    """``Lz77Codec(window, max_chain).compress`` one field at a time.
+
+    Tokens from :func:`reference_lz77_tokenize`, Huffman codes from their
+    frequencies, and every field — table entries, codewords, extra bits,
+    end-of-block — through its own :meth:`BitWriter.write_bits`.
+    """
+    header = bytearray()
+    write_varint(header, len(data))
+    if not data:
+        return bytes(header)
+    tokens = reference_lz77_tokenize(data, window, max_chain)
+    litlen_freq = [0] * _LITLEN_ALPHABET
+    dist_freq = [0] * _DIST_ALPHABET
+    for token in tokens:
+        if isinstance(token, int):
+            litlen_freq[token] += 1
+        else:
+            litlen_freq[_length_code(token[0])[0]] += 1
+            dist_freq[_distance_code(token[1])[0]] += 1
+    litlen_freq[_END_OF_BLOCK] = 1
+    litlen_code = HuffmanCode.from_frequencies(litlen_freq)
+    dist_code = HuffmanCode.from_frequencies(dist_freq)
+    writer = BitWriter()
+    for code in (litlen_code, dist_code):
+        for length in code.lengths:
+            writer.write_bits(length, 4)
+    for token in tokens:
+        if isinstance(token, int):
+            writer.write_bits(litlen_code.codes[token], litlen_code.lengths[token])
+            continue
+        for code, (symbol, extra, base), value in (
+            (litlen_code, _length_code(token[0]), token[0]),
+            (dist_code, _distance_code(token[1]), token[1]),
+        ):
+            writer.write_bits(code.codes[symbol], code.lengths[symbol])
+            writer.write_bits(value - base, extra)
+    writer.write_bits(litlen_code.codes[_END_OF_BLOCK], litlen_code.lengths[_END_OF_BLOCK])
+    return bytes(header) + writer.getvalue()
+
+
+def _length_code(length: int) -> Tuple[int, int, int]:
+    """The ``(symbol, extra_bits, base)`` row that encodes ``length``."""
+    if length == MAX_MATCH:
+        return _LENGTH_CODES[-1]  # 258 has its own zero-extra code
+    return next(row for row in reversed(_LENGTH_CODES[:-1]) if row[2] <= length)
+
+
+def _distance_code(distance: int) -> Tuple[int, int, int]:
+    """The ``(symbol, extra_bits, base)`` row that encodes ``distance``."""
+    return next(row for row in reversed(_DISTANCE_CODES) if row[2] <= distance)
 
 
 _LEN_DECODE = {symbol: (extra, base) for symbol, extra, base in _LENGTH_CODES}

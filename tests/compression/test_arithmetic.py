@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression.arithmetic import (
+    _CODE_BITS,
     AdaptiveByteModel,
     ArithmeticCodec,
     ContextArithmeticCodec,
 )
+from repro.compression.base import CorruptStreamError
 
 
 class TestAdaptiveByteModel:
@@ -128,3 +130,37 @@ class TestContextArithmeticCodec:
     def test_roundtrip_property(self, data):
         codec = ContextArithmeticCodec()
         assert codec.decompress(codec.compress(data)) == data
+
+
+class TestPaddingBound:
+    """A stream that lost its end-of-stream symbol is rejected, not decoded
+    out of zero padding until a size guard trips."""
+
+    @pytest.mark.parametrize("codec_class", [ArithmeticCodec, ContextArithmeticCodec])
+    def test_truncated_stream_rejected_within_padding_budget(self, codec_class, monkeypatch):
+        # The stream of a long enough all-zero block, cut before its
+        # end-of-stream symbol, is all zero bits: every bit of it — and every
+        # bit of padding after it — decodes as more zero bytes, at a small
+        # fraction of a bit each once the model has adapted.
+        forged = bytes(300)
+        assert codec_class().compress(bytes(4000)).startswith(bytes(8))
+
+        decoded = 0
+        update = AdaptiveByteModel.update
+
+        def counting_update(model, symbol):
+            nonlocal decoded
+            decoded += 1
+            update(model, symbol)
+
+        monkeypatch.setattr(AdaptiveByteModel, "update", counting_update)
+        with pytest.raises(CorruptStreamError):
+            codec_class().decompress(forged)
+        # A saturated model spends at least 1/200 bit per symbol, and the
+        # decoder may read the stream plus _CODE_BITS of padding.
+        assert decoded < 200 * (len(forged) * 8 + _CODE_BITS)
+
+    @pytest.mark.parametrize("codec_class", [ArithmeticCodec, ContextArithmeticCodec])
+    def test_empty_payload_rejected(self, codec_class):
+        with pytest.raises(CorruptStreamError):
+            codec_class().decompress(b"")

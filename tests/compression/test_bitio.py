@@ -1,10 +1,11 @@
 """Unit tests for the bit-level I/O primitives."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.compression.bitio import BitReader, BitWriter
+from repro.compression.bitio import MAX_FIELD_WIDTH, BitReader, BitWriter, pack_fields
 
 
 class TestBitWriter:
@@ -130,3 +131,70 @@ class TestRoundTrip:
         for byte in data:
             writer.write_bits(byte, 8)
         assert writer.getvalue() == data
+
+
+def _written(fields):
+    writer = BitWriter()
+    for value, width in fields:
+        writer.write_bits(value, width)
+    return writer.getvalue()
+
+
+def _packed(fields):
+    values = np.array([value for value, _ in fields], dtype=np.int64)
+    widths = np.array([width for _, width in fields], dtype=np.int64)
+    return pack_fields(values, widths)
+
+
+_FIELD = st.tuples(
+    st.integers(min_value=0, max_value=2**20 - 1),  # wider than any width: masked
+    st.integers(min_value=1, max_value=MAX_FIELD_WIDTH),
+)
+
+
+class TestPackFields:
+    """``pack_fields`` is ``BitWriter.write_bits`` for every field at once."""
+
+    def test_no_fields(self):
+        assert _packed([]) == b""
+
+    def test_single_field(self):
+        assert _packed([(0b101, 3)]) == b"\xa0"
+
+    def test_fields_cross_byte_boundaries(self):
+        assert _packed([(0xABC, 12), (0xD, 4)]) == b"\xab\xcd"
+
+    def test_values_are_masked_to_their_width(self):
+        assert _packed([(0xFFF, 4)]) == b"\xf0"
+
+    def test_zero_width_fields_write_nothing(self):
+        fields = [(7, 0), (1, 1), (123, 0), (0x7F, 7), (9, 0)]
+        assert _packed(fields) == _written(fields) == b"\xff"
+
+    def test_only_zero_width_fields(self):
+        assert _packed([(5, 0), (6, 0)]) == b""
+
+    def test_widest_field_at_every_shift(self):
+        for shift in range(8):
+            fields = [(0, shift), (0xFFFF, MAX_FIELD_WIDTH), (1, 1)]
+            assert _packed(fields) == _written(fields)
+
+    @pytest.mark.parametrize("width", [-1, MAX_FIELD_WIDTH + 1])
+    def test_width_out_of_range_rejected(self, width):
+        with pytest.raises(ValueError):
+            _packed([(1, 3), (1, width)])
+
+    @pytest.mark.parametrize("residue", range(8))
+    def test_every_total_bit_count_mod_8(self, residue):
+        fields = [(0x155, 9), (0x2A, 7)] + [(1, 1)] * residue  # 16 + residue bits
+        assert _packed(fields) == _written(fields)
+        assert len(_packed(fields)) == 2 + (residue > 0)
+
+    @given(st.lists(_FIELD, max_size=200))
+    def test_matches_bitwriter_field_by_field(self, fields):
+        assert _packed(fields) == _written(fields)
+
+    @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=64))
+    def test_one_bit_fields(self, bits):
+        # Eight fields can share one output byte.
+        assert _packed([(bit, 1) for bit in bits]) == _written([(bit, 1) for bit in bits])

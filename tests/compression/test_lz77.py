@@ -11,7 +11,11 @@ from repro.compression.lz77 import (
     Lz77Codec,
     tokenize,
 )
-from repro.verify.references import reference_lz77_decode
+from repro.verify.references import (
+    reference_lz77_decode,
+    reference_lz77_encode,
+    reference_lz77_tokenize,
+)
 
 
 class TestTokenize:
@@ -154,3 +158,114 @@ class TestOverlappedCopy:
         codec = Lz77Codec()
         payload = codec.compress(data)
         assert codec.decompress(payload) == reference_lz77_decode(payload) == data
+
+
+#: The matcher's two knobs at their extremes and defaults.
+_PARAMETERS = [(w, c) for w in (256, 1024, 32768) for c in (1, 2, 8)]
+
+#: Match lengths either side of every threshold that decides wire bytes:
+#: the minimum match, dense vs every-third insertion (16/17), the
+#: good-enough early exit (63/64) and the longest match (257/258).
+_THRESHOLD_LENGTHS = [4, 5, 15, 16, 17, 18, 62, 63, 64, 65, 256, 257, 258, 259, 300]
+
+
+def _assert_matches_scalar(data, window=32768, max_chain=8):
+    """Token for token and byte for byte against the hash-chain oracle."""
+    assert tokenize(data, window, max_chain) == reference_lz77_tokenize(data, window, max_chain)
+    codec = Lz77Codec(window=window, max_chain=max_chain)
+    payload = codec.compress(data)
+    assert payload == reference_lz77_encode(data, window, max_chain)
+    assert codec.decompress(payload) == data
+
+
+def _low_entropy(max_symbols, max_size):
+    return st.integers(min_value=1, max_value=max_symbols).flatmap(
+        lambda k: st.lists(st.integers(min_value=0, max_value=k - 1), max_size=max_size)
+    ).map(bytes)
+
+
+@st.composite
+def _repeated_prefixes(draw):
+    """A few seed strings, each recurring as prefixes of assorted lengths
+    with fresh bytes in between: many candidates per chain, ties, matches
+    that stop at a threshold, and a match reaching the end of the buffer."""
+    seeds = draw(st.lists(st.binary(min_size=4, max_size=300), min_size=1, max_size=3))
+    pieces = []
+    for _ in range(draw(st.integers(min_value=2, max_value=12))):
+        seed = draw(st.sampled_from(seeds))
+        cut = draw(st.sampled_from(_THRESHOLD_LENGTHS + [len(seed)]))
+        pieces.append(seed[:cut])
+        pieces.append(draw(st.binary(max_size=6)))
+    pieces.append(draw(st.sampled_from(seeds))[: draw(st.integers(min_value=0, max_value=8))])
+    return b"".join(pieces)
+
+
+class TestArrayParseMatchesScalar:
+    """The array match finder and field packer against ``verify.references``."""
+
+    @pytest.mark.parametrize("size", list(range(0, 10)) + [16, 17, 64, 258, 259, 1000])
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_short_periods(self, size, period):
+        _assert_matches_scalar((b"abc"[:period] * size)[:size])
+
+    @pytest.mark.parametrize("window, max_chain", _PARAMETERS)
+    def test_every_parameter_pair(self, window, max_chain, commercial_block, lowentropy_block):
+        _assert_matches_scalar(commercial_block[:12000], window, max_chain)
+        _assert_matches_scalar(lowentropy_block[:6000], window, max_chain)
+
+    @pytest.mark.parametrize("max_chain", [0, -1])
+    def test_chain_depth_below_one_keeps_the_newest(self, max_chain, lowentropy_block):
+        _assert_matches_scalar(lowentropy_block[:3000], max_chain=max_chain)
+
+    @pytest.mark.parametrize("length", _THRESHOLD_LENGTHS)
+    @pytest.mark.parametrize("tail", [0, 1, 2, 3, 4])
+    def test_match_lengths_at_the_thresholds(self, length, tail):
+        # One repeat of exactly ``length`` bytes, then ``tail`` fresh bytes:
+        # tail < 4 leaves positions that have no 4-byte prefix at all.
+        body = bytes((7 * i + i // 251) % 251 for i in range(length))
+        data = body + b"\xfe\xff" + body + bytes(range(251, 251 + tail))
+        _assert_matches_scalar(data)
+        assert (min(length, MAX_MATCH), length + 2) in tokenize(data)
+
+    def test_longer_candidate_further_back_wins_and_ties_go_to_the_nearest(self):
+        data = b"abcdefgh1XY2abcdeQ3abcdeR4abcdefgZ5abcde!"
+        _assert_matches_scalar(data)
+        tokens = tokenize(data)
+        assert (7, 26) in tokens  # "abcdefg" from the start, past two shorter candidates
+        assert tokens[-2] == (5, 9)  # "abcde": four candidates tie, the nearest wins
+
+    def test_a_good_match_ends_the_search(self):
+        # The nearest candidate matches 70 bytes (>= 64): the search stops
+        # there although the one behind it would match 90.
+        body = bytes(range(100, 200))
+        data = body + b"\x01\x02" + body[:70] + b"\x03\x04" + body[:90]
+        _assert_matches_scalar(data)
+        tokens = tokenize(data)
+        assert [t for t in tokens if isinstance(t, tuple)] == [(70, 102), (70, 72), (20, 174)]
+
+    def test_skipped_positions_of_a_long_match_are_not_candidates(self):
+        # After the 30-byte repeat, "cdef" exists at offsets 2 (literal run)
+        # and inside the match at a position the every-third rule skipped.
+        body = bytes(range(97, 127))
+        data = body + b"--" + body + b"##" + body[2:10]
+        _assert_matches_scalar(data)
+
+    @given(st.binary(max_size=3000), st.sampled_from(_PARAMETERS))
+    @settings(max_examples=80, deadline=None)
+    def test_arbitrary_bytes(self, data, parameters):
+        _assert_matches_scalar(data, *parameters)
+
+    @given(_low_entropy(max_symbols=4, max_size=3000), st.sampled_from(_PARAMETERS))
+    @settings(max_examples=80, deadline=None)
+    def test_low_entropy_alphabets(self, data, parameters):
+        _assert_matches_scalar(data, *parameters)
+
+    @given(_repeated_prefixes(), st.sampled_from(_PARAMETERS))
+    @settings(max_examples=120, deadline=None)
+    def test_repeated_prefixes(self, data, parameters):
+        _assert_matches_scalar(data, *parameters)
+
+    def test_buffer_protocol_input(self, commercial_block):
+        block = commercial_block[:5000]
+        assert Lz77Codec().compress(memoryview(bytearray(block))) == Lz77Codec().compress(block)
+        assert tokenize(bytearray(block)) == tokenize(block)
