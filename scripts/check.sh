@@ -3,11 +3,13 @@
 #
 # Gate order (cheapest first, so failures surface fast):
 #   1. invariant greps   — clock reads, struct framing, stray print(),
-#                          metric names outside the catalogue
+#                          metric names outside the catalogue, scalar
+#                          oracles without a differential row
 #   2. ruff lint         — style/import hygiene (skipped if not installed)
-#   3. tier-1 tests      — the full pytest suite with its 15 slowest tests
-#                          and its wall time; fails when any single test
-#                          takes over 60 s (skipped by --fast)
+#   3. tier-1 tests      — the full pytest suite under the default
+#                          (`tier1`) hypothesis profile, with its 15
+#                          slowest tests and its wall time; fails when any
+#                          single test takes over 60 s (skipped by --fast)
 #   4. named gates       — each `--gate NAME` forwards to the one runner,
 #                          `python -m repro gate NAME` (bench-smoke, chaos,
 #                          placement, fuzz) — the same commands the CI
@@ -137,6 +139,23 @@ if [ -n "$stray" ]; then
 fi
 echo "ok"
 
+# --- Invariant: every scalar oracle has a differential row ---------------------
+# A rewritten kernel keeps its textbook formulation as `reference_*` in
+# verify/references.py, and verify/differential.py holds the two equal on
+# every corpus case.  An oracle the sweep never calls pins nothing: each
+# name must occur there at least twice — its import and a use.
+echo "== invariant: every reference_* in verify/references.py is used by verify/differential.py"
+unused=""
+for oracle in $(sed -nE 's/^def (reference_[A-Za-z0-9_]+).*/\1/p' src/repro/verify/references.py); do
+    uses=$( { grep -ow "$oracle" src/repro/verify/differential.py || true; } | wc -l)
+    [ "$uses" -ge 2 ] || unused="$unused $oracle"
+done
+if [ -n "$unused" ]; then
+    echo "FAIL: scalar oracle without a differential row (call it from src/repro/verify/differential.py):$unused" >&2
+    exit 1
+fi
+echo "ok"
+
 # --- Lint -----------------------------------------------------------------------
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff check"
@@ -159,7 +178,9 @@ else
     trap 'rm -f "$tier1_log"' EXIT
     PYTHONPATH=src python -m pytest -x -q --durations=15 | tee "$tier1_log"
     tier1_wall=$((SECONDS - tier1_start))
-    tier1_summary="tier-1 passed in $((tier1_wall / 60)) m $((tier1_wall % 60)) s"
+    # tests/conftest.py reports the profile that ran in pytest's summary.
+    profile=$(grep -m1 "^hypothesis profile: " "$tier1_log" || echo "hypothesis profile: not reported")
+    tier1_summary="tier-1 passed in $((tier1_wall / 60)) m $((tier1_wall % 60)) s ($profile)"
     # One test was once a third of the suite (an unbounded decode, found
     # only by profiling): no single test may take over a minute.  The
     # --durations rows read "12.34s call     tests/...::test_name".

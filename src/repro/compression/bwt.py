@@ -1,16 +1,31 @@
 """The Burrows-Wheeler transform (paper §2.4, refs [28, 29, 30]).
 
 The forward transform computes a suffix array by prefix doubling over
-numpy arrays (O(n log n), fully vectorized), appends a unique smallest
-sentinel so every suffix is distinct, and returns the last column together
-with the *primary index* (the row at which the sentinel would appear).
-The doubling starts from as many symbols as pack into one 64-bit word
-(seven for bytes) rather than from one, and every round sorts a single
-combined integer key, so a 32 KB chunk needs three or four plain integer
-sorts.  The inverse rebuilds the text with the LF mapping, batched by
-pointer doubling.  The textbook formulations (sort the suffixes
-themselves; walk the LF mapping a byte at a time) are the differential
-oracles :func:`repro.verify.references.reference_bwt_transform` and
+numpy arrays, appends a unique smallest sentinel so every suffix is
+distinct, and returns the last column together with the *primary index*
+(the row at which the sentinel would appear).  The two sorts that touch
+every position are sorts of plain 64-bit values with the position packed
+into the low bits, so the sorted values *are* the permutation — no
+``argsort``, no gather to learn which neighbours tie:
+
+* :func:`suffix_array` seeds the order with as many leading symbols as
+  share a word with a position (five for a 32 KB chunk of bytes) in one
+  ``np.sort``.  A suffix's rank is the slot of the first member of its
+  group of still-equal suffixes, which is final once the suffix is alone
+  and does not move when another group splits; so every later doubling
+  round gathers, sorts and re-ranks **only the members of groups still
+  tied** — an ``argsort`` of ``(group, rank of the suffix `known` symbols
+  on)``, a pair that fits one word at any length — and writes them back
+  into the slots the group already occupies.  The work of a round is
+  proportional to what the round before left unresolved (after the seed
+  round about half of a text chunk, then a shrinking remainder), not to
+  the chunk.
+* :func:`bwt_inverse` gets the LF mapping from one sort of ``symbol <<
+  index_bits | position`` and walks it by pointer doubling.
+
+The textbook formulations (sort the suffixes themselves; walk the LF
+mapping a byte at a time) are the differential oracles
+:func:`repro.verify.references.reference_bwt_transform` and
 ``reference_bwt_inverse``.
 
 The paper's step 1 — "creates pointers to all characters of the file …
@@ -30,56 +45,90 @@ from .base import CorruptStreamError
 __all__ = ["suffix_array", "bwt_transform", "bwt_inverse"]
 
 
-def _dense_ranks(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """Sort ``keys``; returns ``(rank, order, all_distinct)``.
+def _group_heads(keys: np.ndarray, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(heads, tied)`` of the groups of equal neighbours in sorted ``keys``.
 
-    ``rank[i]`` is the number of distinct keys smaller than ``keys[i]``.
-    Equal keys share a rank whatever order the sort leaves them in, so an
-    unstable sort serves; ``order`` is a suffix array once all are distinct.
+    ``keys[i]`` sits in slot ``slots[i]`` (ascending) of the order being
+    built.  ``heads[i]`` is the slot of the first member of
+    ``i``'s group and ``tied[i]`` says the group has another member.
     """
-    order = np.argsort(keys)
-    in_order = keys[order]
-    rank_in_order = np.empty(len(keys), dtype=np.int64)
-    rank_in_order[0] = 0
-    np.cumsum(in_order[1:] != in_order[:-1], out=rank_in_order[1:])
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[order] = rank_in_order
-    return rank, order, bool(rank_in_order[-1] == len(keys) - 1)
+    starts = np.empty(len(keys), dtype=bool)
+    starts[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    heads = np.maximum.accumulate(slots * starts)
+    starts[:-1] &= starts[1:]
+    return heads, ~starts
 
 
 def suffix_array(values: np.ndarray) -> np.ndarray:
     """Suffix array of an integer sequence via prefix doubling.
 
-    ``values`` must be non-negative.  Returns the permutation ``sa`` such
-    that the suffixes ``values[sa[0]:], values[sa[1]:], ...`` are in
-    ascending lexicographic order (a suffix that is a prefix of another
-    sorts first).
+    ``values`` must be non-negative (``ValueError`` otherwise).  Returns the
+    permutation ``sa`` such that the suffixes ``values[sa[0]:],
+    values[sa[1]:], ...`` are in ascending lexicographic order (a suffix
+    that is a prefix of another sorts first).
     """
+    values = np.asarray(values)
     n = len(values)
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    # Shift up by one so 0 can stand for "past the end", then seed the
-    # ranks with as many leading symbols as fit one 64-bit word.
-    symbols = np.asarray(values).astype(np.uint64) + np.uint64(1)
-    width = int(symbols.max()).bit_length()
-    span = max(1, 64 // width)
-    padded = np.zeros(n + span - 1, dtype=np.uint64)
-    padded[:n] = symbols
-    keys = padded[:n].copy()
+    if values.min() < 0:
+        raise ValueError("suffix_array needs non-negative values")
+    # Symbols go up by one so that 0 can stand for "past the end"; a key is
+    # the symbols that fit one non-negative 64-bit word above a position.
+    index_bits = (n - 1).bit_length()
+    width = (int(values.max()) + 1).bit_length()
+    if width + index_bits > 63:
+        # A symbol and a position cannot share a word: sort on the symbols'
+        # dense ranks instead, of which there are at most n.
+        values = np.unique(values, return_inverse=True)[1]
+        width = (int(values.max()) + 1).bit_length()
+        if width + index_bits > 63:  # pragma: no cover - needs 2**31 positions
+            raise ValueError("sequence too long to suffix-sort in 64-bit words")
+    span = (63 - index_bits) // width
+    padded = np.zeros(n + span - 1, dtype=np.int64)
+    padded[:n] = values
+    padded[:n] += 1
+
+    # Seed round.  Sorting ``key << index_bits | position`` as plain values
+    # sorts the positions by their first ``span`` symbols: no argsort, and
+    # no gather to see which neighbours tie.
+    packed = padded[:n].copy()
     for offset in range(1, span):
-        keys <<= np.uint64(width)
-        keys |= padded[offset : offset + n]
-    rank, order, distinct = _dense_ranks(keys)
-    k = span
-    while not distinct:
-        if k > 2 * n:  # pragma: no cover - suffixes of one sequence always differ
+        packed <<= width
+        packed |= padded[offset : offset + n]
+    packed <<= index_bits
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    order = packed & ((1 << index_bits) - 1)
+    packed >>= index_bits
+
+    # A suffix's rank is the slot of the first member of its group in
+    # ``order``: final once the suffix is alone, and untouched by a split of
+    # any other group.  Rank -1 is "past the end", before every suffix.
+    slots = np.arange(n, dtype=np.int64)
+    rank = np.full(n + 1, -1, dtype=np.int64)
+    rank[order], tied = _group_heads(packed, slots)
+    slots = slots[tied]
+    members = order[tied]
+    known = span
+    while len(slots):
+        if known > 2 * n:  # pragma: no cover - suffixes of one sequence always differ
             raise RuntimeError("prefix doubling failed to separate suffixes")
-        # Rank of the first k symbols, then of the next k (0 past the end).
-        keys = rank * (n + 1)
-        keys[: n - k] += rank[k:] + 1
-        rank, order, distinct = _dense_ranks(keys)
-        k *= 2
-    return order.astype(np.int64, copy=False)
+        # Only the groups still tied are sorted again, each inside its own
+        # slots: by the group, then by the rank of what follows the
+        # ``known`` symbols its members share.
+        keys = rank.take(members)
+        keys *= n + 1
+        keys += rank.take(members + known, mode="clip")
+        resorted = np.argsort(keys)
+        members = members.take(resorted)
+        order[slots] = members
+        rank[members], tied = _group_heads(keys.take(resorted), slots)
+        slots = slots[tied]
+        members = members[tied]
+        known *= 2
+    return order
 
 
 def bwt_transform(data: bytes) -> Tuple[bytes, int]:
@@ -118,11 +167,16 @@ def bwt_inverse(last_column: bytes, primary: int) -> bytes:
     column[primary] = 0
     column[primary + 1 :] = values[primary:]
 
-    # Stable sort positions by symbol: position j lands at sorted slot
+    # Sorting ``symbol << index_bits | position`` as plain values is the
+    # stable sort of positions by symbol: position j lands at sorted slot
     # C[symbol] + rank(j), which *is* the LF mapping.
-    order = np.argsort(column, kind="stable")
+    index_bits = n.bit_length()
+    packed = column << index_bits
+    packed |= np.arange(m, dtype=np.int64)
+    packed.sort()
+    packed &= (1 << index_bits) - 1
     lf = np.empty(m, dtype=np.int64)
-    lf[order] = np.arange(m)
+    lf[packed] = np.arange(m, dtype=np.int64)
 
     # The classic walk iterates row = lf[row] one step per output byte.
     # Because lf is a permutation, the whole orbit can instead be batched
@@ -136,12 +190,12 @@ def bwt_inverse(last_column: bytes, primary: int) -> bytes:
     jump = lf
     while filled < m:
         count = min(filled, m - filled)
-        positions[filled : filled + count] = jump[positions[:count]]
+        positions[filled : filled + count] = jump.take(positions[:count])
         filled += count
         if filled < m:
-            jump = jump[jump]
+            jump = jump.take(jump)
 
-    out = column[positions[::-1]]
+    out = column.take(positions[::-1])
     if out[m - 1] != 0:
         raise CorruptStreamError("sentinel did not surface at end of inverse BWT")
     body = out[:-1]

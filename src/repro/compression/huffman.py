@@ -6,7 +6,19 @@ This module provides three layers:
   integer alphabet.  It is shared by the standalone :class:`HuffmanCodec`,
   by the Lempel-Ziv pointer encoder (§2.3: "pointers … are represented by
   Huffman codes") and by the joint chunk coder of the modified
-  Burrows-Wheeler pipeline (§2.4).
+  Burrows-Wheeler pipeline (§2.4).  Building one is on the selector's
+  critical path — the 4 KB Lempel-Ziv probe of §2.5 builds two per block —
+  so construction keeps nothing per symbol beyond flat index lists:
+  :func:`huffman_code_lengths` sorts the leaves once and merges over two
+  queues (``parent`` links, one reverse pass for depths), the canonical
+  codewords and the range and Kraft checks come from one count of symbols
+  per length (:func:`_length_counts`), and the flat decode tables are two
+  ``np.repeat`` calls over the canonical order (:func:`_decode_tables`).
+  The heap-of-symbol-lists merge, the sorted codeword walk and the
+  slice-assign table builder they replaced are the differential oracles
+  ``reference_huffman_code_lengths``, ``reference_canonical_codes`` and
+  ``reference_decode_tables`` in :mod:`repro.verify.references`: same
+  lengths (ties included), same codewords, same tables.
 * :class:`PositionMap` — the one decode kernel.  Code lengths are limited
   to :data:`MAX_CODE_LENGTH` bits, so the codeword starting at *any* bit is
   determined by the 15-bit window there.  The kernel takes that window at
@@ -32,7 +44,6 @@ This module provides three layers:
 
 from __future__ import annotations
 
-import heapq
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -79,24 +90,46 @@ _MAX_UNIT_BITS = 64
 _DECODE_TABLE_CACHE = 64
 
 
-def _canonical_codes(lengths: Sequence[int]) -> List[int]:
+def _length_counts(lengths: Sequence[int]) -> List[int]:
+    """Symbols per code length ``0 .. MAX_CODE_LENGTH`` of a length profile.
+
+    Everything a canonical code is derives from these counts — its Kraft
+    sum, the first codeword of each length, how the codewords tile the
+    decode window — so they are taken once, and a length outside the
+    supported range is refused here, before anything is built on it.
+    """
+    try:
+        profile = bytes(lengths)
+    except (TypeError, ValueError):
+        raise CorruptStreamError("code length outside supported range") from None
+    counts = [profile.count(bits) for bits in range(MAX_CODE_LENGTH + 1)]
+    if sum(counts) != len(profile):
+        raise CorruptStreamError("code length outside supported range")
+    if sum(counts[bits] << (MAX_CODE_LENGTH - bits) for bits in range(1, MAX_CODE_LENGTH + 1)) > (
+        1 << MAX_CODE_LENGTH
+    ):
+        raise CorruptStreamError("code lengths violate the Kraft inequality")
+    return counts
+
+
+def _canonical_codes(lengths: Sequence[int], counts: Sequence[int]) -> List[int]:
     """Canonical codeword values for ``lengths`` (0 for absent symbols).
 
-    Shared by encode-side setup and the cached decode-table builder so
-    both derive the identical code from a length profile.
+    Codewords ascend in ``(length, symbol)`` order: the first of each
+    length follows from how many shorter ones there are (``counts``, from
+    :func:`_length_counts`), and the symbols of one length take consecutive
+    values in symbol order.
     """
-    codes = [0] * len(lengths)
+    next_code = [0] * (MAX_CODE_LENGTH + 1)
     code = 0
-    previous_length = 0
-    for sym in sorted(
-        (sym for sym, length in enumerate(lengths) if length > 0),
-        key=lambda sym: (lengths[sym], sym),
-    ):
-        length = lengths[sym]
-        code <<= length - previous_length
-        codes[sym] = code
-        code += 1
-        previous_length = length
+    for bits in range(1, MAX_CODE_LENGTH + 1):
+        next_code[bits] = code
+        code = (code + counts[bits]) << 1
+    codes = [0] * len(lengths)
+    for sym, length in enumerate(lengths):
+        if length:
+            codes[sym] = next_code[length]
+            next_code[length] += 1
     return codes
 
 
@@ -105,24 +138,26 @@ def _decode_tables(lengths: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
     """Flat (symbols, lengths) decode tables for a code-length profile.
 
     Indexed by a :data:`MAX_CODE_LENGTH`-bit window; length 0 marks a
-    window no codeword matches.  Keyed by the length tuple: two
+    window no codeword matches.  Canonical codewords ascend in ``(length,
+    symbol)`` order and a codeword of ``length`` bits owns the ``2**(15 -
+    length)`` windows it prefixes, so the codewords tile the window space
+    from zero upward in that order with no gaps: each table is one
+    ``np.repeat`` over the canonical order, closed by a run of zeros for
+    the windows past the Kraft sum.  Keyed by the length tuple: two
     :class:`HuffmanCode` instances with the same profile share one pair of
     tables.  They are numpy arrays because the decode kernel gathers
     through them a whole span of positions at a time
     (``table.take(windows)``), and read-only because the cache hands the
     same objects to every caller.
     """
-    codes = _canonical_codes(lengths)
-    size = 1 << MAX_CODE_LENGTH
-    syms = np.zeros(size, dtype=np.uint16)
-    lens = np.zeros(size, dtype=np.uint8)
-    for sym, length in enumerate(lengths):
-        if length == 0:
-            continue
-        prefix = codes[sym] << (MAX_CODE_LENGTH - length)
-        span = 1 << (MAX_CODE_LENGTH - length)
-        syms[prefix : prefix + span] = sym
-        lens[prefix : prefix + span] = length
+    profile = np.array(lengths, dtype=np.int64)
+    canonical = np.argsort(profile, kind="stable")[np.count_nonzero(profile == 0) :]
+    bits = profile[canonical]
+    spans = 1 << (MAX_CODE_LENGTH - bits)
+    # One closing entry (symbol 0, length 0) owns the windows the code leaves.
+    spans = np.append(spans, (1 << MAX_CODE_LENGTH) - spans.sum())
+    syms = np.repeat(np.append(canonical, 0).astype(np.uint16), spans)
+    lens = np.repeat(np.append(bits, 0).astype(np.uint8), spans)
     syms.setflags(write=False)
     lens.setflags(write=False)
     return syms, lens
@@ -304,35 +339,67 @@ def _follow(
 def huffman_code_lengths(frequencies: Sequence[int], max_length: int = MAX_CODE_LENGTH) -> List[int]:
     """Compute length-limited Huffman code lengths for ``frequencies``.
 
-    Zero-frequency symbols get length 0 (no codeword).  The classic
-    heap-merge algorithm (the recursive procedure of §2.1) yields optimal
-    lengths; if any exceeds ``max_length`` they are clamped and the Kraft
-    inequality is repaired, trading a small amount of optimality for a
-    bounded decode table.
-    """
-    present = [(f, s) for s, f in enumerate(frequencies) if f > 0]
-    lengths = [0] * len(frequencies)
-    if not present:
-        return lengths
-    if len(present) == 1:
-        lengths[present[0][1]] = 1
-        return lengths
+    Zero-frequency symbols get length 0 (no codeword).  The classic merge
+    of the two lightest subtrees (the recursive procedure of §2.1) yields
+    optimal lengths; if any exceeds ``max_length`` they are clamped and the
+    Kraft inequality is repaired, trading a small amount of optimality for
+    a bounded decode table.
 
-    # Heap entries: (frequency, tiebreak, [symbols in this subtree]).
-    heap: List[Tuple[int, int, List[int]]] = [
-        (freq, sym, [sym]) for freq, sym in present
-    ]
-    heapq.heapify(heap)
-    tiebreak = len(frequencies)
-    while len(heap) > 1:
-        f1, _, s1 = heapq.heappop(heap)
-        f2, _, s2 = heapq.heappop(heap)
-        for sym in s1:
-            lengths[sym] += 1
-        for sym in s2:
-            lengths[sym] += 1
-        heapq.heappush(heap, (f1 + f2, tiebreak, s1 + s2))
-        tiebreak += 1
+    The merge runs over two queues instead of a heap.  The leaves are
+    sorted once by ``(frequency, symbol)``; internal nodes are born in
+    non-decreasing weight order, so the queue they join is sorted as made;
+    the lightest subtree is always at the head of one of the two, and a
+    leaf wins a tie against an internal node.  That is the pop order of a
+    heap keyed ``(frequency, tiebreak)`` whose leaves tiebreak by symbol
+    and whose internal nodes by birth, after every leaf — the formulation
+    kept as :func:`repro.verify.references.reference_huffman_code_lengths`
+    — so the lengths are identical, not merely equally good.  Nothing is
+    kept per subtree: a merge records the parent of its two nodes, and one
+    reverse pass turns parents into depths.
+    """
+    lengths = [0] * len(frequencies)
+    present = [sym for sym, freq in enumerate(frequencies) if freq > 0]
+    count = len(present)
+    if count < 2:
+        for sym in present:
+            lengths[sym] = 1
+        return lengths
+    # Stable by frequency over ascending symbols: (frequency, symbol) order.
+    present.sort(key=frequencies.__getitem__)
+    leaf = [frequencies[sym] for sym in present]
+    # No subtree outweighs the whole tree: the sentinel closes the leaf
+    # queue and stands in for internal nodes not born yet.
+    sentinel = sum(leaf) + 1
+    leaf.append(sentinel)
+    inner = [sentinel] * (count - 1)
+    # Nodes are numbered leaves first (in queue order), then internal nodes
+    # by birth, so a parent's number is above both of its children's.
+    parent = [0] * (2 * count - 1)
+    next_leaf = next_inner = 0
+    for born in range(count - 1):
+        node = count + born
+        if leaf[next_leaf] <= inner[next_inner]:
+            weight = leaf[next_leaf]
+            parent[next_leaf] = node
+            next_leaf += 1
+        else:
+            weight = inner[next_inner]
+            parent[count + next_inner] = node
+            next_inner += 1
+        if leaf[next_leaf] <= inner[next_inner]:
+            weight += leaf[next_leaf]
+            parent[next_leaf] = node
+            next_leaf += 1
+        else:
+            weight += inner[next_inner]
+            parent[count + next_inner] = node
+            next_inner += 1
+        inner[born] = weight
+    depth = [0] * (2 * count - 1)
+    for node in range(2 * count - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    for sym, bits in zip(present, depth):
+        lengths[sym] = bits
 
     if max(lengths) <= max_length:
         return lengths
@@ -365,12 +432,8 @@ class HuffmanCode:
     """A canonical Huffman code over the alphabet ``0 .. len(lengths)-1``."""
 
     def __init__(self, lengths: Sequence[int]) -> None:
-        if any(l < 0 or l > MAX_CODE_LENGTH for l in lengths):
-            raise CorruptStreamError("code length outside supported range")
         self.lengths = list(lengths)
-        if sum(1 << (MAX_CODE_LENGTH - l) for l in self.lengths if l) > 1 << MAX_CODE_LENGTH:
-            raise CorruptStreamError("code lengths violate the Kraft inequality")
-        self.codes: List[int] = _canonical_codes(self.lengths)
+        self.codes: List[int] = _canonical_codes(self.lengths, _length_counts(self.lengths))
         self._decode_symbols: Optional[np.ndarray] = None
         self._decode_lengths: Optional[np.ndarray] = None
 

@@ -9,10 +9,11 @@ compressor choice must be *verified*, not assumed:
   wire bytes, not just a round trip through our own code.  ``lzma`` is
   wired the same way and activates automatically if an xz-family codec
   is ever registered (none is today).
-* **Scalar vs vectorized.**  The numpy hot loops (the Huffman and
-  Lempel-Ziv decode kernel, the Lempel-Ziv match finder and field
-  packer, mtf/rle/bwt) must be byte-identical to the classic scalar
-  formulations kept in :mod:`repro.verify.references`.
+* **Scalar vs vectorized.**  The rewritten hot loops (Huffman code
+  construction and decode tables, the Huffman and Lempel-Ziv decode
+  kernel, the Lempel-Ziv match finder and field packer, mtf/rle/bwt)
+  must be byte-identical to the classic scalar formulations kept in
+  :mod:`repro.verify.references`.
 * **Serial vs parallel.**  A :class:`ParallelCodec` must emit identical
   container bytes under every pool strategy — the strategy is an
   execution detail, never a wire-format input.
@@ -35,7 +36,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ..compression import native as _native
 from ..compression.base import ACCEPTABLE_DECODE_ERRORS
 from ..compression.bwt import bwt_inverse, bwt_transform
-from ..compression.huffman import HuffmanCode, _bitstring_to_bytes
+from ..compression.huffman import (
+    HuffmanCode,
+    _bitstring_to_bytes,
+    _decode_tables,
+    huffman_code_lengths,
+)
 from ..compression.lz77 import Lz77Codec, tokenize
 from ..compression.mtf import mtf_decode, mtf_encode
 from ..compression.parallel import ParallelCodec
@@ -49,7 +55,10 @@ from .references import (
     reference_bitunpack,
     reference_bwt_inverse,
     reference_bwt_transform,
+    reference_canonical_codes,
+    reference_decode_tables,
     reference_delta_zigzag,
+    reference_huffman_code_lengths,
     reference_huffman_decode,
     reference_lz77_decode,
     reference_lz77_encode,
@@ -186,7 +195,60 @@ def diff_wire_counterpart(name: str, case: str, data: bytes) -> List[Differentia
     return results
 
 
+def _frequency_vectors(data: bytes) -> List[List[int]]:
+    """The byte frequencies of ``data``, and a skew of them that no code
+    of :data:`~repro.compression.huffman.MAX_CODE_LENGTH` bits fits:
+    Fibonacci weights down the frequency ranking (the most lopsided tree
+    there is), which sends construction through its clamp-and-repair tail."""
+    frequencies = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256).tolist()
+    ranking = sorted(range(256), key=lambda sym: -frequencies[sym])
+    skewed = [0] * 256
+    weight, following = 1, 1
+    for sym in reversed(ranking[:40]):
+        if frequencies[sym]:
+            skewed[sym] = weight
+            weight, following = following, weight + following
+    return [frequencies, skewed]
+
+
+def _huffman_codes(lengths_of: Callable, codes_of: Callable) -> Callable:
+    """``data -> [(lengths, codes), ...]`` over :func:`_frequency_vectors`."""
+
+    def build(data: bytes) -> List[Tuple[List[int], List[int]]]:
+        profiles = [lengths_of(vector) for vector in _frequency_vectors(data)]
+        return [(lengths, codes_of(lengths)) for lengths in profiles]
+
+    return build
+
+
+def _huffman_tables(tables_of: Callable) -> Callable:
+    """``data -> [(dtype, bytes), ...]``: both decode tables of every code
+    :func:`_huffman_codes` builds, in a form ``==`` compares exactly."""
+
+    def build(data: bytes) -> List[Tuple[str, bytes]]:
+        return [
+            (table.dtype.str, table.tobytes())
+            for vector in _frequency_vectors(data)
+            for table in tables_of(tuple(huffman_code_lengths(vector)))
+        ]
+
+    return build
+
+
 _SCALAR_PAIRS: Tuple[Tuple[str, Callable, Callable], ...] = (
+    # Code construction: two-queue merge + per-length code assignment
+    # against the heap of symbol lists and the sorted walk, then the
+    # np.repeat table layout against one slice-assign per codeword.
+    (
+        "huffman-lengths",
+        _huffman_codes(huffman_code_lengths, lambda lengths: HuffmanCode(lengths).codes),
+        _huffman_codes(reference_huffman_code_lengths, reference_canonical_codes),
+    ),
+    (
+        "huffman-decode-tables",
+        _huffman_tables(_decode_tables.__wrapped__),
+        _huffman_tables(reference_decode_tables),
+    ),
     ("mtf-encode", mtf_encode, reference_mtf_encode),
     ("rle-encode", rle_encode, reference_rle_encode),
     # The array match finder token for token, then parse + field packer

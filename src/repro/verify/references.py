@@ -1,10 +1,11 @@
 """Scalar reference implementations for differential testing.
 
-The hot loops in :mod:`repro.compression` (Huffman and Lempel-Ziv
-decoding, the Lempel-Ziv match finder and field emitter, move-to-front,
-the 254-capped RLE, the Burrows-Wheeler transform, and the structured
-codecs' zigzag/delta/bitpack column primitives) are vectorized numpy
-rewrites of classic per-byte algorithms.
+The hot loops in :mod:`repro.compression` (Huffman code construction,
+Huffman and Lempel-Ziv decoding, the Lempel-Ziv match finder and field
+emitter, move-to-front, the 254-capped RLE, the Burrows-Wheeler
+transform, and the structured codecs' zigzag/delta/bitpack column
+primitives) are array or index-queue rewrites of classic per-symbol
+algorithms.
 This module keeps the classic formulations — short, obviously-correct
 Python loops straight out of the textbook — as the differential oracle:
 the optimized path must be **byte-identical** to these on every input,
@@ -16,7 +17,10 @@ Python's ``sorted``, O(n² log n)); use them on test-sized inputs only.
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..compression.base import CorruptStreamError
 from ..compression.bitio import BitWriter
@@ -37,6 +41,9 @@ from ..compression.varint import read_varint, write_varint
 
 __all__ = [
     "StreamDecoder",
+    "reference_huffman_code_lengths",
+    "reference_canonical_codes",
+    "reference_decode_tables",
     "reference_huffman_decode",
     "reference_lz77_decode",
     "reference_lz77_tokenize",
@@ -54,6 +61,106 @@ __all__ = [
 ]
 
 _U64_MASK = (1 << 64) - 1
+
+
+def reference_huffman_code_lengths(
+    frequencies: Sequence[int], max_length: int = MAX_CODE_LENGTH
+) -> List[int]:
+    """Length-limited Huffman code lengths by the classic heap merge (§2.1).
+
+    Every heap entry carries the symbols of its subtree, and a merge
+    deepens each of them by one.  Leaves tiebreak by symbol and internal
+    nodes by birth, after every leaf; lengths past ``max_length`` are
+    clamped and the Kraft inequality repaired.
+    :func:`repro.compression.huffman.huffman_code_lengths` must return the
+    same lengths, not merely equally good ones.
+    """
+    present = [(f, s) for s, f in enumerate(frequencies) if f > 0]
+    lengths = [0] * len(frequencies)
+    if not present:
+        return lengths
+    if len(present) == 1:
+        lengths[present[0][1]] = 1
+        return lengths
+
+    # Heap entries: (frequency, tiebreak, [symbols in this subtree]).
+    heap: List[Tuple[int, int, List[int]]] = [
+        (freq, sym, [sym]) for freq, sym in present
+    ]
+    heapq.heapify(heap)
+    tiebreak = len(frequencies)
+    while len(heap) > 1:
+        f1, _, s1 = heapq.heappop(heap)
+        f2, _, s2 = heapq.heappop(heap)
+        for sym in s1:
+            lengths[sym] += 1
+        for sym in s2:
+            lengths[sym] += 1
+        heapq.heappush(heap, (f1 + f2, tiebreak, s1 + s2))
+        tiebreak += 1
+
+    if max(lengths) <= max_length:
+        return lengths
+
+    # Clamp and repair the Kraft sum, then (greedily) shorten codes again
+    # while slack remains.  Symbols are treated in increasing-frequency
+    # order so the cheapest codes absorb the damage.
+    for sym in range(len(lengths)):
+        if lengths[sym] > max_length:
+            lengths[sym] = max_length
+    budget = 1 << max_length
+    kraft = sum(1 << (max_length - l) for l in lengths if l)
+    order = sorted((sym for sym, l in enumerate(lengths) if l), key=lambda s: frequencies[s])
+    while kraft > budget:
+        for sym in order:
+            if 0 < lengths[sym] < max_length:
+                kraft -= 1 << (max_length - lengths[sym] - 1)
+                lengths[sym] += 1
+                break
+        else:  # pragma: no cover - cannot happen while alphabet <= 2**max_length
+            raise CorruptStreamError("unable to repair Kraft inequality")
+    for sym in sorted(order, key=lambda s: -frequencies[s]):
+        while lengths[sym] > 1 and kraft + (1 << (max_length - lengths[sym])) <= budget:
+            kraft += 1 << (max_length - lengths[sym])
+            lengths[sym] -= 1
+    return lengths
+
+
+def reference_canonical_codes(lengths: Sequence[int]) -> List[int]:
+    """Canonical codeword values (0 for absent symbols), one symbol at a
+    time in ``(length, symbol)`` order: each codeword is its predecessor
+    plus one, shifted up to its own length."""
+    codes = [0] * len(lengths)
+    code = 0
+    previous_length = 0
+    for sym in sorted(
+        (sym for sym, length in enumerate(lengths) if length > 0),
+        key=lambda sym: (lengths[sym], sym),
+    ):
+        length = lengths[sym]
+        code <<= length - previous_length
+        codes[sym] = code
+        code += 1
+        previous_length = length
+    return codes
+
+
+def reference_decode_tables(lengths: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat ``(symbols, lengths)`` decode tables, one codeword at a time:
+    every :data:`MAX_CODE_LENGTH`-bit window a codeword prefixes is
+    slice-assigned its symbol and length; length 0 marks the rest."""
+    codes = reference_canonical_codes(lengths)
+    size = 1 << MAX_CODE_LENGTH
+    syms = np.zeros(size, dtype=np.uint16)
+    lens = np.zeros(size, dtype=np.uint8)
+    for sym, length in enumerate(lengths):
+        if length == 0:
+            continue
+        prefix = codes[sym] << (MAX_CODE_LENGTH - length)
+        span = 1 << (MAX_CODE_LENGTH - length)
+        syms[prefix : prefix + span] = sym
+        lens[prefix : prefix + span] = length
+    return syms, lens
 
 
 def _scalar_tables(code: HuffmanCode) -> Tuple[List[int], List[int]]:

@@ -1,7 +1,7 @@
 """Unit tests for the adaptive arithmetic codec."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression.arithmetic import (
@@ -11,6 +11,7 @@ from repro.compression.arithmetic import (
     ContextArithmeticCodec,
 )
 from repro.compression.base import CorruptStreamError
+from tests.strategies import examples
 
 
 class TestAdaptiveByteModel:
@@ -86,7 +87,7 @@ class TestArithmeticCodec:
         assert codec.decompress(codec.compress(data)) == data
 
     @given(st.binary(max_size=1024))
-    @settings(max_examples=40, deadline=None)
+    @examples(40)
     def test_roundtrip_property(self, data):
         codec = ArithmeticCodec()
         assert codec.decompress(codec.compress(data)) == data
@@ -126,7 +127,7 @@ class TestContextArithmeticCodec:
         assert codec.decompress(codec.compress(data)) == data
 
     @given(st.binary(max_size=768))
-    @settings(max_examples=30, deadline=None)
+    @examples(30)
     def test_roundtrip_property(self, data):
         codec = ContextArithmeticCodec()
         assert codec.decompress(codec.compress(data)) == data

@@ -1,7 +1,7 @@
 """Unit tests for the modified Burrows-Wheeler codec (chunked, resyncable)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression.base import CorruptStreamError
@@ -11,6 +11,7 @@ from repro.compression.bwhuff import (
     _decode_primary,
     _encode_primary,
 )
+from tests.strategies import examples
 
 
 class TestPrimaryDigits:
@@ -83,7 +84,7 @@ class TestBurrowsWheelerCodec:
             codec.decompress(codec.compress(b"") + b"\x01")
 
     @given(st.binary(max_size=3000))
-    @settings(max_examples=40, deadline=None)
+    @examples(40)
     def test_roundtrip_property(self, data):
         codec = BurrowsWheelerCodec(chunk_size=512)
         assert codec.decompress(codec.compress(data)) == data

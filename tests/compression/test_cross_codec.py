@@ -2,10 +2,11 @@
 plus the qualitative relationships the paper's Figure 1 table asserts."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression import available_codecs, get_codec
+from tests.strategies import examples
 
 # The lossy codecs only accept float64 payloads and are not lossless;
 # they have their own suite (test_lossy.py).
@@ -70,7 +71,7 @@ def test_lempel_ziv_poor_on_low_entropy_without_repeats():
 
 
 @given(st.binary(min_size=0, max_size=1500))
-@settings(max_examples=25, deadline=None)
+@examples(25)
 def test_roundtrip_property_all_fast_codecs(data):
     for name in FAST_CODECS:
         codec = get_codec(name)

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression import get_codec
@@ -28,6 +28,7 @@ from repro.compression.huffman import (
 from repro.compression.varint import read_varint, write_varint
 from repro.verify.fuzz import _mutate
 from repro.verify.references import reference_huffman_decode, reference_lz77_decode
+from tests.strategies import examples
 
 
 def _outcome(decode, *args):
@@ -77,7 +78,7 @@ class TestHuffmanKernelMatchesReference:
         start=st.integers(min_value=0, max_value=64),
         count=st.integers(min_value=0, max_value=900),
     )
-    @settings(max_examples=300, deadline=None)
+    @examples(300)
     def test_arbitrary_bits(self, lengths, body, start, count):
         # Arbitrary bytes are a stream that is valid until it is not.
         code = HuffmanCode(lengths)
@@ -94,7 +95,7 @@ class TestHuffmanKernelMatchesReference:
         cut=st.integers(min_value=0, max_value=6),
         data=st.data(),
     )
-    @settings(max_examples=200, deadline=None)
+    @examples(200)
     def test_encoded_stream_any_start_any_truncation(self, lengths, picks, start, cut, data):
         code = HuffmanCode(lengths)
         present = [symbol for symbol, length in enumerate(lengths) if length]
@@ -124,7 +125,7 @@ class TestHuffmanKernelMatchesReference:
 
 class TestBitWindows:
     @given(st.binary(max_size=40))
-    @settings(max_examples=100, deadline=None)
+    @examples(100)
     def test_every_window_is_the_next_fifteen_bits(self, data):
         bits = "".join(format(byte, "08b") for byte in data)
         padded = bits + "0" * (MAX_CODE_LENGTH + 8)
@@ -165,7 +166,7 @@ class TestSpans:
 
 class TestLz77KernelMatchesReference:
     @given(st.binary(max_size=3000), st.integers(min_value=0, max_value=2**32))
-    @settings(max_examples=150, deadline=None)
+    @examples(150)
     def test_mutated_streams(self, data, seed):
         codec = get_codec("lempel-ziv")
         payload = codec.compress(data * 3)

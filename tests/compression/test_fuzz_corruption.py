@@ -16,14 +16,14 @@ the conformance kit, the fuzz gate, and this suite all agree on what
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression import get_codec
 from repro.compression.base import ACCEPTABLE_DECODE_ERRORS, CorruptStreamError
 from repro.middleware.transport import WireFormat
 from repro.verify.fuzz import _mutate, mutated_copies
-from tests.strategies import LOSSLESS_CODECS, SEED_DATA
+from tests.strategies import LOSSLESS_CODECS, SEED_DATA, examples
 
 #: The codecs whose decoders are array kernels: numpy indexing on hostile
 #: input raises IndexError/ValueError/OverflowError where a scalar loop
@@ -111,7 +111,7 @@ def test_lossy_bitflips_never_crash(name):
 
 
 @given(st.binary(max_size=600))
-@settings(max_examples=60, deadline=None)
+@examples(60)
 def test_random_bytes_as_payload_never_crash(blob):
     for name in LOSSLESS_CODECS:
         codec = get_codec(name)
@@ -141,7 +141,7 @@ class TestWireFormatFuzz:
                 assert event.payload.readonly
 
     @given(st.binary(max_size=300))
-    @settings(max_examples=80)
+    @examples(80)
     def test_random_wire_bytes_never_crash(self, blob):
         try:
             WireFormat.decode(blob)

@@ -1,7 +1,8 @@
 """Unit tests for canonical length-limited Huffman coding."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression.base import CorruptStreamError
@@ -10,9 +11,16 @@ from repro.compression.huffman import (
     MAX_CODE_LENGTH,
     HuffmanCode,
     HuffmanCodec,
+    _decode_tables,
     huffman_code_lengths,
 )
-from repro.verify.references import StreamDecoder
+from repro.verify.references import (
+    StreamDecoder,
+    reference_canonical_codes,
+    reference_decode_tables,
+    reference_huffman_code_lengths,
+)
+from tests.strategies import examples
 
 
 class TestCodeLengths:
@@ -52,7 +60,7 @@ class TestCodeLengths:
         assert kraft <= 2**MAX_CODE_LENGTH
 
     @given(st.lists(st.integers(min_value=0, max_value=10000), min_size=1, max_size=300))
-    @settings(max_examples=50)
+    @examples(50)
     def test_lengths_always_decodable(self, freqs):
         lengths = huffman_code_lengths(freqs)
         present = [l for l in lengths if l]
@@ -63,6 +71,102 @@ class TestCodeLengths:
         # every nonzero frequency must get a code, zero frequencies must not
         for freq, length in zip(freqs, lengths):
             assert (length > 0) == (freq > 0)
+
+
+_FIBONACCI = [1, 1]
+while len(_FIBONACCI) < 40:
+    _FIBONACCI.append(_FIBONACCI[-1] + _FIBONACCI[-2])
+
+
+def _tie_heavy_frequencies(alphabet: int) -> st.SearchStrategy:
+    """Frequency vectors where the merge order hangs on the tiebreak."""
+    weights = st.one_of(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=10000),
+        st.sampled_from([0, 1, 1, 2, 4, 8, 1 << 20]),
+        st.sampled_from([0] + _FIBONACCI),
+    )
+    position = st.integers(min_value=0, max_value=alphabet - 1)
+    constant = st.integers(min_value=1, max_value=1000)
+    return st.one_of(
+        st.lists(weights, min_size=alphabet, max_size=alphabet),
+        constant.map(lambda value: [value] * alphabet),
+        st.builds(
+            lambda at, big: [1] * at + [big] + [1] * (alphabet - at - 1), position, constant
+        ),
+        st.just([1 << (sym % 21) for sym in range(alphabet)]),
+        # Fibonacci weights are the most lopsided tree there is: past 16
+        # of them the lengths are clamped and the Kraft sum repaired.
+        st.just((_FIBONACCI * 8)[:alphabet]),
+        st.permutations((_FIBONACCI * 8)[:alphabet]),
+        st.just([_FIBONACCI[sym // 2 % 40] if sym % 2 else 0 for sym in range(alphabet)]),
+        st.builds(lambda at, value: [0] * at + [value] + [0] * (alphabet - at - 1), position, constant),
+        st.builds(
+            lambda a, b, value: [value if sym in (a, b) else 0 for sym in range(alphabet)],
+            position, position, constant,
+        ),
+    )
+
+
+class TestConstructionMatchesOracles:
+    """Two-queue lengths, per-length-count codes and ``np.repeat`` tables
+    against the heap of symbol lists, the sorted walk and the
+    slice-assign builder: identical, not merely equally good."""
+
+    @pytest.mark.parametrize("alphabet", [2, 3, 30, 256, 286])
+    @given(data=st.data())
+    @examples(60)
+    def test_lengths_codes_and_tables(self, alphabet, data):
+        frequencies = data.draw(_tie_heavy_frequencies(alphabet))
+        lengths = huffman_code_lengths(frequencies)
+        assert lengths == reference_huffman_code_lengths(frequencies)
+        assert HuffmanCode(lengths).codes == reference_canonical_codes(lengths)
+        for table, oracle in zip(
+            _decode_tables.__wrapped__(tuple(lengths)), reference_decode_tables(lengths)
+        ):
+            assert table.dtype == oracle.dtype
+            assert np.array_equal(table, oracle)
+            assert not table.flags.writeable
+
+    @pytest.mark.parametrize("max_length", [4, 8, 40])
+    def test_other_length_limits(self, max_length):
+        frequencies = (_FIBONACCI * 2)[:16]
+        assert huffman_code_lengths(frequencies, max_length) == reference_huffman_code_lengths(
+            frequencies, max_length
+        )
+
+    def test_accepts_any_sequence(self):
+        frequencies = [5, 0, 9, 9, 1, 0, 3]
+        expected = reference_huffman_code_lengths(frequencies)
+        assert huffman_code_lengths(tuple(frequencies)) == expected
+        assert huffman_code_lengths(np.array(frequencies)) == expected
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [MAX_CODE_LENGTH + 1, 1],
+            [-1, 1],
+            [255, 1],
+            [256, 1],
+            [1, 1, 1],
+            [1, 2, 2, MAX_CODE_LENGTH],
+            [2] * 5,
+            [0, 1, 1, 0, MAX_CODE_LENGTH],
+        ],
+    )
+    def test_bad_profiles_rejected(self, lengths):
+        with pytest.raises(CorruptStreamError):
+            HuffmanCode(lengths)
+
+    def test_full_and_incomplete_profiles_accepted(self):
+        assert HuffmanCode([1, 1]).codes == [0, 1]
+        assert HuffmanCode([2, 2, 2, 2]).codes == [0, 1, 2, 3]
+        assert HuffmanCode([0, 0]).codes == [0, 0]
+        # One 15-bit codeword: windows past it match nothing.
+        sparse = HuffmanCode([0, MAX_CODE_LENGTH])
+        symbols, bits = sparse.decode_tables()
+        assert bits[0] == MAX_CODE_LENGTH and symbols[0] == 1
+        assert not bits[1:].any()
 
 
 class TestHuffmanCode:
@@ -200,7 +304,7 @@ class TestHuffmanCodec:
             codec.decompress(codec.compress(b"") + b"!")
 
     @given(st.binary(max_size=4096))
-    @settings(max_examples=60, deadline=None)
+    @examples(60)
     def test_roundtrip_property(self, data):
         codec = HuffmanCodec()
         assert codec.decompress(codec.compress(data)) == data

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression.base import CorruptStreamError
 from repro.compression.lossy import QuantizedFloatCodec, TruncatedFloatCodec
+from tests.strategies import examples
 
 
 def floats_to_bytes(values):
@@ -87,7 +88,7 @@ class TestQuantizedFloatCodec:
             max_size=300,
         )
     )
-    @settings(max_examples=40, deadline=None)
+    @examples(40)
     def test_error_bound_property(self, values):
         codec = QuantizedFloatCodec(tolerance=1e-2)
         data = floats_to_bytes(values)
@@ -151,7 +152,7 @@ class TestTruncatedFloatCodec:
             max_size=200,
         )
     )
-    @settings(max_examples=40, deadline=None)
+    @examples(40)
     def test_relative_error_property(self, values):
         codec = TruncatedFloatCodec(mantissa_bits=24)
         data = floats_to_bytes(values)

@@ -1,7 +1,7 @@
 """Unit tests for LZ77 with Huffman-coded pointers."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression.base import CorruptStreamError
@@ -16,6 +16,7 @@ from repro.verify.references import (
     reference_lz77_encode,
     reference_lz77_tokenize,
 )
+from tests.strategies import examples
 
 
 class TestTokenize:
@@ -125,7 +126,7 @@ class TestLz77Codec:
         assert codec.decompress(codec.compress(data)) == data
 
     @given(st.binary(max_size=4096))
-    @settings(max_examples=60, deadline=None)
+    @examples(60)
     def test_roundtrip_property(self, data):
         codec = Lz77Codec()
         assert codec.decompress(codec.compress(data)) == data
@@ -133,7 +134,7 @@ class TestLz77Codec:
     @given(
         st.text(alphabet="ab", min_size=0, max_size=2000).map(str.encode),
     )
-    @settings(max_examples=40, deadline=None)
+    @examples(40)
     def test_roundtrip_small_alphabet(self, data):
         # Small alphabets maximize overlapping self-referential matches.
         codec = Lz77Codec()
@@ -251,17 +252,17 @@ class TestArrayParseMatchesScalar:
         _assert_matches_scalar(data)
 
     @given(st.binary(max_size=3000), st.sampled_from(_PARAMETERS))
-    @settings(max_examples=80, deadline=None)
+    @examples(80)
     def test_arbitrary_bytes(self, data, parameters):
         _assert_matches_scalar(data, *parameters)
 
     @given(_low_entropy(max_symbols=4, max_size=3000), st.sampled_from(_PARAMETERS))
-    @settings(max_examples=80, deadline=None)
+    @examples(80)
     def test_low_entropy_alphabets(self, data, parameters):
         _assert_matches_scalar(data, *parameters)
 
     @given(_repeated_prefixes(), st.sampled_from(_PARAMETERS))
-    @settings(max_examples=120, deadline=None)
+    @examples(120)
     def test_repeated_prefixes(self, data, parameters):
         _assert_matches_scalar(data, *parameters)
 

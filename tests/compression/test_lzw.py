@@ -1,11 +1,12 @@
 """Unit tests for the LZW (LZ78-family) codec."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression.base import CorruptStreamError
 from repro.compression.lzw import MAX_CODE_BITS, LzwCodec
+from tests.strategies import examples
 
 
 class TestLzwCodec:
@@ -69,13 +70,13 @@ class TestLzwCodec:
         assert 10 <= MAX_CODE_BITS <= 20
 
     @given(st.binary(max_size=4096))
-    @settings(max_examples=60, deadline=None)
+    @examples(60)
     def test_roundtrip_property(self, data):
         codec = LzwCodec()
         assert codec.decompress(codec.compress(data)) == data
 
     @given(st.text(alphabet="abc", max_size=3000).map(str.encode))
-    @settings(max_examples=40, deadline=None)
+    @examples(40)
     def test_roundtrip_small_alphabet(self, data):
         codec = LzwCodec()
         assert codec.decompress(codec.compress(data)) == data

@@ -1,7 +1,7 @@
 """Unit tests for move-to-front and the 254-capped RLE stage."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression.base import CorruptStreamError
@@ -12,7 +12,7 @@ from repro.verify.references import (
     reference_mtf_encode,
     reference_rle_encode,
 )
-from tests.strategies import rle_adversarial_payloads
+from tests.strategies import examples, rle_adversarial_payloads
 
 
 class TestMtf:
@@ -49,7 +49,7 @@ class TestMtf:
         assert mtf_decode(encoded) == data
 
     @given(st.binary(max_size=2048))
-    @settings(max_examples=60)
+    @examples(60)
     def test_roundtrip_property(self, data):
         assert mtf_decode(mtf_encode(data)) == data
 
@@ -112,12 +112,12 @@ class TestRle:
             assert rle_decode(rle_encode(sample)) == sample, name
 
     @given(st.binary(max_size=2048))
-    @settings(max_examples=60)
+    @examples(60)
     def test_roundtrip_property(self, data):
         assert rle_decode(rle_encode(data)) == data
 
     @given(rle_adversarial_payloads())
-    @settings(max_examples=40)
+    @examples(40)
     def test_roundtrip_adversarial_alphabet(self, data):
         encoded = rle_encode(data)
         assert 255 not in encoded
@@ -140,16 +140,16 @@ class TestVectorizedMatchesReference:
             assert rle_encode(sample) == reference_rle_encode(sample), name
 
     @given(st.binary(max_size=2048))
-    @settings(max_examples=60)
+    @examples(60)
     def test_mtf_property(self, data):
         assert mtf_encode(data) == reference_mtf_encode(data)
 
     @given(rle_adversarial_payloads())
-    @settings(max_examples=60)
+    @examples(60)
     def test_rle_property(self, data):
         assert rle_encode(data) == reference_rle_encode(data)
 
     @given(st.binary(max_size=2048))
-    @settings(max_examples=40)
+    @examples(40)
     def test_rle_property_general(self, data):
         assert rle_encode(data) == reference_rle_encode(data)

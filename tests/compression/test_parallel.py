@@ -1,7 +1,7 @@
 """Unit tests for parallel compression and parallel Huffman decoding."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression.base import CorruptStreamError
@@ -13,6 +13,7 @@ from repro.compression.parallel import (
     huffman_segment_table,
     parallel_huffman_decode,
 )
+from tests.strategies import examples
 
 
 class TestParallelCodec:
@@ -89,7 +90,7 @@ class TestParallelCodec:
             assert codec.decompress(codec.compress(lowentropy_block)) == lowentropy_block
 
     @given(st.binary(max_size=20000))
-    @settings(max_examples=30, deadline=None)
+    @examples(30)
     def test_roundtrip_property(self, data):
         codec = ParallelCodec(Lz77Codec(), chunk_size=2048, workers=2)
         assert codec.decompress(codec.compress(data)) == data
@@ -161,7 +162,7 @@ class TestParallelHuffmanDecode:
         assert len(decoded) == len(boundaries)
 
     @given(st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=4000))
-    @settings(max_examples=25, deadline=None)
+    @examples(25)
     def test_roundtrip_property(self, symbols):
         code, data = _encode(symbols)
         decoded = parallel_huffman_decode(code, data, len(symbols), segments=4)

@@ -1,7 +1,7 @@
 """Unit tests for the framed streaming compression API."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression.base import CodecError, CorruptStreamError
@@ -9,6 +9,7 @@ from repro.compression.streaming import (
     StreamingCompressor,
     StreamingDecompressor,
 )
+from tests.strategies import examples
 
 
 def roundtrip(data, chunk=1000, block_size=4096, method="lempel-ziv", picker=None):
@@ -75,7 +76,7 @@ class TestStreamingRoundtrip:
         assert out == lowentropy_block[:16384]
 
     @given(st.binary(max_size=20000), st.integers(min_value=1, max_value=5000))
-    @settings(max_examples=25, deadline=None)
+    @examples(25)
     def test_roundtrip_property(self, data, chunk):
         out, _, _ = roundtrip(data, chunk=chunk)
         assert out == data

@@ -15,7 +15,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression.base import ACCEPTABLE_DECODE_ERRORS
@@ -38,7 +38,7 @@ from repro.verify.references import (
     reference_delta_zigzag,
     reference_undelta_zigzag,
 )
-from tests.strategies import log_line_payloads, record_payloads
+from tests.strategies import examples, log_line_payloads, record_payloads
 
 
 def _records(*rows):
@@ -47,7 +47,7 @@ def _records(*rows):
 
 class TestTemplateRoundTrip:
     @given(log_line_payloads())
-    @settings(max_examples=80, deadline=None)
+    @examples(80)
     def test_hypothesis_log_lines_round_trip(self, data):
         codec = TemplateCodec()
         assert codec.decompress(codec.compress(data)) == data
@@ -100,7 +100,7 @@ class TestTemplateFallback:
 
 class TestColumnarRoundTrip:
     @given(record_payloads())
-    @settings(max_examples=80, deadline=None)
+    @examples(80)
     def test_hypothesis_records_round_trip(self, data):
         codec = ColumnarCodec()
         assert codec.decompress(codec.compress(data)) == data
@@ -180,7 +180,7 @@ class TestMutatedHeaders:
             assert isinstance(result, bytes)
 
     @given(st.binary(max_size=256))
-    @settings(max_examples=120, deadline=None)
+    @examples(120)
     def test_arbitrary_blobs_never_crash(self, blob):
         for codec in (TemplateCodec(), ColumnarCodec()):
             try:
@@ -194,7 +194,7 @@ class TestPrimitivesMatchReferences:
     """The vectorized column primitives vs the scalar oracles, bit for bit."""
 
     @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=200))
-    @settings(max_examples=80, deadline=None)
+    @examples(80)
     def test_delta_zigzag_matches_scalar(self, values):
         column = np.array(values, dtype="<u8")
         encoded = delta_zigzag(column)
@@ -213,7 +213,7 @@ class TestPrimitivesMatchReferences:
             )
         )
     )
-    @settings(max_examples=80, deadline=None)
+    @examples(80)
     def test_bitpack_matches_scalar(self, width_and_values):
         width, values = width_and_values
         column = np.array(values, dtype="<u8")
@@ -224,7 +224,7 @@ class TestPrimitivesMatchReferences:
         assert reference_bitunpack(packed, len(values), width) == values
 
     @given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=200))
-    @settings(max_examples=60, deadline=None)
+    @examples(60)
     def test_zigzag_is_an_involution(self, values):
         signed = np.array(values, dtype="<i8")
         assert list(zigzag_decode(zigzag_encode(signed))) == values

@@ -3,10 +3,24 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.data.commercial import CommercialDataGenerator
 from repro.data.molecular import MolecularDataGenerator
-from tests.strategies import SUITE_SEED
+from tests.strategies import SUITE_SEED, TIER1_EXAMPLES
+
+# Two depths of property testing, chosen with hypothesis' own
+# ``--hypothesis-profile NAME`` flag: ``tier1`` (the default) runs each
+# property on the count its ``@examples(n)`` names, ``nightly`` on ten
+# times that.  Neither has a deadline: the pure-Python codecs are slow
+# enough that a per-example time limit only reports the host's load.
+settings.register_profile("tier1", max_examples=TIER1_EXAMPLES, deadline=None)
+settings.register_profile("nightly", max_examples=10 * TIER1_EXAMPLES, deadline=None)
+settings.load_profile("tier1")  # until the flag, read at configure time, says otherwise
+
+
+def pytest_terminal_summary(terminalreporter):
+    terminalreporter.write_line(f"hypothesis profile: {settings.get_current_profile_name()}")
 
 
 @pytest.fixture(autouse=True)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.decision import (
@@ -13,6 +13,7 @@ from repro.core.decision import (
     Rating,
     select_method,
 )
+from tests.strategies import examples
 
 BLOCK = 128 * 1024
 
@@ -151,7 +152,7 @@ class TestSelectMethod:
         st.floats(min_value=0.0, max_value=1e9),
         st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0)),
     )
-    @settings(max_examples=200)
+    @examples(200)
     def test_always_returns_valid_method(self, sending_time, lz_speed, ratio):
         decision = decide(sending_time, lz_speed, ratio)
         assert decision.method in {"none", "huffman", "lempel-ziv", "burrows-wheeler"}
@@ -189,7 +190,7 @@ class TestSelectMethod:
         ).method == "burrows-wheeler"
 
     @given(st.floats(min_value=1e3, max_value=1e8))
-    @settings(max_examples=100)
+    @examples(100)
     def test_monotone_in_sending_time(self, lz_speed):
         """Slower links never cause a *weaker* method to be chosen."""
         strength = {"none": 0, "huffman": 1, "lempel-ziv": 2, "burrows-wheeler": 3}

@@ -8,7 +8,7 @@ connect records to aggregates.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.pipeline import AdaptivePipeline
@@ -16,7 +16,7 @@ from repro.data.commercial import CommercialDataGenerator
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
 from repro.netsim.link import PAPER_LINKS, SimulatedLink
 from repro.netsim.loadtrace import LoadTrace
-from tests.strategies import link_names
+from tests.strategies import examples, link_names
 
 _GENERATOR = CommercialDataGenerator(seed=1717)
 _POOL = list(_GENERATOR.stream(16 * 1024, 24))
@@ -41,7 +41,7 @@ def scenarios(draw):
 
 
 @given(scenarios())
-@settings(max_examples=40, deadline=None)
+@examples(40)
 def test_pipeline_invariants(scenario):
     blocks, link_name, connections, interval, pipelined, seed = scenario
     link = SimulatedLink(PAPER_LINKS[link_name], seed=seed, congestion_per_connection=0.4)
@@ -84,7 +84,7 @@ def test_pipeline_invariants(scenario):
 
 
 @given(st.integers(min_value=0, max_value=999))
-@settings(max_examples=15, deadline=None)
+@examples(15)
 def test_pipeline_deterministic_given_seed(seed):
     blocks = _POOL[:6]
     def run():
@@ -96,7 +96,7 @@ def test_pipeline_deterministic_given_seed(seed):
 
 
 @given(st.data())
-@settings(max_examples=15, deadline=None)
+@examples(15)
 def test_verify_mode_roundtrips_random_streams(data):
     rng = random.Random(data.draw(st.integers(0, 500)))
     blocks = [

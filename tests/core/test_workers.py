@@ -8,7 +8,7 @@ every pool mode, and keeps producing them (in order) when workers die.
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.engine import BlockEngine, CodecExecutor
@@ -26,6 +26,7 @@ from repro.obs.catalogue import (
     POOL_TASKS_TOTAL,
 )
 from repro.obs.metrics import MetricsRegistry
+from tests.strategies import examples
 
 
 def family_block(method: str, base: bytes) -> bytes:
@@ -175,7 +176,7 @@ class TestPipelinedBlockEngine:
         assert [stats.index for _, stats in out] == list(range(len(reference)))
 
     @given(seed=st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=10, deadline=None)
+    @examples(10)
     def test_random_blocks_identical_to_serial(self, seed):
         import random
 
@@ -243,7 +244,7 @@ class TestSimulatePipeline:
         workers=st.integers(min_value=1, max_value=8),
         depth=st.integers(min_value=1, max_value=16),
     )
-    @settings(max_examples=60, deadline=None)
+    @examples(60)
     def test_schedule_bounds(self, comp, workers, depth):
         send = [value / 3.0 for value in comp]
         schedule = simulate_pipeline(comp, send, workers=workers, queue_depth=depth)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.data.analysis import (
@@ -13,6 +13,7 @@ from repro.data.analysis import (
     repetition_fraction,
     shannon_entropy,
 )
+from tests.strategies import examples
 
 
 class TestEntropy:
@@ -33,7 +34,7 @@ class TestEntropy:
             assert 0.0 <= shannon_entropy(data) <= 8.0
 
     @given(st.binary(min_size=1, max_size=2000))
-    @settings(max_examples=50)
+    @examples(50)
     def test_entropy_in_range_property(self, data):
         assert 0.0 <= shannon_entropy(data) <= 8.0
 
@@ -61,7 +62,7 @@ class TestRepetition:
             repetition_fraction(b"\x00" * (2**20 + 1))
 
     @given(st.binary(max_size=2000))
-    @settings(max_examples=50)
+    @examples(50)
     def test_fraction_in_range_property(self, data):
         assert 0.0 <= repetition_fraction(data) <= 1.0
 

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.data.pbio import (
@@ -14,6 +14,7 @@ from repro.data.pbio import (
     decode_records,
     encode_records,
 )
+from tests.strategies import examples
 
 POINT = RecordFormat(
     "point",
@@ -174,7 +175,7 @@ class TestBufferLevel:
         max_size=20,
     )
 )
-@settings(max_examples=50)
+@examples(50)
 def test_roundtrip_property(records):
     fmt = RecordFormat(
         "prop",

@@ -7,6 +7,7 @@ autouse fixture in ``tests/conftest.py``, the same way
 ``benchmarks/conftest.py`` pins the benchmark suite).
 """
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.compression.registry import available_codecs, get_codec
@@ -14,6 +15,18 @@ from repro.compression.registry import available_codecs, get_codec
 #: The single ambient seed the whole test suite starts from (mirrors
 #: BENCH_SEED in benchmarks/conftest.py).
 SUITE_SEED = 20040431
+
+#: Examples per property under the ``tier1`` hypothesis profile when a
+#: test asks for no count of its own (hypothesis' default); the profiles
+#: registered in ``tests/conftest.py`` are multiples of it.
+TIER1_EXAMPLES = 100
+
+
+def examples(count: int) -> settings:
+    """Decorator: ``count`` examples under the ``tier1`` profile, and as
+    many times more as the selected profile runs (``nightly``: ten)."""
+    return settings(max_examples=count * settings.default.max_examples // TIER1_EXAMPLES)
+
 
 #: Every registered codec that must satisfy the lossless round-trip
 #: contract ("none" is the identity codec; lossy codecs only bound error).
