@@ -86,9 +86,10 @@ fi
 echo "ok"
 
 # --- Invariant: zero-copy hot paths -------------------------------------------
-# The framing codec, the block cache, and the frame batcher are the wire
-# hot paths: a bytes() materialization there silently reintroduces the
-# per-frame copies the zero-copy work removed.  Every deliberate copy
+# The framing codec, the block cache, the frame batcher, the fabric's
+# delivery loop and the event wire format are the wire hot paths: a
+# bytes() materialization there silently reintroduces the per-frame (or
+# per-delivery) copies the zero-copy work removed.  Every deliberate copy
 # must carry a "copy-ok" annotation (same line or the comment block
 # directly above, within 3 lines) explaining why the copy is owed.
 # to_bytes()/from_bytes()/*_bytes() int-conversion calls are not copies
@@ -103,7 +104,8 @@ stray=$(awk '
         if ($0 ~ /copy-ok/) license = 3
         else if (license > 0) license--
     }
-' src/repro/compression/framing.py src/repro/fabric/cache.py src/repro/fabric/batching.py)
+' src/repro/compression/framing.py src/repro/fabric/cache.py src/repro/fabric/batching.py \
+    src/repro/fabric/broker.py src/repro/middleware/transport.py)
 if [ -n "$stray" ]; then
     echo "FAIL: unannotated bytes() copy on a zero-copy hot path (annotate with # copy-ok: <reason> if the copy is owed):" >&2
     echo "$stray" >&2

@@ -20,14 +20,10 @@ def write_varint(buffer: bytearray, value: int) -> None:
     """Append ``value`` (non-negative) to ``buffer`` as a LEB128 varint."""
     if value < 0:
         raise ValueError("varints encode non-negative integers only")
-    while True:
-        byte = value & 0x7F
+    while value >= 0x80:
+        buffer.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            buffer.append(byte | 0x80)
-        else:
-            buffer.append(byte)
-            return
+    buffer.append(value)
 
 
 def read_varint(data: _Buffer, offset: int) -> Tuple[int, int]:

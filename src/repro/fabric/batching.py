@@ -20,7 +20,17 @@ Buffering is zero-copy: ``add`` retains the caller's frame views (the
 shared per-group wire views the fabric already hands out) and the single
 copy per member happens at flush time, into the jumbo buffer.  The
 retained views pin their backing buffers until the flush — bounded by
-``max_bytes``, which is the memory contract.
+``max_bytes``, which is the memory contract.  Nothing references a frame
+after its flush: the members leave on the :class:`FlushedBatch`, and
+:meth:`FrameBatcher.discard` drops what a cancelled subscriber still held.
+
+State is per subscriber; the flushed buffer need not be.  The subscribers
+of one fabric delivery group are handed the same frame objects, so those
+that joined together flush identical lists at identical moments:
+:meth:`FrameBatcher.flush` takes the group's previous ``FlushedBatch`` and
+returns it, instead of assembling a byte-identical copy, when reason and
+member objects match.  Used alone (no ``peer``) a batcher assembles
+eagerly, as ever.
 
 A batch of one is flushed as the bare member frame (no jumbo envelope):
 receivers must handle both shapes anyway, and a lone frame gains nothing
@@ -30,7 +40,8 @@ from eight bytes of wrapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from operator import is_
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..compression.framing import encode_jumbo_frame
 
@@ -70,6 +81,10 @@ class FlushedBatch:
     frames: int
     member_bytes: int
     reason: str
+    #: The frames ``wire`` was assembled from, which is how a later flush
+    #: recognises a batch it can share.  They live exactly as long as this
+    #: record does; batchers keep no reference to either.
+    members: Sequence[_Buffer] = ()
 
     def fill_ratio(self, config: BatchConfig) -> float:
         """Member bytes over the byte budget — how full the batch ran."""
@@ -101,12 +116,18 @@ class FrameBatcher:
     def pending_bytes(self) -> int:
         return self._bytes
 
-    def add(self, frame: _Buffer, now: Optional[float] = None) -> Optional[FlushedBatch]:
+    def add(
+        self,
+        frame: _Buffer,
+        now: Optional[float] = None,
+        peer: Optional[FlushedBatch] = None,
+    ) -> Optional[FlushedBatch]:
         """Buffer one encoded frame; returns a batch if a threshold tripped.
 
         ``now`` arms (and checks) the linger deadline; passing ``None``
         keeps the batcher clock-free — thresholds and explicit
-        :meth:`flush` are then the only triggers.
+        :meth:`flush` are then the only triggers.  ``peer`` is handed to
+        :meth:`flush`.
         """
         if self._deadline is None and now is not None and not self._frames:
             self._deadline = now + self.config.linger_seconds
@@ -115,31 +136,50 @@ class FrameBatcher:
         self.frames_batched += 1
         self.bytes_batched += len(frame)
         if len(self._frames) >= self.config.max_frames:
-            return self.flush("frames")
+            return self.flush("frames", peer)
         if self._bytes >= self.config.max_bytes:
-            return self.flush("bytes")
+            return self.flush("bytes", peer)
         if now is not None and self._deadline is not None and now >= self._deadline:
-            return self.flush("deadline")
+            return self.flush("deadline", peer)
         return None
 
     def due(self, now: float) -> bool:
         """Whether a deadline flush is owed at ``now`` (idle-tick probe)."""
         return bool(self._frames) and self._deadline is not None and now >= self._deadline
 
-    def flush(self, reason: str = "drain") -> Optional[FlushedBatch]:
-        """Emit everything buffered (or ``None`` when empty)."""
+    def flush(
+        self, reason: str = "drain", peer: Optional[FlushedBatch] = None
+    ) -> Optional[FlushedBatch]:
+        """Emit everything buffered (or ``None`` when empty).
+
+        ``peer`` is a batch another subscriber of the same delivery group
+        just flushed.  When it was flushed for the same reason from the
+        very same frame objects in the same order, its buffer already
+        holds the bytes this flush would assemble, and ``peer`` itself is
+        returned: one copy and one CRC pass per group, not per subscriber.
+        Anything else — a late joiner's shorter list, another
+        configuration's other threshold — assembles its own.
+        """
         if not self._frames:
             return None
-        frames = self._frames
-        member_bytes = self._bytes
-        self._frames = []
-        self._bytes = 0
-        self._deadline = None
-        if len(frames) == 1:
-            wire: _Buffer = frames[0]
-        else:
-            wire = encode_jumbo_frame(frames)
+        frames, member_bytes = self._take()
         self.batches_emitted += 1
-        return FlushedBatch(
-            wire=wire, frames=len(frames), member_bytes=member_bytes, reason=reason
-        )
+        if (
+            peer is not None
+            and peer.reason == reason
+            and len(peer.members) == len(frames)
+            and all(map(is_, peer.members, frames))
+        ):
+            return peer
+        wire = frames[0] if len(frames) == 1 else encode_jumbo_frame(frames)
+        return FlushedBatch(wire, len(frames), member_bytes, reason, frames)
+
+    def discard(self) -> int:
+        """Drop everything buffered unsent (the sink is gone); returns how
+        many frames that was."""
+        return len(self._take()[0])
+
+    def _take(self) -> Tuple[List[_Buffer], int]:
+        frames, member_bytes = self._frames, self._bytes
+        self._frames, self._bytes, self._deadline = [], 0, None
+        return frames, member_bytes

@@ -7,20 +7,23 @@ channel, so per-channel event order is preserved with no per-event
 locking, and shards progress independently — the broker scales with
 shard count, not with connection count.
 
-Per published event, the owning shard snapshots the channel's active
-subscriptions, groups them by ``(method, canonical_params)``, and runs
-the codec **once per group** through the shared
-:class:`~repro.fabric.cache.BlockCache` — every other subscriber in the
-group (and every later group on any channel that resolved to the same
-configuration for the same payload) is served the same immutable bytes.
-Wire-hungry sinks (sockets) additionally share one
-:class:`~repro.middleware.transport.WireFormat` frame per group,
-delivered as a zero-copy :class:`memoryview`.
+A channel's active subscriptions are grouped by
+``(method, canonical_params)`` into its *delivery plan* — built on the
+first publish after the subscription set changed, not per event — and
+per published event the owning shard runs the codec **once per group**
+through the shared :class:`~repro.fabric.cache.BlockCache` — every other
+subscriber in the group (and every later group on any channel that
+resolved to the same configuration for the same payload) is served the
+same immutable bytes.  Wire-hungry sinks (sockets) additionally share
+one :class:`~repro.middleware.transport.WireFormat` frame per group,
+delivered as a zero-copy :class:`memoryview`, and batched sinks of one
+group that flush the very same member frames share one jumbo buffer
+(:meth:`repro.fabric.batching.FrameBatcher.flush`).
 
-Ownership rules for sinks: the event payload and the wire view are
-**shared and immutable** — a sink must never mutate them and must copy
-(``bytes(view)``) before retaining past the callback.  ``sendall`` on a
-socket satisfies both.
+Ownership rules for sinks: the event payload and the wire view (a lone
+frame or a jumbo batch) are **shared and immutable** — a sink must never
+mutate them and must take its own copy before retaining either past the
+callback.  ``sendall`` on a socket satisfies both.
 
 Two execution modes:
 
@@ -40,7 +43,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import OrderedDict
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..compression.base import canonical_params
@@ -54,7 +56,7 @@ from ..obs.catalogue import (
     record_fabric_delivery,
 )
 from ..obs.metrics import MetricsRegistry
-from .batching import BatchConfig, FrameBatcher
+from .batching import BatchConfig, FlushedBatch, FrameBatcher
 from .cache import BlockCache
 from .sharding import shard_index
 
@@ -66,6 +68,12 @@ __all__ = ["EventFabric", "FabricSubscription", "DeliveryCallback"]
 #: ``event`` is ``None`` when a deadline/drain flush fires without a
 #: triggering event — batching sinks must not dereference it.
 DeliveryCallback = Callable[[Optional[Event], Optional[memoryview]], None]
+
+#: One channel's delivery groups in first-subscriber order:
+#: ``(method, the first member's params, members)``.
+_DeliveryPlan = List[
+    Tuple[str, Optional[Mapping[str, object]], List["FabricSubscription"]]
+]
 
 _STOP = object()
 
@@ -129,6 +137,9 @@ class EventFabric:
         )
         self.cache = cache if cache is not None else BlockCache(registry=registry)
         self._subscriptions: Dict[str, List[FabricSubscription]] = {}
+        #: Valid until the channel's next ``subscribe``/``cancel``; a plan
+        #: is replaced, never edited, so an event in flight keeps its own.
+        self._plans: Dict[str, _DeliveryPlan] = {}
         self._batched: List[FabricSubscription] = []
         self._lock = threading.Lock()
         self.events_published = 0
@@ -181,6 +192,10 @@ class EventFabric:
         config's thresholds, on linger deadlines (threads mode), and on
         :meth:`flush`/:meth:`close` drains.  Cancelling a batched
         subscription discards its pending frames (the sink is gone).
+
+        A subscription made while an event is being delivered (from
+        inside a sink) first sees the *next* event.  A closed fabric
+        raises ``RuntimeError``, like :meth:`publish`.
         """
         if batch is not None and not wire:
             raise ValueError("batch requires wire=True (batches coalesce wire frames)")
@@ -189,20 +204,34 @@ class EventFabric:
             self, channel_id, callback, method, params, wire, batcher=batcher
         )
         with self._lock:
+            if self._closed:
+                raise RuntimeError("fabric is closed")
             self._subscriptions.setdefault(channel_id, []).append(subscription)
+            self._plans.pop(channel_id, None)
             if batcher is not None:
                 self._batched.append(subscription)
         return subscription
 
     def _remove(self, subscription: FabricSubscription) -> None:
+        channel_id = subscription.channel_id
         with self._lock:
-            members = self._subscriptions.get(subscription.channel_id)
+            members = self._subscriptions.get(channel_id)
             if members and subscription in members:
                 members.remove(subscription)
                 if not members:
-                    del self._subscriptions[subscription.channel_id]
+                    del self._subscriptions[channel_id]
+            self._plans.pop(channel_id, None)
             if subscription.batcher is not None and subscription in self._batched:
                 self._batched.remove(subscription)
+        if subscription.batcher is not None:
+            # The pending frames pin the group's shared wire buffers.  A
+            # batcher is only ever touched on the shard that owns its
+            # channel, so the discard goes there too (behind any event
+            # that is adding to it right now).
+            try:
+                self.defer(channel_id, subscription.batcher.discard)
+            except RuntimeError:  # closed: no shard loop left to race
+                subscription.batcher.discard()
 
     def subscriber_count(self, channel_id: Optional[str] = None) -> int:
         with self._lock:
@@ -331,52 +360,65 @@ class EventFabric:
         """Drain and stop the shard loops; idempotent."""
         if self._closed:
             return
-        if self.mode == "threads":
-            self.flush(timeout)
+        self.flush(timeout)
+        with self._lock:  # a racing subscribe lands before this or raises
             self._closed = True
+        if self.mode == "threads":
             for q in self._queues:
                 q.put(_STOP)
             for thread in self._threads:
                 thread.join(timeout=timeout)
-        else:
-            self._drain_batches(None)
-            self._closed = True
 
     # -- delivery ----------------------------------------------------------------
 
+    def _delivery_plan(self, channel_id: str) -> _DeliveryPlan:
+        """The channel's delivery groups; the caller holds ``_lock``."""
+        plan = self._plans.get(channel_id)
+        if plan is None:
+            groups: Dict[Tuple[str, Tuple], Tuple] = {}
+            for subscription in self._subscriptions.get(channel_id, ()):
+                if not subscription.active:
+                    continue
+                key = (subscription.method, canonical_params(subscription.params))
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = (subscription.method, subscription.params, [subscription])
+                else:
+                    group[2].append(subscription)
+            plan = list(groups.values())
+            if plan:  # a publish nobody listens to leaves nothing behind
+                self._plans[channel_id] = plan
+        return plan
+
     def _process_event(self, shard: int, channel_id: str, event: Event) -> None:
         with self._lock:
-            members = [
-                s for s in self._subscriptions.get(channel_id, ()) if s.active
-            ]
-        groups: "OrderedDict[Tuple[str, Tuple], List[FabricSubscription]]" = OrderedDict()
-        for subscription in members:
-            key = (subscription.method, canonical_params(subscription.params))
-            groups.setdefault(key, []).append(subscription)
+            plan = self._delivery_plan(channel_id)
         deliveries = 0
         compressions = 0
         now: Optional[float] = None
-        for (method, _), group in groups.items():
-            delivered, hit = self._prepare(event, method, group[0].params)
+        for method, params, group in plan:
+            delivered, hit = self._prepare(event, method, params)
             if method != "none" and not hit:
                 compressions += 1
             wire: Optional[memoryview] = None
+            flushed_peer: Optional[FlushedBatch] = None
             for subscription in group:
+                # Checked per member, per event: a sink may cancel a peer.
                 if not subscription.active:
                     continue
                 if subscription.wire and wire is None:
                     # One frame per group, shared zero-copy by all sinks
-                    # (encode returns an owned bytearray; no bytes copy).
+                    # (encode returns an owned bytearray; no copy).
                     wire = memoryview(WireFormat.encode(delivered)).toreadonly()
                     self.wire_frames_encoded += 1
                 if subscription.batcher is not None:
                     if now is None and self.mode == "threads":
                         now = _loop_now()
-                    flushed = subscription.batcher.add(wire, now)
-                    if flushed is not None and not self._emit_batch(
-                        subscription, delivered, flushed
-                    ):
-                        continue
+                    flushed = subscription.batcher.add(wire, now, flushed_peer)
+                    if flushed is not None:
+                        flushed_peer = flushed
+                        if not self._emit_batch(subscription, delivered, flushed):
+                            continue
                 else:
                     try:
                         subscription.callback(

@@ -22,6 +22,13 @@ routes through a :class:`~repro.core.engine.CodecExecutor`: the cache
 never runs a codec, it only remembers executions, so the one-timing-site
 and expansion-guard invariants keep holding.
 
+The CRC is the one part of a key that costs a pass over the payload, and
+a fan-out looks the same payload *object* up once per (channel, group).
+The cache therefore remembers the digest of the last ``bytes`` object it
+keyed (:meth:`BlockCache._crc32`) — identity is only the shortcut to the
+digest, content stays the key, and mutable buffers are digested on every
+lookup.
+
 Bounds: both an entry count and a byte budget; eviction is strict LRU
 from the cold end, and a block bigger than the byte budget is returned
 uncached rather than evicting the whole cache for one giant payload.
@@ -76,6 +83,7 @@ class BlockCache:
         self._entries: "OrderedDict[CacheKey, BlockStats]" = OrderedDict()
         self._lock = threading.Lock()
         self.bytes_held = 0
+        self._digest: Tuple[Optional[bytes], int] = (None, 0)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -111,10 +119,9 @@ class BlockCache:
         Method ``none`` is never cached: passthrough costs nothing to
         "recompute".
         """
-        label = params_label(params)
         if method == "none":
             return executor.compress(method, payload), False
-        key = self.key_for(payload, method, params)
+        key = (self._crc32(payload), len(payload), method, canonical_params(params))
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -122,7 +129,9 @@ class BlockCache:
                 self.hits += 1
         if cached is not None:
             if self.registry is not None:
-                self.registry.family(CACHE_HITS_TOTAL).inc(method=method, params=label)
+                self.registry.family(CACHE_HITS_TOTAL).inc(
+                    method=method, params=params_label(key[3])
+                )
             return cached, True
         execution = executor.compress(method, payload, codec=codec)
         with self._lock:
@@ -131,15 +140,36 @@ class BlockCache:
             # copy-ok: a cached entry outlives the event; retaining a view
             # here would pin the producer's whole backing buffer in the LRU.
             execution = replace(execution, payload=bytes(execution.payload))
-        self._store(key, execution, method, label)
+        self._store(key, execution)
         if self.registry is not None:
-            self.registry.family(CACHE_MISSES_TOTAL).inc(method=method, params=label)
+            self.registry.family(CACHE_MISSES_TOTAL).inc(
+                method=method, params=params_label(key[3])
+            )
             record_cache_size(self.registry, self.bytes_held, len(self._entries))
         return execution, False
 
+    def _crc32(self, payload: bytes) -> int:
+        """``zlib.crc32(payload)``, remembered for the last ``bytes`` object.
+
+        A fan-out looks the same payload object up once per (channel,
+        group); the digest depends on nothing else.
+        """
+        remembered, crc = self._digest
+        if remembered is payload:
+            return crc
+        crc = zlib.crc32(payload)
+        if type(payload) is bytes:
+            # One tuple, one assignment: a racing shard reads the old pair
+            # or the new one, never a payload with another's digest.  The
+            # reference held here is what keeps ``is`` sound (the id cannot
+            # be reused while the memo lives).  Only ``bytes``: a bytearray
+            # or memoryview can change under the same identity.
+            self._digest = (payload, crc)
+        return crc
+
     # -- bookkeeping -------------------------------------------------------------
 
-    def _store(self, key: CacheKey, block: BlockStats, method: str, label: str) -> None:
+    def _store(self, key: CacheKey, block: BlockStats) -> None:
         size = len(block.payload)
         if size > self.max_bytes:
             return  # one oversized block must not flush the whole cache
@@ -194,3 +224,4 @@ class BlockCache:
         with self._lock:
             self._entries.clear()
             self.bytes_held = 0
+            self._digest = (None, 0)

@@ -8,7 +8,7 @@ the channel machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict
 
 __all__ = ["Event"]
@@ -28,13 +28,13 @@ class Event:
         """Copy with a new payload and optional added attributes."""
         attributes = dict(self.attributes)
         attributes.update(extra_attributes)
-        return replace(self, payload=payload, attributes=attributes)
+        return Event(payload, attributes, self.channel_id, self.sequence, self.timestamp)
 
     def with_attributes(self, **extra_attributes: Any) -> "Event":
         """Copy with added/overridden attributes."""
         attributes = dict(self.attributes)
         attributes.update(extra_attributes)
-        return replace(self, attributes=attributes)
+        return Event(self.payload, attributes, self.channel_id, self.sequence, self.timestamp)
 
     @property
     def size(self) -> int:

@@ -271,9 +271,15 @@ class ChannelServer:
 
             # Subscribe BEFORE acking: the moment the client sees OK it may
             # submit events, and an ack-then-subscribe window would drop them.
-            subscription = self.fabric.subscribe(
-                channel_id, sink, wire=True, batch=self.batch
-            )
+            try:
+                subscription = self.fabric.subscribe(
+                    channel_id, sink, wire=True, batch=self.batch
+                )
+            except RuntimeError:
+                # The fabric closed under this connection (shutdown race):
+                # nothing can ever be delivered, so refuse.
+                _send_frame(connection, b"ERR server closing")
+                return
             _send_frame(connection, b"OK")
             self.connections_served += 1
             if self.registry is not None:
@@ -391,7 +397,7 @@ class RemoteChannel:
         response = frames.next_frame()
         if response is None or response.payload != b"OK":
             sock.close()
-            refusal = None if response is None else response.payload
+            refusal = None if response is None else response.payload_bytes
             raise ConnectionError(
                 f"subscription to {self._channel_id!r} refused: {refusal!r}"
             )

@@ -52,6 +52,10 @@ ATTR_TRANSPORT_SECONDS = "transport.seconds"
 ATTR_WIRE_SIZE = "transport.wire_size"
 ATTR_TRANSPORT_RETRANSMISSIONS = "transport.retransmissions"
 
+#: ``json.dumps(obj, separators=(",", ":"))`` builds this very encoder on
+#: every call; one instance per process writes the same bytes.
+_encode_header = json.JSONEncoder(separators=(",", ":")).encode
+
 
 class WireFormat:
     """Self-describing event encoding used on the wire.
@@ -80,14 +84,13 @@ class WireFormat:
 
     @staticmethod
     def _header(event: Event) -> bytes:
-        return json.dumps(
+        return _encode_header(
             {
                 "channel": event.channel_id,
                 "sequence": event.sequence,
                 "timestamp": event.timestamp,
                 "attributes": event.attributes,
-            },
-            separators=(",", ":"),
+            }
         ).encode()
 
     @staticmethod

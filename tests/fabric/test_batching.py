@@ -117,6 +117,110 @@ class TestFlushShape:
         assert overfull.fill_ratio(config) == 1.0
 
 
+class TestPeerSharing:
+    """``flush(reason, peer)``: one assembly per group of identical flushes."""
+
+    CONFIG = BatchConfig(max_frames=3, max_bytes=1 << 20)
+
+    def fill(self, batcher, frames, peer=None):
+        flushed = None
+        for member in frames:
+            flushed = batcher.add(member, None, peer)
+        return flushed
+
+    def test_same_members_same_reason_returns_the_peer(self):
+        frames = [frame(i) for i in range(3)]
+        first = self.fill(FrameBatcher(self.CONFIG), frames)
+        follower = FrameBatcher(self.CONFIG)
+        shared = self.fill(follower, frames, peer=first)
+        assert shared is first
+        # The follower's own state and counters moved as if it had assembled.
+        assert follower.pending_frames == 0 and follower.pending_bytes == 0
+        assert follower.batches_emitted == 1 and follower.frames_batched == 3
+
+    def test_equal_bytes_in_other_objects_assemble_their_own(self):
+        first = self.fill(FrameBatcher(self.CONFIG), [frame(i) for i in range(3)])
+        own = self.fill(FrameBatcher(self.CONFIG), [frame(i) for i in range(3)], peer=first)
+        assert own is not first
+        assert own.wire is not first.wire
+        assert own.wire == first.wire
+
+    def test_a_late_joiner_assembles_its_own_shorter_batch(self):
+        frames = [frame(i) for i in range(3)]
+        first = self.fill(FrameBatcher(self.CONFIG), frames)
+        late = FrameBatcher(self.CONFIG)
+        late.add(frames[1])
+        late.add(frames[2])
+        own = late.flush("frames", first)
+        assert own is not first
+        assert own.frames == 2
+        members = unpack_jumbo_frame(decode_frame(own.wire)[0])
+        assert [bytes(m.payload_bytes) for m in members] == [
+            decode_frame(f)[0].payload_bytes for f in frames[1:]
+        ]
+
+    def test_another_reason_keeps_its_own_reason(self):
+        frames = [frame(i) for i in range(3)]
+        first = self.fill(FrameBatcher(self.CONFIG), frames)
+        assert first.reason == "frames"
+        other = FrameBatcher(BatchConfig(max_frames=100))
+        for member in frames:
+            other.add(member)
+        for reason in ("drain", "deadline"):
+            other_flush = other.flush(reason, first)
+            assert other_flush is not first
+            assert other_flush.reason == reason
+            assert other_flush.wire == first.wire
+            for member in frames:
+                other.add(member)
+
+    def test_a_shared_batch_of_one_is_still_the_bare_frame(self):
+        lone = frame(7)
+        first = FrameBatcher()
+        first.add(lone)
+        flushed = first.flush()
+        follower = FrameBatcher()
+        follower.add(lone)
+        assert follower.flush("drain", flushed) is flushed
+        assert flushed.wire is lone
+
+    def test_a_lone_batcher_is_eager(self):
+        # No peer: the buffer exists when add() returns (what the wall-clock
+        # bench's staged batching probe times).
+        flushed = self.fill(FrameBatcher(self.CONFIG), [frame(i) for i in range(3)])
+        assert isinstance(flushed.wire, bytearray)
+        assert len(flushed.members) == flushed.frames == 3
+
+    def test_the_batcher_keeps_no_reference_to_flushed_members(self):
+        import weakref
+
+        class Member(bytearray):
+            pass  # bytearray itself takes no weak references
+
+        frames = [Member(frame(i)) for i in range(3)]
+        watch = weakref.ref(frames[0])
+        batcher = FrameBatcher(self.CONFIG)
+        flushed = self.fill(batcher, frames)
+        del frames
+        assert watch() is not None  # the transient record still holds them
+        del flushed
+        assert watch() is None
+
+
+class TestDiscard:
+    def test_discard_drops_everything_and_reports_the_count(self):
+        batcher = FrameBatcher(BatchConfig(max_frames=100, linger_seconds=0.5))
+        for i in range(3):
+            batcher.add(frame(i), now=10.0)
+        assert batcher.discard() == 3
+        assert batcher.pending_frames == 0
+        assert batcher.pending_bytes == 0
+        assert not batcher.due(1e9)  # the deadline went with the frames
+        assert batcher.flush() is None
+        assert batcher.batches_emitted == 0  # discarded, never emitted
+        assert batcher.discard() == 0
+
+
 class TestConfigValidation:
     def test_invalid_thresholds_rejected(self):
         with pytest.raises(ValueError):

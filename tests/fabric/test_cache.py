@@ -177,3 +177,116 @@ def test_cached_block_view_is_one_shared_readonly_memoryview():
     assert first.readonly
     assert first.obj is block.payload
     assert bytes(first) == block.payload
+
+
+class TestDigestMemo:
+    """One CRC pass per ``bytes`` payload object, however many lookups."""
+
+    @pytest.fixture()
+    def digests(self, monkeypatch):
+        """Every ``zlib.crc32`` call made while keying, by argument."""
+        import zlib
+
+        seen = []
+        real = zlib.crc32
+
+        def spy(data, *rest):
+            seen.append(data)
+            return real(data, *rest)
+
+        monkeypatch.setattr(zlib, "crc32", spy)
+        return seen
+
+    def test_repeated_lookups_of_one_object_digest_it_once(self, digests):
+        executor = CountingExecutor()
+        cache = BlockCache()
+        for method in ("huffman", "lempel-ziv", "huffman", "lempel-ziv"):
+            cache.execute(executor, method, PAYLOAD)
+        assert sum(1 for data in digests if data is PAYLOAD) == 1
+        assert (cache.hits, cache.misses) == (2, 2)
+
+    def test_equal_bytes_in_two_objects_hit_one_entry(self, digests):
+        executor = CountingExecutor()
+        cache = BlockCache()
+        twin = bytes(bytearray(PAYLOAD))
+        assert twin is not PAYLOAD
+        first, _ = cache.execute(executor, "huffman", PAYLOAD)
+        second, hit = cache.execute(executor, "huffman", twin)
+        assert hit and second is first
+        assert len(cache) == 1 and executor.runs == 1
+        # Identity is only the shortcut; content is still the key.
+        assert sum(1 for data in digests if data is PAYLOAD or data is twin) == 2
+
+    def test_alternating_objects_are_digested_on_every_switch(self, digests):
+        executor = CountingExecutor()
+        cache = BlockCache()
+        other = PAYLOAD[::-1]
+        for payload in (PAYLOAD, other, PAYLOAD, other):
+            cache.execute(executor, "huffman", payload)
+        assert len(digests) == 4  # one remembered object, not a second cache
+        assert (cache.hits, cache.misses) == (2, 2)
+
+    @pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))])
+    def test_a_mutable_payload_is_never_served_a_stale_block(self, digests, wrap):
+        executor = CountingExecutor()
+        cache = BlockCache()
+        payload = wrap(PAYLOAD)
+        before, _ = cache.execute(executor, "huffman", payload)
+        payload[:4] = b"ZZZZ"  # same object, other content
+        after, hit = cache.execute(executor, "huffman", payload)
+        assert not hit
+        assert after.payload != before.payload
+        assert executor.runs == 2 and len(cache) == 2
+        assert sum(1 for data in digests if data is payload) == 2
+        # ... and the mutated content is what a bytes twin now finds.
+        _, hit = cache.execute(executor, "huffman", bytes(payload))
+        assert hit
+
+    def test_key_for_names_the_entry_execute_stored(self):
+        executor = CountingExecutor()
+        cache = BlockCache()
+        params = {"window": 32768, "level": 6.0}
+        cache.execute(executor, "huffman", PAYLOAD, params)
+        cache.execute(executor, "huffman", PAYLOAD, params)  # memoized digest
+        assert BlockCache.key_for(PAYLOAD, "huffman", {"level": 6, "window": 32768}) in cache
+        assert BlockCache.key_for(PAYLOAD, "huffman") not in cache
+
+    def test_only_exact_bytes_are_remembered_and_clear_forgets(self):
+        class Payload(bytes):
+            pass  # a subclass may override anything: digested every time
+
+        cache = BlockCache()
+        executor = CountingExecutor()
+        cache.execute(executor, "huffman", PAYLOAD)
+        assert cache._digest[0] is PAYLOAD
+        cache.execute(executor, "huffman", Payload(PAYLOAD))
+        assert cache._digest[0] is PAYLOAD  # exact bytes only
+        cache.clear()
+        assert cache._digest[0] is None
+
+
+def test_labels_are_only_rendered_for_a_registry(monkeypatch):
+    # params_label is a metrics concern; a cache without a registry (the
+    # fan-out path) must not pay for it per lookup.
+    import repro.fabric.cache as cache_module
+
+    calls = []
+    real = cache_module.params_label
+    monkeypatch.setattr(
+        cache_module, "params_label", lambda p: calls.append(p) or real(p)
+    )
+    executor = CountingExecutor()
+    bare = BlockCache()
+    bare.execute(executor, "huffman", PAYLOAD, {"level": 6})
+    bare.execute(executor, "huffman", PAYLOAD, {"level": 6})
+    assert calls == []
+
+    from repro.obs.metrics import MetricsRegistry
+
+    registry = MetricsRegistry()
+    observed = BlockCache(registry=registry)
+    observed.execute(executor, "huffman", PAYLOAD, {"level": 6})
+    observed.execute(executor, "huffman", PAYLOAD, {"level": 6.0})
+    assert len(calls) == 2
+    hits = registry.family(cache_module.CACHE_HITS_TOTAL)
+    assert hits.value(method="huffman", params="level=6") == 1

@@ -106,6 +106,26 @@ class TestTcpTransport:
         assert remote.events_received == 0
 
 
+    @pytest.mark.parametrize("mode", ["inline", "threads"])
+    def test_connection_racing_fabric_shutdown_is_refused(self, mode):
+        # A dial that lands after the fabric closed can never be served:
+        # the client must see a refusal, not a connection thread that died
+        # (which reads as a bare EOF).
+        from repro.fabric.broker import EventFabric
+
+        fabric = EventFabric(shards=2, mode=mode)
+        server = ChannelServer(fabric=fabric)
+        try:
+            server.offer(EventChannel("feed"))
+            fabric.close()
+            host, port = server.address
+            with pytest.raises(ConnectionError, match="server closing"):
+                RemoteChannel(host, port, "feed")
+            assert server.connections_served == 0
+        finally:
+            server.close()
+
+
 class TestReconnect:
     def test_reconnect_and_resubscribe_after_connection_cut(self, server):
         channel = EventChannel("feed")
