@@ -6,9 +6,8 @@ block in production, so it must be microseconds-cheap).
 """
 
 from repro.core.decision import DecisionInputs, DecisionThresholds, select_method
-from repro.experiments import figure1_rows, format_table
-
-_METHODS = ["burrows-wheeler", "lempel-ziv", "arithmetic", "huffman"]
+from repro.experiments import figure1_rows
+from repro.experiments.report import figure1_section
 
 
 def test_fig01_select_method_speed(benchmark, record_bench):
@@ -22,9 +21,6 @@ def test_fig01_select_method_speed(benchmark, record_bench):
     decision = benchmark(select_method, inputs, thresholds)
     assert decision.method == "burrows-wheeler"
 
-    rows = [
-        (label, [cells[m] for m in _METHODS]) for label, cells in figure1_rows()
-    ]
-    record_bench("fig01.table_rows", len(rows), unit="rows")
+    record_bench("fig01.table_rows", len(figure1_rows()), unit="rows")
     print()
-    print(format_table(rows, ["characteristic"] + _METHODS))
+    print("\n".join(figure1_section()))

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import List, Optional
 
-from .compression.base import CorruptStreamError
+from .compression.base import ACCEPTABLE_DECODE_ERRORS, CodecError, CorruptStreamError
 from .compression.registry import available_codecs, get_codec
 from .compression.varint import read_canonical_varint, write_varint
 from .data.analysis import profile, recommended_methods
@@ -46,9 +47,12 @@ def _unwrap(data: bytes) -> tuple:
         raise SystemExit("error: input is not a repro envelope")
     try:
         length, offset = read_canonical_varint(data, len(_ENVELOPE_MAGIC))
-    except CorruptStreamError as exc:
+        if offset + length > len(data):
+            raise CorruptStreamError("codec name runs past the end of the file")
+        method = bytes(data[offset : offset + length]).decode()
+        get_codec(method)
+    except (CodecError, UnicodeDecodeError) as exc:
         raise SystemExit(f"error: corrupt envelope ({exc})") from exc
-    method = bytes(data[offset : offset + length]).decode()
     return method, data[offset + length :]
 
 
@@ -77,8 +81,10 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
 def cmd_decompress(args: argparse.Namespace) -> int:
     method, payload = _unwrap(Path(args.input).read_bytes())
-    codec = get_codec(method)
-    data = codec.decompress(payload)
+    try:
+        data = get_codec(method).decompress(payload)
+    except ACCEPTABLE_DECODE_ERRORS as exc:
+        raise SystemExit(f"error: corrupt payload ({exc})") from exc
     default = args.input[:-5] if args.input.endswith(".rprz") else args.input + ".out"
     out_path = Path(args.output or default)
     out_path.write_bytes(data)
@@ -110,6 +116,13 @@ def cmd_methods(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _config(cls, args: argparse.Namespace, **rest):
+    """``cls`` built from the namespace by field: each option's ``dest`` is
+    the config field it sets."""
+    options = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**options, **rest)
+
+
 def _replay_result(args: argparse.Namespace, observers=None, registry=None):
     from .experiments.config import ReplayConfig
     from .experiments.replay import dataset_blocks, run_replay
@@ -119,21 +132,7 @@ def _replay_result(args: argparse.Namespace, observers=None, registry=None):
         from .netsim.faults import FaultPlan
 
         plan = FaultPlan.load(args.faults)
-    config = ReplayConfig(
-        link=args.link,
-        block_count=args.blocks,
-        production_interval=args.interval,
-        trace_offset=args.trace_offset,
-        pipelined=args.pipelined,
-        workers=args.workers,
-        pool_mode=args.pool_mode,
-        fault_plan=plan,
-        policy=args.policy,
-        space_budget=args.space_budget,
-        placement=args.placement,
-        interference=args.interference,
-        downstream_factor=args.downstream_factor,
-    )
+    config = _config(ReplayConfig, args, fault_plan=plan)
     blocks = dataset_blocks(args.dataset, config)
     return run_replay(blocks, config, observers=observers, registry=registry), plan
 
@@ -172,7 +171,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         _write_replay_trace(args.trace, args, result)
         print(f"trace -> {args.trace}")
     print(
-        f"dataset={args.dataset} link={args.link} blocks={args.blocks} "
+        f"dataset={args.dataset} link={args.link} blocks={args.block_count} "
         f"policy={args.policy}"
     )
     for key, value in result.summary().items():
@@ -194,47 +193,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    from .experiments import micro
+    from .experiments.report import FIGURE_SECTIONS
 
-    number = args.number
-    if number == 1:
-        methods = ["burrows-wheeler", "lempel-ziv", "arithmetic", "huffman"]
-        rows = [(label, [cells[m] for m in methods]) for label, cells in micro.figure1_rows()]
-        print(micro.format_table(rows, ["characteristic"] + methods))
-    elif number in (2, 3):
-        results = micro.figure2_ratios()
-        for method, r in results.items():
-            print(
-                f"{method:18s} ratio={r.percent:5.1f}%  "
-                f"comp={r.compress_seconds * 1e3:8.1f}ms  "
-                f"decomp={r.decompress_seconds * 1e3:8.1f}ms"
-            )
-    elif number == 4:
-        speeds = micro.figure4_reducing_speeds()
-        for machine, by_method in speeds.items():
-            print(machine)
-            for method, speed in by_method.items():
-                print(f"  {method:18s} {speed / (1 << 20):6.3f} MB/s removed")
-    elif number == 5:
-        from .experiments.links import figure5_link_speeds
-
-        for name, m in figure5_link_speeds().items():
-            print(f"{name:15s} {m.mean_mb_per_s:9.4f} MB/s  sigma={m.stddev_percent:6.2f}%")
-    elif number == 6:
-        results = micro.figure6_molecular_ratios()
-        for field, by_method in results.items():
-            row = "  ".join(f"{m}={r.percent:5.1f}%" for m, r in by_method.items())
-            print(f"{field:12s} {row}")
-    elif number == 7:
-        from .experiments.replay import figure7_trace_series
-
-        for t, connections in figure7_trace_series(step=5.0):
-            print(f"{t:6.0f}s {connections:5.0f} {'#' * int(connections)}")
-    else:
+    section = FIGURE_SECTIONS.get(args.number)
+    if section is None:
         raise SystemExit(
             "error: figures 1-7 print directly; use `repro replay` for "
             "figures 8-12 (add --series)"
         )
+    print("\n".join(section()))
     return 0
 
 
@@ -258,19 +225,7 @@ def cmd_fanout(args: argparse.Namespace) -> int:
 
     from .fabric.loadgen import FanoutConfig, run_fanout
 
-    config = FanoutConfig(
-        subscribers=args.subscribers,
-        channels=args.channels,
-        events=args.events,
-        event_size=args.event_size,
-        shards=args.shards,
-        zipf_exponent=args.zipf,
-        seed=args.seed,
-        link=args.link,
-        batch=args.batch,
-        batch_frames=args.batch_frames,
-    )
-    result = run_fanout(config)
+    result = run_fanout(_config(FanoutConfig, args))
     if args.json:
         payload = dict(result.summary())
         payload.update(
@@ -433,14 +388,11 @@ def cmd_gate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from .experiments.config import HEADLINE_CONFIG, ReplayConfig
     from .experiments.report import generate_report
-    from dataclasses import replace as dc_replace
 
-    replay = ReplayConfig(
-        block_count=args.blocks, workers=args.workers, pool_mode=args.pool_mode
-    )
-    headline = dc_replace(
+    replay = _config(ReplayConfig, args)
+    headline = replace(
         HEADLINE_CONFIG,
-        block_count=max(16, args.blocks),
+        block_count=max(16, args.block_count),
         workers=args.workers,
         pool_mode=args.pool_mode,
     )
@@ -505,20 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("methods", help="list registered codecs")
     p.set_defaults(func=cmd_methods)
 
-    def add_replay_options(p: argparse.ArgumentParser) -> None:
-        datasets = ["commercial", "molecular", "logs", "timeseries"]
-        p.add_argument("--dataset", choices=datasets, default="commercial")
-        p.add_argument(
-            "--source",
-            dest="dataset",
-            choices=datasets,
-            help="alias for --dataset (structured workloads: logs, timeseries)",
-        )
-        p.add_argument("--link", choices=["1gbit", "100mbit", "1mbit", "international"], default="100mbit")
-        p.add_argument("--blocks", type=int, default=64)
-        p.add_argument("--interval", type=float, default=1.25, help="seconds between blocks (0 = bulk)")
-        p.add_argument("--trace-offset", type=float, default=0.0)
-        p.add_argument("--pipelined", action="store_true")
+    def add_pool_options(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--workers",
             type=int,
@@ -531,6 +470,28 @@ def build_parser() -> argparse.ArgumentParser:
             default="processes",
             help="worker pool strategy when --workers > 1",
         )
+
+    def add_replay_options(p: argparse.ArgumentParser) -> None:
+        datasets = ["commercial", "molecular", "logs", "timeseries"]
+        p.add_argument("--dataset", choices=datasets, default="commercial")
+        p.add_argument(
+            "--source",
+            dest="dataset",
+            choices=datasets,
+            help="alias for --dataset (structured workloads: logs, timeseries)",
+        )
+        p.add_argument("--link", choices=["1gbit", "100mbit", "1mbit", "international"], default="100mbit")
+        p.add_argument("--blocks", dest="block_count", type=int, default=64)
+        p.add_argument(
+            "--interval",
+            dest="production_interval",
+            type=float,
+            default=1.25,
+            help="seconds between blocks (0 = bulk)",
+        )
+        p.add_argument("--trace-offset", type=float, default=0.0)
+        p.add_argument("--pipelined", action="store_true")
+        add_pool_options(p)
         p.add_argument(
             "--policy",
             choices=["table", "bicriteria"],
@@ -643,7 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", type=int, default=32, help="events published per channel")
     p.add_argument("--event-size", type=int, default=8 * 1024, help="payload bytes per event")
     p.add_argument("--shards", type=int, default=4, help="fabric shard count")
-    p.add_argument("--zipf", type=float, default=1.1, help="Zipf skew exponent")
+    p.add_argument(
+        "--zipf", dest="zipf_exponent", type=float, default=1.1, help="Zipf skew exponent"
+    )
     p.add_argument("--seed", type=int, default=2004, help="scenario seed")
     p.add_argument("--link", default="1gbit", help="netsim link profile")
     p.add_argument(
@@ -692,19 +655,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="regenerate the full reproduction report")
     p.add_argument("-o", "--output", help="write markdown to a file instead of stdout")
-    p.add_argument("--blocks", type=int, default=64, help="replay length (blocks)")
     p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="codec pool workers for the replays (output identical at any count)",
+        "--blocks", dest="block_count", type=int, default=64, help="replay length (blocks)"
     )
-    p.add_argument(
-        "--pool-mode",
-        choices=["processes", "threads", "serial"],
-        default="processes",
-        help="worker pool strategy when --workers > 1",
-    )
+    add_pool_options(p)
     p.add_argument("--trace", metavar="PATH", help="write a JSON-lines headline trace to PATH")
     p.set_defaults(func=cmd_report)
 

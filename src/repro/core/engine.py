@@ -189,29 +189,20 @@ class CodecExecutor:
         #: ``none`` stay in-process.
         self.pool = pool
 
-    # -- scaling rules (the 5× duplicated branch, now in one place) --------------
-
-    def _scale_compression_time(self, method: str, size: int, measured: float) -> float:
+    def _seconds(
+        self, direction: str, method: str, size: int, measure_seconds: Callable[[], float]
+    ) -> float:
+        """The scaling rule, both directions: the cost model's
+        ``<direction>_time`` when it knows ``method``, else the measurement
+        (taken only then) scaled to the modeled CPU, else as measured."""
         if self.cost_model is not None:
             try:
-                return self.cost_model.compression_time(method, size, self.cpu)
+                return getattr(self.cost_model, direction + "_time")(method, size, self.cpu)
             except KeyError:
                 if not self.cost_model_fallback:
                     raise
-        if self.cpu is not None:
-            return self.cpu.scale_time(measured)
-        return measured
-
-    def _scale_decompression_time(self, method: str, size: int, measured: float) -> float:
-        if self.cost_model is not None:
-            try:
-                return self.cost_model.decompression_time(method, size, self.cpu)
-            except KeyError:
-                if not self.cost_model_fallback:
-                    raise
-        if self.cpu is not None:
-            return self.cpu.scale_time(measured)
-        return measured
+        measured = measure_seconds()
+        return self.cpu.scale_time(measured) if self.cpu is not None else measured
 
     # -- execution ---------------------------------------------------------------
 
@@ -259,7 +250,7 @@ class CodecExecutor:
         compression shares, whether the bytes were produced in-process or
         shipped back from a pool worker with its measured time.
         """
-        seconds = self._scale_compression_time(method, len(block), measured_seconds)
+        seconds = self._seconds("compression", method, len(block), lambda: measured_seconds)
         verified = False
         if self.verify:
             codec = codec if codec is not None else get_codec(method)
@@ -295,15 +286,12 @@ class CodecExecutor:
         """
         if method == "none":
             return 0.0
-        if self.cost_model is not None:
-            try:
-                return self.cost_model.decompression_time(method, original_size, self.cpu)
-            except KeyError:
-                if not self.cost_model_fallback:
-                    raise
-        codec = codec if codec is not None else get_codec(method)
-        _, measured = measure_decompress(codec, payload)
-        return self.cpu.scale_time(measured) if self.cpu is not None else measured
+
+        def measured() -> float:
+            run = codec if codec is not None else get_codec(method)
+            return measure_decompress(run, payload)[1]
+
+        return self._seconds("decompression", method, original_size, measured)
 
     def measure_roundtrip(
         self, method: str, data: bytes, codec: Optional[Codec] = None
@@ -320,7 +308,7 @@ class CodecExecutor:
         restored, measured = measure_decompress(codec, execution.payload)
         if restored != data:
             raise CodecError(f"codec {method!r} failed to round-trip a block")
-        return execution, self._scale_decompression_time(method, len(data), measured)
+        return execution, self._seconds("decompression", method, len(data), lambda: measured)
 
 
 # -- block discipline ------------------------------------------------------------

@@ -37,19 +37,21 @@ bandwidth estimator sees (§2.5: acceptance speed includes receiver CPU).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..compression.base import ReductionMetrics
-from ..netsim.bandwidth import BandwidthEstimator, EwmaBandwidthEstimator
+from ..netsim.bandwidth import EwmaBandwidthEstimator
 from ..netsim.clock import Clock, VirtualClock
 from ..netsim.cpu import CodecCostModel, CpuModel
 from ..netsim.link import SimulatedLink
 from ..netsim.loadtrace import LoadTrace
 from ..obs.metrics import MetricsRegistry
 from .bicriteria import codec_for
-from .decision import DecisionThresholds
-from .engine import DEFAULT_BLOCK_SIZE, BlockEngine, CodecExecutor, Observer
+from .decision import Decision, DecisionThresholds
+from .engine import DEFAULT_BLOCK_SIZE, BlockEngine, BlockStats, CodecExecutor, Observer
 from .monitor import ReducingSpeedMonitor
 from .policy import AdaptivePolicy, CompressionPolicy
 from .sampler import LzSampler, SampleResult
@@ -77,39 +79,44 @@ METHOD_CODES: Dict[str, int] = {
 class BlockRecord(ReductionMetrics):
     """One row of the replay's timeline: everything observed for one block.
 
-    Built from the block's :class:`~repro.core.engine.BlockStats` and
-    :class:`~repro.core.decision.Decision`, plus what only the link and
-    the clock know.
+    A view over the block's :class:`~repro.core.engine.BlockStats` and
+    :class:`~repro.core.decision.Decision`; it stores only what the link
+    and the clock know, plus the two selector inputs ``Decision`` does
+    not carry.
     """
 
     _seconds_attr = "compression_time"
 
-    index: int
+    stats: BlockStats
+    decision: Decision
     start_time: float
     send_start_time: float
-    method: str
-    original_size: int
-    compressed_size: int
-    compression_time: float
     send_time: float
-    decompression_time: float
     sample_time: float
-    sending_time_estimate: float
+    connections: float
     lz_reducing_speed: float
     sampled_ratio: Optional[float]
-    connections: float
-    #: Canonical codec parameters behind the block (empty = registered
-    #: defaults — everything the table policy ever chooses).
-    params: Tuple[Tuple[str, object], ...] = field(default=())
     #: CRC-32 of the wire payload, so benches can assert byte identity
     #: against a direct run of the chosen codec without storing payloads.
     payload_crc32: int = 0
+
+    index = property(attrgetter("stats.index"))
+    original_size = property(attrgetter("stats.original_size"))
+    compressed_size = property(attrgetter("stats.compressed_size"))
+    compression_time = property(attrgetter("stats.compression_seconds"))
+    decompression_time = property(attrgetter("stats.decompression_seconds"))
+    #: The method the selector asked for (what ``stats.requested_method``
+    #: ran), with its canonical codec parameters (empty = registered
+    #: defaults — everything the table policy ever chooses).
+    method = property(attrgetter("decision.method"))
+    params = property(attrgetter("decision.params"))
+    sending_time_estimate = property(attrgetter("decision.sending_time"))
     #: Where compression ran (:mod:`repro.core.placement`): ``producer``
     #: for every non-placement policy; ``raw``/``consumer`` blocks left
     #: the producer uncompressed (``method`` is then ``none``), and a
     #: ``consumer`` block names the codec a downstream relay applies.
-    placement: str = "producer"
-    relay_method: str = "none"
+    placement = property(attrgetter("decision.placement"))
+    relay_method = property(attrgetter("decision.relay_method"))
 
     @property
     def method_code(self) -> int:
@@ -143,10 +150,6 @@ class StreamResult:
         return sum(r.compression_time for r in self.records)
 
     @property
-    def total_send_time(self) -> float:
-        return sum(r.send_time for r in self.records)
-
-    @property
     def overall_ratio(self) -> float:
         original = self.total_original_bytes
         if original == 0:
@@ -162,16 +165,10 @@ class StreamResult:
         return self.total_compression_time / self.total_time
 
     def method_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            counts[record.method] = counts.get(record.method, 0) + 1
-        return counts
+        return dict(Counter(r.method for r in self.records))
 
     def placement_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            counts[record.placement] = counts.get(record.placement, 0) + 1
-        return counts
+        return dict(Counter(r.placement for r in self.records))
 
     # -- figure series ------------------------------------------------------------
 
@@ -224,10 +221,8 @@ class AdaptivePipeline:
         policy: Optional[CompressionPolicy] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         sampler: Optional[LzSampler] = None,
-        bandwidth_estimator: Optional[BandwidthEstimator] = None,
         cost_model: Optional[CodecCostModel] = None,
         cpu: Optional[CpuModel] = None,
-        monitor_alpha: float = 0.5,
         verify: bool = False,
         observers: Optional[Iterable[Observer]] = None,
         workers: int = 1,
@@ -240,19 +235,12 @@ class AdaptivePipeline:
             raise ValueError("workers must be positive")
         self.policy = policy if policy is not None else AdaptivePolicy(DecisionThresholds())
         self.block_size = block_size
-        self.cost_model = cost_model
         self.cpu = cpu
         self.sampler = (
             sampler
             if sampler is not None
             else LzSampler(cost_model=cost_model, cpu=cpu)
         )
-        self.bandwidth_estimator = (
-            bandwidth_estimator
-            if bandwidth_estimator is not None
-            else EwmaBandwidthEstimator()
-        )
-        self.monitor_alpha = monitor_alpha
         #: Shared with each run's monitor so selector-side metrics
         #: (EWMA gauges, degradation counter, repro_bicriteria_*) are
         #: visible to callers; None keeps them on a private registry.
@@ -318,10 +306,8 @@ class AdaptivePipeline:
             raise ValueError("cpu_load requires a CpuModel on the pipeline")
         block_list = [b for b in blocks if b]
         clock = clock if clock is not None else VirtualClock()
-        monitor = ReducingSpeedMonitor(alpha=self.monitor_alpha, registry=self.registry)
-        estimator = self.bandwidth_estimator
-        if hasattr(estimator, "reset"):
-            estimator.reset()
+        monitor = ReducingSpeedMonitor(registry=self.registry)
+        estimator = EwmaBandwidthEstimator()
 
         records: List[BlockRecord] = []
         sample: Optional[SampleResult] = None
@@ -363,8 +349,7 @@ class AdaptivePipeline:
             if index + 1 < len(block_list):
                 next_sample = self.sampler.sample(block_list[index + 1])
                 sample_time = next_sample.elapsed_seconds
-                saved = max(0, next_sample.sample_size - next_sample.compressed_size)
-                monitor.observe_raw("lempel-ziv", saved, max(sample_time, 1e-9))
+                monitor.observe_raw("lempel-ziv", next_sample.bytes_saved, max(sample_time, 1e-9))
 
             send_start = max(start_time + compression_time, link_free)
             connections = load.connections_at(send_start) if load is not None else 0.0
@@ -386,24 +371,16 @@ class AdaptivePipeline:
 
             records.append(
                 BlockRecord(
-                    index=index,
+                    stats=stats,
+                    decision=decision,
                     start_time=start_time,
                     send_start_time=send_start,
-                    method=method,
-                    original_size=stats.original_size,
-                    compressed_size=stats.compressed_size,
-                    compression_time=compression_time,
                     send_time=send_time,
-                    decompression_time=decompression_time,
                     sample_time=sample_time,
-                    sending_time_estimate=sending_time_estimate,
+                    connections=connections,
                     lz_reducing_speed=lz_speed,
                     sampled_ratio=sample.ratio if sample is not None else None,
-                    connections=connections,
-                    params=params,
                     payload_crc32=zlib.crc32(payload) & 0xFFFFFFFF,
-                    placement=decision.placement,
-                    relay_method=decision.relay_method,
                 )
             )
             sample = next_sample

@@ -57,6 +57,7 @@ __all__ = [
     "PLACEMENTS",
     "PLACEMENT_MODES",
     "PlacementCost",
+    "placement_costs",
     "evaluate_placements",
     "choose_placement",
     "raw_breakeven_seconds",
@@ -125,12 +126,52 @@ def raw_breakeven_seconds(
     return cost / saved_fraction
 
 
+def placement_costs(
+    point: Optional[FrontierPoint],
+    wire_seconds: Mapping[str, float],
+    interference: float = 0.0,
+) -> Dict[str, PlacementCost]:
+    """The placement rows, built once: one per placement in ``wire_seconds``.
+
+    ``wire_seconds`` maps each arrangement that exists (``raw`` always,
+    ``consumer`` only with a relay) to its wire seconds, both hops
+    summed — modeled from ``point.ratio`` by :func:`evaluate_placements`,
+    taken from real compressed sizes by the breakdown experiment.
+    ``point`` supplies the codec, its ratio and its CPU seconds; ``None``
+    or a non-compressing point leaves only ``raw``.
+    """
+    costs = {"raw": PlacementCost("raw", "none", (), 0.0, wire_seconds["raw"], 0.0, 0.0, 1.0)}
+    if point is None or point.method == "none":
+        return costs
+    codec = dict(
+        method=point.method,
+        params=point.params,
+        decompress_seconds=point.decompress_seconds,
+        ratio=point.ratio,
+    )
+    costs["producer"] = PlacementCost(
+        placement="producer",
+        compress_seconds=point.compress_seconds * (1.0 + interference),
+        wire_seconds=wire_seconds["producer"],
+        relay_seconds=0.0,
+        **codec,
+    )
+    if "consumer" in wire_seconds:
+        costs["consumer"] = PlacementCost(
+            placement="consumer",
+            compress_seconds=0.0,
+            wire_seconds=wire_seconds["consumer"],
+            relay_seconds=point.compress_seconds,
+            **codec,
+        )
+    return costs
+
+
 def evaluate_placements(
     point: Optional[FrontierPoint],
     raw_seconds: float,
     downstream_seconds: Optional[float] = None,
     interference: float = 0.0,
-    relay_point: Optional[FrontierPoint] = None,
 ) -> Dict[str, PlacementCost]:
     """Price every placement the available data supports.
 
@@ -142,8 +183,8 @@ def evaluate_placements(
     the same estimate the decision table consumes.
     ``downstream_seconds`` is the raw send time on the relay's slower
     downstream hop; ``None`` means no relay exists and the ``consumer``
-    placement is unavailable.  ``relay_point`` prices the relay's codec
-    run when its CPU differs from the producer's (default: ``point``).
+    placement is unavailable.  The relay runs ``point``'s codec at
+    ``point``'s modeled cost.
     """
     if raw_seconds < 0:
         raise ValueError("raw_seconds must be non-negative")
@@ -152,43 +193,12 @@ def evaluate_placements(
     if interference < 0:
         raise ValueError("interference must be non-negative")
     down = downstream_seconds if downstream_seconds is not None else 0.0
-    costs: Dict[str, PlacementCost] = {
-        "raw": PlacementCost(
-            placement="raw",
-            method="none",
-            params=(),
-            compress_seconds=0.0,
-            wire_seconds=raw_seconds + down,
-            relay_seconds=0.0,
-            decompress_seconds=0.0,
-            ratio=1.0,
-        )
-    }
-    if point is None or point.method == "none":
-        return costs
-    costs["producer"] = PlacementCost(
-        placement="producer",
-        method=point.method,
-        params=point.params,
-        compress_seconds=point.compress_seconds * (1.0 + interference),
-        wire_seconds=(raw_seconds + down) * point.ratio,
-        relay_seconds=0.0,
-        decompress_seconds=point.decompress_seconds,
-        ratio=point.ratio,
-    )
-    if downstream_seconds is not None:
-        relay = relay_point if relay_point is not None else point
-        costs["consumer"] = PlacementCost(
-            placement="consumer",
-            method=relay.method,
-            params=relay.params,
-            compress_seconds=0.0,
-            wire_seconds=raw_seconds + downstream_seconds * relay.ratio,
-            relay_seconds=relay.compress_seconds,
-            decompress_seconds=relay.decompress_seconds,
-            ratio=relay.ratio,
-        )
-    return costs
+    wire = {"raw": raw_seconds + down}
+    if point is not None:
+        wire["producer"] = (raw_seconds + down) * point.ratio
+        if downstream_seconds is not None:
+            wire["consumer"] = raw_seconds + downstream_seconds * point.ratio
+    return placement_costs(point, wire, interference)
 
 
 def choose_placement(costs: Mapping[str, PlacementCost]) -> PlacementCost:

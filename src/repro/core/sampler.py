@@ -19,9 +19,10 @@ reproduced by the pipeline's time accounting, which charges
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
-from ..compression.base import Codec
+from ..compression.base import Codec, ReductionMetrics
 from ..compression.registry import get_codec
 from ..netsim.cpu import CodecCostModel, CpuModel
 from .engine import CodecExecutor
@@ -32,26 +33,14 @@ DEFAULT_SAMPLE_SIZE = 4096
 
 
 @dataclass(frozen=True)
-class SampleResult:
+class SampleResult(ReductionMetrics):
     """Outcome of probing one block's head."""
 
     sample_size: int
     compressed_size: int
     elapsed_seconds: float
 
-    @property
-    def ratio(self) -> float:
-        if self.sample_size == 0:
-            return 1.0
-        return self.compressed_size / self.sample_size
-
-    @property
-    def reducing_speed(self) -> float:
-        """Bytes removed per second during the probe."""
-        saved = max(0, self.sample_size - self.compressed_size)
-        if self.elapsed_seconds <= 0:
-            return float("inf") if saved else 0.0
-        return saved / self.elapsed_seconds
+    original_size = property(attrgetter("sample_size"))
 
 
 class LzSampler:
@@ -68,8 +57,6 @@ class LzSampler:
             raise ValueError("sample_size must be at least 64 bytes")
         self.sample_size = sample_size
         self.codec = codec if codec is not None else get_codec("lempel-ziv")
-        self.cost_model = cost_model
-        self.cpu = cpu
         self.executor = CodecExecutor(cost_model=cost_model, cpu=cpu)
 
     def sample(self, next_block: bytes) -> SampleResult:

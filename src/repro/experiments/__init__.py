@@ -25,10 +25,8 @@ from .micro import (
     commercial_sample,
     figure1_rows,
     figure2_ratios,
-    figure3_times,
     figure4_reducing_speeds,
     figure6_molecular_ratios,
-    format_table,
 )
 from .multilink import MultilinkCell, multilink_matrix
 from .placement import (
@@ -76,13 +74,11 @@ __all__ = [
     "figure11_molecular_replay",
     "figure1_rows",
     "figure2_ratios",
-    "figure3_times",
     "figure4_reducing_speeds",
     "figure5_link_speeds",
     "figure6_molecular_ratios",
     "figure7_trace_series",
     "figure8_commercial_replay",
-    "format_table",
     "generate_report",
     "headline_comparison",
     "molecular_blocks",

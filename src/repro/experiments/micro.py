@@ -22,10 +22,8 @@ __all__ = [
     "commercial_sample",
     "figure1_rows",
     "figure2_ratios",
-    "figure3_times",
     "figure4_reducing_speeds",
     "figure6_molecular_ratios",
-    "format_table",
 ]
 
 #: Presentation order used on the figures' x-axes.
@@ -88,16 +86,6 @@ def figure2_ratios(data: Optional[bytes] = None) -> Dict[str, MicroResult]:
     return {method: _measure_method(method, payload) for method in METHOD_ORDER}
 
 
-def figure3_times(data: Optional[bytes] = None) -> Dict[str, MicroResult]:
-    """Compression/decompression times on commercial data (Figure 3).
-
-    Identical measurement to Figure 2 — the paper presents the same runs'
-    times; callers typically reuse :func:`figure2_ratios`' results, this
-    exists for symmetry and independent invocation.
-    """
-    return figure2_ratios(data)
-
-
 def figure4_reducing_speeds(
     data: Optional[bytes] = None,
     machines: Optional[List[CpuModel]] = None,
@@ -137,17 +125,3 @@ def figure6_molecular_ratios(
         field: {method: _measure_method(method, blob) for method in METHOD_ORDER}
         for field, blob in fields.items()
     }
-
-
-def format_table(rows: List[Tuple[str, List[str]]], header: List[str]) -> str:
-    """Render aligned rows for terminal output."""
-    widths = [len(h) for h in header]
-    rendered = [[label] + values for label, values in rows]
-    for row in rendered:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rendered:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)

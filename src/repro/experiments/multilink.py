@@ -27,7 +27,7 @@ from ..core.pipeline import AdaptivePipeline
 from ..core.policy import AdaptivePolicy, CompressionPolicy, FixedPolicy
 from ..data.commercial import CommercialDataGenerator
 from ..netsim.cpu import DEFAULT_COSTS, SUN_FIRE
-from ..netsim.link import EXTRA_LINKS, PAPER_LINKS, SimulatedLink
+from ..netsim.link import make_link
 from ..netsim.loadtrace import LoadTrace
 from .placement import DEFAULT_INTERFERENCE
 
@@ -75,8 +75,7 @@ def _run(
     policy: Optional[CompressionPolicy],
     pipelined: bool,
 ) -> Tuple[float, Dict[str, int], Dict[str, int]]:
-    spec = PAPER_LINKS.get(link_name) or EXTRA_LINKS[link_name]
-    link = SimulatedLink(spec, seed=5, congestion_per_connection=0.4)
+    link = make_link(link_name, seed=5, congestion_per_connection=0.4)
     load = LoadTrace.from_pairs([(0.0, connections)]) if connections else None
     pipeline = AdaptivePipeline(policy=policy, cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
     result = pipeline.run(list(blocks), link, load=load, pipelined=pipelined)

@@ -24,8 +24,8 @@ on every machine is what lets ``BENCH_baseline.json`` pin the numbers.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence
 
 from ..core.bicriteria import (
     default_candidates,
@@ -33,12 +33,12 @@ from ..core.bicriteria import (
     fastest_compressing_point,
 )
 from ..core.engine import CodecExecutor
-from ..core.placement import PLACEMENTS, PlacementCost, choose_placement
+from ..core.placement import PLACEMENTS, PlacementCost, choose_placement, placement_costs
 from ..core.sampler import LzSampler
 from ..core.workers import DEFAULT_QUEUE_DEPTH, RelaySchedule, simulate_relay_pipeline
 from ..data.commercial import CommercialDataGenerator
 from ..netsim.cpu import DEFAULT_COSTS, SUN_FIRE
-from ..netsim.link import EXTRA_LINKS, PAPER_LINKS, SimulatedLink
+from ..netsim.link import make_link
 
 __all__ = [
     "LINK_CLASSES",
@@ -99,69 +99,6 @@ class PlacementBreakdown:
     def wire_seconds(self) -> float:
         return self.upstream_seconds + self.downstream_seconds
 
-    @property
-    def total_seconds(self) -> float:
-        """The figure's headline number per bar (pipelined end-to-end)."""
-        return self.makespan
-
-
-def _phase_costs(
-    comp_seconds: float,
-    dec_seconds: float,
-    method: str,
-    params: Tuple[Tuple[str, object], ...],
-    ratio: float,
-    up_raw: float,
-    up_compressed: float,
-    down_raw: float,
-    down_compressed: float,
-    interference: float,
-) -> Dict[str, PlacementCost]:
-    """Per-block placement costs from real-size wire times.
-
-    Same shape as :func:`repro.core.placement.evaluate_placements`, but
-    the wire legs are priced from the block's *actual* compressed size
-    rather than the modeled ratio — the experiment has really run the
-    codec, so it uses the real bytes it is about to account.
-    """
-    return {
-        "producer": PlacementCost(
-            placement="producer",
-            method=method,
-            params=params,
-            compress_seconds=comp_seconds * (1.0 + interference),
-            wire_seconds=up_compressed + down_compressed,
-            relay_seconds=0.0,
-            decompress_seconds=dec_seconds,
-            ratio=ratio,
-        ),
-        "raw": PlacementCost(
-            placement="raw",
-            method="none",
-            params=(),
-            compress_seconds=0.0,
-            wire_seconds=up_raw + down_raw,
-            relay_seconds=0.0,
-            decompress_seconds=0.0,
-            ratio=1.0,
-        ),
-        "consumer": PlacementCost(
-            placement="consumer",
-            method=method,
-            params=params,
-            compress_seconds=0.0,
-            wire_seconds=up_raw + down_compressed,
-            relay_seconds=comp_seconds,
-            decompress_seconds=dec_seconds,
-            ratio=ratio,
-        ),
-    }
-
-
-def _split_wire(cost: PlacementCost, up: float) -> Tuple[float, float]:
-    """Split a cost's wire bar back into its (upstream, downstream) legs."""
-    return up, cost.wire_seconds - up
-
 
 def placement_breakdown(
     total_blocks: int = 16,
@@ -187,16 +124,14 @@ def placement_breakdown(
         raise ValueError("interference must be non-negative")
     link_names = tuple(links) if links is not None else LINK_CLASSES
     blocks = list(CommercialDataGenerator(seed=seed).stream(block_size, total_blocks))
-    up_spec = PAPER_LINKS.get(UPSTREAM_LINK) or EXTRA_LINKS[UPSTREAM_LINK]
-    up_link = SimulatedLink(up_spec, seed=5)
+    up_link = make_link(UPSTREAM_LINK, seed=5)
     executor = CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
     sampler = LzSampler(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
     candidates = default_candidates(block_size, native=False)
 
     cells: List[PlacementBreakdown] = []
     for link_name in link_names:
-        spec = PAPER_LINKS.get(link_name) or EXTRA_LINKS[link_name]
-        down_link = SimulatedLink(spec, seed=5)
+        down_link = make_link(link_name, seed=5)
         per_block: List[Dict[str, PlacementCost]] = []
         payloads: List[bytes] = []
         for block in blocks:
@@ -213,26 +148,27 @@ def placement_breakdown(
             point = fastest_compressing_point(points.values())
             execution = executor.compress(point.method, block)
             payloads.append(execution.payload)
-            comp_seconds = execution.compression_seconds
-            dec_seconds = DEFAULT_COSTS.decompression_time(
-                execution.method, len(block), SUN_FIRE
-            ) if execution.method != "none" else 0.0
-            per_block.append(
-                _phase_costs(
-                    comp_seconds=comp_seconds,
-                    dec_seconds=dec_seconds,
-                    method=execution.method,
-                    params=point.params,
-                    ratio=len(execution.payload) / max(len(block), 1),
-                    up_raw=up_link.mean_transfer_time(len(block)),
-                    up_compressed=up_link.mean_transfer_time(len(execution.payload)),
-                    down_raw=down_raw,
-                    down_compressed=down_link.mean_transfer_time(
-                        len(execution.payload)
-                    ),
-                    interference=interference,
-                )
+            # The policy's rows, but with wire legs from the block's *real*
+            # compressed size rather than the modeled ratio: the codec has
+            # really run, so its bytes are what gets accounted.
+            real = replace(
+                point,
+                method=execution.method,
+                ratio=execution.ratio,
+                compress_seconds=execution.compression_seconds,
+                decompress_seconds=executor.decompression_time(
+                    execution.method, len(block), execution.payload
+                ),
             )
+            up_raw = up_link.mean_transfer_time(len(block))
+            up_compressed = up_link.mean_transfer_time(len(execution.payload))
+            down_compressed = down_link.mean_transfer_time(len(execution.payload))
+            wire = {
+                "producer": up_compressed + down_compressed,
+                "raw": up_raw + down_raw,
+                "consumer": up_raw + down_compressed,
+            }
+            per_block.append(placement_costs(real, wire, interference))
         for mode in PLACEMENT_MODES_ORDER:
             chosen: List[PlacementCost] = [
                 choose_placement(costs) if mode == "auto" else costs[mode]
@@ -244,9 +180,7 @@ def placement_breakdown(
                 )
                 for block, payload, cost in zip(blocks, payloads, chosen)
             ]
-            downs = [
-                _split_wire(cost, up)[1] for cost, up in zip(chosen, ups)
-            ]
+            downs = [cost.wire_seconds - up for cost, up in zip(chosen, ups)]
             schedule: RelaySchedule = simulate_relay_pipeline(
                 [c.compress_seconds for c in chosen],
                 ups,

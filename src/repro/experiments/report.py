@@ -3,12 +3,12 @@
 :func:`generate_report` runs all the figure harnesses and renders a
 markdown document with measured-vs-paper rows — what EXPERIMENTS.md
 records statically, regenerated live on the current machine.  Exposed on
-the CLI as ``repro report``.
+the CLI as ``repro report``; ``repro figure N`` prints one section of it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core.pipeline import StreamResult
 from .config import FIG8_CONFIG, ReplayConfig
@@ -29,7 +29,7 @@ from .replay import (
     run_replay,
 )
 
-__all__ = ["generate_report"]
+__all__ = ["FIGURE_SECTIONS", "generate_report"]
 
 _MB = float(1 << 20)
 
@@ -43,20 +43,108 @@ def _table(header: List[str], rows: List[List[str]]) -> List[str]:
     return lines
 
 
+def _section(title: str, header: List[str], rows: List[List[str]]) -> List[str]:
+    return [f"## {title}", ""] + _table(header, rows)
+
+
+def figure1_section() -> List[str]:
+    return _section(
+        "Figure 1 — decision table",
+        ["characteristic"] + METHOD_ORDER,
+        [[label] + [cells[m] for m in METHOD_ORDER] for label, cells in figure1_rows()],
+    )
+
+
+def figure2_3_section() -> List[str]:
+    return _section(
+        "Figures 2-3 — commercial ratios and times",
+        ["method", "measured %", "paper %", "compress ms", "decompress ms"],
+        [
+            [
+                method,
+                f"{result.percent:.1f}",
+                f"{PAPER_FIG2_PERCENT[method]:.0f}",
+                f"{result.compress_seconds * 1e3:.1f}",
+                f"{result.decompress_seconds * 1e3:.1f}",
+            ]
+            for method, result in figure2_ratios().items()
+        ],
+    )
+
+
+def figure4_section() -> List[str]:
+    return _section(
+        "Figure 4 — reducing speeds (MB removed / s)",
+        ["machine"] + METHOD_ORDER,
+        [
+            [machine] + [f"{by_method[m] / _MB:.3f}" for m in METHOD_ORDER]
+            for machine, by_method in figure4_reducing_speeds().items()
+        ],
+    )
+
+
+def figure5_section(**harness: int) -> List[str]:
+    return _section(
+        "Figure 5 — link speeds",
+        ["link", "measured MB/s", "paper MB/s", "measured σ%", "paper σ%"],
+        [
+            [
+                name,
+                f"{measurement.mean_mb_per_s:.4f}",
+                f"{PAPER_FIG5[name][0]:.4f}",
+                f"{measurement.stddev_percent:.2f}",
+                f"{PAPER_FIG5[name][1]:.2f}",
+            ]
+            for name, measurement in figure5_link_speeds(**harness).items()
+        ],
+    )
+
+
+def figure6_section() -> List[str]:
+    return _section(
+        "Figure 6 — molecular fields (compressed %)",
+        ["field"] + METHOD_ORDER,
+        [
+            [field] + [f"{by_method[m].percent:.1f}" for m in METHOD_ORDER]
+            for field, by_method in figure6_molecular_ratios().items()
+        ],
+    )
+
+
+def figure7_section() -> List[str]:
+    return _section(
+        "Figure 7 — MBone trace",
+        ["t (s)", "connections"],
+        [[f"{t:.0f}", f"{c:.0f}"] for t, c in figure7_trace_series(step=10.0)],
+    )
+
+
+#: Figure number -> the one function that renders it: ``repro figure N``
+#: prints it, :func:`generate_report` concatenates them (Figures 2 and 3
+#: share a table).
+FIGURE_SECTIONS: Dict[int, Callable[..., List[str]]] = {
+    1: figure1_section,
+    2: figure2_3_section,
+    3: figure2_3_section,
+    4: figure4_section,
+    5: figure5_section,
+    6: figure6_section,
+    7: figure7_section,
+}
+
+
 def _replay_section(title: str, result: StreamResult) -> List[str]:
-    counts = result.method_counts()
-    lines = [f"## {title}", ""]
-    lines += _table(
+    return _section(
+        title,
         ["metric", "value"],
         [
             ["blocks", str(len(result.records))],
             ["overall ratio", f"{result.overall_ratio:.3f}"],
             ["total time (s)", f"{result.total_time:.2f}"],
             ["compression time fraction", f"{result.compression_time_fraction:.3f}"],
-            ["method counts", str(counts)],
+            ["method counts", str(result.method_counts())],
         ],
     )
-    return lines
 
 
 def generate_report(
@@ -70,75 +158,9 @@ def generate_report(
         "",
         "Regenerated live by `repro report`; compare against EXPERIMENTS.md.",
         "",
-        "## Figure 1 — decision table",
-        "",
     ]
-    lines += _table(
-        ["characteristic"] + METHOD_ORDER,
-        [
-            [label] + [cells[m] for m in METHOD_ORDER]
-            for label, cells in figure1_rows()
-        ],
-    )
-
-    lines += ["## Figures 2-3 — commercial ratios and times", ""]
-    micro = figure2_ratios()
-    lines += _table(
-        ["method", "measured %", "paper %", "compress ms", "decompress ms"],
-        [
-            [
-                method,
-                f"{result.percent:.1f}",
-                f"{PAPER_FIG2_PERCENT[method]:.0f}",
-                f"{result.compress_seconds * 1e3:.1f}",
-                f"{result.decompress_seconds * 1e3:.1f}",
-            ]
-            for method, result in micro.items()
-        ],
-    )
-
-    lines += ["## Figure 4 — reducing speeds (MB removed / s)", ""]
-    speeds = figure4_reducing_speeds()
-    lines += _table(
-        ["machine"] + METHOD_ORDER,
-        [
-            [machine] + [f"{by_method[m] / _MB:.3f}" for m in METHOD_ORDER]
-            for machine, by_method in speeds.items()
-        ],
-    )
-
-    lines += ["## Figure 5 — link speeds", ""]
-    measured_links = figure5_link_speeds(transfers=link_transfers)
-    lines += _table(
-        ["link", "measured MB/s", "paper MB/s", "measured σ%", "paper σ%"],
-        [
-            [
-                name,
-                f"{measurement.mean_mb_per_s:.4f}",
-                f"{PAPER_FIG5[name][0]:.4f}",
-                f"{measurement.stddev_percent:.2f}",
-                f"{PAPER_FIG5[name][1]:.2f}",
-            ]
-            for name, measurement in measured_links.items()
-        ],
-    )
-
-    lines += ["## Figure 6 — molecular fields (compressed %)", ""]
-    molecular = figure6_molecular_ratios()
-    lines += _table(
-        ["field"] + METHOD_ORDER,
-        [
-            [field] + [f"{by_method[m].percent:.1f}" for m in METHOD_ORDER]
-            for field, by_method in molecular.items()
-        ],
-    )
-
-    lines += ["## Figure 7 — MBone trace", ""]
-    series = figure7_trace_series(step=10.0)
-    lines += _table(
-        ["t (s)", "connections"],
-        [[f"{t:.0f}", f"{c:.0f}"] for t, c in series],
-    )
+    lines += figure1_section() + figure2_3_section() + figure4_section()
+    lines += figure5_section(transfers=link_transfers) + figure6_section() + figure7_section()
 
     config = replay_config if replay_config is not None else FIG8_CONFIG
     lines += _replay_section(
@@ -148,9 +170,8 @@ def generate_report(
         "Figures 11-12 — molecular replay", run_replay(molecular_blocks(config), config)
     )
 
-    lines += ["## Headline — bulk transfer (§5)", ""]
-    rows = headline_comparison(headline_config, baselines=["none"])
-    lines += _table(
+    lines += _section(
+        "Headline — bulk transfer (§5)",
         ["dataset", "policy", "total s", "comp fraction", "ratio"],
         [
             [
@@ -160,7 +181,7 @@ def generate_report(
                 f"{row.compression_fraction:.2f}",
                 f"{row.overall_ratio:.2f}",
             ]
-            for row in rows
+            for row in headline_comparison(headline_config, baselines=["none"])
         ],
     )
     lines += [

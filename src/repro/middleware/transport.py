@@ -240,18 +240,23 @@ class TransportBridge:
             seconds += self.retry.backoff(attempt)
             self.stats.retries += 1
             attempt += 1
+        self._account(received, mirror, len(wire), seconds)
+
+    def _account(
+        self, received: Event, mirror: EventChannel, wire_size: int, seconds: float, **stamps
+    ) -> None:
+        """The tail of every delivery: charge the clock, count the event,
+        stamp what the transport observed, hand it to the mirror."""
         if self.advance_clock:
             self.clock.advance(seconds)
         self.stats.events += 1
-        self.stats.wire_bytes += len(wire)
+        self.stats.wire_bytes += wire_size
         self.stats.transfer_seconds += seconds
-        self.stats.per_channel_events[event.channel_id] = (
-            self.stats.per_channel_events.get(event.channel_id, 0) + 1
+        self.stats.per_channel_events[received.channel_id] = (
+            self.stats.per_channel_events.get(received.channel_id, 0) + 1
         )
-        received = received.with_attributes(
-            **{ATTR_TRANSPORT_SECONDS: seconds, ATTR_WIRE_SIZE: len(wire)}
-        )
-        mirror.submit_stamped(received)
+        stamps = {ATTR_TRANSPORT_SECONDS: seconds, ATTR_WIRE_SIZE: wire_size, **stamps}
+        mirror.submit_stamped(received.with_attributes(**stamps))
 
 
 class RudpBridge(TransportBridge):
@@ -282,19 +287,10 @@ class RudpBridge(TransportBridge):
             self.load.connections_at(self.clock.now()) if self.load is not None else 0.0
         )
         report = self.transport.transfer(len(wire), connections)
-        if self.advance_clock:
-            self.clock.advance(report.elapsed)
-        self.stats.events += 1
-        self.stats.wire_bytes += len(wire)
-        self.stats.transfer_seconds += report.elapsed
-        self.stats.per_channel_events[event.channel_id] = (
-            self.stats.per_channel_events.get(event.channel_id, 0) + 1
+        self._account(
+            WireFormat.decode(wire),
+            mirror,
+            len(wire),
+            report.elapsed,
+            **{ATTR_TRANSPORT_RETRANSMISSIONS: report.retransmissions},
         )
-        received = WireFormat.decode(wire).with_attributes(
-            **{
-                ATTR_TRANSPORT_SECONDS: report.elapsed,
-                ATTR_WIRE_SIZE: len(wire),
-                ATTR_TRANSPORT_RETRANSMISSIONS: report.retransmissions,
-            }
-        )
-        mirror.submit_stamped(received)

@@ -2,11 +2,7 @@
 classes (Figure 5), CPU models with calibrated codec costs (Figure 4),
 MBone load traces (Figure 7), and end-to-end bandwidth estimators."""
 
-from .bandwidth import (
-    BandwidthEstimator,
-    EwmaBandwidthEstimator,
-    WindowedBandwidthEstimator,
-)
+from .bandwidth import EwmaBandwidthEstimator
 from .clock import Clock, VirtualClock, WallClock
 from .faults import (
     FAULT_KINDS,
@@ -39,7 +35,6 @@ from .loadtrace import LoadTrace, mbone_trace
 from .rudp import PacketLink, RateControlledTransport, TransferReport
 
 __all__ = [
-    "BandwidthEstimator",
     "Clock",
     "CodecCost",
     "CodecCostModel",
@@ -67,7 +62,6 @@ __all__ = [
     "ULTRA_SPARC",
     "VirtualClock",
     "WallClock",
-    "WindowedBandwidthEstimator",
     "calibrate",
     "make_link",
     "mbone_trace",

@@ -6,35 +6,16 @@ and receiver speed.  These end-to-end measurements are more relevant than
 knowledge of actual network bandwidth, since decompression requires the
 use of receivers' CPU cycles." (§2.5)
 
-Two estimators are provided: an exponentially weighted moving average (the
-default — cheap and reactive) and a sliding-window mean (smoother, used in
-the threshold-sensitivity ablation).  Both consume raw observations of
-``(bytes delivered, seconds elapsed)`` and expose bytes/second.
+The estimator is an exponentially weighted moving average — cheap and
+reactive.  It consumes raw observations of ``(bytes delivered, seconds
+elapsed)`` and exposes bytes/second.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional, Protocol, Tuple
+from typing import Optional
 
-__all__ = [
-    "BandwidthEstimator",
-    "EwmaBandwidthEstimator",
-    "WindowedBandwidthEstimator",
-]
-
-
-class BandwidthEstimator(Protocol):
-    """Interface the adaptive pipeline consumes."""
-
-    def observe(self, size: int, seconds: float) -> None:
-        """Record one end-to-end delivery."""
-        ...
-
-    @property
-    def estimate(self) -> Optional[float]:
-        """Current bytes/second estimate, or None before any observation."""
-        ...
+__all__ = ["EwmaBandwidthEstimator"]
 
 
 class EwmaBandwidthEstimator:
@@ -66,35 +47,3 @@ class EwmaBandwidthEstimator:
     def reset(self) -> None:
         self._estimate = None
         self.observations = 0
-
-
-class WindowedBandwidthEstimator:
-    """Mean throughput over the last ``window`` deliveries."""
-
-    def __init__(self, window: int = 8) -> None:
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        self.window = window
-        self._samples: Deque[Tuple[int, float]] = deque(maxlen=window)
-
-    def observe(self, size: int, seconds: float) -> None:
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        if seconds <= 0:
-            raise ValueError("seconds must be positive")
-        self._samples.append((size, seconds))
-
-    @property
-    def estimate(self) -> Optional[float]:
-        if not self._samples:
-            return None
-        total_bytes = sum(size for size, _ in self._samples)
-        total_seconds = sum(seconds for _, seconds in self._samples)
-        return total_bytes / total_seconds
-
-    @property
-    def observations(self) -> int:
-        return len(self._samples)
-
-    def reset(self) -> None:
-        self._samples.clear()

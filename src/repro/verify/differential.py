@@ -13,7 +13,8 @@ compressor choice must be *verified*, not assumed:
   construction and decode tables, the Huffman and Lempel-Ziv decode
   kernel, the Lempel-Ziv match finder and field packer, mtf/rle/bwt)
   must be byte-identical to the classic scalar formulations kept in
-  :mod:`repro.verify.references`.
+  :mod:`repro.verify.references`: one ``(subject, kernel, oracle,
+  prepare)`` row of :data:`_ROWS` each, all run by :func:`_compare`.
 * **Serial vs parallel.**  A :class:`ParallelCodec` must emit identical
   container bytes under every pool strategy — the strategy is an
   execution detail, never a wire-format input.
@@ -28,10 +29,12 @@ from __future__ import annotations
 import bz2
 import lzma
 import zlib
+from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..compression import native as _native
 from ..compression.base import ACCEPTABLE_DECODE_ERRORS
@@ -79,7 +82,6 @@ __all__ = [
     "diff_wire_counterpart",
     "diff_scalar_vectorized",
     "diff_serial_parallel",
-    "diff_structured_primitives",
 ]
 
 
@@ -152,46 +154,30 @@ def diff_wire_counterpart(name: str, case: str, data: bytes) -> List[Differentia
     codec = get_codec(name)
     ours = measure_callable(name, codec.compress, data)
     theirs = measure_callable(reference.label, reference.compress, data)
-    results = []
     assert ours.payload is not None and theirs.payload is not None
-    try:
-        cross = reference.decompress(ours.payload)
-        ok, detail = cross == data, "" if cross == data else (
-            f"{reference.label} decoded our bytes to {len(cross)} bytes, "
-            f"want {len(data)}"
+    results = []
+    for direction, reader, decode, writer, encoded in (
+        (f"ours->{reference.label}", reference.label, reference.decompress, "our", ours.payload),
+        (f"{reference.label}->ours", "we", codec.decompress, reference.label, theirs.payload),
+    ):
+        try:
+            decoded = decode(encoded)
+            ok, detail = decoded == data, "" if decoded == data else (
+                f"{reader} decoded {writer} bytes to {len(decoded)} bytes, want {len(data)}"
+            )
+        except Exception as exc:  # noqa: BLE001
+            ok, detail = False, f"{reader} rejected {writer} bytes: {exc!r}"
+        results.append(
+            DifferentialResult(
+                kind="wire-counterpart",
+                subject=name,
+                case=f"{case}:{direction}",
+                passed=ok,
+                detail=detail,
+                subject_seconds=ours.elapsed_seconds,
+                reference_seconds=theirs.elapsed_seconds,
+            )
         )
-    except Exception as exc:  # noqa: BLE001
-        ok, detail = False, f"{reference.label} rejected our bytes: {exc!r}"
-    results.append(
-        DifferentialResult(
-            kind="wire-counterpart",
-            subject=name,
-            case=f"{case}:ours->{reference.label}",
-            passed=ok,
-            detail=detail,
-            subject_seconds=ours.elapsed_seconds,
-            reference_seconds=theirs.elapsed_seconds,
-        )
-    )
-    try:
-        back = codec.decompress(theirs.payload)
-        ok, detail = back == data, "" if back == data else (
-            f"we decoded {reference.label} bytes to {len(back)} bytes, "
-            f"want {len(data)}"
-        )
-    except Exception as exc:  # noqa: BLE001
-        ok, detail = False, f"we rejected {reference.label} bytes: {exc!r}"
-    results.append(
-        DifferentialResult(
-            kind="wire-counterpart",
-            subject=name,
-            case=f"{case}:{reference.label}->ours",
-            passed=ok,
-            detail=detail,
-            subject_seconds=ours.elapsed_seconds,
-            reference_seconds=theirs.elapsed_seconds,
-        )
-    )
     return results
 
 
@@ -211,51 +197,13 @@ def _frequency_vectors(data: bytes) -> List[List[int]]:
     return [frequencies, skewed]
 
 
-def _huffman_codes(lengths_of: Callable, codes_of: Callable) -> Callable:
-    """``data -> [(lengths, codes), ...]`` over :func:`_frequency_vectors`."""
-
-    def build(data: bytes) -> List[Tuple[List[int], List[int]]]:
-        profiles = [lengths_of(vector) for vector in _frequency_vectors(data)]
-        return [(lengths, codes_of(lengths)) for lengths in profiles]
-
-    return build
-
-
-def _huffman_tables(tables_of: Callable) -> Callable:
-    """``data -> [(dtype, bytes), ...]``: both decode tables of every code
-    :func:`_huffman_codes` builds, in a form ``==`` compares exactly."""
-
-    def build(data: bytes) -> List[Tuple[str, bytes]]:
-        return [
-            (table.dtype.str, table.tobytes())
-            for vector in _frequency_vectors(data)
-            for table in tables_of(tuple(huffman_code_lengths(vector)))
-        ]
-
-    return build
-
-
-_SCALAR_PAIRS: Tuple[Tuple[str, Callable, Callable], ...] = (
-    # Code construction: two-queue merge + per-length code assignment
-    # against the heap of symbol lists and the sorted walk, then the
-    # np.repeat table layout against one slice-assign per codeword.
-    (
-        "huffman-lengths",
-        _huffman_codes(huffman_code_lengths, lambda lengths: HuffmanCode(lengths).codes),
-        _huffman_codes(reference_huffman_code_lengths, reference_canonical_codes),
-    ),
-    (
-        "huffman-decode-tables",
-        _huffman_tables(_decode_tables.__wrapped__),
-        _huffman_tables(reference_decode_tables),
-    ),
-    ("mtf-encode", mtf_encode, reference_mtf_encode),
-    ("rle-encode", rle_encode, reference_rle_encode),
-    # The array match finder token for token, then parse + field packer
-    # byte for byte against hash chains and one BitWriter call per field.
-    ("lz77-tokenize", tokenize, reference_lz77_tokenize),
-    ("lz77-encode", Lz77Codec().compress, reference_lz77_encode),
-)
+def _exact_tables(tables_of: Callable, profiles: List[Tuple[int, ...]]) -> List[Tuple[str, bytes]]:
+    """Both decode tables of every length profile, in a form ``==`` compares exactly."""
+    return [
+        (table.dtype.str, table.tobytes())
+        for lengths in profiles
+        for table in tables_of(lengths)
+    ]
 
 
 def _outcome(decode: Callable, *args: object) -> Tuple[str, object]:
@@ -267,184 +215,179 @@ def _outcome(decode: Callable, *args: object) -> Tuple[str, object]:
         return "raised", type(exc)
 
 
-def _diff_decode_kernel(case: str, data: bytes) -> List[DifferentialResult]:
-    """The Huffman / Lempel-Ziv decode kernel vs the per-symbol loops.
-
-    Huffman is compared from the true start and from a guessed,
-    unaligned one (the self-synchronizing decode of §2.4): same symbols
-    and same end bit, or the same refusal.
-    """
+def _huffman_stream(start_bit: int, divisor: int, data: bytes) -> Optional[tuple]:
+    """``(code, its encoded stream, start_bit, len(data) // divisor)`` —
+    ``reference_huffman_decode``'s arguments; decoders get no empty input."""
+    if not data:
+        return None
     frequencies = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
     code = HuffmanCode.from_frequencies(frequencies.tolist())
     stream = _bitstring_to_bytes(code.encode_bitstring(data))
-    lz = get_codec("lempel-ziv")
+    return code, stream, start_bit, len(data) // divisor
 
-    def huffman_pair(start_bit: int, count: int) -> Tuple[Callable, Callable]:
-        return (
-            lambda bits: _outcome(code.decode_symbols, bits, start_bit, count),
-            lambda bits: _outcome(reference_huffman_decode, code, bits, start_bit, count),
+
+def _column(width: int, data: bytes) -> Optional[List[int]]:
+    """The 8-byte fields of ``data`` as a uint64 column (the view the
+    columnar codec takes), masked to ``width`` bits, as Python ints; rows
+    over it skip a buffer shorter than two fields."""
+    usable = len(data) - len(data) % 8
+    if usable < 16:
+        return None
+    column = np.frombuffer(data[:usable], dtype="<u8")
+    return (column & np.uint64((1 << width) - 1)).tolist()
+
+
+def _pack_round_trip(pack: Callable, unpack: Callable, width: int, values: List[int]) -> tuple:
+    """``(packed bytes, the values unpacked from those bytes)``."""
+    packed = pack(values, width)
+    return packed, np.asarray(unpack(packed, len(values), width), dtype=np.uint64).tolist()
+
+
+def _same(value: object) -> object:
+    return value
+
+
+class _Row(NamedTuple):
+    """One scalar-vs-kernel comparison — a line of :data:`_ROWS`.
+
+    ``prepare`` turns a corpus buffer into the one input both sides get
+    (``None``: the row does not apply to that buffer).  ``kernel`` is the
+    production array formulation, ``oracle`` the scalar one built on
+    :mod:`repro.verify.references`; their outputs must be ``==``.  A row
+    for an inverse transform runs the round trip on both sides and names
+    in ``restored`` the part of the output that must also equal the
+    input: the known answer two equally wrong inverses cannot agree on.
+    """
+
+    subject: str
+    kernel: Callable
+    oracle: Callable
+    prepare: Callable = _same
+    restored: Optional[Callable] = None
+
+
+_LZ77 = Lz77Codec()
+
+#: Bit widths the bitpack rows sweep: the packer's byte-aligned sweet
+#: spots, the odd widths that straddle byte boundaries, and the
+#: degenerate 1/64 extremes.
+_BITPACK_WIDTHS = (1, 7, 12, 24, 33, 64)
+
+_ROWS: Tuple[_Row, ...] = (
+    # The shared decode kernel against the per-symbol loops.  Huffman from
+    # the true start and from a guessed, unaligned one (the
+    # self-synchronizing decode of §2.4): same symbols and same end bit,
+    # or the same refusal.
+    *(
+        _Row(
+            subject,
+            lambda job: _outcome(job[0].decode_symbols, *job[1:]),
+            lambda job: _outcome(reference_huffman_decode, *job),
+            partial(_huffman_stream, start_bit, divisor),
         )
+        for subject, start_bit, divisor in (
+            ("huffman-decode", 0, 1),
+            ("huffman-decode-resync", 13, 2),
+        )
+    ),
+    _Row(
+        "lz77-decode",
+        partial(_outcome, _LZ77.decompress),
+        partial(_outcome, reference_lz77_decode),
+        lambda data: _LZ77.compress(data) if data else None,
+    ),
+    # Code construction, on the case's byte frequencies and a skew of them:
+    # two-queue merge + per-length code assignment against the heap of
+    # symbol lists and the sorted walk, then the np.repeat table layout
+    # against one slice-assign per codeword.
+    _Row(
+        "huffman-lengths",
+        lambda vectors: [(ls, HuffmanCode(ls).codes) for ls in map(huffman_code_lengths, vectors)],
+        lambda vectors: [
+            (ls, reference_canonical_codes(ls))
+            for ls in map(reference_huffman_code_lengths, vectors)
+        ],
+        _frequency_vectors,
+    ),
+    _Row(
+        "huffman-decode-tables",
+        partial(_exact_tables, _decode_tables.__wrapped__),
+        partial(_exact_tables, reference_decode_tables),
+        lambda data: [tuple(huffman_code_lengths(v)) for v in _frequency_vectors(data)],
+    ),
+    _Row("mtf-encode", mtf_encode, reference_mtf_encode),
+    _Row("rle-encode", rle_encode, reference_rle_encode),
+    # The array match finder token for token, then parse + field packer
+    # byte for byte against hash chains and one BitWriter call per field.
+    _Row("lz77-tokenize", tokenize, reference_lz77_tokenize),
+    _Row("lz77-encode", _LZ77.compress, reference_lz77_encode),
+    # Decoders run on the (already cross-checked) encoded form.
+    _Row("mtf-decode", mtf_decode, reference_mtf_decode, mtf_encode),
+    _Row("rle-decode", rle_decode, reference_rle_decode, rle_encode),
+    # The scalar suffix sort is O(n² log n): cap the input.
+    _Row("bwt-transform", bwt_transform, reference_bwt_transform, lambda data: data[:2048]),
+    _Row(
+        "bwt-inverse",
+        lambda sample: bwt_inverse(*bwt_transform(sample)),
+        lambda sample: reference_bwt_inverse(*reference_bwt_transform(sample)),
+        lambda data: data[:2048],
+        restored=_same,
+    ),
+    # The structured codecs' column primitives, bit for bit.
+    _Row(
+        "delta-zigzag",
+        lambda values: delta_zigzag(values).tolist(),
+        reference_delta_zigzag,
+        partial(_column, 64),
+    ),
+    _Row(
+        "undelta-zigzag",
+        lambda values: undelta_zigzag(values[0], delta_zigzag(values)).tolist(),
+        lambda values: reference_undelta_zigzag(values[0], reference_delta_zigzag(values)),
+        partial(_column, 64),
+        restored=_same,
+    ),
+    *(
+        _Row(
+            f"bitpack-{width}",
+            partial(_pack_round_trip, bitpack, bitunpack, width),
+            partial(_pack_round_trip, reference_bitpack, reference_bitunpack, width),
+            partial(_column, width),
+            restored=itemgetter(1),
+        )
+        for width in _BITPACK_WIDTHS
+    ),
+)
 
-    rows = (
-        ("huffman-decode", stream, *huffman_pair(0, len(data))),
-        ("huffman-decode-resync", stream, *huffman_pair(13, len(data) // 2)),
-        (
-            "lz77-decode",
-            lz.compress(data),
-            lambda payload: _outcome(lz.decompress, payload),
-            lambda payload: _outcome(reference_lz77_decode, payload),
-        ),
+
+def _compare(row: _Row, case: str, data: bytes) -> Optional[DifferentialResult]:
+    """Run one row on one corpus buffer, both sides under the timer."""
+    prepared = row.prepare(data)
+    if prepared is None:
+        return None
+    fast = measure_callable(f"{row.subject}:numpy", row.kernel, prepared)
+    slow = measure_callable(f"{row.subject}:scalar", row.oracle, prepared)
+    detail = ""
+    if fast.payload != slow.payload:
+        detail = "kernel output diverged from the scalar oracle"
+    elif row.restored is not None and row.restored(slow.payload) != prepared:
+        detail = "kernel and oracle agree but do not restore the input"
+    return DifferentialResult(
+        kind="scalar-vectorized",
+        subject=row.subject,
+        case=case,
+        passed=not detail,
+        detail=detail,
+        subject_seconds=fast.elapsed_seconds,
+        reference_seconds=slow.elapsed_seconds,
     )
-    results = []
-    for label, encoded, kernel, scalar in rows:
-        fast = measure_callable(f"{label}:numpy", kernel, encoded)
-        slow = measure_callable(f"{label}:scalar", scalar, encoded)
-        ok = fast.payload == slow.payload
-        results.append(
-            DifferentialResult(
-                kind="scalar-vectorized", subject=label, case=case, passed=ok,
-                detail="" if ok else "decode kernel diverged from the per-symbol loop",
-                subject_seconds=fast.elapsed_seconds,
-                reference_seconds=slow.elapsed_seconds,
-            )
-        )
-    return results
 
 
 def diff_scalar_vectorized(case: str, data: bytes) -> List[DifferentialResult]:
-    """The vectorized decode-kernel/lz77/mtf/rle/bwt paths vs the scalar textbook loops."""
-    results = _diff_decode_kernel(case, data) if data else []
-    for label, vectorized, scalar in _SCALAR_PAIRS:
-        fast = measure_callable(f"{label}:numpy", vectorized, data)
-        slow = measure_callable(f"{label}:scalar", scalar, data)
-        ok = fast.payload == slow.payload
-        results.append(
-            DifferentialResult(
-                kind="scalar-vectorized",
-                subject=label,
-                case=case,
-                passed=ok,
-                detail="" if ok else "vectorized output diverged from scalar",
-                subject_seconds=fast.elapsed_seconds,
-                reference_seconds=slow.elapsed_seconds,
-            )
-        )
-    # Decoders: run on the (already cross-checked) encoded form.
-    encoded_mtf = mtf_encode(data)
-    ok = mtf_decode(encoded_mtf) == reference_mtf_decode(encoded_mtf)
-    results.append(
-        DifferentialResult(
-            kind="scalar-vectorized", subject="mtf-decode", case=case, passed=ok,
-            detail="" if ok else "vectorized mtf decode diverged from scalar",
-        )
-    )
-    encoded_rle = rle_encode(data)
-    ok = rle_decode(encoded_rle) == reference_rle_decode(encoded_rle)
-    results.append(
-        DifferentialResult(
-            kind="scalar-vectorized", subject="rle-decode", case=case, passed=ok,
-            detail="" if ok else "vectorized rle decode diverged from scalar",
-        )
-    )
-    # BWT is O(n² log n) in the scalar reference; cap the input.
-    sample = data[:2048]
-    fast_column, fast_primary = bwt_transform(sample)
-    slow_column, slow_primary = reference_bwt_transform(sample)
-    ok = (fast_column, fast_primary) == (slow_column, slow_primary)
-    results.append(
-        DifferentialResult(
-            kind="scalar-vectorized", subject="bwt-transform", case=case, passed=ok,
-            detail="" if ok else "prefix-doubling BWT diverged from suffix sort",
-        )
-    )
-    if ok:
-        restored = bwt_inverse(fast_column, fast_primary)
-        reference = reference_bwt_inverse(slow_column, slow_primary)
-        ok = restored == reference == sample
-        results.append(
-            DifferentialResult(
-                kind="scalar-vectorized", subject="bwt-inverse", case=case, passed=ok,
-                detail="" if ok else "pointer-doubling inverse diverged from LF walk",
-            )
-        )
-    return results
-
-
-#: Bit widths the structured-primitive differential sweeps: the packer's
-#: byte-aligned sweet spots, the odd widths that straddle byte boundaries,
-#: and the degenerate 1/64 extremes.
-_BITPACK_WIDTHS = (1, 7, 12, 24, 33, 64)
-
-
-def diff_structured_primitives(case: str, data: bytes) -> List[DifferentialResult]:
-    """The structured codecs' column primitives vs the scalar oracles.
-
-    The corpus bytes are reinterpreted as a uint64 column (the same view
-    the columnar codec takes of an 8-byte field), then the vectorized
-    delta/zigzag/bitpack pipeline is cross-checked bit-for-bit against
-    the per-value loops in :mod:`repro.verify.references`.
-    """
-    usable = len(data) - len(data) % 8
-    if usable < 16:
-        return []
-    column = np.frombuffer(data[:usable], dtype="<u8")
-    scalar_column = [int(v) for v in column]
-    results = []
-
-    fast = measure_callable("delta-zigzag:numpy", delta_zigzag, column)
-    slow = measure_callable("delta-zigzag:scalar", reference_delta_zigzag, scalar_column)
-    assert fast.payload is not None and slow.payload is not None
-    ok = [int(v) for v in fast.payload] == slow.payload
-    results.append(
-        DifferentialResult(
-            kind="scalar-vectorized",
-            subject="delta-zigzag",
-            case=case,
-            passed=ok,
-            detail="" if ok else "vectorized delta-zigzag diverged from scalar",
-            subject_seconds=fast.elapsed_seconds,
-            reference_seconds=slow.elapsed_seconds,
-        )
-    )
-
-    encoded = delta_zigzag(column)
-    restored = undelta_zigzag(scalar_column[0], encoded)
-    reference = reference_undelta_zigzag(scalar_column[0], slow.payload)
-    ok = [int(v) for v in restored] == reference == scalar_column
-    results.append(
-        DifferentialResult(
-            kind="scalar-vectorized",
-            subject="undelta-zigzag",
-            case=case,
-            passed=ok,
-            detail="" if ok else "vectorized undelta-zigzag diverged from scalar",
-        )
-    )
-
-    for width in _BITPACK_WIDTHS:
-        narrowed = column & np.uint64((1 << width) - 1)
-        scalar_narrowed = [int(v) for v in narrowed]
-        packed = bitpack(narrowed, width)
-        ok = packed == reference_bitpack(scalar_narrowed, width)
-        detail = "" if ok else "vectorized bitpack diverged from scalar"
-        if ok:
-            unpacked = bitunpack(packed, len(narrowed), width)
-            ok = (
-                [int(v) for v in unpacked]
-                == reference_bitunpack(packed, len(scalar_narrowed), width)
-                == scalar_narrowed
-            )
-            detail = "" if ok else "vectorized bitunpack diverged from scalar"
-        results.append(
-            DifferentialResult(
-                kind="scalar-vectorized",
-                subject=f"bitpack-{width}",
-                case=case,
-                passed=ok,
-                detail=detail,
-            )
-        )
-    return results
+    """Every row of :data:`_ROWS` that applies to ``data``: the array
+    kernels against the scalar textbook loops."""
+    results = (_compare(row, case, data) for row in _ROWS)
+    return [result for result in results if result is not None]
 
 
 def diff_serial_parallel(
@@ -483,26 +426,19 @@ def diff_serial_parallel(
     return results
 
 
-def run_differential(
-    corpus: Optional[Dict[str, bytes]] = None,
-    cases: Optional[Iterable[str]] = None,
-) -> List[DifferentialResult]:
+def run_differential(corpus: Optional[Dict[str, bytes]] = None) -> List[DifferentialResult]:
     """The full differential sweep used by tests and the fuzz gate."""
     if corpus is None:
         corpus = CorpusGenerator(size=8192).as_dict()
-    names = list(cases) if cases is not None else [
-        "commercial", "lowentropy", "rle-adversarial", "zero-runs", "incompressible",
-    ]
     results: List[DifferentialResult] = []
     registered = set(available_codecs())
-    for case in names:
+    for case in ("commercial", "lowentropy", "rle-adversarial", "zero-runs", "incompressible"):
         data = corpus.get(case)
         if data is None:
             continue
         for codec_name in sorted(registered & set(REFERENCE_COUNTERPARTS)):
             results.extend(diff_wire_counterpart(codec_name, case, data))
         results.extend(diff_scalar_vectorized(case, data))
-        results.extend(diff_structured_primitives(case, data))
     sample = corpus.get("commercial") or next(iter(corpus.values()))
     results.extend(diff_serial_parallel("lempel-ziv", "commercial", sample))
     results.extend(diff_serial_parallel("huffman", "commercial", sample))

@@ -1,7 +1,11 @@
 """Unit tests for the adaptive block pipeline."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core.decision import Decision
+from repro.core.engine import BlockStats
 from repro.core.pipeline import (
     DEFAULT_BLOCK_SIZE,
     METHOD_CODES,
@@ -9,12 +13,13 @@ from repro.core.pipeline import (
     BlockRecord,
     StreamResult,
 )
-from repro.core.policy import FixedPolicy
+from repro.core.policy import AdaptivePolicy, FixedPolicy
 from repro.data.commercial import CommercialDataGenerator
 from repro.netsim.clock import VirtualClock
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
 from repro.netsim.link import PAPER_LINKS, SimulatedLink, make_link
 from repro.netsim.loadtrace import LoadTrace
+from tests.strategies import examples, link_names
 
 
 def blocks(count=6, size=32 * 1024, seed=11):
@@ -125,16 +130,68 @@ class TestRun:
 
 class TestRecordsAndResult:
     def test_block_record_properties(self):
-        record = BlockRecord(
-            index=0, start_time=0.0, send_start_time=0.1, method="lempel-ziv",
-            original_size=1000, compressed_size=400, compression_time=0.01,
-            send_time=0.2, decompression_time=0.02, sample_time=0.0,
-            sending_time_estimate=0.3, lz_reducing_speed=1e6,
-            sampled_ratio=0.4, connections=8.0,
+        stats = BlockStats(
+            requested_method="lempel-ziv", method="lempel-ziv", original_size=1000,
+            compressed_size=400, compression_seconds=0.01, decompression_seconds=0.02,
+            index=0,
         )
+        decision = Decision(
+            method="lempel-ziv", lz_reduce_time=0.1, sending_time=0.3, effective_ratio=0.4
+        )
+        record = BlockRecord(
+            stats=stats, decision=decision, start_time=0.0, send_start_time=0.1,
+            send_time=0.2, sample_time=0.0, connections=8.0, lz_reducing_speed=1e6,
+            sampled_ratio=0.4,
+        )
+        assert (record.index, record.original_size, record.compressed_size) == (0, 1000, 400)
+        assert record.sending_time_estimate == 0.3
         assert record.ratio == 0.4
+        assert record.bytes_saved == 600
+        assert record.reducing_speed == pytest.approx(60000.0)
         assert record.method_code == 2
         assert record.delivery_time == pytest.approx(0.22)
+        with pytest.raises(AttributeError):
+            record.method = "none"
+
+    @given(
+        link_name=link_names(),
+        preset=st.sampled_from(["table", "bicriteria", "placement"]),
+        connections=st.floats(min_value=0.0, max_value=80.0),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    @examples(20)
+    def test_record_is_a_view_over_stats_and_decision(
+        self, link_name, preset, connections, seed
+    ):
+        """Every old attribute name answers from the one object that holds
+        the fact; nothing is stored twice."""
+        costed = dict(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, native=False)
+        policy = {
+            "table": AdaptivePolicy,
+            "bicriteria": lambda: AdaptivePolicy(policy="bicriteria", **costed),
+            "placement": lambda: AdaptivePolicy(
+                placement="auto", interference=0.15, downstream_factor=1.0, **costed
+            ),
+        }[preset]()
+        link = SimulatedLink(PAPER_LINKS[link_name], seed=seed, congestion_per_connection=0.4)
+        result = pipeline(policy=policy).run(
+            blocks(4), link, load=LoadTrace.from_pairs([(0.0, connections)])
+        )
+        for i, record in enumerate(result.records):
+            stats, decision = record.stats, record.decision
+            assert record.index == stats.index == i
+            assert record.method == decision.method == stats.requested_method
+            assert record.params == decision.params
+            assert record.placement == decision.placement
+            assert record.relay_method == decision.relay_method
+            assert record.sending_time_estimate == decision.sending_time
+            assert record.original_size == stats.original_size
+            assert record.compressed_size == stats.compressed_size
+            assert record.compression_time == stats.compression_seconds
+            assert record.decompression_time == stats.decompression_seconds
+            assert record.ratio == stats.ratio
+            assert record.bytes_saved == stats.bytes_saved
+            assert record.reducing_speed == stats.reducing_speed
 
     def test_stream_result_aggregates(self):
         result = pipeline().run(blocks(5), make_link("1mbit", seed=7))

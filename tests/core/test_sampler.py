@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compression.base import CompressionResult
 from repro.core.sampler import DEFAULT_SAMPLE_SIZE, LzSampler, SampleResult
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE, ULTRA_SPARC
 
@@ -21,6 +22,28 @@ class TestSampleResult:
 
         assert math.isinf(SampleResult(100, 50, 0.0).reducing_speed)
         assert SampleResult(100, 100, 0.0).reducing_speed == 0.0
+
+
+    @pytest.mark.parametrize(
+        "sample_size, compressed_size, seconds",
+        [
+            (0, 0, 0.0),  # zero-size sample
+            (100, 50, 0.0),  # zero seconds, bytes saved
+            (100, 100, 0.0),  # zero seconds, nothing saved
+            (100, 130, 0.001),  # expansion
+            (4096, 96, 0.001),
+        ],
+    )
+    def test_metrics_are_the_shared_definitions(self, sample_size, compressed_size, seconds):
+        """``SampleResult`` has no definitions of its own: the edge cases
+        its deleted copies handled read the same through ``ReductionMetrics``."""
+        sample = SampleResult(sample_size, compressed_size, seconds)
+        shared = CompressionResult("lempel-ziv", sample_size, compressed_size, seconds)
+        assert sample.original_size == sample_size
+        assert sample.ratio == shared.ratio
+        assert sample.bytes_saved == shared.bytes_saved == max(0, sample_size - compressed_size)
+        assert sample.reducing_speed == shared.reducing_speed
+        assert "ratio" not in vars(SampleResult) and "reducing_speed" not in vars(SampleResult)
 
 
 class TestLzSampler:

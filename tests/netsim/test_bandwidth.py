@@ -1,8 +1,8 @@
-"""Unit tests for the end-to-end bandwidth estimators."""
+"""Unit tests for the end-to-end bandwidth estimator."""
 
 import pytest
 
-from repro.netsim.bandwidth import EwmaBandwidthEstimator, WindowedBandwidthEstimator
+from repro.netsim.bandwidth import EwmaBandwidthEstimator
 
 
 class TestEwma:
@@ -43,41 +43,6 @@ class TestEwma:
     def test_reset(self):
         est = EwmaBandwidthEstimator()
         est.observe(500, 1.0)
-        est.reset()
-        assert est.estimate is None
-        assert est.observations == 0
-
-
-class TestWindowed:
-    def test_no_estimate_before_observation(self):
-        assert WindowedBandwidthEstimator().estimate is None
-
-    def test_mean_over_window(self):
-        est = WindowedBandwidthEstimator(window=2)
-        est.observe(100, 1.0)
-        est.observe(300, 1.0)
-        assert est.estimate == pytest.approx(200.0)
-
-    def test_old_samples_evicted(self):
-        est = WindowedBandwidthEstimator(window=2)
-        est.observe(10**6, 1.0)
-        est.observe(100, 1.0)
-        est.observe(100, 1.0)
-        assert est.estimate == pytest.approx(100.0)
-
-    def test_weighted_by_duration(self):
-        est = WindowedBandwidthEstimator(window=4)
-        est.observe(1000, 1.0)   # 1000 B/s for 1 s
-        est.observe(1000, 9.0)   # slow transfer dominates elapsed time
-        assert est.estimate == pytest.approx(200.0)
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            WindowedBandwidthEstimator(window=0)
-
-    def test_reset(self):
-        est = WindowedBandwidthEstimator()
-        est.observe(10, 1.0)
         est.reset()
         assert est.estimate is None
         assert est.observations == 0

@@ -70,6 +70,23 @@ class TestCompressDecompress:
         main(["decompress", str(envelope)])
         assert target.exists()
 
+    @pytest.mark.parametrize(
+        "envelope, complaint",
+        [
+            (b"RPRZ\x03\xff\xfe\xfdxyz", "corrupt envelope"),  # name is not UTF-8
+            (b"RPRZ\x7fhuff", "corrupt envelope"),  # name longer than the file
+            (b"RPRZ\x04huffxx", "unknown codec"),  # name not registered
+            (b"RPRZ\x07huffmanGARBAGE", "corrupt payload"),
+        ],
+    )
+    def test_corrupt_envelope_is_an_error_not_a_traceback(self, envelope, complaint, tmp_path):
+        bad = tmp_path / "bad.rprz"
+        bad.write_bytes(envelope)
+        with pytest.raises(SystemExit, match=f"error: .*{complaint}") as caught:
+            main(["decompress", str(bad)])
+        assert isinstance(caught.value.code, str)  # a message: exit status 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.rprz"]
+
     def test_unknown_method_raises(self, sample_file):
         from repro.compression.base import CodecError
 
@@ -184,8 +201,13 @@ class TestReport:
 class TestFigure:
     @pytest.mark.parametrize("number", [1, 5, 7])
     def test_printable_figures(self, number, capsys):
+        """``repro figure N`` prints the report's own section N."""
+        from repro.experiments.report import FIGURE_SECTIONS
+
         assert main(["figure", str(number)]) == 0
-        assert capsys.readouterr().out.strip()
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"## Figure {number} ")
+        assert printed == "\n".join(FIGURE_SECTIONS[number]()) + "\n"
 
     def test_unknown_figure_exits(self):
         with pytest.raises(SystemExit):
