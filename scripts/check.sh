@@ -3,7 +3,8 @@
 #
 # Gate order (cheapest first, so failures surface fast):
 #   1. invariant greps   — clock reads, struct framing, stray print(),
-#                          metric names outside the catalogue
+#                          metric names outside the catalogue, retry
+#                          loops outside RetryPolicy.attempts()
 #   2. ruff lint         — style/import hygiene (skipped if not installed)
 #   3. tier-1 tests      — the full pytest suite under the default
 #                          (`tier1`) hypothesis profile, with its 15
@@ -140,6 +141,21 @@ if [ -n "$stray" ]; then
 fi
 echo "ok"
 
+# --- Invariant: one retry schedule ------------------------------------------
+# "Attempt 1 at once, backoff(n) before attempt n+1, at most max_attempts,
+# nothing after the last" is RetryPolicy.attempts() in netsim/faults.py;
+# every retry loop iterates it.  A .backoff( call anywhere else is a
+# hand-rolled copy of that rule.
+echo "== invariant: no .backoff( call in src/repro outside netsim/faults.py"
+stray=$(grep -rn "\\.backoff(" src/repro --include="*.py" \
+    | grep -v "src/repro/netsim/faults.py" || true)
+if [ -n "$stray" ]; then
+    echo "FAIL: hand-rolled retry loop (iterate RetryPolicy.attempts() instead):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "ok"
+
 # --- Lint -----------------------------------------------------------------------
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff check"
@@ -184,5 +200,5 @@ fi
 
 # The sizes ROADMAP item 5 is judged on, in every log (print only).
 lines_of() { git ls-files -z -- "$@" | xargs -0 cat | wc -l; }
-sizes="src/repro $(lines_of src/repro), scripts+benchmarks $(lines_of scripts benchmarks), tests $(lines_of tests) lines"
+sizes="src/repro $(lines_of src/repro), scripts+benchmarks $(lines_of scripts benchmarks), tests $(lines_of tests) lines, cli options $(grep -c add_argument src/repro/cli.py)"
 echo "== check.sh: invariants ok, $tier1_summary; $sizes"

@@ -222,51 +222,43 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_fanout(args: argparse.Namespace) -> int:
     """Run the fan-out load scenario through the event fabric."""
     import json
+    from dataclasses import asdict
 
+    from .experiments.report import _table
     from .fabric.loadgen import FanoutConfig, run_fanout
 
     result = run_fanout(_config(FanoutConfig, args))
     if args.json:
-        payload = dict(result.summary())
-        payload.update(
-            crc_ok=result.crc_ok,
-            wire_crc32=result.wire_crc32,
-            fabric_compressions=result.fabric_compressions,
-            baseline_compressions=result.baseline_compressions,
-            cache_hits=result.cache_hits,
-            cache_misses=result.cache_misses,
-            shard_events=result.shard_events,
-            batches_emitted=result.batches_emitted,
-            batched_frames=result.batched_frames,
-        )
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({**result.summary(), **asdict(result)}, indent=2))
         return 0 if result.crc_ok else 1
     print(
         f"fan-out: {result.subscribers} subscribers, {result.channels_used} channels, "
         f"{result.events_published} events published, {result.deliveries} deliveries "
         f"(ratio {result.fanout_ratio:.1f})"
     )
-    print(
-        f"fabric:   {result.fabric_seconds:.3f}s virtual "
-        f"({result.fabric_compressions} codec runs, "
-        f"{result.fabric_events_per_second:,.0f} deliveries/s)"
+    paths = _table(
+        ["path", "virtual s", "codec runs", "deliveries/s"],
+        [
+            [
+                path,
+                f"{getattr(result, path + '_seconds'):.3f}",
+                str(getattr(result, path + "_compressions")),
+                f"{getattr(result, path + '_events_per_second'):,.0f}",
+            ]
+            for path in ("fabric", "baseline")
+        ],
     )
-    print(
-        f"baseline: {result.baseline_seconds:.3f}s virtual "
-        f"({result.baseline_compressions} codec runs, "
-        f"{result.baseline_events_per_second:,.0f} deliveries/s)"
-    )
-    print(
-        f"speedup {result.speedup:.1f}x   cache hit rate {result.cache_hit_rate:.1%} "
-        f"({result.cache_hits} hits / {result.cache_misses} misses, "
-        f"{result.cache_evictions} evictions)"
-    )
-    print(f"shard events: {result.shard_events}")
-    if result.batches_emitted:
-        print(
-            f"batching: {result.batched_frames} frames in {result.batches_emitted} "
-            f"jumbo flushes ({result.batched_frames / result.batches_emitted:.1f} frames/batch)"
-        )
+    totals = {
+        "speedup": f"{result.speedup:.1f}x",
+        "cache hit rate": f"{result.cache_hit_rate:.1%}",
+        "hits": result.cache_hits,
+        "misses": result.cache_misses,
+        "evictions": result.cache_evictions,
+        "shard events": result.shard_events,
+        "jumbo flushes": result.batches_emitted,
+        "batched frames": result.batched_frames,
+    }
+    print("\n".join(paths + _table(list(totals), [[str(v) for v in totals.values()]])))
     print(f"wire CRC32 {result.wire_crc32:#010x}  byte-identical to serial path: {result.crc_ok}")
     return 0 if result.crc_ok else 1
 
@@ -278,11 +270,11 @@ def cmd_placement(args: argparse.Namespace) -> int:
 
     from .experiments.placement import (
         LINK_CLASSES,
-        PLACEMENT_MODES_ORDER,
         UPSTREAM_LINK,
         placement_breakdown,
         placement_failures,
     )
+    from .experiments.report import _table
 
     links = tuple(args.links) if args.links else LINK_CLASSES
     cells = placement_breakdown(
@@ -311,23 +303,21 @@ def cmd_placement(args: argparse.Namespace) -> int:
         f"placement breakdown: {args.blocks} blocks x {args.block_size} bytes, "
         f"{UPSTREAM_LINK} upstream, interference {args.interference:.2f}"
     )
-    header = (
-        f"{'link':14s} {'mode':9s} {'compress':>9s} {'wire':>9s} "
-        f"{'relay':>9s} {'decomp':>9s} {'makespan':>9s} placements"
-    )
-    by_key = {(c.link, c.mode): c for c in cells}
-    for link in links:
-        print()
-        print(header)
-        for mode in PLACEMENT_MODES_ORDER:
-            c = by_key[(link, mode)]
-            chosen = ",".join(f"{k}:{v}" for k, v in sorted(c.placements.items()))
-            print(
-                f"{c.link:14s} {c.mode:9s} {c.compress_seconds:9.3f} "
-                f"{c.wire_seconds:9.3f} {c.relay_seconds:9.3f} "
-                f"{c.decompress_seconds:9.3f} {c.makespan:9.3f} {chosen}"
-            )
-    print()
+    rows = [
+        [
+            c.link,
+            c.mode,
+            f"{c.compress_seconds:.3f}",
+            f"{c.wire_seconds:.3f}",
+            f"{c.relay_seconds:.3f}",
+            f"{c.decompress_seconds:.3f}",
+            f"{c.makespan:.3f}",
+            ",".join(f"{k}:{v}" for k, v in sorted(c.placements.items())),
+        ]
+        for c in cells  # already in (link, arrangement) order
+    ]
+    header = ["link", "mode", "compress", "wire", "relay", "decomp", "makespan", "placements"]
+    print("\n".join(_table(header, rows)))
     if failures:
         for failure in failures:
             print(f"FAIL {failure}")
@@ -390,12 +380,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from .experiments.report import generate_report
 
     replay = _config(ReplayConfig, args)
-    headline = replace(
-        HEADLINE_CONFIG,
-        block_count=max(16, args.block_count),
-        workers=args.workers,
-        pool_mode=args.pool_mode,
-    )
+    headline = replace(HEADLINE_CONFIG, block_count=max(16, args.block_count))
     document = generate_report(replay_config=replay, headline_config=headline)
     if args.trace:
         from .experiments.endtoend import headline_comparison
@@ -457,20 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("methods", help="list registered codecs")
     p.set_defaults(func=cmd_methods)
 
-    def add_pool_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="codec pool workers (1 = in-process; output is identical at any count)",
-        )
-        p.add_argument(
-            "--pool-mode",
-            choices=["processes", "threads", "serial"],
-            default="processes",
-            help="worker pool strategy when --workers > 1",
-        )
-
     def add_replay_options(p: argparse.ArgumentParser) -> None:
         datasets = ["commercial", "molecular", "logs", "timeseries"]
         p.add_argument("--dataset", choices=datasets, default="commercial")
@@ -491,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--trace-offset", type=float, default=0.0)
         p.add_argument("--pipelined", action="store_true")
-        add_pool_options(p)
         p.add_argument(
             "--policy",
             choices=["table", "bicriteria"],
@@ -531,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--faults",
             metavar="PLAN.json",
-            help="inject faults from a seeded FaultPlan JSON file (drop/duplicate/"
-            "reorder/delay/corrupt); recovery costs land in the simulated times",
+            help="inject faults from a seeded FaultPlan JSON file; the time-only replay "
+            "link acts on drop/corrupt/delay (recovery costs land in the simulated "
+            "times) and only counts duplicate/reorder, which cost a transfer no time",
         )
 
     p = sub.add_parser("replay", help="run a simulated adaptive stream")
@@ -658,7 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--blocks", dest="block_count", type=int, default=64, help="replay length (blocks)"
     )
-    add_pool_options(p)
     p.add_argument("--trace", metavar="PATH", help="write a JSON-lines headline trace to PATH")
     p.set_defaults(func=cmd_report)
 

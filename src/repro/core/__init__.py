@@ -58,7 +58,6 @@ from .workers import (
     DEFAULT_QUEUE_DEPTH,
     POOL_MODES,
     PipelinedBlockEngine,
-    PipelineSchedule,
     RelaySchedule,
     WorkerPool,
     simulate_pipeline,
@@ -89,7 +88,6 @@ __all__ = [
     "PLACEMENTS",
     "PLACEMENT_MODES",
     "POOL_MODES",
-    "PipelineSchedule",
     "PipelinedBlockEngine",
     "PlacementCost",
     "Rating",

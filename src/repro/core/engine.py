@@ -175,19 +175,12 @@ class CodecExecutor:
         verify: bool = False,
         expansion_fallback: bool = False,
         cost_model_fallback: bool = False,
-        pool: Optional["object"] = None,
     ) -> None:
         self.cost_model = cost_model
         self.cpu = cpu
         self.verify = verify
         self.expansion_fallback = expansion_fallback
         self.cost_model_fallback = cost_model_fallback
-        #: Optional :class:`~repro.core.workers.WorkerPool`.  When set,
-        #: registry-resolvable codecs execute on the pool's workers (which
-        #: time themselves through :func:`measure`, so this executor stays
-        #: the one accounting point); explicit codec instances and method
-        #: ``none`` stay in-process.
-        self.pool = pool
 
     def _seconds(
         self, direction: str, method: str, size: int, measure_seconds: Callable[[], float]
@@ -224,9 +217,6 @@ class CodecExecutor:
                 compression_seconds=0.0,
                 payload=block,
             )
-        if codec is None and self.pool is not None and self.pool.accepts(method):
-            payload, measured = self.pool.run(method, block)
-            return self.finalize_compression(method, block, payload, measured)
         codec = codec if codec is not None else get_codec(method)
         result = measure(codec, block)
         payload = result.payload

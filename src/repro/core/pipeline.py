@@ -55,7 +55,6 @@ from .engine import DEFAULT_BLOCK_SIZE, BlockEngine, BlockStats, CodecExecutor, 
 from .monitor import ReducingSpeedMonitor
 from .policy import AdaptivePolicy, CompressionPolicy
 from .sampler import LzSampler, SampleResult
-from .workers import WorkerPool
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -225,14 +224,10 @@ class AdaptivePipeline:
         cpu: Optional[CpuModel] = None,
         verify: bool = False,
         observers: Optional[Iterable[Observer]] = None,
-        workers: int = 1,
-        pool_mode: str = "processes",
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if block_size < 1024:
             raise ValueError("block_size must be at least 1 KB")
-        if workers < 1:
-            raise ValueError("workers must be positive")
         self.policy = policy if policy is not None else AdaptivePolicy(DecisionThresholds())
         self.block_size = block_size
         self.cpu = cpu
@@ -246,25 +241,10 @@ class AdaptivePipeline:
         #: visible to callers; None keeps them on a private registry.
         self.registry = registry
         self.verify = verify
-        # With workers > 1, registry-resolvable codec work runs on pool
-        # workers.  Under modeled costs the measured worker seconds are
-        # discarded in favor of the cost model, so the replay output is
-        # bit-identical at any worker count — the pool only buys wall
-        # clock.  All accounting still flows through the one executor.
-        self.pool: Optional[WorkerPool] = (
-            WorkerPool(workers=workers, mode=pool_mode) if workers > 1 else None
-        )
-        self.executor = CodecExecutor(
-            cost_model=cost_model, cpu=cpu, verify=verify, pool=self.pool
-        )
+        self.executor = CodecExecutor(cost_model=cost_model, cpu=cpu, verify=verify)
         self.engine = BlockEngine(
             executor=self.executor, block_size=block_size, observers=observers
         )
-
-    def close(self) -> None:
-        """Release pool workers, if any (idempotent)."""
-        if self.pool is not None:
-            self.pool.shutdown()
 
     def run(
         self,

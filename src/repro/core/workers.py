@@ -59,7 +59,6 @@ from .engine import (
 __all__ = [
     "DEFAULT_QUEUE_DEPTH",
     "POOL_MODES",
-    "PipelineSchedule",
     "PipelinedBlockEngine",
     "RelaySchedule",
     "WorkerPool",
@@ -250,12 +249,58 @@ class PipelinedBlockEngine(BlockEngine):
 # -- the deterministic schedule model ---------------------------------------------
 
 
+def simulate_pipeline(
+    compression_seconds: Sequence[float],
+    send_seconds: Sequence[float],
+    workers: int,
+    queue_depth: int = DEFAULT_QUEUE_DEPTH,
+) -> RelaySchedule:
+    """Schedule blocks onto ``workers`` compressors and one in-order wire.
+
+    Block ``i`` may start compressing once a worker is free *and* block
+    ``i - queue_depth`` has finished sending (the bounded in-flight
+    queue); it may start sending once compressed and once block ``i-1``
+    left the wire (in-order emission).  The serial reference is the
+    paper's unpipelined loop: compress, then send, one block at a time.
+
+    This is :func:`simulate_relay_pipeline` with zero relay, downstream
+    and decompress stages — those contribute only ``max`` and ``+ 0.0``,
+    so the one scheduler loop reproduces this schedule float-exactly; the
+    send series is the returned schedule's ``upstream_seconds``.
+    """
+    if len(compression_seconds) != len(send_seconds):
+        raise ValueError("compression and send series must have equal length")
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    idle = [0.0] * len(send_seconds)
+    return simulate_relay_pipeline(
+        compression_seconds, send_seconds, idle, idle, workers=workers, queue_depth=queue_depth
+    )
+
+
 @dataclass(frozen=True)
-class _Schedule:
-    """What every modeled schedule reports: pipelined vs serial time."""
+class RelaySchedule:
+    """Outcome of scheduling a block stream through a consumer-offload relay.
+
+    The five per-phase totals are the stacked bars of the DTSchedule-style
+    time-breakdown figure (:mod:`repro.experiments.placement`); the
+    makespan is what those phases cost end-to-end once compression of
+    later blocks overlaps earlier blocks' transfers and relay work.
+    Everything derives from modeled per-block seconds, so the schedule is
+    identical on every machine — the property the bench regression gate
+    relies on.
+    """
 
     makespan: float
     serial_seconds: float
+    compress_seconds: float
+    upstream_seconds: float
+    relay_seconds: float
+    downstream_seconds: float
+    decompress_seconds: float
+    workers: int
+    relay_workers: int
+    queue_depth: int
 
     @property
     def speedup(self) -> float:
@@ -270,80 +315,6 @@ class _Schedule:
         if self.serial_seconds <= 0.0:
             return 0.0
         return max(0.0, 1.0 - self.makespan / self.serial_seconds)
-
-
-@dataclass(frozen=True)
-class PipelineSchedule(_Schedule):
-    """Outcome of scheduling a block stream onto workers + an in-order wire.
-
-    All quantities derive from engine-accounted per-block seconds, so a
-    modeled replay produces the identical schedule on every machine — the
-    property the bench regression gate relies on.  The serial reference
-    is compress-then-send, one block at a time.
-    """
-
-    compression_seconds: float
-    send_seconds: float
-    workers: int
-    queue_depth: int
-
-
-def simulate_pipeline(
-    compression_seconds: Sequence[float],
-    send_seconds: Sequence[float],
-    workers: int,
-    queue_depth: int = DEFAULT_QUEUE_DEPTH,
-) -> PipelineSchedule:
-    """Schedule blocks onto ``workers`` compressors and one in-order wire.
-
-    Block ``i`` may start compressing once a worker is free *and* block
-    ``i - queue_depth`` has finished sending (the bounded in-flight
-    queue); it may start sending once compressed and once block ``i-1``
-    left the wire (in-order emission).  The serial reference is the
-    paper's unpipelined loop: compress, then send, one block at a time.
-
-    This is :func:`simulate_relay_pipeline` with zero relay, downstream
-    and decompress stages — those contribute only ``max`` and ``+ 0.0``,
-    so the one scheduler loop reproduces this schedule float-exactly.
-    """
-    if len(compression_seconds) != len(send_seconds):
-        raise ValueError("compression and send series must have equal length")
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    idle = [0.0] * len(send_seconds)
-    relay = simulate_relay_pipeline(
-        compression_seconds, send_seconds, idle, idle, workers=workers, queue_depth=queue_depth
-    )
-    return PipelineSchedule(
-        makespan=relay.makespan,
-        serial_seconds=relay.serial_seconds,
-        compression_seconds=relay.compress_seconds,
-        send_seconds=relay.upstream_seconds,
-        workers=workers,
-        queue_depth=queue_depth,
-    )
-
-
-@dataclass(frozen=True)
-class RelaySchedule(_Schedule):
-    """Outcome of scheduling a block stream through a consumer-offload relay.
-
-    The five per-phase totals are the stacked bars of the DTSchedule-style
-    time-breakdown figure (:mod:`repro.experiments.placement`); the
-    makespan is what those phases cost end-to-end once compression of
-    later blocks overlaps earlier blocks' transfers and relay work.  Like
-    :class:`PipelineSchedule`, everything derives from modeled per-block
-    seconds, so the schedule is identical on every machine.
-    """
-
-    compress_seconds: float
-    upstream_seconds: float
-    relay_seconds: float
-    downstream_seconds: float
-    decompress_seconds: float
-    workers: int
-    relay_workers: int
-    queue_depth: int
 
     @property
     def wire_seconds(self) -> float:

@@ -58,10 +58,6 @@ class ReplayConfig:
     link_seed: int = 2
     trace_seed: int = 7
     pipelined: bool = False
-    #: Codec pool workers (1 = in-process).  Modeled costs make replay
-    #: output identical at any worker count, so this only buys wall clock.
-    workers: int = 1
-    pool_mode: str = "processes"
     #: Fault injection: a :class:`~repro.netsim.faults.FaultPlan`, or a
     #: path to its JSON form, or None (default — the clean wire every
     #: figure replay uses; faults are strictly opt-in so baseline CRCs

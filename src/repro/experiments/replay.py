@@ -168,20 +168,15 @@ def run_replay(
         cost_model=DEFAULT_COSTS,
         cpu=cpu if cpu is not None else SUN_FIRE,
         observers=observers,
-        workers=config.workers,
-        pool_mode=config.pool_mode,
         registry=registry,
     )
-    try:
-        return pipeline.run(
-            blocks,
-            link,
-            load=build_trace(config),
-            production_interval=config.production_interval,
-            pipelined=config.pipelined,
-        )
-    finally:
-        pipeline.close()
+    return pipeline.run(
+        blocks,
+        link,
+        load=build_trace(config),
+        production_interval=config.production_interval,
+        pipelined=config.pipelined,
+    )
 
 
 def figure7_trace_series(step: float = 1.0, seed: int = FIG8_CONFIG.trace_seed) -> List[Tuple[float, float]]:

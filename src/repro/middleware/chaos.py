@@ -192,8 +192,21 @@ class ReliableEventLink:
         """Deliver ``event`` reliably; returns the number of attempts used."""
         wire_bytes = WireFormat.encode(event)
         self.events_sent += 1
-        attempt = 1
-        while True:
+        for attempt, backoff in self.retry.attempts():
+            if attempt > 1:
+                if self.clock is not None:
+                    self.clock.advance(backoff)
+                self.retries += 1
+                self.recovery_seconds += backoff
+                if self.registry is not None:
+                    self.registry.family(EVENT_RETRIES_TOTAL).inc()
+                if self.tracer is not None:
+                    self.tracer.event(
+                        "chaos.retry",
+                        sequence=event.sequence,
+                        attempt=attempt - 1,
+                        backoff=backoff,
+                    )
             self._receive(self.wire.send(wire_bytes))
             if event.sequence in self._accepted:
                 if self.tracer is not None:
@@ -204,28 +217,12 @@ class ReliableEventLink:
                         attempts=attempt,
                     )
                 return attempt
-            if attempt >= self.retry.max_attempts:
-                if self.registry is not None:
-                    self.registry.family(DELIVERIES_FAILED_TOTAL).inc()
-                raise DeliveryError(
-                    f"event sequence {event.sequence} undelivered after "
-                    f"{attempt} attempts"
-                )
-            backoff = self.retry.backoff(attempt)
-            if self.clock is not None:
-                self.clock.advance(backoff)
-            self.retries += 1
-            self.recovery_seconds += backoff
-            if self.registry is not None:
-                self.registry.family(EVENT_RETRIES_TOTAL).inc()
-            if self.tracer is not None:
-                self.tracer.event(
-                    "chaos.retry",
-                    sequence=event.sequence,
-                    attempt=attempt,
-                    backoff=backoff,
-                )
-            attempt += 1
+        if self.registry is not None:
+            self.registry.family(DELIVERIES_FAILED_TOTAL).inc()
+        raise DeliveryError(
+            f"event sequence {event.sequence} undelivered after "
+            f"{attempt} attempts"
+        )
 
     def close(self) -> List[int]:
         """Flush reorder holds and the reassembly buffer; returns missing seqs."""

@@ -99,7 +99,6 @@ class CompressionHandler:
         executor: Optional[CodecExecutor] = None,
         registry: Optional[MetricsRegistry] = None,
         channel: str = "handler",
-        pool: Optional["object"] = None,
         cache: Optional["object"] = None,
         params: Optional[dict] = None,
     ) -> None:
@@ -115,9 +114,7 @@ class CompressionHandler:
         self.executor = (
             executor
             if executor is not None
-            else CodecExecutor(
-                cost_model=cost_model, cpu=cpu, expansion_fallback=True, pool=pool
-            )
+            else CodecExecutor(cost_model=cost_model, cpu=cpu, expansion_fallback=True)
         )
 
     def __call__(self, event: Event) -> Event:

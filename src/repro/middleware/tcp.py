@@ -405,18 +405,17 @@ class RemoteChannel:
 
     def _try_reconnect(self) -> bool:
         """Re-dial + resubscribe under the retry policy (reader thread)."""
-        for attempt in range(1, self.retry.max_attempts + 1):
+        for attempt, wait in self.retry.attempts():
+            if attempt > 1:
+                # Real wall-clock wait: this is the deployment transport,
+                # deliberately outside the virtual-clock discipline (like
+                # the time.monotonic arrival stamps below).
+                time.sleep(wait)
             if self._closed.is_set():
                 return False
             try:
                 self._socket, self._frames = self._connect()
             except (OSError, ConnectionError):
-                if attempt >= self.retry.max_attempts:
-                    return False
-                # Real wall-clock wait: this is the deployment transport,
-                # deliberately outside the virtual-clock discipline (like
-                # the time.monotonic arrival stamps below).
-                time.sleep(self.retry.backoff(attempt))
                 continue
             self.reconnects += 1
             if self.registry is not None:

@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..compression.base import CorruptStreamError
 from ..compression.framing import (
     Frame,
     decode_frame,
@@ -26,14 +25,14 @@ from ..compression.framing import (
     encode_frame_parts,
 )
 from ..netsim.clock import Clock
-from ..netsim.faults import FaultExhaustedError, FaultPlan, RetryPolicy
+from ..netsim.faults import RetryPolicy
 from ..netsim.link import SimulatedLink
 from ..netsim.loadtrace import LoadTrace
 from ..netsim.rudp import RateControlledTransport
 
 # RetryPolicy is defined transport-agnostically in repro.netsim.faults and
-# re-exported here: middleware recovery (this module, tcp.py, chaos.py)
-# shares one backoff contract with the simulated links.
+# re-exported here: middleware recovery (tcp.py, chaos.py) shares one
+# retry schedule with the simulated links.
 from .channels import EventChannel, Subscription
 from .events import Event
 
@@ -123,22 +122,15 @@ class TransportStats:
     events: int = 0
     wire_bytes: int = 0
     transfer_seconds: float = 0.0
-    retries: int = 0
-    frames_rejected: int = 0
     per_channel_events: Dict[str, int] = field(default_factory=dict)
 
 
 class TransportBridge:
     """Moves events between two address spaces over one shared link.
 
-    With a :class:`~repro.netsim.faults.FaultPlan` attached the wire
-    becomes hostile: transmissions may be dropped or byte-corrupted
-    (corruption is caught by the frame CRC32 — the corrupt event is
-    *rejected*, never decoded), and the bridge recovers by retrying
-    under ``retry`` with every backoff charged to the injected clock.
-    Exhausting the budget raises
-    :class:`~repro.netsim.faults.FaultExhaustedError` — faults are loud,
-    never silent data loss.
+    The wire charges time and never damages bytes; the hostile wire and
+    its recovery protocol are :class:`~repro.middleware.chaos.ChaosWire`
+    and :class:`~repro.middleware.chaos.ReliableEventLink`.
 
     ``fabric`` (duck-typed: anything with
     :meth:`repro.fabric.broker.EventFabric.defer`) routes each export's
@@ -153,19 +145,14 @@ class TransportBridge:
         clock: Clock,
         load: Optional[LoadTrace] = None,
         advance_clock: bool = True,
-        fault_plan: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
         fabric: Optional["object"] = None,
     ) -> None:
         self.link = link
         self.clock = clock
         self.load = load
         self.advance_clock = advance_clock
-        self.fault_plan = fault_plan
-        self.retry = retry if retry is not None else RetryPolicy()
         self.fabric = fabric
         self.stats = TransportStats()
-        self._wire_index = 0
         self._exports: List[Tuple[EventChannel, EventChannel, Subscription]] = []
 
     def export(self, local: EventChannel, remote: Optional[EventChannel] = None) -> EventChannel:
@@ -195,52 +182,13 @@ class TransportBridge:
     def exported_channels(self) -> List[str]:
         return [channel.channel_id for channel, _, _ in self._exports]
 
-    def _transmit(self, wire: bytes, connections: float) -> Tuple[float, Optional[bytes]]:
-        """One wire transmission: (seconds charged, arrived bytes or None)."""
-        seconds = self.link.transfer_time(len(wire), connections)
-        if self.fault_plan is None:
-            return seconds, wire
-        index = self._wire_index
-        self._wire_index += 1
-        decision = self.fault_plan.decide(index)
-        seconds += decision.delay
-        if decision.dropped:
-            return seconds, None
-        if decision.corrupted:
-            return seconds, self.fault_plan.corrupt(wire, index, decision.corrupt_rule)
-        return seconds, wire
-
     def _deliver(self, event: Event, mirror: EventChannel) -> None:
         wire = WireFormat.encode(event)
         connections = (
             self.load.connections_at(self.clock.now()) if self.load is not None else 0.0
         )
-        attempt = 1
-        seconds = 0.0
-        while True:
-            sent, arrived = self._transmit(wire, connections)
-            seconds += sent
-            received = None
-            if arrived is not None:
-                try:
-                    # The frame CRC is the integrity gate: corrupt bytes
-                    # raise here and are never decoded into an event.
-                    received = WireFormat.decode(arrived)
-                except (CorruptStreamError, ValueError, KeyError):
-                    self.stats.frames_rejected += 1
-            if received is not None:
-                break
-            if attempt >= self.retry.max_attempts:
-                if self.advance_clock:
-                    self.clock.advance(seconds)
-                raise FaultExhaustedError(
-                    f"event on {event.channel_id!r} undelivered after "
-                    f"{attempt} attempts"
-                )
-            seconds += self.retry.backoff(attempt)
-            self.stats.retries += 1
-            attempt += 1
-        self._account(received, mirror, len(wire), seconds)
+        seconds = self.link.transfer_time(len(wire), connections)
+        self._account(WireFormat.decode(wire), mirror, len(wire), seconds)
 
     def _account(
         self, received: Event, mirror: EventChannel, wire_size: int, seconds: float, **stamps

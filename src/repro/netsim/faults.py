@@ -36,7 +36,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..obs.catalogue import FAULTS_INJECTED_TOTAL, LINK_RETRIES_TOTAL
 from .link import SimulatedLink
@@ -302,9 +302,17 @@ class RetryPolicy:
             raw *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return min(raw, self.max_delay)
 
-    def delays(self) -> Tuple[float, ...]:
-        """The full backoff schedule (one entry per retry attempt)."""
-        return tuple(self.backoff(n) for n in range(1, self.max_attempts))
+    def attempts(self) -> Iterator[Tuple[int, float]]:
+        """The one retry schedule, as ``(attempt, wait_before_it)`` pairs.
+
+        Attempt 1 goes immediately, ``backoff(n)`` precedes attempt
+        ``n + 1``, there are at most ``max_attempts``, and nothing is
+        waited after the last failure.  Every retry loop iterates this
+        and keeps only its own accounting.
+        """
+        yield 1, 0.0
+        for attempt in range(2, self.max_attempts + 1):
+            yield attempt, self.backoff(attempt - 1)
 
 
 class FaultyPacketLink:
@@ -393,9 +401,13 @@ class FaultyLink:
     models a frame the CRC-checked framing rejected at the receiver; the
     wrapper then *recovers* — capped exponential backoff (deterministic
     jitter) followed by a re-send, all charged into the returned transfer
-    time so virtual clocks see the true recovery cost.  Exhausting
-    ``retry.max_attempts`` raises :class:`FaultExhaustedError` (a chaos
-    gate failure, never silent data loss).
+    time so virtual clocks see the true recovery cost.  A ``delay`` adds
+    its seconds to the transmission.  ``duplicate`` and ``reorder`` are
+    only *counted*: the link models transfer time, not bytes, and a
+    second copy or a swapped arrival costs a transfer no time
+    (:class:`~repro.middleware.chaos.ChaosWire` acts on all five kinds).
+    Exhausting ``retry.max_attempts`` raises :class:`FaultExhaustedError`
+    (a chaos gate failure, never silent data loss).
     """
 
     def __init__(
@@ -434,9 +446,14 @@ class FaultyLink:
         return self.inner.mean_transfer_time(size, connections)
 
     def transfer_time(self, size: int, connections: float = 0.0) -> float:
-        attempt = 1
         total = 0.0
-        while True:
+        for attempt, backoff in self.retry.attempts():
+            if attempt > 1:
+                total += backoff
+                self.retries += 1
+                self.recovery_seconds += backoff
+                if self.registry is not None:
+                    self.registry.family(LINK_RETRIES_TOTAL).inc()
             index = self._index
             self._index += 1
             decision = self.plan.decide(index)
@@ -446,15 +463,7 @@ class FaultyLink:
                     self.registry.family(FAULTS_INJECTED_TOTAL).inc(kind=kind)
             if not (decision.dropped or decision.corrupted):
                 return total
-            if attempt >= self.retry.max_attempts:
-                raise FaultExhaustedError(
-                    f"transfer still failing after {attempt} attempts "
-                    f"(plan {self.plan.name or 'unnamed'!r}, wire index {index})"
-                )
-            backoff = self.retry.backoff(attempt)
-            total += backoff
-            self.retries += 1
-            self.recovery_seconds += backoff
-            if self.registry is not None:
-                self.registry.family(LINK_RETRIES_TOTAL).inc()
-            attempt += 1
+        raise FaultExhaustedError(
+            f"transfer still failing after {attempt} attempts "
+            f"(plan {self.plan.name or 'unnamed'!r}, wire index {index})"
+        )

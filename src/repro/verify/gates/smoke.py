@@ -222,7 +222,7 @@ def pool_throughput(ctx: GateContext) -> None:
 
     with WorkerPool(workers=workers, mode="processes") as pool:
         pooled_engine = PipelinedBlockEngine(
-            CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, pool=pool),
+            CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE),
             block_size=block_size,
             pool=pool,
             queue_depth=queue_depth,

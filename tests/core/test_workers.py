@@ -107,7 +107,7 @@ class TestPipelinedBlockEngine:
             CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE), block_size=4096
         ).run(data, method=method)
         pipelined = PipelinedBlockEngine(
-            CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, pool=pool),
+            CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE),
             block_size=4096,
             pool=pool,
             queue_depth=queue_depth,
@@ -142,7 +142,7 @@ class TestPipelinedBlockEngine:
         registry = MetricsRegistry()
         pool = WorkerPool(workers=1, mode="serial", registry=registry)
         engine = PipelinedBlockEngine(
-            CodecExecutor(pool=pool), block_size=4096, pool=pool, registry=registry
+            CodecExecutor(), block_size=4096, pool=pool, registry=registry
         )
         data = b"\x00" * 10000
         out = engine.run(data, method="none")
@@ -164,7 +164,7 @@ class TestPipelinedBlockEngine:
         )
         pool = WorkerPool(workers=2, mode="processes")
         engine = PipelinedBlockEngine(
-            CodecExecutor(pool=pool), block_size=4096, pool=pool, queue_depth=4
+            CodecExecutor(), block_size=4096, pool=pool, queue_depth=4
         )
         pool.run("lzw", b"warm up the workers" * 100)
         for process in list(pool._executor._processes.values()):
@@ -189,7 +189,7 @@ class TestPipelinedBlockEngine:
         pool = WorkerPool(workers=2, mode="threads")
         try:
             pipelined = PipelinedBlockEngine(
-                CodecExecutor(pool=pool), block_size=4096, pool=pool
+                CodecExecutor(), block_size=4096, pool=pool
             ).run(data, method=method)
         finally:
             pool.shutdown()

@@ -147,6 +147,22 @@ class TestReliableEventLink:
             link.send(make_events(1)[0])
         assert link.retries == 2
 
+    @pytest.mark.parametrize(
+        "retry", [fast_retry(max_attempts=4, seed=9), RetryPolicy(max_attempts=3, base_delay=0.0)]
+    )
+    def test_exhaustion_follows_the_one_schedule(self, retry):
+        """``max_attempts`` transmissions, the clock charged the schedule's
+        waits (this wire's transfers are free) — and a zero wait still
+        counts as a retry."""
+        clock = VirtualClock()
+        wire = ChaosWire(FaultPlan([FaultRule(kind="drop")]), clock=clock)
+        link = ReliableEventLink(wire, lambda e: None, retry=retry)
+        with pytest.raises(FaultExhaustedError):
+            link.send(make_events(1)[0])
+        assert wire.sends == retry.max_attempts
+        assert link.retries == retry.max_attempts - 1
+        assert clock.now() == sum(wait for _, wait in retry.attempts())
+
     def test_observability_counters_and_trace(self):
         registry = MetricsRegistry()
         sink = io.StringIO()
@@ -227,39 +243,6 @@ class TestReassemblyRerequest:
 
 
 class TestFaultyTransportBridge:
-    def test_bridge_recovers_from_scheduled_faults(self):
-        clock = VirtualClock()
-        link = SimulatedLink(PAPER_LINKS["100mbit"], seed=0)
-        plan = FaultPlan(
-            [FaultRule(kind="drop", index=0), FaultRule(kind="corrupt", index=2)],
-            seed=5,
-        )
-        bridge = TransportBridge(
-            link, clock, fault_plan=plan, retry=fast_retry()
-        )
-        local = EventChannel("chan")
-        mirror = bridge.export(local)
-        received = []
-        mirror.subscribe(received.append)
-        for event in make_events(3):
-            local.submit(Event(payload=event.payload))
-        assert len(received) == 3
-        assert bridge.stats.retries == 2
-        assert bridge.stats.frames_rejected == 1
-        assert [e.payload for e in received] == [e.payload for e in make_events(3)]
-
-    def test_bridge_exhaustion_is_loud(self):
-        clock = VirtualClock()
-        link = SimulatedLink(PAPER_LINKS["100mbit"], seed=0)
-        plan = FaultPlan([FaultRule(kind="drop")])
-        bridge = TransportBridge(
-            link, clock, fault_plan=plan, retry=fast_retry(max_attempts=2)
-        )
-        local = EventChannel("chan")
-        bridge.export(local)
-        with pytest.raises(FaultExhaustedError):
-            local.submit(Event(payload=b"payload"))
-
     def test_bridge_without_plan_unchanged(self):
         clock = VirtualClock()
         link = SimulatedLink(PAPER_LINKS["1gbit"], seed=0)
@@ -270,7 +253,6 @@ class TestFaultyTransportBridge:
         mirror.subscribe(received.append)
         local.submit(Event(payload=b"data"))
         assert len(received) == 1
-        assert bridge.stats.retries == 0
 
 
 class TestWireFormatIntegrity:

@@ -172,14 +172,24 @@ class TestReconnect:
             port,
             "feed",
             reconnect=True,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.01, max_delay=0.02),
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0),
         )
+        dials = []
+        connect = remote._connect
+
+        def counting_connect():
+            dials.append(None)
+            return connect()
+
+        remote._connect = counting_connect
         try:
             server.close()
             remote._socket.shutdown(socket.SHUT_RDWR)
             remote._reader.join(timeout=5.0)
             assert not remote._reader.is_alive()
             assert remote.reconnects == 0
+            # The whole schedule, zero waits included, then nothing more.
+            assert len(dials) == 3
         finally:
             remote.close()
 

@@ -1,6 +1,8 @@
 """The fault-injection substrate: determinism, addressing, and recovery."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.compression.base import CorruptStreamError
 from repro.compression.framing import FrameDecoder, encode_frame
@@ -16,6 +18,7 @@ from repro.netsim.faults import (
 from repro.netsim.link import PAPER_LINKS, SimulatedLink
 from repro.netsim.rudp import PacketLink, RateControlledTransport
 from repro.obs.metrics import MetricsRegistry
+from tests.strategies import examples
 
 
 def make_sim_link(seed=0):
@@ -154,16 +157,38 @@ class TestRetryPolicy:
         policy = RetryPolicy(
             max_attempts=8, base_delay=0.1, multiplier=2.0, max_delay=1.0, jitter=0.0
         )
-        delays = policy.delays()
-        assert delays == pytest.approx((0.1, 0.2, 0.4, 0.8, 1.0, 1.0, 1.0))
+        waits = [wait for _, wait in policy.attempts()]
+        assert waits == pytest.approx([0.0, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0, 1.0])
 
     def test_jitter_is_deterministic_and_bounded(self):
         policy = RetryPolicy(base_delay=0.1, jitter=0.5, seed=3, max_delay=10.0)
         again = RetryPolicy(base_delay=0.1, jitter=0.5, seed=3, max_delay=10.0)
-        assert policy.delays() == again.delays()
+        assert list(policy.attempts()) == list(again.attempts())
         for attempt in range(1, policy.max_attempts):
             raw = min(0.1 * 2.0 ** (attempt - 1), 10.0)
             assert raw * 0.5 <= policy.backoff(attempt) <= raw * 1.5
+
+    @given(
+        max_attempts=st.integers(min_value=1, max_value=12),
+        base_delay=st.floats(min_value=0.0, max_value=2.0),
+        multiplier=st.floats(min_value=1.0, max_value=4.0),
+        max_delay=st.floats(min_value=0.0, max_value=5.0),
+        jitter=st.floats(min_value=0.0, max_value=0.99),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @examples(100)
+    def test_attempts_is_the_one_schedule(self, **fields):
+        """Attempt 1 at once, ``backoff(n)`` before attempt ``n + 1``,
+        ``max_attempts`` in all, nothing after the last."""
+        policy = RetryPolicy(**fields)
+        schedule = list(policy.attempts())
+        assert [attempt for attempt, _ in schedule] == list(
+            range(1, policy.max_attempts + 1)
+        )
+        assert schedule[0] == (1, 0.0)
+        assert [wait for _, wait in schedule[1:]] == [
+            policy.backoff(n) for n in range(1, policy.max_attempts)
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -266,6 +291,24 @@ class TestFaultyLink:
         with pytest.raises(FaultExhaustedError):
             link.transfer_time(1024)
         assert link.retries == 2
+
+    @pytest.mark.parametrize(
+        "retry",
+        [
+            RetryPolicy(max_attempts=4, base_delay=0.25, seed=9),
+            RetryPolicy(max_attempts=3, base_delay=0.0),
+        ],
+    )
+    def test_exhaustion_follows_the_one_schedule(self, retry):
+        """``max_attempts`` transmissions, charged the schedule's waits —
+        and a zero wait still counts as a retry."""
+        plan = FaultPlan([FaultRule(kind="drop")])
+        link = FaultyLink(make_sim_link(), plan, retry=retry)
+        with pytest.raises(FaultExhaustedError):
+            link.transfer_time(1024)
+        assert link.transfers == plan.decisions == retry.max_attempts
+        assert link.retries == retry.max_attempts - 1
+        assert link.recovery_seconds == sum(wait for _, wait in retry.attempts())
 
     def test_registry_counters_flow(self):
         registry = MetricsRegistry()

@@ -207,7 +207,7 @@ def drive_pool(registry: MetricsRegistry) -> None:
         pool.run("lzw", data)
         assert pool.mode == "serial"
         PipelinedBlockEngine(
-            CodecExecutor(pool=pool), block_size=4096, pool=pool, registry=registry
+            CodecExecutor(), block_size=4096, pool=pool, registry=registry
         ).run(data, method="huffman")
 
 

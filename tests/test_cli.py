@@ -344,3 +344,41 @@ class TestPlacementCommand:
             ]
         ) == 0
         assert "blocks" in capsys.readouterr().out
+
+    def test_workers_is_only_the_modeled_schedule_width(self, capsys):
+        """`--workers` survives on `placement` alone, where it changes the
+        modeled schedule; the codec-pool flags of replay/stats/report are gone."""
+        for argv in (
+            ["replay", "--workers", "4"],
+            ["stats", "--pool-mode", "threads"],
+            ["report", "--workers", "2"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert main(["placement", "--blocks", "3", "--links", "1gbit", "--workers", "2"]) == 0
+
+
+class TestFanoutCommand:
+    ARGS = ["fanout", "--subscribers", "64", "--channels", "4", "--events", "2"]
+
+    def test_json_is_the_result_record(self, capsys):
+        import json
+        from dataclasses import fields
+
+        from repro.fabric.loadgen import FanoutResult
+
+        assert main(self.ARGS + ["--batch", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        derived = {"speedup", "fabric_events_per_second", "baseline_events_per_second"}
+        assert set(payload) == {f.name for f in fields(FanoutResult)} | derived
+        assert payload["crc_ok"] is True
+        assert payload["deliveries"] == payload["events_published"] * payload["fanout_ratio"]
+        assert payload["batches_emitted"] > 0
+
+    def test_human_table(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert "| fabric |" in out and "| baseline |" in out
+        assert "byte-identical to serial path: True" in out
