@@ -11,7 +11,7 @@ any of three triggers fires:
 * ``max_bytes`` of member bytes buffered;
 * the ``linger_seconds`` deadline since the first buffered member — but
   **only when the caller supplies timestamps**.  The batcher itself
-  never reads a clock: the fabric's shard loops pass
+  never reads a clock: the fabric's threads-mode deliveries pass
   :func:`repro.fabric.broker._loop_now` (the one sanctioned clock site),
   and clock-free callers (inline mode, benches) get deterministic
   threshold-only batching plus explicit drains.
@@ -95,8 +95,9 @@ class FrameBatcher:
     """Accumulates encoded frames for one subscriber; flushes jumbo frames.
 
     Not thread-safe by design: a batcher belongs to exactly one fabric
-    subscription, and every touch happens on the shard loop that owns
-    the subscription's channel (or the caller's thread in inline mode).
+    subscription, and every touch happens under the run lock of the
+    shard that owns the subscription's channel (or on the caller's
+    thread in inline mode).
     """
 
     def __init__(self, config: Optional[BatchConfig] = None) -> None:

@@ -3,8 +3,8 @@
 This is the delivery path that replaces thread-per-connection forwarding
 in the middleware.  Channels are sharded across N loops by stable CRC32
 of the channel id (:mod:`repro.fabric.sharding`): one shard owns each
-channel, so per-channel event order is preserved with no per-event
-locking, and shards progress independently — the broker scales with
+channel, so per-channel event order needs no lock finer than the shard's
+own, and shards progress independently — the broker scales with
 shard count, not with connection count.
 
 A channel's active subscriptions are grouped by
@@ -31,11 +31,26 @@ Two execution modes:
   thread.  Deterministic, clock-free, and what the simulation/bench
   layers use: virtual time is charged by the caller from the returned
   engine accounting, never read here.
-* ``threads`` — one worker thread per shard draining a FIFO queue; the
-  deployment mode :class:`~repro.middleware.tcp.ChannelServer` runs on.
-  The only wall-clock read is :func:`_loop_now` (flush/close deadlines),
-  the fabric's single sanctioned loop-time site enforced by
+* ``threads`` — one worker thread per shard draining a FIFO queue, which
+  a publisher enters directly when the shard is idle; the deployment mode
+  :class:`~repro.middleware.tcp.ChannelServer` runs on.  The only
+  wall-clock read is :func:`_loop_now` (flush/close deadlines), the
+  fabric's single sanctioned loop-time site enforced by
   ``scripts/check.sh``.
+
+The threads-mode ordering rule, stated once: **each shard has one run
+lock, and whoever holds it is the shard.**  An item whose shard has
+nothing queued and nothing executing runs on the thread that published
+it (``_dispatch`` takes the lock without blocking); otherwise it is
+queued, and the shard loop takes the same lock around each item it
+dequeues.  The shard's count of queued items falls only *after* an item
+has run, so a publisher cannot overtake its own earlier, still-queued
+event.  Publishers never wait for a run lock — a sink that publishes to
+its own shard from inside a delivery enqueues, and two shards whose sinks
+publish to each other cannot deadlock; only shard loops, ``flush`` and
+``close`` wait for one.  Everything documented as running "on the owning
+shard" (batchers, deadline and drain flushes, ``defer`` thunks,
+``submit_channel``) runs under that lock, on whichever thread holds it.
 """
 
 from __future__ import annotations
@@ -51,6 +66,7 @@ from ..middleware.events import Event
 from ..middleware.handlers import stamp_compression
 from ..middleware.transport import WireFormat
 from ..obs.catalogue import (
+    FABRIC_INLINE_DISPATCH_TOTAL,
     FABRIC_SHARD_QUEUE_DEPTH,
     record_batch_flush,
     record_fabric_delivery,
@@ -154,10 +170,17 @@ class EventFabric:
         self.wire_frames_encoded = 0
         self.subscriber_errors = 0
         self.shard_events = [0] * shards
+        #: Per shard (each entry only ever written under that shard's run
+        #: lock): threads-mode items that found the shard idle and ran on
+        #: the thread that published them.
+        self.shard_inline_dispatches = [0] * shards
         self._closed = False
         if mode == "threads":
             self._queues: List["queue.Queue"] = [queue.Queue() for _ in range(shards)]
-            self._pending = 0
+            #: The ordering domain: whoever holds a shard's lock is the shard.
+            self._run_locks = [threading.Lock() for _ in range(shards)]
+            #: Per shard, items queued and not yet finished (under ``_idle``).
+            self._backlog = [0] * shards
             self._idle = threading.Condition()
             self._threads = [
                 threading.Thread(
@@ -225,12 +248,12 @@ class EventFabric:
                 self._batched.remove(subscription)
         if subscription.batcher is not None:
             # The pending frames pin the group's shared wire buffers.  A
-            # batcher is only ever touched on the shard that owns its
-            # channel, so the discard goes there too (behind any event
-            # that is adding to it right now).
+            # batcher is only ever touched under the run lock of the shard
+            # that owns its channel, so the discard goes there too (behind
+            # any event that is adding to it right now).
             try:
                 self.defer(channel_id, subscription.batcher.discard)
-            except RuntimeError:  # closed: no shard loop left to race
+            except RuntimeError:  # closed: no shard left to race
                 subscription.batcher.discard()
 
     def subscriber_count(self, channel_id: Optional[str] = None) -> int:
@@ -252,8 +275,15 @@ class EventFabric:
     def publish(self, channel_id: str, event: Event) -> None:
         """Deliver ``event`` to every subscriber of ``channel_id``.
 
-        Inline mode processes now, on this thread; threads mode enqueues
-        to the owning shard's FIFO (per-channel order preserved).
+        Inline mode processes now, on this thread.  Threads mode does the
+        same when the owning shard is idle — the caller is then held for
+        the one delivery it triggered (group codec runs through the
+        cache, one frame encode per group, the sinks; a socket sink that
+        blocks is TCP back-pressure on this producer) — and otherwise
+        enqueues to the shard's FIFO and returns at once, as every other
+        publisher to a busy shard does.  Per-channel order is preserved
+        either way, and a sink that raises never propagates out of a
+        threads-mode ``publish``.
         """
         self._dispatch(self.shard_of(channel_id), ("event", channel_id, event))
 
@@ -263,8 +293,8 @@ class EventFabric:
 
         The channel keeps its own subscriber/derivation bookkeeping; the
         fabric only supplies the ordering domain, so channel semantics
-        are unchanged in inline mode and merely serialized per shard in
-        threads mode.
+        are unchanged in inline mode and merely serialized per shard
+        (under its run lock) in threads mode.
         """
         self._dispatch(
             self.shard_of(channel.channel_id),
@@ -272,7 +302,8 @@ class EventFabric:
         )
 
     def defer(self, channel_id: str, thunk: Callable[[], None]) -> None:
-        """Run ``thunk`` on the shard that owns ``channel_id``.
+        """Run ``thunk`` on the shard that owns ``channel_id`` — in threads
+        mode under its run lock, now if the shard is idle, else queued.
 
         The hook transport bridges use to route their deliveries through
         the fabric's ordering domain without the fabric knowing about
@@ -286,12 +317,34 @@ class EventFabric:
         if self.mode == "inline":
             self._execute_item(shard, item)
             return
+        run_lock = self._run_locks[shard]
+        if run_lock.acquire(blocking=False):
+            try:
+                # Nothing queued (the count falls only after an item has
+                # run) and, the lock being ours, nothing executing: this
+                # thread is the shard for one item.
+                if not self._backlog[shard]:
+                    self.shard_inline_dispatches[shard] += 1
+                    if self.registry is not None:
+                        self.registry.family(FABRIC_INLINE_DISPATCH_TOTAL).inc(
+                            shard=str(shard)
+                        )
+                    self._run_item(shard, item)
+                    return
+            finally:
+                run_lock.release()
         with self._idle:
-            self._pending += 1
-        self._queues[shard].put(item)
+            self._backlog[shard] += 1
+            self._queues[shard].put(item)
+            self._record_queue_depth(shard)
+
+    def _record_queue_depth(self, shard: int) -> None:
+        """Write the depth gauge where the depth changed — up on an
+        enqueue, down when the loop has finished an item; the caller
+        holds ``_idle``, so the last write is the latest depth."""
         if self.registry is not None:
             self.registry.family(FABRIC_SHARD_QUEUE_DEPTH).set(
-                self._queues[shard].qsize(), shard=str(shard)
+                self._backlog[shard], shard=str(shard)
             )
 
     def _execute_item(self, shard: int, item: Tuple[str, object, object]) -> None:
@@ -301,10 +354,21 @@ class EventFabric:
         else:
             a()  # type: ignore[operator]
 
+    def _run_item(self, shard: int, item: Tuple[str, object, object]) -> None:
+        """Execute one threads-mode item; the caller holds the run lock."""
+        try:
+            self._execute_item(shard, item)
+        except Exception:
+            # Isolate, whichever thread this is: a shard loop must not
+            # die (its other channels must keep flowing) and a publisher
+            # must not be handed a subscriber's failure.
+            self.subscriber_errors += 1
+
     # -- shard loops -------------------------------------------------------------
 
     def _shard_loop(self, shard: int) -> None:
         q = self._queues[shard]
+        run_lock = self._run_locks[shard]
         while True:
             try:
                 item = q.get(timeout=0.05)
@@ -314,30 +378,31 @@ class EventFabric:
                 # Idle tick: honor linger deadlines of batches whose
                 # channels this shard owns (the sanctioned clock site).
                 if self._batched:
-                    self._flush_due_batches(shard)
+                    with run_lock:
+                        self._flush_due_batches(shard)
                 continue
             if item is _STOP:
                 return
-            try:
-                self._execute_item(shard, item)
-            except Exception:
-                # A sink blew up on a shard thread: isolate, never kill
-                # the loop (its other channels must keep flowing).
-                self.subscriber_errors += 1
-            finally:
-                with self._idle:
-                    self._pending -= 1
-                    if self._pending == 0:
-                        self._idle.notify_all()
+            with run_lock:
+                self._run_item(shard, item)
+            # Only now, the item having run: a publisher that reads zero
+            # may run its next event at once without overtaking this one.
+            with self._idle:
+                self._backlog[shard] -= 1
+                self._record_queue_depth(shard)
+                if not any(self._backlog):
+                    self._idle.notify_all()
 
     def flush(self, timeout: float = 5.0) -> bool:
-        """Block until every queued item has been processed and every
-        pending batch has drained.
+        """Block until every item queued — or being executed on another
+        publisher's thread — at the time of the call has finished, and
+        every pending batch has drained.
 
-        Inline mode drains batches synchronously; threads mode enqueues
-        one drain item per shard (batchers are only ever touched on the
-        shard that owns them, preserving per-channel ordering) and waits
-        for the queues to empty.
+        Inline mode drains batches synchronously; threads mode dispatches
+        one drain item per shard (batchers are only ever touched under
+        the run lock of the shard that owns them, preserving per-channel
+        ordering), waits for the queues to empty and then passes through
+        each run lock once, all inside the one ``timeout``.
         """
         if self.mode == "inline":
             self._drain_batches(None)
@@ -349,15 +414,24 @@ class EventFabric:
                 )
         deadline = _loop_now() + timeout
         with self._idle:
-            while self._pending > 0:
+            while any(self._backlog):
                 remaining = deadline - _loop_now()
                 if remaining <= 0:
                     return False
                 self._idle.wait(remaining)
+        for run_lock in self._run_locks:
+            if not run_lock.acquire(timeout=max(0.0, deadline - _loop_now())):
+                return False
+            run_lock.release()
         return True
 
     def close(self, timeout: float = 5.0) -> None:
-        """Drain and stop the shard loops; idempotent."""
+        """Drain and stop the shard loops; idempotent.
+
+        The drain is a :meth:`flush`, so no sink is still running — on a
+        shard loop or on a publisher's thread — when this returns inside
+        ``timeout``.
+        """
         if self._closed:
             return
         self.flush(timeout)
@@ -516,6 +590,12 @@ class EventFabric:
             return event, False
         execution, hit = self.cache.execute(self.executor, method, event.payload, params)
         return stamp_compression(event, execution), hit
+
+    @property
+    def inline_dispatches(self) -> int:
+        """Threads-mode items that ran on the thread that published them
+        (the rest of what was dispatched went through a shard's queue)."""
+        return sum(self.shard_inline_dispatches)
 
     @property
     def fanout_ratio(self) -> float:

@@ -63,9 +63,11 @@ class EventChannel:
         Once bound, delivery runs on the shard that owns this channel id
         (:meth:`EventFabric.submit_channel <repro.fabric.broker.EventFabric.submit_channel>`):
         synchronous in the fabric's inline mode — identical semantics to
-        the unbound channel — and serialized on a shard loop in threads
-        mode.  Duck-typed on purpose: the middleware stays importable
-        without the fabric package.
+        the unbound channel — and serialized under the shard's run lock
+        in threads mode (on the submitting thread when the shard is idle,
+        on its loop otherwise; a subscriber that raises is counted by the
+        fabric, not handed to the submitter).  Duck-typed on purpose: the
+        middleware stays importable without the fabric package.
         """
         self._fabric = fabric
 

@@ -18,8 +18,12 @@ Design (kept deliberately simple and dependency-free):
   channel is published into the fabric, every connection registers a
   socket sink on the shard that owns its channel, and all sinks of one
   channel share a single frame encode per event (zero-copy memoryview
-  fan-out).  The per-connection thread that remains only watches for
-  client EOF — it no longer carries event traffic.
+  fan-out).  An idle shard delivers on the thread that submitted the
+  event — one thread hop fewer, and a peer that stops reading holds that
+  one producer in ``sendall`` (TCP back-pressure) while every other
+  publisher to the shard queues and returns at once; a busy shard
+  delivers from its loop.  The per-connection thread that remains only
+  watches for client EOF — it no longer carries event traffic.
 * :class:`RemoteChannel` — connects, subscribes, and replays incoming
   frames into a local mirror :class:`~repro.middleware.channels.EventChannel`
   from a reader thread, annotating each event with its measured transfer
@@ -148,8 +152,13 @@ class ChannelServer:
     server unless one is passed in), connections register socket sinks
     on the owning shard, and every sink of one channel shares a single
     wire frame per event.  Per-channel delivery order is the shard's
-    FIFO order — identical to the old one-thread-per-connection path,
-    but with N shard loops instead of one thread per subscriber.
+    FIFO order, whichever thread runs it — the submitter's own when the
+    shard is idle, the shard loop's otherwise, one at a time under the
+    shard's run lock — identical to the old one-thread-per-connection
+    path, but with N shards instead of one thread per subscriber.
+    ``submit`` on an offered channel may therefore block in a socket
+    write for the one delivery it triggered; nothing bounds the shard
+    queues behind it (ROADMAP item 6(d)).
     """
 
     def __init__(
@@ -456,11 +465,12 @@ class RemoteChannel:
             seconds_share = max((now - previous) / len(inner_frames), 1e-9)
             try:
                 events = [
-                    WireFormat.from_frame(inner).with_attributes(
+                    WireFormat.from_frame(
+                        inner,
                         **{
                             ATTR_TRANSPORT_SECONDS: seconds_share,
                             ATTR_WIRE_SIZE: inner.wire_size,
-                        }
+                        },
                     )
                     for inner in inner_frames
                 ]

@@ -93,26 +93,33 @@ class WireFormat:
         ).encode()
 
     @staticmethod
-    def from_frame(frame: Frame) -> Event:
+    def from_frame(frame: Frame, **stamps: Any) -> Event:
         """Reconstruct an event from an already-parsed frame.
 
         The payload is taken as-is — a view-backed frame yields a
         view-backed event (zero-copy receive); sinks that retain the
-        event past the receive buffer's lifetime must copy.
+        event past the receive buffer's lifetime must copy.  ``stamps``
+        are what the receiving transport observed (seconds, wire size):
+        they land after the header's own attributes, in the order given,
+        so the event is built once rather than copied to be stamped.
         """
         header = json.loads(frame.header_bytes)
+        attributes = header["attributes"]
+        if not isinstance(attributes, dict):
+            attributes = dict(attributes)  # a hostile header: coerce or raise
+        attributes.update(stamps)
         return Event(
             payload=frame.payload,
-            attributes=dict(header["attributes"]),
+            attributes=attributes,
             channel_id=header["channel"],
             sequence=header["sequence"],
             timestamp=header["timestamp"],
         )
 
     @staticmethod
-    def decode(data: bytes) -> Event:
+    def decode(data: bytes, **stamps: Any) -> Event:
         frame, _ = decode_frame(data)
-        return WireFormat.from_frame(frame)
+        return WireFormat.from_frame(frame, **stamps)
 
 
 @dataclass
@@ -188,23 +195,27 @@ class TransportBridge:
             self.load.connections_at(self.clock.now()) if self.load is not None else 0.0
         )
         seconds = self.link.transfer_time(len(wire), connections)
-        self._account(WireFormat.decode(wire), mirror, len(wire), seconds)
+        self._account(wire, mirror, seconds)
 
     def _account(
-        self, received: Event, mirror: EventChannel, wire_size: int, seconds: float, **stamps
+        self, wire: bytearray, mirror: EventChannel, seconds: float, **stamps
     ) -> None:
-        """The tail of every delivery: charge the clock, count the event,
-        stamp what the transport observed, hand it to the mirror."""
+        """The tail of every delivery: charge the clock, decode the event
+        with what the transport observed stamped on, count it, hand it to
+        the mirror."""
         if self.advance_clock:
             self.clock.advance(seconds)
+        wire_size = len(wire)
+        received = WireFormat.decode(
+            wire, **{ATTR_TRANSPORT_SECONDS: seconds, ATTR_WIRE_SIZE: wire_size, **stamps}
+        )
         self.stats.events += 1
         self.stats.wire_bytes += wire_size
         self.stats.transfer_seconds += seconds
         self.stats.per_channel_events[received.channel_id] = (
             self.stats.per_channel_events.get(received.channel_id, 0) + 1
         )
-        stamps = {ATTR_TRANSPORT_SECONDS: seconds, ATTR_WIRE_SIZE: wire_size, **stamps}
-        mirror.submit_stamped(received.with_attributes(**stamps))
+        mirror.submit_stamped(received)
 
 
 class RudpBridge(TransportBridge):
@@ -236,9 +247,8 @@ class RudpBridge(TransportBridge):
         )
         report = self.transport.transfer(len(wire), connections)
         self._account(
-            WireFormat.decode(wire),
+            wire,
             mirror,
-            len(wire),
             report.elapsed,
             **{ATTR_TRANSPORT_RETRANSMISSIONS: report.retransmissions},
         )

@@ -274,6 +274,11 @@ FABRIC_FANOUT_RATIO = _gauge(
 FABRIC_SHARD_QUEUE_DEPTH = _gauge(
     "repro_fabric_shard_queue_depth", "pending events per fabric shard", "shard"
 )
+#: Threads mode only: how often a publisher found the shard idle.
+FABRIC_INLINE_DISPATCH_TOTAL = _counter(
+    "repro_fabric_inline_dispatch_total",
+    "items an idle shard ran on the publisher's thread", "shard",
+)
 
 
 def record_fabric_delivery(

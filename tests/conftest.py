@@ -1,6 +1,7 @@
 """Shared fixtures: representative datasets and codec instances."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import settings
@@ -17,6 +18,42 @@ from tests.strategies import SUITE_SEED, TIER1_EXAMPLES
 settings.register_profile("tier1", max_examples=TIER1_EXAMPLES, deadline=None)
 settings.register_profile("nightly", max_examples=10 * TIER1_EXAMPLES, deadline=None)
 settings.load_profile("tier1")  # until the flag, read at configure time, says otherwise
+
+
+#: ``@pytest.mark.race_shake``: the interpreter's thread switch interval
+#: while a marked test runs (the default is 5 ms — a whole delivery fits
+#: inside one slice and most interleavings never happen), and how many
+#: times the body runs under each profile.
+RACE_SWITCH_INTERVAL = 1e-5
+RACE_ROUNDS = {"tier1": 3, "nightly": 20}
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "race_shake(rounds=None): run the test body `rounds` times (default: "
+        "3 under the tier1 profile, 20 under nightly) with a 10 us thread "
+        "switch interval, restored afterwards",
+    )
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    marker = item.get_closest_marker("race_shake")
+    if marker is None:
+        yield
+        return
+    rounds = marker.kwargs.get("rounds") or RACE_ROUNDS.get(
+        settings.get_current_profile_name(), RACE_ROUNDS["tier1"]
+    )
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(RACE_SWITCH_INTERVAL)
+    try:
+        for _ in range(rounds - 1):
+            item.runtest()
+        yield  # pytest's own call is the last round
+    finally:
+        sys.setswitchinterval(previous)
 
 
 def pytest_terminal_summary(terminalreporter):

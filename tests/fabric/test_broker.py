@@ -123,31 +123,58 @@ def test_one_wire_frame_shared_per_group():
     assert views[0].obj is views[1].obj  # one encode, shared memoryview
 
 
+def byte_for_byte_run(mode, event_count):
+    """Two channels, a lone and a batched subscriber on each, one of them
+    cancelled mid-stream: every wire buffer each sink was handed."""
+    batch = BatchConfig(max_frames=3, linger_seconds=3600.0)  # never a deadline
+    fabric = EventFabric(shards=4, executor=modeled_executor(), mode=mode)
+    wires = {"a": [], "b": [], "b-batched": [], "a-cancelled": []}
+
+    def first_on_feed_0(event, wire):
+        wires["a"].append(bytes(wire))
+        if event.sequence == 5:
+            # From inside a delivery: the peer holds event 4 pending, to be
+            # discarded on the owning shard (queued — the shard is busy).
+            cancelled.cancel()
+
+    fabric.subscribe("feed/0", first_on_feed_0, method="huffman", wire=True)
+    cancelled = fabric.subscribe(
+        "feed/0", lambda e, w: wires["a-cancelled"].append(bytes(w)),
+        method="huffman", wire=True, batch=batch,
+    )
+    fabric.subscribe(
+        "feed/1", lambda e, w: wires["b"].append(bytes(w)),
+        method="lempel-ziv", wire=True,
+    )
+    fabric.subscribe(
+        "feed/1", lambda e, w: wires["b-batched"].append(bytes(w)),
+        method="lempel-ziv", wire=True, batch=batch,
+    )
+    for i in range(event_count):
+        payload = bytes([i]) * 1024
+        fabric.publish("feed/0", make_event(i + 1, "feed/0", payload))
+        fabric.publish("feed/1", make_event(i + 1, "feed/1", payload))
+    assert fabric.flush(timeout=10.0)
+    fabric.close()
+    assert fabric.subscriber_errors == 0
+    assert cancelled.batcher.pending_frames == 0
+    return wires
+
+
+@pytest.mark.race_shake
 def test_threads_mode_matches_inline_byte_for_byte():
     event_count = 8
-    results = {}
-    for mode in ("inline", "threads"):
-        fabric = EventFabric(shards=4, executor=modeled_executor(), mode=mode)
-        wires = {"a": [], "b": []}
-        fabric.subscribe(
-            "feed/0", lambda e, w: wires["a"].append(bytes(w)),
-            method="huffman", wire=True,
-        )
-        fabric.subscribe(
-            "feed/1", lambda e, w: wires["b"].append(bytes(w)),
-            method="lempel-ziv", wire=True,
-        )
-        for i in range(event_count):
-            payload = bytes([i]) * 1024
-            fabric.publish("feed/0", make_event(i + 1, "feed/0", payload))
-            fabric.publish("feed/1", make_event(i + 1, "feed/1", payload))
-        assert fabric.flush(timeout=10.0)
-        fabric.close()
-        results[mode] = wires
-    # Per-channel FIFO order and bytes are identical across modes.
-    assert results["inline"] == results["threads"]
+    inline = byte_for_byte_run("inline", event_count)
+    # Per-channel FIFO order and bytes are identical across modes: eight
+    # lone frames each, batches of 3 + 3 + a drained 2, and the one batch
+    # the cancelled subscriber saw whole.
+    assert byte_for_byte_run("threads", event_count) == inline
+    assert {name: len(calls) for name, calls in inline.items()} == {
+        "a": event_count, "b": event_count, "b-batched": 3, "a-cancelled": 1,
+    }
 
 
+@pytest.mark.race_shake
 def test_threads_mode_isolates_subscriber_errors():
     fabric = EventFabric(shards=2, mode="threads")
     delivered = []

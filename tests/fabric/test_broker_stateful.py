@@ -1,9 +1,13 @@
-"""Model-based churn test for the inline :class:`EventFabric`.
+"""Model-based churn test for :class:`EventFabric`, inline and threads.
 
 One :class:`~hypothesis.stateful.RuleBasedStateMachine` drives a real
 fabric and a model through the same subscribe / cancel / publish / flush
 sequence — including sinks that subscribe a new member or cancel a peer
-from inside their callback — and holds them equal after every step.
+from inside their callback — and holds them equal after every step.  The
+threads-mode machine runs the same rules against the same model: a
+publish burst runs partly on the publishing thread and partly on the
+shard loop (a cancel from inside a sink queues a discard, and every later
+publish behind it), and both sides ``flush()`` before each comparison.
 
 The model is the formulation the fabric's delivery plans replaced, kept
 only here: it regroups a channel's active subscriptions from scratch for
@@ -19,6 +23,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
@@ -38,14 +43,17 @@ from repro.obs.metrics import MetricsRegistry
 from tests.fabric.test_broker import unpack
 from tests.strategies import examples
 
+#: Both on one shard of the two: whatever thread runs them, one shard's
+#: items have a total order, which is what a sequential model can match.
 CHANNELS = ["feed/0", "feed/1"]
 METHODS = ["none", "huffman", "lempel-ziv-native"]
 #: ``None`` and two spellings of one other configuration.
 PARAMS = [None, {"level": 6, "window": 32768}, {"window": 32768.0, "level": 6.0}]
+#: No linger deadline ever falls (threads mode would flush on its own clock).
 BATCHES = [
     None,
-    BatchConfig(max_frames=3, max_bytes=1 << 20),  # trips on frames
-    BatchConfig(max_frames=64, max_bytes=900),  # trips on bytes
+    BatchConfig(max_frames=3, max_bytes=1 << 20, linger_seconds=3600.0),  # trips on frames
+    BatchConfig(max_frames=64, max_bytes=900, linger_seconds=3600.0),  # trips on bytes
 ]
 #: Small enough that the payload pool x configurations overflows it.
 CACHE_ENTRIES = 5
@@ -133,12 +141,13 @@ class Side:
 
 
 class Real(Side):
-    def __init__(self):
+    def __init__(self, mode):
         super().__init__()
         self.registry = MetricsRegistry()  # where a flush's reason shows
         self.cache = BlockCache(max_entries=CACHE_ENTRIES, registry=self.registry)
         self.fabric = EventFabric(
-            shards=2, executor=modeled_executor(), cache=self.cache, registry=self.registry
+            shards=2, executor=modeled_executor(), cache=self.cache,
+            registry=self.registry, mode=mode,
         )
         self.handles = []
 
@@ -162,7 +171,7 @@ class Real(Side):
         self.fabric.publish(channel, event)
 
     def flush(self):
-        self.fabric.flush()
+        assert self.fabric.flush()
 
     def counters(self):
         fabric, cache = self.fabric, self.cache
@@ -285,11 +294,14 @@ class Model(Side):
 
 
 class FabricChurn(RuleBasedStateMachine):
+    mode = "inline"
+
     def __init__(self):
         super().__init__()
-        self.real = Real()
+        self.real = Real(self.mode)
         self.model = Model()
         self.sides = (self.model, self.real)
+        assert len({self.real.fabric.shard_of(channel) for channel in CHANNELS}) == 1
         self.pool = payload_pool()
         self.sequences = dict.fromkeys(CHANNELS, 0)
 
@@ -338,6 +350,7 @@ class FabricChurn(RuleBasedStateMachine):
         in place (same identity, new bytes)."""
         for slot, scribble, channels in burst:
             if scribble:
+                self.quiesce()  # an event in flight must keep the bytes it was sent with
                 self.pool[0][0] = (self.pool[0][0] + 1) % 256
             payload = self.pool[slot]
             for channel in channels:
@@ -358,8 +371,16 @@ class FabricChurn(RuleBasedStateMachine):
         for side in self.sides:
             side.flush()
 
+    def quiesce(self):
+        """Threads mode: wait out the shard loop.  ``flush`` is the only
+        public wait and it drains the batches too, so the model drains."""
+        if self.mode == "threads":
+            for side in self.sides:
+                side.flush()
+
     @invariant()
     def fabric_equals_model(self):
+        self.quiesce()
         real, model = self.real, self.model
         # Same callbacks in the same order: groups in first-occurrence
         # order, members in subscription order, drains in batcher order.
@@ -379,5 +400,12 @@ class FabricChurn(RuleBasedStateMachine):
         assert all(pending == 0 for pending in self.real.counters()["pending"])
 
 
+class ThreadsFabricChurn(FabricChurn):
+    mode = "threads"
+
+
 TestFabricChurn = FabricChurn.TestCase
 TestFabricChurn.settings = settings(examples(40), stateful_step_count=50)
+# Hypothesis' examples are the rounds; the switch interval is what shakes.
+TestThreadsFabricChurn = pytest.mark.race_shake(rounds=1)(ThreadsFabricChurn.TestCase)
+TestThreadsFabricChurn.settings = settings(examples(25), stateful_step_count=40)

@@ -46,6 +46,7 @@ from repro.netsim.faults import FaultPlan, FaultRule, FaultyLink, RetryPolicy
 from repro.netsim.link import make_link
 from repro.obs import BlockTelemetry, MetricsRegistry, set_registry
 from repro.obs.catalogue import CATALOGUE
+from tests.fabric.test_broker_threads import Gate, joined, started
 
 HERE = Path(__file__).parent
 REPO = HERE.parent.parent
@@ -121,13 +122,24 @@ def drive_fanout(registry: MetricsRegistry) -> None:
 
 
 def drive_threads_fabric(registry: MetricsRegistry) -> None:
-    """Threads mode is the only publisher of the shard queue depth."""
+    """Threads mode is the only publisher of the shard queue depth (a
+    queued dispatch) and of the inline-dispatch count (an idle shard)."""
     fabric = EventFabric(shards=1, registry=registry, mode="threads")
+    gate = Gate()
+    first, second = _events(2)
     try:
-        fabric.subscribe("feed/0", lambda e, w: None)
-        fabric.publish("feed/0", _events(1)[0])
+        fabric.subscribe("feed/0", gate)
+        # The shard is idle: the publisher's thread runs the delivery ...
+        holder = started(fabric.publish, "feed/0", first)
+        assert gate.entered.wait(10.0)
+        # ... and holds the shard while it does, so this one queues.
+        fabric.publish("feed/0", second)
+        gate.release.set()
+        joined(holder)
         assert fabric.flush()
+        assert fabric.inline_dispatches == 1 and fabric.events_published == 2
     finally:
+        gate.release.set()
         fabric.close()
 
 
