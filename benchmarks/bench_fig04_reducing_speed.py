@@ -7,7 +7,7 @@ then print both next to the paper-calibrated cost model that drives the
 deterministic replays.
 """
 
-from repro.experiments import commercial_sample, figure4_reducing_speeds
+from repro.experiments import commercial_sample, figure2_ratios, figure4_reducing_speeds
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE, ULTRA_SPARC
 
 _MB = float(1 << 20)
@@ -15,9 +15,8 @@ _MB = float(1 << 20)
 
 def test_fig04_reducing_speeds(benchmark):
     data = commercial_sample(128 * 1024)
-    speeds = benchmark.pedantic(
-        figure4_reducing_speeds, args=(data,), rounds=1, iterations=1
-    )
+    model = benchmark.pedantic(figure2_ratios, args=(data,), rounds=1, iterations=1)
+    speeds = figure4_reducing_speeds(model)
     print("\nfig04 reducing speed (MB/s removed)")
     print(f"{'method':18s} {'host(SunFire)':>14s} {'host(UltraSparc)':>17s} {'paper-model SF':>15s} {'paper-model US':>15s}")
     for method in ("burrows-wheeler", "lempel-ziv", "arithmetic", "huffman"):

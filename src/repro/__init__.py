@@ -27,7 +27,6 @@ from .compression import (
     BurrowsWheelerCodec,
     Codec,
     CodecError,
-    CompressionResult,
     CorruptStreamError,
     HuffmanCodec,
     IdentityCodec,
@@ -53,9 +52,7 @@ from .core import (
     LzSampler,
     Rating,
     ReducingSpeedMonitor,
-    SampleResult,
     StreamResult,
-    measure,
     select_method,
 )
 from .data import (
@@ -111,7 +108,6 @@ __all__ = [
     "CodecError",
     "CodecExecutor",
     "CommercialDataGenerator",
-    "CompressionResult",
     "CorruptStreamError",
     "CpuModel",
     "DEFAULT_BLOCK_SIZE",
@@ -137,7 +133,6 @@ __all__ = [
     "RecordFormat",
     "ReducingSpeedMonitor",
     "SUN_FIRE",
-    "SampleResult",
     "SamplingPublisher",
     "SimulatedLink",
     "StreamResult",
@@ -151,7 +146,6 @@ __all__ = [
     "get_codec",
     "make_link",
     "mbone_trace",
-    "measure",
     "register_codec",
     "select_method",
 ]

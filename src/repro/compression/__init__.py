@@ -7,7 +7,7 @@ modified chunk-synchronizable Burrows-Wheeler pipeline — behind a uniform
 """
 
 from .arithmetic import AdaptiveByteModel, ArithmeticCodec, ContextArithmeticCodec
-from .base import Codec, CodecError, CompressionResult, CorruptStreamError
+from .base import Codec, CodecError, CorruptStreamError
 from .bitio import BitReader, BitWriter
 from .framing import (
     DEFAULT_MAX_FRAME_SIZE,
@@ -70,7 +70,6 @@ __all__ = [
     "BurrowsWheelerCodec",
     "Codec",
     "CodecError",
-    "CompressionResult",
     "ContextArithmeticCodec",
     "CorruptStreamError",
     "DEFAULT_MAX_FRAME_SIZE",

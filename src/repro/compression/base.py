@@ -14,7 +14,6 @@ method id was used (transported as a quality attribute).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "Codec",
     "CodecError",
     "CorruptStreamError",
-    "CompressionResult",
     "ReductionMetrics",
     "canonical_params",
     "params_label",
@@ -162,7 +160,7 @@ class ReductionMetrics:
     the record names in ``_seconds_attr``).
     """
 
-    _seconds_attr = "elapsed_seconds"
+    _seconds_attr = "compression_seconds"
 
     @property
     def ratio(self) -> float:
@@ -183,32 +181,3 @@ class ReductionMetrics:
         if seconds <= 0.0:
             return float("inf") if self.bytes_saved else 0.0
         return self.bytes_saved / seconds
-
-
-@dataclass
-class CompressionResult(ReductionMetrics):
-    """Outcome of one timed compression call.
-
-    ``reducing_speed`` is the paper's central metric: the number of bytes by
-    which the CPU shrank the data per second of compression work.  It is
-    ``0.0`` when the codec failed to shrink the data, and ``inf`` only for
-    the sentinel "first block" case created by the selector itself.
-    """
-
-    codec_name: str
-    original_size: int
-    compressed_size: int
-    elapsed_seconds: float
-    payload: Optional[bytes] = field(default=None, repr=False)
-
-    @property
-    def throughput(self) -> float:
-        """Input bytes consumed per second of CPU time."""
-        if self.elapsed_seconds <= 0.0:
-            return float("inf")
-        return self.original_size / self.elapsed_seconds
-
-
-# The timed ``measure`` primitive lives in :mod:`repro.core.engine` — the
-# single sanctioned timing site (see DESIGN.md §5, one-timing-site
-# invariant).  This module stays timing-free.

@@ -16,17 +16,13 @@ from .bicriteria import (
     pareto_frontier,
     select_point,
 )
-from .calibration import (
-    OperatingPoint,
-    ThresholdCalibration,
-    calibrate_thresholds,
-)
+from .calibration import calibrate, calibrate_thresholds
 from .engine import (
     BlockEngine,
     BlockStats,
     CodecExecutor,
     cut_blocks,
-    measure,
+    timed,
 )
 from .decision import (
     FIGURE1_TABLE,
@@ -53,7 +49,7 @@ from .placement import (
     raw_breakeven_seconds,
 )
 from .policy import AdaptivePolicy, CompressionPolicy, FixedPolicy
-from .sampler import DEFAULT_SAMPLE_SIZE, LzSampler, SampleResult
+from .sampler import DEFAULT_SAMPLE_SIZE, LzSampler
 from .workers import (
     DEFAULT_QUEUE_DEPTH,
     POOL_MODES,
@@ -83,7 +79,6 @@ __all__ = [
     "FixedPolicy",
     "FrontierPoint",
     "LzSampler",
-    "OperatingPoint",
     "METHOD_CODES",
     "PLACEMENTS",
     "PLACEMENT_MODES",
@@ -93,11 +88,10 @@ __all__ = [
     "Rating",
     "ReducingSpeedMonitor",
     "RelaySchedule",
-    "SampleResult",
     "StreamResult",
-    "ThresholdCalibration",
     "WorkerPool",
     "build_frontier",
+    "calibrate",
     "calibrate_thresholds",
     "choose_placement",
     "codec_for",
@@ -105,11 +99,11 @@ __all__ = [
     "default_candidates",
     "evaluate_candidates",
     "evaluate_placements",
-    "measure",
     "pareto_frontier",
     "raw_breakeven_seconds",
     "select_method",
     "select_point",
     "simulate_pipeline",
     "simulate_relay_pipeline",
+    "timed",
 ]

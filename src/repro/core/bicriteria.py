@@ -11,8 +11,9 @@ builds that machinery:
   and a block size;
 * :func:`evaluate_candidates` — model each candidate's
   ``(time, space)`` behaviour from :class:`~repro.netsim.cpu.CodecCostModel`
-  calibration data plus live :class:`~repro.core.monitor.ReducingSpeedMonitor`
-  gauges and the 4 KB sampling probe;
+  calibration data, steered by live
+  :class:`~repro.core.monitor.ReducingSpeedMonitor` speeds and the 4 KB
+  sampling probe;
 * :func:`pareto_frontier` / :func:`build_frontier` — prune to the small
   Pareto-optimal set (no point is both slower and larger than another);
 * :func:`select_point` — pick the frontier point minimizing modeled
@@ -292,7 +293,9 @@ def _base_estimate(
     ``cpu``); a live monitor that has *observed* the method overrides
     the compression speed — that is how CPU load and data drift steer
     the optimizer between blocks, exactly like the table's reducing
-    speed — via ``throughput = reducing_speed / (1 - ratio)``.
+    speed — via ``throughput = reducing_speed / (1 - ratio)``.  The
+    monitor carries speeds only, so without calibration there is no
+    ratio and the method is not priceable, however often it was observed.
     """
     compress = decompress = ratio = None
     if calibration is not None:
@@ -308,9 +311,6 @@ def _base_estimate(
                 compress = cpu.scale_speed(compress)
                 decompress = cpu.scale_speed(decompress)
     if monitor is not None:
-        observed_ratio = monitor.ratio(method)
-        if observed_ratio is not None:
-            ratio = observed_ratio
         speed = monitor.reducing_speed(method)
         if ratio is not None and ratio < 1.0 and speed > 0 and math.isfinite(speed):
             # Monitor speeds are as-measured on this machine: no CPU scaling.
@@ -337,8 +337,9 @@ def evaluate_candidates(
     ``sending_time`` is the estimated time to send ``base_block_size``
     (default: each candidate's own block size) *uncompressed* — the same
     estimate the decision table consumes.  Candidates whose method has
-    neither calibration data nor live monitor observations are skipped;
-    ``none`` is always priceable, so the result is never empty.
+    no calibration data are skipped — monitor observations only steer
+    the speed of a calibrated method; ``none`` is always priceable, so
+    the result is never empty.
     """
     if sending_time < 0:
         raise ValueError("sending_time must be non-negative")
@@ -434,10 +435,11 @@ def build_frontier(
 ) -> List[FrontierPoint]:
     """Evaluate the candidate grid and return its Pareto frontier.
 
-    With no calibration data and no monitor observations the frontier
-    degenerates to the single ``none`` point — the optimizer refuses to
-    price codecs it knows nothing about, mirroring the table's "don't
-    compress" fallback on a dead feedback loop.
+    With no calibration data the frontier degenerates to the single
+    ``none`` point, however many monitor observations arrived — the
+    optimizer refuses to price codecs whose ratio it does not know,
+    mirroring the table's "don't compress" fallback on a dead feedback
+    loop.
     """
     specs = (
         tuple(candidates) if candidates is not None else default_candidates(block_size)

@@ -1,12 +1,19 @@
-"""Threshold calibration — the paper's tuning procedure (§2.5).
+"""Host calibration and threshold calibration — the paper's tuning procedure (§2.5).
 
 "Obviously, this information is specific to the particular data used ...
 However, these numbers can be tuned easily by sampling even a small piece
 of data extracted from the original file and send this piece of data over
 an unloaded line employing unloaded CPUs."
 
-:func:`calibrate_thresholds` reconstructs the paper's constants from
-measurable primitives, and applied to the paper's own Figure 2/4 numbers
+:func:`calibrate` measures a :class:`~repro.netsim.cpu.CodecCostModel`
+from that small piece: each codec round-trips it once through
+:meth:`~repro.core.engine.CodecExecutor.measure_roundtrip`, so both
+directions are timed by the engine and a codec that does not restore its
+input raises instead of getting a cost.
+
+:func:`calibrate_thresholds` reconstructs the paper's constants from a
+cost model's Lempel-Ziv and Burrows-Wheeler operating points, and applied
+to the paper's own Figure 2/4 numbers (``calibrate_thresholds(DEFAULT_COSTS)``)
 it *reproduces them*:
 
 * ``compress_factor = 1 - margin``.  The §2.5 inequality ``sending_time >
@@ -29,15 +36,14 @@ it *reproduces them*:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Dict
 
 from ..compression.base import Codec
-from .engine import measure
-from ..compression.registry import get_codec
+from ..netsim.cpu import CodecCost, CodecCostModel
 from .decision import DecisionThresholds
+from .engine import CodecExecutor
 
-__all__ = ["OperatingPoint", "ThresholdCalibration", "calibrate_thresholds"]
+__all__ = ["calibrate", "calibrate_thresholds"]
 
 #: The paper's gate-to-sample-ratio multiplier (0.4878 / 0.41).
 GATE_HEADROOM = 1.19
@@ -45,80 +51,39 @@ GATE_HEADROOM = 1.19
 BW_PATIENCE = 2.0
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    """One codec's measured behaviour on the calibration sample."""
-
-    throughput: float  # input bytes / second
-    ratio: float       # compressed / original
-
-    def __post_init__(self) -> None:
-        if self.throughput <= 0:
-            raise ValueError("throughput must be positive")
-        if self.ratio < 0:
-            raise ValueError("ratio must be non-negative")
-
-    @property
-    def reducing_speed(self) -> float:
-        return self.throughput * max(0.0, 1.0 - self.ratio)
-
-
-@dataclass(frozen=True)
-class ThresholdCalibration:
-    """The measured primitives plus the derived thresholds."""
-
-    lz: OperatingPoint
-    bw: OperatingPoint
-    sample_size: int
-    thresholds: DecisionThresholds
-
-
-def _measure_point(codec: Codec, sample: bytes) -> OperatingPoint:
-    result = measure(codec, sample, keep_payload=False)
-    return OperatingPoint(
-        throughput=max(result.throughput, 1e-9), ratio=result.ratio
-    )
-
-
-def calibrate_thresholds(
-    sample: bytes,
-    lz: Optional[OperatingPoint] = None,
-    bw: Optional[OperatingPoint] = None,
-    margin: float = 0.17,
-) -> ThresholdCalibration:
-    """Derive decision thresholds from a small data sample (§2.5).
-
-    ``lz``/``bw`` operating points may be supplied (e.g. taken from a
-    :class:`~repro.netsim.cpu.CodecCostModel`, or from a probe run over
-    "an unloaded line employing unloaded CPUs") or are measured live from
-    the sample with the registered codecs.
-    """
+def calibrate(codecs: Dict[str, Codec], sample: bytes) -> CodecCostModel:
+    """Measure a :class:`CodecCostModel` from one checked round trip per codec."""
     if not sample:
         raise ValueError("calibration sample must be non-empty")
+    executor = CodecExecutor()
+    costs: Dict[str, CodecCost] = {}
+    for name, codec in codecs.items():
+        run = executor.measure_roundtrip(name, sample, codec=codec)
+        costs[name] = CodecCost(
+            compress_throughput=len(sample) / max(run.compression_seconds, 1e-9),
+            decompress_throughput=len(sample) / max(run.decompression_seconds, 1e-9),
+            typical_ratio=run.ratio,
+        )
+    return CodecCostModel(costs)
+
+
+def calibrate_thresholds(costs: CodecCostModel, margin: float = 0.17) -> DecisionThresholds:
+    """Derive decision thresholds from ``costs``' LZ and BW points (§2.5).
+
+    ``costs`` is the paper's (:data:`~repro.netsim.cpu.DEFAULT_COSTS`) or a
+    :func:`calibrate` model of a small sample run "employing unloaded CPUs".
+    """
     if not 0.0 <= margin < 1.0:
         raise ValueError("margin must be in [0, 1)")
-    lz_point = lz if lz is not None else _measure_point(get_codec("lempel-ziv"), sample)
-    bw_point = bw if bw is not None else _measure_point(get_codec("burrows-wheeler"), sample)
-    if lz_point.reducing_speed <= 0 or bw_point.reducing_speed <= 0:
+    lz_speed = costs.reducing_speed("lempel-ziv")
+    bw_speed = costs.reducing_speed("burrows-wheeler")
+    if lz_speed <= 0 or bw_speed <= 0:
         raise ValueError(
             "calibration sample is incompressible; pick a representative sample"
         )
-
     compress_factor = 1.0 - margin
-    bw_factor = max(
-        compress_factor,
-        BW_PATIENCE
-        * compress_factor
-        * lz_point.reducing_speed
-        / bw_point.reducing_speed,
-    )
-    ratio_gate = min(0.95, GATE_HEADROOM * lz_point.ratio)
-
-    thresholds = DecisionThresholds(
+    return DecisionThresholds(
         compress_factor=compress_factor,
-        bw_factor=bw_factor,
-        ratio_gate=ratio_gate,
-    )
-    return ThresholdCalibration(
-        lz=lz_point, bw=bw_point, sample_size=len(sample), thresholds=thresholds
+        bw_factor=max(compress_factor, BW_PATIENCE * compress_factor * lz_speed / bw_speed),
+        ratio_gate=min(0.95, GATE_HEADROOM * costs.cost("lempel-ziv").typical_ratio),
     )

@@ -2,12 +2,11 @@
 
 Every place the repository compresses or decompresses a block *and
 accounts for the cost* — the §2.5 adaptive pipeline, the 4 KB Lempel-Ziv
-sampling probe, the middleware compression handlers, the microbenchmark
-harnesses — routes through this module's :class:`CodecExecutor`.  It is
-the only module in ``src/repro`` outside ``netsim/`` allowed to call
-``time.perf_counter`` (``scripts/check.sh`` enforces the invariant), so
-the measured-vs-modeled mode switch and the cost-model/CPU scaling rules
-exist in exactly one place:
+sampling probe, the middleware compression handlers, host calibration
+— routes through this module's :class:`CodecExecutor`, and every clock
+read for codec work is its :func:`timed` (``scripts/check.sh`` counts
+them), so the measured-vs-modeled mode switch and the cost-model/CPU
+scaling rules exist in exactly one place:
 
 * **measured** (no models): the codec really runs under a wall-clock
   timer and the measured time is reported;
@@ -32,9 +31,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
 
-from ..compression.base import Codec, CodecError, CompressionResult, ReductionMetrics
+from ..compression.base import Codec, CodecError, ReductionMetrics
 from ..compression.registry import get_codec
 
 __all__ = [
@@ -45,68 +44,29 @@ __all__ = [
     "Observer",
     "Selector",
     "cut_blocks",
-    "measure",
-    "measure_callable",
-    "measure_decompress",
+    "timed",
 ]
 
 #: "Take a block of 128KB" — the paper's block size, chosen "according to
 #: the efficiency of compression methods based on [32, 33]".
 DEFAULT_BLOCK_SIZE = 128 * 1024
 
+T = TypeVar("T")
+R = TypeVar("R")
 
-# -- timing primitives (the one perf_counter site) -------------------------------
+
+# -- the timer (the one perf_counter site) ---------------------------------------
 
 
-def measure(codec: Codec, data: bytes, keep_payload: bool = True) -> CompressionResult:
-    """Compress ``data`` with ``codec`` under a wall-clock timer.
+def timed(fn: Callable[[T], R], data: T) -> Tuple[R, float]:
+    """``fn(data)`` under a wall-clock timer; returns (output, seconds).
 
-    This is the measurement primitive behind the sampling process of §2.5:
-    the selector periodically compresses a small sample and uses the
-    resulting :class:`~repro.compression.base.CompressionResult` to
-    estimate both the reducing speed and the achievable ratio for the
-    next block.
+    The executor, the pool workers and the differential harness all
+    time through it, so no codec run is timed anywhere else.
     """
     start = time.perf_counter()
-    payload = codec.compress(data)
-    elapsed = time.perf_counter() - start
-    return CompressionResult(
-        codec_name=codec.name,
-        original_size=len(data),
-        compressed_size=len(payload),
-        elapsed_seconds=elapsed,
-        payload=payload if keep_payload else None,
-    )
-
-
-def measure_decompress(codec: Codec, payload: bytes) -> Tuple[bytes, float]:
-    """Decompress ``payload`` under a wall-clock timer; returns (data, seconds)."""
-    start = time.perf_counter()
-    data = codec.decompress(payload)
-    elapsed = time.perf_counter() - start
-    return data, elapsed
-
-
-def measure_callable(
-    label: str, transform: Callable[[bytes], bytes], data: bytes
-) -> CompressionResult:
-    """Time an arbitrary ``bytes -> bytes`` transform at the sanctioned site.
-
-    The differential harness (:mod:`repro.verify.differential`) compares
-    our codecs against reference implementations (``zlib``, ``bz2``, the
-    scalar mtf/rle/bwt loops) and wants both sides timed identically —
-    but only this module may read the clock, so the hook lives here.
-    """
-    start = time.perf_counter()
-    out = transform(data)
-    elapsed = time.perf_counter() - start
-    return CompressionResult(
-        codec_name=label,
-        original_size=len(data),
-        compressed_size=len(out),
-        elapsed_seconds=elapsed,
-        payload=out,
-    )
+    out = fn(data)
+    return out, time.perf_counter() - start
 
 
 # -- the codec-run record --------------------------------------------------------
@@ -126,8 +86,6 @@ class BlockStats(ReductionMetrics):
     differs from ``requested_method`` only when the expansion guard fell
     back to ``none`` because the codec grew the block.
     """
-
-    _seconds_attr = "compression_seconds"
 
     requested_method: str
     method: str
@@ -218,12 +176,8 @@ class CodecExecutor:
                 payload=block,
             )
         codec = codec if codec is not None else get_codec(method)
-        result = measure(codec, block)
-        payload = result.payload
-        assert payload is not None
-        return self.finalize_compression(
-            method, block, payload, result.elapsed_seconds, codec=codec
-        )
+        payload, seconds = timed(codec.compress, block)
+        return self.finalize_compression(method, block, payload, seconds, codec=codec)
 
     def finalize_compression(
         self,
@@ -279,26 +233,27 @@ class CodecExecutor:
 
         def measured() -> float:
             run = codec if codec is not None else get_codec(method)
-            return measure_decompress(run, payload)[1]
+            return timed(run.decompress, payload)[1]
 
         return self._seconds("decompression", method, original_size, measured)
 
     def measure_roundtrip(
         self, method: str, data: bytes, codec: Optional[Codec] = None
-    ) -> Tuple[BlockStats, float]:
-        """Compress then decompress ``data``; returns (execution, decompress seconds).
+    ) -> BlockStats:
+        """Compress then decompress ``data``; both directions timed in one record.
 
-        The microbenchmark primitive (Figures 2, 3, 6): both directions
-        really run, both are timed, and the round-trip is checked.
+        The calibration primitive (:func:`repro.core.calibration.calibrate`):
+        both directions really run and the round trip is checked.
         """
         codec = codec if codec is not None else get_codec(method)
         execution = self.compress(method, data, codec=codec)
         if execution.method == "none":
-            return execution, 0.0
-        restored, measured = measure_decompress(codec, execution.payload)
+            return execution
+        restored, measured = timed(codec.decompress, execution.payload)
         if restored != data:
             raise CodecError(f"codec {method!r} failed to round-trip a block")
-        return execution, self._seconds("decompression", method, len(data), lambda: measured)
+        seconds = self._seconds("decompression", method, len(data), lambda: measured)
+        return replace(execution, decompression_seconds=seconds)
 
 
 # -- block discipline ------------------------------------------------------------

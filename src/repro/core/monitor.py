@@ -11,9 +11,9 @@ prescribes ("Assume the reducing size speed of first block is infinity").
 
 The monitor is a thin view over a
 :class:`~repro.obs.metrics.MetricsRegistry`: the EWMA state lives in
-labeled gauges (``repro_reducing_speed_bytes_per_second{codec=...}``,
-``repro_codec_ratio{codec=...}``), so ``repro stats`` and any other obs
-consumer read the same numbers the selector acts on.  Pass a shared
+labeled gauges (``repro_reducing_speed_bytes_per_second{codec=...}``),
+so ``repro stats`` and any other obs consumer read the same numbers the
+selector acts on.  Pass a shared
 registry to co-locate them with the rest of a process's telemetry; by
 default each monitor owns a private one.
 """
@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Set
 
-from ..compression.base import CompressionResult
-from ..obs.catalogue import CODEC_OBSERVATIONS_TOTAL, CODEC_RATIO, REDUCING_SPEED
+from ..obs.catalogue import CODEC_OBSERVATIONS_TOTAL, REDUCING_SPEED
 from ..obs.metrics import MetricsRegistry
 
 __all__ = ["ReducingSpeedMonitor"]
@@ -47,7 +46,6 @@ class ReducingSpeedMonitor:
         self.alpha = alpha
         self.registry = registry if registry is not None else MetricsRegistry()
         self._speeds = self.registry.family(REDUCING_SPEED)
-        self._ratios = self.registry.family(CODEC_RATIO)
         self._observations = self.registry.family(CODEC_OBSERVATIONS_TOTAL)
         # Track which codec labels this monitor wrote, so reset() on a
         # shared registry only clears its own series.
@@ -63,24 +61,8 @@ class ReducingSpeedMonitor:
         self._observations.inc(codec=codec_name)
         self._codecs.add(codec_name)
 
-    def observe(self, result: CompressionResult) -> None:
-        """Fold one timed compression into the per-codec estimates."""
-        speed = result.reducing_speed
-        if math.isinf(speed):
-            # A zero-duration measurement carries no information.
-            return
-        self._fold_speed(result.codec_name, speed)
-        previous_ratio = self._ratios.value(codec=result.codec_name)
-        if previous_ratio is None:
-            self._ratios.set(result.ratio, codec=result.codec_name)
-        else:
-            self._ratios.set(
-                previous_ratio + self.alpha * (result.ratio - previous_ratio),
-                codec=result.codec_name,
-            )
-
     def observe_raw(self, codec_name: str, bytes_saved: int, seconds: float) -> None:
-        """Fold a raw speed observation (does not touch the ratio estimate)."""
+        """Fold one timed run: ``bytes_saved`` removed in ``seconds``."""
         if seconds <= 0 or bytes_saved < 0:
             return
         self._fold_speed(codec_name, bytes_saved / seconds)
@@ -105,15 +87,10 @@ class ReducingSpeedMonitor:
         """
         return int(self._observations.value(codec=codec_name))
 
-    def ratio(self, codec_name: str) -> Optional[float]:
-        """Smoothed compression ratio, or None if never observed."""
-        return self._ratios.value(codec=codec_name)
-
     def observed(self, codec_name: str) -> bool:
         return self._speeds.has(codec=codec_name)
 
     def reset(self) -> None:
         for codec_name in self._codecs:
             self._speeds.remove(codec=codec_name)
-            self._ratios.remove(codec=codec_name)
         self._codecs.clear()

@@ -54,7 +54,7 @@ from .decision import Decision, DecisionThresholds
 from .engine import DEFAULT_BLOCK_SIZE, BlockEngine, BlockStats, CodecExecutor, Observer
 from .monitor import ReducingSpeedMonitor
 from .policy import AdaptivePolicy, CompressionPolicy
-from .sampler import LzSampler, SampleResult
+from .sampler import LzSampler
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -290,7 +290,7 @@ class AdaptivePipeline:
         estimator = EwmaBandwidthEstimator()
 
         records: List[BlockRecord] = []
-        sample: Optional[SampleResult] = None
+        sample: Optional[BlockStats] = None
         link_free = clock.now()
         last_delivery_done = clock.now()
 
@@ -325,10 +325,10 @@ class AdaptivePipeline:
             # Fork the probe on the next block; it runs while this block is
             # on the wire ("Send the block.  Wait for child process.").
             sample_time = 0.0
-            next_sample: Optional[SampleResult] = None
+            next_sample: Optional[BlockStats] = None
             if index + 1 < len(block_list):
                 next_sample = self.sampler.sample(block_list[index + 1])
-                sample_time = next_sample.elapsed_seconds
+                sample_time = next_sample.compression_seconds
                 monitor.observe_raw("lempel-ziv", next_sample.bytes_saved, max(sample_time, 1e-9))
 
             send_start = max(start_time + compression_time, link_free)

@@ -46,6 +46,7 @@ from .bicriteria import (
     select_point,
 )
 from .decision import Decision, DecisionInputs, DecisionThresholds, select_method
+from .engine import BlockStats
 from .monitor import ReducingSpeedMonitor
 from .placement import (
     PLACEMENT_MODES,
@@ -53,7 +54,6 @@ from .placement import (
     choose_placement,
     evaluate_placements,
 )
-from .sampler import SampleResult
 
 __all__ = [
     "CompressionPolicy",
@@ -74,7 +74,7 @@ class CompressionPolicy(Protocol):
         block_size: int,
         sending_time: float,
         monitor: ReducingSpeedMonitor,
-        sample: Optional[SampleResult],
+        sample: Optional[BlockStats],
     ) -> Decision:
         """Return the decision for the block about to be compressed."""
         ...
@@ -153,9 +153,9 @@ class AdaptivePolicy:
 
     * ``cost_model`` / ``cpu`` — the calibration substrate
       (:class:`~repro.netsim.cpu.CodecCostModel` scaled by a
-      :class:`~repro.netsim.cpu.CpuModel`).  Without it only what the
-      monitor has observed is priceable: a lone ``none`` point on a cold
-      start.
+      :class:`~repro.netsim.cpu.CpuModel`).  Without it nothing but
+      ``none`` is priceable, however many monitor observations arrive:
+      the monitor steers a calibrated method's speed, it carries no ratio.
     * ``interference`` — producer-side surcharge on compression time for
       competing with the producer's real work (DTSchedule measures
       ~15 %; a relay compresses unloaded).
@@ -296,7 +296,7 @@ class AdaptivePolicy:
         block_size: int,
         sending_time: float,
         monitor: ReducingSpeedMonitor,
-        sample: Optional[SampleResult],
+        sample: Optional[BlockStats],
     ) -> Decision:
         registry = monitor.registry
         # constrain: a dead feedback loop poisons every price below.
@@ -381,7 +381,7 @@ class AdaptivePolicy:
             interference=self.interference,
         )
         # constrain: only arrangements the data can price exist.  With
-        # nothing compressing priceable (no calibration, no observations)
+        # nothing compressing priceable (no calibration)
         # ``auto`` keeps the paper's arrangement rather than schedule on
         # guesswork; an explicit ``raw`` still ships raw.
         if self.placement != "auto":
@@ -419,7 +419,7 @@ class FixedPolicy:
         block_size: int,
         sending_time: float,
         monitor: ReducingSpeedMonitor,
-        sample: Optional[SampleResult],
+        sample: Optional[BlockStats],
     ) -> Decision:
         ratio = sample_ratio(sample)
         return Decision(

@@ -18,29 +18,16 @@ reproduced by the pipeline's time accounting, which charges
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional
 
-from ..compression.base import Codec, ReductionMetrics
+from ..compression.base import Codec
 from ..compression.registry import get_codec
 from ..netsim.cpu import CodecCostModel, CpuModel
-from .engine import CodecExecutor
+from .engine import BlockStats, CodecExecutor
 
-__all__ = ["SampleResult", "LzSampler", "DEFAULT_SAMPLE_SIZE"]
+__all__ = ["LzSampler", "DEFAULT_SAMPLE_SIZE"]
 
 DEFAULT_SAMPLE_SIZE = 4096
-
-
-@dataclass(frozen=True)
-class SampleResult(ReductionMetrics):
-    """Outcome of probing one block's head."""
-
-    sample_size: int
-    compressed_size: int
-    elapsed_seconds: float
-
-    original_size = property(attrgetter("sample_size"))
 
 
 class LzSampler:
@@ -59,14 +46,10 @@ class LzSampler:
         self.codec = codec if codec is not None else get_codec("lempel-ziv")
         self.executor = CodecExecutor(cost_model=cost_model, cpu=cpu)
 
-    def sample(self, next_block: bytes) -> SampleResult:
-        """Probe ``next_block``'s first ``sample_size`` bytes."""
+    def sample(self, next_block: bytes) -> BlockStats:
+        """Probe ``next_block``'s first ``sample_size`` bytes: the probe's own run."""
         head = next_block[: self.sample_size]
+        name = self.codec.name
         if not head:
-            return SampleResult(sample_size=0, compressed_size=0, elapsed_seconds=0.0)
-        execution = self.executor.compress(self.codec.name, head, codec=self.codec)
-        return SampleResult(
-            sample_size=len(head),
-            compressed_size=execution.compressed_size,
-            elapsed_seconds=execution.compression_seconds,
-        )
+            return BlockStats(name, name, 0, 0, 0.0)
+        return self.executor.compress(name, head, codec=self.codec)

@@ -10,8 +10,8 @@ of refs [31-33].  This module supplies that layer:
   workers (``mode="processes"`` for pure-Python codecs, ``"threads"``
   for GIL-releasing natives, ``"serial"`` as the in-process fallback).
   Workers resolve methods through the codec registry and time themselves
-  with :func:`~repro.core.engine.measure` — the engine module stays the
-  one ``perf_counter`` site — and ship back ``(payload, seconds)`` so
+  with :func:`~repro.core.engine.timed` — the engine's one clock read —
+  and ship back ``(payload, seconds)`` so
   :class:`~repro.core.engine.CodecExecutor` remains the one accounting
   point.  A broken pool (killed worker, failed fork) degrades to serial
   execution instead of corrupting the stream.
@@ -53,7 +53,7 @@ from .engine import (
     CodecExecutor,
     Observer,
     Selector,
-    measure,
+    timed,
 )
 
 __all__ = [
@@ -77,16 +77,12 @@ DEFAULT_QUEUE_DEPTH = 8
 def _pool_compress(method: str, data: bytes) -> Tuple[bytes, float]:
     """Worker-side task: compress ``data`` with the registered ``method``.
 
-    Runs inside pool workers (or inline for serial/degraded pools).  The
-    timing comes from :func:`repro.core.engine.measure`, keeping the
-    engine module the single ``perf_counter`` site; the caller's
+    Runs inside pool workers (or inline for serial/degraded pools), timed
+    by :func:`repro.core.engine.timed`; the caller's
     :class:`~repro.core.engine.CodecExecutor` applies the scaling rules
     to the returned measured seconds.
     """
-    result = measure(get_codec(method), data)
-    payload = result.payload
-    assert payload is not None
-    return payload, result.elapsed_seconds
+    return timed(get_codec(method).compress, data)
 
 
 class WorkerPool(DegradingPool):

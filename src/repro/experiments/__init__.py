@@ -21,7 +21,6 @@ from .endtoend import PAPER_HEADLINE, HeadlineRow, headline_comparison
 from .links import PAPER_FIG5, LinkMeasurement, figure5_link_speeds
 from .micro import (
     METHOD_ORDER,
-    MicroResult,
     commercial_sample,
     figure1_rows,
     figure2_ratios,
@@ -59,7 +58,6 @@ __all__ = [
     "LinkMeasurement",
     "MBONE_SCALE",
     "METHOD_ORDER",
-    "MicroResult",
     "MultilinkCell",
     "PAPER_FIG5",
     "PAPER_HEADLINE",

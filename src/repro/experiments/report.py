@@ -17,6 +17,7 @@ from .links import PAPER_FIG5, figure5_link_speeds
 from .micro import (
     METHOD_ORDER,
     PAPER_FIG2_PERCENT,
+    commercial_sample,
     figure1_rows,
     figure2_ratios,
     figure4_reducing_speeds,
@@ -56,18 +57,21 @@ def figure1_section() -> List[str]:
 
 
 def figure2_3_section() -> List[str]:
+    data = commercial_sample()
+    model = figure2_ratios(data)
+    ms = 1e3 * len(data)  # size / throughput = seconds
     return _section(
         "Figures 2-3 — commercial ratios and times",
         ["method", "measured %", "paper %", "compress ms", "decompress ms"],
         [
             [
                 method,
-                f"{result.percent:.1f}",
+                f"{model.cost(method).typical_ratio * 100:.1f}",
                 f"{PAPER_FIG2_PERCENT[method]:.0f}",
-                f"{result.compress_seconds * 1e3:.1f}",
-                f"{result.decompress_seconds * 1e3:.1f}",
+                f"{ms / model.cost(method).compress_throughput:.1f}",
+                f"{ms / model.cost(method).decompress_throughput:.1f}",
             ]
-            for method, result in figure2_ratios().items()
+            for method in METHOD_ORDER
         ],
     )
 
@@ -105,8 +109,8 @@ def figure6_section() -> List[str]:
         "Figure 6 — molecular fields (compressed %)",
         ["field"] + METHOD_ORDER,
         [
-            [field] + [f"{by_method[m].percent:.1f}" for m in METHOD_ORDER]
-            for field, by_method in figure6_molecular_ratios().items()
+            [field] + [f"{model.cost(m).typical_ratio * 100:.1f}" for m in METHOD_ORDER]
+            for field, model in figure6_molecular_ratios().items()
         ],
     )
 

@@ -21,7 +21,6 @@ from .cpu import (
     CodecCost,
     CodecCostModel,
     CpuModel,
-    calibrate,
 )
 from .link import (
     EXTRA_LINKS,
@@ -62,7 +61,6 @@ __all__ = [
     "ULTRA_SPARC",
     "VirtualClock",
     "WallClock",
-    "calibrate",
     "make_link",
     "mbone_trace",
 ]

@@ -11,24 +11,21 @@ faster.  We cannot run on Solaris hardware, so:
 * :class:`CodecCostModel` holds calibrated per-codec compression and
   decompression throughputs plus typical ratios.  The deterministic
   end-to-end experiments consume these instead of wall-clock timings so
-  Figures 8-12 are exactly reproducible; :func:`calibrate` measures a real
-  cost model from the host with any dataset.
+  Figures 8-12 are exactly reproducible;
+  :func:`repro.core.calibration.calibrate` measures a real cost model from
+  the host with any dataset.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
-
-from ..compression.base import Codec
 
 __all__ = [
     "CpuModel",
     "CodecCost",
     "CodecCostModel",
     "DEFAULT_COSTS",
-    "calibrate",
     "SUN_FIRE",
     "ULTRA_SPARC",
 ]
@@ -134,8 +131,8 @@ _MB = float(1 << 20)
 #: numbers :meth:`CodecCostModel.reducing_speed` reproduces the Figure 4
 #: bars (Huffman highest, Lempel-Ziv mid, Burrows-Wheeler and arithmetic
 #: low) and the modeled end-to-end replays (Figures 8-12) run at the
-#: paper's operating point rather than this host's.  Use :func:`calibrate`
-#: for a host-measured model instead.
+#: paper's operating point rather than this host's.  Use
+#: :func:`repro.core.calibration.calibrate` for a host-measured model instead.
 DEFAULT_COSTS = CodecCostModel(
     {
         "huffman": CodecCost(
@@ -192,29 +189,3 @@ DEFAULT_COSTS = CodecCostModel(
         ),
     }
 )
-
-
-def calibrate(codecs: Dict[str, Codec], sample: bytes) -> CodecCostModel:
-    """Measure a :class:`CodecCostModel` from real codec runs on ``sample``.
-
-    Calibration times the *host* directly (``netsim/`` is, with
-    ``core/engine.py``, one of the two sanctioned timing sites): the
-    resulting throughputs feed the modeled mode that the rest of the
-    system consumes through :class:`~repro.core.engine.CodecExecutor`.
-    """
-    if not sample:
-        raise ValueError("calibration sample must be non-empty")
-    costs: Dict[str, CodecCost] = {}
-    for name, codec in codecs.items():
-        start = time.perf_counter()
-        payload = codec.compress(sample)
-        compress_elapsed = max(time.perf_counter() - start, 1e-9)
-        start = time.perf_counter()
-        codec.decompress(payload)
-        decompress_elapsed = max(time.perf_counter() - start, 1e-9)
-        costs[name] = CodecCost(
-            compress_throughput=len(sample) / compress_elapsed,
-            decompress_throughput=len(sample) / decompress_elapsed,
-            typical_ratio=len(payload) / len(sample),
-        )
-    return CodecCostModel(costs)

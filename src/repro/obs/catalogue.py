@@ -140,9 +140,6 @@ PIPELINE_BLOCKS_TOTAL = _counter(
 REDUCING_SPEED = _gauge(
     "repro_reducing_speed_bytes_per_second", "EWMA reducing speed (bytes removed / second)", "codec"
 )
-CODEC_RATIO = _gauge(
-    "repro_codec_ratio", "EWMA compression ratio (compressed / original)", "codec"
-)
 CODEC_OBSERVATIONS_TOTAL = _counter(
     "repro_codec_observations_total", "speed observations folded into the EWMA", "codec"
 )

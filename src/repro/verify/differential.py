@@ -20,8 +20,8 @@ compressor choice must be *verified*, not assumed:
   execution detail, never a wire-format input.
 
 Both sides of every comparison are timed through
-:func:`repro.core.engine.measure_callable` (the one sanctioned timing
-site), so a differential run doubles as a reference-speed probe.
+:func:`repro.core.engine.timed` (the one sanctioned timing site), so a
+differential run doubles as a reference-speed probe.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from ..compression.parallel import ParallelCodec
 from ..compression.registry import available_codecs, get_codec
 from ..compression.rle import rle_decode, rle_encode
 from ..compression.structured import bitpack, bitunpack, delta_zigzag, undelta_zigzag
-from ..core.engine import measure_callable
+from ..core.engine import timed
 from .corpus import CorpusGenerator
 from .references import (
     reference_bitpack,
@@ -152,13 +152,12 @@ def diff_wire_counterpart(name: str, case: str, data: bytes) -> List[Differentia
     if reference is None:
         return []
     codec = get_codec(name)
-    ours = measure_callable(name, codec.compress, data)
-    theirs = measure_callable(reference.label, reference.compress, data)
-    assert ours.payload is not None and theirs.payload is not None
+    ours, our_seconds = timed(codec.compress, data)
+    theirs, their_seconds = timed(reference.compress, data)
     results = []
     for direction, reader, decode, writer, encoded in (
-        (f"ours->{reference.label}", reference.label, reference.decompress, "our", ours.payload),
-        (f"{reference.label}->ours", "we", codec.decompress, reference.label, theirs.payload),
+        (f"ours->{reference.label}", reference.label, reference.decompress, "our", ours),
+        (f"{reference.label}->ours", "we", codec.decompress, reference.label, theirs),
     ):
         try:
             decoded = decode(encoded)
@@ -174,8 +173,8 @@ def diff_wire_counterpart(name: str, case: str, data: bytes) -> List[Differentia
                 case=f"{case}:{direction}",
                 passed=ok,
                 detail=detail,
-                subject_seconds=ours.elapsed_seconds,
-                reference_seconds=theirs.elapsed_seconds,
+                subject_seconds=our_seconds,
+                reference_seconds=their_seconds,
             )
         )
     return results
@@ -365,12 +364,12 @@ def _compare(row: _Row, case: str, data: bytes) -> Optional[DifferentialResult]:
     prepared = row.prepare(data)
     if prepared is None:
         return None
-    fast = measure_callable(f"{row.subject}:numpy", row.kernel, prepared)
-    slow = measure_callable(f"{row.subject}:scalar", row.oracle, prepared)
+    fast, fast_seconds = timed(row.kernel, prepared)
+    slow, slow_seconds = timed(row.oracle, prepared)
     detail = ""
-    if fast.payload != slow.payload:
+    if fast != slow:
         detail = "kernel output diverged from the scalar oracle"
-    elif row.restored is not None and row.restored(slow.payload) != prepared:
+    elif row.restored is not None and row.restored(slow) != prepared:
         detail = "kernel and oracle agree but do not restore the input"
     return DifferentialResult(
         kind="scalar-vectorized",
@@ -378,8 +377,8 @@ def _compare(row: _Row, case: str, data: bytes) -> Optional[DifferentialResult]:
         case=case,
         passed=not detail,
         detail=detail,
-        subject_seconds=fast.elapsed_seconds,
-        reference_seconds=slow.elapsed_seconds,
+        subject_seconds=fast_seconds,
+        reference_seconds=slow_seconds,
     )
 
 
@@ -397,9 +396,9 @@ def diff_serial_parallel(
     base = get_codec(base_name)
     serial = ParallelCodec(base, chunk_size=chunk_size, strategy="serial")
     threaded = ParallelCodec(base, chunk_size=chunk_size, workers=3, strategy="threads")
-    serial_run = measure_callable("serial", serial.compress, data)
-    threaded_run = measure_callable("threads", threaded.compress, data)
-    ok = serial_run.payload == threaded_run.payload
+    serial_run, serial_seconds = timed(serial.compress, data)
+    threaded_run, threaded_seconds = timed(threaded.compress, data)
+    ok = serial_run == threaded_run
     results = [
         DifferentialResult(
             kind="serial-parallel",
@@ -407,12 +406,11 @@ def diff_serial_parallel(
             case=case,
             passed=ok,
             detail="" if ok else "pool strategy leaked into the wire bytes",
-            subject_seconds=threaded_run.elapsed_seconds,
-            reference_seconds=serial_run.elapsed_seconds,
+            subject_seconds=threaded_seconds,
+            reference_seconds=serial_seconds,
         )
     ]
-    assert serial_run.payload is not None
-    restored = threaded.decompress(serial_run.payload)
+    restored = threaded.decompress(serial_run)
     ok = restored == data
     results.append(
         DifferentialResult(

@@ -28,7 +28,7 @@ from ...core.bicriteria import (
     select_point,
 )
 from ...core.decision import DecisionInputs, DecisionThresholds, select_method
-from ...core.engine import BlockEngine, CodecExecutor, measure_callable
+from ...core.engine import BlockEngine, CodecExecutor, timed
 from ...core.monitor import ReducingSpeedMonitor
 from ...core.workers import PipelinedBlockEngine, WorkerPool, simulate_pipeline
 from ...data.logs import LogDataGenerator
@@ -511,7 +511,7 @@ def raw_path(ctx: GateContext) -> None:
       faster than the copying path, reproduced inline as owned-``bytes``
       encode plus ``copy=True`` parse.  CRC is off on *both* sides so the
       measurement isolates the copy elimination.  Both sides go through
-      ``measure_callable`` — the one sanctioned timing site — and take
+      ``timed`` — the one sanctioned timing site — and take
       the best of several repeats, so scheduler noise can only slow a
       side down, never speed it up.
     * **Pure-Python wire CRCs** — each paper codec compresses a fixed
@@ -536,14 +536,11 @@ def raw_path(ctx: GateContext) -> None:
             parse_frame(wire, copy=True)
         return data
 
-    def best_seconds(label: str, fn) -> float:
-        return min(
-            measure_callable(label, fn, payload).elapsed_seconds
-            for _ in range(RAW_FRAME_REPEATS)
-        )
+    def best_seconds(fn) -> float:
+        return min(timed(fn, payload)[1] for _ in range(RAW_FRAME_REPEATS))
 
-    fast = max(best_seconds("raw.zero_copy", zero_copy_round), 1e-9)
-    ratio = best_seconds("raw.copying", copying_round) / fast
+    fast = max(best_seconds(zero_copy_round), 1e-9)
+    ratio = best_seconds(copying_round) / fast
     if ratio < RAW_MIN_SPEEDUP:
         ctx.fail(
             f"zero-copy framing only {ratio:.2f}x the copying path "

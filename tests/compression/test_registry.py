@@ -1,11 +1,11 @@
-"""Unit tests for the codec registry and the Codec/measure primitives."""
+"""Unit tests for the codec registry and the Codec/timer primitives."""
 
 import math
 
 import pytest
 
-from repro.compression.base import Codec, CodecError, CompressionResult
-from repro.core.engine import measure
+from repro.compression.base import Codec, CodecError
+from repro.core.engine import BlockStats, timed
 from repro.compression.identity import IdentityCodec
 from repro.compression.registry import (
     PAPER_METHODS,
@@ -70,37 +70,33 @@ class TestRegistry:
 
 
 class TestCompressionResult:
+    """The record a compression returns (``BlockStats``) reads its metrics
+    through ``ReductionMetrics``."""
+
     def test_ratio_and_saved(self):
-        result = CompressionResult("x", 1000, 400, 0.5)
+        result = BlockStats("x", "x", 1000, 400, 0.5)
         assert result.ratio == 0.4
         assert result.bytes_saved == 600
         assert result.reducing_speed == 1200.0
-        assert result.throughput == 2000.0
 
     def test_expansion_clamps_saved(self):
-        result = CompressionResult("x", 100, 150, 0.1)
+        result = BlockStats("x", "x", 100, 150, 0.1)
         assert result.bytes_saved == 0
         assert result.reducing_speed == 0.0
 
     def test_empty_input_ratio(self):
-        assert CompressionResult("x", 0, 0, 0.1).ratio == 1.0
+        assert BlockStats("x", "x", 0, 0, 0.1).ratio == 1.0
 
     def test_zero_time_infinite_speed(self):
-        result = CompressionResult("x", 100, 50, 0.0)
+        result = BlockStats("x", "x", 100, 50, 0.0)
         assert math.isinf(result.reducing_speed)
 
 
 class TestMeasure:
     def test_measure_identity(self):
-        result = measure(IdentityCodec(), b"hello")
-        assert result.codec_name == "none"
-        assert result.original_size == result.compressed_size == 5
-        assert result.payload == b"hello"
-        assert result.elapsed_seconds >= 0
-
-    def test_measure_without_payload(self):
-        result = measure(IdentityCodec(), b"hello", keep_payload=False)
-        assert result.payload is None
+        payload, seconds = timed(IdentityCodec().compress, b"hello")
+        assert payload == b"hello"
+        assert seconds >= 0
 
     def test_ratio_helper(self):
         assert IdentityCodec().ratio(b"abc") == 1.0

@@ -9,25 +9,20 @@ from repro.core.engine import (
     BlockEngine,
     CodecExecutor,
     cut_blocks,
-    measure,
-    measure_decompress,
+    timed,
 )
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE, ULTRA_SPARC, CpuModel
 
 
 class TestMeasurePrimitives:
     def test_measure_times_a_real_run(self, commercial_block):
-        result = measure(get_codec("huffman"), commercial_block)
-        assert result.codec_name == "huffman"
-        assert result.original_size == len(commercial_block)
-        assert 0 < result.compressed_size < len(commercial_block)
-        assert result.elapsed_seconds >= 0
-        assert result.payload is not None
+        payload, seconds = timed(get_codec("huffman").compress, commercial_block)
+        assert 0 < len(payload) < len(commercial_block)
+        assert seconds >= 0
 
-    def test_measure_decompress_round_trips(self, commercial_block):
+    def test_timed_decompress_round_trips(self, commercial_block):
         codec = get_codec("huffman")
-        payload = codec.compress(commercial_block)
-        data, seconds = measure_decompress(codec, payload)
+        data, seconds = timed(codec.decompress, codec.compress(commercial_block))
         assert data == commercial_block
         assert seconds >= 0
 
@@ -131,11 +126,9 @@ class TestVerify:
             executor.compress("liar", commercial_block, codec=LyingCodec())
 
     def test_measure_roundtrip_checks_and_times_both_directions(self, commercial_block):
-        execution, decompress_seconds = CodecExecutor().measure_roundtrip(
-            "huffman", commercial_block
-        )
-        assert execution.compressed_size < len(commercial_block)
-        assert decompress_seconds > 0
+        run = CodecExecutor().measure_roundtrip("huffman", commercial_block)
+        assert run.compressed_size < len(commercial_block)
+        assert run.compression_seconds > 0 and run.decompression_seconds > 0
 
 
 class TestCutBlocks:

@@ -27,9 +27,9 @@ import pytest
 
 from repro.core.bicriteria import CandidateSpec
 from repro.core.decision import Decision
+from repro.core.engine import BlockStats
 from repro.core.monitor import ReducingSpeedMonitor
 from repro.core.policy import AdaptivePolicy
-from repro.core.sampler import SampleResult
 from repro.experiments.replay import (
     figure8_commercial_replay,
     figure11_molecular_replay,
@@ -150,7 +150,8 @@ def _decision_trace(preset):
         elif kind == 1:
             sample = rng.uniform(0.05, 1.1)
         else:
-            sample = SampleResult(4096, rng.randrange(200, 4300), 0.001)
+            compressed = rng.randrange(200, 4300)
+            sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, compressed, 0.001)
         decision = policy.choose(block_size, sending_time, monitor, sample)
         rows.append("|".join(_pin(getattr(decision, name)) for name in _FIELDS))
     return {

@@ -4,12 +4,7 @@ import math
 
 import pytest
 
-from repro.compression.base import CompressionResult
 from repro.core.monitor import ReducingSpeedMonitor
-
-
-def result(name, original, compressed, seconds):
-    return CompressionResult(name, original, compressed, seconds)
 
 
 class TestReducingSpeedMonitor:
@@ -21,27 +16,19 @@ class TestReducingSpeedMonitor:
 
     def test_first_observation_replaces_infinity(self):
         monitor = ReducingSpeedMonitor()
-        monitor.observe(result("lz", 1000, 400, 0.1))
+        monitor.observe_raw("lz", 600, 0.1)
         assert monitor.reducing_speed("lz") == pytest.approx(6000.0)
         assert monitor.observed("lz")
 
     def test_ewma_smoothing(self):
         monitor = ReducingSpeedMonitor(alpha=0.5)
-        monitor.observe(result("lz", 1000, 0, 1.0))    # 1000 B/s
-        monitor.observe(result("lz", 2000, 0, 1.0))    # 2000 B/s
+        monitor.observe_raw("lz", 1000, 1.0)  # 1000 B/s
+        monitor.observe_raw("lz", 2000, 1.0)  # 2000 B/s
         assert monitor.reducing_speed("lz") == pytest.approx(1500.0)
-
-    def test_ratio_tracked(self):
-        monitor = ReducingSpeedMonitor(alpha=1.0)
-        monitor.observe(result("lz", 1000, 420, 0.1))
-        assert monitor.ratio("lz") == pytest.approx(0.42)
-
-    def test_ratio_none_when_unobserved(self):
-        assert ReducingSpeedMonitor().ratio("lz") is None
 
     def test_zero_duration_observation_ignored(self):
         monitor = ReducingSpeedMonitor()
-        monitor.observe(result("lz", 1000, 400, 0.0))
+        monitor.observe_raw("lz", 600, 0.0)
         assert math.isinf(monitor.reducing_speed("lz"))
 
     def test_observe_raw(self):
@@ -54,11 +41,6 @@ class TestReducingSpeedMonitor:
         monitor.observe_raw("lz", 100, 0.0)
         monitor.observe_raw("lz", -5, 1.0)
         assert math.isinf(monitor.reducing_speed("lz"))
-
-    def test_observe_raw_does_not_touch_ratio(self):
-        monitor = ReducingSpeedMonitor()
-        monitor.observe_raw("lz", 500, 0.5)
-        assert monitor.ratio("lz") is None
 
     def test_observe_speed(self):
         monitor = ReducingSpeedMonitor(alpha=0.5)
@@ -89,10 +71,9 @@ class TestReducingSpeedMonitor:
 
     def test_reset(self):
         monitor = ReducingSpeedMonitor()
-        monitor.observe(result("lz", 100, 50, 0.1))
+        monitor.observe_raw("lz", 50, 0.1)
         monitor.reset()
         assert math.isinf(monitor.reducing_speed("lz"))
-        assert monitor.ratio("lz") is None
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.bicriteria import FrontierPoint
+from repro.core.engine import BlockStats
 from repro.core.monitor import ReducingSpeedMonitor
 from repro.core.placement import (
     PLACEMENT_MODES,
@@ -14,7 +15,6 @@ from repro.core.placement import (
     raw_breakeven_seconds,
 )
 from repro.core.policy import AdaptivePolicy
-from repro.core.sampler import SampleResult
 from repro.core.workers import RelaySchedule, simulate_pipeline, simulate_relay_pipeline
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
 from repro.obs.catalogue import (
@@ -148,7 +148,7 @@ class TestPolicyPlacement:
     def test_default_placement_untouched(self):
         """placement='producer' must not change the paper's decisions."""
         monitor = self._monitor()
-        sample = SampleResult(4096, 1400, 0.001)
+        sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1400, 0.001)
         baseline = AdaptivePolicy().choose(BLOCK, 0.5, self._monitor(), sample)
         decision = self._policy().choose(BLOCK, 0.5, monitor, sample)
         assert decision.method == baseline.method
@@ -157,7 +157,7 @@ class TestPolicyPlacement:
 
     def test_auto_ships_raw_on_fast_link(self):
         policy = self._policy(placement="auto")
-        sample = SampleResult(4096, 1400, 0.001)
+        sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1400, 0.001)
         decision = policy.choose(BLOCK, 0.01, self._monitor(), sample)
         assert decision.placement == "raw"
         assert decision.method == "none"
@@ -166,14 +166,14 @@ class TestPolicyPlacement:
 
     def test_auto_compresses_on_slow_link(self):
         policy = self._policy(placement="auto")
-        sample = SampleResult(4096, 1400, 0.001)
+        sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1400, 0.001)
         decision = policy.choose(BLOCK, 5.0, self._monitor(), sample)
         assert decision.placement == "producer"
         assert decision.compresses
 
     def test_consumer_offload_carries_relay_method(self):
         policy = self._policy(placement="consumer", downstream_factor=4.0)
-        sample = SampleResult(4096, 1400, 0.001)
+        sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1400, 0.001)
         decision = policy.choose(BLOCK, 5.0, self._monitor(), sample)
         assert decision.placement == "consumer"
         assert decision.method == "none"  # producer sends raw
@@ -182,7 +182,7 @@ class TestPolicyPlacement:
 
     def test_accumulator_pair_auto_never_loses(self):
         policy = self._policy(placement="auto", interference=0.15)
-        sample = SampleResult(4096, 1400, 0.001)
+        sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1400, 0.001)
         for sending_time in (0.01, 0.1, 0.5, 2.0, 5.0):
             policy.choose(BLOCK, sending_time, self._monitor(), sample)
         assert policy.placement_modeled_seconds_total <= (
@@ -193,14 +193,15 @@ class TestPolicyPlacement:
     def test_placement_metrics_recorded(self):
         policy = self._policy(placement="auto")
         monitor = self._monitor()
-        policy.choose(BLOCK, 0.01, monitor, SampleResult(4096, 1400, 0.001))
+        sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1400, 0.001)
+        policy.choose(BLOCK, 0.01, monitor, sample)
         counter = monitor.registry.family(PLACEMENT_CHOICES_TOTAL)
         assert counter.value(placement="raw", method="none", params="-") == 1
 
     def test_staleness_degrades_to_producer(self):
         policy = self._policy(placement="auto", staleness_horizon=1)
         monitor = self._monitor()
-        sample = SampleResult(4096, 1400, 0.001)
+        sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1400, 0.001)
         decisions = [policy.choose(BLOCK, 0.01, monitor, sample) for _ in range(4)]
         degraded = decisions[-1]
         assert degraded.degraded
@@ -220,7 +221,7 @@ class TestPolicyPlacement:
 
     def test_bicriteria_dialect_takes_placement(self):
         policy = self._policy(policy="bicriteria", placement="auto")
-        sample = SampleResult(4096, 1400, 0.001)
+        sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1400, 0.001)
         decision = policy.choose(BLOCK, 0.01, self._monitor(), sample)
         assert decision.placement == "raw"
 
@@ -238,6 +239,20 @@ class TestPolicyPlacement:
         assert policy.placement_counts == {}
         assert policy.placement_modeled_seconds_total == 0.0
         assert monitor.registry.to_json() == cold.registry.to_json()
+
+    def test_monitor_observations_alone_price_nothing(self):
+        """The monitor carries speeds, never ratios: without a cost model
+        no number of observations makes a codec priceable, so every
+        decision prices ``none`` alone — even on a slow link."""
+        policy = AdaptivePolicy(policy="bicriteria", placement="auto")
+        monitor = ReducingSpeedMonitor()
+        for i in range(50):
+            monitor.observe_raw("lempel-ziv", 2700 + i, 0.001)
+        sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1400, 0.001)
+        decision = policy.choose(BLOCK, 5.0, monitor, sample)
+        assert decision.method == "none"
+        assert decision.frontier_size == 1
+        assert policy.placement_counts == {}
 
     def test_explicit_raw_ships_raw_even_unpriced(self):
         policy = AdaptivePolicy(placement="raw")

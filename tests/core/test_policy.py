@@ -7,9 +7,9 @@ import pytest
 from repro.compression.base import CodecError
 from repro.core import policy as policy_module
 from repro.core.bicriteria import evaluate_candidates
+from repro.core.engine import BlockStats
 from repro.core.monitor import ReducingSpeedMonitor
 from repro.core.policy import AdaptivePolicy, FixedPolicy
-from repro.core.sampler import SampleResult
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
 
 
@@ -32,7 +32,8 @@ class TestFixedPolicy:
     def test_sample_may_be_a_probe_result_or_a_bare_ratio(self):
         policy = FixedPolicy("huffman")
         monitor = ReducingSpeedMonitor()
-        probe = policy.choose(1024, 1.0, monitor, SampleResult(4096, 1638, 0.001))
+        sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1638, 0.001)
+        probe = policy.choose(1024, 1.0, monitor, sample)
         bare = policy.choose(1024, 1.0, monitor, 0.4)
         assert probe.effective_ratio == pytest.approx(0.4, abs=1e-3)
         assert bare.effective_ratio == 0.4
@@ -44,7 +45,7 @@ class TestAdaptivePolicy:
         policy = AdaptivePolicy()
         monitor = ReducingSpeedMonitor()
         monitor.observe_raw("lempel-ziv", 140_000, 0.1)  # 1.4 MB/s
-        sample = SampleResult(4096, 1400, 0.001)  # ratio ~0.34
+        sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1400, 0.001)  # ratio ~0.34
         fast_link = policy.choose(128 * 1024, 0.01, monitor, sample)
         slow_link = policy.choose(128 * 1024, 0.5, monitor, sample)
         assert fast_link.method == "none"
@@ -60,7 +61,7 @@ class TestAdaptivePolicy:
         policy = AdaptivePolicy()
         monitor = ReducingSpeedMonitor()
         monitor.observe_raw("lempel-ziv", 140_000, 0.1)
-        poor_sample = SampleResult(4096, 3900, 0.001)  # ratio ~0.95
+        poor_sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 3900, 0.001)  # ratio ~0.95
         decision = policy.choose(128 * 1024, 0.5, monitor, poor_sample)
         assert decision.method == "huffman"
 
@@ -142,8 +143,9 @@ class TestPriceOnce:
         monkeypatch.setattr(policy_module, "evaluate_candidates", counting)
         policy = AdaptivePolicy(**kwargs)
         monitor = ReducingSpeedMonitor()
+        sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1400, 0.001)
         for sending_time in (0.001, 0.05, 2.0):
             monitor.observe_raw("lempel-ziv", 140_000, 0.1)
             calls.clear()
-            policy.choose(128 * 1024, sending_time, monitor, SampleResult(4096, 1400, 0.001))
+            policy.choose(128 * 1024, sending_time, monitor, sample)
             assert len(calls) == expected

@@ -1,28 +1,32 @@
 """Unit tests for the 4 KB Lempel-Ziv sampling probe."""
 
+import math
+
 import pytest
 
-from repro.compression.base import CompressionResult
-from repro.core.sampler import DEFAULT_SAMPLE_SIZE, LzSampler, SampleResult
+from repro.core.engine import BlockStats
+from repro.core.sampler import DEFAULT_SAMPLE_SIZE, LzSampler
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE, ULTRA_SPARC
+
+
+def _probe(sample_size: int, compressed_size: int, seconds: float) -> BlockStats:
+    """The record ``LzSampler.sample`` returns for one probe."""
+    return BlockStats("lempel-ziv", "lempel-ziv", sample_size, compressed_size, seconds)
 
 
 class TestSampleResult:
     def test_ratio(self):
-        assert SampleResult(4096, 1024, 0.01).ratio == 0.25
+        assert _probe(4096, 1024, 0.01).ratio == 0.25
 
     def test_empty_sample_ratio_one(self):
-        assert SampleResult(0, 0, 0.0).ratio == 1.0
+        assert _probe(0, 0, 0.0).ratio == 1.0
 
     def test_reducing_speed(self):
-        assert SampleResult(4096, 96, 0.001).reducing_speed == pytest.approx(4e6)
+        assert _probe(4096, 96, 0.001).reducing_speed == pytest.approx(4e6)
 
     def test_zero_time_infinite_when_saving(self):
-        import math
-
-        assert math.isinf(SampleResult(100, 50, 0.0).reducing_speed)
-        assert SampleResult(100, 100, 0.0).reducing_speed == 0.0
-
+        assert math.isinf(_probe(100, 50, 0.0).reducing_speed)
+        assert _probe(100, 100, 0.0).reducing_speed == 0.0
 
     @pytest.mark.parametrize(
         "sample_size, compressed_size, seconds",
@@ -35,15 +39,19 @@ class TestSampleResult:
         ],
     )
     def test_metrics_are_the_shared_definitions(self, sample_size, compressed_size, seconds):
-        """``SampleResult`` has no definitions of its own: the edge cases
-        its deleted copies handled read the same through ``ReductionMetrics``."""
-        sample = SampleResult(sample_size, compressed_size, seconds)
-        shared = CompressionResult("lempel-ziv", sample_size, compressed_size, seconds)
-        assert sample.original_size == sample_size
-        assert sample.ratio == shared.ratio
-        assert sample.bytes_saved == shared.bytes_saved == max(0, sample_size - compressed_size)
-        assert sample.reducing_speed == shared.reducing_speed
-        assert "ratio" not in vars(SampleResult) and "reducing_speed" not in vars(SampleResult)
+        """The probe's record defines no metric of its own: every edge case
+        reads through ``ReductionMetrics``."""
+        sample = _probe(sample_size, compressed_size, seconds)
+        saved = max(0, sample_size - compressed_size)
+        assert sample.ratio == (compressed_size / sample_size if sample_size else 1.0)
+        assert sample.bytes_saved == saved
+        if seconds:
+            assert sample.reducing_speed == saved / seconds
+        else:
+            assert sample.reducing_speed == (math.inf if saved else 0.0)
+        assert not {"ratio", "bytes_saved", "reducing_speed", "_seconds_attr"} & set(
+            vars(BlockStats)
+        )
 
 
 class TestLzSampler:
@@ -54,15 +62,15 @@ class TestLzSampler:
     def test_only_head_is_sampled(self, commercial_block):
         sampler = LzSampler(sample_size=1024)
         result = sampler.sample(commercial_block)
-        assert result.sample_size == 1024
+        assert result.original_size == 1024
 
     def test_short_block_sampled_whole(self):
         result = LzSampler().sample(b"short block")
-        assert result.sample_size == len(b"short block")
+        assert result.original_size == len(b"short block")
 
     def test_empty_block(self):
         result = LzSampler().sample(b"")
-        assert result.sample_size == 0
+        assert result.original_size == 0
         assert result.ratio == 1.0
 
     def test_compressible_data_low_ratio(self, commercial_block):
@@ -75,21 +83,21 @@ class TestLzSampler:
 
     def test_measured_mode_positive_time(self, commercial_block):
         result = LzSampler().sample(commercial_block)
-        assert result.elapsed_seconds > 0
+        assert result.compression_seconds > 0
 
     def test_modeled_mode_deterministic(self, commercial_block):
         sampler = LzSampler(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
         a = sampler.sample(commercial_block)
         b = sampler.sample(commercial_block)
-        assert a.elapsed_seconds == b.elapsed_seconds
-        assert a.elapsed_seconds == pytest.approx(
+        assert a.compression_seconds == b.compression_seconds
+        assert a.compression_seconds == pytest.approx(
             DEFAULT_COSTS.compression_time("lempel-ziv", 4096, SUN_FIRE)
         )
 
     def test_modeled_mode_slower_cpu_slower_sample(self, commercial_block):
         fast = LzSampler(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE).sample(commercial_block)
         slow = LzSampler(cost_model=DEFAULT_COSTS, cpu=ULTRA_SPARC).sample(commercial_block)
-        assert slow.elapsed_seconds > fast.elapsed_seconds
+        assert slow.compression_seconds > fast.compression_seconds
         assert slow.ratio == fast.ratio  # ratio is data-dependent only
 
     def test_too_small_sample_size_rejected(self):

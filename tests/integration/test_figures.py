@@ -10,6 +10,7 @@ import pytest
 from repro.experiments import (
     FIG8_CONFIG,
     HEADLINE_CONFIG,
+    METHOD_ORDER,
     PAPER_FIG5,
     ReplayConfig,
     commercial_blocks,
@@ -29,6 +30,12 @@ from repro.core.policy import FixedPolicy
 SMALL_FIG8 = ReplayConfig(block_count=64, production_interval=2.5)
 
 
+@pytest.fixture(scope="module")
+def commercial_model():
+    """One host calibration of the commercial sample for Figures 2, 3 and 4."""
+    return figure2_ratios()
+
+
 class TestFigure1:
     def test_rows_cover_all_characteristics(self):
         rows = figure1_rows()
@@ -39,9 +46,8 @@ class TestFigure1:
 
 
 class TestFigure2:
-    def test_commercial_ratio_ordering(self):
-        results = figure2_ratios()
-        percent = {m: r.percent for m, r in results.items()}
+    def test_commercial_ratio_ordering(self, commercial_model):
+        percent = {m: 100 * commercial_model.cost(m).typical_ratio for m in METHOD_ORDER}
         # Paper: BW 34 < LZ 41 < Arith 46 ~ Huff 47
         assert percent["burrows-wheeler"] < percent["lempel-ziv"]
         assert percent["lempel-ziv"] < percent["huffman"]
@@ -52,35 +58,32 @@ class TestFigure2:
 
 
 class TestFigure3:
-    def test_time_ordering(self):
-        results = figure2_ratios()
-        assert (
-            results["huffman"].compress_seconds
-            < results["burrows-wheeler"].compress_seconds
-        )
+    def test_time_ordering(self, commercial_model):
+        costs = {m: commercial_model.cost(m) for m in METHOD_ORDER}
+        assert costs["huffman"].compress_throughput > costs["burrows-wheeler"].compress_throughput
         # Arithmetic decompression is the worst of all methods (paper Fig 3).
-        assert results["arithmetic"].decompress_seconds == max(
-            r.decompress_seconds for r in results.values()
+        assert costs["arithmetic"].decompress_throughput == min(
+            c.decompress_throughput for c in costs.values()
         )
 
 
 class TestFigure4:
-    def test_two_machines_ratio(self):
-        speeds = figure4_reducing_speeds()
+    def test_two_machines_ratio(self, commercial_model):
+        speeds = figure4_reducing_speeds(commercial_model)
         assert set(speeds) == {"Sun-Fire-280R", "Ultra-Sparc"}
         for method in speeds["Sun-Fire-280R"]:
             fast = speeds["Sun-Fire-280R"][method]
             slow = speeds["Ultra-Sparc"][method]
             assert fast / slow == pytest.approx(1 / 0.42, rel=1e-6)
 
-    def test_huffman_tops_arithmetic_bottoms(self):
+    def test_huffman_tops_arithmetic_bottoms(self, commercial_model):
         """The robust Figure 4 shape: Huffman's reducing speed dominates and
         arithmetic's is the worst.  (The BW-vs-LZ ordering is
         implementation-specific: our numpy BWT outruns our pure-Python LZ
         matcher, unlike the paper's C implementations — the paper-calibrated
         DEFAULT_COSTS preserve the original ordering and carry the modeled
         replays; see EXPERIMENTS.md.)"""
-        speeds = figure4_reducing_speeds()["Sun-Fire-280R"]
+        speeds = figure4_reducing_speeds(commercial_model)["Sun-Fire-280R"]
         assert speeds["huffman"] == max(speeds.values())
         assert speeds["arithmetic"] == min(speeds.values())
 
@@ -105,21 +108,20 @@ class TestFigure5:
 
 class TestFigure6:
     def test_field_signature(self):
-        results = figure6_molecular_ratios(atom_count=4096)
-        coords = results["coordinates"]
-        types = results["type"]
-        velocity = results["velocity"]
+        percent = {
+            field: {m: 100 * model.cost(m).typical_ratio for m in METHOD_ORDER}
+            for field, model in figure6_molecular_ratios(atom_count=4096).items()
+        }
+        coords = percent["coordinates"]
+        types = percent["type"]
+        velocity = percent["velocity"]
         # coordinates barely compress with any method
-        assert min(r.percent for r in coords.values()) > 75
+        assert min(coords.values()) > 75
         # types compress extremely well with dictionary methods
-        assert types["burrows-wheeler"].percent < 10
-        assert types["lempel-ziv"].percent < 10
+        assert types["burrows-wheeler"] < 10
+        assert types["lempel-ziv"] < 10
         # velocities sit in between
-        assert (
-            types["burrows-wheeler"].percent
-            < velocity["burrows-wheeler"].percent
-            < coords["burrows-wheeler"].percent
-        )
+        assert types["burrows-wheeler"] < velocity["burrows-wheeler"] < coords["burrows-wheeler"]
 
 
 class TestFigure7:

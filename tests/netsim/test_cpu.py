@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.compression.registry import get_codec
 from repro.netsim.cpu import (
     DEFAULT_COSTS,
     SUN_FIRE,
@@ -10,7 +9,6 @@ from repro.netsim.cpu import (
     CodecCost,
     CodecCostModel,
     CpuModel,
-    calibrate,
 )
 
 
@@ -89,20 +87,3 @@ class TestCodecCostModel:
 
     def test_codecs_listing(self):
         assert "none" in DEFAULT_COSTS.codecs()
-
-
-class TestCalibrate:
-    def test_calibrate_measures_real_codecs(self, commercial_block):
-        sample = commercial_block[:16384]
-        model = calibrate(
-            {"huffman": get_codec("huffman"), "lempel-ziv": get_codec("lempel-ziv")},
-            sample,
-        )
-        huff = model.cost("huffman")
-        assert huff.compress_throughput > 0
-        assert huff.decompress_throughput > 0
-        assert 0 < huff.typical_ratio < 1
-
-    def test_calibrate_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate({}, b"")

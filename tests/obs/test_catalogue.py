@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.compression.base import CompressionResult
 from repro.compression.bwhuff import BurrowsWheelerCodec
 from repro.compression.registry import get_codec
 from repro.core.engine import CodecExecutor
@@ -249,8 +248,7 @@ def drive_channel_monitor(registry: MetricsRegistry) -> None:
 def drive_stale_policy(registry: MetricsRegistry) -> None:
     """A monitor that stops observing degrades method and placement."""
     monitor = ReducingSpeedMonitor(registry=registry)
-    # The one monitor entry point that also folds the ratio estimate.
-    monitor.observe(CompressionResult("lempel-ziv", 140_000, 42_000, 0.07))
+    monitor.observe_raw("lempel-ziv", 98_000, 0.07)
     policy = AdaptivePolicy(staleness_horizon=1, placement="auto")
     for _ in range(3):
         policy.choose(128 * 1024, 0.5, monitor, None)

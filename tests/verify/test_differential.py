@@ -59,8 +59,8 @@ class TestScalarVectorized:
     def test_timings_are_recorded(self):
         data = _small_corpus()["lowentropy"]
         results = diff_scalar_vectorized("lowentropy", data)
-        timed = [r for r in results if r.subject_seconds or r.reference_seconds]
-        assert timed, "measure_callable timings missing from differential results"
+        with_seconds = [r for r in results if r.subject_seconds or r.reference_seconds]
+        assert with_seconds, "engine.timed timings missing from differential results"
 
 
 class TestSerialParallel:
