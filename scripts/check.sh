@@ -4,7 +4,8 @@
 # Gate order (cheapest first, so failures surface fast):
 #   1. invariant greps   — clock reads, struct framing, stray print(),
 #                          metric names outside the catalogue, retry
-#                          loops outside RetryPolicy.attempts()
+#                          loops outside RetryPolicy.attempts(), worker
+#                          pools outside compression/parallel.py
 #   2. ruff lint         — style/import hygiene (skipped if not installed)
 #   3. tier-1 tests      — the full pytest suite under the default
 #                          (`tier1`) hypothesis profile, with its 15
@@ -154,6 +155,21 @@ stray=$(grep -rn "\\.backoff(" src/repro --include="*.py" \
     | grep -v "src/repro/netsim/faults.py" || true)
 if [ -n "$stray" ]; then
     echo "FAIL: hand-rolled retry loop (iterate RetryPolicy.attempts() instead):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "ok"
+
+# --- Invariant: one pool seam -------------------------------------------------
+# Worker pools are built by compression/parallel.py alone and plug into block
+# execution through PipelinedBlockEngine's window.  A pool private to a codec
+# or a layer would also hide its CPU and RSS from bench/, whose process_time
+# and ru_maxrss count the parent process only.
+echo "== invariant: executors and multiprocessing only in compression/parallel.py"
+stray=$(grep -rnE "ProcessPoolExecutor\(|ThreadPoolExecutor\(|multiprocessing" src/repro --include="*.py" \
+    | grep -v "src/repro/compression/parallel.py" || true)
+if [ -n "$stray" ]; then
+    echo "FAIL: worker pool outside compression/parallel.py (build it there and plug it into PipelinedBlockEngine):" >&2
     echo "$stray" >&2
     exit 1
 fi

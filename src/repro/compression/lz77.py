@@ -19,20 +19,26 @@ depth — the classic speed/ratio compromise; the paper rates Lempel-Ziv
 (Figure 1), which this implementation preserves.  The encoder is array
 code around one short Python walk:
 
-* :func:`_prefix_links` reads every 4-byte prefix in place as a ``uint32``,
-  and one sort gives each position its most recent predecessor with the
-  same prefix (``prev`` — the chain, with nothing to insert and no hash
+* :func:`_words` reads the block once as big-endian ``uint64`` words at a
+  one-byte stride (zero-padded by eight bytes): ``words[p]`` is the eight
+  bytes from ``p`` as one Python-sized integer.
+* :func:`_prefix_links` takes every 4-byte prefix as the top half of its
+  word, and one sort gives each position its most recent predecessor with
+  the same prefix (``prev`` — the chain, with nothing to insert and no hash
   collisions) and the next position that has a predecessor inside the
   window, so runs of literals are stepped over without touching Python.
 * :func:`_parse` walks token starts only.  A candidate is looked at only
   if it agrees with the position at offset ``best_len`` (it cannot be
-  longer otherwise — the "fifth byte" test for the second candidate), and
-  its length is then the leading zero bytes of one big-integer XOR.  What
-  decides wire bytes is kept exactly: most recent candidate first, strictly
-  longer wins, a 64-byte match ends the search, matches stop at
-  :data:`MAX_MATCH` and at the end of the buffer, and a match longer than
-  16 bytes leaves only every third of its positions as later candidates
-  (one slice-assign into a ``skipped`` bytearray).
+  longer otherwise — the "fifth byte" test for the second candidate).  Its
+  length is then the leading zero bytes of the XOR of the two words,
+  capped at the end of the buffer; only a candidate that agrees on all
+  eight bytes pays for a big-integer XOR of the two runs.  What decides
+  wire bytes is kept exactly: most recent candidate first, at most
+  ``max_chain`` candidates that were not skipped, strictly longer wins, a
+  64-byte match ends the search, matches stop at :data:`MAX_MATCH` and at
+  the end of the buffer, and a match longer than 16 bytes leaves only
+  every third of its positions as later candidates (one slice-assign into
+  a ``skipped`` bytearray).
 * :meth:`Lz77Codec.compress` takes the matches as three arrays — literals
   are the complement — counts symbols with two ``bincount`` calls, lays
   the stream out as one ``(values, widths)`` field list (both tables,
@@ -197,27 +203,37 @@ _SKIP_PATTERN = bytes((0, 1, 1)) * (MAX_MATCH // 3 + 1)
 _GOOD_MATCH = 64
 
 
-def _prefix_links(data: bytes, window: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``(prev, upcoming)`` over the 4-byte prefixes of ``data``.
+def _words(data: bytes) -> np.ndarray:
+    """The eight bytes from each position of ``data`` as one big-endian ``uint64``.
+
+    Read at a one-byte stride over ``data`` plus eight zero bytes, so the
+    words near the end are zero-padded: byte ``k`` of ``words[p]`` is
+    ``data[p + k]`` wherever that exists.
+    """
+    padded = data + bytes(8)
+    return np.ndarray((len(data),), dtype=">u8", buffer=padded, strides=(1,)).astype(np.uint64)
+
+
+def _prefix_links(words: np.ndarray, window: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(prev, upcoming)`` over the 4-byte prefixes of the block of ``words``.
 
     ``prev[p]`` is the most recent position before ``p`` that starts with
     the same four bytes (``-1``: none) — following it repeatedly is the
     hash chain of position ``p``, most recent first, with no insertion work
     and no collisions.  ``upcoming[p]`` is the first position ``>= p`` whose
-    ``prev`` lies inside the window, or ``len(data)``: where the greedy
+    ``prev`` lies inside the window, or the block length: where the greedy
     walk lands next, so literal runs cost it nothing.
 
-    Every prefix is read in place as a ``uint32`` at a one-byte stride;
+    A prefix is the top half of its position's word (:func:`_words`);
     sorting ``prefix << 32 | position`` groups equal prefixes with their
     positions ascending, which makes each sorted neighbour the predecessor
     sought.  (The top prefix bit lands on the ``int64`` sign: the groups
     sort in another order, each still together and ascending.)
     """
-    n = len(data)
+    n = len(words)
     count = n - MIN_MATCH + 1
     positions = np.arange(count, dtype=np.int64)
-    keys = np.ndarray((count,), dtype=np.uint32, buffer=data, strides=(1,)).astype(np.int64)
-    keys <<= 32
+    keys = (words[:count] & np.uint64(0xFFFFFFFF00000000)).view(np.int64)
     keys |= positions
     keys.sort()
     order = keys & 0xFFFFFFFF
@@ -251,43 +267,58 @@ def _parse(data: bytes, window: int, max_chain: int) -> Tuple[List[int], List[in
         return starts, lengths, distances
     # Read through memoryviews: an element comes back as a Python int at
     # twice the cost of a list's, but the walk touches a fraction of the
-    # entries a ``tolist()`` would box, and two lists are 9 MB per 128 KB.
-    prev, upcoming = map(memoryview, _prefix_links(data, window))
+    # entries a ``tolist()`` would box, and three lists are 13 MB per 128 KB.
+    words = _words(data)
+    prev, upcoming = map(memoryview, _prefix_links(words, window))
+    words = memoryview(words)
     skipped = bytearray(n)
     from_bytes = int.from_bytes
+    add_start, add_length, add_distance = starts.append, lengths.append, distances.append
     # A chain always kept its newest entry, whatever ``max_chain`` says.
     max_chain = max(max_chain, 1)
     pos = upcoming[0]
     while pos < n:
         oldest = pos - window if pos > window else 0
-        max_len = min(MAX_MATCH, n - pos)
+        max_len = n - pos
+        if max_len > MAX_MATCH:
+            max_len = MAX_MATCH
+        head = words[pos]
         best_len = 0
         best_cand = 0
         target = -1
         examined = 0
+        want = data[pos]  # the byte at offset ``best_len``
         cand = prev[pos]
         while cand >= oldest:
             if not skipped[cand]:
                 # Only a candidate that agrees at offset ``best_len`` can be
-                # longer; its length is the leading zero bytes of the XOR.
-                if data[cand + best_len] == data[pos + best_len]:
-                    if target < 0:
-                        target = from_bytes(data[pos : pos + max_len], "big")
-                    differing = target ^ from_bytes(data[cand : cand + max_len], "big")
-                    length = max_len - ((differing.bit_length() + 7) >> 3)
+                # longer; its length is the leading zero bytes of the XOR of
+                # the two words, and past eight of them, of the two runs.
+                if data[cand + best_len] == want:
+                    differing = head ^ words[cand]
+                    if differing:
+                        length = 8 - ((differing.bit_length() + 7) >> 3)
+                        if length > max_len:
+                            length = max_len
+                    else:
+                        if target < 0:
+                            target = from_bytes(data[pos : pos + max_len], "big")
+                        differing = target ^ from_bytes(data[cand : cand + max_len], "big")
+                        length = max_len - ((differing.bit_length() + 7) >> 3)
                     if length > best_len:
                         best_len = length
                         best_cand = cand
                         if length >= _GOOD_MATCH or length == max_len:
                             break
+                        want = data[pos + length]
                 examined += 1
                 if examined == max_chain:
                     break
             cand = prev[cand]
         if best_len:
-            starts.append(pos)
-            lengths.append(best_len)
-            distances.append(pos - best_cand)
+            add_start(pos)
+            add_length(best_len)
+            add_distance(pos - best_cand)
             end = pos + best_len
             if best_len > _DENSE_INSERT_MAX:
                 skipped[pos + 1 : end] = _SKIP_PATTERN[: best_len - 1]
@@ -367,10 +398,10 @@ class Lz77Codec(Codec):
         dist_code = HuffmanCode.from_frequencies(
             np.bincount(dist_symbols, minlength=_DIST_ALPHABET).tolist()
         )
-        litlen_codes = np.array(litlen_code.codes, dtype=np.int64)
-        litlen_widths = np.array(litlen_code.lengths, dtype=np.int64)
-        dist_codes = np.array(dist_code.codes, dtype=np.int64)
-        dist_widths = np.array(dist_code.lengths, dtype=np.int64)
+        # Both codes as one table: distance symbols follow the literal/length ones.
+        code_lengths = np.array(litlen_code.lengths + dist_code.lengths, dtype=np.int64)
+        codewords = np.array(litlen_code.codes + dist_code.codes, dtype=np.int64)
+        dist_symbols += _LITLEN_ALPHABET
 
         # Field layout: both tables, then per token the literal/length
         # codeword and — for a match — length extra, distance codeword and
@@ -380,15 +411,15 @@ class Lz77Codec(Codec):
         total = tables + len(symbols) + 3 * len(starts)
         values = np.zeros(total, dtype=np.int64)
         widths = np.zeros(total, dtype=np.int64)
-        values[:tables] = litlen_code.lengths + dist_code.lengths
+        values[:tables] = code_lengths
         widths[:tables] = 4
-        values[head] = litlen_codes[symbols]
-        widths[head] = litlen_widths[symbols]
+        values[head] = codewords[symbols]
+        widths[head] = code_lengths[symbols]
         head = head[is_match]
         values[head + 1] = lengths - _LEN_BASE[lengths]
         widths[head + 1] = _LEN_EXTRA[lengths]
-        values[head + 2] = dist_codes[dist_symbols]
-        widths[head + 2] = dist_widths[dist_symbols]
+        values[head + 2] = codewords[dist_symbols]
+        widths[head + 2] = code_lengths[dist_symbols]
         values[head + 3] = distances - _DIST_BASE[distances]
         widths[head + 3] = _DIST_EXTRA[distances]
         return bytes(header) + pack_fields(values, widths)

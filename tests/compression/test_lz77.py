@@ -1,5 +1,7 @@
 """Unit tests for LZ77 with Huffman-coded pointers."""
 
+import zlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +12,12 @@ from repro.compression.lz77 import (
     MIN_MATCH,
     Lz77Codec,
     tokenize,
+)
+from repro.data import (
+    CommercialDataGenerator,
+    LogDataGenerator,
+    MolecularDataGenerator,
+    TimeSeriesGenerator,
 )
 from repro.verify.references import (
     reference_lz77_decode,
@@ -270,3 +278,94 @@ class TestArrayParseMatchesScalar:
         block = commercial_block[:5000]
         assert Lz77Codec().compress(memoryview(bytearray(block))) == Lz77Codec().compress(block)
         assert tokenize(bytearray(block)) == tokenize(block)
+
+
+def _distinct(count):
+    """``count`` distinct bytes, so no 4-byte prefix repeats among them."""
+    return bytes(11 * i % 251 for i in range(count))
+
+
+class TestWordStep:
+    """Where the eight-byte word compare could differ from a byte-at-a-time one."""
+
+    @pytest.mark.parametrize("length", range(4, 13))
+    def test_matches_ending_around_the_word_boundary(self, length):
+        body = _distinct(length)
+        data = body + b"\xfe\xff" + body + b"\xfd" + body[: length - 1] + b"\xfc"
+        _assert_matches_scalar(data)
+        assert (length, length + 2) in tokenize(data)
+
+    @pytest.mark.parametrize("tail", range(1, 9))
+    @pytest.mark.parametrize("fill", [b"\x00", b"\xff", b"q"])
+    def test_matches_in_the_last_bytes_of_the_buffer(self, tail, fill):
+        # The earlier copy is followed by ``fill``; past the buffer's end the
+        # word reads zero padding, which agrees with a zero fill.
+        body = b"wxyz" + fill * 12
+        data = body + b"\x01\x02" + body[:tail]
+        _assert_matches_scalar(data)
+        if tail >= MIN_MATCH:
+            assert tokenize(data)[-1] == (tail, len(body) + 2)
+
+    @pytest.mark.parametrize("agree", [7, 8, 9, 15, 16, 17])
+    def test_candidates_that_agree_on_whole_words_then_differ(self, agree):
+        body = _distinct(40)
+        data = body + b"\x01" + body[:agree] + b"\x02" + body[: agree + 1] + b"\x03" + body
+        _assert_matches_scalar(data)
+        _assert_matches_scalar(data, window=256, max_chain=1)
+
+    @pytest.mark.parametrize(
+        "pattern", [b"\x00", b"\xff", b"\x00\xff", b"\xff\x00\x00", b"\x00" * 7 + b"\x01"]
+    )
+    @pytest.mark.parametrize("size", [5, 8, 9, 16, 17, 300])
+    def test_zero_and_ff_runs(self, pattern, size):
+        _assert_matches_scalar((pattern * size)[:size] + b"\x80" + (pattern * size)[: size // 2])
+
+    @given(
+        st.lists(st.sampled_from([0x00, 0xFF, 0x01, 0x80, 0x7F, 0xFE]), max_size=3000).map(bytes),
+        st.sampled_from(_PARAMETERS),
+    )
+    @examples(60)
+    def test_zero_and_ff_heavy_inputs(self, data, parameters):
+        _assert_matches_scalar(data, *parameters)
+
+    @pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))])
+    def test_bytearray_and_memoryview_input(self, wrap, lowentropy_block):
+        block = lowentropy_block[:4000] + bytes(9)
+        assert tokenize(wrap(block)) == reference_lz77_tokenize(block)
+        assert Lz77Codec().compress(wrap(block)) == reference_lz77_encode(block)
+
+    def test_smallest_window_and_shortest_chain(self, commercial_block, lowentropy_block):
+        _assert_matches_scalar(commercial_block[:8000], window=256, max_chain=1)
+        _assert_matches_scalar(lowentropy_block[:8000], window=256, max_chain=1)
+
+
+#: The four corpora as the wall-clock benchmark seeds them (seed 2004).
+_SEEDED_GENERATORS = {
+    "commercial": lambda: CommercialDataGenerator(seed=2004),
+    "molecular": lambda: MolecularDataGenerator(atom_count=4096, seed=2004),
+    "logs": lambda: LogDataGenerator(seed=2004),
+    "timeseries": lambda: TimeSeriesGenerator(seed=2004),
+}
+
+
+class TestWireBytesPinned:
+    """CRC-32 of the encoder's output on seeded corpora: any change to the
+    parse or the field layout moves one of these."""
+
+    @pytest.mark.parametrize(
+        "corpus, size, crc",
+        [
+            ("commercial", 4096, 0x2810866B),
+            ("commercial", 131072, 0xA68CF52E),
+            ("molecular", 4096, 0xA3EE2F7B),
+            ("molecular", 131072, 0xC716CA91),
+            ("logs", 4096, 0x3E6D4426),
+            ("logs", 131072, 0x5F94A381),
+            ("timeseries", 4096, 0x888322CC),
+            ("timeseries", 131072, 0x3904E416),
+        ],
+    )
+    def test_compress_crc(self, corpus, size, crc):
+        block = next(iter(_SEEDED_GENERATORS[corpus]().stream(size, 1)))
+        assert len(block) == size
+        assert zlib.crc32(Lz77Codec().compress(block)) == crc
