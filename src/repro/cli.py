@@ -29,8 +29,10 @@ from .compression.base import ACCEPTABLE_DECODE_ERRORS, CodecError, CorruptStrea
 from .compression.registry import available_codecs, get_codec
 from .compression.varint import read_canonical_varint, write_varint
 from .data.analysis import profile, recommended_methods
+from .netsim.link import EXTRA_LINKS, PAPER_LINKS
 
 _ENVELOPE_MAGIC = b"RPRZ"
+_LINKS = [*PAPER_LINKS, *EXTRA_LINKS]
 
 
 def _wrap(method: str, payload: bytes) -> bytes:
@@ -56,6 +58,13 @@ def _unwrap(data: bytes) -> tuple:
     return method, data[offset + length :]
 
 
+def _read(path: str) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise SystemExit(f"error: cannot read {path} ({exc.strerror})") from exc
+
+
 def _pick_method(data: bytes) -> str:
     sample = data[: 64 * 1024]
     recommendations = recommended_methods(profile(sample))
@@ -63,11 +72,14 @@ def _pick_method(data: bytes) -> str:
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
-    data = Path(args.input).read_bytes()
+    data = _read(args.input)
     method = args.method
     if method == "adaptive":
         method = _pick_method(data)
-    codec = get_codec(method)
+    try:
+        codec = get_codec(method)
+    except CodecError as exc:
+        raise SystemExit(f"error: {exc}") from exc
     payload = codec.compress(data)
     out_path = Path(args.output or args.input + ".rprz")
     out_path.write_bytes(_wrap(method, payload))
@@ -80,7 +92,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
 
 
 def cmd_decompress(args: argparse.Namespace) -> int:
-    method, payload = _unwrap(Path(args.input).read_bytes())
+    method, payload = _unwrap(_read(args.input))
     try:
         data = get_codec(method).decompress(payload)
     except ACCEPTABLE_DECODE_ERRORS as exc:
@@ -93,7 +105,7 @@ def cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    data = Path(args.input).read_bytes()
+    data = _read(args.input)
     sample = data[: 256 * 1024]
     report = profile(sample)
     print(f"file           : {args.input} ({len(data)} bytes)")
@@ -131,7 +143,10 @@ def _replay_result(args: argparse.Namespace, observers=None, registry=None):
     if getattr(args, "faults", None):
         from .netsim.faults import FaultPlan
 
-        plan = FaultPlan.load(args.faults)
+        try:
+            plan = FaultPlan.from_json(_read(args.faults).decode())
+        except (ValueError, TypeError) as exc:
+            raise SystemExit(f"error: bad fault plan {args.faults} ({exc})") from exc
     config = _config(ReplayConfig, args, fault_plan=plan)
     blocks = dataset_blocks(args.dataset, config)
     return run_replay(blocks, config, observers=observers, registry=registry), plan
@@ -405,6 +420,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _budget(text: str) -> float:
     """``--budget`` values; imported lazily to keep ``repro.verify`` off startup."""
     from .verify.fuzz import parse_budget
@@ -451,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=datasets,
             help="alias for --dataset (structured workloads: logs, timeseries)",
         )
-        p.add_argument("--link", choices=["1gbit", "100mbit", "1mbit", "international"], default="100mbit")
+        p.add_argument("--link", choices=list(PAPER_LINKS), default="100mbit")
         p.add_argument("--blocks", dest="block_count", type=int, default=64)
         p.add_argument(
             "--interval",
@@ -517,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="fuzz the decode surfaces (deterministic per seed)")
     p.add_argument("--seed", type=int, default=0, help="mutation schedule seed")
-    p.add_argument("--iterations", type=int, default=2000, help="schedule length")
+    p.add_argument("--iterations", type=_positive, default=2000, help="schedule length")
     p.add_argument(
         "--budget",
         metavar="30s",
@@ -570,16 +592,16 @@ def build_parser() -> argparse.ArgumentParser:
         "fanout",
         help="run the fan-out load scenario (sharded fabric vs per-subscriber baseline)",
     )
-    p.add_argument("--subscribers", type=int, default=1024, help="simulated subscriber count")
-    p.add_argument("--channels", type=int, default=64, help="channel population (Zipf-skewed)")
-    p.add_argument("--events", type=int, default=32, help="events published per channel")
+    p.add_argument("--subscribers", type=_positive, default=1024, help="simulated subscriber count")
+    p.add_argument("--channels", type=_positive, default=64, help="channel population (Zipf-skewed)")
+    p.add_argument("--events", type=_positive, default=32, help="events published per channel")
     p.add_argument("--event-size", type=int, default=8 * 1024, help="payload bytes per event")
     p.add_argument("--shards", type=int, default=4, help="fabric shard count")
     p.add_argument(
         "--zipf", dest="zipf_exponent", type=float, default=1.1, help="Zipf skew exponent"
     )
     p.add_argument("--seed", type=int, default=2004, help="scenario seed")
-    p.add_argument("--link", default="1gbit", help="netsim link profile")
+    p.add_argument("--link", choices=_LINKS, default="1gbit", help="netsim link profile")
     p.add_argument(
         "--batch",
         action="store_true",
@@ -599,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the placement time-breakdown matrix (compress/wire/relay/"
         "decompress per link class and arrangement)",
     )
-    p.add_argument("--blocks", type=int, default=16, help="blocks per cell")
+    p.add_argument("--blocks", type=_positive, default=16, help="blocks per cell")
     p.add_argument("--block-size", type=int, default=128 * 1024, help="bytes per block")
     p.add_argument(
         "--interference",
@@ -613,6 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--links",
         nargs="*",
+        choices=_LINKS,
         default=None,
         metavar="LINK",
         help="link classes to sweep (default: the paper's four)",

@@ -190,17 +190,12 @@ class FrontierPoint:
 
 def default_candidates(
     block_size: int = DEFAULT_BLOCK_SIZE,
-    block_sizes: Optional[Sequence[int]] = None,
     native: Optional[bool] = None,
-    structured: Optional[bool] = None,
 ) -> Tuple[CandidateSpec, ...]:
-    """The default search grid over (codec, parameters, block size).
+    """The search grid over (codec, parameters) at ``block_size``.
 
     Covers the paper's four methods at their registered defaults plus
-    fast/thorough parameter variants of the two tunable families.  Pass
-    ``block_sizes`` to also span the block-size axis (the standalone
-    optimizer and the bench do; the in-pipeline policy pins it to the
-    block actually in hand).
+    fast/thorough parameter variants of the two tunable families.
 
     ``native`` controls the optional zstd/lz4 fast-compressor tier:
     ``None`` (the default) includes each codec exactly when its binding
@@ -209,12 +204,10 @@ def default_candidates(
     methods — what the deterministic bench uses so baseline CRCs do not
     depend on which bindings the host happens to have.
 
-    ``structured`` gates the structure-aware tier (``template`` /
-    ``columnar``).  Their ``DEFAULT_COSTS`` ratios only hold on data the
+    The structure-aware codecs (``template`` / ``columnar``) are never
+    in the grid: their ``DEFAULT_COSTS`` ratios only hold on data the
     :mod:`repro.data.analysis` sniffers matched, and the modeled
-    frontier cannot see the data — so unlike ``native`` the default is
-    *off* (``None`` behaves like ``False``); callers enable it exactly
-    when the sniff says the stream is structured.
+    frontier cannot see the data.
     """
     from ..compression.native import HAVE_LZ4, HAVE_ZSTD
 
@@ -230,29 +223,18 @@ def default_candidates(
             raise CodecError(
                 f"native candidates demanded but not registered: {missing}"
             )
-    specs: List[CandidateSpec] = []
-    for size in tuple(block_sizes) if block_sizes else (block_size,):
-        specs.extend(
-            [
-                CandidateSpec.make("none", block_size=size),
-                CandidateSpec.make("huffman", block_size=size),
-                CandidateSpec.make("lempel-ziv", block_size=size),
-                CandidateSpec.make(
-                    "lempel-ziv", {"window": 4096, "max_chain": 4}, block_size=size
-                ),
-                CandidateSpec.make("lempel-ziv", {"max_chain": 32}, block_size=size),
-                CandidateSpec.make("burrows-wheeler", block_size=size),
-                CandidateSpec.make(
-                    "burrows-wheeler", {"chunk_size": 8192}, block_size=size
-                ),
-            ]
-        )
-        specs.extend(
-            CandidateSpec.make(method, block_size=size) for method in native_methods
-        )
-        if structured:
-            specs.append(CandidateSpec.make("template", block_size=size))
-            specs.append(CandidateSpec.make("columnar", block_size=size))
+    specs = [
+        CandidateSpec.make("none", block_size=block_size),
+        CandidateSpec.make("huffman", block_size=block_size),
+        CandidateSpec.make("lempel-ziv", block_size=block_size),
+        CandidateSpec.make(
+            "lempel-ziv", {"window": 4096, "max_chain": 4}, block_size=block_size
+        ),
+        CandidateSpec.make("lempel-ziv", {"max_chain": 32}, block_size=block_size),
+        CandidateSpec.make("burrows-wheeler", block_size=block_size),
+        CandidateSpec.make("burrows-wheeler", {"chunk_size": 8192}, block_size=block_size),
+    ]
+    specs.extend(CandidateSpec.make(method, block_size=block_size) for method in native_methods)
     return tuple(specs)
 
 
@@ -329,7 +311,6 @@ def evaluate_candidates(
     cpu: Optional[object] = None,
     monitor: Optional[object] = None,
     sample: Optional[object] = None,
-    latency: float = 0.0,
     base_block_size: Optional[int] = None,
 ) -> Dict[CandidateSpec, FrontierPoint]:
     """Model every candidate the available data can price.
@@ -343,8 +324,6 @@ def evaluate_candidates(
     """
     if sending_time < 0:
         raise ValueError("sending_time must be non-negative")
-    if latency < 0 or latency > sending_time:
-        latency = min(max(latency, 0.0), sending_time)
     probe = sample_ratio(sample)
     if not isinstance(probe, (int, float)) or math.isnan(probe) or probe < 0:
         probe = None  # an unusable probe prices like no probe
@@ -352,7 +331,7 @@ def evaluate_candidates(
     points: Dict[CandidateSpec, FrontierPoint] = {}
     for spec in candidates:
         reference = base_block_size if base_block_size else spec.block_size
-        raw_transfer = latency + (sending_time - latency) * (spec.block_size / reference)
+        raw_transfer = sending_time * (spec.block_size / reference)
         if spec.method == "none":
             points[spec] = FrontierPoint(
                 method="none",
@@ -382,7 +361,7 @@ def evaluate_candidates(
             block_size=spec.block_size,
             ratio=ratio,
             compress_seconds=spec.block_size / compress_throughput,
-            transfer_seconds=latency + (raw_transfer - latency) * ratio,
+            transfer_seconds=raw_transfer * ratio,
             decompress_seconds=spec.block_size / decompress_throughput,
         )
     return points
@@ -430,10 +409,8 @@ def build_frontier(
     cpu: Optional[object] = None,
     monitor: Optional[object] = None,
     sample: Optional[object] = None,
-    candidates: Optional[Iterable[CandidateSpec]] = None,
-    latency: float = 0.0,
 ) -> List[FrontierPoint]:
-    """Evaluate the candidate grid and return its Pareto frontier.
+    """Evaluate the default candidate grid and return its Pareto frontier.
 
     With no calibration data the frontier degenerates to the single
     ``none`` point, however many monitor observations arrived — the
@@ -441,17 +418,13 @@ def build_frontier(
     mirroring the table's "don't compress" fallback on a dead feedback
     loop.
     """
-    specs = (
-        tuple(candidates) if candidates is not None else default_candidates(block_size)
-    )
     points = evaluate_candidates(
-        specs,
+        default_candidates(block_size),
         sending_time,
         calibration=calibration,
         cpu=cpu,
         monitor=monitor,
         sample=sample,
-        latency=latency,
         base_block_size=block_size,
     )
     return pareto_frontier(points.values())

@@ -18,8 +18,8 @@ scaling rules exist in exactly one place:
   Figure 8-12 replays deterministic.
 
 :class:`BlockEngine` layers the paper's block discipline on top: cut a
-byte stream into fixed-size blocks, pick a method per block through a
-selection callback, execute it on the :class:`CodecExecutor`, and emit
+byte stream into fixed-size blocks, execute each with the method the
+caller chose on the :class:`CodecExecutor`, and emit
 its :class:`BlockStats` — the one record of a codec run, from executor
 to cache to observers — per block to pluggable observers.  This is the
 substrate later scaling work (parallel workers, async transports,
@@ -42,7 +42,6 @@ __all__ = [
     "BlockEngine",
     "CodecExecutor",
     "Observer",
-    "Selector",
     "cut_blocks",
     "timed",
 ]
@@ -94,7 +93,6 @@ class BlockStats(ReductionMetrics):
     compression_seconds: float
     decompression_seconds: float = 0.0
     fell_back: bool = False
-    verified: bool = False
     payload: Optional[bytes] = field(default=None, repr=False)
     index: Optional[int] = None
 
@@ -115,8 +113,6 @@ class BlockStats(ReductionMetrics):
 class CodecExecutor:
     """Timed compress/decompress with the cost-model/CPU scaling rules.
 
-    ``verify`` round-trips every compressed block and raises
-    :class:`~repro.compression.base.CodecError` on mismatch.
     ``expansion_fallback`` enables the expansion guard: when a codec
     *grows* a block (common on molecular coordinates) the executor ships
     the original bytes under method ``none`` instead, so the method name
@@ -130,13 +126,11 @@ class CodecExecutor:
         self,
         cost_model: Optional["object"] = None,
         cpu: Optional["object"] = None,
-        verify: bool = False,
         expansion_fallback: bool = False,
         cost_model_fallback: bool = False,
     ) -> None:
         self.cost_model = cost_model
         self.cpu = cpu
-        self.verify = verify
         self.expansion_fallback = expansion_fallback
         self.cost_model_fallback = cost_model_fallback
 
@@ -177,7 +171,7 @@ class CodecExecutor:
             )
         codec = codec if codec is not None else get_codec(method)
         payload, seconds = timed(codec.compress, block)
-        return self.finalize_compression(method, block, payload, seconds, codec=codec)
+        return self.finalize_compression(method, block, payload, seconds)
 
     def finalize_compression(
         self,
@@ -185,22 +179,15 @@ class CodecExecutor:
         block: bytes,
         payload: bytes,
         measured_seconds: float,
-        codec: Optional[Codec] = None,
     ) -> BlockStats:
         """Account for a compression that already ran (locally or on a worker).
 
-        Applies the cost-model/CPU scaling rules, the optional round-trip
-        verification, and the expansion guard — the accounting tail every
-        compression shares, whether the bytes were produced in-process or
-        shipped back from a pool worker with its measured time.
+        Applies the cost-model/CPU scaling rules and the expansion guard —
+        the accounting tail every compression shares, whether the bytes
+        were produced in-process or shipped back from a pool worker with
+        its measured time.
         """
         seconds = self._seconds("compression", method, len(block), lambda: measured_seconds)
-        verified = False
-        if self.verify:
-            codec = codec if codec is not None else get_codec(method)
-            if codec.decompress(payload) != block:
-                raise CodecError(f"codec {method!r} failed to round-trip a block")
-            verified = True
         fell_back = self.expansion_fallback and len(payload) >= len(block)
         if fell_back:
             payload = block
@@ -211,7 +198,6 @@ class CodecExecutor:
             compressed_size=len(payload),
             compression_seconds=seconds,
             fell_back=fell_back,
-            verified=verified,
             payload=payload,
         )
 
@@ -259,7 +245,6 @@ class CodecExecutor:
 # -- block discipline ------------------------------------------------------------
 
 Observer = Callable[[BlockStats], None]
-Selector = Callable[[int, bytes], str]
 
 
 def cut_blocks(
@@ -298,29 +283,25 @@ def cut_blocks(
 
 
 class BlockEngine:
-    """Block cutting + method selection + execution + per-block stats.
+    """Block cutting + execution + per-block stats.
 
-    ``selector`` is consulted per block (``selector(index, block) ->
-    method name``) when :meth:`execute` is not given an explicit method.
-    Observers receive one :class:`BlockStats` per executed block — the
-    hook monitoring, metrics export, and tests attach to.
+    The caller names the method of every block (the §2.5 selector lives
+    in :mod:`repro.core.policy`, upstream of the engine).  Observers
+    receive one :class:`BlockStats` per executed block — the hook
+    monitoring, metrics export, and tests attach to.
     """
 
     def __init__(
         self,
         executor: Optional[CodecExecutor] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        selector: Optional[Selector] = None,
         observers: Optional[Iterable[Observer]] = None,
-        time_decompression: bool = True,
     ) -> None:
         if block_size < 1024:
             raise ValueError("block_size must be at least 1 KB")
         self.executor = executor if executor is not None else CodecExecutor()
         self.block_size = block_size
-        self.selector = selector
         self.observers: List[Observer] = list(observers) if observers else []
-        self.time_decompression = time_decompression
         self.blocks_executed = 0
 
     def add_observer(self, observer: Observer) -> Callable[[], None]:
@@ -342,17 +323,13 @@ class BlockEngine:
     def execute(
         self,
         block: bytes,
-        method: Optional[str] = None,
+        method: str,
         index: Optional[int] = None,
         codec: Optional[Codec] = None,
     ) -> Tuple[bytes, BlockStats]:
         """Compress one block; returns (payload, stats) and notifies observers."""
         if index is None:
             index = self.blocks_executed
-        if method is None:
-            if self.selector is None:
-                raise ValueError("no method given and no selector configured")
-            method = self.selector(index, block)
         execution = self.executor.compress(method, block, codec=codec)
         return self.emit(execution, index, codec=codec)
 
@@ -368,11 +345,9 @@ class BlockEngine:
         :class:`~repro.core.workers.PipelinedBlockEngine` when it drains
         pool results in submission order.
         """
-        decompression_seconds = 0.0
-        if self.time_decompression:
-            decompression_seconds = self.executor.decompression_time(
-                execution.method, execution.original_size, execution.payload, codec=codec
-            )
+        decompression_seconds = self.executor.decompression_time(
+            execution.method, execution.original_size, execution.payload, codec=codec
+        )
         stats = replace(
             execution,
             index=index,
@@ -387,13 +362,9 @@ class BlockEngine:
     def run(
         self,
         data: Union[bytes, bytearray, Iterable[bytes]],
-        method: Optional[str] = None,
+        method: str,
     ) -> List[Tuple[bytes, BlockStats]]:
-        """Cut ``data`` and execute every block.
-
-        ``method`` fixes the codec for the whole stream; when omitted the
-        per-block ``selector`` decides.
-        """
+        """Cut ``data`` and execute every block with ``method``."""
         return [
             self.execute(block, method=method, index=i)
             for i, block in enumerate(self.cut(data))

@@ -222,7 +222,6 @@ class AdaptivePipeline:
         sampler: Optional[LzSampler] = None,
         cost_model: Optional[CodecCostModel] = None,
         cpu: Optional[CpuModel] = None,
-        verify: bool = False,
         observers: Optional[Iterable[Observer]] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -240,8 +239,7 @@ class AdaptivePipeline:
         #: (EWMA gauges, degradation counter, repro_bicriteria_*) are
         #: visible to callers; None keeps them on a private registry.
         self.registry = registry
-        self.verify = verify
-        self.executor = CodecExecutor(cost_model=cost_model, cpu=cpu, verify=verify)
+        self.executor = CodecExecutor(cost_model=cost_model, cpu=cpu)
         self.engine = BlockEngine(
             executor=self.executor, block_size=block_size, observers=observers
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Dict, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Protocol, Tuple
 
 from ..compression.base import params_label
 from ..compression.registry import get_codec
@@ -133,17 +133,13 @@ class AdaptivePolicy:
 
     Each argument is read by one stage of :meth:`choose`.
 
-    *candidates* — the grid to price, cached per block size:
+    *candidates* — :func:`~repro.core.bicriteria.default_candidates` at
+    each block's size, cached per size:
 
-    * ``candidates`` — override the grid (default:
-      :func:`~repro.core.bicriteria.default_candidates` at each block's
-      size).
-    * ``native`` / ``structured`` — forwarded to ``default_candidates``:
-      ``native=None`` auto-includes the zstd/lz4 tier when its bindings
-      registered, ``False`` pins the grid to the pure-Python methods,
-      ``True`` demands the native tier; ``structured`` admits
-      template/columnar, whose modeled ratios only hold on
-      sniffed-structured streams (off by default).
+    * ``native`` — forwarded to ``default_candidates``: ``None``
+      auto-includes the zstd/lz4 tier when its bindings registered,
+      ``False`` pins the grid to the pure-Python methods, ``True``
+      demands the native tier.
 
     *price* — :func:`~repro.core.bicriteria.evaluate_candidates` for the
     grid, at most once per decision and never for ``policy="table"`` with
@@ -180,10 +176,6 @@ class AdaptivePolicy:
     * ``policy`` — ``"table"``: :func:`~repro.core.decision.select_method`
       with ``thresholds``, verbatim; ``"bicriteria"``: the modeled-fastest
       frontier point within the budget.
-    * ``method_map`` — rename the table's choices before they leave the
-      selector, e.g. ``{"lempel-ziv": "zstd-native"}``; targets are
-      validated against the registry at construction.  The thresholds
-      still reason in paper-method terms.
     * ``placement`` — ``"producer"`` (default) is the paper's arrangement
       and leaves every decision untouched; ``"raw"`` always ships
       uncompressed; ``"consumer"`` always offloads to a downstream relay;
@@ -209,10 +201,7 @@ class AdaptivePolicy:
         space_budget: float = 1.0,
         cost_model: Optional[object] = None,
         cpu: Optional[object] = None,
-        candidates: Optional[Sequence[CandidateSpec]] = None,
         native: Optional[bool] = None,
-        structured: Optional[bool] = None,
-        method_map: Optional[Dict[str, str]] = None,
         placement: str = "producer",
         interference: float = 0.0,
         downstream_factor: Optional[float] = None,
@@ -236,19 +225,13 @@ class AdaptivePolicy:
                 "placement='consumer' needs a downstream_factor: without a "
                 "downstream hop there is nobody to offload to"
             )
-        if method_map:
-            for target in method_map.values():
-                get_codec(target)  # validate eagerly; raises CodecError
         self.thresholds = thresholds
         self.staleness_horizon = staleness_horizon
         self.policy = policy
         self.space_budget = space_budget
         self.cost_model = cost_model
         self.cpu = cpu
-        self.candidates = tuple(candidates) if candidates is not None else None
         self.native = native
-        self.structured = structured
-        self.method_map = dict(method_map) if method_map else {}
         self.placement = placement
         self.interference = interference
         self.downstream_factor = downstream_factor
@@ -281,13 +264,9 @@ class AdaptivePolicy:
         return self._stale_decisions > self.staleness_horizon
 
     def _grid(self, block_size: int) -> Tuple[CandidateSpec, ...]:
-        if self.candidates is not None:
-            return self.candidates
         grid = self._grids.get(block_size)
         if grid is None:
-            grid = default_candidates(
-                block_size, native=self.native, structured=self.structured
-            )
+            grid = default_candidates(block_size, native=self.native)
             self._grids[block_size] = grid
         return grid
 
@@ -357,8 +336,7 @@ class AdaptivePolicy:
             )
         else:
             # choose (table preset): §2.5 verbatim is the chooser.
-            mapped = self.method_map.get(table.method)
-            decision = replace(table, method=mapped) if mapped else table
+            decision = table
         if self.placement == "producer":
             return decision
 

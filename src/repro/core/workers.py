@@ -52,7 +52,6 @@ from .engine import (
     BlockStats,
     CodecExecutor,
     Observer,
-    Selector,
     timed,
 )
 
@@ -172,20 +171,12 @@ class PipelinedBlockEngine(BlockEngine):
         self,
         executor: Optional[CodecExecutor] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        selector: Optional[Selector] = None,
         observers: Optional[Iterable[Observer]] = None,
-        time_decompression: bool = True,
         pool: Optional[WorkerPool] = None,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(
-            executor=executor,
-            block_size=block_size,
-            selector=selector,
-            observers=observers,
-            time_decompression=time_decompression,
-        )
+        super().__init__(executor=executor, block_size=block_size, observers=observers)
         if queue_depth < 1:
             raise ValueError("queue_depth must be positive")
         self.pool = pool if pool is not None else WorkerPool(workers=1, mode="serial")
@@ -195,34 +186,29 @@ class PipelinedBlockEngine(BlockEngine):
     def run(
         self,
         data: Union[bytes, bytearray, Iterable[bytes]],
-        method: Optional[str] = None,
+        method: str,
     ) -> List[Tuple[bytes, BlockStats]]:
-        """Cut ``data`` and execute every block through the pool."""
+        """Cut ``data`` and execute every block with ``method`` through the pool."""
         results: List[Tuple[bytes, BlockStats]] = []
-        in_flight: "deque[Tuple[int, bytes, str, Optional[Future]]]" = deque()
+        in_flight: "deque[Tuple[int, bytes, Optional[Future]]]" = deque()
+        pooled = method != "none" and self.pool.accepts(method)
         for index, block in enumerate(self.cut(data)):
-            block_method = method
-            if block_method is None:
-                if self.selector is None:
-                    raise ValueError("no method given and no selector configured")
-                block_method = self.selector(index, block)
-            if block_method != "none" and self.pool.accepts(block_method):
-                future: Optional[Future] = self.pool.submit(block_method, block)
-            else:
-                future = None  # executes in-process at drain time
-            in_flight.append((index, block, block_method, future))
+            # Unpooled blocks execute in-process at drain time.
+            future = self.pool.submit(method, block) if pooled else None
+            in_flight.append((index, block, future))
             while len(in_flight) >= self.queue_depth:
-                self._drain_one(in_flight, results)
+                self._drain_one(method, in_flight, results)
         while in_flight:
-            self._drain_one(in_flight, results)
+            self._drain_one(method, in_flight, results)
         return results
 
     def _drain_one(
         self,
-        in_flight: "deque[Tuple[int, bytes, str, Optional[Future]]]",
+        method: str,
+        in_flight: "deque[Tuple[int, bytes, Optional[Future]]]",
         results: List[Tuple[bytes, BlockStats]],
     ) -> None:
-        index, block, method, future = in_flight.popleft()
+        index, block, future = in_flight.popleft()
         if future is None:
             execution = self.executor.compress(method, block)
         else:

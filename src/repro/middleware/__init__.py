@@ -27,7 +27,7 @@ from .handlers import (
     TunableCompressionHandler,
 )
 from .monitoring import ChannelMonitor, ChannelQuality
-from .reassembly import OrderedReassembly, ReorderingBridge
+from .reassembly import OrderedReassembly
 from .relay import (
     ATTR_PLACEMENT,
     ATTR_RELAY_METHOD,
@@ -81,7 +81,6 @@ __all__ = [
     "QualityAttributes",
     "ReliableEventLink",
     "RemoteChannel",
-    "ReorderingBridge",
     "RetryPolicy",
     "RudpBridge",
     "SamplingPublisher",

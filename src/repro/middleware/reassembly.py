@@ -2,14 +2,11 @@
 
 The modified Burrows-Wheeler pipeline exists "to enable us to decompress
 the file when the order of blocks received does not exactly correspond to
-the order in which it is sent."  Two pieces realize that here:
-
-* :class:`ReorderingBridge` — a :class:`~repro.middleware.transport.TransportBridge`
-  that perturbs delivery order within a bounded window (deterministic per
-  seed), modelling multi-path/striped transports;
-* :class:`OrderedReassembly` — a consumer-side buffer that releases events
-  in sequence order, tracks gaps, and (optionally) flushes stragglers
-  after a window overflow.
+the order in which it is sent."  :class:`OrderedReassembly` is the
+consumer-side buffer that releases events in sequence order, tracks gaps,
+and (optionally) flushes stragglers after a window overflow; the hostile
+wire that delivers out of order is
+:class:`~repro.middleware.chaos.ChaosWire` (its ``reorder`` fault).
 
 Because every compressed event is self-contained (method id in the
 attributes, self-describing codec payloads), events can be *decompressed*
@@ -19,17 +16,11 @@ exactly the property the paper engineered with its 255 chunk markers.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, List, Optional
 
-from ..netsim.clock import Clock
-from ..netsim.link import SimulatedLink
-from ..netsim.loadtrace import LoadTrace
-from .channels import EventChannel
 from .events import Event
-from .transport import TransportBridge
 
-__all__ = ["OrderedReassembly", "ReorderingBridge"]
+__all__ = ["OrderedReassembly"]
 
 
 class OrderedReassembly:
@@ -130,43 +121,3 @@ class OrderedReassembly:
             self._next = head
             self._drain()
         return missing
-
-
-class ReorderingBridge(TransportBridge):
-    """A transport bridge that delivers within-window out of order.
-
-    Events are held in a small buffer; each new arrival randomly (but
-    deterministically per seed) evicts one buffered event for delivery.
-    ``close`` drains the tail.  Transfer timing is charged on arrival,
-    exactly like the in-order bridge.
-    """
-
-    def __init__(
-        self,
-        link: SimulatedLink,
-        clock: Clock,
-        load: Optional[LoadTrace] = None,
-        advance_clock: bool = True,
-        window: int = 4,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(link, clock, load=load, advance_clock=advance_clock)
-        if window < 1:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._rng = random.Random(seed)
-        self._held: List[tuple] = []
-
-    def _deliver(self, event: Event, mirror: EventChannel) -> None:
-        self._held.append((event, mirror))
-        if len(self._held) >= self.window:
-            index = self._rng.randrange(len(self._held))
-            held_event, held_mirror = self._held.pop(index)
-            super()._deliver(held_event, held_mirror)
-
-    def close(self) -> None:
-        """Drain all held events (in randomized order)."""
-        while self._held:
-            index = self._rng.randrange(len(self._held))
-            event, mirror = self._held.pop(index)
-            super()._deliver(event, mirror)

@@ -11,7 +11,6 @@ from .faults import (
     FaultPlan,
     FaultRule,
     FaultyLink,
-    FaultyPacketLink,
     RetryPolicy,
 )
 from .cpu import (
@@ -47,7 +46,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "FaultyLink",
-    "FaultyPacketLink",
     "LinkSpec",
     "LoadTrace",
     "MEGABYTE",

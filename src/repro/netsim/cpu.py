@@ -172,11 +172,10 @@ DEFAULT_COSTS = CodecCostModel(
             typical_ratio=0.55,
         ),
         # Structure-aware family, calibrated on the seeded log/telemetry
-        # corpora (scripts/bench_structured measurements).  The ratios
-        # only hold on data the sniffers matched — which is the only time
-        # a candidate grid names these codecs (default_candidates keeps
-        # them out unless structured=True), so the entries are harmless
-        # for opaque traffic.
+        # corpora (benchmarks/bench_structured.py measurements).  The ratios
+        # only hold on data the sniffers matched; no candidate grid names
+        # these codecs, so they are priced only when a caller picks one
+        # outright (FixedPolicy, a handler, --method) for such a stream.
         "template": CodecCost(
             compress_throughput=7.0 * _MB,
             decompress_throughput=30.0 * _MB,

@@ -8,12 +8,8 @@ schedule-driven description of *which* packet/frame indices suffer
 *which* faults (drop, duplicate, reorder, delay, byte-corrupt), fully
 deterministic per seed so every chaos run is replayable bit for bit.
 
-Three consumers wrap it around existing machinery:
+Two consumers wrap it around existing machinery:
 
-* :class:`FaultyPacketLink` — wraps a :class:`~repro.netsim.rudp.PacketLink`
-  so the IQ-RUDP transport model sees scheduled losses, corruptions
-  (checksum-failed at the receiver, hence NACKed), delays, and duplicate
-  deliveries (observable as duplicate ACKs);
 * :class:`FaultyLink` — wraps a :class:`~repro.netsim.link.SimulatedLink`
   at frame/transfer granularity: a dropped or corrupted transfer models a
   frame the integrity-checked framing rejected, and the wrapper pays the
@@ -40,7 +36,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..obs.catalogue import FAULTS_INJECTED_TOTAL, LINK_RETRIES_TOTAL
 from .link import SimulatedLink
-from .rudp import PacketLink
 
 __all__ = [
     "FAULT_KINDS",
@@ -49,7 +44,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "FaultyLink",
-    "FaultyPacketLink",
     "RetryPolicy",
 ]
 
@@ -313,84 +307,6 @@ class RetryPolicy:
         yield 1, 0.0
         for attempt in range(2, self.max_attempts + 1):
             yield attempt, self.backoff(attempt - 1)
-
-
-class FaultyPacketLink:
-    """A :class:`~repro.netsim.rudp.PacketLink` with scheduled faults.
-
-    Per-packet semantics (packet indices count every transmission,
-    including retransmissions, so a plan can target either):
-
-    * ``drop`` — the packet vanishes (returns ``None``, like Bernoulli loss);
-    * ``corrupt`` — the packet arrives damaged, fails the receiver's
-      checksum, and is NACKed — indistinguishable from loss to the
-      sender, but counted separately;
-    * ``delay`` — delivered late (service time + rule delay);
-    * ``duplicate`` — delivered, and the receiver's duplicate ACK is
-      observable through :meth:`consume_duplicate` (the transport counts
-      it without double-crediting delivery);
-    * ``reorder`` — counted only: the round-based selective-repeat model
-      is insensitive to within-round order.
-    """
-
-    def __init__(self, inner: PacketLink, plan: FaultPlan) -> None:
-        self.inner = inner
-        self.plan = plan
-        self.packets_dropped = 0
-        self.packets_corrupted = 0
-        self.packets_delayed = 0
-        self.packets_duplicated = 0
-        self._index = 0
-        self._pending_duplicate = False
-
-    # -- PacketLink surface ------------------------------------------------------
-
-    @property
-    def link(self) -> SimulatedLink:
-        return self.inner.link
-
-    @property
-    def packets_sent(self) -> int:
-        return self.inner.packets_sent
-
-    @property
-    def packets_lost(self) -> int:
-        return self.inner.packets_lost
-
-    @property
-    def observed_loss_rate(self) -> float:
-        return self.inner.observed_loss_rate
-
-    def send_packet(self, size: int, connections: float = 0.0) -> Optional[float]:
-        index = self._index
-        self._index += 1
-        decision = self.plan.decide(index)
-        service = self.inner.send_packet(size, connections)
-        if decision.dropped:
-            self.packets_dropped += 1
-            if service is not None:
-                self.inner.packets_lost += 1  # keep observed_loss_rate truthful
-            return None
-        if decision.corrupted:
-            self.packets_corrupted += 1
-            if service is not None:
-                self.inner.packets_lost += 1
-            return None
-        if service is None:
-            return None
-        if decision.delay:
-            self.packets_delayed += 1
-            service += decision.delay
-        if decision.duplicated:
-            self.packets_duplicated += 1
-            self._pending_duplicate = True
-        return service
-
-    def consume_duplicate(self) -> bool:
-        """True once per duplicated delivery (the duplicate-ACK signal)."""
-        pending = self._pending_duplicate
-        self._pending_duplicate = False
-        return pending
 
 
 class FaultyLink:

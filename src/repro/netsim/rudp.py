@@ -75,7 +75,6 @@ class TransferReport:
     packets: int
     retransmissions: int
     final_rate: float
-    duplicate_acks: int = 0
 
     @property
     def goodput(self) -> float:
@@ -114,7 +113,6 @@ class RateControlledTransport:
         self.rate = initial_rate
         self.increase = increase
         self.floor = floor
-        self.duplicate_acks = 0
 
     def transfer(self, size: int, connections: float = 0.0) -> TransferReport:
         """Deliver ``size`` bytes reliably; returns timing + statistics."""
@@ -127,12 +125,7 @@ class RateControlledTransport:
         elapsed = 0.0
         total_packets = 0
         retransmissions = 0
-        duplicate_acks = 0
         first_round = True
-        # A fault-injecting link (repro.netsim.faults.FaultyPacketLink) can
-        # deliver the same packet twice; the receiver's extra ACK must be
-        # counted without double-crediting delivery or perturbing AIMD.
-        consume_duplicate = getattr(self.packet_link, "consume_duplicate", None)
 
         while outstanding:
             lost = []
@@ -154,8 +147,6 @@ class RateControlledTransport:
                     elapsed += pacing_time
                 else:
                     elapsed += max(pacing_time, service)
-                    if consume_duplicate is not None and consume_duplicate():
-                        duplicate_acks += 1
             if not first_round:
                 retransmissions += len(outstanding)
             first_round = False
@@ -164,12 +155,10 @@ class RateControlledTransport:
             else:
                 self.rate += self.increase
             outstanding = lost
-        self.duplicate_acks += duplicate_acks
         return TransferReport(
             size=size,
             elapsed=elapsed,
             packets=total_packets,
             retransmissions=retransmissions,
             final_rate=self.rate,
-            duplicate_acks=duplicate_acks,
         )

@@ -2,8 +2,8 @@
 
 The zstd/lz4 codecs are optional by contract: without a binding the
 classes stay importable, ``HAVE_ZSTD``/``HAVE_LZ4`` are False, and every
-consumer (registry, candidate grids, policy method maps) either skips
-the tier or fails eagerly with a clear error.  The always-run tests here
+consumer (registry, candidate grids) either skips the tier or fails
+eagerly with a clear error.  The always-run tests here
 pin that contract on whichever side this environment happens to be; the
 ``skipif`` tests exercise the codecs themselves when a binding exists
 (CI's native-codecs leg installs both).
@@ -20,7 +20,6 @@ from repro.compression.native import (
 )
 from repro.compression.registry import available_codecs, get_codec
 from repro.core.bicriteria import default_candidates
-from repro.core.policy import AdaptivePolicy
 from repro.verify.differential import REFERENCE_COUNTERPARTS
 
 
@@ -55,38 +54,6 @@ class TestCandidateGrid:
     def test_native_true_with_bindings_includes_the_tier(self):
         methods = {spec.method for spec in default_candidates(native=True)}
         assert {"zstd-native", "lz4-native"} <= methods
-
-
-class TestPolicyMethodMap:
-    def test_unregistered_target_rejected_at_construction(self):
-        missing = "lz4-native" if not HAVE_LZ4 else "no-such-codec"
-        with pytest.raises(CodecError):
-            AdaptivePolicy(method_map={"lempel-ziv": missing})
-
-    def test_mapped_method_replaces_the_table_choice(self):
-        # Remap to a codec that is always registered so the test runs on
-        # both sides of the binding divide; the mechanism is identical
-        # for zstd-native/lz4-native targets.
-        from repro.core.monitor import ReducingSpeedMonitor
-
-        monitor = ReducingSpeedMonitor()
-        chosen = AdaptivePolicy().choose(128 * 1024, 0.5, monitor, None).method
-        assert chosen != "none"  # precondition: the table picked a codec
-        policy = AdaptivePolicy(method_map={chosen: "lempel-ziv-native"})
-        mapped = policy.choose(128 * 1024, 0.5, monitor, None)
-        assert mapped.method == "lempel-ziv-native"
-
-    def test_unmapped_methods_pass_through(self):
-        from repro.core.monitor import ReducingSpeedMonitor
-
-        monitor = ReducingSpeedMonitor()
-        policy = AdaptivePolicy(method_map={"lzw": "lempel-ziv-native"})
-        plain = AdaptivePolicy()
-        for sending_time in (0.0001, 0.5):
-            assert (
-                policy.choose(128 * 1024, sending_time, monitor, None).method
-                == plain.choose(128 * 1024, sending_time, monitor, None).method
-            )
 
 
 @pytest.mark.skipif(HAVE_ZSTD, reason="zstd binding present")

@@ -33,7 +33,7 @@ from repro.obs.catalogue import (
 BLOCK = 128 * 1024
 
 
-def frontier(sending_time=0.5, sample=None, monitor=None, candidates=None):
+def frontier(sending_time=0.5, sample=None, monitor=None):
     return build_frontier(
         BLOCK,
         sending_time,
@@ -41,7 +41,6 @@ def frontier(sending_time=0.5, sample=None, monitor=None, candidates=None):
         cpu=SUN_FIRE,
         monitor=monitor,
         sample=sample,
-        candidates=candidates,
     )
 
 
@@ -317,5 +316,4 @@ class TestReplayPlumbing:
         methods = {s.method for s in specs}
         assert {"none", "huffman", "lempel-ziv", "burrows-wheeler"} <= methods
         assert any(s.params for s in specs)
-        sized = default_candidates(BLOCK, block_sizes=(BLOCK // 2, BLOCK))
-        assert {s.block_size for s in sized} == {BLOCK // 2, BLOCK}
+        assert {s.block_size for s in specs} == {BLOCK}

@@ -14,9 +14,12 @@ codec runs) and every :class:`Decision` field, the policy's running
 totals and a CRC of the selector-side metrics must reproduce the values
 captured before ``core/policy.py`` became one candidates → price →
 constrain → choose pipeline (``_capture_decisions()`` at that commit).
+Between them the presets pass every ``AdaptivePolicy`` argument, which
+:func:`test_presets_exercise_every_policy_argument` asserts.
 """
 
 import dataclasses
+import inspect
 import json
 import math
 import random
@@ -25,8 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.bicriteria import CandidateSpec
-from repro.core.decision import Decision
+from repro.core.decision import Decision, DecisionThresholds
 from repro.core.engine import BlockStats
 from repro.core.monitor import ReducingSpeedMonitor
 from repro.core.policy import AdaptivePolicy
@@ -81,32 +83,20 @@ _MODELED = dict(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, native=False)
 #: scheduling with nothing priceable is pinned separately
 #: (tests/core/test_placement.py).
 DECISION_PRESETS = {
-    "table": {},
+    "table": dict(thresholds=DecisionThresholds()),
     "bicriteria": dict(policy="bicriteria", **_MODELED),
     "bicriteria_auto": dict(
         policy="bicriteria", placement="auto", interference=0.5,
         downstream_factor=16.0, **_MODELED,
     ),
-    # lzw is not in the grid, so its blocks schedule the fastest
-    # compressing point instead of the table's own choice.
-    "table_auto": dict(
-        placement="auto", interference=0.15,
-        method_map={"lempel-ziv": "lzw"}, **_MODELED,
-    ),
+    "table_auto": dict(placement="auto", interference=0.15, **_MODELED),
     "bicriteria_auto_stale": dict(
         policy="bicriteria", placement="auto", staleness_horizon=3,
-        downstream_factor=4.0, cost_model=DEFAULT_COSTS, cpu=SUN_FIRE,
-        candidates=(
-            CandidateSpec.make("none"),
-            CandidateSpec.make("huffman"),
-            CandidateSpec.make("lempel-ziv"),
-            CandidateSpec.make("lempel-ziv", {"window": 4096, "max_chain": 4}),
-            CandidateSpec.make("burrows-wheeler"),
-        ),
+        downstream_factor=4.0, **_MODELED,
     ),
     "budget_consumer": dict(
         policy="bicriteria", space_budget=0.15, placement="consumer",
-        downstream_factor=6.0, structured=True, **_MODELED,
+        downstream_factor=6.0, **_MODELED,
     ),
 }
 
@@ -169,6 +159,11 @@ def _capture_decisions():
     (Path(__file__).parent / "golden_replay.json").write_text(
         json.dumps(golden, indent=0, sort_keys=True)
     )
+
+
+def test_presets_exercise_every_policy_argument():
+    passed = set().union(*DECISION_PRESETS.values())
+    assert passed == set(inspect.signature(AdaptivePolicy).parameters)
 
 
 @pytest.mark.parametrize("preset", sorted(DECISION_PRESETS))

@@ -1,9 +1,12 @@
 """Unit tests for the adaptive block pipeline."""
 
+import zlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.bicriteria import codec_for
 from repro.core.decision import Decision
 from repro.core.engine import BlockStats
 from repro.core.pipeline import (
@@ -106,9 +109,16 @@ class TestRun:
         piped = pipeline().run(data, make_link("1mbit", seed=2), pipelined=True)
         assert piped.total_time <= sync.total_time + 1e-9
 
-    def test_verify_mode_roundtrips(self):
-        result = pipeline(verify=True).run(blocks(3), make_link("1mbit"))
+    def test_wire_bytes_roundtrip(self):
+        data = blocks(3)
+        result = pipeline().run(data, make_link("1mbit"))
         assert len(result.records) == 3
+        assert any(record.method != "none" for record in result.records)
+        for block, record in zip(data, result.records):
+            codec = codec_for(record.method, record.params)
+            payload = codec.compress(block)
+            assert zlib.crc32(payload) == record.payload_crc32
+            assert codec.decompress(payload) == block
 
     def test_custom_clock_used(self):
         clock = VirtualClock(start=100.0)

@@ -7,10 +7,12 @@ connect records to aggregates.
 """
 
 import random
+import zlib
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.bicriteria import codec_for
 from repro.core.pipeline import AdaptivePipeline
 from repro.data.commercial import CommercialDataGenerator
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
@@ -97,7 +99,7 @@ def test_pipeline_deterministic_given_seed(seed):
 
 @given(st.data())
 @examples(15)
-def test_verify_mode_roundtrips_random_streams(data):
+def test_wire_bytes_roundtrip_random_streams(data):
     rng = random.Random(data.draw(st.integers(0, 500)))
     blocks = [
         bytes(rng.getrandbits(8) for _ in range(rng.randrange(1024, 4096)))
@@ -107,8 +109,12 @@ def test_verify_mode_roundtrips_random_streams(data):
         block_size=1024,
         cost_model=DEFAULT_COSTS,
         cpu=SUN_FIRE,
-        verify=True,
     )
     link = SimulatedLink(PAPER_LINKS["1mbit"], seed=1)
     result = pipeline.run(blocks, link)
     assert len(result.records) == 3
+    for block, record in zip(blocks, result.records):
+        codec = codec_for(record.method, record.params)
+        payload = codec.compress(block)
+        assert zlib.crc32(payload) == record.payload_crc32
+        assert codec.decompress(payload) == block

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.compression.framing import decode_frame
 from repro.data.commercial import CommercialDataGenerator
-from repro.middleware.channels import EventChannel
+from repro.middleware.chaos import ChaosWire, ReliableEventLink
 from repro.middleware.events import Event
 from repro.middleware.handlers import CompressionHandler, DecompressionHandler
-from repro.middleware.reassembly import OrderedReassembly, ReorderingBridge
-from repro.netsim.clock import VirtualClock
-from repro.netsim.link import make_link
+from repro.middleware.reassembly import OrderedReassembly
+from repro.middleware.transport import WireFormat
+from repro.netsim.faults import FaultPlan, FaultRule, RetryPolicy
 
 
 def event(sequence, payload=b"x"):
@@ -80,72 +81,58 @@ class TestOrderedReassembly:
             OrderedReassembly(lambda e: None, max_pending=0)
 
 
-class TestReorderingBridge:
-    def _world(self, window=4, seed=3):
-        clock = VirtualClock()
-        bridge = ReorderingBridge(
-            make_link("100mbit", seed=1), clock, window=window, seed=seed
-        )
-        local = EventChannel("src")
-        mirror = bridge.export(local)
-        received = []
-        mirror.subscribe(received.append)
-        return bridge, local, received
-
-    def test_everything_arrives_after_close(self):
-        bridge, local, received = self._world()
-        for i in range(20):
-            local.submit(Event(payload=bytes([i])))
-        bridge.close()
-        assert len(received) == 20
-        assert sorted(e.payload[0] for e in received) == list(range(20))
-
-    def test_order_is_perturbed(self):
-        bridge, local, received = self._world(window=6)
-        for i in range(30):
-            local.submit(Event(payload=bytes([i])))
-        bridge.close()
-        arrival = [e.sequence for e in received]
-        assert arrival != sorted(arrival)
-
-    def test_early_delivery_bounded_by_window(self):
-        bridge, local, received = self._world(window=4)
-        for i in range(50):
-            local.submit(Event(payload=bytes([i])))
-        bridge.close()
-        for position, e in enumerate(received):
-            # the k-th delivery must come from the first k+window submissions
-            # (an event can linger arbitrarily, but cannot arrive early by
-            # more than the buffer size)
-            assert (e.sequence - 1) <= position + 4
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            ReorderingBridge(make_link("1gbit"), VirtualClock(), window=0)
-
-
 class TestCompressedOutOfOrderStream:
-    def test_burrows_wheeler_blocks_survive_reordering(self):
-        """The §2.4 scenario: BW-compressed blocks delivered out of order
-        decompress independently and reassemble into the original stream."""
-        data_blocks = list(CommercialDataGenerator(seed=8).stream(16 * 1024, 12))
+    """The §2.4 scenario: Burrows-Wheeler blocks delivered out of order
+    decompress independently and reassemble into the original stream."""
 
-        clock = VirtualClock()
-        bridge = ReorderingBridge(
-            make_link("100mbit", seed=2), clock, window=5, seed=11
-        )
-        source = EventChannel("stream")
-        compressed = source.derive(CompressionHandler("burrows-wheeler"))
-        mirror = bridge.export(compressed)
+    BLOCKS = list(CommercialDataGenerator(seed=8).stream(16 * 1024, 12))
+
+    def _compressed_events(self):
+        compress = CompressionHandler("burrows-wheeler")
+        return [
+            compress(Event(payload=block, sequence=i + 1))
+            for i, block in enumerate(self.BLOCKS)
+        ]
+
+    @staticmethod
+    def _reorder_plan():
+        return FaultPlan([FaultRule(kind="reorder", probability=0.5)], seed=11)
+
+    def test_burrows_wheeler_blocks_survive_reordering(self):
+        wire = ChaosWire(self._reorder_plan())
+        arrivals = []
+        for event in self._compressed_events():
+            arrivals.extend(wire.send(WireFormat.encode(event)))
+        arrivals.extend(wire.flush())
 
         decompress = DecompressionHandler()
         restored: list = []
-        reassembly = OrderedReassembly(lambda e: restored.append(decompress(e).payload))
-        mirror.subscribe(reassembly.push)
+        reassembly = OrderedReassembly(lambda e: restored.append(e.payload))
+        arrival_order = []
+        for data in arrivals:
+            # Blocks decode on arrival, some ahead of their predecessors.
+            event = decompress(WireFormat.from_frame(decode_frame(data)[0]))
+            arrival_order.append(event.sequence)
+            reassembly.push(event)
 
-        for block in data_blocks:
-            source.submit(Event(payload=block))
-        bridge.close()
-
-        assert b"".join(restored) == b"".join(data_blocks)
+        assert arrival_order != sorted(arrival_order)
+        assert sorted(arrival_order) == list(range(1, len(self.BLOCKS) + 1))
+        assert b"".join(restored) == b"".join(self.BLOCKS)
         assert reassembly.gaps == 0
+
+    def test_reliable_link_delivers_reordered_stream_byte_exact(self):
+        decompress = DecompressionHandler()
+        restored: list = []
+        wire = ChaosWire(self._reorder_plan())
+        link = ReliableEventLink(
+            wire,
+            lambda e: restored.append(decompress(e).payload),
+            retry=RetryPolicy(base_delay=0.0, jitter=0.0),
+        )
+        for event in self._compressed_events():
+            link.send(event)
+        assert link.close() == []
+
+        assert wire.plan.counts["reorder"] > 0
+        assert link.retries > 0  # a held transmission is re-sent
+        assert b"".join(restored) == b"".join(self.BLOCKS)

@@ -12,11 +12,9 @@ from repro.netsim.faults import (
     FaultPlan,
     FaultRule,
     FaultyLink,
-    FaultyPacketLink,
     RetryPolicy,
 )
 from repro.netsim.link import PAPER_LINKS, SimulatedLink
-from repro.netsim.rudp import PacketLink, RateControlledTransport
 from repro.obs.metrics import MetricsRegistry
 from tests.strategies import examples
 
@@ -199,66 +197,6 @@ class TestRetryPolicy:
             RetryPolicy(multiplier=0.5)
         with pytest.raises(ValueError):
             RetryPolicy().backoff(0)
-
-
-class TestFaultyPacketLink:
-    def test_scheduled_drop_returns_none_and_counts_as_loss(self):
-        plan = FaultPlan([FaultRule(kind="drop", index=1)])
-        link = FaultyPacketLink(PacketLink(make_sim_link()), plan)
-        assert link.send_packet(1400) is not None
-        assert link.send_packet(1400) is None
-        assert link.send_packet(1400) is not None
-        assert link.packets_dropped == 1
-        assert link.packets_sent == 3
-        assert link.packets_lost == 1
-        assert link.observed_loss_rate == pytest.approx(1 / 3)
-
-    def test_corrupt_is_loss_but_counted_separately(self):
-        plan = FaultPlan([FaultRule(kind="corrupt", index=0)])
-        link = FaultyPacketLink(PacketLink(make_sim_link()), plan)
-        assert link.send_packet(1400) is None
-        assert link.packets_corrupted == 1
-        assert link.packets_dropped == 0
-
-    def test_delay_adds_to_service_time(self):
-        quiet = SimulatedLink(PAPER_LINKS["1gbit"], seed=0)
-        plan = FaultPlan([FaultRule(kind="delay", index=0, delay=1.5)])
-        link = FaultyPacketLink(PacketLink(quiet, seed=0), plan)
-        baseline = PacketLink(SimulatedLink(PAPER_LINKS["1gbit"], seed=0), seed=0)
-        delayed = link.send_packet(1400)
-        plain = baseline.send_packet(1400)
-        assert delayed == pytest.approx(plain + 1.5)
-
-    def test_duplicate_sets_consumable_flag_once(self):
-        plan = FaultPlan([FaultRule(kind="duplicate", index=0)])
-        link = FaultyPacketLink(PacketLink(make_sim_link()), plan)
-        assert link.send_packet(1400) is not None
-        assert link.consume_duplicate()
-        assert not link.consume_duplicate()
-        assert link.packets_duplicated == 1
-
-    def test_transport_counts_duplicate_acks_without_aimd_impact(self):
-        def run(with_duplicates):
-            rules = (
-                [FaultRule(kind="duplicate", first=0, last=50)]
-                if with_duplicates
-                else []
-            )
-            inner = PacketLink(make_sim_link(seed=5), seed=5)
-            transport = RateControlledTransport(
-                FaultyPacketLink(inner, FaultPlan(rules))
-            )
-            report = transport.transfer(64 * 1400)
-            return report, transport
-
-        faulty_report, faulty_transport = run(True)
-        clean_report, _ = run(False)
-        assert faulty_report.duplicate_acks == 51
-        assert faulty_transport.duplicate_acks == 51
-        assert clean_report.duplicate_acks == 0
-        # Duplicates never affect delivery or rate control.
-        assert faulty_report.final_rate == clean_report.final_rate
-        assert faulty_report.packets == clean_report.packets
 
 
 class TestFaultyLink:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.netsim.faults import FaultPlan, FaultRule, FaultyPacketLink
 from repro.netsim.link import make_link
 from repro.netsim.rudp import (
     DEFAULT_PACKET_SIZE,
@@ -13,6 +12,23 @@ from repro.netsim.rudp import (
 
 def packet_link(loss_rate=0.0, link_name="100mbit", seed=1):
     return PacketLink(make_link(link_name, seed=seed), loss_rate=loss_rate, seed=seed)
+
+
+class ScheduledDrops(PacketLink):
+    """A lossless packet link that loses exactly the transmissions in ``drops``
+    (indices count every send, retransmissions included)."""
+
+    def __init__(self, drops, seed):
+        super().__init__(make_link("100mbit", seed=seed), seed=seed)
+        self.drops = set(drops)
+
+    def send_packet(self, size, connections=0.0):
+        index = self.packets_sent
+        service = super().send_packet(size, connections)
+        if index in self.drops:
+            self.packets_lost += 1
+            return None
+        return service
 
 
 class TestPacketLink:
@@ -112,14 +128,13 @@ class TestRateControlledTransport:
         retransmission round, carrying exactly that packet, and the
         tail-packet size is preserved on the retransmit."""
         size = 10 * DEFAULT_PACKET_SIZE + 100  # 11 packets, short tail
-        plan = FaultPlan([FaultRule(kind="drop", index=10)])  # final packet
-        link = FaultyPacketLink(packet_link(0.0, seed=6), plan)
+        link = ScheduledDrops({10}, seed=6)  # the final packet
         transport = RateControlledTransport(link)
         report = transport.transfer(size)
         assert report.size == size
         assert report.retransmissions == 1
         assert report.packets == 12  # 11 + the one retransmit
-        assert link.packets_dropped == 1
+        assert link.packets_lost == 1
         # One lossy round halves once, one clean round adds once.
         assert transport.rate == pytest.approx(1e6 / 2 + 5e4)
 
@@ -129,9 +144,8 @@ class TestRateControlledTransport:
         climbs back additively."""
         size = 4 * DEFAULT_PACKET_SIZE
         # Three full rounds of 4 packets each are annihilated (indices
-        # 0-11 count retransmissions too), then the plan goes quiet.
-        plan = FaultPlan([FaultRule(kind="drop", first=0, last=11)])
-        link = FaultyPacketLink(packet_link(0.0, seed=8), plan)
+        # 0-11 count retransmissions too), then the link goes quiet.
+        link = ScheduledDrops(range(12), seed=8)
         transport = RateControlledTransport(
             link, initial_rate=1e5, increase=1e4, floor=2e4
         )
@@ -146,16 +160,6 @@ class TestRateControlledTransport:
         clean = transport.transfer(size)
         assert clean.retransmissions == 0
         assert transport.rate == pytest.approx(before + 1e4)
-
-    def test_duplicate_acks_counted_not_delivered_twice(self):
-        size = 6 * DEFAULT_PACKET_SIZE
-        plan = FaultPlan([FaultRule(kind="duplicate", first=0, last=2)])
-        link = FaultyPacketLink(packet_link(0.0, seed=9), plan)
-        transport = RateControlledTransport(link)
-        report = transport.transfer(size)
-        assert report.duplicate_acks == 3
-        assert report.packets == 6  # duplicates are not extra sends
-        assert report.retransmissions == 0  # nor do they trigger repair
 
     def test_compression_reduces_wireless_transfer_time(self, commercial_block):
         """The §1 embedded/tethered scenario: compressing before the lossy

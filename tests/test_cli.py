@@ -87,11 +87,38 @@ class TestCompressDecompress:
         assert isinstance(caught.value.code, str)  # a message: exit status 1
         assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.rprz"]
 
-    def test_unknown_method_raises(self, sample_file):
-        from repro.compression.base import CodecError
-
-        with pytest.raises(CodecError):
+    def test_unknown_method_raises(self, sample_file, tmp_path):
+        with pytest.raises(SystemExit, match="error: unknown codec: 'zpaq'"):
             main(["compress", str(sample_file), "--method", "zpaq"])
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["sample.xml"]
+
+
+#: argv -> what the error names; run from a directory holding only present.txt.
+BAD_INPUT = [
+    (["fanout", "--link", "foo"], "invalid choice: 'foo'"),
+    (["placement", "--links", "foo"], "invalid choice: 'foo'"),
+    (["fanout", "--subscribers", "0"], "must be a positive integer"),
+    (["placement", "--blocks", "0"], "must be a positive integer"),
+    (["replay", "--faults", "missing.json"], "cannot read missing.json"),
+    (["compress", "missing-file"], "cannot read missing-file"),
+    (["compress", "present.txt", "--method", "zpaq"], "unknown codec"),
+    (["fuzz", "--iterations", "-5"], "must be a positive integer"),
+]
+
+
+@pytest.mark.parametrize("argv, complaint", BAD_INPUT, ids=[" ".join(a) for a, _ in BAD_INPUT])
+def test_bad_input_is_an_error_not_a_traceback(argv, complaint, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "present.txt").write_bytes(b"payload")
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    code = caught.value.code
+    # Run-time input errors exit 1 with the message as the code; parse
+    # errors exit 2 through argparse, with the message on stderr.
+    message = code if isinstance(code, str) else capsys.readouterr().err
+    assert code not in (0, None)
+    assert "error: " in message and complaint in message
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["present.txt"]
 
 
 class TestAnalyze:
