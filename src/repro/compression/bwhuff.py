@@ -4,7 +4,11 @@ Pipeline (per chunk, default 32 KB):
 
     chunk -> BWT -> move-to-front -> RLE (runs <= 254, alphabet 0..254)
 
-then all chunks are **jointly Huffman coded** as a single symbol stream in
+Chunks are independent until the joint stage, so the per-chunk stages
+run through :func:`~.parallel.chunk_map`: the caller and the shared
+codec pool's workers each take a share of every multi-chunk block, and
+the bytes are those of the in-process chunk loop.  Then all chunks are
+**jointly Huffman coded** as a single symbol stream in
 which byte 255 terminates each chunk.  Because canonical Huffman codes are
 self-synchronizing (ref [31]), a receiver that starts decoding at an
 arbitrary position inside the bitstream produces a few erroneous symbols,
@@ -37,6 +41,7 @@ from .bitio import BitReader, BitWriter
 from .bwt import bwt_inverse, bwt_transform
 from .huffman import HuffmanCode
 from .mtf import mtf_decode, mtf_encode
+from .parallel import chunk_map
 from .rle import rle_decode, rle_encode
 from .varint import read_varint, write_varint
 
@@ -97,40 +102,19 @@ class BurrowsWheelerCodec(Codec):
             raise ValueError("chunk_size exceeds primary-index header capacity")
         self.chunk_size = chunk_size
 
+    def _cut(self, data: bytes) -> List[bytes]:
+        """The block's chunks, as ``bytes`` (a pool task's items must pickle)."""
+        return [
+            bytes(data[start : start + self.chunk_size])
+            for start in range(0, len(data), self.chunk_size)
+        ]
+
     def compress(self, data: bytes) -> bytes:
-        header = bytearray()
-        write_varint(header, len(data))
-        if not data:
-            return bytes(header)
-        stream = bytearray()
-        for start in range(0, len(data), self.chunk_size):
-            stream += _encode_chunk(data[start : start + self.chunk_size])
-        write_varint(header, len(stream))
-        frequencies = np.bincount(
-            np.frombuffer(bytes(stream), dtype=np.uint8), minlength=256
-        )
-        code = HuffmanCode.from_frequencies(frequencies.tolist())
-        table_writer = BitWriter()
-        code.write_table(table_writer)
-        bits = code.encode_bitstring(stream)
-        padding = (-len(bits)) % 8
-        bits += "0" * padding
-        payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
-        return bytes(header) + table_writer.getvalue() + payload
+        return _joint_encode(len(data), chunk_map(_encode_chunk, self._cut(data)))
 
     def decompress(self, payload: bytes) -> bytes:
-        view = memoryview(payload)
-        original_length, offset = read_varint(view, 0)
-        if original_length == 0:
-            if offset != len(payload):
-                raise CorruptStreamError("trailing bytes after empty stream")
-            return b""
-        symbol_count, offset = read_varint(view, offset)
-        reader = BitReader(payload, start_bit=offset * 8)
-        code = HuffmanCode.read_table(reader, 256)
-        symbols, _ = code.decode_array(payload, reader.position, symbol_count)
-        chunks = _split_chunks(symbols.astype(np.uint8).tobytes())
-        out = b"".join(_decode_chunk(chunk) for chunk in chunks)
+        original_length, chunks = _joint_decode(payload)
+        out = b"".join(chunk_map(_decode_chunk, chunks))
         if len(out) != original_length:
             raise CorruptStreamError("decoded size does not match header length")
         return out
@@ -172,6 +156,40 @@ class BurrowsWheelerCodec(Codec):
             except CorruptStreamError:
                 continue
         return b"".join(recovered), len(recovered)
+
+
+def _joint_encode(original_length: int, encoded_chunks: List[bytes]) -> bytes:
+    """The wire payload: header, then one Huffman code over every chunk."""
+    header = bytearray()
+    write_varint(header, original_length)
+    if not original_length:
+        return bytes(header)
+    stream = b"".join(encoded_chunks)
+    write_varint(header, len(stream))
+    frequencies = np.bincount(np.frombuffer(stream, dtype=np.uint8), minlength=256)
+    code = HuffmanCode.from_frequencies(frequencies.tolist())
+    table_writer = BitWriter()
+    code.write_table(table_writer)
+    bits = code.encode_bitstring(stream)
+    padding = (-len(bits)) % 8
+    bits += "0" * padding
+    payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+    return bytes(header) + table_writer.getvalue() + payload
+
+
+def _joint_decode(payload: bytes) -> Tuple[int, List[bytes]]:
+    """Invert :func:`_joint_encode`: ``(original_length, chunk streams)``."""
+    view = memoryview(payload)
+    original_length, offset = read_varint(view, 0)
+    if original_length == 0:
+        if offset != len(payload):
+            raise CorruptStreamError("trailing bytes after empty stream")
+        return 0, []
+    symbol_count, offset = read_varint(view, offset)
+    reader = BitReader(payload, start_bit=offset * 8)
+    code = HuffmanCode.read_table(reader, 256)
+    symbols, _ = code.decode_array(payload, reader.position, symbol_count)
+    return original_length, _split_chunks(symbols.astype(np.uint8).tobytes())
 
 
 def _split_chunks(stream: bytes) -> List[bytes]:

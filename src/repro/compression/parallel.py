@@ -20,6 +20,12 @@ This module supplies both systems:
   segment's decode reaches it can be accepted wholesale; otherwise the
   gap is re-decoded sequentially (rare).
 
+* :func:`chunk_map` — the one process-wide codec pool: a codec whose
+  wire format already cuts a block into independent chunks (the §2.4
+  Burrows-Wheeler codec) maps its per-chunk stages through it, and the
+  calling thread computes its own share while the pool's workers compute
+  theirs, so the bytes are those of the in-process loop.
+
 The pool strategy is configurable because CPython's GIL splits the codec
 population in two: ``threads`` yields wall-clock speedups only for codecs
 that release the GIL (the zlib/bz2-backed natives), ``processes`` is what
@@ -33,6 +39,9 @@ is purely an execution detail.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
@@ -51,6 +60,8 @@ from .varint import read_varint, write_varint
 
 __all__ = [
     "DegradingPool",
+    "chunk_map",
+    "shutdown_codec_pool",
     "ParallelCodec",
     "POOL_STRATEGIES",
     "parallel_huffman_decode",
@@ -157,6 +168,109 @@ class DegradingPool:
         except BrokenExecutor:
             self._degrade()
             return [fn(item) for item in items]
+
+
+# --------------------------------------------------------------------------
+# The shared codec pool: a codec's chunk stages on the idle cores
+# --------------------------------------------------------------------------
+
+_codec_pool: Optional[DegradingPool] = None
+_codec_pool_lock = threading.Lock()
+
+
+def _forget_codec_pool() -> None:
+    """In a forked child: the parent's pool is not ours, and the fork may
+    have copied the lock held (workers are forked under it)."""
+    global _codec_pool, _codec_pool_lock
+    _codec_pool = None
+    _codec_pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_codec_pool)
+
+
+def _apply_all(fn: Callable, items: Sequence[object]) -> List:
+    """Pool task: one worker's whole share of a :func:`chunk_map` call."""
+    return [fn(item) for item in items]
+
+
+def shutdown_codec_pool() -> None:
+    """Stop the shared codec pool and wait for its workers to exit; the
+    next multi-chunk call starts a new pool.
+
+    Registered to run at interpreter exit *before* ``concurrent.futures``
+    joins its manager threads, so the executor is released by an explicit
+    shutdown while the interpreter is whole, not by module teardown.
+    """
+    global _codec_pool
+    with _codec_pool_lock:
+        pool, _codec_pool = _codec_pool, None
+    if pool is not None and pool._executor is not None:
+        pool._executor.shutdown(wait=True, cancel_futures=True)
+        pool._executor = None
+
+
+def _started_codec_pool() -> Optional[DegradingPool]:
+    """The process-wide codec pool, created on first use; call under the lock.
+
+    ``os.cpu_count() - 1`` process workers, because the caller works too;
+    ``None`` on one core and once the interpreter is exiting.  A broken
+    pool stays in place in ``serial`` mode, so the process never forks a
+    second one.
+    """
+    global _codec_pool
+    if _codec_pool is None:
+        workers = (os.cpu_count() or 1) - 1
+        if workers < 1:
+            return None
+        try:
+            # Runs before concurrent.futures' own exit hook (reverse order).
+            threading._register_atexit(shutdown_codec_pool)
+        except RuntimeError:  # the interpreter is already exiting
+            return None
+        _codec_pool = DegradingPool(workers, "processes")
+    return _codec_pool
+
+
+def chunk_map(fn: Callable, items: Sequence[object]) -> List:
+    """``[fn(item) for item in items]``, shared by the caller and the codec pool.
+
+    Item ``i`` goes to participant ``i % (workers + 1)``; participant 0
+    is the calling thread, which computes its share while each worker
+    computes one task's worth, and the results come back in item order.
+    ``fn`` and the items must pickle (a module-level function, ``bytes``).
+    Fewer than two items, a one-core host, and any call made inside a
+    ``multiprocessing`` child run in-process: a pool started there would
+    fork from a fork, and a daemonic child may not start children at all.
+    A worker that dies mid-call degrades the pool to serial for the rest
+    of the process and its share re-runs here, so callers only ever see
+    identical results.
+    """
+    if len(items) < 2 or multiprocessing.parent_process() is not None:
+        return _apply_all(fn, items)
+    with _codec_pool_lock:
+        # Creation and the first submit (which forks) under one lock, so
+        # two threads meeting here start one executor between them.
+        pool = _started_codec_pool()
+        pooled = pool is not None and pool.mode != "serial"
+        if pooled:
+            stride = pool.workers + 1
+            futures = [
+                pool.submit_call(_apply_all, fn, items[start::stride])
+                for start in range(1, min(stride, len(items)))
+            ]
+    if not pooled:
+        return _apply_all(fn, items)
+    results: List = [None] * len(items)
+    results[0::stride] = [fn(item) for item in items[0::stride]]
+    for start, future in enumerate(futures, 1):
+        try:
+            results[start::stride] = future.result()
+        except BrokenExecutor:
+            with _codec_pool_lock:
+                pool._degrade()
+            results[start::stride] = _apply_all(fn, items[start::stride])
+    return results
 
 
 def _apply_codec(codec: Codec, operation: str, chunk: bytes) -> bytes:

@@ -27,7 +27,6 @@ from .native import (
     NativeLzCodec,
     NativeZstdCodec,
 )
-from .parallel import ParallelCodec
 from .structured import ColumnarCodec, TemplateCodec
 
 __all__ = [
@@ -98,18 +97,13 @@ def _register_builtins() -> None:
         register_codec("zstd-native", NativeZstdCodec)
     if HAVE_LZ4:
         register_codec("lz4-native", NativeLz4Codec)
-    # The registered parallel codecs stay on the thread strategy: they run
-    # inside WorkerPool processes too, and nesting process pools would
-    # fork from forks.  Callers wanting processes construct ParallelCodec
-    # directly with strategy="processes".
-    register_codec(
-        "parallel:lempel-ziv",
-        lambda: ParallelCodec(Lz77Codec(), strategy="threads"),
-    )
-    register_codec(
-        "parallel:burrows-wheeler",
-        lambda: ParallelCodec(BurrowsWheelerCodec(), strategy="threads"),
-    )
+    # No ParallelCodec container is registered: on the thread strategy
+    # the pure-Python codecs ran at 0.94-1.06x serial, the container is a
+    # wire format of its own, and a registered codec also runs inside
+    # WorkerPool processes, where a process strategy would fork from a
+    # fork.  The paper's chunked codec parallelizes at identical bytes
+    # instead: burrows-wheeler maps its chunks through
+    # parallel.chunk_map.
     # Structure-aware family: template-mined logs and columnar records.
     # Data-dependent by design — the selector only routes here when
     # data.analysis sniffing says the block looks structured.

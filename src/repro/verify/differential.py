@@ -17,7 +17,11 @@ compressor choice must be *verified*, not assumed:
   prepare)`` row of :data:`_ROWS` each, all run by :func:`_compare`.
 * **Serial vs parallel.**  A :class:`ParallelCodec` must emit identical
   container bytes under every pool strategy — the strategy is an
-  execution detail, never a wire-format input.
+  execution detail, never a wire-format input.  Likewise
+  ``burrows-wheeler``, whose chunk stages share the process-wide codec
+  pool, must emit the bytes of its in-process chunk loop (on a block of
+  at least three chunks; the 8 KB sweep corpus is one chunk and never
+  reaches the pool).
 
 Both sides of every comparison are timed through
 :func:`repro.core.engine.timed` (the one sanctioned timing site), so a
@@ -38,6 +42,14 @@ import numpy as np
 
 from ..compression import native as _native
 from ..compression.base import ACCEPTABLE_DECODE_ERRORS
+from ..compression.bwhuff import (
+    DEFAULT_CHUNK_SIZE,
+    BurrowsWheelerCodec,
+    _decode_chunk,
+    _encode_chunk,
+    _joint_decode,
+    _joint_encode,
+)
 from ..compression.bwt import bwt_inverse, bwt_transform
 from ..compression.huffman import (
     HuffmanCode,
@@ -424,6 +436,40 @@ def diff_serial_parallel(
     return results
 
 
+def diff_serial_pooled(case: str, data: bytes) -> List[DifferentialResult]:
+    """``burrows-wheeler``'s bytes must not depend on where its chunks ran:
+    the codec (chunks shared with the codec pool) against the in-process
+    chunk loop, then each side decoding the other's payload."""
+    codec = BurrowsWheelerCodec()
+    chunks = codec._cut(data)
+    pooled, pooled_seconds = timed(codec.compress, data)
+    serial, serial_seconds = timed(
+        lambda pieces: _joint_encode(len(data), [_encode_chunk(c) for c in pieces]), chunks
+    )
+    ok = pooled == serial
+    restored = codec.decompress(serial)
+    serial_restored = b"".join(_decode_chunk(c) for c in _joint_decode(pooled)[1])
+    crossed = restored == data and serial_restored == data
+    return [
+        DifferentialResult(
+            kind="serial-pooled",
+            subject="burrows-wheeler",
+            case=case,
+            passed=ok,
+            detail="" if ok else "pooled chunk stages diverged from the in-process loop",
+            subject_seconds=pooled_seconds,
+            reference_seconds=serial_seconds,
+        ),
+        DifferentialResult(
+            kind="serial-pooled",
+            subject="burrows-wheeler",
+            case=f"{case}:cross-decode",
+            passed=crossed,
+            detail="" if crossed else "pooled and in-process decodes disagree",
+        ),
+    ]
+
+
 def run_differential(corpus: Optional[Dict[str, bytes]] = None) -> List[DifferentialResult]:
     """The full differential sweep used by tests and the fuzz gate."""
     if corpus is None:
@@ -440,6 +486,10 @@ def run_differential(corpus: Optional[Dict[str, bytes]] = None) -> List[Differen
     sample = corpus.get("commercial") or next(iter(corpus.values()))
     results.extend(diff_serial_parallel("lempel-ziv", "commercial", sample))
     results.extend(diff_serial_parallel("huffman", "commercial", sample))
+    # Three chunks and one byte: the caller's share and the workers' both
+    # hold a full chunk, and the last share is uneven.
+    block = CorpusGenerator(size=3 * DEFAULT_CHUNK_SIZE + 1).commercial()
+    results.extend(diff_serial_pooled("commercial-3-chunks", block))
     return results
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the modified Burrows-Wheeler codec (chunked, resyncable)."""
 
+import zlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,11 +9,14 @@ from hypothesis import strategies as st
 from repro.compression.base import CorruptStreamError
 from repro.compression.bwhuff import (
     CHUNK_TERMINATOR,
+    DEFAULT_CHUNK_SIZE,
     BurrowsWheelerCodec,
+    _decode_chunk,
     _decode_primary,
     _encode_primary,
+    _joint_decode,
 )
-from tests.strategies import examples
+from tests.strategies import SEEDED_CORPORA, bw_in_process, examples, seeded_block
 
 
 class TestPrimaryDigits:
@@ -88,6 +93,51 @@ class TestBurrowsWheelerCodec:
     def test_roundtrip_property(self, data):
         codec = BurrowsWheelerCodec(chunk_size=512)
         assert codec.decompress(codec.compress(data)) == data
+
+
+class TestPooledChunks:
+    """The chunk stages run on the caller and the shared codec pool; the
+    bytes are those of the in-process loop, whatever the chunk count."""
+
+    @pytest.mark.parametrize("corpus", sorted(SEEDED_CORPORA))
+    @pytest.mark.parametrize(
+        "size, chunk_size",
+        [
+            (DEFAULT_CHUNK_SIZE, DEFAULT_CHUNK_SIZE),
+            (2 * DEFAULT_CHUNK_SIZE, DEFAULT_CHUNK_SIZE),
+            (4 * DEFAULT_CHUNK_SIZE, DEFAULT_CHUNK_SIZE),
+            (4 * DEFAULT_CHUNK_SIZE + 1, DEFAULT_CHUNK_SIZE),
+            (4 * DEFAULT_CHUNK_SIZE, 8192),  # the bicriteria grid's variant
+        ],
+        ids=["1-chunk", "2-chunks", "4-chunks", "4-chunks+1", "16-chunks"],
+    )
+    def test_pooled_equals_in_process_loop(self, corpus, size, chunk_size):
+        codec = BurrowsWheelerCodec(chunk_size=chunk_size)
+        data = seeded_block(corpus, size)
+        payload = codec.compress(data)
+        assert payload == bw_in_process(codec, data)
+        original_length, streams = _joint_decode(payload)
+        assert original_length == len(data)
+        assert b"".join(_decode_chunk(stream) for stream in streams) == data
+        assert codec.decompress(payload) == data
+
+    @pytest.mark.parametrize(
+        "corpus, crc",
+        [
+            ("commercial", 0xC0691822),
+            ("molecular", 0x09CCE426),
+            ("logs", 0x6FDA24E4),
+            ("timeseries", 0x744B8310),
+        ],
+    )
+    def test_wire_bytes_pinned(self, corpus, crc):
+        """CRC-32 of the 128 KB payloads the wall-clock benchmark sends."""
+        payload = BurrowsWheelerCodec().compress(seeded_block(corpus, 131072))
+        assert zlib.crc32(payload) == crc
+
+    def test_memoryview_input(self, commercial_block):
+        codec = BurrowsWheelerCodec(chunk_size=8192)
+        assert codec.compress(memoryview(commercial_block)) == codec.compress(commercial_block)
 
 
 class TestResynchronization:

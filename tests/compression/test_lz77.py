@@ -13,18 +13,12 @@ from repro.compression.lz77 import (
     Lz77Codec,
     tokenize,
 )
-from repro.data import (
-    CommercialDataGenerator,
-    LogDataGenerator,
-    MolecularDataGenerator,
-    TimeSeriesGenerator,
-)
 from repro.verify.references import (
     reference_lz77_decode,
     reference_lz77_encode,
     reference_lz77_tokenize,
 )
-from tests.strategies import examples
+from tests.strategies import examples, seeded_block
 
 
 class TestTokenize:
@@ -339,15 +333,6 @@ class TestWordStep:
         _assert_matches_scalar(lowentropy_block[:8000], window=256, max_chain=1)
 
 
-#: The four corpora as the wall-clock benchmark seeds them (seed 2004).
-_SEEDED_GENERATORS = {
-    "commercial": lambda: CommercialDataGenerator(seed=2004),
-    "molecular": lambda: MolecularDataGenerator(atom_count=4096, seed=2004),
-    "logs": lambda: LogDataGenerator(seed=2004),
-    "timeseries": lambda: TimeSeriesGenerator(seed=2004),
-}
-
-
 class TestWireBytesPinned:
     """CRC-32 of the encoder's output on seeded corpora: any change to the
     parse or the field layout moves one of these."""
@@ -366,6 +351,6 @@ class TestWireBytesPinned:
         ],
     )
     def test_compress_crc(self, corpus, size, crc):
-        block = next(iter(_SEEDED_GENERATORS[corpus]().stream(size, 1)))
+        block = seeded_block(corpus, size)
         assert len(block) == size
         assert zlib.crc32(Lz77Codec().compress(block)) == crc

@@ -1,19 +1,32 @@
 """Unit tests for parallel compression and parallel Huffman decoding."""
 
+import multiprocessing
+import os
+import random
+import signal
+import subprocess
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.compression import bwhuff, parallel
 from repro.compression.base import CorruptStreamError
+from repro.compression.bwhuff import BurrowsWheelerCodec
 from repro.compression.huffman import HuffmanCode, HuffmanCodec
 from repro.compression.identity import IdentityCodec
 from repro.compression.lz77 import Lz77Codec
 from repro.compression.parallel import (
     ParallelCodec,
+    chunk_map,
     huffman_segment_table,
     parallel_huffman_decode,
+    shutdown_codec_pool,
 )
-from tests.strategies import examples
+from repro.core.workers import WorkerPool
+from tests.strategies import bw_in_process, examples
 
 
 class TestParallelCodec:
@@ -269,3 +282,125 @@ class TestPoolStrategies:
         assert codec.degradations == 1
         # Degraded codec keeps working without a pool.
         assert codec.decompress(reference) == data
+
+
+# --------------------------------------------------------------------------
+# The shared codec pool behind burrows-wheeler's chunk stages
+# --------------------------------------------------------------------------
+
+needs_two_cores = pytest.mark.skipif(
+    (os.cpu_count() or 1) < 2, reason="one core: there is no codec pool"
+)
+
+
+@pytest.fixture
+def fresh_codec_pool():
+    """Each test starts (and leaves) the process with no codec pool."""
+    shutdown_codec_pool()
+    yield
+    shutdown_codec_pool()
+
+
+def _pid_of(_item):
+    return os.getpid()
+
+
+def _die_in_worker(chunk):
+    """``_encode_chunk``, except that it kills any pool worker running it."""
+    if multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _ENCODE_CHUNK(chunk)
+
+
+_ENCODE_CHUNK = bwhuff._encode_chunk
+
+
+def _bw_in_worker(data):
+    """Compress inside a WorkerPool process; report what the call forked."""
+    payload = BurrowsWheelerCodec(chunk_size=2048).compress(data)
+    return payload, len(multiprocessing.active_children()), parallel._codec_pool is None
+
+
+def _four_chunks():
+    rng = random.Random(32)
+    return bytes(rng.choices(b"abcdefgh", k=4 * 2048))
+
+
+@needs_two_cores
+class TestCodecPool:
+    def test_caller_takes_every_strideth_item_and_workers_the_rest(self, fresh_codec_pool):
+        pids = chunk_map(_pid_of, list(range(7)))
+        stride = os.cpu_count()  # the caller and cpu_count() - 1 workers
+        assert pids[0::stride] == [os.getpid()] * len(pids[0::stride])
+        worker_pids = [pid for index, pid in enumerate(pids) if index % stride]
+        assert worker_pids and os.getpid() not in worker_pids
+        assert chunk_map(_pid_of, [0]) == [os.getpid()]
+        assert chunk_map(_pid_of, []) == []
+
+    def test_worker_killed_mid_call_degrades_once_to_serial(self, fresh_codec_pool, monkeypatch):
+        codec = BurrowsWheelerCodec(chunk_size=2048)
+        data = _four_chunks()
+        reference = bw_in_process(codec, data)
+        monkeypatch.setattr(bwhuff, "_encode_chunk", _die_in_worker)
+        assert codec.compress(data) == reference
+        pool = parallel._codec_pool
+        assert (pool.mode, pool.degradations) == ("serial", 1)
+        # Serial for the rest of the process: no executor, same bytes.
+        assert codec.compress(data) == reference
+        assert codec.decompress(reference) == data
+        assert (pool.mode, pool.degradations, pool._executor) == ("serial", 1, None)
+        assert parallel._codec_pool is pool
+
+    def test_inside_a_pool_worker_runs_serially(self, fresh_codec_pool):
+        data = _four_chunks()
+        codec = BurrowsWheelerCodec(chunk_size=2048)
+        reference = codec.compress(data)  # starts this process's codec pool
+        assert parallel._codec_pool is not None
+        with WorkerPool(workers=1, mode="processes") as pool:
+            payload, children, no_pool = pool.submit_call(_bw_in_worker, data).result(timeout=60)
+        assert payload == reference
+        assert children == 0  # no grandchild was forked
+        assert no_pool  # the parent's pool did not follow the fork
+
+    def test_two_first_calls_start_one_executor(self, fresh_codec_pool, monkeypatch):
+        spawned = []
+        spawn = parallel._pool_executor
+
+        def counting_spawn(mode, workers):
+            spawned.append((mode, workers))
+            return spawn(mode, workers)
+
+        monkeypatch.setattr(parallel, "_pool_executor", counting_spawn)
+        codec = BurrowsWheelerCodec(chunk_size=2048)
+        data = _four_chunks()
+        barrier = threading.Barrier(2)
+        payloads = []
+
+        def first_call():
+            barrier.wait()
+            payloads.append(codec.compress(data))
+
+        threads = [threading.Thread(target=first_call) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        assert spawned == [("processes", (os.cpu_count() or 1) - 1)]
+        assert payloads == [bw_in_process(codec, data)] * 2
+
+    def test_interpreter_exit_after_pool_use_is_silent(self):
+        script = (
+            "from repro.compression import parallel\n"
+            "from repro.compression.bwhuff import BurrowsWheelerCodec\n"
+            "data = bytes(range(256)) * 512\n"
+            "codec = BurrowsWheelerCodec()\n"
+            "assert codec.decompress(codec.compress(data)) == data\n"
+            "assert parallel._codec_pool._executor is not None\n"
+        )
+        package = os.path.dirname(os.path.dirname(parallel.__file__))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stderr) == (0, "")

@@ -1,11 +1,13 @@
 """Shared fixtures: representative datasets and codec instances."""
 
+import multiprocessing
 import random
 import sys
 
 import pytest
 from hypothesis import settings
 
+from repro.compression.parallel import shutdown_codec_pool
 from repro.data.commercial import CommercialDataGenerator
 from repro.data.molecular import MolecularDataGenerator
 from tests.strategies import SUITE_SEED, TIER1_EXAMPLES
@@ -58,6 +60,30 @@ def pytest_runtest_call(item):
 
 def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(f"hypothesis profile: {settings.get_current_profile_name()}")
+
+
+#: Seconds a child process gets to exit once its pool is shut down.
+CHILD_EXIT_GRACE_S = 10.0
+
+
+def pytest_sessionfinish(session):
+    """No child process outlives the session once the codec pool is down.
+
+    The codec pool lives for the whole process by design, so it is shut
+    down first (which waits for its worker); every other pool a test
+    started must already be shut down, and each child left gets a grace
+    period to exit.  A straggler fails the session.
+    """
+    shutdown_codec_pool()
+    for child in multiprocessing.active_children():
+        child.join(CHILD_EXIT_GRACE_S)
+    # Asked again, not read off join(): a pool's manager thread may be
+    # reaping the same child, and the waiter that loses sees it alive.
+    leaked = multiprocessing.active_children()
+    if leaked:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        reporter.write_line(f"FAIL: child processes outlived the session: {leaked}", red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture(autouse=True)

@@ -10,7 +10,16 @@ autouse fixture in ``tests/conftest.py``, the same way
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from repro.compression.bwhuff import BurrowsWheelerCodec, _encode_chunk, _joint_encode
+from repro.compression.lz77 import Lz77Codec
+from repro.compression.parallel import ParallelCodec
 from repro.compression.registry import available_codecs, get_codec
+from repro.data import (
+    CommercialDataGenerator,
+    LogDataGenerator,
+    MolecularDataGenerator,
+    TimeSeriesGenerator,
+)
 
 #: The single ambient seed the whole test suite starts from (mirrors
 #: BENCH_SEED in benchmarks/conftest.py).
@@ -36,8 +45,40 @@ LOSSLESS_CODECS = [
     if get_codec(name).family != "lossy" and name != "none"
 ]
 
+#: ParallelCodec containers held to the registry's lossless contracts by
+#: name, though no registry name builds them any more.
+CONTAINER_CODECS = {
+    codec.name: codec
+    for codec in (ParallelCodec(Lz77Codec()), ParallelCodec(BurrowsWheelerCodec()))
+}
+
+
+def codec_named(name: str):
+    """A registered codec, or one of :data:`CONTAINER_CODECS`."""
+    return CONTAINER_CODECS.get(name) or get_codec(name)
+
+
+def bw_in_process(codec: BurrowsWheelerCodec, data: bytes) -> bytes:
+    """``codec.compress(data)`` from the plain in-process chunk loop."""
+    return _joint_encode(len(data), [_encode_chunk(chunk) for chunk in codec._cut(data)])
+
+
 #: A medium-entropy, string-repetitive seed block for corruption tests.
 SEED_DATA = b"the configurable compression corruption corpus " * 64
+
+#: The four corpora as the wall-clock benchmark seeds them (seed 2004).
+SEEDED_CORPORA = {
+    "commercial": lambda: CommercialDataGenerator(seed=2004),
+    "molecular": lambda: MolecularDataGenerator(atom_count=4096, seed=2004),
+    "logs": lambda: LogDataGenerator(seed=2004),
+    "timeseries": lambda: TimeSeriesGenerator(seed=2004),
+}
+
+
+def seeded_block(corpus: str, size: int) -> bytes:
+    """The first ``size``-byte block of one seeded benchmark corpus."""
+    return next(iter(SEEDED_CORPORA[corpus]().stream(size, 1)))
+
 
 #: The paper's four simulated link classes.
 LINK_NAMES = ["1gbit", "100mbit", "1mbit", "international"]

@@ -124,11 +124,11 @@ class TestRowTable:
         assert len(_ROWS) == len(self.SUBJECTS)
         results = run_differential()
         wire = set(REFERENCE_COUNTERPARTS) & {r.subject for r in results}
-        parallel = {"parallel:huffman", "parallel:lempel-ziv"}
+        parallel = {"parallel:huffman", "parallel:lempel-ziv", "burrows-wheeler"}
         assert {r.subject for r in results} == self.SUBJECTS | wire | parallel
-        # 5 cases x (21 rows + 2 directions per wire counterpart) + 2 x 2 pool checks
-        assert len(results) == 5 * (21 + 2 * len(wire)) + 4
-        assert len(wire) != 2 or (len(results), len(self.SUBJECTS | wire | parallel)) == (129, 25)
+        # 5 cases x (21 rows + 2 directions per wire counterpart) + 3 x 2 pool checks
+        assert len(results) == 5 * (21 + 2 * len(wire)) + 6
+        assert len(wire) != 2 or (len(results), len(self.SUBJECTS | wire | parallel)) == (131, 26)
         assert all(r.subject_seconds > 0 and r.reference_seconds > 0
                    for r in results if r.kind == "scalar-vectorized")
 
