@@ -161,19 +161,23 @@ fi
 echo "ok"
 
 # --- Invariant: one pool seam -------------------------------------------------
-# Worker pools are built by compression/parallel.py alone and plug into block
-# execution through PipelinedBlockEngine's window.  A pool private to a codec
-# or a layer would also hide its CPU and RSS from bench/, whose process_time
-# and ru_maxrss count the parent process only.
+# Worker pools are built by compression/parallel.py alone and reach the rest of
+# the package through two sanctioned seams: PipelinedBlockEngine's window
+# (whole blocks) and chunk_map (the shared codec pool: a codec's chunk stages,
+# a run's sampling probes).  A pool private to a codec or a layer would also
+# hide its CPU and RSS from bench/, whose process_time and ru_maxrss count the
+# parent process only.  chunk_map's call sites are listed so that a new caller
+# shows up in review.
 echo "== invariant: executors and multiprocessing only in compression/parallel.py"
 stray=$(grep -rnE "ProcessPoolExecutor\(|ThreadPoolExecutor\(|multiprocessing" src/repro --include="*.py" \
     | grep -v "src/repro/compression/parallel.py" || true)
 if [ -n "$stray" ]; then
-    echo "FAIL: worker pool outside compression/parallel.py (build it there and plug it into PipelinedBlockEngine):" >&2
+    echo "FAIL: worker pool outside compression/parallel.py (build it there and plug it in through PipelinedBlockEngine's window or chunk_map):" >&2
     echo "$stray" >&2
     exit 1
 fi
-echo "ok"
+echo "ok; chunk_map call sites:"
+grep -rn "chunk_map(" src/repro --include="*.py" | grep -v "def chunk_map(" | sed 's/^/    /' || true
 
 # --- Lint -----------------------------------------------------------------------
 if command -v ruff >/dev/null 2>&1; then

@@ -238,13 +238,16 @@ def chunk_map(fn: Callable, items: Sequence[object]) -> List:
     Item ``i`` goes to participant ``i % (workers + 1)``; participant 0
     is the calling thread, which computes its share while each worker
     computes one task's worth, and the results come back in item order.
-    ``fn`` and the items must pickle (a module-level function, ``bytes``).
     Fewer than two items, a one-core host, and any call made inside a
     ``multiprocessing`` child run in-process: a pool started there would
     fork from a fork, and a daemonic child may not start children at all.
     A worker that dies mid-call degrades the pool to serial for the rest
     of the process and its share re-runs here, so callers only ever see
-    identical results.
+    identical results.  A share the pool cannot run for any other reason
+    (``fn`` or its items do not pickle: a locally defined codec class, an
+    object holding a lock) re-runs here too, with the pool left as it is;
+    an error ``fn`` itself raises is raised again by that re-run, from
+    the caller, as if the map had been in-process all along.
     """
     if len(items) < 2 or multiprocessing.parent_process() is not None:
         return _apply_all(fn, items)
@@ -266,10 +269,13 @@ def chunk_map(fn: Callable, items: Sequence[object]) -> List:
     for start, future in enumerate(futures, 1):
         try:
             results[start::stride] = future.result()
+            continue
         except BrokenExecutor:
             with _codec_pool_lock:
                 pool._degrade()
-            results[start::stride] = _apply_all(fn, items[start::stride])
+        except Exception:
+            pass  # re-run below, outside this handler: no chained worker error
+        results[start::stride] = _apply_all(fn, items[start::stride])
     return results
 
 

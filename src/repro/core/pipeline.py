@@ -27,6 +27,16 @@ touches a timer.  Every block execution flows through a
 :class:`~repro.core.engine.BlockEngine`, so per-block
 :class:`~repro.core.engine.BlockStats` reach any registered observers.
 
+The fork itself is realised once per run, not once per block: before the
+loop, :meth:`~repro.core.sampler.LzSampler.probe_runs` takes the probe
+runs of blocks ``1..n-1`` in one
+:func:`~repro.compression.parallel.chunk_map` (the caller computes every
+second probe while the shared codec pool computes the rest, one round
+trip per run), and the loop *accounts* block ``i+1``'s probe at block
+``i``'s iteration, so a ``cpu_load`` trace prices it at that block's
+load.  In measured mode a probe's seconds are thus measured before the
+loop, on either core.
+
 Time accounting mirrors the fork: the sampling probe overlaps the send,
 so each block advances the virtual clock by
 ``compression_time + max(send_time, sample_time)``; receiver-side
@@ -282,6 +292,27 @@ class AdaptivePipeline:
             raise ValueError("production_interval must be non-negative")
         if cpu_load is not None and self.cpu is None:
             raise ValueError("cpu_load requires a CpuModel on the pipeline")
+        saved_load = self.cpu.load if self.cpu is not None else 0.0
+        try:
+            return self._stream(blocks, link, load, clock, production_interval, pipelined, cpu_load)
+        finally:
+            # The trace's load was this run's: a later run on the same
+            # CpuModel (a shared preset such as SUN_FIRE) starts from the
+            # load it had before.
+            if cpu_load is not None:
+                self.cpu.load = saved_load
+
+    def _stream(
+        self,
+        blocks: Iterable[bytes],
+        link: SimulatedLink,
+        load: Optional[LoadTrace],
+        clock: Optional[Clock],
+        production_interval: float,
+        pipelined: bool,
+        cpu_load: Optional[LoadTrace],
+    ) -> StreamResult:
+        """:meth:`run`'s loop, which sets ``cpu.load`` per block."""
         block_list = [b for b in blocks if b]
         clock = clock if clock is not None else VirtualClock()
         monitor = ReducingSpeedMonitor(registry=self.registry)
@@ -291,6 +322,8 @@ class AdaptivePipeline:
         sample: Optional[BlockStats] = None
         link_free = clock.now()
         last_delivery_done = clock.now()
+        # Every probe runs here, in one round trip; each is accounted below.
+        probes = self.sampler.probe_runs(block_list[1:])
 
         for index, block in enumerate(block_list):
             ready_at = index * production_interval
@@ -320,12 +353,13 @@ class AdaptivePipeline:
             if method != "none" and compression_time > 0:
                 monitor.observe_raw(method, stats.bytes_saved, compression_time)
 
-            # Fork the probe on the next block; it runs while this block is
-            # on the wire ("Send the block.  Wait for child process.").
+            # The next block's probe, forked before the loop, is accounted
+            # while this block is on the wire ("Send the block.  Wait for
+            # child process.").
             sample_time = 0.0
             next_sample: Optional[BlockStats] = None
             if index + 1 < len(block_list):
-                next_sample = self.sampler.sample(block_list[index + 1])
+                next_sample = self.sampler.account(block_list[index + 1], probes[index])
                 sample_time = next_sample.compression_seconds
                 monitor.observe_raw("lempel-ziv", next_sample.bytes_saved, max(sample_time, 1e-9))
 

@@ -11,23 +11,49 @@ still comes from really compressing the sample, but the elapsed time is
 taken from the calibrated cost model scaled by the CPU model — which is
 what makes the end-to-end replays deterministic.
 
-The fork-overlap semantics (the child samples while the parent sends) are
-reproduced by the pipeline's time accounting, which charges
-``max(send_time, sample_time)`` for the overlapped phase.
+A probe has two phases.  Its *run* (:func:`probe_run`: compress the
+head under the engine's timer) needs nothing from the sampler but the
+codec, so it can happen anywhere, on any core, ahead of time; its
+*accounting* (:meth:`LzSampler.account`: the executor's scaling rules)
+reads the CPU model's load at the moment it is asked.  That split is how
+the §2.5 fork is realised: :meth:`LzSampler.probe_runs` takes every probe
+run of a stream in one :func:`~repro.compression.parallel.chunk_map`
+(the caller computes its share while the codec pool computes the rest),
+and :class:`~repro.core.pipeline.AdaptivePipeline` accounts each one at
+its own block, where ``cpu.load`` is that block's.  In measured mode a
+probe's seconds are therefore measured before the pipeline's loop, on
+whichever core ran it.  The fork-overlap semantics (the child samples
+while the parent sends) are reproduced by the pipeline's time
+accounting, which charges ``max(send_time, sample_time)`` for the
+overlapped phase.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
 from ..compression.base import Codec
+from ..compression.parallel import chunk_map
 from ..compression.registry import get_codec
 from ..netsim.cpu import CodecCostModel, CpuModel
-from .engine import BlockStats, CodecExecutor
+from .engine import BlockStats, CodecExecutor, timed
 
-__all__ = ["LzSampler", "DEFAULT_SAMPLE_SIZE"]
+__all__ = ["LzSampler", "DEFAULT_SAMPLE_SIZE", "probe_run"]
 
 DEFAULT_SAMPLE_SIZE = 4096
+
+#: A probe that ran but is not accounted yet: (payload, measured seconds).
+ProbeRun = Tuple[bytes, float]
+
+
+def probe_run(codec: Codec, head: bytes) -> ProbeRun:
+    """Compress ``head`` under the engine's timer.
+
+    Module-level so the codec pool can run it: only the codec and the
+    head cross the process boundary, never the sampler.
+    """
+    return timed(codec.compress, head)
 
 
 class LzSampler:
@@ -46,10 +72,20 @@ class LzSampler:
         self.codec = codec if codec is not None else get_codec("lempel-ziv")
         self.executor = CodecExecutor(cost_model=cost_model, cpu=cpu)
 
-    def sample(self, next_block: bytes) -> BlockStats:
-        """Probe ``next_block``'s first ``sample_size`` bytes: the probe's own run."""
-        head = next_block[: self.sample_size]
+    def probe_runs(self, blocks: Sequence[bytes]) -> List[ProbeRun]:
+        """Run the probe of every block in ``blocks`` in one ``chunk_map``."""
+        heads = [block[: self.sample_size] for block in blocks]
+        return chunk_map(partial(probe_run, self.codec), heads)
+
+    def account(self, block: bytes, run: ProbeRun) -> BlockStats:
+        """The record of ``block``'s probe ``run``, priced at the CPU's load now."""
+        head = block[: self.sample_size]
         name = self.codec.name
         if not head:
             return BlockStats(name, name, 0, 0, 0.0)
-        return self.executor.compress(name, head, codec=self.codec)
+        payload, seconds = run
+        return self.executor.finalize_compression(name, head, payload, seconds)
+
+    def sample(self, next_block: bytes) -> BlockStats:
+        """Probe ``next_block``'s first ``sample_size`` bytes: one accounted run."""
+        return self.account(next_block, self.probe_runs([next_block])[0])

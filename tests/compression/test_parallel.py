@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -321,6 +322,16 @@ def _bw_in_worker(data):
     return payload, len(multiprocessing.active_children()), parallel._codec_pool is None
 
 
+class _WorkerShareError(ValueError):
+    """Raised by :func:`_fail_on_odd` for the items a worker's share holds."""
+
+
+def _fail_on_odd(item):
+    if item % 2:
+        raise _WorkerShareError(item)
+    return item
+
+
 def _four_chunks():
     rng = random.Random(32)
     return bytes(rng.choices(b"abcdefgh", k=4 * 2048))
@@ -336,6 +347,31 @@ class TestCodecPool:
         assert worker_pids and os.getpid() not in worker_pids
         assert chunk_map(_pid_of, [0]) == [os.getpid()]
         assert chunk_map(_pid_of, []) == []
+
+    def test_share_that_does_not_pickle_reruns_in_the_caller(self, fresh_codec_pool):
+        class LocalCodec(Lz77Codec):  # defined here, so it cannot be pickled
+            pass
+
+        chunks = [bytes([65 + i]) * 3000 + bytes(range(200)) for i in range(5)]
+        compress = partial(parallel._apply_codec, LocalCodec(), "compress")
+        assert chunk_map(compress, chunks) == [Lz77Codec().compress(c) for c in chunks]
+        # Nothing broke: the pool keeps running its shares in the worker.
+        pool = parallel._codec_pool
+        assert (pool.mode, pool.degradations) == ("processes", 0)
+        assert os.getpid() not in chunk_map(_pid_of, list(range(4)))[1::2]
+
+    def test_error_fn_raises_surfaces_once_from_the_caller(self, fresh_codec_pool):
+        # Odd items fall in the worker's share (stride 2 on two cores) or,
+        # on a wider host, in some worker's.
+        with pytest.raises(_WorkerShareError) as caught:
+            chunk_map(_fail_on_odd, list(range(6)))
+        error = caught.value
+        assert type(error) is _WorkerShareError
+        # Raised by the caller's re-run, not chained to the worker's copy.
+        assert (error.__cause__, error.__context__) == (None, None)
+        assert error.args == (1,)
+        pool = parallel._codec_pool
+        assert (pool.mode, pool.degradations) == ("processes", 0)
 
     def test_worker_killed_mid_call_degrades_once_to_serial(self, fresh_codec_pool, monkeypatch):
         codec = BurrowsWheelerCodec(chunk_size=2048)

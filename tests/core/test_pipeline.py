@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.compression import parallel
+from repro.compression.parallel import DegradingPool, shutdown_codec_pool
 from repro.core.bicriteria import codec_for
 from repro.core.decision import Decision
 from repro.core.engine import BlockStats
@@ -17,9 +19,10 @@ from repro.core.pipeline import (
     StreamResult,
 )
 from repro.core.policy import AdaptivePolicy, FixedPolicy
+from repro.core.sampler import LzSampler, probe_run
 from repro.data.commercial import CommercialDataGenerator
 from repro.netsim.clock import VirtualClock
-from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
+from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE, CpuModel
 from repro.netsim.link import PAPER_LINKS, SimulatedLink, make_link
 from repro.netsim.loadtrace import LoadTrace
 from tests.strategies import examples, link_names
@@ -34,6 +37,16 @@ def pipeline(**kwargs):
     kwargs.setdefault("cpu", SUN_FIRE)
     kwargs.setdefault("block_size", 32 * 1024)
     return AdaptivePipeline(**kwargs)
+
+
+def dialect_policy(dialect, cpu):
+    """The three selector dialects, priced on ``cpu``."""
+    costed = dict(cost_model=DEFAULT_COSTS, cpu=cpu, native=False)
+    if dialect == "table":
+        return AdaptivePolicy()
+    if dialect == "bicriteria":
+        return AdaptivePolicy(policy="bicriteria", **costed)
+    return AdaptivePolicy(placement="auto", interference=0.15, downstream_factor=1.0, **costed)
 
 
 class TestBasics:
@@ -175,14 +188,7 @@ class TestRecordsAndResult:
     ):
         """Every old attribute name answers from the one object that holds
         the fact; nothing is stored twice."""
-        costed = dict(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, native=False)
-        policy = {
-            "table": AdaptivePolicy,
-            "bicriteria": lambda: AdaptivePolicy(policy="bicriteria", **costed),
-            "placement": lambda: AdaptivePolicy(
-                placement="auto", interference=0.15, downstream_factor=1.0, **costed
-            ),
-        }[preset]()
+        policy = dialect_policy(preset, SUN_FIRE)
         link = SimulatedLink(PAPER_LINKS[link_name], seed=seed, congestion_per_connection=0.4)
         result = pipeline(policy=policy).run(
             blocks(4), link, load=LoadTrace.from_pairs([(0.0, connections)])
@@ -277,3 +283,116 @@ class TestAdaptationDynamics:
         )
         late = [r.method for r in result.records if r.start_time > 60]
         assert late.count("none") >= len(late) - 2
+
+
+class PerBlockSampler:
+    """The reference: each probe is ``sampler.sample`` at its block's iteration."""
+
+    def __init__(self, sampler):
+        self.sampler = sampler
+
+    def probe_runs(self, blocks):
+        return [None] * len(blocks)
+
+    def account(self, block, _run):
+        return self.sampler.sample(block)
+
+
+#: Sender CPU load flipping between idle and busy from one block to the next.
+SQUARE_WAVE = LoadTrace.from_pairs([(t, 6.0 * (t % 2)) for t in range(8)])
+
+
+@pytest.fixture(params=["codec-pool", "serial"])
+def probe_pool(request, monkeypatch):
+    """The shared codec pool as this host starts it, or one forced serial."""
+    shutdown_codec_pool()
+    if request.param == "serial":
+        monkeypatch.setattr(parallel, "_codec_pool", DegradingPool(1, "serial"))
+    yield request.param
+    shutdown_codec_pool()
+
+
+class TestRunWideProbes:
+    """Every probe of a run is taken in one map before the loop and
+    accounted at its block: the replay is that of per-block probing."""
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    @pytest.mark.parametrize("dialect", ["table", "bicriteria", "placement"])
+    def test_identical_to_per_block_sampling(self, dialect, pipelined, probe_pool):
+        data = blocks(6, size=16 * 1024)
+
+        def replay(sampler_of):
+            cpu = CpuModel("square-wave")
+            run = AdaptivePipeline(
+                policy=dialect_policy(dialect, cpu),
+                block_size=16 * 1024,
+                sampler=sampler_of(LzSampler(cost_model=DEFAULT_COSTS, cpu=cpu)),
+                cost_model=DEFAULT_COSTS,
+                cpu=cpu,
+            )
+            return run.run(
+                data, make_link("1mbit", seed=3), production_interval=1.0,
+                pipelined=pipelined, cpu_load=SQUARE_WAVE,
+            )
+
+        run_wide = replay(lambda sampler: sampler)
+        reference = replay(PerBlockSampler)
+        # Decision, BlockStats, payload_crc32, sample_time, sampled_ratio, ...
+        assert run_wide.records == reference.records
+        assert run_wide.total_time == reference.total_time
+        # Block i+1's probe is priced at the load block i started under.
+        for record in run_wide.records[:-1]:
+            load = SQUARE_WAVE.connections_at(record.start_time)
+            assert record.sample_time == DEFAULT_COSTS.compression_time(
+                "lempel-ziv", 4096, CpuModel("at-block", load=load)
+            )
+        assert len({r.sample_time for r in run_wide.records[:-1]}) == 2
+
+    def test_one_pool_submission_per_run(self, monkeypatch):
+        shutdown_codec_pool()
+        pool = DegradingPool(1, "processes")
+        monkeypatch.setattr(parallel, "_codec_pool", pool)
+        submitted = []
+        submit = pool.submit_call
+
+        def counting_submit(fn, *args):
+            submitted.append(args[0])
+            return submit(fn, *args)
+
+        monkeypatch.setattr(pool, "submit_call", counting_submit)
+        try:
+            run = pipeline(policy=FixedPolicy("huffman"))  # a codec that maps no chunks
+            for runs in (1, 2):
+                assert len(run.run(blocks(8), make_link("100mbit")).records) == 8
+                assert len(submitted) == runs
+        finally:
+            shutdown_codec_pool()
+        assert all(fn.func is probe_run for fn in submitted)
+
+
+class TestCpuLoadRestored:
+    def test_second_run_on_the_same_cpu_is_priced_at_its_load(self):
+        cpu = CpuModel("shared", load=0.5)
+        ends_busy = LoadTrace.from_pairs([(0, 0.0), (1, 6.0)])
+        run = pipeline(cpu=cpu)
+        run.run(blocks(4), make_link("1mbit", seed=3), production_interval=1.0, cpu_load=ends_busy)
+        assert cpu.load == 0.5
+        second = run.run(blocks(4), make_link("1mbit", seed=3))
+        fresh = pipeline(cpu=CpuModel("shared", load=0.5)).run(
+            blocks(4), make_link("1mbit", seed=3)
+        )
+        assert second.records == fresh.records
+        assert second.total_time == fresh.total_time
+
+    def test_load_restored_when_the_run_raises(self):
+        class FailsOnSecondBlock(FixedPolicy):
+            def choose(self, block_size, sending_time, monitor, sample):
+                if sample is not None:
+                    raise RuntimeError("selector failed")
+                return super().choose(block_size, sending_time, monitor, sample)
+
+        cpu = CpuModel("shared")
+        run = pipeline(cpu=cpu, policy=FailsOnSecondBlock("huffman"))
+        with pytest.raises(RuntimeError):
+            run.run(blocks(3), make_link("1mbit"), cpu_load=LoadTrace.from_pairs([(0, 4.0)]))
+        assert cpu.load == 0.0

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.engine import BlockStats
 from repro.core.sampler import DEFAULT_SAMPLE_SIZE, LzSampler
-from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE, ULTRA_SPARC
+from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE, ULTRA_SPARC, CpuModel
 
 
 def _probe(sample_size: int, compressed_size: int, seconds: float) -> BlockStats:
@@ -110,3 +110,43 @@ class TestLzSampler:
         sampler = LzSampler(codec=IdentityCodec())
         result = sampler.sample(b"x" * 8192)
         assert result.ratio == 1.0
+
+
+class TestProbeRunsAndAccounting:
+    """A probe is a run (anywhere, ahead of time) plus its accounting."""
+
+    @pytest.mark.parametrize("sample_size", [64, 1024, DEFAULT_SAMPLE_SIZE])
+    def test_sample_is_the_accounted_run(self, sample_size, commercial_block):
+        sampler = LzSampler(sample_size=sample_size, cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        blocks = [
+            b"",  # empty head: no bytes, no seconds
+            commercial_block[: sample_size // 2],  # shorter than the sample
+            commercial_block[:sample_size],  # exactly one sample
+            commercial_block,  # only the head is probed
+            commercial_block[1000:],
+        ]
+        # One run-wide map (caller and codec pool), accounted block by block.
+        runs = sampler.probe_runs(blocks)
+        accounted = [sampler.account(block, run) for block, run in zip(blocks, runs)]
+        assert accounted == [sampler.sample(block) for block in blocks]
+        assert accounted[0] == BlockStats("lempel-ziv", "lempel-ziv", 0, 0, 0.0)
+        assert [s.original_size for s in accounted[1:]] == [
+            sample_size // 2, sample_size, sample_size, sample_size
+        ]
+
+    def test_account_prices_at_the_load_when_asked(self, commercial_block):
+        cpu = CpuModel("dynamic")
+        sampler = LzSampler(cost_model=DEFAULT_COSTS, cpu=cpu)
+        (run,) = sampler.probe_runs([commercial_block])
+        idle = sampler.account(commercial_block, run)
+        cpu.load = 3.0
+        busy = sampler.account(commercial_block, run)
+        assert busy.compression_seconds == pytest.approx(4 * idle.compression_seconds)
+        assert busy.payload == idle.payload
+
+    def test_measured_run_carries_its_own_seconds(self, commercial_block):
+        sampler = LzSampler()
+        payload, seconds = sampler.probe_runs([commercial_block])[0]
+        result = sampler.account(commercial_block, (payload, seconds))
+        assert result.compression_seconds == seconds > 0
+        assert result.payload == payload == sampler.codec.compress(commercial_block[:4096])
