@@ -161,23 +161,27 @@ fi
 echo "ok"
 
 # --- Invariant: one pool seam -------------------------------------------------
-# Worker pools are built by compression/parallel.py alone and reach the rest of
-# the package through two sanctioned seams: PipelinedBlockEngine's window
-# (whole blocks) and chunk_map (the shared codec pool: a codec's chunk stages,
-# a run's sampling probes).  A pool private to a codec or a layer would also
+# There is one worker pool, the process-wide codec pool that
+# compression/parallel.py builds, and two calls reach it: chunk_map (a codec's
+# chunk stages, a run's sampling probes) and submit/result (PipelinedBlockEngine's
+# window of whole blocks).  A pool private to a codec or a layer would also
 # hide its CPU and RSS from bench/, whose process_time and ru_maxrss count the
-# parent process only.  chunk_map's call sites are listed so that a new caller
-# shows up in review.
-echo "== invariant: executors and multiprocessing only in compression/parallel.py"
-stray=$(grep -rnE "ProcessPoolExecutor\(|ThreadPoolExecutor\(|multiprocessing" src/repro --include="*.py" \
-    | grep -v "src/repro/compression/parallel.py" || true)
+# parent process only.  The codec kernels hold the GIL, so a thread pool cannot
+# pay: ThreadPoolExecutor is refused everywhere, parallel.py included, until a
+# measured workload says otherwise.  Both calls' sites are listed so that a new
+# caller shows up in review.
+echo "== invariant: one codec pool, built in compression/parallel.py, no thread pool"
+stray=$({ grep -rnE "ProcessPoolExecutor\(|multiprocessing" src/repro --include="*.py" \
+    | grep -v "src/repro/compression/parallel.py"
+    grep -rn "ThreadPoolExecutor" src/repro --include="*.py"; } || true)
 if [ -n "$stray" ]; then
-    echo "FAIL: worker pool outside compression/parallel.py (build it there and plug it in through PipelinedBlockEngine's window or chunk_map):" >&2
+    echo "FAIL: worker pool outside the one codec pool (reach it through chunk_map or submit/result in compression/parallel.py; no thread pool):" >&2
     echo "$stray" >&2
     exit 1
 fi
-echo "ok; chunk_map call sites:"
-grep -rn "chunk_map(" src/repro --include="*.py" | grep -v "def chunk_map(" | sed 's/^/    /' || true
+echo "ok; chunk_map and submit call sites:"
+grep -rnE "(chunk_map|[^_.a-z]submit)\(" src/repro --include="*.py" \
+    | grep -vE "def (chunk_map|submit)\(" | sed 's/^/    /' || true
 
 # --- Lint -----------------------------------------------------------------------
 if command -v ruff >/dev/null 2>&1; then

@@ -427,6 +427,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _non_negative(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {value}")
+    return value
+
+
 def _budget(text: str) -> float:
     """``--budget`` values; imported lazily to keep ``repro.verify`` off startup."""
     from .verify.fuzz import parse_budget
@@ -507,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--interference",
-            type=float,
+            type=_non_negative,
             default=0.0,
             help="producer-side I/O-interference fraction for placement "
             "pricing (DTSchedule measures ~0.15)",
@@ -622,15 +629,15 @@ def build_parser() -> argparse.ArgumentParser:
         "decompress per link class and arrangement)",
     )
     p.add_argument("--blocks", type=_positive, default=16, help="blocks per cell")
-    p.add_argument("--block-size", type=int, default=128 * 1024, help="bytes per block")
+    p.add_argument("--block-size", type=_positive, default=128 * 1024, help="bytes per block")
     p.add_argument(
         "--interference",
-        type=float,
+        type=_non_negative,
         default=0.15,
         help="producer-side I/O-interference fraction (DTSchedule ~0.15)",
     )
-    p.add_argument("--workers", type=int, default=1, help="producer/relay pool width")
-    p.add_argument("--queue-depth", type=int, default=8, help="producer send-queue depth")
+    p.add_argument("--workers", type=_positive, default=1, help="producer/relay pool width")
+    p.add_argument("--queue-depth", type=_positive, default=8, help="producer send-queue depth")
     p.add_argument("--seed", type=int, default=2004, help="commercial stream seed")
     p.add_argument(
         "--links",

@@ -40,7 +40,6 @@ from .native import (
     NativeLzCodec,
     NativeZstdCodec,
 )
-from .parallel import ParallelCodec, parallel_huffman_decode
 from .registry import (
     PAPER_METHODS,
     available_codecs,
@@ -89,7 +88,6 @@ __all__ = [
     "NativeZstdCodec",
     "ColumnarCodec",
     "MAX_STRUCTURED_OUTPUT",
-    "ParallelCodec",
     "PAPER_METHODS",
     "TemplateCodec",
     "QuantizedFloatCodec",
@@ -112,7 +110,6 @@ __all__ = [
     "is_jumbo_frame",
     "huffman_code_lengths",
     "mtf_decode",
-    "parallel_huffman_decode",
     "mtf_encode",
     "parse_frame",
     "register_codec",

@@ -33,9 +33,8 @@ This module provides three layers:
   the true codeword boundaries, one map serves a decode from any start bit
   — the Huffman self-synchronizing property the paper highlights (§2.4,
   ref [31]): :meth:`HuffmanCode.decode_symbols`, the chunk-resynchronizing
-  decoder in :mod:`repro.compression.bwhuff`, the speculative segments of
-  :mod:`repro.compression.parallel` and (with a token-level ``step``) the
-  Lempel-Ziv decoder in :mod:`repro.compression.lz77` all walk it.  The
+  decoder in :mod:`repro.compression.bwhuff` and (with a token-level
+  ``step``) the Lempel-Ziv decoder in :mod:`repro.compression.lz77` all walk it.  The
   per-symbol scalar loop it replaced is the differential oracle
   :func:`repro.verify.references.reference_huffman_decode`.
 * :class:`HuffmanCodec` — the standalone byte-oriented codec evaluated in

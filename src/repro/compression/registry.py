@@ -97,13 +97,9 @@ def _register_builtins() -> None:
         register_codec("zstd-native", NativeZstdCodec)
     if HAVE_LZ4:
         register_codec("lz4-native", NativeLz4Codec)
-    # No ParallelCodec container is registered: on the thread strategy
-    # the pure-Python codecs ran at 0.94-1.06x serial, the container is a
-    # wire format of its own, and a registered codec also runs inside
-    # WorkerPool processes, where a process strategy would fork from a
-    # fork.  The paper's chunked codec parallelizes at identical bytes
-    # instead: burrows-wheeler maps its chunks through
-    # parallel.chunk_map.
+    # No chunked container codec: the paper's chunked codec parallelizes
+    # at identical bytes instead (burrows-wheeler maps its chunks through
+    # parallel.chunk_map, the one codec pool).
     # Structure-aware family: template-mined logs and columnar records.
     # Data-dependent by design — the selector only routes here when
     # data.analysis sniffing says the block looks structured.

@@ -52,10 +52,8 @@ from .policy import AdaptivePolicy, CompressionPolicy, FixedPolicy
 from .sampler import DEFAULT_SAMPLE_SIZE, LzSampler
 from .workers import (
     DEFAULT_QUEUE_DEPTH,
-    POOL_MODES,
     PipelinedBlockEngine,
     RelaySchedule,
-    WorkerPool,
     simulate_pipeline,
     simulate_relay_pipeline,
 )
@@ -82,14 +80,12 @@ __all__ = [
     "METHOD_CODES",
     "PLACEMENTS",
     "PLACEMENT_MODES",
-    "POOL_MODES",
     "PipelinedBlockEngine",
     "PlacementCost",
     "Rating",
     "ReducingSpeedMonitor",
     "RelaySchedule",
     "StreamResult",
-    "WorkerPool",
     "build_frontier",
     "calibrate",
     "calibrate_thresholds",

@@ -11,9 +11,11 @@ still comes from really compressing the sample, but the elapsed time is
 taken from the calibrated cost model scaled by the CPU model — which is
 what makes the end-to-end replays deterministic.
 
-A probe has two phases.  Its *run* (:func:`probe_run`: compress the
-head under the engine's timer) needs nothing from the sampler but the
-codec, so it can happen anywhere, on any core, ahead of time; its
+A probe has two phases.  Its *run* (compress the head under the
+engine's :func:`~repro.core.engine.timed`, the task
+:class:`~repro.core.workers.PipelinedBlockEngine` submits for a whole
+block) needs nothing from the sampler but the codec, so it can happen
+anywhere, on any core, ahead of time; its
 *accounting* (:meth:`LzSampler.account`: the executor's scaling rules)
 reads the CPU model's load at the moment it is asked.  That split is how
 the §2.5 fork is realised: :meth:`LzSampler.probe_runs` takes every probe
@@ -39,21 +41,12 @@ from ..compression.registry import get_codec
 from ..netsim.cpu import CodecCostModel, CpuModel
 from .engine import BlockStats, CodecExecutor, timed
 
-__all__ = ["LzSampler", "DEFAULT_SAMPLE_SIZE", "probe_run"]
+__all__ = ["LzSampler", "DEFAULT_SAMPLE_SIZE"]
 
 DEFAULT_SAMPLE_SIZE = 4096
 
 #: A probe that ran but is not accounted yet: (payload, measured seconds).
 ProbeRun = Tuple[bytes, float]
-
-
-def probe_run(codec: Codec, head: bytes) -> ProbeRun:
-    """Compress ``head`` under the engine's timer.
-
-    Module-level so the codec pool can run it: only the codec and the
-    head cross the process boundary, never the sampler.
-    """
-    return timed(codec.compress, head)
 
 
 class LzSampler:
@@ -73,9 +66,13 @@ class LzSampler:
         self.executor = CodecExecutor(cost_model=cost_model, cpu=cpu)
 
     def probe_runs(self, blocks: Sequence[bytes]) -> List[ProbeRun]:
-        """Run the probe of every block in ``blocks`` in one ``chunk_map``."""
+        """Run the probe of every block in ``blocks`` in one ``chunk_map``.
+
+        Only the codec and the heads cross the process boundary, never
+        the sampler.
+        """
         heads = [block[: self.sample_size] for block in blocks]
-        return chunk_map(partial(probe_run, self.codec), heads)
+        return chunk_map(partial(timed, self.codec.compress), heads)
 
     def account(self, block: bytes, run: ProbeRun) -> BlockStats:
         """The record of ``block``'s probe ``run``, priced at the CPU's load now."""

@@ -1,4 +1,4 @@
-"""Multi-core block execution: worker pools and the pipelined engine.
+"""Multi-core block execution: the pipelined engine and its schedule model.
 
 The paper's headline end-to-end run spends "slightly more than 60%" of
 its time compressing (§4) — the single biggest win left on the table is
@@ -6,20 +6,15 @@ overlapping compression of block *i+1* with transmission of block *i*
 and spreading codec work across cores, the parallel-compression lineage
 of refs [31-33].  This module supplies that layer:
 
-* :class:`WorkerPool` — a ``ProcessPoolExecutor``-backed pool of codec
-  workers (``mode="processes"`` for pure-Python codecs, ``"threads"``
-  for GIL-releasing natives, ``"serial"`` as the in-process fallback).
-  Workers resolve methods through the codec registry and time themselves
-  with :func:`~repro.core.engine.timed` — the engine's one clock read —
-  and ship back ``(payload, seconds)`` so
-  :class:`~repro.core.engine.CodecExecutor` remains the one accounting
-  point.  A broken pool (killed worker, failed fork) degrades to serial
-  execution instead of corrupting the stream.
 * :class:`PipelinedBlockEngine` — a :class:`~repro.core.engine.BlockEngine`
-  that keeps a bounded queue of in-flight blocks on the pool, so
-  compression of later blocks overlaps the consumer's handling (send) of
-  earlier ones while :class:`~repro.core.engine.BlockStats` still emit
-  strictly in block order.
+  that keeps a bounded window of in-flight blocks on the shared codec
+  pool (:func:`repro.compression.parallel.submit`), so compression of
+  later blocks overlaps the consumer's handling (send) of earlier ones
+  while :class:`~repro.core.engine.BlockStats` still emit strictly in
+  block order.  Each task is :func:`~repro.core.engine.timed` — the
+  engine's one clock read — around ``codec.compress``, and ships back
+  ``(payload, seconds)``, so :class:`~repro.core.engine.CodecExecutor`
+  remains the one accounting point.
 * :func:`simulate_pipeline` — the deterministic schedule model: given
   per-block compression and send seconds (engine-accounted, so modeled
   replays stay exact), it computes the pooled makespan, speedup, and
@@ -32,13 +27,12 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import Future
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..compression.parallel import DegradingPool
-from ..compression.registry import available_codecs, get_codec
+from ..compression.parallel import DegradingPool, codec_pool, result, submit
+from ..compression.registry import get_codec
 from ..obs.catalogue import (
     PIPELINE_BLOCKS_TOTAL,
     POOL_DEGRADED_TOTAL,
@@ -57,15 +51,11 @@ from .engine import (
 
 __all__ = [
     "DEFAULT_QUEUE_DEPTH",
-    "POOL_MODES",
     "PipelinedBlockEngine",
     "RelaySchedule",
-    "WorkerPool",
     "simulate_pipeline",
     "simulate_relay_pipeline",
 ]
-
-POOL_MODES = ("processes", "threads", "serial")
 
 #: Default bound on in-flight blocks for the pipelined engine: deep
 #: enough to keep 4 workers busy, shallow enough that a stall does not
@@ -73,86 +63,15 @@ POOL_MODES = ("processes", "threads", "serial")
 DEFAULT_QUEUE_DEPTH = 8
 
 
-def _pool_compress(method: str, data: bytes) -> Tuple[bytes, float]:
-    """Worker-side task: compress ``data`` with the registered ``method``.
-
-    Runs inside pool workers (or inline for serial/degraded pools), timed
-    by :func:`repro.core.engine.timed`; the caller's
-    :class:`~repro.core.engine.CodecExecutor` applies the scaling rules
-    to the returned measured seconds.
-    """
-    return timed(get_codec(method).compress, data)
-
-
-class WorkerPool(DegradingPool):
-    """A pool of codec workers with graceful degradation to serial.
-
-    Process workers are initialized once per pool (the registry's builtin
-    codecs register at import time inside each worker); per-task payloads
-    are the pickled block bytes plus the method name, and results carry
-    the worker-measured seconds.  ``mode="threads"`` suits codecs that
-    release the GIL (the zlib/bz2 natives); ``"processes"`` suits the
-    pure-Python codecs; ``"serial"`` executes inline and is what a broken
-    pool degrades to — permanently, so one dead worker cannot flap
-    (:class:`~repro.compression.parallel.DegradingPool` owns the executor
-    and that rule; this class adds the codec task and the metrics).
-    """
-
-    def __init__(
-        self,
-        workers: int = 4,
-        mode: str = "processes",
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        super().__init__(workers, mode)
-        self.registry = registry
-        self._known = frozenset(available_codecs())
-
-    def _degrade(self) -> None:
-        if self.registry is not None and self.mode != "serial":
-            self.registry.family(POOL_DEGRADED_TOTAL).inc(pool_mode=self.mode)
-        super()._degrade()
-
-    # -- execution ---------------------------------------------------------------
-
-    def accepts(self, method: str) -> bool:
-        """Whether ``method`` can execute on pool workers.
-
-        Workers resolve methods through the registry snapshot taken when
-        the pool spawned; methods registered afterwards (or resolved from
-        explicit codec instances) must run in the caller's process.
-        """
-        return method in self._known
-
-    def _task(self, data: bytes) -> bytes:
-        if not isinstance(data, bytes):
-            # Process workers receive blocks by pickling, and memoryview
-            # blocks (the zero-copy cut path) don't pickle — the IPC copy
-            # is inherent to pool mode, so materialize here, once.
-            data = bytes(data)
-        if self.registry is not None:
-            self.registry.family(POOL_TASKS_TOTAL).inc(pool_mode=self.mode)
-            self.registry.family(POOL_WORKERS).set(self.workers, pool_mode=self.mode)
-        return data
-
-    def submit(self, method: str, data: bytes) -> "Future[Tuple[bytes, float]]":
-        """Schedule one block compression; returns a future of (payload, seconds).
-
-        Futures from a worker that dies mid-task raise ``BrokenExecutor``;
-        callers that cannot tolerate that use :meth:`run`, which degrades
-        and retries.
-        """
-        return self.submit_call(_pool_compress, method, self._task(data))
-
-    def run(self, method: str, data: bytes) -> Tuple[bytes, float]:
-        """Compress one block on the pool, degrading to serial on breakage."""
-        return self.map(partial(_pool_compress, method), [self._task(data)])[0]
+def _mode(pool: Optional[DegradingPool]) -> str:
+    """The ``pool_mode`` label: the shared pool's mode, ``serial`` without one."""
+    return pool.mode if pool is not None else "serial"
 
 
 class PipelinedBlockEngine(BlockEngine):
     """Block engine that overlaps compression with downstream consumption.
 
-    Blocks are submitted to a :class:`WorkerPool` with at most
+    Blocks are submitted to the shared codec pool with at most
     ``queue_depth`` in flight; results are drained strictly in submission
     order, so observers see the same in-order
     :class:`~repro.core.engine.BlockStats` stream a serial
@@ -160,11 +79,13 @@ class PipelinedBlockEngine(BlockEngine):
     are byte-identical to serial execution.  While the caller handles
     block ``i`` (e.g. writes it to a transport), blocks ``i+1 ...
     i+queue_depth`` are already compressing on the workers — the
-    compress/send overlap of the paper's pipelined transport, now backed
-    by real cores.
+    compress/send overlap of the paper's pipelined transport, backed by
+    real cores.
 
-    A broken pool degrades mid-stream: already-submitted blocks whose
-    futures died are re-executed serially in place, preserving order.
+    The codec is resolved here, in the caller, and crosses to the
+    workers with each block.  A block the pool could not run (a worker
+    died under it, the codec does not pickle) re-executes in-process in
+    its place, so neither order nor bytes change.
     """
 
     def __init__(
@@ -172,14 +93,12 @@ class PipelinedBlockEngine(BlockEngine):
         executor: Optional[CodecExecutor] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         observers: Optional[Iterable[Observer]] = None,
-        pool: Optional[WorkerPool] = None,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(executor=executor, block_size=block_size, observers=observers)
         if queue_depth < 1:
             raise ValueError("queue_depth must be positive")
-        self.pool = pool if pool is not None else WorkerPool(workers=1, mode="serial")
         self.queue_depth = queue_depth
         self.registry = registry
 
@@ -188,45 +107,51 @@ class PipelinedBlockEngine(BlockEngine):
         data: Union[bytes, bytearray, Iterable[bytes]],
         method: str,
     ) -> List[Tuple[bytes, BlockStats]]:
-        """Cut ``data`` and execute every block with ``method`` through the pool."""
+        """Cut ``data`` and compress every block with ``method`` on the codec pool."""
+        codec = None if method == "none" else get_codec(method)
+        pool = codec_pool()
+        degradations = pool.degradations if pool is not None else 0
         results: List[Tuple[bytes, BlockStats]] = []
         in_flight: "deque[Tuple[int, bytes, Optional[Future]]]" = deque()
-        pooled = method != "none" and self.pool.accepts(method)
+
+        def drain() -> None:
+            index, block, future = in_flight.popleft()
+            if future is None:
+                execution = self.executor.compress(method, block)
+            else:
+                payload, measured = result(future, timed, codec.compress, block)
+                execution = self.executor.finalize_compression(
+                    method, block, payload, measured
+                )
+            if self.registry is not None:
+                self.registry.family(PIPELINE_BLOCKS_TOTAL).inc(
+                    pool_mode=_mode(pool), queue_depth=str(self.queue_depth)
+                )
+            results.append(self.emit(execution, index))
+
         for index, block in enumerate(self.cut(data)):
-            # Unpooled blocks execute in-process at drain time.
-            future = self.pool.submit(method, block) if pooled else None
+            future = None
+            if codec is not None:
+                # Process workers receive blocks by pickling, and memoryview
+                # blocks (the zero-copy cut path) don't pickle — the IPC copy
+                # is inherent to the pool, so materialize here, once.
+                block = bytes(block)
+                if self.registry is not None:
+                    self.registry.family(POOL_TASKS_TOTAL).inc(pool_mode=_mode(pool))
+                    self.registry.family(POOL_WORKERS).set(
+                        pool.workers if pool is not None else 0, pool_mode=_mode(pool)
+                    )
+                future = submit(timed, codec.compress, block)
             in_flight.append((index, block, future))
             while len(in_flight) >= self.queue_depth:
-                self._drain_one(method, in_flight, results)
+                drain()
         while in_flight:
-            self._drain_one(method, in_flight, results)
+            drain()
+        if self.registry is not None and pool is not None and pool.degradations > degradations:
+            self.registry.family(POOL_DEGRADED_TOTAL).inc(
+                pool.degradations - degradations, pool_mode="processes"
+            )
         return results
-
-    def _drain_one(
-        self,
-        method: str,
-        in_flight: "deque[Tuple[int, bytes, Optional[Future]]]",
-        results: List[Tuple[bytes, BlockStats]],
-    ) -> None:
-        index, block, future = in_flight.popleft()
-        if future is None:
-            execution = self.executor.compress(method, block)
-        else:
-            try:
-                payload, measured = future.result()
-            except BrokenExecutor:
-                # The worker died under this block: the pool degrades to
-                # serial and the block re-executes in-process, in order.
-                payload, measured = self.pool.run(method, block)
-            execution = self.executor.finalize_compression(
-                method, block, payload, measured
-            )
-        if self.registry is not None:
-            self.registry.family(PIPELINE_BLOCKS_TOTAL).inc(
-                pool_mode=self.pool.mode, queue_depth=str(self.queue_depth)
-            )
-        results.append(self.emit(execution, index))
-
 
 # -- the deterministic schedule model ---------------------------------------------
 

@@ -129,7 +129,7 @@ POOL_TASKS_TOTAL = _counter(
 POOL_DEGRADED_TOTAL = _counter(
     "repro_pool_degraded_total", "pool degradations to serial execution", "pool_mode"
 )
-POOL_WORKERS = _gauge("repro_pool_workers", "configured pool worker count", "pool_mode")
+POOL_WORKERS = _gauge("repro_pool_workers", "shared codec pool worker count", "pool_mode")
 PIPELINE_BLOCKS_TOTAL = _counter(
     "repro_pipeline_blocks_total", "blocks emitted by pipelined block engines",
     "pool_mode", "queue_depth",

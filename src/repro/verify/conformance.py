@@ -14,7 +14,7 @@ The invariants (one check function each, all registered in
   seeded corpus (lossless codecs).
 * ``deterministic-wire`` — compressing the same block twice yields the
   same bytes; stateless codecs have no business being nondeterministic
-  (the serial-vs-parallel and differential oracles rely on this).
+  (the serial-vs-pooled and differential oracles rely on this).
 * ``edge-corpora`` — the degenerate shapes (empty, 1-byte, all-equal,
   incompressible) survive a round trip.
 * ``streaming-wire-equality`` — a :class:`StreamingCompressor` stream
@@ -22,8 +22,7 @@ The invariants (one check function each, all registered in
   decoder recovers the input from arbitrary chunk splits.
 * ``block-boundary-resume`` — codecs exposing ``decode_from`` (the BW
   pipeline's 255-marker resynchronization) recover a chunk-aligned
-  suffix from any starting offset; codecs exposing ``decompress_chunk``
-  (parallel containers) give random access equal to the slice.
+  suffix from any starting offset.
 * ``expansion-guard`` — under :class:`~repro.core.engine.CodecExecutor`'s
   expansion fallback, an incompressible block ships as ``none`` with the
   original bytes, never larger than the input.
@@ -227,18 +226,6 @@ def check_resume(name: str, codec: Codec, corpus: Dict[str, bytes]) -> Iterator[
                 "" if aligned else
                 f"recovered {len(recovered)} bytes ({count} chunks) is not a "
                 "chunk-aligned suffix",
-            )
-    if hasattr(codec, "decompress_chunk"):
-        data = (corpus.get("commercial") or b"chunked random access ").ljust(8192, b"q")
-        chunk_size = getattr(codec, "chunk_size", 65536)
-        payload = codec.compress(data)
-        total = (len(data) + chunk_size - 1) // chunk_size
-        for index in range(total):
-            piece = codec.decompress_chunk(payload, index)
-            want = data[index * chunk_size : (index + 1) * chunk_size]
-            yield _result(
-                "block-boundary-resume", name, f"chunk={index}", piece == want,
-                "" if piece == want else "random-access chunk mismatched the slice",
             )
 
 

@@ -15,13 +15,11 @@ compressor choice must be *verified*, not assumed:
   must be byte-identical to the classic scalar formulations kept in
   :mod:`repro.verify.references`: one ``(subject, kernel, oracle,
   prepare)`` row of :data:`_ROWS` each, all run by :func:`_compare`.
-* **Serial vs parallel.**  A :class:`ParallelCodec` must emit identical
-  container bytes under every pool strategy — the strategy is an
-  execution detail, never a wire-format input.  Likewise
-  ``burrows-wheeler``, whose chunk stages share the process-wide codec
-  pool, must emit the bytes of its in-process chunk loop (on a block of
-  at least three chunks; the 8 KB sweep corpus is one chunk and never
-  reaches the pool).
+* **Serial vs pooled.**  ``burrows-wheeler``, whose chunk stages share
+  the process-wide codec pool, must emit the bytes of its in-process
+  chunk loop — the pool is an execution detail, never a wire-format
+  input (on a block of at least three chunks; the 8 KB sweep corpus is
+  one chunk and never reaches the pool).
 
 Both sides of every comparison are timed through
 :func:`repro.core.engine.timed` (the one sanctioned timing site), so a
@@ -59,7 +57,6 @@ from ..compression.huffman import (
 )
 from ..compression.lz77 import Lz77Codec, tokenize
 from ..compression.mtf import mtf_decode, mtf_encode
-from ..compression.parallel import ParallelCodec
 from ..compression.registry import available_codecs, get_codec
 from ..compression.rle import rle_decode, rle_encode
 from ..compression.structured import bitpack, bitunpack, delta_zigzag, undelta_zigzag
@@ -93,7 +90,6 @@ __all__ = [
     "differential_failures",
     "diff_wire_counterpart",
     "diff_scalar_vectorized",
-    "diff_serial_parallel",
 ]
 
 
@@ -401,41 +397,6 @@ def diff_scalar_vectorized(case: str, data: bytes) -> List[DifferentialResult]:
     return [result for result in results if result is not None]
 
 
-def diff_serial_parallel(
-    base_name: str, case: str, data: bytes, chunk_size: int = 4096
-) -> List[DifferentialResult]:
-    """A ParallelCodec's wire bytes must not depend on the pool strategy."""
-    base = get_codec(base_name)
-    serial = ParallelCodec(base, chunk_size=chunk_size, strategy="serial")
-    threaded = ParallelCodec(base, chunk_size=chunk_size, workers=3, strategy="threads")
-    serial_run, serial_seconds = timed(serial.compress, data)
-    threaded_run, threaded_seconds = timed(threaded.compress, data)
-    ok = serial_run == threaded_run
-    results = [
-        DifferentialResult(
-            kind="serial-parallel",
-            subject=f"parallel:{base_name}",
-            case=case,
-            passed=ok,
-            detail="" if ok else "pool strategy leaked into the wire bytes",
-            subject_seconds=threaded_seconds,
-            reference_seconds=serial_seconds,
-        )
-    ]
-    restored = threaded.decompress(serial_run)
-    ok = restored == data
-    results.append(
-        DifferentialResult(
-            kind="serial-parallel",
-            subject=f"parallel:{base_name}",
-            case=f"{case}:cross-decode",
-            passed=ok,
-            detail="" if ok else "threaded decode of serial container diverged",
-        )
-    )
-    return results
-
-
 def diff_serial_pooled(case: str, data: bytes) -> List[DifferentialResult]:
     """``burrows-wheeler``'s bytes must not depend on where its chunks ran:
     the codec (chunks shared with the codec pool) against the in-process
@@ -483,9 +444,6 @@ def run_differential(corpus: Optional[Dict[str, bytes]] = None) -> List[Differen
         for codec_name in sorted(registered & set(REFERENCE_COUNTERPARTS)):
             results.extend(diff_wire_counterpart(codec_name, case, data))
         results.extend(diff_scalar_vectorized(case, data))
-    sample = corpus.get("commercial") or next(iter(corpus.values()))
-    results.extend(diff_serial_parallel("lempel-ziv", "commercial", sample))
-    results.extend(diff_serial_parallel("huffman", "commercial", sample))
     # Three chunks and one byte: the caller's share and the workers' both
     # hold a full chunk, and the last share is uneven.
     block = CorpusGenerator(size=3 * DEFAULT_CHUNK_SIZE + 1).commercial()

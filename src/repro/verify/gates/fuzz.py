@@ -10,7 +10,8 @@ Four stages, each a hard assertion:
   ``available_codecs()``;
 * **differential** — the cross-implementation sweep
   (:mod:`repro.verify.differential`): zlib/bz2 wire counterparts, scalar
-  vs vectorized hot loops, serial vs parallel containers;
+  vs vectorized hot loops, burrows-wheeler's pooled chunk stages vs its
+  in-process loop;
 * **fuzz** — a deterministic coverage-guided mutation run over every
   decode surface.  The schedule is a pure function of the seed; the wall
   budget (``repro gate fuzz --budget``) can only truncate it (flagged,

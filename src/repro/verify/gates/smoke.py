@@ -30,7 +30,7 @@ from ...core.bicriteria import (
 from ...core.decision import DecisionInputs, DecisionThresholds, select_method
 from ...core.engine import BlockEngine, CodecExecutor, timed
 from ...core.monitor import ReducingSpeedMonitor
-from ...core.workers import PipelinedBlockEngine, WorkerPool, simulate_pipeline
+from ...core.workers import PipelinedBlockEngine, simulate_pipeline
 from ...data.logs import LogDataGenerator
 from ...data.timeseries import TimeSeriesGenerator
 from ...experiments.config import ReplayConfig
@@ -68,7 +68,8 @@ SAMPLED_RATIOS = (None, 0.2, 0.35, 0.6, 0.9)
 #: under its name in the report's metadata.
 #:
 #: Pool throughput scenario: 64 commercial blocks of 8 KB through
-#: Burrows-Wheeler on 4 workers with the default bounded queue.
+#: Burrows-Wheeler, scheduled on 4 modeled workers with the default
+#: bounded queue and run for real on the shared codec pool.
 POOL = dict(
     block_size=8 * 1024, block_count=64, workers=4, queue_depth=8, method="burrows-wheeler"
 )
@@ -202,8 +203,9 @@ def pool_throughput(ctx: GateContext) -> None:
     the SUN_FIRE CPU and send seconds from the nominal 100 MBit line, so
     the serial-vs-pooled comparison is exact run-to-run.  The 4-worker
     schedule is computed by ``simulate_pipeline``; the wire bytes,
-    however, come from a *real* process-pool run, checksummed against the
-    serial engine's output — the pool must never change a single byte.
+    however, come from a *real* run on the shared codec pool, checksummed
+    against the serial engine's output — the pool must never change a
+    single byte.
     """
     ctx.report.metadata["pool"] = POOL
     block_size, workers, queue_depth = POOL["block_size"], POOL["workers"], POOL["queue_depth"]
@@ -220,14 +222,12 @@ def pool_throughput(ctx: GateContext) -> None:
     )
     serial_crc = zlib.crc32(b"".join(payload for payload, _ in serial_out))
 
-    with WorkerPool(workers=workers, mode="processes") as pool:
-        pooled_engine = PipelinedBlockEngine(
-            CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE),
-            block_size=block_size,
-            pool=pool,
-            queue_depth=queue_depth,
-        )
-        pooled_out = pooled_engine.run(data, method=POOL["method"])
+    pooled_engine = PipelinedBlockEngine(
+        CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE),
+        block_size=block_size,
+        queue_depth=queue_depth,
+    )
+    pooled_out = pooled_engine.run(data, method=POOL["method"])
     pooled_crc = zlib.crc32(b"".join(payload for payload, _ in pooled_out))
     if pooled_crc != serial_crc:
         ctx.fail(

@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import settings
 
+from repro.compression import parallel
 from repro.compression.parallel import shutdown_codec_pool
 from repro.data.commercial import CommercialDataGenerator
 from repro.data.molecular import MolecularDataGenerator
@@ -84,6 +85,23 @@ def pytest_sessionfinish(session):
         reporter = session.config.pluginmanager.get_plugin("terminalreporter")
         reporter.write_line(f"FAIL: child processes outlived the session: {leaked}", red=True)
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
+@pytest.fixture
+def shared_pool(monkeypatch):
+    """``shared_pool(pool)`` makes ``pool`` the shared codec pool for one test.
+
+    The pool installed before it is shut down first, and the last one
+    when the test ends, so no worker outlives the test.
+    """
+
+    def install(pool):
+        shutdown_codec_pool()
+        monkeypatch.setattr(parallel, "_codec_pool", pool)
+        return pool
+
+    yield install
+    shutdown_codec_pool()
 
 
 @pytest.fixture(autouse=True)

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.compression import parallel
-from repro.compression.parallel import DegradingPool, shutdown_codec_pool
+from repro.compression.parallel import DegradingPool
 from repro.core.bicriteria import codec_for
 from repro.core.decision import Decision
-from repro.core.engine import BlockStats
+from repro.core.engine import BlockStats, timed
 from repro.core.pipeline import (
     DEFAULT_BLOCK_SIZE,
     METHOD_CODES,
@@ -19,13 +18,13 @@ from repro.core.pipeline import (
     StreamResult,
 )
 from repro.core.policy import AdaptivePolicy, FixedPolicy
-from repro.core.sampler import LzSampler, probe_run
+from repro.core.sampler import LzSampler
 from repro.data.commercial import CommercialDataGenerator
 from repro.netsim.clock import VirtualClock
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE, CpuModel
 from repro.netsim.link import PAPER_LINKS, SimulatedLink, make_link
 from repro.netsim.loadtrace import LoadTrace
-from tests.strategies import examples, link_names
+from tests.strategies import examples, link_names, serial_pool
 
 
 def blocks(count=6, size=32 * 1024, seed=11):
@@ -303,13 +302,10 @@ SQUARE_WAVE = LoadTrace.from_pairs([(t, 6.0 * (t % 2)) for t in range(8)])
 
 
 @pytest.fixture(params=["codec-pool", "serial"])
-def probe_pool(request, monkeypatch):
+def probe_pool(request, shared_pool):
     """The shared codec pool as this host starts it, or one forced serial."""
-    shutdown_codec_pool()
-    if request.param == "serial":
-        monkeypatch.setattr(parallel, "_codec_pool", DegradingPool(1, "serial"))
-    yield request.param
-    shutdown_codec_pool()
+    shared_pool(serial_pool() if request.param == "serial" else None)
+    return request.param
 
 
 class TestRunWideProbes:
@@ -348,10 +344,8 @@ class TestRunWideProbes:
             )
         assert len({r.sample_time for r in run_wide.records[:-1]}) == 2
 
-    def test_one_pool_submission_per_run(self, monkeypatch):
-        shutdown_codec_pool()
-        pool = DegradingPool(1, "processes")
-        monkeypatch.setattr(parallel, "_codec_pool", pool)
+    def test_one_pool_submission_per_run(self, monkeypatch, shared_pool):
+        pool = shared_pool(DegradingPool(1))
         submitted = []
         submit = pool.submit_call
 
@@ -360,14 +354,11 @@ class TestRunWideProbes:
             return submit(fn, *args)
 
         monkeypatch.setattr(pool, "submit_call", counting_submit)
-        try:
-            run = pipeline(policy=FixedPolicy("huffman"))  # a codec that maps no chunks
-            for runs in (1, 2):
-                assert len(run.run(blocks(8), make_link("100mbit")).records) == 8
-                assert len(submitted) == runs
-        finally:
-            shutdown_codec_pool()
-        assert all(fn.func is probe_run for fn in submitted)
+        run = pipeline(policy=FixedPolicy("huffman"))  # a codec that maps no chunks
+        for runs in (1, 2):
+            assert len(run.run(blocks(8), make_link("100mbit")).records) == 8
+            assert len(submitted) == runs
+        assert all(fn.func is timed for fn in submitted)
 
 
 class TestCpuLoadRestored:

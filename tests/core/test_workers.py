@@ -1,40 +1,48 @@
-"""Tests for the multi-core worker layer (pool, pipelined engine, schedule).
+"""Tests for the multi-core block layer (pipelined engine, schedule model).
 
-The non-negotiable invariant under test: pooled execution produces wire
-bytes **identical** to serial execution for every registered codec, in
-every pool mode, and keeps producing them (in order) when workers die.
+The non-negotiable invariant under test: blocks compressed on the shared
+codec pool are **identical** to serial execution for every registered
+codec, whether the pool runs, is serial, or loses its workers mid-stream,
+and they still emit in order.
 """
 
+import random
+import struct
 import zlib
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.engine import BlockEngine, CodecExecutor
+from repro.compression.lz77 import Lz77Codec
+from repro.compression.parallel import DegradingPool, result, submit
+from repro.compression.registry import (
+    available_codecs,
+    get_codec,
+    register_codec,
+    unregister_codec,
+)
+from repro.core.engine import BlockEngine, CodecExecutor, timed
 from repro.core.workers import (
     DEFAULT_QUEUE_DEPTH,
     PipelinedBlockEngine,
-    WorkerPool,
     simulate_pipeline,
 )
-from repro.compression.registry import available_codecs, get_codec
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
 from repro.obs.catalogue import (
     PIPELINE_BLOCKS_TOTAL,
     POOL_DEGRADED_TOTAL,
     POOL_TASKS_TOTAL,
+    POOL_WORKERS,
 )
 from repro.obs.metrics import MetricsRegistry
-from tests.strategies import examples
+from tests.strategies import examples, serial_pool
 
 
 def family_block(method: str, base: bytes) -> bytes:
     """Shape ``base`` so ``method`` accepts it (lossy codecs eat float64)."""
     codec = get_codec(method)
     if codec.family == "lossy":
-        import struct
-
         count = max(8, len(base) // 8)
         return b"".join(
             struct.pack("<d", (b - 128) / 16.0) for b in base[:count]
@@ -42,74 +50,86 @@ def family_block(method: str, base: bytes) -> bytes:
     return base
 
 
-@pytest.fixture(scope="module")
-def process_pool():
-    with WorkerPool(workers=2, mode="processes") as pool:
-        yield pool
+def kill_workers(pool: DegradingPool) -> None:
+    """Fork ``pool``'s workers with one task, then kill every one of them."""
+    assert result(submit(len, b"warm up"), len, b"warm up") == 7
+    for process in list(pool._executor._processes.values()):
+        process.kill()
+
+
+def pooled_compress(method: str, block: bytes):
+    """``(payload, seconds)`` of ``block`` as the engine's window submits it."""
+    codec = get_codec(method)
+    return result(submit(timed, codec.compress, block), timed, codec.compress, block)
 
 
 class TestWorkerPool:
+    """The shared codec pool's workers, reached through submit / result."""
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            WorkerPool(workers=0)
+            DegradingPool(0)
         with pytest.raises(ValueError):
-            WorkerPool(mode="fibers")
-
-    def test_accepts_tracks_registry(self):
-        pool = WorkerPool(workers=1, mode="serial")
-        assert pool.accepts("burrows-wheeler")
-        assert not pool.accepts("no-such-codec")
+            PipelinedBlockEngine(queue_depth=0)
 
     def test_every_registered_codec_is_pool_deterministic(
-        self, process_pool, commercial_block
+        self, shared_pool, commercial_block
     ):
-        """Pooled bytes == in-process bytes for the whole registry."""
+        """Worker bytes == in-process bytes for the whole registry."""
+        pool = shared_pool(DegradingPool(2))
         base = commercial_block[: 32 * 1024]
         for method in available_codecs():
             block = family_block(method, base)
-            expected = get_codec(method).compress(block)
-            payload, seconds = process_pool.run(method, block)
-            assert payload == expected, method
+            codec = get_codec(method)
+            # The future itself, not result(): a codec that failed to
+            # reach a worker must fail here, not re-run in the caller.
+            payload, seconds = submit(timed, codec.compress, block).result(timeout=60)
+            assert payload == codec.compress(block), method
             assert seconds >= 0.0, method
+        assert (pool.mode, pool.degradations) == ("processes", 0)
 
-    def test_serial_mode_never_spawns(self):
-        pool = WorkerPool(workers=3, mode="serial")
-        payload, _ = pool.run("huffman", b"serial inline path" * 50)
-        assert pool._executor is None
-        assert payload == get_codec("huffman").compress(b"serial inline path" * 50)
+    def test_serial_mode_never_spawns(self, shared_pool):
+        pool = shared_pool(serial_pool())
+        data = b"serial inline path" * 50
+        future = submit(timed, get_codec("huffman").compress, data)
+        assert future.done() and pool._executor is None
+        assert future.result()[0] == get_codec("huffman").compress(data)
 
-    def test_metrics_label_pool_mode_and_workers(self):
+    def test_metrics_label_pool_mode_and_workers(self, shared_pool):
         registry = MetricsRegistry()
-        pool = WorkerPool(workers=2, mode="serial", registry=registry)
-        pool.run("huffman", b"count me" * 100)
-        counter = registry.family(POOL_TASKS_TOTAL)
-        assert counter.value(pool_mode="serial") == 1
+        shared_pool(DegradingPool(2))
+        PipelinedBlockEngine(block_size=4096, registry=registry).run(
+            b"count me" * 1000, method="huffman"
+        )
+        assert registry.family(POOL_TASKS_TOTAL).value(pool_mode="processes") == 2
+        assert registry.family(POOL_WORKERS).value(pool_mode="processes") == 2
+        shared_pool(serial_pool())
+        PipelinedBlockEngine(block_size=4096, registry=registry).run(
+            b"count me" * 100, method="huffman"
+        )
+        assert registry.family(POOL_TASKS_TOTAL).value(pool_mode="serial") == 1
 
-    def test_broken_pool_degrades_to_serial(self):
-        registry = MetricsRegistry()
-        pool = WorkerPool(workers=2, mode="processes", registry=registry)
+    def test_broken_pool_degrades_to_serial(self, shared_pool):
+        pool = shared_pool(DegradingPool(2))
         data = b"degrade me " * 400
         expected = get_codec("lzw").compress(data)
-        assert pool.run("lzw", data)[0] == expected  # spawn workers
-        for process in list(pool._executor._processes.values()):
-            process.kill()
-        assert pool.run("lzw", data)[0] == expected
-        assert pool.mode == "serial"
+        kill_workers(pool)
+        assert pooled_compress("lzw", data)[0] == expected
+        assert (pool.mode, pool.degradations, pool._executor) == ("serial", 1, None)
+        # Degradation is permanent and keeps answering correctly, inline.
+        assert submit(len, data).done()
+        assert pooled_compress("lzw", data)[0] == expected
         assert pool.degradations == 1
-        assert registry.family(POOL_DEGRADED_TOTAL).value(pool_mode="processes") == 1
-        # Degradation is permanent and keeps answering correctly.
-        assert pool.run("lzw", data)[0] == expected
 
 
 class TestPipelinedBlockEngine:
-    def equivalent(self, pool, data, method, queue_depth=DEFAULT_QUEUE_DEPTH):
+    def equivalent(self, data, method, queue_depth=DEFAULT_QUEUE_DEPTH):
         serial = BlockEngine(
             CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE), block_size=4096
         ).run(data, method=method)
         pipelined = PipelinedBlockEngine(
             CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE),
             block_size=4096,
-            pool=pool,
             queue_depth=queue_depth,
         ).run(data, method=method)
         assert [payload for payload, _ in pipelined] == [
@@ -124,75 +144,88 @@ class TestPipelinedBlockEngine:
             for _, s in serial
         ]
 
-    def test_serial_pool_matches_block_engine(self, commercial_block):
-        pool = WorkerPool(workers=1, mode="serial")
-        self.equivalent(pool, commercial_block, "burrows-wheeler")
+    def test_serial_pool_matches_block_engine(self, shared_pool, commercial_block):
+        pool = shared_pool(serial_pool())
+        self.equivalent(commercial_block, "burrows-wheeler")
+        assert pool._executor is None
 
-    def test_process_pool_matches_block_engine(self, process_pool, commercial_block):
-        self.equivalent(process_pool, commercial_block, "burrows-wheeler")
+    def test_process_pool_matches_block_engine(self, shared_pool, commercial_block):
+        pool = shared_pool(DegradingPool(2))
+        self.equivalent(commercial_block, "burrows-wheeler")
+        assert (pool.mode, pool.degradations) == ("processes", 0)
+        assert pool._executor is not None
 
-    def test_thread_pool_matches_block_engine(self, commercial_block):
-        with WorkerPool(workers=2, mode="threads") as pool:
-            self.equivalent(pool, commercial_block, "lempel-ziv")
+    def test_queue_depth_one_still_in_order(self, shared_pool, commercial_block):
+        shared_pool(DegradingPool(2))
+        self.equivalent(commercial_block, "huffman", queue_depth=1)
 
-    def test_queue_depth_one_still_in_order(self, process_pool, commercial_block):
-        self.equivalent(process_pool, commercial_block, "huffman", queue_depth=1)
-
-    def test_method_none_bypasses_pool(self):
+    def test_method_none_bypasses_pool(self, shared_pool):
         registry = MetricsRegistry()
-        pool = WorkerPool(workers=1, mode="serial", registry=registry)
-        engine = PipelinedBlockEngine(
-            CodecExecutor(), block_size=4096, pool=pool, registry=registry
-        )
+        pool = shared_pool(DegradingPool(1))
+        engine = PipelinedBlockEngine(CodecExecutor(), block_size=4096, registry=registry)
         data = b"\x00" * 10000
         out = engine.run(data, method="none")
         assert b"".join(payload for payload, _ in out) == data
         # "none" never becomes a pool task, but still counts as a block.
-        assert registry.family(POOL_TASKS_TOTAL).value(pool_mode="serial") == 0
+        assert pool._executor is None
+        assert registry.family(POOL_TASKS_TOTAL).value(pool_mode="processes") == 0
         assert (
             registry.family(PIPELINE_BLOCKS_TOTAL).value(
-                pool_mode="serial", queue_depth=str(DEFAULT_QUEUE_DEPTH)
+                pool_mode="processes", queue_depth=str(DEFAULT_QUEUE_DEPTH)
             )
             == len(out)
         )
 
-    def test_killed_workers_mid_stream_stay_in_order(self, commercial_block):
+    def test_killed_workers_mid_stream_stay_in_order(self, shared_pool, commercial_block):
         """A pool broken between submissions degrades without corruption."""
         data = commercial_block
         reference = BlockEngine(CodecExecutor(), block_size=4096).run(
             data, method="lzw"
         )
-        pool = WorkerPool(workers=2, mode="processes")
+        registry = MetricsRegistry()
+        pool = shared_pool(DegradingPool(2))
         engine = PipelinedBlockEngine(
-            CodecExecutor(), block_size=4096, pool=pool, queue_depth=4
+            CodecExecutor(), block_size=4096, queue_depth=4, registry=registry
         )
-        pool.run("lzw", b"warm up the workers" * 100)
-        for process in list(pool._executor._processes.values()):
-            process.kill()
+        kill_workers(pool)
         out = engine.run(data, method="lzw")
-        pool.shutdown()
-        assert pool.mode == "serial" and pool.degradations >= 1
+        assert (pool.mode, pool.degradations) == ("serial", 1)
+        assert registry.family(POOL_DEGRADED_TOTAL).value(pool_mode="processes") == 1
         assert [payload for payload, _ in out] == [payload for payload, _ in reference]
         assert [stats.index for _, stats in out] == list(range(len(reference)))
+
+    def test_unpicklable_codec_runs_in_the_caller(self, shared_pool, commercial_block):
+        class LocalLz(Lz77Codec):  # defined here, so it cannot be pickled
+            pass
+
+        pool = shared_pool(DegradingPool(2))
+        register_codec("local-lz", LocalLz)
+        try:
+            out = PipelinedBlockEngine(CodecExecutor(), block_size=4096).run(
+                commercial_block, method="local-lz"
+            )
+        finally:
+            unregister_codec("local-lz")
+        reference = BlockEngine(CodecExecutor(), block_size=4096).run(
+            commercial_block, method="lempel-ziv"
+        )
+        assert [payload for payload, _ in out] == [payload for payload, _ in reference]
+        # The pool ran nothing of it, and is not degraded for that.
+        assert (pool.mode, pool.degradations) == ("processes", 0)
 
     @given(seed=st.integers(min_value=0, max_value=2**31))
     @examples(10)
     def test_random_blocks_identical_to_serial(self, seed):
-        import random
-
+        """On the shared pool as this host starts it."""
         rng = random.Random(seed)
         data = bytes(
             rng.choice(b"aaaabcde\x00\xff") for _ in range(rng.randrange(1, 20000))
         )
         method = rng.choice(["huffman", "lzw", "lempel-ziv", "burrows-wheeler"])
         serial = BlockEngine(CodecExecutor(), block_size=4096).run(data, method=method)
-        pool = WorkerPool(workers=2, mode="threads")
-        try:
-            pipelined = PipelinedBlockEngine(
-                CodecExecutor(), block_size=4096, pool=pool
-            ).run(data, method=method)
-        finally:
-            pool.shutdown()
+        pipelined = PipelinedBlockEngine(CodecExecutor(), block_size=4096).run(
+            data, method=method
+        )
         serial_wire = b"".join(payload for payload, _ in serial)
         pipelined_wire = b"".join(payload for payload, _ in pipelined)
         assert zlib.crc32(pipelined_wire) == zlib.crc32(serial_wire)

@@ -18,12 +18,14 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.compression import parallel
 from repro.compression.bwhuff import BurrowsWheelerCodec
+from repro.compression.parallel import DegradingPool, shutdown_codec_pool, submit
 from repro.compression.registry import get_codec
 from repro.core.engine import CodecExecutor
 from repro.core.monitor import ReducingSpeedMonitor
 from repro.core.policy import AdaptivePolicy
-from repro.core.workers import PipelinedBlockEngine, WorkerPool
+from repro.core.workers import PipelinedBlockEngine
 from repro.data.logs import LogDataGenerator
 from repro.data.timeseries import TimeSeriesGenerator
 from repro.experiments.config import ReplayConfig
@@ -209,17 +211,20 @@ def drive_structured(registry: MetricsRegistry) -> None:
 
 
 def drive_pool(registry: MetricsRegistry) -> None:
-    """A process pool killed under load, then a pipelined engine on it."""
+    """A pipelined engine on a shared codec pool whose workers were killed."""
     data = b"degrade me " * 400
-    with WorkerPool(workers=2, mode="processes", registry=registry) as pool:
-        pool.run("lzw", data)  # spawn workers
+    shutdown_codec_pool()
+    parallel._codec_pool = pool = DegradingPool(2)
+    try:
+        submit(len, data).result(timeout=60)  # fork the workers
         for process in list(pool._executor._processes.values()):
             process.kill()
-        pool.run("lzw", data)
+        PipelinedBlockEngine(CodecExecutor(), block_size=4096, registry=registry).run(
+            data, method="huffman"
+        )
         assert pool.mode == "serial"
-        PipelinedBlockEngine(
-            CodecExecutor(), block_size=4096, pool=pool, registry=registry
-        ).run(data, method="huffman")
+    finally:
+        shutdown_codec_pool()
 
 
 def drive_handler(registry: MetricsRegistry) -> None:

@@ -11,8 +11,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.compression.bwhuff import BurrowsWheelerCodec, _encode_chunk, _joint_encode
-from repro.compression.lz77 import Lz77Codec
-from repro.compression.parallel import ParallelCodec
+from repro.compression.parallel import DegradingPool
 from repro.compression.registry import available_codecs, get_codec
 from repro.data import (
     CommercialDataGenerator,
@@ -45,22 +44,17 @@ LOSSLESS_CODECS = [
     if get_codec(name).family != "lossy" and name != "none"
 ]
 
-#: ParallelCodec containers held to the registry's lossless contracts by
-#: name, though no registry name builds them any more.
-CONTAINER_CODECS = {
-    codec.name: codec
-    for codec in (ParallelCodec(Lz77Codec()), ParallelCodec(BurrowsWheelerCodec()))
-}
-
-
-def codec_named(name: str):
-    """A registered codec, or one of :data:`CONTAINER_CODECS`."""
-    return CONTAINER_CODECS.get(name) or get_codec(name)
-
-
 def bw_in_process(codec: BurrowsWheelerCodec, data: bytes) -> bytes:
     """``codec.compress(data)`` from the plain in-process chunk loop."""
     return _joint_encode(len(data), [_encode_chunk(chunk) for chunk in codec._cut(data)])
+
+
+def serial_pool() -> DegradingPool:
+    """A stand-in for the shared codec pool that runs every task in the
+    caller: a pool degraded once, as a broken one is."""
+    pool = DegradingPool(1)
+    pool._degrade()
+    return pool
 
 
 #: A medium-entropy, string-repetitive seed block for corruption tests.

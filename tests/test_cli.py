@@ -372,6 +372,23 @@ class TestPlacementCommand:
         ) == 0
         assert "blocks" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "0"),
+            ("--queue-depth", "0"),
+            ("--block-size", "0"),
+            ("--interference", "-1"),
+            ("--interference", "nan"),
+        ],
+    )
+    def test_out_of_range_numbers_are_usage_errors(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["placement", "--blocks", "2", "--links", "1gbit", flag, value])
+        err = capsys.readouterr().err
+        assert caught.value.code == 2
+        assert f"argument {flag}" in err and "Traceback" not in err
+
     def test_workers_is_only_the_modeled_schedule_width(self, capsys):
         """`--workers` survives on `placement` alone, where it changes the
         modeled schedule; the codec-pool flags of replay/stats/report are gone."""

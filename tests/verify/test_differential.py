@@ -1,4 +1,4 @@
-"""Differential oracles: stdlib wire counterparts, scalar loops, pools."""
+"""Differential oracles: stdlib wire counterparts, scalar loops, the codec pool."""
 
 import bz2
 import functools
@@ -12,7 +12,6 @@ from repro.verify.differential import (
     REFERENCE_COUNTERPARTS,
     counterpart_for,
     diff_scalar_vectorized,
-    diff_serial_parallel,
     diff_wire_counterpart,
     differential_failures,
     run_differential,
@@ -61,13 +60,6 @@ class TestScalarVectorized:
         results = diff_scalar_vectorized("lowentropy", data)
         with_seconds = [r for r in results if r.subject_seconds or r.reference_seconds]
         assert with_seconds, "engine.timed timings missing from differential results"
-
-
-class TestSerialParallel:
-    def test_pool_strategy_never_reaches_the_wire(self):
-        data = _small_corpus()["commercial"]
-        results = diff_serial_parallel("huffman", "commercial", data)
-        assert not differential_failures(results)
 
 
 def _reachable_names(function, seen=None):
@@ -124,11 +116,11 @@ class TestRowTable:
         assert len(_ROWS) == len(self.SUBJECTS)
         results = run_differential()
         wire = set(REFERENCE_COUNTERPARTS) & {r.subject for r in results}
-        parallel = {"parallel:huffman", "parallel:lempel-ziv", "burrows-wheeler"}
-        assert {r.subject for r in results} == self.SUBJECTS | wire | parallel
-        # 5 cases x (21 rows + 2 directions per wire counterpart) + 3 x 2 pool checks
-        assert len(results) == 5 * (21 + 2 * len(wire)) + 6
-        assert len(wire) != 2 or (len(results), len(self.SUBJECTS | wire | parallel)) == (131, 26)
+        pooled = {"burrows-wheeler"}
+        assert {r.subject for r in results} == self.SUBJECTS | wire | pooled
+        # 5 cases x (21 rows + 2 directions per wire counterpart) + 2 pool checks
+        assert len(results) == 5 * (21 + 2 * len(wire)) + 2
+        assert len(wire) != 2 or (len(results), len(self.SUBJECTS | wire | pooled)) == (127, 24)
         assert all(r.subject_seconds > 0 and r.reference_seconds > 0
                    for r in results if r.kind == "scalar-vectorized")
 
