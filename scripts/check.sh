@@ -5,7 +5,8 @@
 #   1. invariant greps   — clock reads, struct framing, stray print(),
 #                          metric names outside the catalogue, retry
 #                          loops outside RetryPolicy.attempts(), worker
-#                          pools outside compression/parallel.py
+#                          pools outside compression/parallel.py, DESIGN.md
+#                          inventory rows naming modules that do not exist
 #   2. ruff lint         — style/import hygiene (skipped if not installed)
 #   3. tier-1 tests      — the full pytest suite under the default
 #                          (`tier1`) hypothesis profile, with its 15
@@ -183,6 +184,58 @@ echo "ok; chunk_map and submit call sites:"
 grep -rnE "(chunk_map|[^_.a-z]submit)\(" src/repro --include="*.py" \
     | grep -vE "def (chunk_map|submit)\(" | sed 's/^/    /' || true
 
+# --- Invariant: DESIGN.md's inventory names the tree ----------------------------
+# Every module path an S<n> row of DESIGN.md's inventory names in backticks
+# must import as a module or package, or resolve as an attribute of one.  A
+# bare `.name` cell is a module of the package holding the row's first
+# `repro.` name, and `repro.pkg.*` names the package.  A deleted or renamed
+# module fails here instead of leaving the inventory pointing at nothing.
+echo "== invariant: every repro.* path in a DESIGN.md S<n> row exists"
+PYTHONPATH=src python - <<'PY'
+import importlib
+import re
+import sys
+
+
+def home(dotted):
+    """The package holding ``dotted``'s module, or None if it does not resolve."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            module = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        target = module
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return None
+            target = getattr(target, attribute)
+        return module.__package__
+    return None
+
+
+missing = []
+for line in open("DESIGN.md", encoding="utf-8"):
+    row = re.match(r"\| (S\d+) \|", line)
+    if not row:
+        continue
+    package = None
+    for cell in re.findall(r"`([^`]*)`", line):
+        names = re.findall(r"(?<![\w.])repro(?:\.\w+)+", cell)
+        if package and re.fullmatch(r"\.[a-z_]\w*", cell):
+            names.append(package + cell)
+        for name in names:
+            found = home(name)
+            if found is None:
+                missing.append(f"{row.group(1)}: {name}")
+            package = package or found
+if missing:
+    print("FAIL: DESIGN.md inventory names what the tree does not have:", file=sys.stderr)
+    print("\n".join(missing), file=sys.stderr)
+    sys.exit(1)
+PY
+echo "ok"
+
 # --- Lint -----------------------------------------------------------------------
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff check"
@@ -233,7 +286,8 @@ import inspect
 from repro.core.engine import BlockEngine, CodecExecutor
 from repro.core.pipeline import AdaptivePipeline
 from repro.core.policy import AdaptivePolicy
-classes = (AdaptivePolicy, CodecExecutor, BlockEngine, AdaptivePipeline)
+from repro.middleware.handlers import CompressionHandler
+classes = (AdaptivePolicy, CodecExecutor, BlockEngine, AdaptivePipeline, CompressionHandler)
 print(", ".join(f"{c.__name__} {len(inspect.signature(c).parameters)}" for c in classes))')
 sizes="src/repro $(lines_of src/repro), scripts+benchmarks $(lines_of scripts benchmarks), tests $(lines_of tests) lines, cli options $(grep -c add_argument src/repro/cli.py), keywords: $keywords"
 echo "== check.sh: invariants ok, $tier1_summary; $sizes"

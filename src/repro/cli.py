@@ -427,6 +427,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {value}")
+    return value
+
+
 def _non_negative(text: str) -> float:
     value = float(text)
     if not value >= 0.0:
@@ -481,15 +488,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="alias for --dataset (structured workloads: logs, timeseries)",
         )
         p.add_argument("--link", choices=list(PAPER_LINKS), default="100mbit")
-        p.add_argument("--blocks", dest="block_count", type=int, default=64)
+        p.add_argument("--blocks", dest="block_count", type=_positive, default=64)
         p.add_argument(
             "--interval",
             dest="production_interval",
-            type=float,
+            type=_non_negative,
             default=1.25,
             help="seconds between blocks (0 = bulk)",
         )
-        p.add_argument("--trace-offset", type=float, default=0.0)
+        p.add_argument("--trace-offset", type=_non_negative, default=0.0)
         p.add_argument("--pipelined", action="store_true")
         p.add_argument(
             "--policy",
@@ -500,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--space-budget",
-            type=float,
+            type=_positive_float,
             default=1.0,
             help="bicriteria only: modeled compressed/original ratio cap (default 1.0)",
         )
@@ -521,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--downstream-factor",
-            type=float,
+            type=_positive_float,
             default=None,
             help="relay topology for consumer/auto placement: downstream "
             "hop as a multiple of the link's sending time",
@@ -602,8 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subscribers", type=_positive, default=1024, help="simulated subscriber count")
     p.add_argument("--channels", type=_positive, default=64, help="channel population (Zipf-skewed)")
     p.add_argument("--events", type=_positive, default=32, help="events published per channel")
-    p.add_argument("--event-size", type=int, default=8 * 1024, help="payload bytes per event")
-    p.add_argument("--shards", type=int, default=4, help="fabric shard count")
+    p.add_argument("--event-size", type=_positive, default=8 * 1024, help="payload bytes per event")
+    p.add_argument("--shards", type=_positive, default=4, help="fabric shard count")
     p.add_argument(
         "--zipf", dest="zipf_exponent", type=float, default=1.1, help="Zipf skew exponent"
     )
@@ -616,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--batch-frames",
-        type=int,
+        type=_positive,
         default=8,
         help="frames per jumbo flush when --batch is on",
     )
@@ -657,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="regenerate the full reproduction report")
     p.add_argument("-o", "--output", help="write markdown to a file instead of stdout")
     p.add_argument(
-        "--blocks", dest="block_count", type=int, default=64, help="replay length (blocks)"
+        "--blocks", dest="block_count", type=_positive, default=64, help="replay length (blocks)"
     )
     p.add_argument("--trace", metavar="PATH", help="write a JSON-lines headline trace to PATH")
     p.set_defaults(func=cmd_report)
@@ -666,7 +673,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "placement", None) == "consumer" and args.downstream_factor is None:
+        parser.error("argument --placement: consumer needs --downstream-factor (the relay hop)")
     try:
         return args.func(args)
     except BrokenPipeError:

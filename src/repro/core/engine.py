@@ -116,10 +116,7 @@ class CodecExecutor:
     ``expansion_fallback`` enables the expansion guard: when a codec
     *grows* a block (common on molecular coordinates) the executor ships
     the original bytes under method ``none`` instead, so the method name
-    the receiver sees stays truthful.  ``cost_model_fallback`` makes a
-    cost model that lacks the requested codec fall back to the measured
-    path instead of raising ``KeyError`` (runtime-tunable codecs are not
-    calibrated).
+    the receiver sees stays truthful.
     """
 
     def __init__(
@@ -127,25 +124,20 @@ class CodecExecutor:
         cost_model: Optional["object"] = None,
         cpu: Optional["object"] = None,
         expansion_fallback: bool = False,
-        cost_model_fallback: bool = False,
     ) -> None:
         self.cost_model = cost_model
         self.cpu = cpu
         self.expansion_fallback = expansion_fallback
-        self.cost_model_fallback = cost_model_fallback
 
     def _seconds(
         self, direction: str, method: str, size: int, measure_seconds: Callable[[], float]
     ) -> float:
         """The scaling rule, both directions: the cost model's
-        ``<direction>_time`` when it knows ``method``, else the measurement
-        (taken only then) scaled to the modeled CPU, else as measured."""
+        ``<direction>_time`` (a ``KeyError`` for a method it lacks), else
+        the measurement (taken only then) scaled to the modeled CPU, else
+        as measured."""
         if self.cost_model is not None:
-            try:
-                return getattr(self.cost_model, direction + "_time")(method, size, self.cpu)
-            except KeyError:
-                if not self.cost_model_fallback:
-                    raise
+            return getattr(self.cost_model, direction + "_time")(method, size, self.cpu)
         measured = measure_seconds()
         return self.cpu.scale_time(measured) if self.cpu is not None else measured
 
@@ -156,9 +148,9 @@ class CodecExecutor:
     ) -> BlockStats:
         """Compress ``block`` with ``method`` and account for the cost.
 
-        ``codec`` overrides the registry lookup (runtime-tunable or
-        unregistered codec instances); the cost model is still consulted
-        under ``method``.
+        ``codec`` overrides the registry lookup (a parametrised codec from
+        :func:`~repro.core.bicriteria.codec_for`, or an unregistered
+        instance); the cost model is still consulted under ``method``.
         """
         if method == "none":
             return BlockStats(

@@ -49,8 +49,8 @@ event.  Publishers never wait for a run lock — a sink that publishes to
 its own shard from inside a delivery enqueues, and two shards whose sinks
 publish to each other cannot deadlock; only shard loops, ``flush`` and
 ``close`` wait for one.  Everything documented as running "on the owning
-shard" (batchers, deadline and drain flushes, ``defer`` thunks,
-``submit_channel``) runs under that lock, on whichever thread holds it.
+shard" (batchers, deadline and drain flushes, ``defer`` thunks) runs
+under that lock, on whichever thread holds it.
 """
 
 from __future__ import annotations
@@ -287,27 +287,12 @@ class EventFabric:
         """
         self._dispatch(self.shard_of(channel_id), ("event", channel_id, event))
 
-    def submit_channel(self, channel, event: Event) -> None:
-        """Deliver a bound :class:`~repro.middleware.channels.EventChannel`'s
-        event on the shard that owns it (the ``bind_fabric`` back-half).
-
-        The channel keeps its own subscriber/derivation bookkeeping; the
-        fabric only supplies the ordering domain, so channel semantics
-        are unchanged in inline mode and merely serialized per shard
-        (under its run lock) in threads mode.
-        """
-        self._dispatch(
-            self.shard_of(channel.channel_id),
-            ("call", lambda: channel._deliver_direct(event), None),
-        )
-
     def defer(self, channel_id: str, thunk: Callable[[], None]) -> None:
         """Run ``thunk`` on the shard that owns ``channel_id`` — in threads
         mode under its run lock, now if the shard is idle, else queued.
 
-        The hook transport bridges use to route their deliveries through
-        the fabric's ordering domain without the fabric knowing about
-        bridges.
+        Subscription removal uses it to discard a cancelled sink's pending
+        batch behind any event still adding to it.
         """
         self._dispatch(self.shard_of(channel_id), ("call", thunk, None))
 

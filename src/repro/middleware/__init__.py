@@ -24,7 +24,6 @@ from .handlers import (
     FilterHandler,
     Handler,
     TapHandler,
-    TunableCompressionHandler,
 )
 from .monitoring import ChannelMonitor, ChannelQuality
 from .reassembly import OrderedReassembly
@@ -87,7 +86,6 @@ __all__ = [
     "Subscription",
     "TapHandler",
     "TransportBridge",
-    "TunableCompressionHandler",
     "ATTR_COMPRESSION_PARAMETERS",
     "TransportStats",
     "WireFormat",

@@ -10,7 +10,10 @@ A channel delivers submitted events to its subscribers and to its
 *derived* channels, each of which applies its handler first.  Deriving a
 new channel at runtime — the consumer-driven operation at the heart of
 §3.2 — therefore composes handler chains without touching producers,
-which stay anonymous.
+which stay anonymous.  Delivery runs on the submitting thread; a channel
+reaches the sharded fabric one way, through
+:meth:`ChannelServer.offer <repro.middleware.tcp.ChannelServer.offer>`,
+whose tap publishes each event.
 """
 
 from __future__ import annotations
@@ -55,25 +58,6 @@ class EventChannel:
         self._sequence = 0
         self.submitted = 0
         self.delivered_bytes = 0
-        self._fabric = None
-
-    def bind_fabric(self, fabric) -> None:
-        """Route this channel's dispatch through an event fabric.
-
-        Once bound, delivery runs on the shard that owns this channel id
-        (:meth:`EventFabric.submit_channel <repro.fabric.broker.EventFabric.submit_channel>`):
-        synchronous in the fabric's inline mode — identical semantics to
-        the unbound channel — and serialized under the shard's run lock
-        in threads mode (on the submitting thread when the shard is idle,
-        on its loop otherwise; a subscriber that raises is counted by the
-        fabric, not handed to the submitter).  Duck-typed on purpose: the
-        middleware stays importable without the fabric package.
-        """
-        self._fabric = fabric
-
-    def unbind_fabric(self) -> None:
-        """Return to direct in-thread dispatch."""
-        self._fabric = None
 
     # -- subscription -----------------------------------------------------------
 
@@ -146,12 +130,6 @@ class EventChannel:
         self._dispatch(event)
 
     def _dispatch(self, stamped: Event) -> None:
-        if self._fabric is not None:
-            self._fabric.submit_channel(self, stamped)
-        else:
-            self._deliver_direct(stamped)
-
-    def _deliver_direct(self, stamped: Event) -> None:
         # Snapshot the eligible routes before delivering: a callback may
         # re-subscribe mid-delivery (the adaptive consumer switching
         # methods), and the event must not flow through both the old and

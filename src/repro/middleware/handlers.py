@@ -11,10 +11,11 @@ event or ``None`` (drop).  :class:`CompressionHandler` and
 of generic handlers (filter, tap) demonstrate the broader mechanism and
 are used in tests and examples.
 
-All timed codec work routes through one
-:class:`~repro.core.engine.CodecExecutor` per handler — the shared
-execution substrate that owns the cost-model/CPU scaling rules and the
-expansion guard (a codec that *grows* a block ships the original bytes
+A compression handler's codec is its ``(method, params)`` resolved by
+:func:`~repro.core.bicriteria.codec_for`, and all timed codec work routes
+through one :class:`~repro.core.engine.CodecExecutor` per handler — the
+shared execution substrate that owns the cost-model/CPU scaling rules and
+the expansion guard (a codec that *grows* a block ships the original bytes
 under method ``none``, so the method attribute stays truthful).
 """
 
@@ -22,7 +23,9 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from ..compression.base import canonical_params
 from ..compression.registry import get_codec
+from ..core.bicriteria import codec_for
 from ..core.engine import CodecExecutor
 from ..netsim.cpu import CodecCostModel, CpuModel
 from ..obs.catalogue import HANDLER_RECONFIGURATIONS_TOTAL, record_execution
@@ -41,7 +44,6 @@ __all__ = [
     "DecompressionHandler",
     "FilterHandler",
     "TapHandler",
-    "TunableCompressionHandler",
 ]
 
 Handler = Callable[[Event], Optional[Event]]
@@ -70,7 +72,7 @@ def stamp_compression(event: Event, execution: "object", **extra: object) -> Eve
 
 
 class CompressionHandler:
-    """Compress event payloads with a fixed method (producer side).
+    """Compress event payloads with one method and its parameters (producer side).
 
     Each derived channel owns one of these; switching methods at runtime
     means deriving (or re-subscribing to) a channel with a different
@@ -78,17 +80,21 @@ class CompressionHandler:
     with the method name, original size, and compression time so the
     consumer can decompress and the adaptive controller can observe costs.
 
+    ``params`` are the codec's constructor parameters, resolved once
+    through :func:`~repro.core.bicriteria.codec_for` — the resolver every
+    other compression site uses, so a handler's bytes equal a
+    :class:`~repro.middleware.relay.CompressionRelay`'s for the same
+    ``(method, params)``.  Paper §5, capability (3): "By permitting end
+    users to dynamically change the parameters used by compression
+    methods, they can also explicitly affect compression behavior" —
+    :meth:`reconfigure` changes them while events keep flowing, and
+    :meth:`bind` lets a consumer drive them through a quality attribute.
+
     When the codec expands a block (common on near-incompressible data
     such as molecular coordinates), the executor's expansion guard ships
     the original payload with method ``none`` — the time spent is still
     recorded, but the receiver never pays to decode a larger-than-original
     payload.
-
-    ``cache`` (duck-typed: anything with the
-    :meth:`repro.fabric.cache.BlockCache.execute` signature) makes
-    several handlers sharing one cache compress each distinct payload
-    once per ``(method, params)`` configuration; ``params`` names this
-    handler's codec-parameter choice for cache keying and metric labels.
     """
 
     def __init__(
@@ -99,99 +105,24 @@ class CompressionHandler:
         executor: Optional[CodecExecutor] = None,
         registry: Optional[MetricsRegistry] = None,
         channel: str = "handler",
-        cache: Optional["object"] = None,
         params: Optional[dict] = None,
     ) -> None:
         self.method = method
-        self.codec = get_codec(method)
-        self.cost_model = cost_model
-        self.cpu = cpu
+        self.params = dict(params or {})
+        self.codec = codec_for(method, canonical_params(self.params))
         self.registry = registry
         self.channel = channel
-        self.cache = cache
-        self.params = dict(params) if params else None
-        self.cache_hits = 0
+        self.reconfigurations = 0
         self.executor = (
             executor
             if executor is not None
             else CodecExecutor(cost_model=cost_model, cpu=cpu, expansion_fallback=True)
         )
 
-    def __call__(self, event: Event) -> Event:
-        if self.cache is not None:
-            execution, hit = self.cache.execute(
-                self.executor, self.method, event.payload, self.params
-            )
-            if hit:
-                self.cache_hits += 1
-        else:
-            execution = self.executor.compress(self.method, event.payload)
-        if self.registry is not None:
-            record_execution(self.registry, self.channel, execution)
-        return stamp_compression(event, execution)
-
-
-class DecompressionHandler:
-    """Invert :class:`CompressionHandler` (consumer side).
-
-    The method name travels in the event attributes, so the consumer
-    always knows how to reconstruct the application data (§3.2: "the
-    consumer selected the specific new data compression method, it knows
-    which decompression method to apply").
-    """
-
-    def __call__(self, event: Event) -> Event:
-        method = event.attributes.get(ATTR_COMPRESSION_METHOD, "none")
-        if method == "none":
-            return event
-        codec = get_codec(method)
-        return event.with_payload(codec.decompress(event.payload))
-
-
-class TunableCompressionHandler:
-    """A compression handler whose codec parameters change at runtime.
-
-    Paper §5, capability (3): "By permitting end users to dynamically
-    change the parameters used by compression methods, they can also
-    explicitly affect compression behavior."  The handler holds a codec
-    *factory* (e.g. ``lambda chunk_size: BurrowsWheelerCodec(chunk_size)``)
-    and, when bound to a :class:`~repro.middleware.attributes.QualityAttributes`
-    namespace, rebuilds its codec whenever the parameter attribute is set —
-    so a consumer can, say, shrink Burrows-Wheeler chunks or loosen a lossy
-    tolerance while events keep flowing.
-
-    Tunable codecs are typically not in the calibrated cost table, so the
-    executor runs with ``cost_model_fallback``: a missing calibration
-    entry falls back to the measured (CPU-scaled) time instead of raising.
-    """
-
-    def __init__(
-        self,
-        method: str,
-        factory: Callable[..., "object"],
-        cost_model: Optional[CodecCostModel] = None,
-        cpu: Optional[CpuModel] = None,
-        registry: Optional[MetricsRegistry] = None,
-        channel: str = "tunable",
-        **initial_parameters: object,
-    ) -> None:
-        self.method = method
-        self.factory = factory
-        self.cost_model = cost_model
-        self.cpu = cpu
-        self.registry = registry
-        self.channel = channel
-        self.executor = CodecExecutor(
-            cost_model=cost_model, cpu=cpu, cost_model_fallback=True
-        )
-        self.parameters = dict(initial_parameters)
-        self.codec = factory(**self.parameters)
-        self.reconfigurations = 0
-
-    def reconfigure(self, **parameters: object) -> None:
+    def reconfigure(self, **params: object) -> None:
         """Rebuild the codec with updated parameters (merged over current)."""
-        self.parameters.update(parameters)
-        self.codec = self.factory(**self.parameters)
+        self.params.update(params)
+        self.codec = codec_for(self.method, canonical_params(self.params))
         self.reconfigurations += 1
         if self.registry is not None:
             self.registry.family(HANDLER_RECONFIGURATIONS_TOTAL).inc(
@@ -215,6 +146,23 @@ class TunableCompressionHandler:
         if self.registry is not None:
             record_execution(self.registry, self.channel, execution)
         return stamp_compression(event, execution)
+
+
+class DecompressionHandler:
+    """Invert :class:`CompressionHandler` (consumer side).
+
+    The method name travels in the event attributes, so the consumer
+    always knows how to reconstruct the application data (§3.2: "the
+    consumer selected the specific new data compression method, it knows
+    which decompression method to apply").
+    """
+
+    def __call__(self, event: Event) -> Event:
+        method = event.attributes.get(ATTR_COMPRESSION_METHOD, "none")
+        if method == "none":
+            return event
+        codec = get_codec(method)
+        return event.with_payload(codec.decompress(event.payload))
 
 
 class FilterHandler:

@@ -137,13 +137,8 @@ class TransportBridge:
 
     The wire charges time and never damages bytes; the hostile wire and
     its recovery protocol are :class:`~repro.middleware.chaos.ChaosWire`
-    and :class:`~repro.middleware.chaos.ReliableEventLink`.
-
-    ``fabric`` (duck-typed: anything with
-    :meth:`repro.fabric.broker.EventFabric.defer`) routes each export's
-    deliveries onto the shard that owns the local channel id, so bridge
-    traffic shares the fabric's per-channel ordering domain instead of
-    running on whichever thread submitted the event.
+    and :class:`~repro.middleware.chaos.ReliableEventLink`.  Each
+    delivery runs on the thread that submitted the event.
     """
 
     def __init__(
@@ -152,27 +147,18 @@ class TransportBridge:
         clock: Clock,
         load: Optional[LoadTrace] = None,
         advance_clock: bool = True,
-        fabric: Optional["object"] = None,
     ) -> None:
         self.link = link
         self.clock = clock
         self.load = load
         self.advance_clock = advance_clock
-        self.fabric = fabric
         self.stats = TransportStats()
         self._exports: List[Tuple[EventChannel, EventChannel, Subscription]] = []
 
     def export(self, local: EventChannel, remote: Optional[EventChannel] = None) -> EventChannel:
         """Mirror ``local`` into the remote space; returns the mirror channel."""
         mirror = remote if remote is not None else EventChannel(f"{local.channel_id}@remote")
-
-        def forward(event: Event) -> None:
-            if self.fabric is not None:
-                self.fabric.defer(local.channel_id, lambda: self._deliver(event, mirror))
-            else:
-                self._deliver(event, mirror)
-
-        subscription = local.subscribe(forward)
+        subscription = local.subscribe(lambda event: self._deliver(event, mirror))
         self._exports.append((local, mirror, subscription))
         return mirror
 

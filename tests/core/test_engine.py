@@ -69,12 +69,6 @@ class TestCodecExecutorModes:
         with pytest.raises(KeyError):
             executor.compress("lzw", commercial_block)
 
-    def test_cost_model_fallback_measures_instead(self, commercial_block):
-        executor = CodecExecutor(cost_model=DEFAULT_COSTS, cost_model_fallback=True)
-        execution = executor.compress("lzw", commercial_block)
-        assert execution.method == "lzw"
-        assert execution.compression_seconds > 0
-
     def test_none_shortcut_is_free_and_identity(self, commercial_block):
         execution = CodecExecutor().compress("none", commercial_block)
         assert execution.method == "none"

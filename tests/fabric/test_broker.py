@@ -215,21 +215,6 @@ def test_defer_runs_on_owning_shard():
     assert ran == ["x"]
 
 
-def test_submit_channel_routes_channel_dispatch():
-    from repro.middleware.channels import EventChannel
-
-    fabric = EventFabric(shards=4)
-    channel = EventChannel("feed/0")
-    got = []
-    channel.subscribe(got.append)
-    channel.bind_fabric(fabric)
-    channel.submit(make_event())
-    assert [e.sequence for e in got] == [1]
-    channel.unbind_fabric()
-    channel.submit(make_event())
-    assert [e.sequence for e in got] == [1, 2]
-
-
 def test_closed_fabric_rejects_publishes():
     fabric = EventFabric(shards=2, mode="threads")
     fabric.close()

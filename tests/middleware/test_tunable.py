@@ -1,34 +1,25 @@
-"""Unit tests for runtime-tunable compression parameters (paper §5 cap. 3)."""
+"""Runtime-tunable compression parameters (paper §5 cap. 3): a
+``CompressionHandler`` whose ``params`` are reconfigured while events flow."""
 
-import pytest
-
-from repro.compression.bwhuff import BurrowsWheelerCodec
-from repro.compression.lossy import QuantizedFloatCodec
 from repro.middleware.attributes import ATTR_COMPRESSION_PARAMETERS, QualityAttributes
 from repro.middleware.channels import EventChannel
 from repro.middleware.events import Event
-from repro.middleware.handlers import DecompressionHandler, TunableCompressionHandler
+from repro.middleware.handlers import CompressionHandler, DecompressionHandler
 
 
 class TestTunableCompressionHandler:
     def test_initial_parameters_applied(self):
-        handler = TunableCompressionHandler(
-            "burrows-wheeler", BurrowsWheelerCodec, chunk_size=8192
-        )
+        handler = CompressionHandler("burrows-wheeler", params={"chunk_size": 8192})
         assert handler.codec.chunk_size == 8192
 
     def test_reconfigure_rebuilds_codec(self):
-        handler = TunableCompressionHandler(
-            "burrows-wheeler", BurrowsWheelerCodec, chunk_size=8192
-        )
+        handler = CompressionHandler("burrows-wheeler", params={"chunk_size": 8192})
         handler.reconfigure(chunk_size=2048)
         assert handler.codec.chunk_size == 2048
         assert handler.reconfigurations == 1
 
     def test_events_flow_across_reconfiguration(self, commercial_block):
-        handler = TunableCompressionHandler(
-            "burrows-wheeler", BurrowsWheelerCodec, chunk_size=16384
-        )
+        handler = CompressionHandler("burrows-wheeler", params={"chunk_size": 16384})
         decompress = DecompressionHandler()
         before = handler(Event(payload=commercial_block))
         handler.reconfigure(chunk_size=2048)
@@ -39,9 +30,7 @@ class TestTunableCompressionHandler:
 
     def test_bound_to_quality_attributes(self, commercial_block):
         attributes = QualityAttributes()
-        handler = TunableCompressionHandler(
-            "burrows-wheeler", BurrowsWheelerCodec, chunk_size=16384
-        )
+        handler = CompressionHandler("burrows-wheeler", params={"chunk_size": 16384})
         unsubscribe = handler.bind(attributes, ATTR_COMPRESSION_PARAMETERS)
         attributes.set(ATTR_COMPRESSION_PARAMETERS, {"chunk_size": 4096})
         assert handler.codec.chunk_size == 4096
@@ -51,9 +40,7 @@ class TestTunableCompressionHandler:
 
     def test_non_dict_attribute_ignored(self):
         attributes = QualityAttributes()
-        handler = TunableCompressionHandler(
-            "burrows-wheeler", BurrowsWheelerCodec, chunk_size=8192
-        )
+        handler = CompressionHandler("burrows-wheeler", params={"chunk_size": 8192})
         handler.bind(attributes, ATTR_COMPRESSION_PARAMETERS)
         attributes.set(ATTR_COMPRESSION_PARAMETERS, "not-a-dict")
         assert handler.codec.chunk_size == 8192
@@ -64,9 +51,7 @@ class TestTunableCompressionHandler:
 
         values = np.random.default_rng(0).uniform(-10, 10, 2000)
         data = values.astype("<f8").tobytes()
-        handler = TunableCompressionHandler(
-            "quantized-float", QuantizedFloatCodec, tolerance=1e-6
-        )
+        handler = CompressionHandler("quantized-float", params={"tolerance": 1e-6})
         tight = handler(Event(payload=data)).size
         handler.reconfigure(tolerance=1e-2)
         loose = handler(Event(payload=data)).size
@@ -74,9 +59,7 @@ class TestTunableCompressionHandler:
 
     def test_in_channel_path(self, commercial_block):
         channel = EventChannel("src")
-        handler = TunableCompressionHandler(
-            "burrows-wheeler", BurrowsWheelerCodec, chunk_size=8192
-        )
+        handler = CompressionHandler("burrows-wheeler", params={"chunk_size": 8192})
         derived = channel.derive(handler)
         received = []
         derived.subscribe(received.append)

@@ -19,7 +19,6 @@ import pytest
 
 from repro.cli import main
 from repro.compression import parallel
-from repro.compression.bwhuff import BurrowsWheelerCodec
 from repro.compression.parallel import DegradingPool, shutdown_codec_pool, submit
 from repro.compression.registry import get_codec
 from repro.core.engine import CodecExecutor
@@ -37,7 +36,7 @@ from repro.middleware.attributes import QualityAttributes
 from repro.middleware.channels import EventChannel
 from repro.middleware.chaos import ChaosWire, DeliveryError, ReliableEventLink
 from repro.middleware.events import Event
-from repro.middleware.handlers import CompressionHandler, TunableCompressionHandler
+from repro.middleware.handlers import CompressionHandler
 from repro.middleware.monitoring import ChannelMonitor
 from repro.middleware.relay import CompressionRelay
 from repro.middleware.tcp import ChannelServer, RemoteChannel
@@ -229,9 +228,9 @@ def drive_pool(registry: MetricsRegistry) -> None:
 
 def drive_handler(registry: MetricsRegistry) -> None:
     """A runtime reconfiguration, then an expansion-guard fallback block."""
-    handler = TunableCompressionHandler(
-        "burrows-wheeler", BurrowsWheelerCodec, cost_model=DEFAULT_COSTS, cpu=SUN_FIRE,
-        registry=registry, channel="tuned", chunk_size=8192,
+    handler = CompressionHandler(
+        "burrows-wheeler", cost_model=DEFAULT_COSTS, cpu=SUN_FIRE,
+        registry=registry, channel="tuned", params={"chunk_size": 8192},
     )
     handler.reconfigure(chunk_size=2048)
     handler(Event(payload=PAYLOAD))

@@ -121,6 +121,34 @@ def test_bad_input_is_an_error_not_a_traceback(argv, complaint, tmp_path, monkey
     assert sorted(path.name for path in tmp_path.iterdir()) == ["present.txt"]
 
 
+#: argv -> the flag the usage error names: numbers out of range for the
+#: option, or a placement the run cannot price.
+RANGE_ERRORS = [
+    (["replay", "--interval", "-1"], "--interval"),
+    (["replay", "--blocks", "0"], "--blocks"),
+    (["replay", "--blocks", "-3"], "--blocks"),
+    (["replay", "--trace-offset", "-1"], "--trace-offset"),
+    (["replay", "--space-budget", "0"], "--space-budget"),
+    (["replay", "--downstream-factor", "-1"], "--downstream-factor"),
+    (["replay", "--placement", "consumer"], "--placement"),
+    (["stats", "--blocks", "0"], "--blocks"),
+    (["stats", "--interval", "nan"], "--interval"),
+    (["fanout", "--shards", "0"], "--shards"),
+    (["fanout", "--event-size", "0"], "--event-size"),
+    (["fanout", "--batch", "--batch-frames", "0"], "--batch-frames"),
+    (["report", "--blocks", "0"], "--blocks"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", RANGE_ERRORS, ids=[" ".join(a) for a, _ in RANGE_ERRORS])
+def test_out_of_range_numbers_are_usage_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    err = capsys.readouterr().err
+    assert caught.value.code == 2
+    assert f"argument {flag}" in err and "Traceback" not in err
+
+
 class TestAnalyze:
     def test_reports_profile(self, sample_file, capsys):
         assert main(["analyze", str(sample_file)]) == 0
@@ -242,26 +270,24 @@ class TestFigure:
 
 
 class TestReplayEdgeBlocks:
-    """Empty and single-block streams must flow through cleanly."""
+    """A single-block stream flows through cleanly (an empty one is a
+    usage error: ``test_out_of_range_numbers_are_usage_errors``)."""
 
-    @pytest.mark.parametrize("blocks", [0, 1])
+    @pytest.mark.parametrize("blocks", [1])
     def test_replay(self, blocks, capsys):
         assert main(["replay", "--blocks", str(blocks), "--interval", "0"]) == 0
         out = capsys.readouterr().out
         assert f"blocks={blocks}" in out
         assert "total_time_s" in out
 
-    @pytest.mark.parametrize("blocks", [0, 1])
+    @pytest.mark.parametrize("blocks", [1])
     def test_stats(self, blocks, capsys):
         import json
 
         assert main(["stats", "--blocks", str(blocks), "--interval", "0"]) == 0
         registry = json.loads(capsys.readouterr().out)
-        if blocks:
-            series = registry["repro_blocks_total"]["series"]
-            assert sum(entry["value"] for entry in series) == blocks
-        else:
-            assert isinstance(registry, dict)
+        series = registry["repro_blocks_total"]["series"]
+        assert sum(entry["value"] for entry in series) == blocks
 
 
 class TestFuzzCommand:
