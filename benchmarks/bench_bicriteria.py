@@ -10,8 +10,12 @@ frontier's budget-feasible minimum can never model slower than the table.
 
 import zlib
 
-from repro.core.bicriteria import build_frontier, select_point
-from repro.core.monitor import ReducingSpeedMonitor
+from repro.core.bicriteria import (
+    default_candidates,
+    evaluate_candidates,
+    pareto_frontier,
+    select_point,
+)
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
 from repro.netsim.link import PAPER_LINKS
 from repro.verify.gates.smoke import bicriteria_model_grid
@@ -20,16 +24,16 @@ _BLOCK_SIZE = 128 * 1024
 
 
 def _frontier_once(sending_time, lz_speed=1.4e6, sampled_ratio=0.35):
-    monitor = ReducingSpeedMonitor()
-    monitor.observe_speed("lempel-ziv", lz_speed)
-    return build_frontier(
-        _BLOCK_SIZE,
+    points = evaluate_candidates(
+        default_candidates(_BLOCK_SIZE),
         sending_time,
         calibration=DEFAULT_COSTS,
         cpu=SUN_FIRE,
-        monitor=monitor,
+        speeds={"lempel-ziv": lz_speed},
         sample=sampled_ratio,
+        base_block_size=_BLOCK_SIZE,
     )
+    return pareto_frontier(points.values())
 
 
 def test_bicriteria_frontier_speed(benchmark, record_bench):

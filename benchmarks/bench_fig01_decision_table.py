@@ -14,8 +14,8 @@ def test_fig01_select_method_speed(benchmark, record_bench):
     inputs = DecisionInputs(
         block_size=128 * 1024,
         sending_time=0.5,
-        lz_reducing_speed=1.4e6,
         sampled_ratio=0.35,
+        speeds={"lempel-ziv": 1.4e6},
     )
     thresholds = DecisionThresholds()
     decision = benchmark(select_method, inputs, thresholds)

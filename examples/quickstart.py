@@ -28,8 +28,8 @@ def main() -> None:
         DecisionInputs(
             block_size=128 * 1024,
             sending_time=0.4,        # slow, loaded link
-            lz_reducing_speed=1.4e6,  # measured bytes-removed/second
             sampled_ratio=0.35,       # the 4 KB probe compressed well
+            speeds={"lempel-ziv": 1.4e6},  # measured bytes-removed/second
         )
     )
     print(f"\nSelector for a loaded link + compressible sample: {decision.method}")

@@ -161,6 +161,22 @@ if [ -n "$stray" ]; then
 fi
 echo "ok"
 
+# --- Invariant: the pricing and table layers are pure -------------------------
+# The §2.5 table, the bicriteria pricer and the placement model are
+# functions of what they are handed (a DecisionInputs, a speeds mapping, a
+# frontier point).  AdaptivePolicy.choose alone reads the live monitor and
+# writes the registry, around a decide() that stays replayable only while
+# these three modules can reach neither.
+echo "== invariant: core/decision.py, core/bicriteria.py, core/placement.py import neither .monitor nor repro.obs"
+stray=$(grep -nE "^[[:space:]]*(from|import)[[:space:]]+(\.+|repro\.)(core\.)?(monitor|obs)\b|^[[:space:]]*from[[:space:]]+\.+[[:space:]]+import[[:space:]].*\b(monitor|obs)\b" \
+    src/repro/core/decision.py src/repro/core/bicriteria.py src/repro/core/placement.py || true)
+if [ -n "$stray" ]; then
+    echo "FAIL: a pricing or table layer imports the live monitor or repro.obs (snapshot it into DecisionInputs in AdaptivePolicy.choose instead):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "ok"
+
 # --- Invariant: one pool seam -------------------------------------------------
 # There is one worker pool, the process-wide codec pool that
 # compression/parallel.py builds, and two calls reach it: chunk_map (a codec's

@@ -9,7 +9,6 @@ algorithm, pluggable policies (adaptive vs. fixed baselines), and the
 from .bicriteria import (
     CandidateSpec,
     FrontierPoint,
-    build_frontier,
     codec_for,
     default_candidates,
     evaluate_candidates,
@@ -86,7 +85,6 @@ __all__ = [
     "ReducingSpeedMonitor",
     "RelaySchedule",
     "StreamResult",
-    "build_frontier",
     "calibrate",
     "calibrate_thresholds",
     "choose_placement",

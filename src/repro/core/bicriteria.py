@@ -11,11 +11,10 @@ builds that machinery:
   and a block size;
 * :func:`evaluate_candidates` — model each candidate's
   ``(time, space)`` behaviour from :class:`~repro.netsim.cpu.CodecCostModel`
-  calibration data, steered by live
-  :class:`~repro.core.monitor.ReducingSpeedMonitor` speeds and the 4 KB
+  calibration data, steered by measured reducing speeds and the 4 KB
   sampling probe;
-* :func:`pareto_frontier` / :func:`build_frontier` — prune to the small
-  Pareto-optimal set (no point is both slower and larger than another);
+* :func:`pareto_frontier` — prune to the small Pareto-optimal set (no
+  point is both slower and larger than another);
 * :func:`select_point` — pick the frontier point minimizing modeled
   end-to-end time ``compress + transfer + decompress`` under a
   configurable space budget (``ratio <= budget``); when no point fits
@@ -56,7 +55,6 @@ __all__ = [
     "fastest_compressing_point",
     "sample_ratio",
     "pareto_frontier",
-    "build_frontier",
     "select_point",
     "codec_for",
 ]
@@ -267,17 +265,17 @@ def _base_estimate(
     method: str,
     calibration: Optional[object],
     cpu: Optional[object],
-    monitor: Optional[object],
+    speeds: Mapping[str, float],
 ) -> Optional[Tuple[float, float, float]]:
     """(compress_throughput, decompress_throughput, ratio) or None.
 
     Calibration provides the reference operating point (scaled to the
-    ``cpu``); a live monitor that has *observed* the method overrides
-    the compression speed — that is how CPU load and data drift steer
-    the optimizer between blocks, exactly like the table's reducing
-    speed — via ``throughput = reducing_speed / (1 - ratio)``.  The
-    monitor carries speeds only, so without calibration there is no
-    ratio and the method is not priceable, however often it was observed.
+    ``cpu``); a measured reducing speed for the method overrides the
+    compression speed — that is how CPU load and data drift steer the
+    optimizer between blocks, exactly like the table's reducing speed —
+    via ``throughput = reducing_speed / (1 - ratio)``.  ``speeds`` carry
+    no ratio, so without calibration the method is not priceable,
+    however often it was observed.
     """
     compress = decompress = ratio = None
     if calibration is not None:
@@ -292,13 +290,12 @@ def _base_estimate(
             if cpu is not None:
                 compress = cpu.scale_speed(compress)
                 decompress = cpu.scale_speed(decompress)
-    if monitor is not None:
-        speed = monitor.reducing_speed(method)
-        if ratio is not None and ratio < 1.0 and speed > 0 and math.isfinite(speed):
-            # Monitor speeds are as-measured on this machine: no CPU scaling.
-            compress = speed / max(1.0 - ratio, 1e-6)
-            if decompress is None:
-                decompress = compress
+    speed = speeds.get(method, math.inf)
+    if ratio is not None and ratio < 1.0 and speed > 0 and math.isfinite(speed):
+        # Measured speeds are as-measured on this machine: no CPU scaling.
+        compress = speed / max(1.0 - ratio, 1e-6)
+        if decompress is None:
+            decompress = compress
     if compress is None or decompress is None or ratio is None:
         return None
     return compress, decompress, ratio
@@ -309,25 +306,28 @@ def evaluate_candidates(
     sending_time: float,
     calibration: Optional[object] = None,
     cpu: Optional[object] = None,
-    monitor: Optional[object] = None,
+    speeds: Optional[Mapping[str, float]] = None,
     sample: Optional[object] = None,
     base_block_size: Optional[int] = None,
 ) -> Dict[CandidateSpec, FrontierPoint]:
-    """Model every candidate the available data can price.
+    """Model every candidate the available data can price (a pure function).
 
     ``sending_time`` is the estimated time to send ``base_block_size``
     (default: each candidate's own block size) *uncompressed* — the same
-    estimate the decision table consumes.  Candidates whose method has
-    no calibration data are skipped — monitor observations only steer
-    the speed of a calibrated method; ``none`` is always priceable, so
-    the result is never empty.
+    estimate the decision table consumes.  ``speeds`` are measured
+    reducing speeds (``DecisionInputs.speeds``); a codec missing there
+    reads ``math.inf`` and keeps its calibrated speed.  Candidates whose
+    method has no calibration data are skipped — a measured speed only
+    steers a calibrated method; ``none`` is always priceable, so the
+    result is never empty.
     """
     if sending_time < 0:
         raise ValueError("sending_time must be non-negative")
+    speeds = speeds if speeds is not None else {}
     probe = sample_ratio(sample)
     if not isinstance(probe, (int, float)) or math.isnan(probe) or probe < 0:
         probe = None  # an unusable probe prices like no probe
-    lz_base = _base_estimate("lempel-ziv", calibration, cpu, monitor)
+    lz_base = _base_estimate("lempel-ziv", calibration, cpu, speeds)
     points: Dict[CandidateSpec, FrontierPoint] = {}
     for spec in candidates:
         reference = base_block_size if base_block_size else spec.block_size
@@ -343,7 +343,7 @@ def evaluate_candidates(
                 decompress_seconds=0.0,
             )
             continue
-        base = _base_estimate(spec.method, calibration, cpu, monitor)
+        base = _base_estimate(spec.method, calibration, cpu, speeds)
         if base is None:
             continue
         compress_throughput, decompress_throughput, ratio = base
@@ -400,34 +400,6 @@ def fastest_compressing_point(
         key=lambda p: (p.total_seconds, p.space),
         default=None,
     )
-
-
-def build_frontier(
-    block_size: int,
-    sending_time: float,
-    calibration: Optional[object] = None,
-    cpu: Optional[object] = None,
-    monitor: Optional[object] = None,
-    sample: Optional[object] = None,
-) -> List[FrontierPoint]:
-    """Evaluate the default candidate grid and return its Pareto frontier.
-
-    With no calibration data the frontier degenerates to the single
-    ``none`` point, however many monitor observations arrived — the
-    optimizer refuses to price codecs whose ratio it does not know,
-    mirroring the table's "don't compress" fallback on a dead feedback
-    loop.
-    """
-    points = evaluate_candidates(
-        default_candidates(block_size),
-        sending_time,
-        calibration=calibration,
-        cpu=cpu,
-        monitor=monitor,
-        sample=sample,
-        base_block_size=block_size,
-    )
-    return pareto_frontier(points.values())
 
 
 def select_point(

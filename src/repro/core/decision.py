@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "Rating",
@@ -133,29 +133,41 @@ class DecisionThresholds:
 
 @dataclass(frozen=True)
 class DecisionInputs:
-    """Everything the selector observes for one block."""
+    """Everything the selector observes for one block: its one recorded input.
+
+    ``AdaptivePolicy.choose`` snapshots the monitor into it, and
+    ``AdaptivePolicy.decide`` is a pure function of it.
+    """
 
     #: Size of the block about to be sent, bytes (the paper's 128 KB).
     block_size: int
     #: Estimated time to send the block *uncompressed*, seconds
     #: (from the end-to-end bandwidth estimator).
     sending_time: float
-    #: Measured Lempel-Ziv reducing speed, bytes removed / second
-    #: (``math.inf`` for the first block, per the pseudocode).
-    lz_reducing_speed: float
     #: Compressed/original ratio of the 4 KB Lempel-Ziv sample;
     #: ``None`` when no sample exists yet (first block).
     sampled_ratio: Optional[float] = None
+    #: Measured reducing speed per codec, bytes removed / second; a codec
+    #: missing here was never observed and reads ``math.inf`` (line 1).
+    speeds: Mapping[str, float] = field(default_factory=dict)
+    #: Consecutive decisions without a fresh Lempel-Ziv observation.
+    stale_decisions: int = 0
 
     def __post_init__(self) -> None:
         if self.block_size <= 0:
             raise ValueError("block_size must be positive")
         if self.sending_time < 0:
             raise ValueError("sending_time must be non-negative")
-        if self.lz_reducing_speed < 0:
-            raise ValueError("lz_reducing_speed must be non-negative")
+        if any(speed < 0 for speed in self.speeds.values()):
+            raise ValueError("reducing speeds must be non-negative")
         if self.sampled_ratio is not None and self.sampled_ratio < 0:
             raise ValueError("sampled_ratio must be non-negative")
+        if self.stale_decisions < 0:
+            raise ValueError("stale_decisions must be non-negative")
+
+    @property
+    def lz_reducing_speed(self) -> float:
+        return self.speeds.get("lempel-ziv", math.inf)
 
 
 @dataclass(frozen=True)
@@ -187,6 +199,10 @@ class Decision:
     ``producer_seconds`` are the modeled end-to-end times of the chosen
     and of the always-producer arrangement on the same inputs — the pair
     the CI placement gate holds ≤.
+
+    A run's counts and modeled-seconds totals are sums over its decisions:
+    a bicriteria choice has ``frontier_size > 0``, a placed decision a
+    ``placement_seconds`` that is not NaN.
     """
 
     method: str

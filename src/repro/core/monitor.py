@@ -21,7 +21,7 @@ default each monitor owns a private one.
 from __future__ import annotations
 
 import math
-from typing import Optional, Set
+from typing import Optional
 
 from ..obs.catalogue import CODEC_OBSERVATIONS_TOTAL, REDUCING_SPEED
 from ..obs.metrics import MetricsRegistry
@@ -47,9 +47,6 @@ class ReducingSpeedMonitor:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._speeds = self.registry.family(REDUCING_SPEED)
         self._observations = self.registry.family(CODEC_OBSERVATIONS_TOTAL)
-        # Track which codec labels this monitor wrote, so reset() on a
-        # shared registry only clears its own series.
-        self._codecs: Set[str] = set()
 
     def _fold_speed(self, codec_name: str, speed: float) -> None:
         previous = self._speeds.value(codec=codec_name)
@@ -59,7 +56,6 @@ class ReducingSpeedMonitor:
             updated = previous + self.alpha * (speed - previous)
         self._speeds.set(updated, codec=codec_name)
         self._observations.inc(codec=codec_name)
-        self._codecs.add(codec_name)
 
     def observe_raw(self, codec_name: str, bytes_saved: int, seconds: float) -> None:
         """Fold one timed run: ``bytes_saved`` removed in ``seconds``."""
@@ -86,11 +82,3 @@ class ReducingSpeedMonitor:
         — which is what drives the selector's degraded fallback.
         """
         return int(self._observations.value(codec=codec_name))
-
-    def observed(self, codec_name: str) -> bool:
-        return self._speeds.has(codec=codec_name)
-
-    def reset(self) -> None:
-        for codec_name in self._codecs:
-            self._speeds.remove(codec=codec_name)
-        self._codecs.clear()

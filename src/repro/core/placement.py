@@ -8,10 +8,9 @@ order of magnitude when the wire outruns the codec, because the producer
 never stalls behind its own compressor.  This module prices that choice
 from the same substrate the bicriteria optimizer already uses
 (:class:`~repro.netsim.cpu.CodecCostModel` calibration scaled by a
-:class:`~repro.netsim.cpu.CpuModel`, blended with live
-:class:`~repro.core.monitor.ReducingSpeedMonitor` feedback through
-:func:`~repro.core.bicriteria.evaluate_candidates`), so codec choice and
-placement choice are cross-priced from one candidate set.
+:class:`~repro.netsim.cpu.CpuModel`, blended with measured reducing
+speeds through :func:`~repro.core.bicriteria.evaluate_candidates`), so
+codec choice and placement choice are cross-priced from one candidate set.
 
 Topology: ``producer --upstream link--> relay --downstream link-->
 subscriber``.  Without a relay (``downstream_seconds=None``) the model

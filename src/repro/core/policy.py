@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Dict, Mapping, Optional, Protocol, Tuple
+from functools import lru_cache
+from typing import Mapping, Optional, Protocol, Tuple
 
 from ..compression.base import params_label
 from ..compression.registry import get_codec
@@ -80,6 +81,13 @@ class CompressionPolicy(Protocol):
         ...
 
 
+@lru_cache(maxsize=64)
+def _grid(block_size: int, native: Optional[bool]) -> Tuple[tuple, Tuple[str, ...]]:
+    """One memo of the pure ``default_candidates``, with the codecs it prices."""
+    grid = default_candidates(block_size, native=native)
+    return grid, tuple(dict.fromkeys(spec.method for spec in grid if spec.method != "none"))
+
+
 def _frontier_decision(
     points: Mapping[CandidateSpec, FrontierPoint],
     table: Decision,
@@ -131,10 +139,14 @@ def _placed_decision(
 class AdaptivePolicy:
     """The adaptive selector: candidates → price → constrain → choose.
 
-    Each argument is read by one stage of :meth:`choose`.
+    :meth:`choose` snapshots the monitor into one
+    :class:`~repro.core.decision.DecisionInputs`, calls the pure
+    :meth:`decide` and records; it keeps no running totals (see
+    :class:`~repro.core.decision.Decision`).  Each argument is read by one
+    stage of :meth:`decide`.
 
     *candidates* — :func:`~repro.core.bicriteria.default_candidates` at
-    each block's size, cached per size:
+    each block's size, memoized per size:
 
     * ``native`` — forwarded to ``default_candidates``: ``None``
       auto-includes the zstd/lz4 tier when its bindings registered,
@@ -150,8 +162,8 @@ class AdaptivePolicy:
     * ``cost_model`` / ``cpu`` — the calibration substrate
       (:class:`~repro.netsim.cpu.CodecCostModel` scaled by a
       :class:`~repro.netsim.cpu.CpuModel`).  Without it nothing but
-      ``none`` is priceable, however many monitor observations arrive:
-      the monitor steers a calibrated method's speed, it carries no ratio.
+      ``none`` is priceable, however many speeds were measured: a
+      measured speed steers a calibrated method, it carries no ratio.
     * ``interference`` — producer-side surcharge on compression time for
       competing with the producer's real work (DTSchedule measures
       ~15 %; a relay compresses unloaded).
@@ -162,10 +174,11 @@ class AdaptivePolicy:
     *constrain*:
 
     * ``staleness_horizon`` — after more than this many consecutive
-      decisions without a fresh lempel-ziv observation the feedback loop
-      is considered broken: the selector falls back to ``none`` at the
-      producer (``degraded=True``, ``repro_selector_degraded_total``
-      and ``repro_placement_degraded_total`` on the monitor's registry) until
+      decisions without a fresh lempel-ziv observation
+      (``DecisionInputs.stale_decisions``) the feedback loop is
+      considered broken: the selector falls back to ``none`` at the
+      producer (``degraded=True``, ``repro_selector_degraded_total`` and
+      ``repro_placement_degraded_total`` on the monitor's registry) until
       observations resume.  ``None`` (default) keeps the paper's
       always-optimistic behaviour.
     * ``space_budget`` — modeled compressed/original ratio cap of the
@@ -183,14 +196,8 @@ class AdaptivePolicy:
       point, keeping the decision as it is when nothing compressing can
       be priced.
 
-    Bicriteria decisions land in the monitor's registry as
-    ``repro_bicriteria_*`` and placements as ``repro_placement_*``.  The
-    running totals ``modeled_seconds_total`` /
-    ``table_modeled_seconds_total`` and
-    ``placement_modeled_seconds_total`` /
-    ``producer_placement_seconds_total`` compare the choices against the
-    table and against always-producer on the same observed inputs — the
-    pairs the CI gates hold ≤.
+    The record step writes bicriteria choices to the monitor's registry
+    as ``repro_bicriteria_*`` and placements as ``repro_placement_*``.
     """
 
     def __init__(
@@ -235,40 +242,21 @@ class AdaptivePolicy:
         self.placement = placement
         self.interference = interference
         self.downstream_factor = downstream_factor
-        self.degraded_decisions = 0
-        self.budget_violations = 0
-        self.choices = 0
-        #: Accumulated modeled end-to-end seconds of the chosen points and
-        #: of the table's counterpart choices on the same inputs.
-        self.modeled_seconds_total = 0.0
-        self.table_modeled_seconds_total = 0.0
-        #: Placement decisions by arrangement, and the accumulated modeled
-        #: seconds of the chosen vs. always-producer arrangements on the
-        #: same inputs (empty/zero under ``placement="producer"``).
-        self.placement_counts: Dict[str, int] = {}
-        self.placement_modeled_seconds_total = 0.0
-        self.producer_placement_seconds_total = 0.0
+        #: The table/producer preset prices nothing: it reads the LZ speed only.
+        self._prices = policy == "bicriteria" or placement != "producer"
         self._last_observations: Optional[int] = None
         self._stale_decisions = 0
-        self._grids: Dict[int, Tuple[CandidateSpec, ...]] = {}
 
-    def _feedback_is_stale(self, monitor: ReducingSpeedMonitor) -> bool:
+    def _stale_count(self, monitor: ReducingSpeedMonitor) -> int:
         if self.staleness_horizon is None:
-            return False
+            return 0
         observed = monitor.observations("lempel-ziv")
         if self._last_observations is not None and observed == self._last_observations:
             self._stale_decisions += 1
         else:
             self._stale_decisions = 0
         self._last_observations = observed
-        return self._stale_decisions > self.staleness_horizon
-
-    def _grid(self, block_size: int) -> Tuple[CandidateSpec, ...]:
-        grid = self._grids.get(block_size)
-        if grid is None:
-            grid = default_candidates(block_size, native=self.native)
-            self._grids[block_size] = grid
-        return grid
+        return self._stale_decisions
 
     def choose(
         self,
@@ -277,82 +265,73 @@ class AdaptivePolicy:
         monitor: ReducingSpeedMonitor,
         sample: Optional[BlockStats],
     ) -> Decision:
-        registry = monitor.registry
+        """Snapshot ``monitor`` into :class:`DecisionInputs`, decide, record."""
+        codecs = _grid(block_size, self.native)[1] if self._prices else ("lempel-ziv",)
+        inputs = DecisionInputs(
+            block_size=block_size,
+            sending_time=sending_time,
+            sampled_ratio=sample_ratio(sample),
+            speeds={codec: monitor.reducing_speed(codec) for codec in codecs},
+            stale_decisions=self._stale_count(monitor),
+        )
+        choice, decision = self._decide(inputs)
+        self._record(monitor.registry, choice, decision)
+        return decision
+
+    def decide(self, inputs: DecisionInputs) -> Decision:
+        """The decision for ``inputs``: no monitor, clock or registry, ``self`` untouched."""
+        return self._decide(inputs)[1]
+
+    def _decide(self, inputs: DecisionInputs) -> Tuple[Decision, Decision]:
+        """(the chooser's decision, the same decision placed)."""
         # constrain: a dead feedback loop poisons every price below.
-        if self._feedback_is_stale(monitor):
-            self.degraded_decisions += 1
-            registry.family(SELECTOR_DEGRADED_TOTAL).inc()
-            if self.placement != "producer":
-                # The break-even numbers are no more trustworthy than the
-                # thresholds: scheduling degrades to the paper's
-                # producer-side arrangement alongside the method fallback.
-                registry.family(PLACEMENT_DEGRADED_TOTAL).inc()
-            return Decision(
+        if self.staleness_horizon is not None and inputs.stale_decisions > self.staleness_horizon:
+            degraded = Decision(
                 method="none",
                 lz_reduce_time=math.nan,
-                sending_time=sending_time,
+                sending_time=inputs.sending_time,
                 effective_ratio=1.0,
                 degraded=True,
             )
-        table = select_method(
-            DecisionInputs(
-                block_size=block_size,
-                sending_time=sending_time,
-                lz_reducing_speed=monitor.reducing_speed("lempel-ziv"),
-                sampled_ratio=sample_ratio(sample),
-            ),
-            self.thresholds,
-        )
+            return degraded, degraded
+        table = select_method(inputs, self.thresholds)
         # candidates -> price: one pass, shared by every stage below; the
         # table/producer preset is the paper's pseudocode and prices nothing.
         points = (
             evaluate_candidates(
-                self._grid(block_size),
-                sending_time,
+                _grid(inputs.block_size, self.native)[0],
+                inputs.sending_time,
                 calibration=self.cost_model,
                 cpu=self.cpu,
-                monitor=monitor,
-                sample=sample,
-                base_block_size=block_size,
+                speeds=inputs.speeds,
+                sample=inputs.sampled_ratio,
+                base_block_size=inputs.block_size,
             )
-            if self.policy == "bicriteria" or self.placement != "producer"
+            if self._prices
             else {}
         )
         if self.policy == "bicriteria":
             # constrain (space budget) + choose (argmin over the frontier).
-            decision = _frontier_decision(points, table, self.space_budget, block_size)
-            self.choices += 1
-            self.budget_violations += decision.budget_violated
-            self.modeled_seconds_total += decision.modeled_seconds
-            if not math.isnan(decision.table_modeled_seconds):
-                self.table_modeled_seconds_total += decision.table_modeled_seconds
-            record_choice(
-                registry,
-                frontier_size=decision.frontier_size,
-                method=decision.method,
-                params=params_label(decision.params),
-                modeled_seconds=decision.modeled_seconds,
-                budget_violated=decision.budget_violated,
-            )
+            choice = _frontier_decision(points, table, self.space_budget, inputs.block_size)
         else:
             # choose (table preset): §2.5 verbatim is the chooser.
-            decision = table
+            choice = table
         if self.placement == "producer":
-            return decision
+            return choice, choice
 
         # choose (placement): where the chosen compression runs, if anywhere.
         point = None
-        if decision.compresses:
+        if choice.compresses:
             point = points.get(
-                CandidateSpec(decision.method, decision.params, block_size)
+                CandidateSpec(choice.method, choice.params, inputs.block_size)
             )
         if point is None:
             point = fastest_compressing_point(points.values())
         costs = evaluate_placements(
             point,
-            sending_time,
+            inputs.sending_time,
             downstream_seconds=(
-                sending_time * self.downstream_factor
+                inputs.sending_time * self.downstream_factor
                 if self.downstream_factor is not None
                 else None
             ),
@@ -367,22 +346,39 @@ class AdaptivePolicy:
         else:
             chosen = choose_placement(costs) if point is not None else None
         if chosen is None:
-            return decision
+            return choice, choice
         producer = costs.get("producer", costs["raw"])
-        self.placement_counts[chosen.placement] = (
-            self.placement_counts.get(chosen.placement, 0) + 1
-        )
-        self.placement_modeled_seconds_total += chosen.total_seconds
-        self.producer_placement_seconds_total += producer.total_seconds
-        record_placement(
-            registry,
-            placement=chosen.placement,
-            method=chosen.method,
-            params=params_label(chosen.params),
-            modeled_seconds=chosen.total_seconds,
-            producer_seconds=producer.total_seconds,
-        )
-        return _placed_decision(decision, chosen, producer)
+        return choice, _placed_decision(choice, chosen, producer)
+
+    def _record(self, registry, choice: Decision, decision: Decision) -> None:
+        """The one registry write; ``choice`` is what the chooser picked before placement."""
+        if decision.degraded:
+            registry.family(SELECTOR_DEGRADED_TOTAL).inc()
+            if self.placement != "producer":
+                # The break-even numbers are no more trustworthy than the
+                # thresholds: scheduling degrades to the paper's
+                # producer-side arrangement alongside the method fallback.
+                registry.family(PLACEMENT_DEGRADED_TOTAL).inc()
+            return
+        if self.policy == "bicriteria":
+            record_choice(
+                registry,
+                frontier_size=choice.frontier_size,
+                method=choice.method,
+                params=params_label(choice.params),
+                modeled_seconds=choice.modeled_seconds,
+                budget_violated=choice.budget_violated,
+            )
+        if not math.isnan(decision.placement_seconds):
+            at_producer = decision.placement == "producer"
+            record_placement(
+                registry,
+                placement=decision.placement,
+                method=decision.method if at_producer else decision.relay_method,
+                params=params_label(decision.params if at_producer else decision.relay_params),
+                modeled_seconds=decision.placement_seconds,
+                producer_seconds=decision.producer_seconds,
+            )
 
 
 class FixedPolicy:

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..compression.registry import PAPER_METHODS
-from ..core.decision import DecisionInputs, DecisionThresholds, select_method
+from ..core.decision import DecisionThresholds
 from ..core.monitor import ReducingSpeedMonitor
+from ..core.policy import AdaptivePolicy
 from ..core.sampler import LzSampler
 from ..netsim.bandwidth import EwmaBandwidthEstimator
 from ..netsim.clock import Clock, VirtualClock
@@ -128,7 +129,8 @@ class AdaptiveSubscriber:
     """Consumer-side adaptive controller (paper §3.2).
 
     Subscribes to the derived channel of its current method, measures
-    every delivery end to end, and re-runs the selection algorithm; when
+    every delivery end to end, and re-runs the selection algorithm (the
+    table preset of :class:`~repro.core.policy.AdaptivePolicy`); when
     the decision changes it re-subscribes to a different derived channel
     and announces the change through the shared quality attributes.
     """
@@ -148,7 +150,7 @@ class AdaptiveSubscriber:
         self.system = system
         self.source = source
         self.bridge = bridge
-        self.thresholds = thresholds
+        self.policy = AdaptivePolicy(thresholds)
         self.consumer_id = consumer_id
         self.methods = list(methods) if methods is not None else list(PAPER_METHODS)
         self.monitor = ReducingSpeedMonitor()
@@ -243,12 +245,8 @@ class AdaptiveSubscriber:
         bandwidth = self.estimator.estimate
         if bandwidth is None or bandwidth <= 0 or block_size <= 0:
             return
-        inputs = DecisionInputs(
-            block_size=block_size,
-            sending_time=block_size / bandwidth,
-            lz_reducing_speed=self.monitor.reducing_speed("lempel-ziv"),
-            sampled_ratio=sampled_ratio,
+        decision = self.policy.choose(
+            block_size, block_size / bandwidth, self.monitor, sampled_ratio
         )
-        decision = select_method(inputs, self.thresholds)
         if decision.method in self.methods:
             self._switch_to(decision.method)

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import replace
+from functools import reduce
+from math import isnan
+from operator import add
 from typing import Dict, Iterable, Tuple
 
 from ...compression.framing import encode_frame, encode_frame_parts, parse_frame
@@ -29,7 +32,6 @@ from ...core.bicriteria import (
 )
 from ...core.decision import DecisionInputs, DecisionThresholds, select_method
 from ...core.engine import BlockEngine, CodecExecutor, timed
-from ...core.monitor import ReducingSpeedMonitor
 from ...core.workers import PipelinedBlockEngine, simulate_pipeline
 from ...data.logs import LogDataGenerator
 from ...data.timeseries import TimeSeriesGenerator
@@ -40,7 +42,7 @@ from ...experiments.placement import (
     UPSTREAM_LINK,
     placement_breakdown,
 )
-from ...experiments.replay import commercial_blocks, make_policy, run_replay
+from ...experiments.replay import commercial_blocks, run_replay
 from ...fabric.loadgen import FanoutConfig, run_fanout
 from ...netsim.cpu import DEFAULT_COSTS, SUN_FIRE
 from ...netsim.faults import FaultPlan, FaultRule
@@ -141,8 +143,8 @@ def _table_method(sending_time: float, lz_speed: float, ratio) -> str:
         DecisionInputs(
             block_size=BLOCK_SIZE,
             sending_time=sending_time,
-            lz_reducing_speed=lz_speed,
             sampled_ratio=ratio,
+            speeds={"lempel-ziv": lz_speed},
         ),
         DecisionThresholds(),
     ).method
@@ -382,14 +384,12 @@ def bicriteria_model_grid(ctx: GateContext) -> None:
         sending_time = BLOCK_SIZE / PAPER_LINKS[link_name].throughput
         for lz_speed in LZ_SPEEDS:
             for ratio in SAMPLED_RATIOS:
-                monitor = ReducingSpeedMonitor()
-                monitor.observe_speed("lempel-ziv", lz_speed)
                 points = evaluate_candidates(
                     default_candidates(BLOCK_SIZE),
                     sending_time,
                     calibration=DEFAULT_COSTS,
                     cpu=SUN_FIRE,
-                    monitor=monitor,
+                    speeds={"lempel-ziv": lz_speed},
                     sample=ratio,
                     base_block_size=BLOCK_SIZE,
                 )
@@ -431,9 +431,9 @@ def bicriteria_replays(ctx: GateContext) -> None:
     """Bicriteria, paired replays + the tight-budget run.
 
     * **Paired replays** — per link class, the same commercial blocks run
-      under both policies; the bicriteria policy's accumulated modeled
-      time must be <= its table counterpart evaluated on identical
-      monitor state, and every wire payload must be byte-identical to a
+      under both policies; the bicriteria decisions' summed modeled
+      time must be <= their table counterparts' on identical monitor
+      state, and every wire payload must be byte-identical to a
       direct run of the chosen (codec, params) — the optimizer may only
       rank with models, never alter bytes.
     * **Budget run** — the tight-budget replay on the slow link must
@@ -449,12 +449,18 @@ def bicriteria_replays(ctx: GateContext) -> None:
     for link_name in LINK_CLASSES:
         table_result = run_replay(blocks, replace(BICRITERIA_REPLAY, link=link_name))
         config = replace(BICRITERIA_REPLAY, link=link_name, policy="bicriteria")
-        policy = make_policy(config)
-        result = run_replay(blocks, config, policy=policy)
-        if policy.modeled_seconds_total > policy.table_modeled_seconds_total + 1e-9:
+        result = run_replay(blocks, config)
+        # Left-to-right float sums in decision order (``sum`` rounds
+        # differently from Python 3.12 on), so the totals are exact.
+        chosen = [r.decision for r in result.records if r.decision.frontier_size > 0]
+        modeled = reduce(add, (d.modeled_seconds for d in chosen), 0.0)
+        table_modeled = reduce(
+            add, (d.table_modeled_seconds for d in chosen if not isnan(d.table_modeled_seconds)), 0.0
+        )
+        if modeled > table_modeled + 1e-9:
             ctx.fail(
-                f"bicriteria modeled time {policy.modeled_seconds_total:g}s "
-                f"exceeds the table's {policy.table_modeled_seconds_total:g}s "
+                f"bicriteria modeled time {modeled:g}s "
+                f"exceeds the table's {table_modeled:g}s "
                 f"on {link_name}"
             )
         for block, record in zip(blocks, result.records):
@@ -471,7 +477,7 @@ def bicriteria_replays(ctx: GateContext) -> None:
             ctx.record(f"{prefix}.{name}", value, unit="seconds", better="lower", tolerance=0.10)
         ctx.record(
             f"{prefix}.modeled_advantage_seconds",
-            policy.table_modeled_seconds_total - policy.modeled_seconds_total,
+            table_modeled - modeled,
             unit="seconds", better="higher", tolerance=0.10,
         )
         ctx.exact(
@@ -485,14 +491,14 @@ def bicriteria_replays(ctx: GateContext) -> None:
     config = replace(
         BICRITERIA_REPLAY, link="1mbit", policy="bicriteria", space_budget=BICRITERIA_BUDGET
     )
-    policy = make_policy(config)
-    result = run_replay(blocks, config, policy=policy)
-    if policy.budget_violations:
+    result = run_replay(blocks, config)
+    violations = sum(r.decision.budget_violated for r in result.records)
+    if violations:
         ctx.fail(
-            f"{policy.budget_violations} violations of space budget "
+            f"{violations} violations of space budget "
             f"{BICRITERIA_BUDGET} on the 1mbit replay"
         )
-    ctx.exact("bicriteria.budget.violations", policy.budget_violations, "decisions")
+    ctx.exact("bicriteria.budget.violations", violations, "decisions")
     ctx.exact(
         "bicriteria.budget.choices_crc32",
         _crc(f"{r.method}{r.params}" for r in result.records), "crc32",

@@ -9,7 +9,6 @@ from repro.compression.lz77 import Lz77Codec
 from repro.core.bicriteria import (
     CandidateSpec,
     FrontierPoint,
-    build_frontier,
     codec_for,
     default_candidates,
     evaluate_candidates,
@@ -28,20 +27,22 @@ from repro.obs.catalogue import (
     BUDGET_VIOLATIONS_TOTAL,
     CHOICES_TOTAL,
     FRONTIER_SIZE_GAUGE,
+    SELECTOR_DEGRADED_TOTAL,
 )
 
 BLOCK = 128 * 1024
 
 
-def frontier(sending_time=0.5, sample=None, monitor=None):
-    return build_frontier(
-        BLOCK,
+def frontier(sending_time=0.5, sample=None, calibration=DEFAULT_COSTS, cpu=SUN_FIRE):
+    points = evaluate_candidates(
+        default_candidates(BLOCK),
         sending_time,
-        calibration=DEFAULT_COSTS,
-        cpu=SUN_FIRE,
-        monitor=monitor,
+        calibration=calibration,
+        cpu=cpu,
         sample=sample,
+        base_block_size=BLOCK,
     )
+    return pareto_frontier(points.values())
 
 
 class TestFrontier:
@@ -77,7 +78,7 @@ class TestFrontier:
         assert spaces == sorted(spaces, reverse=True)
 
     def test_empty_calibration_degenerates_to_none(self):
-        result = build_frontier(BLOCK, 0.5, calibration=CodecCostModel({}))
+        result = frontier(0.5, calibration=CodecCostModel({}), cpu=None)
         assert [p.method for p in result] == ["none"]
 
     def test_param_variant_trades_time_for_space(self):
@@ -93,17 +94,20 @@ class TestFrontier:
         assert fast.ratio > default.ratio
 
     def test_monitor_speed_steers_compress_time(self):
-        slow, fast = ReducingSpeedMonitor(), ReducingSpeedMonitor()
-        slow.observe_speed("lempel-ziv", 1e5)
-        fast.observe_speed("lempel-ziv", 1e7)
         spec = CandidateSpec(method="lempel-ziv", block_size=BLOCK)
         slow_point = evaluate_candidates(
-            [spec], 0.5, calibration=DEFAULT_COSTS, monitor=slow
+            [spec], 0.5, calibration=DEFAULT_COSTS, speeds={"lempel-ziv": 1e5}
         )[spec]
         fast_point = evaluate_candidates(
-            [spec], 0.5, calibration=DEFAULT_COSTS, monitor=fast
+            [spec], 0.5, calibration=DEFAULT_COSTS, speeds={"lempel-ziv": 1e7}
         )[spec]
+        unobserved = evaluate_candidates([spec], 0.5, calibration=DEFAULT_COSTS)[spec]
         assert fast_point.compress_seconds < slow_point.compress_seconds
+        # A codec missing from ``speeds`` prices at its calibrated speed.
+        infinite = evaluate_candidates(
+            [spec], 0.5, calibration=DEFAULT_COSTS, speeds={"lempel-ziv": math.inf}
+        )[spec]
+        assert infinite == unobserved
 
 
 class TestSelectPoint:
@@ -179,18 +183,16 @@ class TestAdaptivePolicyBicriteria:
         policy = self.make()
         for sending_time in (0.01, 0.1, 0.5, 2.0, 10.0):
             decision, _ = self.choose_once(policy, sending_time=sending_time)
+            assert decision.frontier_size > 0  # a bicriteria choice
             assert (
                 decision.modeled_seconds
                 <= decision.table_modeled_seconds + 1e-9
             )
-        assert policy.modeled_seconds_total <= policy.table_modeled_seconds_total + 1e-9
-        assert policy.choices == 5
 
     def test_metrics_land_in_monitor_registry(self):
         policy = self.make(space_budget=1e-6)
         decision, monitor = self.choose_once(policy, sample=0.3)
         assert decision.budget_violated
-        assert policy.budget_violations == 1
         registry = monitor.registry
         assert registry.family(FRONTIER_SIZE_GAUGE).value() == decision.frontier_size
         assert registry.family(BUDGET_VIOLATIONS_TOTAL).value() == 1
@@ -217,7 +219,7 @@ class TestAdaptivePolicyBicriteria:
             DecisionInputs(
                 block_size=BLOCK,
                 sending_time=0.5,
-                lz_reducing_speed=0.0,
+                speeds={"lempel-ziv": 0.0},
                 sampled_ratio=None,
             )
         )
@@ -232,7 +234,7 @@ class TestAdaptivePolicyBicriteria:
         assert any(d.degraded for d in decisions)
         degraded = [d for d in decisions if d.degraded]
         assert all(d.method == "none" for d in degraded)
-        assert policy.degraded_decisions == len(degraded)
+        assert monitor.registry.family(SELECTOR_DEGRADED_TOTAL).value() == len(degraded)
 
     def test_table_mode_ignores_bicriteria_fields(self):
         policy = AdaptivePolicy()

@@ -23,8 +23,8 @@ def decide(sending_time, lz_speed, ratio, thresholds=DecisionThresholds()):
         DecisionInputs(
             block_size=BLOCK,
             sending_time=sending_time,
-            lz_reducing_speed=lz_speed,
             sampled_ratio=ratio,
+            speeds={"lempel-ziv": lz_speed},
         ),
         thresholds,
     )
@@ -139,13 +139,17 @@ class TestSelectMethod:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            DecisionInputs(block_size=0, sending_time=1, lz_reducing_speed=1)
+            DecisionInputs(block_size=0, sending_time=1)
         with pytest.raises(ValueError):
-            DecisionInputs(block_size=1, sending_time=-1, lz_reducing_speed=1)
+            DecisionInputs(block_size=1, sending_time=-1)
         with pytest.raises(ValueError):
-            DecisionInputs(block_size=1, sending_time=1, lz_reducing_speed=-1)
+            DecisionInputs(block_size=1, sending_time=1, speeds={"lempel-ziv": -1})
         with pytest.raises(ValueError):
-            DecisionInputs(block_size=1, sending_time=1, lz_reducing_speed=1, sampled_ratio=-0.1)
+            DecisionInputs(block_size=1, sending_time=1, sampled_ratio=-0.1)
+        with pytest.raises(ValueError):
+            DecisionInputs(block_size=1, sending_time=1, stale_decisions=-1)
+        # An unobserved codec reads infinity (pseudocode line 1).
+        assert math.isinf(DecisionInputs(block_size=1, sending_time=1).lz_reducing_speed)
 
     @given(
         st.floats(min_value=0.0, max_value=100.0),

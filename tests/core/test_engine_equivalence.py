@@ -10,10 +10,12 @@ drift means the refactor changed behaviour, not just structure.
 
 The ``decisions`` key pins the selector itself, for every dialect: a
 seeded scripted trace drives :meth:`AdaptivePolicy.choose` directly (no
-codec runs) and every :class:`Decision` field, the policy's running
-totals and a CRC of the selector-side metrics must reproduce the values
-captured before ``core/policy.py`` became one candidates → price →
-constrain → choose pipeline (``_capture_decisions()`` at that commit).
+codec runs) and every :class:`Decision` field, the run's totals and a CRC
+of the selector-side metrics must reproduce the values captured before
+``core/policy.py`` became one candidates → price → constrain → choose
+pipeline (``_capture_decisions()`` at that commit).  The totals were the
+policy's running counters then; the policy keeps none now, so they are
+recomputed here from the returned decisions, in decision order.
 Between them the presets pass every ``AdaptivePolicy`` argument, which
 :func:`test_presets_exercise_every_policy_argument` asserts.
 """
@@ -24,6 +26,9 @@ import json
 import math
 import random
 import zlib
+from collections import Counter
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -103,11 +108,34 @@ DECISION_PRESETS = {
 DECISION_STEPS = 200
 
 _FIELDS = [f.name for f in dataclasses.fields(Decision)]
-_TOTALS = (
-    "choices", "budget_violations", "degraded_decisions",
-    "modeled_seconds_total", "table_modeled_seconds_total",
-    "placement_modeled_seconds_total", "producer_placement_seconds_total",
-)
+
+
+def _running_total(values):
+    """Left-to-right float adds, as a running counter makes them (``sum``
+    rounds differently from Python 3.12 on)."""
+    return reduce(add, values, 0.0)
+
+
+def _totals(decisions):
+    """The seven run totals the golden file pins, from the decisions alone."""
+    chosen = [d for d in decisions if d.frontier_size > 0]
+    placed = [d for d in decisions if not math.isnan(d.placement_seconds)]
+    return {
+        "choices": len(chosen),
+        "budget_violations": sum(d.budget_violated for d in decisions),
+        "degraded_decisions": sum(d.degraded for d in decisions),
+        "modeled_seconds_total": _running_total(d.modeled_seconds for d in chosen),
+        "table_modeled_seconds_total": _running_total(
+            d.table_modeled_seconds for d in chosen
+            if not math.isnan(d.table_modeled_seconds)
+        ),
+        "placement_modeled_seconds_total": _running_total(
+            d.placement_seconds for d in placed
+        ),
+        "producer_placement_seconds_total": _running_total(
+            d.producer_seconds for d in placed
+        ),
+    }
 
 
 def _pin(value):
@@ -122,7 +150,7 @@ def _decision_trace(preset):
     rng = random.Random(zlib.crc32(preset.encode()))
     policy = AdaptivePolicy(**DECISION_PRESETS[preset])
     monitor = ReducingSpeedMonitor()
-    rows = []
+    decisions = []
     for step in range(DECISION_STEPS):
         block_size = rng.choice((128 * 1024, 128 * 1024, 64 * 1024, 4096))
         sending_time = 10.0 ** rng.uniform(-4.5, 0.5)
@@ -142,13 +170,16 @@ def _decision_trace(preset):
         else:
             compressed = rng.randrange(200, 4300)
             sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, compressed, 0.001)
-        decision = policy.choose(block_size, sending_time, monitor, sample)
-        rows.append("|".join(_pin(getattr(decision, name)) for name in _FIELDS))
+        decisions.append(policy.choose(block_size, sending_time, monitor, sample))
+    placed = Counter(d.placement for d in decisions if not math.isnan(d.placement_seconds))
     return {
         "fields": _FIELDS,
-        "rows": rows,
-        "totals": {name: _pin(getattr(policy, name)) for name in _TOTALS},
-        "placement_counts": dict(sorted(policy.placement_counts.items())),
+        "rows": [
+            "|".join(_pin(getattr(decision, name)) for name in _FIELDS)
+            for decision in decisions
+        ],
+        "totals": {name: _pin(value) for name, value in _totals(decisions).items()},
+        "placement_counts": dict(sorted(placed.items())),
         "metrics_crc32": zlib.crc32(monitor.registry.to_json().encode()),
     }
 

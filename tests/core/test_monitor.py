@@ -12,13 +12,11 @@ class TestReducingSpeedMonitor:
         """'Assume the reducing size speed of first block is infinity.'"""
         monitor = ReducingSpeedMonitor()
         assert math.isinf(monitor.reducing_speed("lempel-ziv"))
-        assert not monitor.observed("lempel-ziv")
 
     def test_first_observation_replaces_infinity(self):
         monitor = ReducingSpeedMonitor()
         monitor.observe_raw("lz", 600, 0.1)
         assert monitor.reducing_speed("lz") == pytest.approx(6000.0)
-        assert monitor.observed("lz")
 
     def test_ewma_smoothing(self):
         monitor = ReducingSpeedMonitor(alpha=0.5)
@@ -68,12 +66,6 @@ class TestReducingSpeedMonitor:
         for _ in range(4):
             monitor.observe_raw("lz", 500, 1.0)
         assert monitor.reducing_speed("lz") < 600
-
-    def test_reset(self):
-        monitor = ReducingSpeedMonitor()
-        monitor.observe_raw("lz", 50, 0.1)
-        monitor.reset()
-        assert math.isinf(monitor.reducing_speed("lz"))
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,23 @@
 """Unit tests for compression policies."""
 
 import math
+import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.compression.base import CodecError
 from repro.core import policy as policy_module
-from repro.core.bicriteria import evaluate_candidates
+from repro.core.bicriteria import evaluate_candidates, sample_ratio
+from repro.core.decision import DecisionInputs
 from repro.core.engine import BlockStats
 from repro.core.monitor import ReducingSpeedMonitor
 from repro.core.policy import AdaptivePolicy, FixedPolicy
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
+from repro.obs.metrics import get_registry
+from tests.core.test_engine_equivalence import DECISION_PRESETS
+from tests.strategies import examples
 
 
 class TestFixedPolicy:
@@ -80,7 +87,6 @@ class TestStalenessDegradation:
         assert [d.degraded for d in decisions] == [False] * 4 + [True] * 2
         assert decisions[-1].method == "none"
         assert not decisions[-1].compresses
-        assert policy.degraded_decisions == 2
 
     def test_fresh_observation_clears_degradation(self):
         policy = AdaptivePolicy(staleness_horizon=1)
@@ -149,3 +155,74 @@ class TestPriceOnce:
             calls.clear()
             policy.choose(128 * 1024, sending_time, monitor, sample)
             assert len(calls) == expected
+
+
+# -- decide: a pure function of one DecisionInputs ---------------------------------
+
+_CODECS = ("lempel-ziv", "huffman", "burrows-wheeler")
+_SIZES = (4096, 64 * 1024, 128 * 1024)
+
+_speed = st.one_of(st.just(0.0), st.floats(1e3, 1e8))
+_inputs = st.builds(
+    DecisionInputs,
+    block_size=st.sampled_from(_SIZES),
+    sending_time=st.floats(1e-5, 5.0),
+    sampled_ratio=st.one_of(st.none(), st.floats(0.0, 1.2)),
+    speeds=st.dictionaries(st.sampled_from(_CODECS), _speed),
+    stale_decisions=st.integers(0, 6),
+)
+#: One choose call: (block size, sending time, observed codecs, sample).
+_step = st.tuples(
+    st.sampled_from(_SIZES),
+    st.floats(1e-5, 5.0),
+    st.lists(st.sampled_from(_CODECS), max_size=3),
+    st.one_of(st.none(), st.floats(0.0, 1.1)),
+)
+
+
+def _decided(policy, inputs):
+    """``repr`` of each decision: exact floats, and NaN equal to NaN."""
+    return [repr(policy.decide(one)) for one in inputs]
+
+
+class TestDecideIsPure:
+    @pytest.mark.parametrize("preset", sorted(DECISION_PRESETS))
+    @given(inputs=st.lists(_inputs, min_size=1, max_size=4), history=st.lists(_step, max_size=8))
+    @examples(25)
+    def test_equal_inputs_give_equal_decisions(self, preset, inputs, history):
+        """Whatever came before and in whatever order, equal inputs decide equally."""
+        fresh = AdaptivePolicy(**DECISION_PRESETS[preset])
+        seasoned = AdaptivePolicy(**DECISION_PRESETS[preset])
+        monitor = ReducingSpeedMonitor()
+        for block_size, sending_time, observed, sample in history:
+            for codec in observed:
+                monitor.observe_raw(codec, block_size // 3, sending_time / 7 + 1e-4)
+            seasoned.choose(block_size, sending_time, monitor, sample)
+
+        state = pickle.dumps(vars(seasoned))
+        registry = monitor.registry.to_json()
+        process_registry = get_registry().to_json()
+        expected = _decided(fresh, inputs)
+        assert _decided(seasoned, inputs) == expected
+        assert _decided(fresh, inputs[::-1]) == expected[::-1]
+        assert pickle.dumps(vars(seasoned)) == state
+        assert monitor.registry.to_json() == registry
+        assert get_registry().to_json() == process_registry
+
+    @pytest.mark.parametrize("preset", sorted(DECISION_PRESETS))
+    def test_choose_is_decide_of_the_monitor_snapshot(self, preset):
+        monitor = ReducingSpeedMonitor()
+        monitor.observe_raw("lempel-ziv", 60_000, 0.05)
+        monitor.observe_raw("huffman", 40_000, 0.01)
+        sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1400, 0.001)
+        for sending_time in (1e-4, 0.01, 0.1, 0.5, 5.0):
+            inputs = DecisionInputs(
+                block_size=128 * 1024,
+                sending_time=sending_time,
+                sampled_ratio=sample_ratio(sample),
+                speeds={codec: monitor.reducing_speed(codec) for codec in _CODECS},
+            )
+            chosen = AdaptivePolicy(**DECISION_PRESETS[preset]).choose(
+                128 * 1024, sending_time, monitor, sample
+            )
+            assert repr(chosen) == repr(AdaptivePolicy(**DECISION_PRESETS[preset]).decide(inputs))

@@ -254,9 +254,8 @@ def drive_stale_policy(registry: MetricsRegistry) -> None:
     monitor = ReducingSpeedMonitor(registry=registry)
     monitor.observe_raw("lempel-ziv", 98_000, 0.07)
     policy = AdaptivePolicy(staleness_horizon=1, placement="auto")
-    for _ in range(3):
-        policy.choose(128 * 1024, 0.5, monitor, None)
-    assert policy.degraded_decisions == 1
+    decisions = [policy.choose(128 * 1024, 0.5, monitor, None) for _ in range(3)]
+    assert sum(d.degraded for d in decisions) == 1
 
 
 def drive_tcp(registry: MetricsRegistry) -> None:
