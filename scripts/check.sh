@@ -5,7 +5,8 @@
 #   1. invariant greps   — clock reads, struct framing, stray print(),
 #                          metric names outside the catalogue, retry
 #                          loops outside RetryPolicy.attempts(), worker
-#                          pools outside compression/parallel.py, DESIGN.md
+#                          pools outside compression/parallel.py, mallopt
+#                          outside compression/heap.py, DESIGN.md
 #                          inventory rows naming modules that do not exist
 #   2. ruff lint         — style/import hygiene (skipped if not installed)
 #   3. tier-1 tests      — the full pytest suite under the default
@@ -199,6 +200,25 @@ fi
 echo "ok; chunk_map and submit call sites:"
 grep -rnE "(chunk_map|[^_.a-z]submit)\(" src/repro --include="*.py" \
     | grep -vE "def (chunk_map|submit)\(" | sed 's/^/    /' || true
+
+# --- Invariant: one door to the C allocator -------------------------------------
+# The codec kernels' megabyte temporaries stay on a resident heap because
+# compression/heap.py raises glibc's mmap and trim thresholds once, at
+# package import.  A second mallopt site (or any other ctypes.CDLL handle
+# on the C library) could undo or fight that setting where no test looks,
+# so both words live in that one module; the thresholds in force are
+# printed.
+echo "== invariant: mallopt and ctypes.CDLL only in compression/heap.py"
+stray=$(grep -rnE "mallopt|ctypes\.CDLL" src/repro --include="*.py" \
+    | grep -v "src/repro/compression/heap.py" || true)
+if [ -n "$stray" ]; then
+    echo "FAIL: C allocator reached outside compression/heap.py (set heap behaviour in keep_heap_resident):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+PYTHONPATH=src python -c '
+from repro.compression import heap
+print(f"ok; heap thresholds: mmap {heap.MMAP_THRESHOLD >> 20} MB, trim {heap.TRIM_THRESHOLD >> 20} MB")'
 
 # --- Invariant: DESIGN.md's inventory names the tree ----------------------------
 # Every module path an S<n> row of DESIGN.md's inventory names in backticks

@@ -26,6 +26,7 @@ from .framing import (
 )
 from .bwhuff import BurrowsWheelerCodec
 from .bwt import bwt_inverse, bwt_transform, suffix_array
+from .heap import keep_heap_resident
 from .huffman import HuffmanCode, HuffmanCodec, huffman_code_lengths
 from .identity import IdentityCodec
 from .lossy import QuantizedFloatCodec, TruncatedFloatCodec
@@ -60,6 +61,9 @@ from .structured import (
     zigzag_decode,
     zigzag_encode,
 )
+
+# Once per process, before any codec runs; forked pool workers inherit it.
+keep_heap_resident()
 
 __all__ = [
     "AdaptiveByteModel",

@@ -11,9 +11,16 @@ selection loop may compress many 128 KB blocks per run, so the hot paths
 (``write_bits``/``read_bits``) avoid per-bit Python objects where possible.
 
 :func:`pack_fields` is the whole-stream form of ``write_bits``: every field
-of an interleaved stream (codewords mixed with raw extra bits) written in
-one numpy pass — the write-side mirror of the decode kernel
-:class:`~.huffman.PositionMap`, which reads every position in one pass.
+of a stream written in one numpy pass — the write-side mirror of the
+decode kernel :class:`~.huffman.PositionMap`, which reads every position
+in one pass.  Every Huffman stage writes through it: the interleaved
+Lempel-Ziv stream (codewords mixed with raw extra bits), a block at a
+time, and the single-table streams of ``huffman`` and
+``burrows-wheeler`` (:meth:`~.huffman.HuffmanCode.encode`), a span of
+symbols at a time.  Its temporaries are a few ``int64`` arrays of one
+entry per field, a megabyte each for a 128 KB Lempel-Ziv block, so it is
+fast only on the resident heap :mod:`~.heap` sets up: handed back to the
+kernel after every block, they are page-faulted in afresh by the next.
 """
 
 from __future__ import annotations
@@ -49,12 +56,22 @@ def pack_fields(values: np.ndarray, widths: np.ndarray) -> bytes:
         return b""
     if not 0 <= int(widths.min()) <= int(widths.max()) <= MAX_FIELD_WIDTH:
         raise ValueError(f"field widths must be in [0, {MAX_FIELD_WIDTH}]")
-    ends = np.cumsum(widths)
-    size = (int(ends[-1]) + 7) >> 3
-    first_bit = ends - widths
-    windows = (values & ((1 << widths) - 1)) << (24 - (first_bit & 7) - widths)
+    # Updated in place: four field-sized temporaries besides the inputs
+    # (bit offsets, shifts, windows and the windows as float64).
+    first_bit = np.cumsum(widths)
+    size = (int(first_bit[-1]) + 7) >> 3
+    first_bit -= widths
+    shifts = first_bit & 7
+    shifts += widths
+    np.subtract(24, shifts, out=shifts)
+    windows = np.left_shift(1, widths)
+    windows -= 1
+    windows &= values
+    windows <<= shifts
+    del shifts
+    first_bit >>= 3
     merged = np.bincount(
-        first_bit >> 3, weights=windows.astype(np.float64), minlength=size + 2
+        first_bit, weights=windows.astype(np.float64), minlength=size + 2
     ).astype(np.int64)
     packed = merged >> 16
     packed[1:] += (merged[:-1] >> 8) & 0xFF

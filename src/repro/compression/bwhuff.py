@@ -164,17 +164,12 @@ def _joint_encode(original_length: int, encoded_chunks: List[bytes]) -> bytes:
     write_varint(header, original_length)
     if not original_length:
         return bytes(header)
-    stream = b"".join(encoded_chunks)
+    stream = np.frombuffer(b"".join(encoded_chunks), dtype=np.uint8)
     write_varint(header, len(stream))
-    frequencies = np.bincount(np.frombuffer(stream, dtype=np.uint8), minlength=256)
-    code = HuffmanCode.from_frequencies(frequencies.tolist())
+    code = HuffmanCode.from_frequencies(np.bincount(stream, minlength=256).tolist())
     table_writer = BitWriter()
     code.write_table(table_writer)
-    bits = code.encode_bitstring(stream)
-    padding = (-len(bits)) % 8
-    bits += "0" * padding
-    payload = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
-    return bytes(header) + table_writer.getvalue() + payload
+    return bytes(header) + table_writer.getvalue() + code.encode(stream)
 
 
 def _joint_decode(payload: bytes) -> Tuple[int, List[bytes]]:

@@ -1,6 +1,6 @@
 """Canonical, length-limited Huffman coding (paper §2.1).
 
-This module provides three layers:
+This module provides:
 
 * :class:`HuffmanCode` — a reusable canonical Huffman code over an arbitrary
   integer alphabet.  It is shared by the standalone :class:`HuffmanCodec`,
@@ -32,11 +32,18 @@ This module provides three layers:
   span at a time.  Because the map covers every position, not just
   the true codeword boundaries, one map serves a decode from any start bit
   — the Huffman self-synchronizing property the paper highlights (§2.4,
-  ref [31]): :meth:`HuffmanCode.decode_symbols`, the chunk-resynchronizing
+  ref [31]): :meth:`HuffmanCode.decode_array`, the chunk-resynchronizing
   decoder in :mod:`repro.compression.bwhuff` and (with a token-level
   ``step``) the Lempel-Ziv decoder in :mod:`repro.compression.lz77` all walk it.  The
   per-symbol scalar loop it replaced is the differential oracle
   :func:`repro.verify.references.reference_huffman_decode`.
+* :meth:`HuffmanCode.encode` — the one whole-block encoder: codewords and
+  lengths gathered by symbol and written by :func:`~.bitio.pack_fields`,
+  :data:`_ENCODE_SPAN` symbols at a time (the Lempel-Ziv encoder lays the
+  same two tables out between its raw extra bits).  Its temporaries come
+  from the heap :mod:`~.heap` keeps resident; the string-concatenation
+  emitter it replaced is the differential oracle
+  :func:`repro.verify.references.reference_huffman_encode`.
 * :class:`HuffmanCodec` — the standalone byte-oriented codec evaluated in
   the paper's microbenchmarks (Figures 2, 3, 4, 6).
 """
@@ -44,12 +51,12 @@ This module provides three layers:
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .base import Codec, CorruptStreamError
-from .bitio import BitReader, BitWriter
+from .bitio import BitReader, BitWriter, pack_fields
 from .varint import read_varint, write_varint
 
 __all__ = [
@@ -81,6 +88,12 @@ _SPAN_BYTES = 1 << 13
 #: most 15 + 5 + 15 + 13 = 48): how far past its span a span's successors
 #: may point, and how much lookahead its windows carry.
 _MAX_UNIT_BITS = 64
+
+#: Symbols :meth:`HuffmanCode.encode` packs at a time.  Its field arrays
+#: (about 40 bytes per symbol) then stay near 1.3 MB whatever the block,
+#: like the decode kernel's spans, and below the resident heap's mmap
+#: threshold (:mod:`~.heap`) for blocks of any size.
+_ENCODE_SPAN = 1 << 15
 
 #: Distinct decode tables kept alive at once.  The 4 KB Lempel-Ziv
 #: sampling probe and the per-chunk Burrows-Wheeler verify path rebuild
@@ -436,29 +449,10 @@ class HuffmanCode:
         self._decode_symbols: Optional[np.ndarray] = None
         self._decode_lengths: Optional[np.ndarray] = None
 
-    @cached_property
-    def code_strings(self) -> List[str]:
-        """Codewords as '0'/'1' strings ("" for absent symbols).
-
-        Only :meth:`encode_bitstring` needs them, so they are built on first
-        use: decoding (``read_table`` builds a code per block) and the array
-        emitter of :mod:`~.lz77` never pay for them.
-        """
-        return [
-            format(code, f"0{length}b") if length else ""
-            for code, length in zip(self.codes, self.lengths)
-        ]
-
     @classmethod
     def from_frequencies(cls, frequencies: Sequence[int]) -> "HuffmanCode":
         """Build the code for observed symbol ``frequencies``."""
         return cls(huffman_code_lengths(frequencies))
-
-    @classmethod
-    def from_symbols(cls, symbols: Sequence[int], alphabet_size: int) -> "HuffmanCode":
-        """Build the code from a symbol stream (convenience for tests)."""
-        freqs = np.bincount(np.asarray(symbols, dtype=np.int64), minlength=alphabet_size)
-        return cls.from_frequencies(freqs.tolist())
 
     # -- table serialization -------------------------------------------------
 
@@ -479,19 +473,43 @@ class HuffmanCode:
 
     # -- encoding -------------------------------------------------------------
 
-    def encode_bitstring(self, symbols: Iterable[int]) -> str:
-        """Return the concatenated codewords as a '0'/'1' string.
+    @cached_property
+    def _fields(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Codeword and length of every symbol, as arrays to gather from."""
+        return np.array(self.codes, dtype=np.int64), np.array(self.lengths, dtype=np.int64)
 
-        The single whole-block encoding path: string concatenation followed
-        by one ``int(s, 2)`` conversion is the fastest pure-Python encoder.
-        Interleaved encoders — Huffman codewords mixed with raw extra
-        bits, as in the Lempel-Ziv pointer stream — instead lay
-        :attr:`codes` and :attr:`lengths` out as fields for
-        :func:`~.bitio.pack_fields`; the matching read side is a
-        :class:`PositionMap` whose ``step`` spans a whole token.
+    def encode(self, symbols: np.ndarray) -> bytes:
+        """The codewords of ``symbols`` (an integer array) back to back,
+        zero-padded to a byte.
+
+        Codewords and lengths are gathered by symbol and written by
+        :func:`~.bitio.pack_fields` a span at a time, each span led by the
+        bits of the byte the previous one left unfinished — the
+        whole-block encoder of the Huffman and Burrows-Wheeler codecs, and
+        the layout the Lempel-Ziv encoder interleaves with raw extra bits.
+        A symbol the code has no codeword for (length 0) writes nothing.
+        The string-concatenation emitter it replaced is the differential
+        oracle :func:`repro.verify.references.reference_huffman_encode`.
         """
-        table = self.code_strings
-        return "".join(map(table.__getitem__, symbols))
+        codewords, lengths = self._fields
+        out = bytearray()
+        # The unfinished last byte of the spans so far: its value and bits.
+        carry = carry_bits = 0
+        for start in range(0, len(symbols), _ENCODE_SPAN):
+            span = symbols[start : start + _ENCODE_SPAN]
+            # The carried bits lead the span as one more field.
+            values = np.empty(len(span) + 1, dtype=np.int64)
+            widths = np.empty(len(span) + 1, dtype=np.int64)
+            values[0], widths[0] = carry, carry_bits
+            codewords.take(span, out=values[1:])
+            lengths.take(span, out=widths[1:])
+            packed = pack_fields(values, widths)
+            whole, carry_bits = divmod(int(widths.sum()), 8)
+            out += packed[:whole]
+            carry = packed[whole] >> (8 - carry_bits) if carry_bits else 0
+        if carry_bits:
+            out.append(carry << (8 - carry_bits))
+        return bytes(out)
 
     # -- decoding -------------------------------------------------------------
 
@@ -546,7 +564,17 @@ class HuffmanCode:
     def decode_array(
         self, data: bytes, start_bit: int, count: int
     ) -> Tuple[np.ndarray, int]:
-        """:meth:`decode_symbols` returning the symbols as a ``uint16`` array."""
+        """Decode ``count`` symbols starting at ``start_bit``.
+
+        Returns ``(symbols, end_bit)``, the symbols as a ``uint16`` array.
+        ``start_bit`` may point anywhere in the stream — the Huffman
+        self-synchronization property (§2.4) means decoding from a wrong
+        offset produces a few garbage symbols and then locks on; callers
+        exploiting that simply pass a guessed offset.  Raises
+        :class:`CorruptStreamError` on a window no codeword matches, a
+        codeword ending past the last bit, or a ``count`` the remaining
+        bits cannot hold.
+        """
         if count == 0:
             return np.empty(0, dtype=np.uint16), start_bit
         # Every codeword is at least one bit: a count beyond the remaining
@@ -557,26 +585,6 @@ class HuffmanCode:
         if len(symbols) < count:
             raise CorruptStreamError("invalid codeword or truncated stream")
         return symbols, int(boundaries[-1])
-
-    def decode_symbols(
-        self, data: bytes, start_bit: int, count: int
-    ) -> Tuple[List[int], int]:
-        """Decode ``count`` symbols starting at ``start_bit``.
-
-        Returns ``(symbols, end_bit)``.  ``start_bit`` may point anywhere in
-        the stream — the Huffman self-synchronization property (§2.4) means
-        decoding from a wrong offset produces a few garbage symbols and then
-        locks on; callers exploiting that simply pass a guessed offset.
-        Raises :class:`CorruptStreamError` on a window no codeword matches,
-        a codeword ending past the last bit, or a ``count`` the remaining
-        bits cannot hold.
-        """
-        symbols, end_bit = self.decode_array(data, start_bit, count)
-        return symbols.tolist(), end_bit
-
-    def expected_bits(self, frequencies: Sequence[int]) -> int:
-        """Encoded size in bits for a stream with the given frequencies."""
-        return sum(f * l for f, l in zip(frequencies, self.lengths))
 
 
 class HuffmanCodec(Codec):
@@ -597,14 +605,11 @@ class HuffmanCodec(Codec):
         write_varint(header, len(data))
         if not data:
             return bytes(header)
-        freqs = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
-        code = HuffmanCode.from_frequencies(freqs.tolist())
+        symbols = np.frombuffer(data, dtype=np.uint8)
+        code = HuffmanCode.from_frequencies(np.bincount(symbols, minlength=256).tolist())
         writer = BitWriter()
-        code.write_table(writer)
-        bits = code.encode_bitstring(data)
-        table_bytes = writer.getvalue()  # 256 * 4 bits = exactly 128 bytes
-        payload = _bitstring_to_bytes(bits)
-        return bytes(header) + table_bytes + payload
+        code.write_table(writer)  # 256 * 4 bits = exactly 128 bytes
+        return bytes(header) + writer.getvalue() + code.encode(symbols)
 
     def decompress(self, payload: bytes) -> bytes:
         view = memoryview(payload)
@@ -618,11 +623,3 @@ class HuffmanCodec(Codec):
         symbols, _ = code.decode_array(payload, reader.position, original_length)
         return symbols.astype(np.uint8).tobytes()
 
-
-def _bitstring_to_bytes(bits: str) -> bytes:
-    """Pack a '0'/'1' string into bytes, padding with zeros."""
-    if not bits:
-        return b""
-    padding = (-len(bits)) % 8
-    bits += "0" * padding
-    return int(bits, 2).to_bytes(len(bits) // 8, "big")

@@ -10,11 +10,12 @@ compressor choice must be *verified*, not assumed:
   wired the same way and activates automatically if an xz-family codec
   is ever registered (none is today).
 * **Scalar vs vectorized.**  The rewritten hot loops (Huffman code
-  construction and decode tables, the Huffman and Lempel-Ziv decode
-  kernel, the Lempel-Ziv match finder and field packer, mtf/rle/bwt)
-  must be byte-identical to the classic scalar formulations kept in
-  :mod:`repro.verify.references`: one ``(subject, kernel, oracle,
-  prepare)`` row of :data:`_ROWS` each, all run by :func:`_compare`.
+  construction, decode tables and whole-block encoder, the Huffman and
+  Lempel-Ziv decode kernel, the Lempel-Ziv match finder and field
+  packer, mtf/rle/bwt) must be byte-identical to the classic scalar
+  formulations kept in :mod:`repro.verify.references`: one ``(subject,
+  kernel, oracle, prepare)`` row of :data:`_ROWS` each, all run by
+  :func:`_compare`.
 * **Serial vs pooled.**  ``burrows-wheeler``, whose chunk stages share
   the process-wide codec pool, must emit the bytes of its in-process
   chunk loop — the pool is an execution detail, never a wire-format
@@ -50,8 +51,8 @@ from ..compression.bwhuff import (
 )
 from ..compression.bwt import bwt_inverse, bwt_transform
 from ..compression.huffman import (
+    _ENCODE_SPAN,
     HuffmanCode,
-    _bitstring_to_bytes,
     _decode_tables,
     huffman_code_lengths,
 )
@@ -72,6 +73,7 @@ from .references import (
     reference_delta_zigzag,
     reference_huffman_code_lengths,
     reference_huffman_decode,
+    reference_huffman_encode,
     reference_lz77_decode,
     reference_lz77_encode,
     reference_lz77_tokenize,
@@ -222,15 +224,35 @@ def _outcome(decode: Callable, *args: object) -> Tuple[str, object]:
         return "raised", type(exc)
 
 
+def _byte_code(data: bytes) -> HuffmanCode:
+    """The Huffman code of ``data``'s byte frequencies, as ``huffman`` builds it."""
+    frequencies = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
+    return HuffmanCode.from_frequencies(frequencies.tolist())
+
+
+def _encode_jobs(data: bytes) -> List[Tuple[HuffmanCode, bytes]]:
+    """``(code, symbols)`` for the case's bytes and for the degenerate
+    streams: empty, one symbol, and every one of the 256 symbols over
+    more than two of the encoder's spans."""
+    several_spans = data * (2 * _ENCODE_SPAN // max(len(data), 1) + 1) + bytes(range(256))
+    streams = (data, b"", data[:1] * 300 or b"\x00", several_spans)
+    return [(_byte_code(symbols), symbols) for symbols in streams]
+
+
 def _huffman_stream(start_bit: int, divisor: int, data: bytes) -> Optional[tuple]:
     """``(code, its encoded stream, start_bit, len(data) // divisor)`` —
     ``reference_huffman_decode``'s arguments; decoders get no empty input."""
     if not data:
         return None
-    frequencies = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
-    code = HuffmanCode.from_frequencies(frequencies.tolist())
-    stream = _bitstring_to_bytes(code.encode_bitstring(data))
-    return code, stream, start_bit, len(data) // divisor
+    code = _byte_code(data)
+    return code, code.encode(np.frombuffer(data, dtype=np.uint8)), start_bit, len(data) // divisor
+
+
+def _decode_list(code: HuffmanCode, data: bytes, start_bit: int, count: int) -> tuple:
+    """:meth:`HuffmanCode.decode_array` with the symbols as a list, as the
+    oracle returns them."""
+    symbols, end_bit = code.decode_array(data, start_bit, count)
+    return symbols.tolist(), end_bit
 
 
 def _column(width: int, data: bytes) -> Optional[List[int]]:
@@ -288,7 +310,7 @@ _ROWS: Tuple[_Row, ...] = (
     *(
         _Row(
             subject,
-            lambda job: _outcome(job[0].decode_symbols, *job[1:]),
+            lambda job: _outcome(_decode_list, *job),
             lambda job: _outcome(reference_huffman_decode, *job),
             partial(_huffman_stream, start_bit, divisor),
         )
@@ -296,6 +318,13 @@ _ROWS: Tuple[_Row, ...] = (
             ("huffman-decode", 0, 1),
             ("huffman-decode-resync", 13, 2),
         )
+    ),
+    # The whole-block encoder against string concatenation, byte for byte.
+    _Row(
+        "huffman-encode",
+        lambda jobs: [code.encode(np.frombuffer(symbols, dtype=np.uint8)) for code, symbols in jobs],
+        lambda jobs: [reference_huffman_encode(code, symbols) for code, symbols in jobs],
+        _encode_jobs,
     ),
     _Row(
         "lz77-decode",

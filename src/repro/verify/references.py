@@ -1,11 +1,11 @@
 """Scalar reference implementations for differential testing.
 
 The hot loops in :mod:`repro.compression` (Huffman code construction,
-Huffman and Lempel-Ziv decoding, the Lempel-Ziv match finder and field
-emitter, move-to-front, the 254-capped RLE, the Burrows-Wheeler
-transform, and the structured codecs' zigzag/delta/bitpack column
-primitives) are array or index-queue rewrites of classic per-symbol
-algorithms.
+the whole-block Huffman encoder, Huffman and Lempel-Ziv decoding, the
+Lempel-Ziv match finder and field emitter, move-to-front, the 254-capped
+RLE, the Burrows-Wheeler transform, and the structured codecs'
+zigzag/delta/bitpack column primitives) are array or index-queue
+rewrites of classic per-symbol algorithms.
 This module keeps the classic formulations — short, obviously-correct
 Python loops straight out of the textbook — as the differential oracle:
 the optimized path must be **byte-identical** to these on every input,
@@ -18,7 +18,7 @@ Python's ``sorted``, O(n² log n)); use them on test-sized inputs only.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "reference_huffman_code_lengths",
     "reference_canonical_codes",
     "reference_decode_tables",
+    "reference_huffman_encode",
     "reference_huffman_decode",
     "reference_lz77_decode",
     "reference_lz77_tokenize",
@@ -163,6 +164,25 @@ def reference_decode_tables(lengths: Sequence[int]) -> Tuple[np.ndarray, np.ndar
     return syms, lens
 
 
+def reference_huffman_encode(code: HuffmanCode, symbols: Iterable[int]) -> bytes:
+    """The codewords of ``symbols`` as one '0'/'1' string, packed by
+    ``int(s, 2)``: :meth:`HuffmanCode.encode` by string concatenation.
+
+    A symbol with no codeword (length 0) contributes the empty string; the
+    stream is zero-padded to a byte boundary.
+    """
+    table = [
+        format(codeword, f"0{length}b") if length else ""
+        for codeword, length in zip(code.codes, code.lengths)
+    ]
+    bits = "".join(map(table.__getitem__, symbols))
+    if not bits:
+        return b""
+    padding = (-len(bits)) % 8
+    bits += "0" * padding
+    return int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
 def _scalar_tables(code: HuffmanCode) -> Tuple[List[int], List[int]]:
     """``code``'s flat decode tables as lists of Python ints.
 
@@ -178,9 +198,9 @@ def reference_huffman_decode(
 ) -> Tuple[List[int], int]:
     """One table lookup per symbol over a bit accumulator.
 
-    The contract of :meth:`HuffmanCode.decode_symbols`: ``(symbols,
-    end_bit)``, or :class:`CorruptStreamError` on a window no codeword
-    matches or a codeword the stream ends inside.
+    The contract of :meth:`HuffmanCode.decode_array`, the symbols as a
+    list: ``(symbols, end_bit)``, or :class:`CorruptStreamError` on a
+    window no codeword matches or a codeword the stream ends inside.
     """
     table_syms, table_lens = _scalar_tables(code)
     width = MAX_CODE_LENGTH

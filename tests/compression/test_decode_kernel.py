@@ -18,13 +18,7 @@ from hypothesis import strategies as st
 
 from repro.compression import get_codec
 from repro.compression.base import CorruptStreamError
-from repro.compression.huffman import (
-    _SPAN_BYTES,
-    MAX_CODE_LENGTH,
-    HuffmanCode,
-    HuffmanCodec,
-    _bitstring_to_bytes,
-)
+from repro.compression.huffman import _SPAN_BYTES, MAX_CODE_LENGTH, HuffmanCode, HuffmanCodec
 from repro.compression.varint import read_varint, write_varint
 from repro.verify.fuzz import _mutate
 from repro.verify.references import reference_huffman_decode, reference_lz77_decode
@@ -37,6 +31,13 @@ def _outcome(decode, *args):
         return decode(*args)
     except Exception as exc:  # noqa: BLE001 - the class *is* the observation
         return type(exc)
+
+
+def _decode(code, data, start_bit, count):
+    """``HuffmanCode.decode_array`` with the symbols as a list, as the
+    oracle returns them."""
+    symbols, end_bit = code.decode_array(data, start_bit, count)
+    return symbols.tolist(), end_bit
 
 
 @st.composite
@@ -83,7 +84,7 @@ class TestHuffmanKernelMatchesReference:
         # Arbitrary bytes are a stream that is valid until it is not.
         code = HuffmanCode(lengths)
         start = min(start, len(body) * 8)
-        kernel = _outcome(code.decode_symbols, body, start, count)
+        kernel = _outcome(_decode, code, body, start, count)
         reference = _outcome(reference_huffman_decode, code, body, start, count)
         assert kernel == reference
         assert kernel is CorruptStreamError or isinstance(kernel, tuple)
@@ -100,11 +101,11 @@ class TestHuffmanKernelMatchesReference:
         code = HuffmanCode(lengths)
         present = [symbol for symbol, length in enumerate(lengths) if length]
         symbols = [present[pick % len(present)] for pick in picks]
-        stream = _bitstring_to_bytes(code.encode_bitstring(symbols))
+        stream = code.encode(np.array(symbols))
         stream = stream[: max(0, len(stream) - cut)]
         start = min(start, len(stream) * 8)
         count = data.draw(st.integers(min_value=0, max_value=len(symbols) + 2))
-        kernel = _outcome(code.decode_symbols, stream, start, count)
+        kernel = _outcome(_decode, code, stream, start, count)
         reference = _outcome(reference_huffman_decode, code, stream, start, count)
         assert kernel == reference
         if start == 0 and cut == 0 and count <= len(symbols):
@@ -113,14 +114,14 @@ class TestHuffmanKernelMatchesReference:
     def test_memoryview_payload(self):
         code = HuffmanCode.from_frequencies([5, 3, 2, 1])
         symbols = [0, 1, 2, 3, 0, 0, 1] * 40
-        stream = _bitstring_to_bytes(code.encode_bitstring(symbols))
-        assert code.decode_symbols(memoryview(stream), 0, len(symbols))[0] == symbols
+        stream = code.encode(np.array(symbols))
+        assert _decode(code, memoryview(stream), 0, len(symbols))[0] == symbols
 
     def test_start_past_the_end_is_corruption(self):
         code = HuffmanCode.from_frequencies([1, 1])
         with pytest.raises(CorruptStreamError):
-            code.decode_symbols(b"\x00", 9, 1)
-        assert code.decode_symbols(b"\x00", 9, 0) == ([], 9)
+            _decode(code, b"\x00", 9, 1)
+        assert _decode(code, b"\x00", 9, 0) == ([], 9)
 
 
 class TestBitWindows:
@@ -143,20 +144,20 @@ class TestSpans:
     def test_walks_cross_span_boundaries(self):
         rng = random.Random(7)
         symbols = rng.choices(range(6), weights=[40, 25, 15, 10, 6, 4], k=120_000)
-        code = HuffmanCode.from_symbols(symbols, 6)
-        stream = _bitstring_to_bytes(code.encode_bitstring(symbols))
+        code = HuffmanCode.from_frequencies(np.bincount(symbols, minlength=6).tolist())
+        stream = code.encode(np.array(symbols))
         assert len(stream) > 2 * _SPAN_BYTES  # three spans at least
-        assert code.decode_symbols(stream, 0, len(symbols))[0] == symbols
+        assert _decode(code, stream, 0, len(symbols))[0] == symbols
         edge = _SPAN_BYTES * 8
         for start, count in ((edge - 3, 500), (edge, 9), (edge + 5, 4000), (2 * edge - 1, 70)):
-            kernel = _outcome(code.decode_symbols, stream, start, count)
+            kernel = _outcome(_decode, code, stream, start, count)
             assert isinstance(kernel, tuple)
             assert kernel == _outcome(reference_huffman_decode, code, stream, start, count)
 
     def test_stop_bit_and_limit_across_spans(self):
         symbols = [0, 1, 1, 0, 1] * 30_000
         code = HuffmanCode([1, 1])
-        stream = _bitstring_to_bytes(code.encode_bitstring(symbols))
+        stream = code.encode(np.array(symbols))
         pmap = code.position_map(stream)
         chain = pmap.chain(5, 10**12, stop_bit=140_001)
         assert chain.tolist() == list(range(5, 140_002))
@@ -237,9 +238,9 @@ class TestForgedLengthIsRejectedBeforeAllocation:
 
     def test_symbol_count_check_is_exact(self):
         code = HuffmanCode([1, 1])
-        assert code.decode_symbols(b"\xaa", 0, 8) == ([1, 0] * 4, 8)
+        assert _decode(code, b"\xaa", 0, 8) == ([1, 0] * 4, 8)
         with pytest.raises(CorruptStreamError):
-            code.decode_symbols(b"\xaa", 0, 9)
+            _decode(code, b"\xaa", 0, 9)
 
     def test_huffman_codec_roundtrip_unaffected(self):
         codec = HuffmanCodec()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.compression.base import CorruptStreamError
 from repro.compression.bitio import BitReader, BitWriter
 from repro.compression.huffman import (
+    _ENCODE_SPAN,
     MAX_CODE_LENGTH,
     HuffmanCode,
     HuffmanCodec,
@@ -19,8 +20,15 @@ from repro.verify.references import (
     reference_canonical_codes,
     reference_decode_tables,
     reference_huffman_code_lengths,
+    reference_huffman_encode,
 )
 from tests.strategies import examples
+
+
+def _code_of(symbols, alphabet_size):
+    """The Huffman code of a symbol stream's frequencies."""
+    frequencies = np.bincount(np.asarray(symbols, dtype=np.int64), minlength=alphabet_size)
+    return HuffmanCode.from_frequencies(frequencies.tolist())
 
 
 class TestCodeLengths:
@@ -172,7 +180,7 @@ class TestConstructionMatchesOracles:
 class TestHuffmanCode:
     def test_canonical_codes_are_prefix_free(self):
         code = HuffmanCode.from_frequencies([10, 7, 5, 2, 1])
-        strings = [s for s in code.code_strings if s]
+        strings = [format(c, f"0{n}b") for c, n in zip(code.codes, code.lengths) if n]
         for i, a in enumerate(strings):
             for j, b in enumerate(strings):
                 if i != j:
@@ -198,46 +206,61 @@ class TestHuffmanCode:
 
     def test_encode_decode_symbols(self):
         symbols = [0, 1, 2, 1, 0, 0, 3, 2, 1, 0]
-        code = HuffmanCode.from_symbols(symbols, 4)
-        bits = code.encode_bitstring(symbols)
-        padding = (-len(bits)) % 8
-        data = int(bits + "0" * padding, 2).to_bytes((len(bits) + padding) // 8, "big")
-        decoded, end_bit = code.decode_symbols(data, 0, len(symbols))
-        assert decoded == symbols
-        assert end_bit == len(bits)
+        code = _code_of(symbols, 4)
+        data = code.encode(np.array(symbols))
+        decoded, end_bit = code.decode_array(data, 0, len(symbols))
+        assert decoded.tolist() == symbols
+        assert end_bit == sum(code.lengths[sym] for sym in symbols)
+        assert len(data) == (end_bit + 7) // 8
 
-    def test_bitstring_matches_per_symbol_writer(self):
-        # encode_bitstring is the one whole-block encoder; writing each
-        # codeword through a BitWriter must produce the identical stream.
+    def test_encode_matches_per_symbol_writer(self):
+        # encode is the one whole-block encoder; writing each codeword
+        # through a BitWriter must produce the identical stream.
         symbols = [2, 0, 1, 1, 2, 2, 2]
-        code = HuffmanCode.from_symbols(symbols, 3)
+        code = _code_of(symbols, 3)
         writer = BitWriter()
         for sym in symbols:
             writer.write_bits(code.codes[sym], code.lengths[sym])
-        bits = code.encode_bitstring(symbols)
-        padding = (-len(bits)) % 8
-        expected = int(bits + "0" * padding, 2).to_bytes((len(bits) + padding) // 8, "big") if bits else b""
-        assert writer.getvalue() == expected
+        assert code.encode(np.array(symbols)) == writer.getvalue()
 
     def test_absent_symbol_has_no_codeword(self):
         code = HuffmanCode.from_frequencies([1, 1, 0])
         assert code.lengths[2] == 0
-        assert code.code_strings[2] == ""
+        assert code.encode(np.array([2])) == b""
+        assert code.encode(np.array([0, 2, 1])) == code.encode(np.array([0, 1]))
 
     def test_expected_bits(self):
+        # The stream holds sum(frequency x length) bits, then padding.
         code = HuffmanCode.from_frequencies([1, 1])
-        assert code.expected_bits([10, 20]) == 30
+        symbols = [0] * 10 + [1] * 20
+        data = code.encode(np.array(symbols))
+        assert len(data) == 4
+        assert code.decode_array(data, 0, len(symbols))[1] == 30
+
+    @given(st.lists(st.integers(min_value=0, max_value=255), max_size=600))
+    @examples(60)
+    def test_encode_matches_string_oracle(self, symbols):
+        code = _code_of(symbols + list(range(256)), 256)
+        encoded = code.encode(np.array(symbols, dtype=np.int64))
+        assert encoded == reference_huffman_encode(code, symbols)
+
+    def test_encode_across_spans(self):
+        # Spans end mid-byte; the carried bits must lead the next span.
+        rng = np.random.default_rng(3)
+        symbols = (rng.geometric(0.05, size=3 * _ENCODE_SPAN + 7) % 256).astype(np.uint8)
+        code = _code_of(symbols, 256)
+        data = code.encode(symbols)
+        assert data == reference_huffman_encode(code, symbols.tolist())
+        assert code.decode_array(data, 0, len(symbols))[0].tolist() == symbols.tolist()
 
     def test_self_synchronization_from_wrong_offset(self):
         # Decoding from a shifted offset must lock back on: after a few
         # symbols the decoder tracks the true codeword boundaries (§2.4).
         symbols = ([0] * 50 + [1] * 25 + [2] * 12 + [3] * 6) * 30
-        code = HuffmanCode.from_symbols(symbols, 4)
-        bits = code.encode_bitstring(symbols)
-        padding = (-len(bits)) % 8
-        data = int(bits + "0" * padding, 2).to_bytes((len(bits) + padding) // 8, "big")
-        full, _ = code.decode_symbols(data, 0, len(symbols))
-        shifted, _ = code.decode_symbols(data, 3, len(symbols) - 16)
+        code = _code_of(symbols, 4)
+        data = code.encode(np.array(symbols))
+        full = code.decode_array(data, 0, len(symbols))[0].tolist()
+        shifted = code.decode_array(data, 3, len(symbols) - 16)[0].tolist()
         # The tail of the shifted decode must realign with the true stream.
         tail = shifted[-50:]
         text_full = "".join(map(str, full))
@@ -327,10 +350,7 @@ class TestDecodeTableCache:
 
     def test_cached_decode_stays_correct(self):
         symbols = [0, 1, 2, 1, 0, 3, 3, 3, 2]
-        first = HuffmanCode.from_symbols(symbols, 4)
+        first = _code_of(symbols, 4)
         second = HuffmanCode(list(first.lengths))  # cache hit path
-        bits = first.encode_bitstring(symbols)
-        padding = (-len(bits)) % 8
-        data = int(bits + "0" * padding, 2).to_bytes((len(bits) + padding) // 8, "big")
-        decoded, _ = second.decode_symbols(data, 0, len(symbols))
-        assert decoded == symbols
+        decoded, _ = second.decode_array(first.encode(np.array(symbols)), 0, len(symbols))
+        assert decoded.tolist() == symbols

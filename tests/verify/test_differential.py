@@ -88,7 +88,7 @@ class TestRowTable:
     """The table is the sweep: no oracle without a row, no row dropped."""
 
     SUBJECTS = {
-        "huffman-decode", "huffman-decode-resync", "lz77-decode",
+        "huffman-decode", "huffman-decode-resync", "huffman-encode", "lz77-decode",
         "huffman-lengths", "huffman-decode-tables",
         "mtf-encode", "rle-encode", "lz77-tokenize", "lz77-encode",
         "mtf-decode", "rle-decode", "bwt-transform", "bwt-inverse",
@@ -103,7 +103,7 @@ class TestRowTable:
         for row in _ROWS:
             oracles |= _reachable_names(row.oracle)
         wanted = {name for name in references.__all__ if name.startswith("reference_")}
-        assert len(wanted) == 17
+        assert len(wanted) == 18
         assert not wanted - oracles, f"oracles without a row: {sorted(wanted - oracles)}"
 
     def test_kernel_side_never_calls_an_oracle(self):
@@ -118,9 +118,9 @@ class TestRowTable:
         wire = set(REFERENCE_COUNTERPARTS) & {r.subject for r in results}
         pooled = {"burrows-wheeler"}
         assert {r.subject for r in results} == self.SUBJECTS | wire | pooled
-        # 5 cases x (21 rows + 2 directions per wire counterpart) + 2 pool checks
-        assert len(results) == 5 * (21 + 2 * len(wire)) + 2
-        assert len(wire) != 2 or (len(results), len(self.SUBJECTS | wire | pooled)) == (127, 24)
+        # 5 cases x (22 rows + 2 directions per wire counterpart) + 2 pool checks
+        assert len(results) == 5 * (22 + 2 * len(wire)) + 2
+        assert len(wire) != 2 or (len(results), len(self.SUBJECTS | wire | pooled)) == (132, 25)
         assert all(r.subject_seconds > 0 and r.reference_seconds > 0
                    for r in results if r.kind == "scalar-vectorized")
 
