@@ -315,8 +315,43 @@ if [ "${#gates[@]}" -gt 0 ]; then
 fi
 
 # The sizes ROADMAP item 8 is judged on, in every log (print only): line
-# counts, CLI options, and the keyword count of each block-path constructor.
+# counts, CLI options, the keyword count of each block-path constructor,
+# and the settable values under src/repro: every parameter with a default
+# of a public function, of a public class's __init__ or public method, and
+# every defaulted field of a public dataclass or NamedTuple (modules named
+# _*.py are private).
 lines_of() { git ls-files -z -- "$@" | xargs -0 cat | wc -l; }
+settable=$(python - <<'PY'
+import ast
+import pathlib
+
+
+def defaults(function):
+    return len(function.args.defaults) + sum(d is not None for d in function.args.kw_defaults)
+
+
+def is_record(cls):
+    decorators = {ast.unparse(getattr(d, "func", d)) for d in cls.decorator_list}
+    return "dataclass" in decorators or "NamedTuple" in map(ast.unparse, cls.bases)
+
+
+count = 0
+for path in pathlib.Path("src/repro").rglob("*.py"):
+    if path.name.startswith("_") and path.name not in ("__init__.py", "__main__.py"):
+        continue
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            count += defaults(node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    if item.name == "__init__" or not item.name.startswith("_"):
+                        count += defaults(item)
+                elif is_record(node) and isinstance(item, ast.AnnAssign) and item.value:
+                    count += "ClassVar" not in ast.unparse(item.annotation)
+print(count)
+PY
+)
 keywords=$(PYTHONPATH=src python -c '
 import inspect
 from repro.core.engine import BlockEngine, CodecExecutor
@@ -325,5 +360,5 @@ from repro.core.policy import AdaptivePolicy
 from repro.middleware.handlers import CompressionHandler
 classes = (AdaptivePolicy, CodecExecutor, BlockEngine, AdaptivePipeline, CompressionHandler)
 print(", ".join(f"{c.__name__} {len(inspect.signature(c).parameters)}" for c in classes))')
-sizes="src/repro $(lines_of src/repro), scripts+benchmarks $(lines_of scripts benchmarks), tests $(lines_of tests) lines, cli options $(grep -c add_argument src/repro/cli.py), keywords: $keywords"
+sizes="src/repro $(lines_of src/repro), scripts+benchmarks $(lines_of scripts benchmarks), tests $(lines_of tests) lines, cli options $(grep -c add_argument src/repro/cli.py), keywords: $keywords, settable values $settable"
 echo "== check.sh: invariants ok, $tier1_summary; $sizes"

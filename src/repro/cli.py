@@ -281,7 +281,6 @@ def cmd_fanout(args: argparse.Namespace) -> int:
 def cmd_placement(args: argparse.Namespace) -> int:
     """Run the DTSchedule-style placement time-breakdown matrix."""
     import json
-    from dataclasses import asdict
 
     from .experiments.placement import (
         LINK_CLASSES,
@@ -308,7 +307,7 @@ def cmd_placement(args: argparse.Namespace) -> int:
             "block_size": args.block_size,
             "interference": args.interference,
             "upstream": UPSTREAM_LINK,
-            "cells": [asdict(c) for c in cells],
+            "cells": [c.row() for c in cells],
             "failures": failures,
             "ok": not failures,
         }

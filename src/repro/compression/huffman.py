@@ -274,15 +274,12 @@ class PositionMap:
             jump = jump.take(jump)
         return count, step, jump
 
-    def chain(
-        self, start_bit: int, limit: int, stop_bit: Optional[int] = None
-    ) -> np.ndarray:
+    def chain(self, start_bit: int, limit: int) -> np.ndarray:
         """Follow successors from ``start_bit``; absolute positions, in order.
 
         Returns ``[p0, p1, ..., pj]`` with ``p0 = start_bit`` and
         ``p(i+1)`` the successor of ``pi``: at most ``limit + 1`` entries,
-        ending early at the first entry ``>= stop_bit`` (which is
-        included).  ``stop_bit`` defaults to the first sink, so a chain
+        ending early at the first sink (which is included), so a chain
         that ends in an entry above :attr:`end_bit` ran into a position
         where nothing decodes (or, for :attr:`exit_bit`, into an exit).
         Work is bounded by the number of stream bits whatever ``limit``
@@ -291,27 +288,26 @@ class PositionMap:
         if not 0 <= start_bit <= self.end_bit:
             raise CorruptStreamError("start bit outside the stream")
         sink = self.end_bit + 1
-        stop = sink if stop_bit is None else min(stop_bit, sink)
         pieces = [np.array([start_bit], dtype=self._position_dtype)]
         position = start_bit
-        while limit > 0 and position < stop:
-            piece = self._span_chain(position, limit, stop)
+        while limit > 0 and position < sink:
+            piece = self._span_chain(position, limit)
             pieces.append(piece)
             limit -= len(piece)
             position = int(piece[-1])
         return np.concatenate(pieces)
 
-    def _span_chain(self, position: int, limit: int, stop: int) -> np.ndarray:
+    def _span_chain(self, position: int, limit: int) -> np.ndarray:
         """The successors of ``position`` (itself excluded) inside the span
         that starts at its byte: up to ``limit`` of them, through the first
-        one that reaches ``stop``, leaves the span or is a sink."""
+        one that leaves the span or is a sink."""
         sink = self.end_bit + 1
         if position == self.end_bit:
             return np.array([sink], dtype=self._position_dtype)
         first_byte = position >> 3
         base = first_byte * 8
         count, step, jump = self._span(first_byte)
-        local = _follow(step, jump, position - base, limit, min(stop - base, count))
+        local = _follow(step, jump, position - base, limit, count)
         piece = local[1:].astype(self._position_dtype)
         piece += base
         if local[-1] >= count + _MAX_UNIT_BITS:
@@ -540,22 +536,18 @@ class HuffmanCode:
         return PositionMap(data, codewords)
 
     def walk(
-        self,
-        pmap: PositionMap,
-        start_bit: int,
-        limit: int,
-        stop_bit: Optional[int] = None,
+        self, pmap: PositionMap, start_bit: int, limit: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Decode along ``pmap`` (from :meth:`position_map`) from ``start_bit``.
 
         Returns ``(boundaries, symbols)``: ``symbols[i]`` is the codeword
         at bit ``boundaries[i]`` and ``boundaries[-1]`` is where decoding
-        stopped — after ``limit`` symbols, at the first boundary at or past
-        ``stop_bit``, or where the stream stops decoding (an invalid
-        window, or a codeword cut off by the end), whichever comes first.
+        stopped — after ``limit`` symbols, or where the stream stops
+        decoding (an invalid window, or a codeword cut off by the end),
+        whichever comes first.
         ``start_bit`` need not be a true codeword boundary (§2.4).
         """
-        boundaries = pmap.chain(start_bit, limit, stop_bit)
+        boundaries = pmap.chain(start_bit, limit)
         if boundaries[-1] > pmap.end_bit:
             boundaries = boundaries[:-1]
         symbols = self.decode_tables()[0].take(pmap.windows_at(boundaries[:-1]))

@@ -7,9 +7,7 @@ output — without holding the whole stream in memory:
 
 * :class:`StreamingCompressor` — ``write(data)`` buffers until a full
   block is available, emits one self-delimiting frame per block;
-  ``flush()`` frames the partial tail.  Each frame may even use a
-  *different* method (the adaptive use case): pass a ``method_picker``
-  callable and it is consulted per block.
+  ``flush()`` frames the partial tail.
 * :class:`StreamingDecompressor` — feed arbitrary byte chunks of the
   framed stream; decoded data comes out as it completes.  Framing is
   self-describing, so the decompressor needs no out-of-band state, and
@@ -22,8 +20,6 @@ the TCP transport's parser) can recover them.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 from .base import CodecError, CorruptStreamError
 from .framing import (
@@ -46,14 +42,12 @@ class StreamingCompressor:
         self,
         method: str = "lempel-ziv",
         block_size: int = DEFAULT_STREAM_BLOCK,
-        method_picker: Optional[Callable[[bytes], str]] = None,
     ) -> None:
         if block_size < 1024:
             raise ValueError("block_size must be at least 1 KB")
         get_codec(method)  # validate eagerly
         self.method = method
         self.block_size = block_size
-        self.method_picker = method_picker
         self._pending = bytearray()
         self._finished = False
         self.frames_emitted = 0
@@ -88,12 +82,9 @@ class StreamingCompressor:
         return frame
 
     def _frame(self, block: bytes) -> bytes:
-        method = self.method
-        if self.method_picker is not None:
-            method = self.method_picker(block)
-        payload = get_codec(method).compress(block)
+        payload = get_codec(self.method).compress(block)
         self.frames_emitted += 1
-        return encode_block_frame(method, payload)
+        return encode_block_frame(self.method, payload)
 
     @property
     def ratio(self) -> float:

@@ -161,11 +161,12 @@ def _unzigzag_int(value: int) -> int:
 # ---------------------------------------------------------------------------
 
 # IPv4 first (so dotted quads don't shatter into four int slots), then
-# long lowercase hex runs (>= 8 chars, at least one letter so pure digit
-# runs stay integers), then bare digit runs.
+# long lowercase hex runs (>= 8 chars), then bare digit runs.  A hex run
+# without a letter is all digits: it spans what ``\d+`` would, and
+# ``_classify_token`` calls it an integer.
 _VALUE_RE = re.compile(
     rb"(?:\d{1,3}\.){3}\d{1,3}"
-    rb"|(?=[0-9a-f]*[a-f])[0-9a-f]{8,}"
+    rb"|[0-9a-f]{8,}"
     rb"|\d+"
 )
 

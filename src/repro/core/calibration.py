@@ -6,10 +6,10 @@ of data extracted from the original file and send this piece of data over
 an unloaded line employing unloaded CPUs."
 
 :func:`calibrate` measures a :class:`~repro.netsim.cpu.CodecCostModel`
-from that small piece: each codec round-trips it once through
-:meth:`~repro.core.engine.CodecExecutor.measure_roundtrip`, so both
-directions are timed by the engine and a codec that does not restore its
-input raises instead of getting a cost.
+from that small piece: each codec round-trips it through
+:meth:`~repro.core.engine.CodecExecutor.measure_roundtrip` once to warm
+up, then :data:`ROUNDS` times of which each direction keeps its median,
+and a codec that does not restore its input raises instead of a cost.
 
 :func:`calibrate_thresholds` reconstructs the paper's constants from a
 cost model's Lempel-Ziv and Burrows-Wheeler operating points, and applied
@@ -36,6 +36,7 @@ it *reproduces them*:
 
 from __future__ import annotations
 
+from statistics import median
 from typing import Dict
 
 from ..compression.base import Codec
@@ -49,20 +50,26 @@ __all__ = ["calibrate", "calibrate_thresholds"]
 GATE_HEADROOM = 1.19
 #: Sending time must exceed this multiple of BW's own reduce time.
 BW_PATIENCE = 2.0
+#: Timed round trips per codec after the warm-up; the model keeps their median.
+ROUNDS = 5
 
 
 def calibrate(codecs: Dict[str, Codec], sample: bytes) -> CodecCostModel:
-    """Measure a :class:`CodecCostModel` from one checked round trip per codec."""
+    """Measure a :class:`CodecCostModel`: per codec and direction, the
+    median of :data:`ROUNDS` checked round trips after one warm-up."""
     if not sample:
         raise ValueError("calibration sample must be non-empty")
     executor = CodecExecutor()
     costs: Dict[str, CodecCost] = {}
     for name, codec in codecs.items():
-        run = executor.measure_roundtrip(name, sample, codec=codec)
+        executor.measure_roundtrip(name, sample, codec=codec)
+        runs = [executor.measure_roundtrip(name, sample, codec=codec) for _ in range(ROUNDS)]
+        compress = median([run.compression_seconds for run in runs])
+        decompress = median([run.decompression_seconds for run in runs])
         costs[name] = CodecCost(
-            compress_throughput=len(sample) / max(run.compression_seconds, 1e-9),
-            decompress_throughput=len(sample) / max(run.decompression_seconds, 1e-9),
-            typical_ratio=run.ratio,
+            compress_throughput=len(sample) / max(compress, 1e-9),
+            decompress_throughput=len(sample) / max(decompress, 1e-9),
+            typical_ratio=runs[0].ratio,
         )
     return CodecCostModel(costs)
 

@@ -28,6 +28,9 @@ from ..obs.metrics import MetricsRegistry
 
 __all__ = ["ReducingSpeedMonitor"]
 
+#: EWMA weight of each new reducing-speed sample.
+ALPHA = 0.5
+
 
 class ReducingSpeedMonitor:
     """EWMA of bytes-removed-per-second, per codec.
@@ -38,12 +41,7 @@ class ReducingSpeedMonitor:
     optimistic initial assumption.
     """
 
-    def __init__(
-        self, alpha: float = 0.5, registry: Optional[MetricsRegistry] = None
-    ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._speeds = self.registry.family(REDUCING_SPEED)
         self._observations = self.registry.family(CODEC_OBSERVATIONS_TOTAL)
@@ -53,7 +51,7 @@ class ReducingSpeedMonitor:
         if previous is None or math.isinf(previous):
             updated = speed
         else:
-            updated = previous + self.alpha * (speed - previous)
+            updated = previous + ALPHA * (speed - previous)
         self._speeds.set(updated, codec=codec_name)
         self._observations.inc(codec=codec_name)
 

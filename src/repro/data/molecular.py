@@ -37,33 +37,34 @@ FRAME_FORMAT = RecordFormat(
 
 _SPECIES_COUNT = 5
 _VELOCITY_QUANTUM = 1.0 / 512.0
+#: Edge of the periodic box the positions diffuse in.
+_BOX = 64.0
 
 
 class MolecularDataGenerator:
     """Deterministic MD trajectory generator with per-field extractors."""
 
-    def __init__(self, atom_count: int = 2048, seed: int = 42, box: float = 64.0) -> None:
+    def __init__(self, atom_count: int = 2048, seed: int = 42) -> None:
         if atom_count < 1:
             raise ValueError("atom_count must be positive")
         self.atom_count = atom_count
-        self.box = box
         self._seed = seed
         self._rng = np.random.default_rng(seed)
         self._step = 0
-        self._positions = self._rng.uniform(0.0, box, size=(atom_count, 3))
+        self._positions = self._rng.uniform(0.0, _BOX, size=(atom_count, 3))
         # Species assigned in contiguous blocks, as MD codes order atoms.
         sizes = self._rng.multinomial(atom_count, [1 / _SPECIES_COUNT] * _SPECIES_COUNT)
         self._types = np.repeat(np.arange(_SPECIES_COUNT, dtype=np.int32), sizes)
 
     def reset(self) -> None:
         """Rewind to the initial trajectory state."""
-        self.__init__(self.atom_count, self._seed, self.box)
+        self.__init__(self.atom_count, self._seed)
 
     def advance(self) -> None:
         """Integrate one (stochastic) timestep."""
         self._step += 1
         displacement = self._rng.normal(0.0, 0.05, size=self._positions.shape)
-        self._positions = (self._positions + displacement) % self.box
+        self._positions = (self._positions + displacement) % _BOX
 
     # -- per-field raw blocks (Figure 6 microbenchmark inputs) -----------------
 

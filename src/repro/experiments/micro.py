@@ -8,14 +8,14 @@ codecs on the figure's data — the same shape as the paper-calibrated
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..compression.registry import get_codec
 from ..core.calibration import calibrate
 from ..core.decision import FIGURE1_TABLE
 from ..data.commercial import CommercialDataGenerator
 from ..data.molecular import MolecularDataGenerator
-from ..netsim.cpu import SUN_FIRE, ULTRA_SPARC, CodecCostModel, CpuModel
+from ..netsim.cpu import SUN_FIRE, ULTRA_SPARC, CodecCostModel
 
 __all__ = [
     "METHOD_ORDER",
@@ -55,39 +55,32 @@ def figure1_rows() -> List[Tuple[str, Dict[str, str]]]:
     ]
 
 
-def figure2_ratios(data: Optional[bytes] = None) -> CodecCostModel:
+def figure2_ratios(data: bytes) -> CodecCostModel:
     """Compression ratios and times on commercial data (Figures 2 and 3)."""
-    return _calibrate_methods(data if data is not None else commercial_sample())
+    return _calibrate_methods(data)
 
 
-def figure4_reducing_speeds(
-    model: Optional[CodecCostModel] = None,
-    machines: Optional[List[CpuModel]] = None,
-) -> Dict[str, Dict[str, float]]:
+def figure4_reducing_speeds(model: CodecCostModel) -> Dict[str, Dict[str, float]]:
     """Reducing speed (bytes removed / second) per method per machine.
 
-    ``model`` (default: :func:`figure2_ratios`) is the host measurement,
-    the reference machine; other machines are derived through their
-    :class:`CpuModel` factors — the substitution for the paper's two
-    physical Suns (DESIGN.md §3).
+    ``model`` (:func:`figure2_ratios`) is the host measurement, the
+    reference machine; the paper's two physical Suns are derived through
+    their :class:`~repro.netsim.cpu.CpuModel` factors (DESIGN.md §3).
     Returns ``{machine_name: {method: bytes_per_second}}``.
     """
-    model = model if model is not None else figure2_ratios()
-    cpus = machines if machines is not None else [SUN_FIRE, ULTRA_SPARC]
     return {
-        cpu.name: {m: model.reducing_speed(m, cpu) for m in METHOD_ORDER} for cpu in cpus
+        cpu.name: {m: model.reducing_speed(m, cpu) for m in METHOD_ORDER}
+        for cpu in (SUN_FIRE, ULTRA_SPARC)
     }
 
 
-def figure6_molecular_ratios(
-    atom_count: int = 8192, seed: int = 42
-) -> Dict[str, CodecCostModel]:
+def figure6_molecular_ratios() -> Dict[str, CodecCostModel]:
     """Per-field compression on molecular data (Figure 6).
 
     Returns ``{field: model}`` for the three fields the paper separates:
     atom types, velocities, coordinates.
     """
-    generator = MolecularDataGenerator(atom_count=atom_count, seed=seed)
+    generator = MolecularDataGenerator(atom_count=8192, seed=42)
     fields = {
         "type": generator.types_block(),
         "velocity": generator.velocities_block(),

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from ..core.bicriteria import (
@@ -72,32 +73,48 @@ PLACEMENT_MODES_ORDER = PLACEMENTS + ("auto",)
 PLACEMENT_RTOL = 1e-9
 
 
+#: The keys of :meth:`PlacementBreakdown.row`, in order.
+_ROW_FIELDS = (
+    "link", "mode", "blocks", "compress_seconds", "upstream_seconds", "relay_seconds",
+    "downstream_seconds", "decompress_seconds", "makespan", "serial_seconds", "placements",
+    "downstream_crc32",
+)
+
+
 @dataclass(frozen=True)
 class PlacementBreakdown:
-    """One (link class, placement mode) cell of the breakdown figure."""
+    """One (link class, placement mode) cell of the breakdown figure.
+
+    A view over the cell's :class:`~repro.core.workers.RelaySchedule`: its
+    seconds are the schedule's own.
+    """
 
     link: str
     mode: str
     blocks: int
-    #: The four stacked bars (plus the wire split), in seconds.
-    compress_seconds: float
-    upstream_seconds: float
-    relay_seconds: float
-    downstream_seconds: float
-    decompress_seconds: float
-    #: End-to-end makespan of the pipelined 5-stage schedule.
-    makespan: float
-    #: Unpipelined phase sum (the stacked bar's total height).
-    serial_seconds: float
+    schedule: RelaySchedule
     #: Arrangements actually taken per block (``auto`` mixes them).
     placements: Dict[str, int]
     #: CRC-32 chain over the downstream wire payloads, in block order —
     #: the byte-exactness fingerprint the relay must reproduce.
     downstream_crc32: int
 
-    @property
-    def wire_seconds(self) -> float:
-        return self.upstream_seconds + self.downstream_seconds
+    #: The four stacked bars (plus the wire split), in seconds.
+    compress_seconds = property(attrgetter("schedule.compress_seconds"))
+    upstream_seconds = property(attrgetter("schedule.upstream_seconds"))
+    relay_seconds = property(attrgetter("schedule.relay_seconds"))
+    downstream_seconds = property(attrgetter("schedule.downstream_seconds"))
+    decompress_seconds = property(attrgetter("schedule.decompress_seconds"))
+    wire_seconds = property(attrgetter("schedule.wire_seconds"))
+    #: End-to-end makespan of the pipelined 5-stage schedule.
+    makespan = property(attrgetter("schedule.makespan"))
+    #: Unpipelined phase sum (the stacked bar's total height).
+    serial_seconds = property(attrgetter("schedule.serial_seconds"))
+
+    def row(self) -> Dict[str, object]:
+        """The cell as one flat JSON object (``repro placement --json``,
+        the placement gate's trace)."""
+        return {name: getattr(self, name) for name in _ROW_FIELDS}
 
 
 def placement_breakdown(
@@ -206,13 +223,7 @@ def placement_breakdown(
                     link=link_name,
                     mode=mode,
                     blocks=len(blocks),
-                    compress_seconds=schedule.compress_seconds,
-                    upstream_seconds=schedule.upstream_seconds,
-                    relay_seconds=schedule.relay_seconds,
-                    downstream_seconds=schedule.downstream_seconds,
-                    decompress_seconds=schedule.decompress_seconds,
-                    makespan=schedule.makespan,
-                    serial_seconds=schedule.serial_seconds,
+                    schedule=schedule,
                     placements=counts,
                     downstream_crc32=crc,
                 )

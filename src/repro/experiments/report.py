@@ -56,7 +56,8 @@ def figure1_section() -> List[str]:
     )
 
 
-def figure2_3_section() -> List[str]:
+def figure2_4_section() -> List[str]:
+    """Figures 2-3 and Figure 4, from one calibration of the commercial sample."""
     data = commercial_sample()
     model = figure2_ratios(data)
     ms = 1e3 * len(data)  # size / throughput = seconds
@@ -73,21 +74,17 @@ def figure2_3_section() -> List[str]:
             ]
             for method in METHOD_ORDER
         ],
-    )
-
-
-def figure4_section() -> List[str]:
-    return _section(
+    ) + _section(
         "Figure 4 — reducing speeds (MB removed / s)",
         ["machine"] + METHOD_ORDER,
         [
             [machine] + [f"{by_method[m] / _MB:.3f}" for m in METHOD_ORDER]
-            for machine, by_method in figure4_reducing_speeds().items()
+            for machine, by_method in figure4_reducing_speeds(model).items()
         ],
     )
 
 
-def figure5_section(**harness: int) -> List[str]:
+def figure5_section() -> List[str]:
     return _section(
         "Figure 5 — link speeds",
         ["link", "measured MB/s", "paper MB/s", "measured σ%", "paper σ%"],
@@ -99,7 +96,7 @@ def figure5_section(**harness: int) -> List[str]:
                 f"{measurement.stddev_percent:.2f}",
                 f"{PAPER_FIG5[name][1]:.2f}",
             ]
-            for name, measurement in figure5_link_speeds(**harness).items()
+            for name, measurement in figure5_link_speeds().items()
         ],
     )
 
@@ -125,12 +122,12 @@ def figure7_section() -> List[str]:
 
 #: Figure number -> the one function that renders it: ``repro figure N``
 #: prints it, :func:`generate_report` concatenates them (Figures 2 and 3
-#: share a table).
-FIGURE_SECTIONS: Dict[int, Callable[..., List[str]]] = {
+#: share a table, and Figure 4 is read off the same calibration).
+FIGURE_SECTIONS: Dict[int, Callable[[], List[str]]] = {
     1: figure1_section,
-    2: figure2_3_section,
-    3: figure2_3_section,
-    4: figure4_section,
+    2: figure2_4_section,
+    3: figure2_4_section,
+    4: figure2_4_section,
     5: figure5_section,
     6: figure6_section,
     7: figure7_section,
@@ -154,7 +151,6 @@ def _replay_section(title: str, result: StreamResult) -> List[str]:
 def generate_report(
     replay_config: Optional[ReplayConfig] = None,
     headline_config: Optional[ReplayConfig] = None,
-    link_transfers: int = 300,
 ) -> str:
     """Run every harness and return the markdown report."""
     lines: List[str] = [
@@ -163,8 +159,8 @@ def generate_report(
         "Regenerated live by `repro report`; compare against EXPERIMENTS.md.",
         "",
     ]
-    lines += figure1_section() + figure2_3_section() + figure4_section()
-    lines += figure5_section(transfers=link_transfers) + figure6_section() + figure7_section()
+    lines += figure1_section() + figure2_4_section()
+    lines += figure5_section() + figure6_section() + figure7_section()
 
     config = replay_config if replay_config is not None else FIG8_CONFIG
     lines += _replay_section(

@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..compression.registry import PAPER_METHODS
 from ..core.decision import DecisionThresholds
+from ..core.engine import CodecExecutor
 from ..core.monitor import ReducingSpeedMonitor
 from ..core.policy import AdaptivePolicy
 from ..core.sampler import LzSampler
@@ -162,8 +163,7 @@ class AdaptiveSubscriber:
 
         self._derived: Dict[str, EventChannel] = {}
         self._mirrors: Dict[str, EventChannel] = {}
-        self._cost_model = cost_model
-        self._cpu = cpu
+        self._executor = CodecExecutor(cost_model, cpu, expansion_fallback=True)
         self._subscription: Optional[Subscription] = None
         self._current_method: Optional[str] = None
         self._switch_to("none")
@@ -178,7 +178,7 @@ class AdaptiveSubscriber:
     def _derived_for(self, method: str) -> EventChannel:
         """Lazily derive the compression channel for ``method`` and export it."""
         if method not in self._derived:
-            handler = CompressionHandler(method, cost_model=self._cost_model, cpu=self._cpu)
+            handler = CompressionHandler(method, executor=self._executor)
             suffix = f"/{self.consumer_id}" if self.consumer_id else ""
             derived = self.source.derive(
                 handler, f"{self.source.channel_id}/{method}{suffix}"

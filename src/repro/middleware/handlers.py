@@ -16,7 +16,10 @@ A compression handler's codec is its ``(method, params)`` resolved by
 through one :class:`~repro.core.engine.CodecExecutor` per handler — the
 shared execution substrate that owns the cost-model/CPU scaling rules and
 the expansion guard (a codec that *grows* a block ships the original bytes
-under method ``none``, so the method attribute stays truthful).
+under method ``none``, so the method attribute stays truthful).  Modeled
+pricing reaches a handler only through that executor: a caller that
+prices on a cost model passes ``executor=CodecExecutor(cost_model, cpu,
+expansion_fallback=True)``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from ..compression.base import canonical_params
 from ..compression.registry import get_codec
 from ..core.bicriteria import codec_for
 from ..core.engine import CodecExecutor
-from ..netsim.cpu import CodecCostModel, CpuModel
 from ..obs.catalogue import HANDLER_RECONFIGURATIONS_TOTAL, record_execution
 from ..obs.metrics import MetricsRegistry
 from .attributes import (
@@ -100,8 +102,6 @@ class CompressionHandler:
     def __init__(
         self,
         method: str,
-        cost_model: Optional[CodecCostModel] = None,
-        cpu: Optional[CpuModel] = None,
         executor: Optional[CodecExecutor] = None,
         registry: Optional[MetricsRegistry] = None,
         channel: str = "handler",
@@ -114,9 +114,7 @@ class CompressionHandler:
         self.channel = channel
         self.reconfigurations = 0
         self.executor = (
-            executor
-            if executor is not None
-            else CodecExecutor(cost_model=cost_model, cpu=cpu, expansion_fallback=True)
+            executor if executor is not None else CodecExecutor(expansion_fallback=True)
         )
 
     def reconfigure(self, **params: object) -> None:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import time
 import zlib
-from typing import Callable, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional
 
 from ..compression.base import canonical_params, params_label
 from ..core.bicriteria import codec_for
@@ -71,7 +71,7 @@ def _relay_now() -> float:
     return time.monotonic()
 
 
-def chain_crc(payloads: Iterable[bytes], crc: int = 0) -> int:
+def chain_crc(payloads: Iterable[bytes]) -> int:
     """CRC-32 chained over ``payloads`` in order.
 
     The chain fingerprints an entire ordered payload sequence in one
@@ -79,6 +79,7 @@ def chain_crc(payloads: Iterable[bytes], crc: int = 0) -> int:
     must yield equal chains, which is how benches and the CI gate assert
     byte-exact fan-out without retaining payloads.
     """
+    crc = 0
     for payload in payloads:
         crc = zlib.crc32(payload, crc)
     return crc & 0xFFFFFFFF
@@ -96,33 +97,29 @@ class CompressionRelay:
 
     Method resolution per event: an event carrying
     :data:`ATTR_RELAY_METHOD` (set by the placement-aware producer) is
-    compressed with that codec; otherwise the relay's constructor-default
-    configuration applies.  Events that arrive already compressed
+    compressed with that codec; otherwise the relay's ``method`` applies.
+    Parameters travel only in :data:`ATTR_RELAY_PARAMS` (absent: the
+    codec's registered defaults).  Events that arrive already compressed
     (producer placement) pass through untouched — the relay never
     double-compresses — but still enter the CRC chain, which therefore
-    covers the full forwarded wire sequence.
+    covers the full forwarded wire sequence.  Modeled pricing reaches the
+    relay only through ``executor``, as for a compression handler.
     """
 
     def __init__(
         self,
         method: str = "lempel-ziv",
-        params: Optional[Mapping[str, object]] = None,
-        cost_model: Optional[object] = None,
-        cpu: Optional[object] = None,
         executor: Optional[CodecExecutor] = None,
         cache: Optional[object] = None,
         registry: Optional[MetricsRegistry] = None,
         channel: str = "relay",
     ) -> None:
         self.method = method
-        self.params = dict(params) if params else None
         self.cache = cache
         self.registry = registry
         self.channel = channel
         self.executor = (
-            executor
-            if executor is not None
-            else CodecExecutor(cost_model=cost_model, cpu=cpu, expansion_fallback=True)
+            executor if executor is not None else CodecExecutor(expansion_fallback=True)
         )
         self._sinks: List[Callable[[Event], None]] = []
         #: Running CRC-32 over every forwarded wire payload, in order.
@@ -144,21 +141,15 @@ class CompressionRelay:
 
     # -- the relay stage ---------------------------------------------------------
 
-    def _resolve(self, event: Event) -> Tuple[str, Optional[Mapping[str, object]]]:
-        method = event.attributes.get(ATTR_RELAY_METHOD, self.method)
-        params = event.attributes.get(ATTR_RELAY_PARAMS)
-        if params is None:
-            params = self.params if method == self.method else None
-        elif not isinstance(params, Mapping):
-            params = dict(params)
-        return method, params
-
     def __call__(self, event: Event) -> Event:
         """Compress (if placement asks for it) and fan out one event."""
         self.last_forward_monotonic = _relay_now()
         self.bytes_in += event.size
         already = event.attributes.get(ATTR_COMPRESSION_METHOD, "none")
-        method, params = self._resolve(event)
+        method = event.attributes.get(ATTR_RELAY_METHOD, self.method)
+        params = event.attributes.get(ATTR_RELAY_PARAMS)
+        if params is not None and not isinstance(params, Mapping):
+            params = dict(params)
         if already != "none" or method == "none":
             forwarded = event
         else:

@@ -80,6 +80,8 @@ __all__ = ["ChannelServer", "FrameReader", "RemoteChannel"]
 
 _MAX_FRAME = 64 * 1024 * 1024
 _RECV_CHUNK = 65536
+#: Shards of the fabric a server builds for itself.
+_SHARDS = 4
 
 
 def _sendall_gathered(sock: socket.socket, parts) -> None:
@@ -167,7 +169,6 @@ class ChannelServer:
         port: int = 0,
         registry: Optional[MetricsRegistry] = None,
         fabric: Optional["object"] = None,
-        shards: int = 4,
         batch: Optional["object"] = None,
     ) -> None:
         self.registry = registry
@@ -181,7 +182,7 @@ class ChannelServer:
             # must stay importable independent of the fabric package.
             from ..fabric.broker import EventFabric
 
-            fabric = EventFabric(shards=shards, mode="threads", registry=registry)
+            fabric = EventFabric(shards=_SHARDS, mode="threads", registry=registry)
             self._owns_fabric = True
         else:
             self._owns_fabric = False

@@ -17,16 +17,15 @@ from typing import Optional
 
 __all__ = ["EwmaBandwidthEstimator"]
 
+#: EWMA weight of each new throughput sample.
+ALPHA = 0.25
+
 
 class EwmaBandwidthEstimator:
     """Exponentially weighted moving average of delivery throughput."""
 
-    def __init__(self, alpha: float = 0.25) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self._estimate: Optional[float] = None
-        self.observations = 0
+    def __init__(self) -> None:
+        self.reset()
 
     def observe(self, size: int, seconds: float) -> None:
         if size < 0:
@@ -37,7 +36,7 @@ class EwmaBandwidthEstimator:
         if self._estimate is None:
             self._estimate = sample
         else:
-            self._estimate += self.alpha * (sample - self._estimate)
+            self._estimate += ALPHA * (sample - self._estimate)
         self.observations += 1
 
     @property
@@ -45,5 +44,5 @@ class EwmaBandwidthEstimator:
         return self._estimate
 
     def reset(self) -> None:
-        self._estimate = None
+        self._estimate: Optional[float] = None
         self.observations = 0

@@ -28,10 +28,10 @@ class Clock(Protocol):
 
 
 class VirtualClock:
-    """Deterministic simulated time."""
+    """Deterministic simulated time, from 0."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     def now(self) -> float:
         return self._now

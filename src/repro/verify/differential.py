@@ -60,7 +60,7 @@ from ..compression.lz77 import Lz77Codec, tokenize
 from ..compression.mtf import mtf_decode, mtf_encode
 from ..compression.registry import available_codecs, get_codec
 from ..compression.rle import rle_decode, rle_encode
-from ..compression.structured import bitpack, bitunpack, delta_zigzag, undelta_zigzag
+from ..compression.structured import _VALUE_RE, bitpack, bitunpack, delta_zigzag, undelta_zigzag
 from ..core.engine import timed
 from .corpus import CorpusGenerator
 from .references import (
@@ -81,6 +81,7 @@ from .references import (
     reference_mtf_encode,
     reference_rle_decode,
     reference_rle_encode,
+    reference_template_value_spans,
     reference_undelta_zigzag,
 )
 
@@ -392,6 +393,12 @@ _ROWS: Tuple[_Row, ...] = (
             restored=itemgetter(1),
         )
         for width in _BITPACK_WIDTHS
+    ),
+    # The template tokenizer's value spans against the lookahead pattern.
+    _Row(
+        "template-values",
+        lambda data: [match.span() for match in _VALUE_RE.finditer(data)],
+        reference_template_value_spans,
     ),
 )
 

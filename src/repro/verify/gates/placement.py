@@ -25,7 +25,6 @@ uploads it as the ``placement_breakdown.jsonl`` artifact).
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
 from ...core.engine import CodecExecutor
@@ -58,6 +57,8 @@ RELAY_BLOCKS = 24
 RELAY_BLOCK_SIZE = 8 * 1024
 RELAY_METHOD_CYCLE = ("lempel-ziv", "burrows-wheeler", "huffman")
 RELAY_FAULT_SEED = 31
+#: The relay leg's pricing, for the relay and the producer-side chain it must match.
+RELAY_EXECUTOR = CodecExecutor(DEFAULT_COSTS, SUN_FIRE, expansion_fallback=True)
 
 
 def judge_cells(
@@ -83,7 +84,7 @@ def breakdown_leg(ctx: GateContext) -> None:
         "breakdown matrix",
     )
     for cell in cells:
-        ctx.tracer.event("placement.breakdown", **asdict(cell))
+        ctx.tracer.event("placement.breakdown", **cell.row())
     by_key, losing = judge_cells(ctx, cells)
     for link in LINK_CLASSES:
         producer, auto = by_key[(link, "producer")], by_key[(link, "auto")]
@@ -127,7 +128,7 @@ class RelayOutcome(NamedTuple):
 
 def run_relay_once(ctx: GateContext) -> Tuple[WireRun, RelayOutcome]:
     """Raw, relay-annotated blocks through the hostile wire into the relay."""
-    relay = CompressionRelay(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+    relay = CompressionRelay(executor=RELAY_EXECUTOR)
     decompressor = DecompressionHandler()
     recovered: List[bytes] = []
     relay.subscribe(lambda event: recovered.append(decompressor(event).payload))
@@ -160,9 +161,8 @@ def relay_leg(ctx: GateContext) -> None:
     before = len(ctx.failures)
     blocks = seeded_blocks(RELAY_BLOCK_SIZE, RELAY_BLOCKS)
     # The chain the producer would have produced for the same sequence.
-    executor = CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, expansion_fallback=True)
     expected_chain = chain_crc(
-        executor.compress(_relay_method(i), block).payload for i, block in enumerate(blocks)
+        RELAY_EXECUTOR.compress(_relay_method(i), block).payload for i, block in enumerate(blocks)
     )
     wire, run = ctx.twice(lambda: run_relay_once(ctx), "relay leg")
     if wire.missing:

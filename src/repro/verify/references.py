@@ -5,7 +5,8 @@ the whole-block Huffman encoder, Huffman and Lempel-Ziv decoding, the
 Lempel-Ziv match finder and field emitter, move-to-front, the 254-capped
 RLE, the Burrows-Wheeler transform, and the structured codecs'
 zigzag/delta/bitpack column primitives) are array or index-queue
-rewrites of classic per-symbol algorithms.
+rewrites of classic per-symbol algorithms; the template codec's value
+pattern is a shortened regular expression.
 This module keeps the classic formulations — short, obviously-correct
 Python loops straight out of the textbook — as the differential oracle:
 the optimized path must be **byte-identical** to these on every input,
@@ -18,6 +19,7 @@ Python's ``sorted``, O(n² log n)); use them on test-sized inputs only.
 from __future__ import annotations
 
 import heapq
+import re
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -59,6 +61,7 @@ __all__ = [
     "reference_bitunpack",
     "reference_delta_zigzag",
     "reference_undelta_zigzag",
+    "reference_template_value_spans",
 ]
 
 _U64_MASK = (1 << 64) - 1
@@ -692,3 +695,10 @@ def reference_undelta_zigzag(first: int, encoded: Sequence[int]) -> List[int]:
     for value in encoded:
         out.append((out[-1] + _reference_unzigzag(value)) & _U64_MASK)
     return out
+
+
+def reference_template_value_spans(data: bytes) -> List[Tuple[int, int]]:
+    """Where the template tokenizer finds slot values in ``data``: its value
+    pattern as first written, whose hex runs must hold a letter."""
+    pattern = rb"(?:\d{1,3}\.){3}\d{1,3}|(?=[0-9a-f]*[a-f])[0-9a-f]{8,}|\d+"
+    return [match.span() for match in re.finditer(pattern, data)]

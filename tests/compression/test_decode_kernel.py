@@ -159,8 +159,9 @@ class TestSpans:
         code = HuffmanCode([1, 1])
         stream = code.encode(np.array(symbols))
         pmap = code.position_map(stream)
-        chain = pmap.chain(5, 10**12, stop_bit=140_001)
-        assert chain.tolist() == list(range(5, 140_002))
+        # The chain stops at the first sink: one past the last stream bit.
+        assert pmap.end_bit == 150_000
+        assert pmap.chain(5, 10**12).tolist() == list(range(5, 150_002))
         assert pmap.chain(131_070, 7).tolist() == list(range(131_070, 131_078))
         assert pmap.chain(pmap.end_bit, 3).tolist() == [pmap.end_bit, pmap.end_bit + 1]
 

@@ -12,10 +12,8 @@ from repro.compression.streaming import (
 from tests.strategies import examples
 
 
-def roundtrip(data, chunk=1000, block_size=4096, method="lempel-ziv", picker=None):
-    compressor = StreamingCompressor(
-        method=method, block_size=block_size, method_picker=picker
-    )
+def roundtrip(data, chunk=1000, block_size=4096, method="lempel-ziv"):
+    compressor = StreamingCompressor(method=method, block_size=block_size)
     framed = bytearray()
     for start in range(0, len(data), chunk):
         framed += compressor.write(data[start : start + chunk])
@@ -56,19 +54,6 @@ class TestStreamingRoundtrip:
     def test_ratio_tracks(self, commercial_block):
         _, compressor, _ = roundtrip(commercial_block)
         assert 0.1 < compressor.ratio < 0.9
-
-    def test_per_block_method_picker(self, commercial_block, random_block):
-        data = commercial_block[:8192] + random_block[:8192]
-        chosen = []
-
-        def picker(block):
-            method = "lempel-ziv" if block.count(b"<") > 50 else "huffman"
-            chosen.append(method)
-            return method
-
-        out, _, _ = roundtrip(data, block_size=8192, picker=picker)
-        assert out == data
-        assert set(chosen) == {"lempel-ziv", "huffman"}
 
     @pytest.mark.parametrize("method", ["none", "huffman", "lzw", "burrows-wheeler"])
     def test_all_methods(self, method, lowentropy_block):

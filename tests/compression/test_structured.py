@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.compression.base import ACCEPTABLE_DECODE_ERRORS
 from repro.compression.structured import (
+    _VALUE_RE,
     ColumnarCodec,
     TemplateCodec,
     bitpack,
@@ -36,6 +37,7 @@ from repro.verify.references import (
     reference_bitpack,
     reference_bitunpack,
     reference_delta_zigzag,
+    reference_template_value_spans,
     reference_undelta_zigzag,
 )
 from tests.strategies import examples, log_line_payloads, record_payloads
@@ -228,3 +230,10 @@ class TestPrimitivesMatchReferences:
     def test_zigzag_is_an_involution(self, values):
         signed = np.array(values, dtype="<i8")
         assert list(zigzag_decode(zigzag_encode(signed))) == values
+
+    @given(st.text(alphabet="0123456789abcdefxyz.:-_/ \n", max_size=200).map(str.encode))
+    @examples(150)
+    def test_template_values_match_the_lookahead_pattern(self, line):
+        """Without the hex lookahead the tokenizer finds the same values."""
+        spans = [match.span() for match in _VALUE_RE.finditer(line)]
+        assert spans == reference_template_value_spans(line)

@@ -9,6 +9,7 @@ from hypothesis import settings
 
 from repro.compression import parallel
 from repro.compression.parallel import shutdown_codec_pool
+from repro.core import calibration
 from repro.data.commercial import CommercialDataGenerator
 from repro.data.molecular import MolecularDataGenerator
 from tests.strategies import SUITE_SEED, TIER1_EXAMPLES
@@ -102,6 +103,21 @@ def shared_pool(monkeypatch):
 
     yield install
     shutdown_codec_pool()
+
+
+@pytest.fixture(scope="module")
+def one_calibration_round():
+    """Host calibrations in this module time one round trip per codec after
+    the warm-up, not ``calibration.ROUNDS``.
+
+    The figure and report tests check shapes and orderings, not timing
+    stability, and ``ROUNDS`` round trips of ``arithmetic`` on the 512 KB
+    commercial sample alone take about 50 s on a 2-core host.  The median
+    rule itself is pinned in ``tests/core/test_calibration.py``.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(calibration, "ROUNDS", 1)
+        yield
 
 
 @pytest.fixture(autouse=True)

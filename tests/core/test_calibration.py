@@ -4,7 +4,8 @@ import pytest
 
 from repro.compression.base import Codec, CodecError
 from repro.compression.registry import get_codec
-from repro.core.calibration import GATE_HEADROOM, calibrate, calibrate_thresholds
+from repro.core.calibration import GATE_HEADROOM, ROUNDS, calibrate, calibrate_thresholds
+from repro.core.engine import BlockStats, CodecExecutor
 from repro.data.commercial import CommercialDataGenerator
 from repro.netsim.cpu import DEFAULT_COSTS, CodecCost, CodecCostModel
 
@@ -55,6 +56,27 @@ class TestCalibrate:
         assert huff.compress_throughput > 0
         assert huff.decompress_throughput > 0
         assert 0 < huff.typical_ratio < 1
+
+    def test_median_of_the_rounds_after_one_warm_up(self, monkeypatch, sample):
+        """One warm-up round trip is dropped, then each direction keeps the
+        median of ``ROUNDS`` round trips: one slow sample is not the model."""
+        compress = iter([100.0, 9.0, 1.0, 3.0, 50.0, 2.0])  # the warm-up first
+        decompress = iter([100.0, 4.0, 8.0, 6.0, 5.0, 70.0])
+        calls = []
+
+        def scripted(executor, method, data, codec=None):
+            calls.append(method)
+            return BlockStats(
+                method, method, len(data), len(data) // 2, next(compress), next(decompress)
+            )
+
+        monkeypatch.setattr(CodecExecutor, "measure_roundtrip", scripted)
+        cost = calibrate({"lempel-ziv": get_codec("lempel-ziv")}, sample).cost("lempel-ziv")
+        assert ROUNDS == 5
+        assert calls == ["lempel-ziv"] * (1 + ROUNDS)
+        assert cost.compress_throughput == len(sample) / 3.0
+        assert cost.decompress_throughput == len(sample) / 6.0
+        assert cost.typical_ratio == 0.5
 
     def test_calibrate_empty_sample_rejected(self):
         with pytest.raises(ValueError):

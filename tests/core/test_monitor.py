@@ -19,7 +19,7 @@ class TestReducingSpeedMonitor:
         assert monitor.reducing_speed("lz") == pytest.approx(6000.0)
 
     def test_ewma_smoothing(self):
-        monitor = ReducingSpeedMonitor(alpha=0.5)
+        monitor = ReducingSpeedMonitor()
         monitor.observe_raw("lz", 1000, 1.0)  # 1000 B/s
         monitor.observe_raw("lz", 2000, 1.0)  # 2000 B/s
         assert monitor.reducing_speed("lz") == pytest.approx(1500.0)
@@ -30,7 +30,7 @@ class TestReducingSpeedMonitor:
         assert math.isinf(monitor.reducing_speed("lz"))
 
     def test_observe_raw(self):
-        monitor = ReducingSpeedMonitor(alpha=1.0)
+        monitor = ReducingSpeedMonitor()
         monitor.observe_raw("lz", 500, 0.5)
         assert monitor.reducing_speed("lz") == pytest.approx(1000.0)
 
@@ -41,7 +41,7 @@ class TestReducingSpeedMonitor:
         assert math.isinf(monitor.reducing_speed("lz"))
 
     def test_observe_speed(self):
-        monitor = ReducingSpeedMonitor(alpha=0.5)
+        monitor = ReducingSpeedMonitor()
         monitor.observe_speed("lz", 100.0)
         monitor.observe_speed("lz", 300.0)
         assert monitor.reducing_speed("lz") == pytest.approx(200.0)
@@ -60,13 +60,9 @@ class TestReducingSpeedMonitor:
 
     def test_cpu_load_change_visible_quickly(self):
         """A CPU slowdown halves speeds; the EWMA must track within a few blocks."""
-        monitor = ReducingSpeedMonitor(alpha=0.5)
+        monitor = ReducingSpeedMonitor()
         for _ in range(5):
             monitor.observe_raw("lz", 1000, 1.0)
         for _ in range(4):
             monitor.observe_raw("lz", 500, 1.0)
         assert monitor.reducing_speed("lz") < 600
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            ReducingSpeedMonitor(alpha=0.0)

@@ -133,7 +133,8 @@ class TestRun:
             assert codec.decompress(payload) == block
 
     def test_custom_clock_used(self):
-        clock = VirtualClock(start=100.0)
+        clock = VirtualClock()
+        clock.advance(100.0)
         result = pipeline().run(blocks(2), make_link("100mbit"), clock=clock)
         assert result.records[0].start_time == 100.0
         assert clock.now() > 100.0

@@ -78,11 +78,13 @@ class TestMolecularGenerator:
     def test_positions_stay_in_box(self):
         import numpy as np
 
-        gen = MolecularDataGenerator(128, box=10.0)
+        from repro.data.molecular import _BOX
+
+        gen = MolecularDataGenerator(128)
         for _ in range(50):
             gen.advance()
         coords = np.frombuffer(gen.coordinates_block(), dtype="<f8")
-        assert np.all(coords >= 0.0) and np.all(coords < 10.0)
+        assert np.all(coords >= 0.0) and np.all(coords < _BOX)
 
     def test_invalid_atom_count(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from repro.experiments import (
     PAPER_FIG5,
     ReplayConfig,
     commercial_blocks,
+    commercial_sample,
     figure2_ratios,
     figure4_reducing_speeds,
     figure5_link_speeds,
@@ -31,9 +32,9 @@ SMALL_FIG8 = ReplayConfig(block_count=64, production_interval=2.5)
 
 
 @pytest.fixture(scope="module")
-def commercial_model():
+def commercial_model(one_calibration_round):
     """One host calibration of the commercial sample for Figures 2, 3 and 4."""
-    return figure2_ratios()
+    return figure2_ratios(commercial_sample())
 
 
 class TestFigure1:
@@ -107,10 +108,10 @@ class TestFigure5:
 
 
 class TestFigure6:
-    def test_field_signature(self):
+    def test_field_signature(self, one_calibration_round):
         percent = {
             field: {m: 100 * model.cost(m).typical_ratio for m in METHOD_ORDER}
-            for field, model in figure6_molecular_ratios(atom_count=4096).items()
+            for field, model in figure6_molecular_ratios().items()
         }
         coords = percent["coordinates"]
         types = percent["type"]

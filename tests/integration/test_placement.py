@@ -29,11 +29,15 @@ class TestPlacementVerdict:
         assert placement_failures(matrix) == []
 
     def test_each_broken_promise_is_named_per_link(self, matrix):
-        def tampered(link, mode, **changes):
-            return [
-                replace(c, **changes) if (c.link, c.mode) == (link, mode) else c
-                for c in matrix
-            ]
+        def tampered(link, mode, downstream_crc32=None, **schedule):
+            """The matrix with one cell's schedule seconds (or CRC) changed."""
+
+            def tamper(cell):
+                cell = replace(cell, schedule=replace(cell.schedule, **schedule))
+                crc = cell.downstream_crc32 if downstream_crc32 is None else downstream_crc32
+                return replace(cell, downstream_crc32=crc)
+
+            return [tamper(c) if (c.link, c.mode) == (link, mode) else c for c in matrix]
 
         producer = _cell(matrix, "1mbit", "producer")
         [slow] = placement_failures(

@@ -6,14 +6,12 @@ from repro.experiments import ReplayConfig, generate_report
 
 
 @pytest.fixture(scope="module")
-def report():
+def report(one_calibration_round):
     small = ReplayConfig(block_count=16, production_interval=2.5)
     headline = ReplayConfig(
         block_count=16, production_interval=0.0, trace_offset=20.0, pipelined=True
     )
-    return generate_report(
-        replay_config=small, headline_config=headline, link_transfers=80
-    )
+    return generate_report(replay_config=small, headline_config=headline)
 
 
 class TestGenerateReport:

@@ -50,7 +50,8 @@ class TestSamplingPublisher:
         assert publisher.published == 1
 
     def test_timestamps_use_clock(self, commercial_block):
-        clock = VirtualClock(start=5.0)
+        clock = VirtualClock()
+        clock.advance(5.0)
         system = EchoSystem()
         channel = system.create_channel("c")
         received = []

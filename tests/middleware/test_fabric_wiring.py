@@ -10,7 +10,7 @@ from repro.fabric.broker import EventFabric
 from repro.middleware.channels import EventChannel
 from repro.middleware.events import Event
 from repro.middleware.handlers import CompressionHandler
-from repro.middleware.relay import ATTR_PLACEMENT, CompressionRelay
+from repro.middleware.relay import ATTR_PLACEMENT, ATTR_RELAY_PARAMS, CompressionRelay
 from repro.middleware.tcp import ChannelServer, RemoteChannel
 from repro.middleware.transport import WireFormat
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
@@ -26,17 +26,18 @@ class TestOneCompressionStage:
         """Every compression site stamps events through one function and
         resolves ``(method, params)`` to a codec through ``codec_for``."""
         method = "lempel-ziv"
+        attributes = {ATTR_PLACEMENT: "consumer"}
+        if params:
+            attributes[ATTR_RELAY_PARAMS] = params
         event = Event(
             payload=commercial_block,
-            attributes={ATTR_PLACEMENT: "consumer"},
+            attributes=attributes,
             channel_id="a",
             sequence=7,
             timestamp=3.0,
         )
         handled = CompressionHandler(method, executor=modeled_executor(), params=params)(event)
-        relayed = CompressionRelay(method=method, params=params, executor=modeled_executor())(
-            event
-        )
+        relayed = CompressionRelay(method=method, executor=modeled_executor())(event)
         codec = codec_for(method, canonical_params(params))
         assert handled.payload == codec.compress(commercial_block)
         assert len(handled.payload) < len(commercial_block)
@@ -114,7 +115,7 @@ class TestServerShutdown:
         fabric.close()
 
     def test_fabric_fanout_shares_frames_across_clients(self):
-        registry_free_server = ChannelServer(shards=2)
+        registry_free_server = ChannelServer()
         channel = EventChannel("feed")
         registry_free_server.offer(channel)
         host, port = registry_free_server.address

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.engine import CodecExecutor
 from repro.middleware.attributes import (
     ATTR_COMPRESSION_METHOD,
     ATTR_COMPRESSION_SECONDS,
@@ -10,6 +11,10 @@ from repro.middleware.attributes import (
 from repro.middleware.events import Event
 from repro.middleware.handlers import CompressionHandler, DecompressionHandler
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE, ULTRA_SPARC
+
+
+def _modeled(cpu):
+    return CodecExecutor(DEFAULT_COSTS, cpu, expansion_fallback=True)
 
 
 class TestCompressionHandler:
@@ -37,7 +42,7 @@ class TestCompressionHandler:
             CompressionHandler("lzma")
 
     def test_modeled_time_deterministic(self, commercial_block):
-        handler = CompressionHandler("huffman", cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        handler = CompressionHandler("huffman", executor=_modeled(SUN_FIRE))
         a = handler(Event(payload=commercial_block))
         b = handler(Event(payload=commercial_block))
         assert (
@@ -46,8 +51,8 @@ class TestCompressionHandler:
         )
 
     def test_modeled_time_scales_with_cpu(self, commercial_block):
-        fast = CompressionHandler("huffman", cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
-        slow = CompressionHandler("huffman", cost_model=DEFAULT_COSTS, cpu=ULTRA_SPARC)
+        fast = CompressionHandler("huffman", executor=_modeled(SUN_FIRE))
+        slow = CompressionHandler("huffman", executor=_modeled(ULTRA_SPARC))
         event = Event(payload=commercial_block)
         assert (
             slow(event).attributes[ATTR_COMPRESSION_SECONDS]

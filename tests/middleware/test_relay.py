@@ -16,6 +16,7 @@ from repro.middleware.handlers import DecompressionHandler
 from repro.middleware.relay import (
     ATTR_PLACEMENT,
     ATTR_RELAY_METHOD,
+    ATTR_RELAY_PARAMS,
     CompressionRelay,
     chain_crc,
 )
@@ -25,6 +26,10 @@ from repro.netsim.faults import FaultPlan, FaultRule, RetryPolicy
 from repro.netsim.link import PAPER_LINKS, SimulatedLink
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.catalogue import RELAY_BYTES_SAVED_TOTAL, RELAY_EVENTS_TOTAL
+
+
+#: The relay's pricing in these tests, and the producer side it must match.
+MODELED = CodecExecutor(DEFAULT_COSTS, SUN_FIRE, expansion_fallback=True)
 
 
 def _blocks(count=6, size=4 * 1024, seed=2004):
@@ -65,12 +70,9 @@ class TestChainCrc:
 class TestCompressionRelay:
     def test_bytes_identical_to_producer_compression(self):
         blocks = _blocks()
-        relay = CompressionRelay(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        relay = CompressionRelay(executor=MODELED)
         forwarded = [relay(event) for event in _events(blocks)]
-        executor = CodecExecutor(
-            cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, expansion_fallback=True
-        )
-        producer = [executor.compress("lempel-ziv", block).payload for block in blocks]
+        producer = [MODELED.compress("lempel-ziv", block).payload for block in blocks]
         assert [e.payload for e in forwarded] == producer
         assert relay.crc_chain == chain_crc(producer)
         assert relay.events_compressed == len(blocks)
@@ -78,13 +80,13 @@ class TestCompressionRelay:
 
     def test_forwarded_events_are_decompressor_compatible(self):
         blocks = _blocks()
-        relay = CompressionRelay(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        relay = CompressionRelay(executor=MODELED)
         decompress = DecompressionHandler()
         restored = [decompress(relay(event)).payload for event in _events(blocks)]
         assert restored == blocks
 
     def test_annotations(self):
-        relay = CompressionRelay(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        relay = CompressionRelay(executor=MODELED)
         block = _blocks(count=1)[0]
         forwarded = relay(_events([block])[0])
         assert forwarded.attributes[ATTR_COMPRESSION_METHOD] == "lempel-ziv"
@@ -93,7 +95,7 @@ class TestCompressionRelay:
 
     def test_per_event_method_overrides_default(self):
         block = _blocks(count=1)[0]
-        relay = CompressionRelay(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        relay = CompressionRelay(executor=MODELED)
         forwarded = relay(_events([block], method="huffman")[0])
         assert forwarded.attributes[ATTR_COMPRESSION_METHOD] == "huffman"
         assert forwarded.payload == get_codec("huffman").compress(block)
@@ -106,7 +108,7 @@ class TestCompressionRelay:
             attributes={ATTR_COMPRESSION_METHOD: "lempel-ziv"},
             sequence=1,
         )
-        relay = CompressionRelay(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        relay = CompressionRelay(executor=MODELED)
         forwarded = relay(event)
         assert forwarded.payload == payload
         assert relay.events_compressed == 0
@@ -115,7 +117,7 @@ class TestCompressionRelay:
 
     def test_method_none_passes_through(self):
         block = _blocks(count=1)[0]
-        relay = CompressionRelay(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        relay = CompressionRelay(executor=MODELED)
         forwarded = relay(_events([block], method="none")[0])
         assert forwarded.payload == block
         assert relay.events_compressed == 0
@@ -123,14 +125,14 @@ class TestCompressionRelay:
     def test_expansion_guard_forwards_raw(self):
         rng = random.Random(7)
         noise = bytes(rng.getrandbits(8) for _ in range(4 * 1024))
-        relay = CompressionRelay(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        relay = CompressionRelay(executor=MODELED)
         forwarded = relay(_events([noise])[0])
         assert forwarded.payload == noise
         assert forwarded.attributes[ATTR_COMPRESSION_METHOD] == "none"
 
     def test_fanout_reaches_every_sink(self):
         blocks = _blocks(count=3)
-        relay = CompressionRelay(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        relay = CompressionRelay(executor=MODELED)
         first, second = [], []
         relay.subscribe(first.append)
         relay.subscribe(second.append)
@@ -142,9 +144,7 @@ class TestCompressionRelay:
     def test_shared_cache_compresses_once(self):
         block = _blocks(count=1)[0]
         cache = BlockCache()
-        relay = CompressionRelay(
-            cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, cache=cache
-        )
+        relay = CompressionRelay(executor=MODELED, cache=cache)
         events = _events([block, block, block])
         payloads = {relay(event).payload for event in events}
         assert len(payloads) == 1
@@ -154,11 +154,9 @@ class TestCompressionRelay:
         """Same relay, event and params: a cache may only save time."""
         [block] = _blocks(count=1, size=64 * 1024)
         [event] = _events([block])
-        params = {"max_chain": 4}
-        plain = CompressionRelay(params=params, cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
-        cached = CompressionRelay(
-            params=params, cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, cache=BlockCache()
-        )
+        event = event.with_attributes(**{ATTR_RELAY_PARAMS: {"max_chain": 4}})
+        plain = CompressionRelay(executor=MODELED)
+        cached = CompressionRelay(executor=MODELED, cache=BlockCache())
         expected = plain(event)
         assert cached(event).payload == expected.payload  # miss
         assert cached(event).payload == expected.payload  # hit
@@ -168,9 +166,7 @@ class TestCompressionRelay:
 
     def test_registry_metrics(self):
         registry = MetricsRegistry()
-        relay = CompressionRelay(
-            cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, registry=registry
-        )
+        relay = CompressionRelay(executor=MODELED, registry=registry)
         blocks = _blocks(count=2)
         for event in _events(blocks):
             relay(event)
@@ -180,7 +176,7 @@ class TestCompressionRelay:
         assert saved.value(method="lempel-ziv") == relay.bytes_in - relay.bytes_out
 
     def test_liveness_stamp_advances(self):
-        relay = CompressionRelay(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        relay = CompressionRelay(executor=MODELED)
         assert relay.last_forward_monotonic is None
         relay(_events(_blocks(count=1))[0])
         assert relay.last_forward_monotonic is not None
@@ -203,7 +199,7 @@ class TestRelayUnderFaults:
             plan, link=SimulatedLink(PAPER_LINKS["100mbit"], seed=2),
             clock=VirtualClock(),
         )
-        relay = CompressionRelay(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        relay = CompressionRelay(executor=MODELED)
         reliable = ReliableEventLink(
             wire, relay, retry=RetryPolicy(seed=seed, max_attempts=8, base_delay=0.01)
         )
@@ -216,11 +212,8 @@ class TestRelayUnderFaults:
         blocks = _blocks(count=8)
         relay, missing = self._run(blocks, seed=13)
         assert not missing
-        executor = CodecExecutor(
-            cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, expansion_fallback=True
-        )
         expected = chain_crc(
-            executor.compress("lempel-ziv", block).payload for block in blocks
+            MODELED.compress("lempel-ziv", block).payload for block in blocks
         )
         assert relay.crc_chain == expected
         assert relay.events_forwarded == len(blocks)

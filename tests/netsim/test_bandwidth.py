@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim.bandwidth import EwmaBandwidthEstimator
+from repro.netsim.bandwidth import ALPHA, EwmaBandwidthEstimator
 
 
 class TestEwma:
@@ -15,23 +15,19 @@ class TestEwma:
         assert est.estimate == 1000.0
 
     def test_converges_toward_new_regime(self):
-        est = EwmaBandwidthEstimator(alpha=0.5)
+        est = EwmaBandwidthEstimator()
         est.observe(1000, 1.0)
         for _ in range(20):
             est.observe(100, 1.0)
-        assert est.estimate == pytest.approx(100.0, rel=0.01)
+        assert est.estimate == pytest.approx(100.0 + 900.0 * (1 - ALPHA) ** 20)
+        assert est.estimate == pytest.approx(100.0, rel=0.05)
 
     def test_smooths_spikes(self):
-        est = EwmaBandwidthEstimator(alpha=0.2)
+        est = EwmaBandwidthEstimator()
         est.observe(1000, 1.0)
         est.observe(100000, 1.0)  # one spike
-        assert est.estimate < 25000
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            EwmaBandwidthEstimator(alpha=0.0)
-        with pytest.raises(ValueError):
-            EwmaBandwidthEstimator(alpha=1.5)
+        assert est.estimate == pytest.approx(1000 + ALPHA * 99000)
+        assert est.estimate < 30000
 
     def test_invalid_observations(self):
         est = EwmaBandwidthEstimator()

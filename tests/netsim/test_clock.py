@@ -9,9 +9,6 @@ class TestVirtualClock:
     def test_starts_at_zero(self):
         assert VirtualClock().now() == 0.0
 
-    def test_custom_start(self):
-        assert VirtualClock(12.5).now() == 12.5
-
     def test_advance_accumulates(self):
         clock = VirtualClock()
         clock.advance(1.5)

@@ -38,7 +38,7 @@ from repro.middleware.chaos import ChaosWire, DeliveryError, ReliableEventLink
 from repro.middleware.events import Event
 from repro.middleware.handlers import CompressionHandler
 from repro.middleware.monitoring import ChannelMonitor
-from repro.middleware.relay import CompressionRelay
+from repro.middleware.relay import ATTR_RELAY_PARAMS, CompressionRelay
 from repro.middleware.tcp import ChannelServer, RemoteChannel
 from repro.netsim.clock import VirtualClock
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
@@ -144,13 +144,11 @@ def drive_threads_fabric(registry: MetricsRegistry) -> None:
 
 
 def drive_relay(registry: MetricsRegistry) -> None:
-    relay = CompressionRelay(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, registry=registry)
-    tuned = CompressionRelay(
-        params={"max_chain": 4}, cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, registry=registry
-    )
+    relay = CompressionRelay(executor=_modeled_executor(), registry=registry)
+    tuned = CompressionRelay(executor=_modeled_executor(), registry=registry)
     for event in _events(2):
         relay(event)
-        tuned(event)
+        tuned(event.with_attributes(**{ATTR_RELAY_PARAMS: {"max_chain": 4}}))
 
 
 def drive_chaos_link(registry: MetricsRegistry) -> None:
@@ -229,14 +227,14 @@ def drive_pool(registry: MetricsRegistry) -> None:
 def drive_handler(registry: MetricsRegistry) -> None:
     """A runtime reconfiguration, then an expansion-guard fallback block."""
     handler = CompressionHandler(
-        "burrows-wheeler", cost_model=DEFAULT_COSTS, cpu=SUN_FIRE,
+        "burrows-wheeler", executor=_modeled_executor(),
         registry=registry, channel="tuned", params={"chunk_size": 8192},
     )
     handler.reconfigure(chunk_size=2048)
     handler(Event(payload=PAYLOAD))
     incompressible = random.Random(1234).randbytes(4096)
     CompressionHandler(
-        "huffman", cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, registry=registry
+        "huffman", executor=_modeled_executor(), registry=registry
     )(Event(payload=incompressible))
 
 

@@ -245,7 +245,7 @@ class TestStats:
 
 
 class TestReport:
-    def test_report_to_file(self, tmp_path, capsys):
+    def test_report_to_file(self, tmp_path, capsys, one_calibration_round):
         out = tmp_path / "report.md"
         assert main(["report", "--blocks", "8", "-o", str(out)]) == 0
         document = out.read_text()

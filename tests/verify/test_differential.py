@@ -94,6 +94,7 @@ class TestRowTable:
         "mtf-decode", "rle-decode", "bwt-transform", "bwt-inverse",
         "delta-zigzag", "undelta-zigzag",
         "bitpack-1", "bitpack-7", "bitpack-12", "bitpack-24", "bitpack-33", "bitpack-64",
+        "template-values",
     }
 
     def test_every_reference_is_some_rows_oracle(self):
@@ -103,7 +104,7 @@ class TestRowTable:
         for row in _ROWS:
             oracles |= _reachable_names(row.oracle)
         wanted = {name for name in references.__all__ if name.startswith("reference_")}
-        assert len(wanted) == 18
+        assert len(wanted) == 19
         assert not wanted - oracles, f"oracles without a row: {sorted(wanted - oracles)}"
 
     def test_kernel_side_never_calls_an_oracle(self):
@@ -118,9 +119,9 @@ class TestRowTable:
         wire = set(REFERENCE_COUNTERPARTS) & {r.subject for r in results}
         pooled = {"burrows-wheeler"}
         assert {r.subject for r in results} == self.SUBJECTS | wire | pooled
-        # 5 cases x (22 rows + 2 directions per wire counterpart) + 2 pool checks
-        assert len(results) == 5 * (22 + 2 * len(wire)) + 2
-        assert len(wire) != 2 or (len(results), len(self.SUBJECTS | wire | pooled)) == (132, 25)
+        # 5 cases x (23 rows + 2 directions per wire counterpart) + 2 pool checks
+        assert len(results) == 5 * (23 + 2 * len(wire)) + 2
+        assert len(wire) != 2 or (len(results), len(self.SUBJECTS | wire | pooled)) == (137, 26)
         assert all(r.subject_seconds > 0 and r.reference_seconds > 0
                    for r in results if r.kind == "scalar-vectorized")
 
