@@ -180,26 +180,29 @@ echo "ok"
 
 # --- Invariant: one pool seam -------------------------------------------------
 # There is one worker pool, the process-wide codec pool that
-# compression/parallel.py builds, and two calls reach it: chunk_map (a codec's
-# chunk stages, a run's sampling probes) and submit/result (PipelinedBlockEngine's
-# window of whole blocks).  A pool private to a codec or a layer would also
-# hide its CPU and RSS from bench/, whose process_time and ru_maxrss count the
-# parent process only.  The codec kernels hold the GIL, so a thread pool cannot
-# pay: ThreadPoolExecutor is refused everywhere, parallel.py included, until a
-# measured workload says otherwise.  Both calls' sites are listed so that a new
-# caller shows up in review.
+# compression/parallel.py builds, and one call reaches it: chunk_map (a codec's
+# chunk stages, a run's sampling probes, PipelinedBlockEngine's blocks).  A pool
+# private to a codec or a layer would also hide its CPU and RSS from bench/,
+# whose process_time and ru_maxrss count the parent process only.  The codec
+# kernels hold the GIL, so a thread pool cannot pay: ThreadPoolExecutor and
+# concurrent.futures are refused everywhere, parallel.py included, until a
+# measured workload says otherwise.  The pool runs no thread in the parent
+# (the caller writes each task to the workers' pipes itself), so parallel.py
+# starts no Thread.  The call sites are listed so that a new caller shows up
+# in review.
 echo "== invariant: one codec pool, built in compression/parallel.py, no thread pool"
 stray=$({ grep -rnE "ProcessPoolExecutor\(|multiprocessing" src/repro --include="*.py" \
     | grep -v "src/repro/compression/parallel.py"
-    grep -rn "ThreadPoolExecutor" src/repro --include="*.py"; } || true)
+    grep -rnE "ThreadPoolExecutor|concurrent\.futures" src/repro --include="*.py"
+    grep -nE "Thread\(" src/repro/compression/parallel.py; } || true)
 if [ -n "$stray" ]; then
-    echo "FAIL: worker pool outside the one codec pool (reach it through chunk_map or submit/result in compression/parallel.py; no thread pool):" >&2
+    echo "FAIL: worker pool outside the one codec pool, or a thread in it (reach it through chunk_map in compression/parallel.py; no thread pool, no helper thread):" >&2
     echo "$stray" >&2
     exit 1
 fi
-echo "ok; chunk_map and submit call sites:"
-grep -rnE "(chunk_map|[^_.a-z]submit)\(" src/repro --include="*.py" \
-    | grep -vE "def (chunk_map|submit)\(" | sed 's/^/    /' || true
+echo "ok; chunk_map call sites:"
+grep -rnE "chunk_map\(" src/repro --include="*.py" \
+    | grep -vE "def chunk_map\(" | sed 's/^/    /' || true
 
 # --- Invariant: one door to the C allocator -------------------------------------
 # The codec kernels' megabyte temporaries stay on a resident heap because

@@ -109,21 +109,6 @@ class BitWriter:
         self._accumulator = acc & ((1 << count) - 1)
         self._bit_count = count
 
-    def write_unary(self, value: int) -> None:
-        """Append ``value`` one-bits followed by a terminating zero."""
-        if value < 0:
-            raise ValueError("unary values must be non-negative")
-        # value ones then a zero, emitted as one (value+1)-bit pattern.
-        self.write_bits(((1 << value) - 1) << 1, value + 1)
-
-    def write_gamma(self, value: int) -> None:
-        """Append Elias-gamma code for ``value`` (value >= 1)."""
-        if value < 1:
-            raise ValueError("gamma codes require value >= 1")
-        width = value.bit_length()
-        self.write_bits(0, width - 1)
-        self.write_bits(value, width)
-
     @property
     def bit_length(self) -> int:
         """Total number of bits written so far."""
@@ -185,20 +170,3 @@ class BitReader:
         chunk >>= total_bits - (end - first_byte * 8)
         self._position = end
         return chunk & ((1 << width) - 1)
-
-    def read_unary(self) -> int:
-        """Read a unary code written by :meth:`BitWriter.write_unary`."""
-        count = 0
-        while self.read_bit():
-            count += 1
-        return count
-
-    def read_gamma(self) -> int:
-        """Read an Elias-gamma code written by :meth:`BitWriter.write_gamma`."""
-        zeros = 0
-        while not self.read_bit():
-            zeros += 1
-        value = 1
-        for _ in range(zeros):
-            value = (value << 1) | self.read_bit()
-        return value

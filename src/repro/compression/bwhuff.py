@@ -6,8 +6,8 @@ Pipeline (per chunk, default 32 KB):
 
 Chunks are independent until the joint stage, so the per-chunk stages
 run through :func:`~.parallel.chunk_map`: the caller and the shared
-codec pool's workers each take a share of every multi-chunk block, and
-the bytes are those of the in-process chunk loop.  Then all chunks are
+codec pool's workers claim the chunks of every multi-chunk block as each
+is free, and the bytes are those of the in-process chunk loop.  Then all chunks are
 **jointly Huffman coded** as a single symbol stream in
 which byte 255 terminates each chunk.  Because canonical Huffman codes are
 self-synchronizing (ref [31]), a receiver that starts decoding at an

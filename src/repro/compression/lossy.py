@@ -11,9 +11,10 @@ less precision.  This module supplies the two lossy codecs that work for
 that data class, both with *guaranteed absolute error bounds*:
 
 * :class:`QuantizedFloatCodec` — uniform scalar quantization of float64
-  arrays to a caller-chosen tolerance, with the integer quanta
-  delta-encoded and entropy coded (zig-zag + Elias gamma + Huffman-coded
-  residuals via the lossless Lempel-Ziv codec).
+  arrays to a caller-chosen tolerance; the integer quanta are
+  delta-encoded, zig-zag mapped and packed as 32-bit words (an escape
+  plane holds the rare delta that does not fit), and the words are
+  compressed by the lossless Lempel-Ziv codec.
 * :class:`TruncatedFloatCodec` — mantissa truncation (keep the top
   ``mantissa_bits``), byte-plane shuffled and losslessly compressed; the
   relative error is bounded by ``2**-mantissa_bits``.

@@ -334,8 +334,8 @@ class BlockEngine:
         """Index a finished execution, price its decode, notify observers.
 
         The shared tail of :meth:`execute`, also driven by
-        :class:`~repro.core.workers.PipelinedBlockEngine` when it drains
-        pool results in submission order.
+        :class:`~repro.core.workers.PipelinedBlockEngine` for each pooled
+        block, in block order.
         """
         decompression_seconds = self.executor.decompression_time(
             execution.method, execution.original_size, execution.payload, codec=codec

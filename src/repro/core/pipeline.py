@@ -30,9 +30,9 @@ touches a timer.  Every block execution flows through a
 The fork itself is realised once per run, not once per block: before the
 loop, :meth:`~repro.core.sampler.LzSampler.probe_runs` takes the probe
 runs of blocks ``1..n-1`` in one
-:func:`~repro.compression.parallel.chunk_map` (the caller computes every
-second probe while the shared codec pool computes the rest, one round
-trip per run), and the loop *accounts* block ``i+1``'s probe at block
+:func:`~repro.compression.parallel.chunk_map` (the caller and the shared
+codec pool's workers claim probes as each is free, one round trip per
+run), and the loop *accounts* block ``i+1``'s probe at block
 ``i``'s iteration, so a ``cpu_load`` trace prices it at that block's
 load.  In measured mode a probe's seconds are thus measured before the
 loop, on either core.

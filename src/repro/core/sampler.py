@@ -12,16 +12,16 @@ taken from the calibrated cost model scaled by the CPU model — which is
 what makes the end-to-end replays deterministic.
 
 A probe has two phases.  Its *run* (compress the head under the
-engine's :func:`~repro.core.engine.timed`, the task
-:class:`~repro.core.workers.PipelinedBlockEngine` submits for a whole
+engine's :func:`~repro.core.engine.timed`, the item
+:class:`~repro.core.workers.PipelinedBlockEngine` maps for a whole
 block) needs nothing from the sampler but the codec, so it can happen
 anywhere, on any core, ahead of time; its
 *accounting* (:meth:`LzSampler.account`: the executor's scaling rules)
 reads the CPU model's load at the moment it is asked.  That split is how
 the §2.5 fork is realised: :meth:`LzSampler.probe_runs` takes every probe
 run of a stream in one :func:`~repro.compression.parallel.chunk_map`
-(the caller computes its share while the codec pool computes the rest),
-and :class:`~repro.core.pipeline.AdaptivePipeline` accounts each one at
+(the caller and the codec pool's workers claim heads as each is free:
+heads differ in cost, so a fixed split would leave one side idle), and :class:`~repro.core.pipeline.AdaptivePipeline` accounts each one at
 its own block, where ``cpu.load`` is that block's.  In measured mode a
 probe's seconds are therefore measured before the pipeline's loop, on
 whichever core ran it.  The fork-overlap semantics (the child samples

@@ -7,12 +7,12 @@ and spreading codec work across cores, the parallel-compression lineage
 of refs [31-33].  This module supplies that layer:
 
 * :class:`PipelinedBlockEngine` — a :class:`~repro.core.engine.BlockEngine`
-  that keeps a bounded window of in-flight blocks on the shared codec
-  pool (:func:`repro.compression.parallel.submit`), so compression of
-  later blocks overlaps the consumer's handling (send) of earlier ones
-  while :class:`~repro.core.engine.BlockStats` still emit strictly in
-  block order.  Each task is :func:`~repro.core.engine.timed` — the
-  engine's one clock read — around ``codec.compress``, and ships back
+  that compresses a run's blocks in one
+  :func:`repro.compression.parallel.chunk_map`, the caller and the shared
+  codec pool's workers claiming blocks as each is free, while
+  :class:`~repro.core.engine.BlockStats` still emit strictly in block
+  order.  Each item is :func:`~repro.core.engine.timed` — the engine's
+  one clock read — around ``codec.compress``, and ships back
   ``(payload, seconds)``, so :class:`~repro.core.engine.CodecExecutor`
   remains the one accounting point.
 * :func:`simulate_pipeline` — the deterministic schedule model: given
@@ -26,12 +26,11 @@ of refs [31-33].  This module supplies that layer:
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from concurrent.futures import Future
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..compression.parallel import DegradingPool, codec_pool, result, submit
+from ..compression.parallel import DegradingPool, chunk_map, codec_pool
 from ..compression.registry import get_codec
 from ..obs.catalogue import (
     PIPELINE_BLOCKS_TOTAL,
@@ -57,9 +56,9 @@ __all__ = [
     "simulate_relay_pipeline",
 ]
 
-#: Default bound on in-flight blocks for the pipelined engine: deep
-#: enough to keep 4 workers busy, shallow enough that a stall does not
-#: buffer the whole stream.
+#: The schedule model's default bound on in-flight blocks: deep enough to
+#: keep 4 workers busy, shallow enough that a stall does not buffer the
+#: whole stream.
 DEFAULT_QUEUE_DEPTH = 8
 
 
@@ -69,23 +68,21 @@ def _mode(pool: Optional[DegradingPool]) -> str:
 
 
 class PipelinedBlockEngine(BlockEngine):
-    """Block engine that overlaps compression with downstream consumption.
+    """Block engine that compresses its blocks across cores.
 
-    Blocks are submitted to the shared codec pool with at most
-    ``queue_depth`` in flight; results are drained strictly in submission
-    order, so observers see the same in-order
+    Every block of a run is one item of a single
+    :func:`~repro.compression.parallel.chunk_map` of
+    ``timed(codec.compress, block)``: the caller and the shared codec
+    pool's workers claim blocks as each is free, and the results come back
+    in block order, so observers see the same in-order
     :class:`~repro.core.engine.BlockStats` stream a serial
     :class:`~repro.core.engine.BlockEngine` would emit and the wire bytes
-    are byte-identical to serial execution.  While the caller handles
-    block ``i`` (e.g. writes it to a transport), blocks ``i+1 ...
-    i+queue_depth`` are already compressing on the workers — the
-    compress/send overlap of the paper's pipelined transport, backed by
-    real cores.
+    are byte-identical to serial execution.
 
     The codec is resolved here, in the caller, and crosses to the
-    workers with each block.  A block the pool could not run (a worker
-    died under it, the codec does not pickle) re-executes in-process in
-    its place, so neither order nor bytes change.
+    workers with the blocks.  A block the pool could not run (a worker
+    died under it, the codec does not pickle) is compressed in-process
+    in its place, so neither order nor bytes change.
     """
 
     def __init__(
@@ -93,13 +90,9 @@ class PipelinedBlockEngine(BlockEngine):
         executor: Optional[CodecExecutor] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         observers: Optional[Iterable[Observer]] = None,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(executor=executor, block_size=block_size, observers=observers)
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be positive")
-        self.queue_depth = queue_depth
         self.registry = registry
 
     def run(
@@ -108,45 +101,32 @@ class PipelinedBlockEngine(BlockEngine):
         method: str,
     ) -> List[Tuple[bytes, BlockStats]]:
         """Cut ``data`` and compress every block with ``method`` on the codec pool."""
-        codec = None if method == "none" else get_codec(method)
         pool = codec_pool()
         degradations = pool.degradations if pool is not None else 0
+        blocks = list(self.cut(data))
+        runs = None
+        if method != "none":
+            codec = get_codec(method)
+            # Process workers receive blocks by pickling, and memoryview
+            # blocks (the zero-copy cut path) don't pickle — the IPC copy
+            # is inherent to the pool, so materialize here, once.
+            blocks = [bytes(block) for block in blocks]
+            if self.registry is not None:
+                self.registry.family(POOL_TASKS_TOTAL).inc(len(blocks), pool_mode=_mode(pool))
+                self.registry.family(POOL_WORKERS).set(
+                    pool.workers if pool is not None else 0, pool_mode=_mode(pool)
+                )
+            runs = chunk_map(partial(timed, codec.compress), blocks)
         results: List[Tuple[bytes, BlockStats]] = []
-        in_flight: "deque[Tuple[int, bytes, Optional[Future]]]" = deque()
-
-        def drain() -> None:
-            index, block, future = in_flight.popleft()
-            if future is None:
+        for index, block in enumerate(blocks):
+            if runs is None:
                 execution = self.executor.compress(method, block)
             else:
-                payload, measured = result(future, timed, codec.compress, block)
-                execution = self.executor.finalize_compression(
-                    method, block, payload, measured
-                )
+                payload, measured = runs[index]
+                execution = self.executor.finalize_compression(method, block, payload, measured)
             if self.registry is not None:
-                self.registry.family(PIPELINE_BLOCKS_TOTAL).inc(
-                    pool_mode=_mode(pool), queue_depth=str(self.queue_depth)
-                )
+                self.registry.family(PIPELINE_BLOCKS_TOTAL).inc(pool_mode=_mode(pool))
             results.append(self.emit(execution, index))
-
-        for index, block in enumerate(self.cut(data)):
-            future = None
-            if codec is not None:
-                # Process workers receive blocks by pickling, and memoryview
-                # blocks (the zero-copy cut path) don't pickle — the IPC copy
-                # is inherent to the pool, so materialize here, once.
-                block = bytes(block)
-                if self.registry is not None:
-                    self.registry.family(POOL_TASKS_TOTAL).inc(pool_mode=_mode(pool))
-                    self.registry.family(POOL_WORKERS).set(
-                        pool.workers if pool is not None else 0, pool_mode=_mode(pool)
-                    )
-                future = submit(timed, codec.compress, block)
-            in_flight.append((index, block, future))
-            while len(in_flight) >= self.queue_depth:
-                drain()
-        while in_flight:
-            drain()
         if self.registry is not None and pool is not None and pool.degradations > degradations:
             self.registry.family(POOL_DEGRADED_TOTAL).inc(
                 pool.degradations - degradations, pool_mode="processes"

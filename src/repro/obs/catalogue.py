@@ -131,8 +131,7 @@ POOL_DEGRADED_TOTAL = _counter(
 )
 POOL_WORKERS = _gauge("repro_pool_workers", "shared codec pool worker count", "pool_mode")
 PIPELINE_BLOCKS_TOTAL = _counter(
-    "repro_pipeline_blocks_total", "blocks emitted by pipelined block engines",
-    "pool_mode", "queue_depth",
+    "repro_pipeline_blocks_total", "blocks emitted by pipelined block engines", "pool_mode"
 )
 
 # -- the selector's feedback loop (core.monitor, core.policy) -----------------------

@@ -227,7 +227,6 @@ def pool_throughput(ctx: GateContext) -> None:
     pooled_engine = PipelinedBlockEngine(
         CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE),
         block_size=block_size,
-        queue_depth=queue_depth,
     )
     pooled_out = pooled_engine.run(data, method=POOL["method"])
     pooled_crc = zlib.crc32(b"".join(payload for payload, _ in pooled_out))

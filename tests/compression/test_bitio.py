@@ -49,29 +49,6 @@ class TestBitWriter:
         writer.write_bit(0)
         assert writer.bit_length == 4
 
-    def test_unary_roundtrip(self):
-        writer = BitWriter()
-        for value in [0, 1, 5, 13]:
-            writer.write_unary(value)
-        reader = BitReader(writer.getvalue())
-        assert [reader.read_unary() for _ in range(4)] == [0, 1, 5, 13]
-
-    def test_unary_rejects_negative(self):
-        with pytest.raises(ValueError):
-            BitWriter().write_unary(-1)
-
-    def test_gamma_roundtrip(self):
-        writer = BitWriter()
-        values = [1, 2, 3, 7, 100, 65535]
-        for value in values:
-            writer.write_gamma(value)
-        reader = BitReader(writer.getvalue())
-        assert [reader.read_gamma() for _ in range(len(values))] == values
-
-    def test_gamma_rejects_zero(self):
-        with pytest.raises(ValueError):
-            BitWriter().write_gamma(0)
-
 
 class TestBitReader:
     def test_read_bits_matches_written(self):

@@ -348,13 +348,13 @@ class TestRunWideProbes:
     def test_one_pool_submission_per_run(self, monkeypatch, shared_pool):
         pool = shared_pool(DegradingPool(1))
         submitted = []
-        submit = pool.submit_call
+        pool_map = pool.map
 
-        def counting_submit(fn, *args):
-            submitted.append(args[0])
-            return submit(fn, *args)
+        def counting_map(fn, items):
+            submitted.append(fn)
+            return pool_map(fn, items)
 
-        monkeypatch.setattr(pool, "submit_call", counting_submit)
+        monkeypatch.setattr(pool, "map", counting_map)
         run = pipeline(policy=FixedPolicy("huffman"))  # a codec that maps no chunks
         for runs in (1, 2):
             assert len(run.run(blocks(8), make_link("100mbit")).records) == 8

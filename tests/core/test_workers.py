@@ -6,16 +6,19 @@ codec, whether the pool runs, is serial, or loses its workers mid-stream,
 and they still emit in order.
 """
 
+import os
 import random
 import struct
+import time
 import zlib
+from functools import partial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compression.lz77 import Lz77Codec
-from repro.compression.parallel import DegradingPool, result, submit
+from repro.compression.parallel import DegradingPool, chunk_map
 from repro.compression.registry import (
     available_codecs,
     get_codec,
@@ -23,11 +26,7 @@ from repro.compression.registry import (
     unregister_codec,
 )
 from repro.core.engine import BlockEngine, CodecExecutor, timed
-from repro.core.workers import (
-    DEFAULT_QUEUE_DEPTH,
-    PipelinedBlockEngine,
-    simulate_pipeline,
-)
+from repro.core.workers import PipelinedBlockEngine, simulate_pipeline
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
 from repro.obs.catalogue import (
     PIPELINE_BLOCKS_TOTAL,
@@ -51,49 +50,57 @@ def family_block(method: str, base: bytes) -> bytes:
 
 
 def kill_workers(pool: DegradingPool) -> None:
-    """Fork ``pool``'s workers with one task, then kill every one of them."""
-    assert result(submit(len, b"warm up"), len, b"warm up") == 7
-    for process in list(pool._executor._processes.values()):
+    """Fork ``pool``'s workers with one map, then kill every one of them."""
+    assert chunk_map(len, [b"warm", b"up"]) == [4, 2]
+    for process in pool._processes:
         process.kill()
 
 
 def pooled_compress(method: str, block: bytes):
-    """``(payload, seconds)`` of ``block`` as the engine's window submits it."""
-    codec = get_codec(method)
-    return result(submit(timed, codec.compress, block), timed, codec.compress, block)
+    """``(payload, seconds)`` of ``block`` as the engine maps it."""
+    return chunk_map(partial(timed, get_codec(method).compress), [block, block])[0]
+
+
+def _compress_with_pid(compress, block):
+    """``(pid, payload)``; the caller pauses first, so a warm worker claims items."""
+    if os.getpid() == PARENT_PID:
+        time.sleep(0.02)
+    return os.getpid(), compress(block)
+
+
+PARENT_PID = os.getpid()
 
 
 class TestWorkerPool:
-    """The shared codec pool's workers, reached through submit / result."""
+    """The shared codec pool's workers, reached through chunk_map."""
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             DegradingPool(0)
-        with pytest.raises(ValueError):
-            PipelinedBlockEngine(queue_depth=0)
 
     def test_every_registered_codec_is_pool_deterministic(
         self, shared_pool, commercial_block
     ):
         """Worker bytes == in-process bytes for the whole registry."""
         pool = shared_pool(DegradingPool(2))
+        assert chunk_map(len, [b"warm", b"up"]) == [4, 2]
         base = commercial_block[: 32 * 1024]
         for method in available_codecs():
             block = family_block(method, base)
             codec = get_codec(method)
-            # The future itself, not result(): a codec that failed to
-            # reach a worker must fail here, not re-run in the caller.
-            payload, seconds = submit(timed, codec.compress, block).result(timeout=60)
-            assert payload == codec.compress(block), method
-            assert seconds >= 0.0, method
+            runs = chunk_map(partial(_compress_with_pid, codec.compress), [block] * 4)
+            assert [payload for _, payload in runs] == [codec.compress(block)] * 4, method
+            # A codec that failed to reach a worker re-runs in the caller:
+            # some item must have come back from a worker.
+            assert {pid for pid, _ in runs} != {os.getpid()}, method
         assert (pool.mode, pool.degradations) == ("processes", 0)
 
     def test_serial_mode_never_spawns(self, shared_pool):
         pool = shared_pool(serial_pool())
         data = b"serial inline path" * 50
-        future = submit(timed, get_codec("huffman").compress, data)
-        assert future.done() and pool._executor is None
-        assert future.result()[0] == get_codec("huffman").compress(data)
+        payload, _ = pooled_compress("huffman", data)
+        assert pool._processes == []
+        assert payload == get_codec("huffman").compress(data)
 
     def test_metrics_label_pool_mode_and_workers(self, shared_pool):
         registry = MetricsRegistry()
@@ -115,22 +122,21 @@ class TestWorkerPool:
         expected = get_codec("lzw").compress(data)
         kill_workers(pool)
         assert pooled_compress("lzw", data)[0] == expected
-        assert (pool.mode, pool.degradations, pool._executor) == ("serial", 1, None)
+        assert (pool.mode, pool.degradations, pool._processes) == ("serial", 1, [])
         # Degradation is permanent and keeps answering correctly, inline.
-        assert submit(len, data).done()
+        assert pool.map(len, [data, data]) is None
         assert pooled_compress("lzw", data)[0] == expected
         assert pool.degradations == 1
 
 
 class TestPipelinedBlockEngine:
-    def equivalent(self, data, method, queue_depth=DEFAULT_QUEUE_DEPTH):
+    def equivalent(self, data, method):
         serial = BlockEngine(
             CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE), block_size=4096
         ).run(data, method=method)
         pipelined = PipelinedBlockEngine(
             CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE),
             block_size=4096,
-            queue_depth=queue_depth,
         ).run(data, method=method)
         assert [payload for payload, _ in pipelined] == [
             payload for payload, _ in serial
@@ -147,17 +153,13 @@ class TestPipelinedBlockEngine:
     def test_serial_pool_matches_block_engine(self, shared_pool, commercial_block):
         pool = shared_pool(serial_pool())
         self.equivalent(commercial_block, "burrows-wheeler")
-        assert pool._executor is None
+        assert pool._processes == []
 
     def test_process_pool_matches_block_engine(self, shared_pool, commercial_block):
         pool = shared_pool(DegradingPool(2))
         self.equivalent(commercial_block, "burrows-wheeler")
         assert (pool.mode, pool.degradations) == ("processes", 0)
-        assert pool._executor is not None
-
-    def test_queue_depth_one_still_in_order(self, shared_pool, commercial_block):
-        shared_pool(DegradingPool(2))
-        self.equivalent(commercial_block, "huffman", queue_depth=1)
+        assert len(pool._processes) == 2
 
     def test_method_none_bypasses_pool(self, shared_pool):
         registry = MetricsRegistry()
@@ -167,14 +169,9 @@ class TestPipelinedBlockEngine:
         out = engine.run(data, method="none")
         assert b"".join(payload for payload, _ in out) == data
         # "none" never becomes a pool task, but still counts as a block.
-        assert pool._executor is None
+        assert pool._processes == []
         assert registry.family(POOL_TASKS_TOTAL).value(pool_mode="processes") == 0
-        assert (
-            registry.family(PIPELINE_BLOCKS_TOTAL).value(
-                pool_mode="processes", queue_depth=str(DEFAULT_QUEUE_DEPTH)
-            )
-            == len(out)
-        )
+        assert registry.family(PIPELINE_BLOCKS_TOTAL).value(pool_mode="processes") == len(out)
 
     def test_killed_workers_mid_stream_stay_in_order(self, shared_pool, commercial_block):
         """A pool broken between submissions degrades without corruption."""
@@ -184,9 +181,7 @@ class TestPipelinedBlockEngine:
         )
         registry = MetricsRegistry()
         pool = shared_pool(DegradingPool(2))
-        engine = PipelinedBlockEngine(
-            CodecExecutor(), block_size=4096, queue_depth=4, registry=registry
-        )
+        engine = PipelinedBlockEngine(CodecExecutor(), block_size=4096, registry=registry)
         kill_workers(pool)
         out = engine.run(data, method="lzw")
         assert (pool.mode, pool.degradations) == ("serial", 1)

@@ -19,7 +19,7 @@ import pytest
 
 from repro.cli import main
 from repro.compression import parallel
-from repro.compression.parallel import DegradingPool, shutdown_codec_pool, submit
+from repro.compression.parallel import DegradingPool, chunk_map, shutdown_codec_pool
 from repro.compression.registry import get_codec
 from repro.core.engine import CodecExecutor
 from repro.core.monitor import ReducingSpeedMonitor
@@ -213,8 +213,8 @@ def drive_pool(registry: MetricsRegistry) -> None:
     shutdown_codec_pool()
     parallel._codec_pool = pool = DegradingPool(2)
     try:
-        submit(len, data).result(timeout=60)  # fork the workers
-        for process in list(pool._executor._processes.values()):
+        chunk_map(len, [data, data])  # fork the workers
+        for process in pool._processes:
             process.kill()
         PipelinedBlockEngine(CodecExecutor(), block_size=4096, registry=registry).run(
             data, method="huffman"
