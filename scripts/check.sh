@@ -5,7 +5,8 @@
 #   1. invariant greps   — clock reads, struct framing, stray print(),
 #                          metric names outside the catalogue, retry
 #                          loops outside RetryPolicy.attempts(), worker
-#                          pools outside compression/parallel.py, mallopt
+#                          pools outside compression/parallel.py, size-only
+#                          codec runs outside the modeled probe, mallopt
 #                          outside compression/heap.py, DESIGN.md
 #                          inventory rows naming modules that do not exist
 #   2. ruff lint         — style/import hygiene (skipped if not installed)
@@ -203,6 +204,27 @@ fi
 echo "ok; chunk_map call sites:"
 grep -rnE "chunk_map\(" src/repro --include="*.py" \
     | grep -vE "def chunk_map\(" | sed 's/^/    /' || true
+
+# --- Invariant: a size-only run is never timed -------------------------------
+# Codec.compressed_size counts what compress would write without writing
+# it: the modeled §2.5 probe reads the size alone and the cost model
+# prices it.  Timed, it would read as a codec speed no codec has, so the
+# one caller is core/sampler.py's modeled probe, which never times it.
+# The definitions in compression/ and the conformance kit and
+# differential rows in verify/ (which hold the size equal to the
+# written bytes) are exempt.
+echo "== invariant: compressed_size( called in src/repro only from core/sampler.py, never timed"
+stray=$({ grep -rnE "compressed_size\(|\btimed\b.*compressed_size" src/repro --include="*.py" \
+    | grep -v "^src/repro/core/sampler.py:" \
+    | grep -v "^src/repro/verify/" \
+    | grep -vE "^src/repro/compression/[^:]+:[0-9]+:[[:space:]]*def compressed_size\("
+    grep -HnE "\btimed\b.*compressed_size" src/repro/core/sampler.py; } || true)
+if [ -n "$stray" ]; then
+    echo "FAIL: compressed_size( called outside the modeled probe (a size-only run must never be timed or accounted as one):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "ok"
 
 # --- Invariant: one door to the C allocator -------------------------------------
 # The codec kernels' megabyte temporaries stay on a resident heap because

@@ -136,6 +136,12 @@ class Codec(abc.ABC):
     def decompress(self, payload: bytes) -> bytes:
         """Invert :meth:`compress`; raises :class:`CorruptStreamError`."""
 
+    def compressed_size(self, data: bytes) -> int:
+        """``len(self.compress(data))``; a codec that can count its output
+        without writing it overrides this (a modeled probe reads only the
+        size)."""
+        return len(self.compress(data))
+
     def ratio(self, data: bytes) -> float:
         """Compressed size as a fraction of the original size.
 

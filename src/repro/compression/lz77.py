@@ -39,12 +39,15 @@ code around one short Python walk:
   the end of the buffer, and a match longer than 16 bytes leaves only
   every third of its positions as later candidates (one slice-assign into
   a ``skipped`` bytearray).
-* :meth:`Lz77Codec.compress` takes the matches as three arrays — literals
-  are the complement — counts symbols with two ``bincount`` calls, lays
-  the stream out as one ``(values, widths)`` field list (both tables,
-  then per token codeword / length extra / distance codeword / distance
-  extra, then end-of-block) and writes it with one
-  :func:`~.bitio.pack_fields`.
+* :func:`_code` takes the matches as three arrays — literals are the
+  complement — counts symbols with two ``bincount`` calls and builds both
+  codes' lengths.  :meth:`Lz77Codec.compress` then lays the stream out as
+  one ``(values, widths)`` field list (both tables, then per token
+  codeword / length extra / distance codeword / distance extra, then
+  end-of-block) and writes it with one :func:`~.bitio.pack_fields`;
+  :meth:`Lz77Codec.compressed_size` only counts it (the tables, then per
+  symbol its frequency times its codeword length plus extra bits), the
+  size the §2.5 probe reads in modeled mode.
 
 The per-position hash-chain formulation it replaced, and a
 one-``write_bits``-per-field emitter, are the differential oracles
@@ -66,14 +69,20 @@ matches alone.  The token-at-a-time formulation is kept as
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
 import numpy as np
 
 from .base import Codec, CorruptStreamError
 from .bitio import BitReader, pack_fields
-from .huffman import MAX_CODE_LENGTH, HuffmanCode, PositionMap, _decode_tables
-from .varint import read_varint, write_varint
+from .huffman import (
+    MAX_CODE_LENGTH,
+    HuffmanCode,
+    PositionMap,
+    _decode_tables,
+    huffman_code_lengths,
+)
+from .varint import read_varint, varint_size, write_varint
 
 __all__ = ["Lz77Codec", "tokenize", "MIN_MATCH", "MAX_MATCH", "WINDOW_SIZE"]
 
@@ -158,6 +167,8 @@ def _build_symbol_lookup(
 # Decoder-side tables indexed by symbol (literals and EOB carry no extra bits).
 _LEN_EXTRA_OF, _LEN_BASE_OF = _build_symbol_lookup(_LENGTH_CODES, _LITLEN_ALPHABET)
 _DIST_EXTRA_OF, _DIST_BASE_OF = _build_symbol_lookup(_DISTANCE_CODES, _DIST_ALPHABET)
+#: Extra bits of every literal/length symbol, then of every distance symbol.
+_EXTRA_OF = np.concatenate([_LEN_EXTRA_OF, _DIST_EXTRA_OF]).astype(np.int64)
 
 # Per-window token tables pack a token part's bit advance with what follows it.
 _ADVANCE_BITS = 0x1F  # litlen codeword + length extra <= 20; distance part <= 28
@@ -349,6 +360,54 @@ def tokenize(
     return tokens
 
 
+class _Coded(NamedTuple):
+    """A block's tokens and Huffman code lengths: what both tails of the
+    encoder share (:meth:`Lz77Codec.compress` writes them,
+    :meth:`Lz77Codec.compressed_size` counts them)."""
+
+    #: Literal/length symbol per token, ending in end-of-block.
+    symbols: np.ndarray
+    #: Distance symbol per match.
+    dist_symbols: np.ndarray
+    lengths: np.ndarray
+    distances: np.ndarray
+    #: Frequency of every literal/length symbol, then of every distance symbol.
+    counts: np.ndarray
+    #: Code length of every literal/length symbol, then of every distance symbol.
+    code_lengths: np.ndarray
+
+
+def _code(data: bytes, window: int, max_chain: int) -> _Coded:
+    """Parse ``data`` and build both codes' lengths from its symbol counts."""
+    n = len(data)
+    starts, lengths, distances = (
+        np.array(column, dtype=np.int64) for column in _parse(data, window, max_chain)
+    )
+    # Symbol per position; a token starts wherever no match is under
+    # way (+1 after a match start, -1 at its end, running sum zero).
+    # End-of-block is the last token.
+    symbols = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
+    symbols[starts] = _LEN_SYMBOL[lengths]
+    edges = np.zeros(n + 1, dtype=np.int8)
+    edges[starts + 1] = 1
+    edges[starts + lengths] -= 1
+    symbols = np.append(symbols[np.cumsum(edges[:n], dtype=np.int8) == 0], _END_OF_BLOCK)
+    dist_symbols = _DIST_SYMBOL[distances]
+    litlen_counts = np.bincount(symbols, minlength=_LITLEN_ALPHABET)
+    dist_counts = np.bincount(dist_symbols, minlength=_DIST_ALPHABET)
+    code_lengths = huffman_code_lengths(litlen_counts.tolist()) + huffman_code_lengths(
+        dist_counts.tolist()
+    )
+    return _Coded(
+        symbols,
+        dist_symbols,
+        lengths,
+        distances,
+        np.concatenate([litlen_counts, dist_counts]),
+        np.array(code_lengths, dtype=np.int64),
+    )
+
+
 class Lz77Codec(Codec):
     """LZ77 with Huffman-coded literal/length and distance symbols.
 
@@ -374,41 +433,24 @@ class Lz77Codec(Codec):
         write_varint(header, len(data))
         if not data:
             return bytes(header)
-        n = len(data)
-        starts, lengths, distances = (
-            np.array(column, dtype=np.int64)
-            for column in _parse(data, self.window, self.max_chain)
+        symbols, dist_symbols, lengths, distances, _, code_lengths = _code(
+            data, self.window, self.max_chain
         )
-
-        # Symbol per position; a token starts wherever no match is under
-        # way (+1 after a match start, -1 at its end, running sum zero).
-        # End-of-block is the last token.
-        symbols = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-        symbols[starts] = _LEN_SYMBOL[lengths]
-        edges = np.zeros(n + 1, dtype=np.int8)
-        edges[starts + 1] = 1
-        edges[starts + lengths] -= 1
-        symbols = np.append(symbols[np.cumsum(edges[:n], dtype=np.int8) == 0], _END_OF_BLOCK)
         is_match = symbols > _END_OF_BLOCK
-        dist_symbols = _DIST_SYMBOL[distances]
-
-        litlen_code = HuffmanCode.from_frequencies(
-            np.bincount(symbols, minlength=_LITLEN_ALPHABET).tolist()
-        )
-        dist_code = HuffmanCode.from_frequencies(
-            np.bincount(dist_symbols, minlength=_DIST_ALPHABET).tolist()
-        )
         # Both codes as one table: distance symbols follow the literal/length ones.
-        code_lengths = np.array(litlen_code.lengths + dist_code.lengths, dtype=np.int64)
-        codewords = np.array(litlen_code.codes + dist_code.codes, dtype=np.int64)
-        dist_symbols += _LITLEN_ALPHABET
+        codewords = np.array(
+            HuffmanCode(code_lengths[:_LITLEN_ALPHABET].tolist()).codes
+            + HuffmanCode(code_lengths[_LITLEN_ALPHABET:].tolist()).codes,
+            dtype=np.int64,
+        )
+        dist_symbols = dist_symbols + _LITLEN_ALPHABET
 
         # Field layout: both tables, then per token the literal/length
         # codeword and — for a match — length extra, distance codeword and
         # distance extra.  ``head`` is the index of each token's first field.
-        tables = _LITLEN_ALPHABET + _DIST_ALPHABET
+        tables = len(code_lengths)
         head = tables + np.arange(len(symbols)) + 3 * (np.cumsum(is_match) - is_match)
-        total = tables + len(symbols) + 3 * len(starts)
+        total = tables + len(symbols) + 3 * len(lengths)
         values = np.zeros(total, dtype=np.int64)
         widths = np.zeros(total, dtype=np.int64)
         values[:tables] = code_lengths
@@ -423,6 +465,22 @@ class Lz77Codec(Codec):
         values[head + 3] = distances - _DIST_BASE[distances]
         widths[head + 3] = _DIST_EXTRA[distances]
         return bytes(header) + pack_fields(values, widths)
+
+    def compressed_size(self, data: bytes) -> int:
+        """``len(self.compress(data))``, counted instead of written.
+
+        The same parse and code lengths as :meth:`compress`; the bitstream
+        is the 4-bit tables plus, per symbol of either alphabet, its
+        frequency times its codeword length and its extra bits, so the
+        canonical codes, the field layout and the packing are skipped.
+        """
+        if not data:
+            return varint_size(0)
+        coded = _code(data, self.window, self.max_chain)
+        bits = 4 * len(coded.code_lengths) + int(
+            coded.counts @ (coded.code_lengths + _EXTRA_OF)
+        )
+        return varint_size(len(data)) + ((bits + 7) >> 3)
 
     def decompress(self, payload: bytes) -> bytes:
         view = memoryview(payload)

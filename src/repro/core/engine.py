@@ -15,7 +15,10 @@ scaling rules exist in exactly one place:
 * **modeled** (``cost_model``): the codec still really runs (sizes are
   real) but the reported time comes from the calibrated
   :class:`~repro.netsim.cpu.CodecCostModel` — which is what makes the
-  Figure 8-12 replays deterministic.
+  Figure 8-12 replays deterministic.  Where only the size is read, the
+  codec need not write its output at all: the §2.5 probe then runs
+  :meth:`~repro.compression.base.Codec.compressed_size` untimed, and a
+  receiver's decode is priced without running the decoder.
 
 :class:`BlockEngine` layers the paper's block discipline on top: cut a
 byte stream into fixed-size blocks, execute each with the method the
@@ -129,6 +132,11 @@ class CodecExecutor:
         self.cpu = cpu
         self.expansion_fallback = expansion_fallback
 
+    @property
+    def modeled(self) -> bool:
+        """Whether times come from the cost model (no measurement is read)."""
+        return self.cost_model is not None
+
     def _seconds(
         self, direction: str, method: str, size: int, measure_seconds: Callable[[], float]
     ) -> float:
@@ -136,7 +144,7 @@ class CodecExecutor:
         ``<direction>_time`` (a ``KeyError`` for a method it lacks), else
         the measurement (taken only then) scaled to the modeled CPU, else
         as measured."""
-        if self.cost_model is not None:
+        if self.modeled:
             return getattr(self.cost_model, direction + "_time")(method, size, self.cpu)
         measured = measure_seconds()
         return self.cpu.scale_time(measured) if self.cpu is not None else measured
@@ -179,7 +187,7 @@ class CodecExecutor:
         were produced in-process or shipped back from a pool worker with
         its measured time.
         """
-        seconds = self._seconds("compression", method, len(block), lambda: measured_seconds)
+        seconds = self.compression_time(method, len(block), measured_seconds)
         fell_back = self.expansion_fallback and len(payload) >= len(block)
         if fell_back:
             payload = block
@@ -192,6 +200,16 @@ class CodecExecutor:
             fell_back=fell_back,
             payload=payload,
         )
+
+    def compression_time(self, method: str, original_size: int, measured_seconds: float) -> float:
+        """Sender-side cost of compressing ``original_size`` bytes.
+
+        The scaling rule applied to a compression that already ran; in
+        modeled mode ``measured_seconds`` is never read, so a run that
+        only counted its output size (a modeled §2.5 probe) prices here
+        as a timed one would.
+        """
+        return self._seconds("compression", method, original_size, lambda: measured_seconds)
 
     def decompression_time(
         self,

@@ -19,7 +19,10 @@ cost modes exist:
 * **modeled**: blocks are still really compressed (sizes are real), but
   times come from a calibrated :class:`~repro.netsim.cpu.CodecCostModel`
   scaled by a :class:`~repro.netsim.cpu.CpuModel` — right for the
-  deterministic Figure 8-12 replays.
+  deterministic Figure 8-12 replays.  A modeled 4 KB probe is only the
+  head's compressed *size*
+  (:meth:`~repro.compression.base.Codec.compressed_size`, counted, not
+  written, and untimed); a measured one is a timed compress of the head.
 
 Both modes are implemented by the shared
 :class:`~repro.core.engine.CodecExecutor`; the pipeline itself never
@@ -35,7 +38,7 @@ codec pool's workers claim probes as each is free, one round trip per
 run), and the loop *accounts* block ``i+1``'s probe at block
 ``i``'s iteration, so a ``cpu_load`` trace prices it at that block's
 load.  In measured mode a probe's seconds are thus measured before the
-loop, on either core.
+loop, on either core; in modeled mode only its size is computed there.
 
 Time accounting mirrors the fork: the sampling probe overlaps the send,
 so each block advances the virtual clock by
@@ -46,9 +49,11 @@ bandwidth estimator sees (§2.5: acceptance speed includes receiver CPU).
 
 from __future__ import annotations
 
+import math
 import zlib
+from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -137,26 +142,119 @@ class BlockRecord(ReductionMetrics):
         return self.send_time + self.decompression_time
 
 
+#: Every value a kept record holds, in constructor order: its
+#: ``BlockStats``, its ``Decision``, then its own fields after those two.
+_FIELDS = (
+    *(f"stats.{f.name}" for f in fields(BlockStats)),
+    *(f"decision.{f.name}" for f in fields(Decision)),
+    *(f.name for f in fields(BlockRecord)[2:]),
+)
+_STATS_END = len(fields(BlockStats))
+_DECISION_END = _STATS_END + len(fields(Decision))
+_STATS_VALUES = attrgetter(*(f.name for f in fields(BlockStats)))
+_DECISION_VALUES = attrgetter(*(f.name for f in fields(Decision)))
+_OWN_VALUES = attrgetter(*_FIELDS[_DECISION_END:])
+
+#: Where a column is kept: one object for the whole run, C doubles,
+#: C int64s, or the objects themselves.
+_SAME, _FLOATS, _INTS, _OBJECTS = range(4)
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
+def _store_for(column: Tuple[object, ...]) -> int:
+    """The most compact store that gives every value back equal and of its type.
+
+    A NaN keeps its object: the defaults share ``math.nan``, and two
+    records compare equal only while their NaNs are that same object.
+    """
+    if len(set(map(id, column))) == 1:
+        return _SAME
+    types = set(map(type, column))
+    if types == {float} and not any(map(math.isnan, column)):
+        return _FLOATS
+    if types == {int} and min(column) in _INT64 and max(column) in _INT64:
+        return _INTS
+    return _OBJECTS
+
+
+def _record(values: Tuple[object, ...]) -> BlockRecord:
+    stats = BlockStats(*values[:_STATS_END])
+    decision = Decision(*values[_STATS_END:_DECISION_END])
+    return BlockRecord(stats, decision, *values[_DECISION_END:])
+
+
 class StreamResult:
-    """All block records of one run plus aggregate views."""
+    """All block records of one run plus aggregate views.
+
+    The records are kept as columns, not objects: a float costs 8 bytes
+    in an ``array`` instead of a 24-byte object, a field that holds one
+    object all run (a default, ``"none"`` on a fast link) is kept once,
+    and a run holds four stores instead of three dataclass instances per
+    block.  A caller that keeps every run (a benchmark's timed phase
+    does) then grows by about a quarter of what the objects took, so its
+    memory barely follows how many blocks it got through.
+    :attr:`records` rebuilds equal :class:`BlockRecord` objects on each
+    read.
+    """
+
+    __slots__ = ("total_time", "_count", "_stores", "_layout")
 
     def __init__(self, records: Sequence[BlockRecord], total_time: float) -> None:
-        self.records = list(records)
+        rows = [
+            _STATS_VALUES(r.stats) + _DECISION_VALUES(r.decision) + _OWN_VALUES(r)
+            for r in records
+        ]
+        stores: Tuple[List[object], ...] = ([], [], [], [])
+        layout = bytearray()
+        for column in zip(*rows):
+            store = _store_for(column)
+            if store == _SAME:
+                stores[_SAME].append(column[0])
+            else:
+                stores[store].extend(column)
+            layout.append(store)
         self.total_time = total_time
+        self._count = len(rows)
+        self._stores = (
+            tuple(stores[_SAME]),
+            array("d", stores[_FLOATS]),
+            array("q", stores[_INTS]),
+            tuple(stores[_OBJECTS]),
+        )
+        #: Each field's store, in ``_FIELDS`` order; a field's column
+        #: follows the earlier columns of the same store.
+        self._layout = bytes(layout)
+
+    def _column(self, name: str) -> Sequence:
+        """One field's values, in block order."""
+        if not self._count:
+            return ()
+        position = _FIELDS.index(name)
+        store = self._layout[position]
+        earlier = self._layout.count(store, 0, position)
+        if store == _SAME:
+            return (self._stores[_SAME][earlier],) * self._count
+        start = earlier * self._count
+        return self._stores[store][start : start + self._count]
+
+    @property
+    def records(self) -> List[BlockRecord]:
+        """The run's records, rebuilt from the columns (a new list each read)."""
+        return [_record(values) for values in zip(*map(self._column, _FIELDS))]
 
     # -- aggregates -------------------------------------------------------------
 
     @property
     def total_original_bytes(self) -> int:
-        return sum(r.original_size for r in self.records)
+        return sum(self._column("stats.original_size"))
 
     @property
     def total_compressed_bytes(self) -> int:
-        return sum(r.compressed_size for r in self.records)
+        return sum(self._column("stats.compressed_size"))
 
     @property
     def total_compression_time(self) -> float:
-        return sum(r.compression_time for r in self.records)
+        return sum(self._column("stats.compression_seconds"))
 
     @property
     def overall_ratio(self) -> float:
@@ -174,10 +272,10 @@ class StreamResult:
         return self.total_compression_time / self.total_time
 
     def method_counts(self) -> Dict[str, int]:
-        return dict(Counter(r.method for r in self.records))
+        return dict(Counter(self._column("decision.method")))
 
     def placement_counts(self) -> Dict[str, int]:
-        return dict(Counter(r.placement for r in self.records))
+        return dict(Counter(self._column("decision.placement")))
 
     # -- figure series ------------------------------------------------------------
 
@@ -213,7 +311,7 @@ class StreamResult:
 
     def summary(self) -> Dict[str, float]:
         return {
-            "blocks": float(len(self.records)),
+            "blocks": float(self._count),
             "total_time_s": self.total_time,
             "original_mb": self.total_original_bytes / (1 << 20),
             "compressed_mb": self.total_compressed_bytes / (1 << 20),

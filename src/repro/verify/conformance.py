@@ -32,6 +32,10 @@ The invariants (one check function each, all registered in
 * ``lossy-contract`` — lossy codecs preserve shape (length) on aligned
   float64 input, honor their declared error bound, and reject unaligned
   input with the contract exceptions.
+* ``size`` — ``compressed_size(x) == len(compress(x))``, at the
+  registered instance and at every parameter point the bicriteria grid
+  builds for the codec (the modeled §2.5 probe reads the size alone, so a
+  size that drifted from the bytes would move every decision).
 * ``structured-fallback`` — structure-aware codecs (family
   ``structured``) fed non-conforming input (binary noise, empty, a
   single byte) must engage their whole-block raw fallback and still
@@ -51,6 +55,7 @@ from ..compression.base import ACCEPTABLE_DECODE_ERRORS, Codec
 from ..compression.framing import encode_block_frame
 from ..compression.registry import available_codecs, get_codec
 from ..compression.streaming import StreamingCompressor, StreamingDecompressor
+from ..core.bicriteria import codec_for, default_candidates
 from ..core.engine import CodecExecutor
 from .corpus import EDGE_CASES, CorpusGenerator
 from .fuzz import mutated_copies
@@ -337,6 +342,34 @@ def check_buffer_inputs(
             "" if restored == expected else
             f"{case} decoded differently than the bytes payload",
         )
+
+
+@_check("size")
+def check_size(name: str, codec: Codec, corpus: Dict[str, bytes]) -> Iterator[CheckResult]:
+    if _is_lossy(codec):
+        cases = {"float64": _float_block(corpus)[:4096]}
+    else:
+        limit = 2048 if name.startswith("arithmetic") else 4096
+        cases = dict(EDGE_CASES)
+        for case in ("commercial", "lowentropy", "incompressible"):
+            if case in corpus:
+                cases[case] = corpus[case][:limit]
+    points = [("", codec)] + [
+        (f"{spec.label}:", codec_for(name, spec.params))
+        for spec in default_candidates(native=False)
+        if spec.method == name and spec.params
+    ]
+    for point, instance in points:
+        for case, data in cases.items():
+            try:
+                size, wire = instance.compressed_size(data), len(instance.compress(data))
+            except Exception as exc:  # noqa: BLE001
+                yield _result("size", name, point + case, False, f"raised {exc!r}")
+                continue
+            yield _result(
+                "size", name, point + case, size == wire,
+                "" if size == wire else f"compressed_size {size} but compress wrote {wire} bytes",
+            )
 
 
 @_check("lossy-contract")

@@ -11,8 +11,8 @@ compressor choice must be *verified*, not assumed:
   is ever registered (none is today).
 * **Scalar vs vectorized.**  The rewritten hot loops (Huffman code
   construction, decode tables and whole-block encoder, the Huffman and
-  Lempel-Ziv decode kernel, the Lempel-Ziv match finder and field
-  packer, mtf/rle/bwt) must be byte-identical to the classic scalar
+  Lempel-Ziv decode kernel, the Lempel-Ziv match finder, field packer
+  and counted size, mtf/rle/bwt) must be byte-identical to the classic scalar
   formulations kept in :mod:`repro.verify.references`: one ``(subject,
   kernel, oracle, prepare)`` row of :data:`_ROWS` each, all run by
   :func:`_compare`.
@@ -358,6 +358,8 @@ _ROWS: Tuple[_Row, ...] = (
     # byte for byte against hash chains and one BitWriter call per field.
     _Row("lz77-tokenize", tokenize, reference_lz77_tokenize),
     _Row("lz77-encode", _LZ77.compress, reference_lz77_encode),
+    # The counted size the modeled §2.5 probe reads, against the written bytes.
+    _Row("lz77-size", _LZ77.compressed_size, lambda data: len(reference_lz77_encode(data))),
     # Decoders run on the (already cross-checked) encoded form.
     _Row("mtf-decode", mtf_decode, reference_mtf_decode, mtf_encode),
     _Row("rle-decode", rle_decode, reference_rle_decode, rle_encode),

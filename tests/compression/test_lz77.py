@@ -143,6 +143,34 @@ class TestLz77Codec:
         assert codec.decompress(codec.compress(data)) == data
 
 
+#: The default codec and the two Lempel-Ziv points of the bicriteria grid.
+_GRID = [Lz77Codec(), Lz77Codec(window=4096, max_chain=4), Lz77Codec(max_chain=32)]
+
+
+class TestCompressedSize:
+    """``compressed_size`` counts exactly the bytes ``compress`` writes."""
+
+    @given(
+        st.one_of(
+            st.just(b""),
+            st.binary(max_size=MIN_MATCH),
+            st.builds(lambda byte, count: bytes([byte]) * count,
+                      st.integers(0, 255), st.integers(0, 2000)),
+            st.binary(max_size=3000),
+        ),
+        st.sampled_from(_GRID),
+    )
+    @examples(100)
+    def test_is_the_written_length(self, data, codec):
+        assert codec.compressed_size(data) == len(codec.compress(data))
+
+    def test_seeded_heads_and_blocks(self, corpus):
+        for codec in _GRID:
+            for data in corpus.values():
+                for block in (data[:4096], data):
+                    assert codec.compressed_size(block) == len(codec.compress(block))
+
+
 class TestOverlappedCopy:
     """A match whose distance is below its length replicates a pattern."""
 

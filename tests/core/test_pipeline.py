@@ -1,15 +1,21 @@
 """Unit tests for the adaptive block pipeline."""
 
+import dataclasses
+import gc
+import math
+import tracemalloc
 import zlib
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.compression.lz77 import Lz77Codec
 from repro.compression.parallel import DegradingPool
 from repro.core.bicriteria import codec_for
 from repro.core.decision import Decision
-from repro.core.engine import BlockStats, timed
+from repro.core.engine import BlockStats
 from repro.core.pipeline import (
     DEFAULT_BLOCK_SIZE,
     METHOD_CODES,
@@ -216,6 +222,70 @@ class TestRecordsAndResult:
         assert summary["total_time_s"] == result.total_time
         assert 0 < summary["overall_ratio"] <= 1.0
         assert sum(result.method_counts().values()) == 5
+        records = result.records
+        assert result.total_original_bytes == sum(r.original_size for r in records)
+        assert result.total_compressed_bytes == sum(r.compressed_size for r in records)
+        assert result.total_compression_time == sum(r.compression_time for r in records)
+        assert result.method_counts() == dict(Counter(r.method for r in records))
+        assert result.placement_counts() == dict(Counter(r.placement for r in records))
+
+    @given(
+        values=st.lists(
+            st.tuples(
+                st.one_of(st.floats(allow_nan=True), st.integers(), st.none()),
+                st.one_of(st.floats(allow_nan=True), st.just(math.nan)),
+                st.one_of(st.integers(min_value=-(2**70), max_value=2**70), st.booleans()),
+            ),
+            max_size=6,
+        )
+    )
+    @examples(40)
+    def test_columns_give_back_every_value_equal_and_of_its_type(self, values):
+        """Records are kept as columns; each value comes back with its
+        type, and a NaN as the very object it was (``math.nan`` defaults
+        compare equal only to themselves)."""
+        built = []
+        for i, (sampled, seconds, crc) in enumerate(values):
+            stats = BlockStats("huffman", "huffman", 100 + i, 50, seconds, index=i)
+            decision = Decision("huffman", seconds, 0.5, 0.5, modeled_seconds=seconds)
+            built.append(
+                BlockRecord(
+                    stats=stats, decision=decision, start_time=float(i),
+                    send_start_time=float(i), send_time=0.1, sample_time=0.0,
+                    connections=0.0, lz_reducing_speed=math.inf, sampled_ratio=sampled,
+                    payload_crc32=crc,
+                )
+            )
+        rebuilt = StreamResult(built, 1.0).records
+        assert len(rebuilt) == len(built)
+        for got, want in zip(rebuilt, built):
+            for part in ("stats", "decision", None):
+                got_part = getattr(got, part) if part else got
+                want_part = getattr(want, part) if part else want
+                for field in dataclasses.fields(want_part):
+                    a = getattr(got_part, field.name)
+                    b = getattr(want_part, field.name)
+                    if part is None and field.name in ("stats", "decision"):
+                        continue
+                    assert type(a) is type(b)
+                    assert a is b or a == b
+
+    def test_a_kept_result_holds_no_object_per_block(self):
+        """A run's result costs a few machine words a block, so a caller
+        that keeps every run grows with its block count by bytes, not by
+        three dataclass instances and their boxed floats per block."""
+        data, link = blocks(64, size=4096), make_link("1gbit")
+        pipeline().run(data, link)  # registry, codec and policy state settle
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kept = pipeline().run(data, link)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(kept.records) == 64
+        assert grown < 400 * 64
 
     def test_series_lengths(self):
         result = pipeline().run(blocks(4), make_link("1mbit"))
@@ -355,11 +425,37 @@ class TestRunWideProbes:
             return pool_map(fn, items)
 
         monkeypatch.setattr(pool, "map", counting_map)
-        run = pipeline(policy=FixedPolicy("huffman"))  # a codec that maps no chunks
-        for runs in (1, 2):
-            assert len(run.run(blocks(8), make_link("100mbit")).records) == 8
-            assert len(submitted) == runs
-        assert all(fn.func is timed for fn in submitted)
+        for cost_model in (DEFAULT_COSTS, None):  # modeled, then measured
+            submitted.clear()
+            run = pipeline(policy=FixedPolicy("huffman"), cost_model=cost_model)  # maps no chunks
+            for runs in (1, 2):
+                assert len(run.run(blocks(8), make_link("100mbit")).records) == 8
+                assert len(submitted) == runs
+
+    @pytest.mark.parametrize(
+        "cost_model, compresses", [(DEFAULT_COSTS, 0), (None, 7)], ids=["modeled", "measured"]
+    )
+    def test_a_modeled_probe_is_its_size_and_a_measured_one_a_timed_compress(
+        self, cost_model, compresses, shared_pool
+    ):
+        shared_pool(serial_pool())  # every probe runs here, where the spy counts it
+        calls = []
+
+        class SpyCodec(Lz77Codec):
+            def compress(self, data):
+                calls.append(len(data))
+                return super().compress(data)
+
+        codec = SpyCodec()
+        sampler = LzSampler(codec=codec, cost_model=cost_model, cpu=SUN_FIRE)
+        data = blocks(8)
+        records = pipeline(
+            policy=FixedPolicy("none"), sampler=sampler, cost_model=cost_model
+        ).run(data, make_link("100mbit")).records
+        assert calls == [4096] * compresses
+        assert [r.sampled_ratio for r in records[1:]] == [
+            codec.compressed_size(block[:4096]) / 4096 for block in data[1:]
+        ]
 
 
 class TestCpuLoadRestored:

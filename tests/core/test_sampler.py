@@ -142,11 +142,16 @@ class TestProbeRunsAndAccounting:
         cpu.load = 3.0
         busy = sampler.account(commercial_block, run)
         assert busy.compression_seconds == pytest.approx(4 * idle.compression_seconds)
-        assert busy.payload == idle.payload
+        assert busy.compressed_size == idle.compressed_size
 
     def test_measured_run_carries_its_own_seconds(self, commercial_block):
         sampler = LzSampler()
-        payload, seconds = sampler.probe_runs([commercial_block])[0]
-        result = sampler.account(commercial_block, (payload, seconds))
+        size, seconds = sampler.probe_runs([commercial_block])[0]
+        result = sampler.account(commercial_block, (size, seconds))
         assert result.compression_seconds == seconds > 0
-        assert result.payload == payload == sampler.codec.compress(commercial_block[:4096])
+        assert result.compressed_size == size == len(sampler.codec.compress(commercial_block[:4096]))
+
+    def test_modeled_run_is_the_untimed_size(self, commercial_block):
+        sampler = LzSampler(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        (run,) = sampler.probe_runs([commercial_block])
+        assert run == (len(sampler.codec.compress(commercial_block[:4096])), 0.0)

@@ -152,3 +152,40 @@ class TestBufferProtocolCheck:
         failures = conformance_failures(results)
         assert failures, "kit missed the input-type-sensitive codec"
         assert all(f.check == "buffer-protocol-inputs" for f in failures)
+
+
+class TestSizeCheck:
+    """The size check: ``compressed_size`` is the length ``compress`` writes."""
+
+    def test_lempel_ziv_is_checked_at_every_grid_point(self, full_results):
+        cases = {r.case for r in full_results if r.check == "size" and r.codec == "lempel-ziv"}
+        assert {"commercial", "lempel-ziv[max_chain=32]:commercial",
+                "lempel-ziv[max_chain=4,window=4096]:commercial"} <= cases
+
+    def test_a_size_that_drifts_from_the_bytes_is_flagged(self, small_corpus):
+        class _MiscountingCodec(Codec):
+            """Broken on purpose: counts one byte fewer than it writes."""
+
+            name = "broken-miscounting"
+            family = "test"
+
+            def compress(self, data: bytes) -> bytes:
+                return bytes(data)
+
+            def decompress(self, payload: bytes) -> bytes:
+                return bytes(payload)
+
+            def compressed_size(self, data: bytes) -> int:
+                return max(len(data) - 1, 0)
+
+        register_codec(_MiscountingCodec.name, _MiscountingCodec)
+        try:
+            results = run_conformance(
+                names=[_MiscountingCodec.name], corpus=small_corpus, checks=["size"]
+            )
+        finally:
+            unregister_codec(_MiscountingCodec.name)
+        failures = conformance_failures(results)
+        assert failures and all(f.check == "size" for f in failures)
+        # Only the empty input is counted right.
+        assert [r.case for r in results if r.passed] == ["empty"]

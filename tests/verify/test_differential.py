@@ -90,7 +90,7 @@ class TestRowTable:
     SUBJECTS = {
         "huffman-decode", "huffman-decode-resync", "huffman-encode", "lz77-decode",
         "huffman-lengths", "huffman-decode-tables",
-        "mtf-encode", "rle-encode", "lz77-tokenize", "lz77-encode",
+        "mtf-encode", "rle-encode", "lz77-tokenize", "lz77-encode", "lz77-size",
         "mtf-decode", "rle-decode", "bwt-transform", "bwt-inverse",
         "delta-zigzag", "undelta-zigzag",
         "bitpack-1", "bitpack-7", "bitpack-12", "bitpack-24", "bitpack-33", "bitpack-64",
@@ -119,9 +119,9 @@ class TestRowTable:
         wire = set(REFERENCE_COUNTERPARTS) & {r.subject for r in results}
         pooled = {"burrows-wheeler"}
         assert {r.subject for r in results} == self.SUBJECTS | wire | pooled
-        # 5 cases x (23 rows + 2 directions per wire counterpart) + 2 pool checks
-        assert len(results) == 5 * (23 + 2 * len(wire)) + 2
-        assert len(wire) != 2 or (len(results), len(self.SUBJECTS | wire | pooled)) == (137, 26)
+        # 5 cases x (24 rows + 2 directions per wire counterpart) + 2 pool checks
+        assert len(results) == 5 * (24 + 2 * len(wire)) + 2
+        assert len(wire) != 2 or (len(results), len(self.SUBJECTS | wire | pooled)) == (142, 27)
         assert all(r.subject_seconds > 0 and r.reference_seconds > 0
                    for r in results if r.kind == "scalar-vectorized")
 
