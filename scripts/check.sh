@@ -8,7 +8,9 @@
 #                          pools outside compression/parallel.py, size-only
 #                          codec runs outside the modeled probe, mallopt
 #                          outside compression/heap.py, DESIGN.md
-#                          inventory rows naming modules that do not exist
+#                          inventory rows naming modules that do not exist,
+#                          settable values or front-door keywords over
+#                          their ceilings
 #   2. ruff lint         — style/import hygiene (skipped if not installed)
 #   3. tier-1 tests      — the full pytest suite under the default
 #                          (`tier1`) hypothesis profile, with its 15
@@ -297,6 +299,71 @@ if missing:
 PY
 echo "ok"
 
+# --- Ratchet: the settable surface only shrinks -------------------------------
+# The sizes ROADMAP item 8 is judged on: the settable values under
+# src/repro (every parameter with a default of a public function, of a
+# public class's __init__ or public method, and every defaulted field of a
+# public dataclass or NamedTuple; modules named _*.py are private) and the
+# keyword count of each block-path constructor.  The settable values may
+# not exceed SETTABLE_CEILING, nor the keywords of the two front doors
+# theirs: a change that removes some lowers the ceiling here with it.
+SETTABLE_CEILING=434
+POLICY_KEYWORD_CEILING=10
+PIPELINE_KEYWORD_CEILING=7
+lines_of() { git ls-files -z -- "$@" | xargs -0 cat | wc -l; }
+settable=$(python - <<'PY'
+import ast
+import pathlib
+
+
+def defaults(function):
+    return len(function.args.defaults) + sum(d is not None for d in function.args.kw_defaults)
+
+
+def is_record(cls):
+    decorators = {ast.unparse(getattr(d, "func", d)) for d in cls.decorator_list}
+    return "dataclass" in decorators or "NamedTuple" in map(ast.unparse, cls.bases)
+
+
+count = 0
+for path in pathlib.Path("src/repro").rglob("*.py"):
+    if path.name.startswith("_") and path.name not in ("__init__.py", "__main__.py"):
+        continue
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            count += defaults(node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    if item.name == "__init__" or not item.name.startswith("_"):
+                        count += defaults(item)
+                elif is_record(node) and isinstance(item, ast.AnnAssign) and item.value:
+                    count += "ClassVar" not in ast.unparse(item.annotation)
+print(count)
+PY
+)
+keywords=$(PYTHONPATH=src python -c '
+import inspect
+from repro.core.engine import BlockEngine, CodecExecutor
+from repro.core.pipeline import AdaptivePipeline
+from repro.core.policy import AdaptivePolicy
+from repro.middleware.handlers import CompressionHandler
+classes = (AdaptivePolicy, CodecExecutor, BlockEngine, AdaptivePipeline, CompressionHandler)
+print(", ".join(f"{c.__name__} {len(inspect.signature(c).parameters)}" for c in classes))')
+echo "== invariant: settable values <= $SETTABLE_CEILING," \
+    "AdaptivePolicy keywords <= $POLICY_KEYWORD_CEILING," \
+    "AdaptivePipeline keywords <= $PIPELINE_KEYWORD_CEILING"
+policy_keywords=$(sed -nE 's/.*AdaptivePolicy ([0-9]+).*/\1/p' <<< "$keywords")
+pipeline_keywords=$(sed -nE 's/.*AdaptivePipeline ([0-9]+).*/\1/p' <<< "$keywords")
+if [ "$settable" -gt "$SETTABLE_CEILING" ] \
+    || [ "$policy_keywords" -gt "$POLICY_KEYWORD_CEILING" ] \
+    || [ "$pipeline_keywords" -gt "$PIPELINE_KEYWORD_CEILING" ]; then
+    echo "FAIL: settable values $settable (ceiling $SETTABLE_CEILING), keywords: $keywords" >&2
+    echo "(a new knob needs a caller that varies it; make a value only tests vary a constant)" >&2
+    exit 1
+fi
+echo "ok"
+
 # --- Lint -----------------------------------------------------------------------
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff check"
@@ -339,51 +406,7 @@ if [ "${#gates[@]}" -gt 0 ]; then
     PYTHONPATH=src python -m repro gate "${gates[@]}"
 fi
 
-# The sizes ROADMAP item 8 is judged on, in every log (print only): line
-# counts, CLI options, the keyword count of each block-path constructor,
-# and the settable values under src/repro: every parameter with a default
-# of a public function, of a public class's __init__ or public method, and
-# every defaulted field of a public dataclass or NamedTuple (modules named
-# _*.py are private).
-lines_of() { git ls-files -z -- "$@" | xargs -0 cat | wc -l; }
-settable=$(python - <<'PY'
-import ast
-import pathlib
-
-
-def defaults(function):
-    return len(function.args.defaults) + sum(d is not None for d in function.args.kw_defaults)
-
-
-def is_record(cls):
-    decorators = {ast.unparse(getattr(d, "func", d)) for d in cls.decorator_list}
-    return "dataclass" in decorators or "NamedTuple" in map(ast.unparse, cls.bases)
-
-
-count = 0
-for path in pathlib.Path("src/repro").rglob("*.py"):
-    if path.name.startswith("_") and path.name not in ("__init__.py", "__main__.py"):
-        continue
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            count += defaults(node)
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef):
-                    if item.name == "__init__" or not item.name.startswith("_"):
-                        count += defaults(item)
-                elif is_record(node) and isinstance(item, ast.AnnAssign) and item.value:
-                    count += "ClassVar" not in ast.unparse(item.annotation)
-print(count)
-PY
-)
-keywords=$(PYTHONPATH=src python -c '
-import inspect
-from repro.core.engine import BlockEngine, CodecExecutor
-from repro.core.pipeline import AdaptivePipeline
-from repro.core.policy import AdaptivePolicy
-from repro.middleware.handlers import CompressionHandler
-classes = (AdaptivePolicy, CodecExecutor, BlockEngine, AdaptivePipeline, CompressionHandler)
-print(", ".join(f"{c.__name__} {len(inspect.signature(c).parameters)}" for c in classes))')
+# The sizes, in every log (print only): line counts, CLI options and the
+# ratchet's numbers.
 sizes="src/repro $(lines_of src/repro), scripts+benchmarks $(lines_of scripts benchmarks), tests $(lines_of tests) lines, cli options $(grep -c add_argument src/repro/cli.py), keywords: $keywords, settable values $settable"
 echo "== check.sh: invariants ok, $tier1_summary; $sizes"

@@ -9,10 +9,11 @@ builds that machinery:
 * :class:`CandidateSpec` — one point of the search grid: a registry
   method, canonical constructor params (LZ window/chain, BW chunk size),
   and a block size;
-* :func:`evaluate_candidates` — model each candidate's
-  ``(time, space)`` behaviour from :class:`~repro.netsim.cpu.CodecCostModel`
-  calibration data, steered by measured reducing speeds and the 4 KB
-  sampling probe;
+* :class:`PriceSheet` / :func:`evaluate_candidates` — model each
+  candidate's ``(time, space)`` behaviour from
+  :class:`~repro.netsim.cpu.CodecCostModel` calibration data (the static
+  half, built once per sheet), steered by measured reducing speeds and
+  the 4 KB sampling probe (the live half, per block);
 * :func:`pareto_frontier` — prune to the small Pareto-optimal set (no
   point is both slower and larger than another);
 * :func:`select_point` — pick the frontier point minimizing modeled
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..compression.base import Codec, CodecError, canonical_params, params_label
@@ -48,6 +50,7 @@ from .engine import DEFAULT_BLOCK_SIZE
 __all__ = [
     "CandidateSpec",
     "FrontierPoint",
+    "PriceSheet",
     "PARAM_EFFECTS",
     "DICTIONARY_METHODS",
     "default_candidates",
@@ -261,44 +264,154 @@ def sample_ratio(sample: object) -> Optional[float]:
     return getattr(sample, "ratio", sample)
 
 
-def _base_estimate(
-    method: str,
-    calibration: Optional[object],
-    cpu: Optional[object],
-    speeds: Mapping[str, float],
+def _calibrated(
+    method: str, calibration: Optional[object], cpu: Optional[object]
 ) -> Optional[Tuple[float, float, float]]:
-    """(compress_throughput, decompress_throughput, ratio) or None.
+    """(compress_throughput, decompress_throughput, typical_ratio) or None.
 
-    Calibration provides the reference operating point (scaled to the
-    ``cpu``); a measured reducing speed for the method overrides the
-    compression speed — that is how CPU load and data drift steer the
-    optimizer between blocks, exactly like the table's reducing speed —
-    via ``throughput = reducing_speed / (1 - ratio)``.  ``speeds`` carry
-    no ratio, so without calibration the method is not priceable,
-    however often it was observed.
+    Calibration provides the reference operating point, scaled to the
+    ``cpu``.  Measured speeds carry no ratio, so without calibration the
+    method is not priceable, however often it was observed.
     """
-    compress = decompress = ratio = None
-    if calibration is not None:
-        try:
-            cost = calibration.cost(method)
-        except KeyError:
-            cost = None
-        if cost is not None:
-            compress = cost.compress_throughput
-            decompress = cost.decompress_throughput
-            ratio = cost.typical_ratio
-            if cpu is not None:
-                compress = cpu.scale_speed(compress)
-                decompress = cpu.scale_speed(decompress)
-    speed = speeds.get(method, math.inf)
-    if ratio is not None and ratio < 1.0 and speed > 0 and math.isfinite(speed):
-        # Measured speeds are as-measured on this machine: no CPU scaling.
-        compress = speed / max(1.0 - ratio, 1e-6)
-        if decompress is None:
-            decompress = compress
-    if compress is None or decompress is None or ratio is None:
+    if calibration is None:
         return None
-    return compress, decompress, ratio
+    try:
+        cost = calibration.cost(method)
+    except KeyError:
+        return None
+    compress = cost.compress_throughput
+    decompress = cost.decompress_throughput
+    if cpu is not None:
+        compress = cpu.scale_speed(compress)
+        decompress = cpu.scale_speed(decompress)
+    return compress, decompress, cost.typical_ratio
+
+
+#: A priced row's (seconds per byte, space) — the frontier's two criteria.
+#: Every row is ``(seconds_per_byte, space, total_seconds, ..., payload)``.
+_CRITERIA = itemgetter(0, 1)
+
+
+class PriceSheet:
+    """The static half of every candidate's operating point, built once.
+
+    Per priceable spec (in first-listed order, duplicates dropped) a row
+    holds what no block changes: the calibrated compress/decompress
+    throughputs scaled to ``cpu`` (as seconds for the spec's block size),
+    the typical ratio with its :func:`_param_factors` applied and
+    clamped, the divisor that turns a measured reducing speed into a
+    compress throughput (``None`` when the typical ratio is 1 or more: a
+    speed then steers nothing), the throughput and ratio factors, and
+    for :data:`DICTIONARY_METHODS` the scale from the Lempel-Ziv probe to
+    this method (its typical ratio over Lempel-Ziv's).  ``none`` is
+    always priceable; a method without calibration never is.
+
+    :meth:`price` folds in the live terms of one block — the sending
+    time, the measured speeds, the probe — in the float order of the
+    per-spec model :func:`repro.verify.references.reference_evaluate_candidates`
+    keeps, so its rows are bit-identical to that model's points.  A sheet
+    is valid for one ``(calibration, cpu)`` state: rebuild it when
+    ``cpu.load`` changes.
+    """
+
+    def __init__(
+        self,
+        candidates: Iterable[CandidateSpec],
+        calibration: Optional[object],
+        cpu: Optional[object],
+    ) -> None:
+        lz_base = _calibrated("lempel-ziv", calibration, cpu)
+        lz_ratio = lz_base[2] if lz_base is not None else None
+        specs: List[CandidateSpec] = []
+        rows: List[tuple] = []
+        for spec in dict.fromkeys(candidates):
+            size = spec.block_size
+            if spec.method == "none":
+                specs.append(spec)
+                rows.append((size, "none", 0.0, 0.0, 1.0, None, 1.0, None, 1.0))
+                continue
+            base = _calibrated(spec.method, calibration, cpu)
+            if base is None:
+                continue
+            compress, decompress, ratio = base
+            throughput_factor, ratio_factor = _param_factors(spec.method, spec.params)
+            probe_scale = None
+            if spec.method in DICTIONARY_METHODS:
+                # The probe measures Lempel-Ziv; rescale to this method by
+                # the ratio gap between their base operating points.
+                probe_scale = ratio / lz_ratio if lz_ratio is not None and lz_ratio > 0 else 1.0
+            specs.append(spec)
+            rows.append((
+                size,
+                spec.method,
+                size / (compress * throughput_factor),
+                size / decompress,
+                min(max(ratio * ratio_factor, _MIN_RATIO), _MAX_RATIO),
+                max(1.0 - ratio, 1e-6) if ratio < 1.0 else None,
+                throughput_factor,
+                probe_scale,
+                ratio_factor,
+            ))
+        self.specs: Tuple[CandidateSpec, ...] = tuple(specs)
+        self._rows = tuple(rows)
+        #: ``(method, params, block_size)`` of a spec -> its row position.
+        self.index: Dict[Tuple[str, tuple, int], int] = {
+            (spec.method, spec.params, spec.block_size): position
+            for position, spec in enumerate(specs)
+        }
+        #: Row positions of the specs that really compress.
+        self.compressing = tuple(
+            position for position, spec in enumerate(specs) if spec.method != "none"
+        )
+
+    def price(
+        self,
+        sending_time: float,
+        speeds: Mapping[str, float],
+        sample: Optional[object],
+        base_block_size: Optional[int],
+    ) -> List[tuple]:
+        """One row per spec: ``(seconds_per_byte, ratio, total_seconds,
+        compress_seconds, transfer_seconds, decompress_seconds, position)``.
+
+        The arguments are :func:`evaluate_candidates`'s live ones.
+        """
+        if sending_time < 0:
+            raise ValueError("sending_time must be non-negative")
+        probe = sample_ratio(sample)
+        if not isinstance(probe, (int, float)) or math.isnan(probe) or probe < 0:
+            probe = None  # an unusable probe prices like no probe
+        priced = []
+        for position, row in enumerate(self._rows):
+            (size, method, compress, decompress, ratio,
+             divisor, throughput_factor, probe_scale, ratio_factor) = row
+            transfer = sending_time * (size / (base_block_size or size))
+            if probe is not None and probe_scale is not None:
+                ratio = min(max(probe * probe_scale * ratio_factor, _MIN_RATIO), _MAX_RATIO)
+            if divisor is not None:
+                # A measured speed is as-measured on this machine: no CPU
+                # scaling; ``throughput = reducing_speed / (1 - ratio)``.
+                speed = speeds.get(method, math.inf)
+                if speed > 0 and math.isfinite(speed):
+                    compress = size / (speed / divisor * throughput_factor)
+            transfer *= ratio
+            total = compress + transfer + decompress
+            priced.append((total / size, ratio, total, compress, transfer, decompress, position))
+        return priced
+
+    def point(self, priced: tuple) -> FrontierPoint:
+        """The :class:`FrontierPoint` of one row :meth:`price` returned."""
+        spec = self.specs[priced[-1]]
+        none = spec.method == "none"
+        return FrontierPoint(
+            method=spec.method,
+            params=() if none else spec.params,
+            block_size=spec.block_size,
+            ratio=priced[1],
+            compress_seconds=priced[3],
+            transfer_seconds=priced[4],
+            decompress_seconds=priced[5],
+        )
 
 
 def evaluate_candidates(
@@ -316,55 +429,53 @@ def evaluate_candidates(
     (default: each candidate's own block size) *uncompressed* — the same
     estimate the decision table consumes.  ``speeds`` are measured
     reducing speeds (``DecisionInputs.speeds``); a codec missing there
-    reads ``math.inf`` and keeps its calibrated speed.  Candidates whose
-    method has no calibration data are skipped — a measured speed only
-    steers a calibrated method; ``none`` is always priceable, so the
+    reads ``math.inf`` and keeps its calibrated speed.  A measured speed
+    overrides a calibrated method's compression speed — that is how CPU
+    load and data drift steer the optimizer between blocks, exactly like
+    the table's reducing speed.  Candidates whose method has no
+    calibration data are skipped; ``none`` is always priceable, so the
     result is never empty.
+
+    A :class:`PriceSheet` of ``candidates`` priced once; a caller pricing
+    many blocks keeps the sheet and calls :meth:`PriceSheet.price`.
     """
-    if sending_time < 0:
-        raise ValueError("sending_time must be non-negative")
+    sheet = PriceSheet(candidates, calibration, cpu)
     speeds = speeds if speeds is not None else {}
-    probe = sample_ratio(sample)
-    if not isinstance(probe, (int, float)) or math.isnan(probe) or probe < 0:
-        probe = None  # an unusable probe prices like no probe
-    lz_base = _base_estimate("lempel-ziv", calibration, cpu, speeds)
-    points: Dict[CandidateSpec, FrontierPoint] = {}
-    for spec in candidates:
-        reference = base_block_size if base_block_size else spec.block_size
-        raw_transfer = sending_time * (spec.block_size / reference)
-        if spec.method == "none":
-            points[spec] = FrontierPoint(
-                method="none",
-                params=(),
-                block_size=spec.block_size,
-                ratio=1.0,
-                compress_seconds=0.0,
-                transfer_seconds=raw_transfer,
-                decompress_seconds=0.0,
-            )
-            continue
-        base = _base_estimate(spec.method, calibration, cpu, speeds)
-        if base is None:
-            continue
-        compress_throughput, decompress_throughput, ratio = base
-        if probe is not None and spec.method in DICTIONARY_METHODS:
-            # The probe measured Lempel-Ziv; rescale to this method by the
-            # ratio gap between their base operating points.
-            scale = ratio / lz_base[2] if lz_base and lz_base[2] > 0 else 1.0
-            ratio = probe * scale
-        throughput_factor, ratio_factor = _param_factors(spec.method, spec.params)
-        ratio = min(max(ratio * ratio_factor, _MIN_RATIO), _MAX_RATIO)
-        compress_throughput *= throughput_factor
-        points[spec] = FrontierPoint(
-            method=spec.method,
-            params=spec.params,
-            block_size=spec.block_size,
-            ratio=ratio,
-            compress_seconds=spec.block_size / compress_throughput,
-            transfer_seconds=raw_transfer * ratio,
-            decompress_seconds=spec.block_size / decompress_throughput,
-        )
-    return points
+    priced = sheet.price(sending_time, speeds, sample, base_block_size)
+    return {sheet.specs[row[-1]]: sheet.point(row) for row in priced}
+
+
+def _criteria(points: Iterable[FrontierPoint]) -> List[tuple]:
+    """``(seconds_per_byte, space, total_seconds, point)`` rows, each read once."""
+    rows = []
+    for point in points:
+        total = point.compress_seconds + point.transfer_seconds + point.decompress_seconds
+        rows.append((total / point.block_size, point.ratio, total, point))
+    return rows
+
+
+def _pareto(rows: Iterable[tuple]) -> List[tuple]:
+    """The Pareto-optimal rows, fastest first (see :func:`pareto_frontier`)."""
+    frontier: List[tuple] = []
+    best_space = math.inf
+    for row in sorted(rows, key=_CRITERIA):
+        if row[1] < best_space - _EPSILON:
+            frontier.append(row)
+            best_space = row[1]
+    return frontier
+
+
+def _select(frontier: Sequence[tuple], space_budget: float) -> Tuple[tuple, bool]:
+    """The row :func:`select_point` picks, and whether it broke the budget."""
+    feasible = [row for row in frontier if row[1] <= space_budget + _EPSILON]
+    if feasible:
+        return min(feasible, key=_CRITERIA), False
+    return min(frontier, key=itemgetter(1, 0)), True
+
+
+def _fastest(rows: Iterable[tuple]) -> Optional[tuple]:
+    """The row of least total seconds (ties: the smaller), or None."""
+    return min(rows, key=itemgetter(2, 1), default=None)
 
 
 def pareto_frontier(points: Iterable[FrontierPoint]) -> List[FrontierPoint]:
@@ -375,16 +486,7 @@ def pareto_frontier(points: Iterable[FrontierPoint]) -> List[FrontierPoint]:
     criteria equal) the first-listed point wins, which keeps default
     parameter sets ahead of exotic spellings.
     """
-    ordered = sorted(
-        points, key=lambda p: (p.seconds_per_byte, p.space)
-    )
-    frontier: List[FrontierPoint] = []
-    best_space = math.inf
-    for point in ordered:
-        if point.space < best_space - _EPSILON:
-            frontier.append(point)
-            best_space = point.space
-    return frontier
+    return [row[-1] for row in _pareto(_criteria(points))]
 
 
 def fastest_compressing_point(
@@ -395,11 +497,8 @@ def fastest_compressing_point(
     What a placement is priced for when the selector itself chose
     ``none``; ``None`` when nothing compressing could be priced.
     """
-    return min(
-        (p for p in points if p.method != "none"),
-        key=lambda p: (p.total_seconds, p.space),
-        default=None,
-    )
+    row = _fastest(_criteria(p for p in points if p.method != "none"))
+    return row[-1] if row is not None else None
 
 
 def select_point(
@@ -418,10 +517,8 @@ def select_point(
         raise ValueError("frontier is empty")
     if space_budget <= 0:
         raise ValueError("space_budget must be positive")
-    feasible = [p for p in frontier if p.space <= space_budget + _EPSILON]
-    if feasible:
-        return min(feasible, key=lambda p: (p.seconds_per_byte, p.space)), False
-    return min(frontier, key=lambda p: (p.space, p.seconds_per_byte)), True
+    row, violated = _select(_criteria(frontier), space_budget)
+    return row[-1], violated
 
 
 # -- codec resolution --------------------------------------------------------------

@@ -18,15 +18,17 @@ middleware, and the headline end-to-end benchmark treat them uniformly.
   chooser picked.
 
 The grid is priced at most once per decision, and never for the
-``table``/``producer`` preset, which stays the paper's pseudocode.
+``table``/``producer`` preset, which stays the paper's pseudocode.  Its
+static half, a :class:`~repro.core.bicriteria.PriceSheet`, is built once
+per block size, calibration and CPU load; a decision folds in only the
+live terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import lru_cache
-from typing import Mapping, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from ..compression.base import params_label
 from ..compression.registry import get_codec
@@ -37,14 +39,12 @@ from ..obs.catalogue import (
     record_placement,
 )
 from .bicriteria import (
-    CandidateSpec,
-    FrontierPoint,
+    PriceSheet,
+    _fastest,
+    _pareto,
+    _select,
     default_candidates,
-    evaluate_candidates,
-    fastest_compressing_point,
-    pareto_frontier,
     sample_ratio,
-    select_point,
 )
 from .decision import Decision, DecisionInputs, DecisionThresholds, select_method
 from .engine import BlockStats
@@ -88,31 +88,52 @@ def _grid(block_size: int, native: Optional[bool]) -> Tuple[tuple, Tuple[str, ..
     return grid, tuple(dict.fromkeys(spec.method for spec in grid if spec.method != "none"))
 
 
+#: (block size, native, calibration, CPU load and speed) -> its PriceSheet.
+_SHEETS: Dict[tuple, PriceSheet] = {}
+
+
+def _sheet(
+    block_size: int, native: Optional[bool], calibration: Optional[object], cpu: Optional[object]
+) -> PriceSheet:
+    """The grid's :class:`PriceSheet`, built on the first block of a size
+    and again only when the CPU's load (or speed) moved; the calibration
+    is keyed by identity, as a :class:`~repro.netsim.cpu.CodecCostModel`
+    never changes."""
+    state = (cpu.load, cpu.speed_factor) if cpu is not None else None
+    key = (block_size, native, calibration, state)
+    sheet = _SHEETS.get(key)
+    if sheet is None:
+        if len(_SHEETS) >= 64:
+            _SHEETS.clear()
+        sheet = _SHEETS[key] = PriceSheet(_grid(block_size, native)[0], calibration, cpu)
+    return sheet
+
+
 def _frontier_decision(
-    points: Mapping[CandidateSpec, FrontierPoint],
-    table: Decision,
-    space_budget: float,
-    block_size: int,
+    sheet: PriceSheet, priced: List[tuple], table: Decision, space_budget: float
 ) -> Decision:
     """The bicriteria chooser: argmin over the frontier, within the budget.
 
-    ``table`` is what §2.5 chose on the same inputs; its default-param
-    spec is always in the priced set, so ``table_modeled_seconds`` prices
-    both choices identically.
+    ``table`` is what §2.5 chose on the same inputs (a method and the
+    three numbers behind it); its default-param spec is always in the
+    priced set, so ``table_modeled_seconds`` prices both choices
+    identically.
     """
-    frontier = pareto_frontier(points.values())
-    point, violated = select_point(frontier, space_budget)
-    table_point = points.get(CandidateSpec(method=table.method, block_size=block_size))
-    return replace(
-        table,
-        method=point.method,
-        effective_ratio=point.ratio,
-        params=point.params,
+    frontier = _pareto(priced)
+    row, violated = _select(frontier, space_budget)
+    spec = sheet.specs[row[-1]]
+    table_position = sheet.index.get((table.method, (), spec.block_size))
+    return Decision(
+        method=spec.method,
+        lz_reduce_time=table.lz_reduce_time,
+        sending_time=table.sending_time,
+        effective_ratio=row[1],
+        params=spec.params,
         frontier_size=len(frontier),
         budget_violated=violated,
-        modeled_seconds=point.total_seconds,
+        modeled_seconds=row[2],
         table_modeled_seconds=(
-            table_point.total_seconds if table_point is not None else math.nan
+            priced[table_position][2] if table_position is not None else math.nan
         ),
     )
 
@@ -123,11 +144,17 @@ def _placed_decision(
     """``decision`` rescheduled onto ``chosen``: off the producer, it ships raw."""
     at_producer = chosen.placement == "producer"
     offloaded = chosen.placement == "consumer"
-    return replace(
-        decision,
+    return Decision(
         method=chosen.method if at_producer else "none",
-        params=chosen.params if at_producer else (),
+        lz_reduce_time=decision.lz_reduce_time,
+        sending_time=decision.sending_time,
         effective_ratio=chosen.ratio if at_producer else 1.0,
+        degraded=decision.degraded,
+        params=chosen.params if at_producer else (),
+        frontier_size=decision.frontier_size,
+        budget_violated=decision.budget_violated,
+        modeled_seconds=decision.modeled_seconds,
+        table_modeled_seconds=decision.table_modeled_seconds,
         placement=chosen.placement,
         relay_method=chosen.method if offloaded else "none",
         relay_params=chosen.params if offloaded else (),
@@ -153,8 +180,9 @@ class AdaptivePolicy:
       ``False`` pins the grid to the pure-Python methods, ``True``
       demands the native tier.
 
-    *price* — :func:`~repro.core.bicriteria.evaluate_candidates` for the
-    grid, at most once per decision and never for ``policy="table"`` with
+    *price* — the grid's :class:`~repro.core.bicriteria.PriceSheet`
+    (rebuilt only when the block size or ``cpu.load`` changes), priced at
+    most once per decision and never for ``policy="table"`` with
     ``placement="producer"``; then
     :func:`~repro.core.placement.evaluate_placements` for the
     arrangements of the one chosen point:
@@ -295,24 +323,18 @@ class AdaptivePolicy:
             )
             return degraded, degraded
         table = select_method(inputs, self.thresholds)
-        # candidates -> price: one pass, shared by every stage below; the
-        # table/producer preset is the paper's pseudocode and prices nothing.
-        points = (
-            evaluate_candidates(
-                _grid(inputs.block_size, self.native)[0],
-                inputs.sending_time,
-                calibration=self.cost_model,
-                cpu=self.cpu,
-                speeds=inputs.speeds,
-                sample=inputs.sampled_ratio,
-                base_block_size=inputs.block_size,
-            )
-            if self._prices
-            else {}
+        if not self._prices:
+            # The table/producer preset is the paper's pseudocode: §2.5
+            # verbatim is the chooser, and nothing is priced.
+            return table, table
+        # candidates -> price: one pass, shared by every stage below.
+        sheet = _sheet(inputs.block_size, self.native, self.cost_model, self.cpu)
+        priced = sheet.price(
+            inputs.sending_time, inputs.speeds, inputs.sampled_ratio, inputs.block_size
         )
         if self.policy == "bicriteria":
             # constrain (space budget) + choose (argmin over the frontier).
-            choice = _frontier_decision(points, table, self.space_budget, inputs.block_size)
+            choice = _frontier_decision(sheet, priced, table, self.space_budget)
         else:
             # choose (table preset): §2.5 verbatim is the chooser.
             choice = table
@@ -320,15 +342,15 @@ class AdaptivePolicy:
             return choice, choice
 
         # choose (placement): where the chosen compression runs, if anywhere.
-        point = None
+        row = None
         if choice.compresses:
-            point = points.get(
-                CandidateSpec(choice.method, choice.params, inputs.block_size)
-            )
-        if point is None:
-            point = fastest_compressing_point(points.values())
+            position = sheet.index.get((choice.method, choice.params, inputs.block_size))
+            if position is not None:
+                row = priced[position]
+        if row is None:
+            row = _fastest([priced[position] for position in sheet.compressing])
         costs = evaluate_placements(
-            point,
+            sheet.point(row) if row is not None else None,
             inputs.sending_time,
             downstream_seconds=(
                 inputs.sending_time * self.downstream_factor
@@ -344,7 +366,7 @@ class AdaptivePolicy:
         if self.placement != "auto":
             chosen = costs.get(self.placement)
         else:
-            chosen = choose_placement(costs) if point is not None else None
+            chosen = choose_placement(costs) if row is not None else None
         if chosen is None:
             return choice, choice
         producer = costs.get("producer", costs["raw"])

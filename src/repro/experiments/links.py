@@ -38,23 +38,27 @@ class LinkMeasurement:
     transfers: int
 
 
-def figure5_link_speeds(
-    transfers: int = 400, block_size: int = BLOCK_SIZE, seed: int = 11
-) -> Dict[str, LinkMeasurement]:
-    """Measure every paper link with repeated block transfers."""
+#: Block transfers per link, and the links' jitter seed.
+FIGURE5_TRANSFERS = 400
+FIGURE5_SEED = 11
+
+
+def figure5_link_speeds() -> Dict[str, LinkMeasurement]:
+    """Measure every paper link with :data:`FIGURE5_TRANSFERS` transfers of
+    one :data:`~repro.experiments.config.BLOCK_SIZE` block."""
     results: Dict[str, LinkMeasurement] = {}
     for name, spec in PAPER_LINKS.items():
-        link = SimulatedLink(spec, seed=seed)
+        link = SimulatedLink(spec, seed=FIGURE5_SEED)
         speeds: List[float] = []
-        for _ in range(transfers):
-            seconds = link.transfer_time(block_size)
-            speeds.append(block_size / seconds / MEGABYTE)
+        for _ in range(FIGURE5_TRANSFERS):
+            seconds = link.transfer_time(BLOCK_SIZE)
+            speeds.append(BLOCK_SIZE / seconds / MEGABYTE)
         mean = float(np.mean(speeds))
         stddev = float(np.std(speeds))
         results[name] = LinkMeasurement(
             link=name,
             mean_mb_per_s=mean,
             stddev_percent=100.0 * stddev / mean if mean else 0.0,
-            transfers=transfers,
+            transfers=FIGURE5_TRANSFERS,
         )
     return results

@@ -118,13 +118,18 @@ class LoadTrace:
             t += step
 
 
-def mbone_trace(duration: float = 160.0, seed: int = 7, peak: float = 19.0) -> LoadTrace:
+#: The busiest level of the MBone trace, in connections (Figure 7 peaks under 20).
+MBONE_PEAK = 19.0
+
+
+def mbone_trace(duration: float = 160.0, seed: int = 7) -> LoadTrace:
     """Synthesize an MBone-shaped load trace (Figure 7).
 
     Structure: ~8 s of silence, a busy phase with bursty levels between a
-    third of ``peak`` and ``peak``, a lull around 60 % of the run, and a
-    final burst before decay.  Deterministic per ``seed``.
+    third of :data:`MBONE_PEAK` and the peak, a lull around 60 % of the
+    run, and a final burst before decay.  Deterministic per ``seed``.
     """
+    peak = MBONE_PEAK
     if duration <= 20:
         raise ValueError("duration too short for the MBone shape")
     rng = random.Random(seed)

@@ -77,9 +77,31 @@ class _MetricFamily:
         self.help = help
         self.max_series = max_series
         self._series: Dict[LabelKey, object] = {}
+        #: A label set as a call spelled it -> its canonical key (a pure memo).
+        self._keys: Dict[Tuple[Tuple[str, Any], ...], LabelKey] = {}
+
+    def _key(self, labels: Mapping[str, str]) -> LabelKey:
+        """The canonical key of ``labels``: one dict lookup on the call's own
+        pairs (in call order) for a label set seen before.
+
+        Only all-``str`` values are remembered: ``1``, ``1.0`` and ``True``
+        hash and compare equal yet stringify apart, so any other value is
+        canonicalised by :func:`_label_key` every time.  At most twice
+        ``max_series`` spellings are remembered (reads of label sets that
+        name no series count too); past that a new one is sorted per call.
+        """
+        items = tuple(labels.items())
+        key = self._keys.get(items)
+        if key is None:
+            key = _label_key(labels)
+            if len(self._keys) < 2 * self.max_series and all(
+                type(value) is str for _, value in items
+            ):
+                self._keys[items] = key
+        return key
 
     def _slot(self, labels: Mapping[str, str]) -> object:
-        key = _label_key(labels)
+        key = self._key(labels)
         slot = self._series.get(key)
         if slot is None:
             if self.label_keys is not None and labels.keys() != self.label_keys:
@@ -127,7 +149,7 @@ class Counter(_MetricFamily):
         self._slot(labels)[0] += amount  # type: ignore[index]
 
     def value(self, **labels: str) -> float:
-        slot = self._series.get(_label_key(labels))
+        slot = self._series.get(self._key(labels))
         return slot[0] if slot is not None else 0.0  # type: ignore[index]
 
     def total(self) -> float:
@@ -160,14 +182,14 @@ class Gauge(_MetricFamily):
         self._slot(labels)[0] += amount  # type: ignore[index]
 
     def value(self, default: Optional[float] = None, **labels: str) -> Optional[float]:
-        slot = self._series.get(_label_key(labels))
+        slot = self._series.get(self._key(labels))
         return slot[0] if slot is not None else default  # type: ignore[index]
 
     def has(self, **labels: str) -> bool:
-        return _label_key(labels) in self._series
+        return self._key(labels) in self._series
 
     def remove(self, **labels: str) -> None:
-        self._series.pop(_label_key(labels), None)
+        self._series.pop(self._key(labels), None)
 
     def as_dict(self) -> dict:
         return {
@@ -232,7 +254,7 @@ class Histogram(_MetricFamily):
         slot.max = max(slot.max, value)
 
     def snapshot(self, **labels: str) -> Optional[dict]:
-        slot = self._series.get(_label_key(labels))
+        slot = self._series.get(self._key(labels))
         if slot is None:
             return None
         assert isinstance(slot, _HistogramSlot)

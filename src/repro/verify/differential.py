@@ -13,9 +13,10 @@ compressor choice must be *verified*, not assumed:
   construction, decode tables and whole-block encoder, the Huffman and
   Lempel-Ziv decode kernel, the Lempel-Ziv match finder, field packer
   and counted size, mtf/rle/bwt) must be byte-identical to the classic scalar
-  formulations kept in :mod:`repro.verify.references`: one ``(subject,
-  kernel, oracle, prepare)`` row of :data:`_ROWS` each, all run by
-  :func:`_compare`.
+  formulations kept in :mod:`repro.verify.references`, and the selector's
+  price sheet must price every candidate bit for bit as the per-spec
+  loop it replaced: one ``(subject, kernel, oracle, prepare)`` row of
+  :data:`_ROWS` each, all run by :func:`_compare`.
 * **Serial vs pooled.**  ``burrows-wheeler``, whose chunk stages share
   the process-wide codec pool, must emit the bytes of its in-process
   chunk loop — the pool is an execution detail, never a wire-format
@@ -61,7 +62,9 @@ from ..compression.mtf import mtf_decode, mtf_encode
 from ..compression.registry import available_codecs, get_codec
 from ..compression.rle import rle_decode, rle_encode
 from ..compression.structured import _VALUE_RE, bitpack, bitunpack, delta_zigzag, undelta_zigzag
+from ..core.bicriteria import default_candidates, evaluate_candidates
 from ..core.engine import timed
+from ..netsim.cpu import DEFAULT_COSTS, SUN_FIRE, CpuModel
 from .corpus import CorpusGenerator
 from .references import (
     reference_bitpack,
@@ -71,6 +74,7 @@ from .references import (
     reference_canonical_codes,
     reference_decode_tables,
     reference_delta_zigzag,
+    reference_evaluate_candidates,
     reference_huffman_code_lengths,
     reference_huffman_decode,
     reference_huffman_encode,
@@ -277,6 +281,47 @@ def _same(value: object) -> object:
     return value
 
 
+#: The codecs a grid prices that a monitor measures speeds for.
+_PRICED_CODECS = ("lempel-ziv", "huffman", "burrows-wheeler")
+
+
+def _pricing_cases(data: bytes) -> Optional[List[tuple]]:
+    """``evaluate_candidates`` arguments drawn from a corpus buffer: grids
+    at its size and four times it, its zlib ratio as the probe, speeds
+    from its first bytes (a zero byte is a zero speed), with and without
+    calibration, CPU load and a base block size."""
+    if not data:
+        return None
+    size = len(data)
+    grid = default_candidates(size, native=False) + default_candidates(4 * size, native=False)
+    probe = len(zlib.compress(data)) / size
+    speeds = {codec: byte * 2e4 for codec, byte in zip(_PRICED_CODECS, data)}
+    return [
+        (grid, size / 1e6, DEFAULT_COSTS, CpuModel("loaded", load=0.5), speeds, probe, size),
+        (grid, size / 1e8, DEFAULT_COSTS, SUN_FIRE, {}, None, None),
+        (grid, 0.0, DEFAULT_COSTS, None, speeds, 3.0 * probe, 4 * size),
+        (grid, size / 1e7, None, SUN_FIRE, speeds, probe, None),
+    ]
+
+
+def _exact(value: object) -> object:
+    """A float as its hex spelling (``-0.0``, ``inf`` and each last bit
+    distinct); anything else as it is."""
+    return value.hex() if isinstance(value, float) else value
+
+
+def _priced_exactly(evaluate: Callable, cases: Iterable[tuple]) -> List[list]:
+    """Every ``(spec, FrontierPoint field...)`` ``evaluate`` prices for each
+    case, in its order, floats exact."""
+    return [
+        [
+            (spec, *map(_exact, vars(point).values()))
+            for spec, point in evaluate(*case).items()
+        ]
+        for case in cases
+    ]
+
+
 class _Row(NamedTuple):
     """One scalar-vs-kernel comparison — a line of :data:`_ROWS`.
 
@@ -395,6 +440,14 @@ _ROWS: Tuple[_Row, ...] = (
             restored=itemgetter(1),
         )
         for width in _BITPACK_WIDTHS
+    ),
+    # The price sheet against the per-spec model it replaced, every
+    # FrontierPoint field bit for bit.
+    _Row(
+        "evaluate-candidates",
+        partial(_priced_exactly, evaluate_candidates),
+        partial(_priced_exactly, reference_evaluate_candidates),
+        _pricing_cases,
     ),
     # The template tokenizer's value spans against the lookahead pattern.
     _Row(

@@ -6,11 +6,13 @@ Lempel-Ziv match finder and field emitter, move-to-front, the 254-capped
 RLE, the Burrows-Wheeler transform, and the structured codecs'
 zigzag/delta/bitpack column primitives) are array or index-queue
 rewrites of classic per-symbol algorithms; the template codec's value
-pattern is a shortened regular expression.
+pattern is a shortened regular expression; and the selector prices its
+grid from a :class:`~repro.core.bicriteria.PriceSheet` built once, not by
+re-deriving every spec's operating point per block.
 This module keeps the classic formulations — short, obviously-correct
 Python loops straight out of the textbook — as the differential oracle:
-the optimized path must be **byte-identical** to these on every input,
-forever.
+the optimized path must be **byte-identical** (for the pricing model:
+bit-identical in every float) to these on every input, forever.
 
 They are deliberately slow (the BWT reference sorts suffixes with
 Python's ``sorted``, O(n² log n)); use them on test-sized inputs only.
@@ -19,8 +21,9 @@ Python's ``sorted``, O(n² log n)); use them on test-sized inputs only.
 from __future__ import annotations
 
 import heapq
+import math
 import re
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +43,15 @@ from ..compression.lz77 import (
 )
 from ..compression.rle import ESCAPE, MAX_RUN, MIN_RUN
 from ..compression.varint import read_varint, write_varint
+from ..core.bicriteria import (
+    _MAX_RATIO,
+    _MIN_RATIO,
+    DICTIONARY_METHODS,
+    CandidateSpec,
+    FrontierPoint,
+    _param_factors,
+    sample_ratio,
+)
 
 __all__ = [
     "StreamDecoder",
@@ -62,6 +74,7 @@ __all__ = [
     "reference_delta_zigzag",
     "reference_undelta_zigzag",
     "reference_template_value_spans",
+    "reference_evaluate_candidates",
 ]
 
 _U64_MASK = (1 << 64) - 1
@@ -702,3 +715,90 @@ def reference_template_value_spans(data: bytes) -> List[Tuple[int, int]]:
     pattern as first written, whose hex runs must hold a letter."""
     pattern = rb"(?:\d{1,3}\.){3}\d{1,3}|(?=[0-9a-f]*[a-f])[0-9a-f]{8,}|\d+"
     return [match.span() for match in re.finditer(pattern, data)]
+
+
+def _reference_base_estimate(
+    method: str,
+    calibration: Optional[object],
+    cpu: Optional[object],
+    speeds: Mapping[str, float],
+) -> Optional[Tuple[float, float, float]]:
+    """(compress_throughput, decompress_throughput, ratio) or None: the
+    calibrated point scaled to ``cpu``, a measured speed overriding the
+    compression speed via ``throughput = reducing_speed / (1 - ratio)``."""
+    compress = decompress = ratio = None
+    if calibration is not None:
+        try:
+            cost = calibration.cost(method)
+        except KeyError:
+            cost = None
+        if cost is not None:
+            compress = cost.compress_throughput
+            decompress = cost.decompress_throughput
+            ratio = cost.typical_ratio
+            if cpu is not None:
+                compress = cpu.scale_speed(compress)
+                decompress = cpu.scale_speed(decompress)
+    speed = speeds.get(method, math.inf)
+    if ratio is not None and ratio < 1.0 and speed > 0 and math.isfinite(speed):
+        compress = speed / max(1.0 - ratio, 1e-6)
+        if decompress is None:
+            decompress = compress
+    if compress is None or decompress is None or ratio is None:
+        return None
+    return compress, decompress, ratio
+
+
+def reference_evaluate_candidates(
+    candidates: Iterable[CandidateSpec],
+    sending_time: float,
+    calibration: Optional[object],
+    cpu: Optional[object],
+    speeds: Optional[Mapping[str, float]],
+    sample: Optional[object],
+    base_block_size: Optional[int],
+) -> Dict[CandidateSpec, FrontierPoint]:
+    """:func:`repro.core.bicriteria.evaluate_candidates` as one loop over the
+    specs that re-derives every spec's calibrated operating point per call."""
+    if sending_time < 0:
+        raise ValueError("sending_time must be non-negative")
+    speeds = speeds if speeds is not None else {}
+    probe = sample_ratio(sample)
+    if not isinstance(probe, (int, float)) or math.isnan(probe) or probe < 0:
+        probe = None
+    lz_base = _reference_base_estimate("lempel-ziv", calibration, cpu, speeds)
+    points: Dict[CandidateSpec, FrontierPoint] = {}
+    for spec in candidates:
+        reference = base_block_size if base_block_size else spec.block_size
+        raw_transfer = sending_time * (spec.block_size / reference)
+        if spec.method == "none":
+            points[spec] = FrontierPoint(
+                method="none",
+                params=(),
+                block_size=spec.block_size,
+                ratio=1.0,
+                compress_seconds=0.0,
+                transfer_seconds=raw_transfer,
+                decompress_seconds=0.0,
+            )
+            continue
+        base = _reference_base_estimate(spec.method, calibration, cpu, speeds)
+        if base is None:
+            continue
+        compress_throughput, decompress_throughput, ratio = base
+        if probe is not None and spec.method in DICTIONARY_METHODS:
+            scale = ratio / lz_base[2] if lz_base and lz_base[2] > 0 else 1.0
+            ratio = probe * scale
+        throughput_factor, ratio_factor = _param_factors(spec.method, spec.params)
+        ratio = min(max(ratio * ratio_factor, _MIN_RATIO), _MAX_RATIO)
+        compress_throughput *= throughput_factor
+        points[spec] = FrontierPoint(
+            method=spec.method,
+            params=spec.params,
+            block_size=spec.block_size,
+            ratio=ratio,
+            compress_seconds=spec.block_size / compress_throughput,
+            transfer_seconds=raw_transfer * ratio,
+            decompress_seconds=spec.block_size / decompress_throughput,
+        )
+    return points

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from repro.compression.base import CodecError
 from repro.core import policy as policy_module
-from repro.core.bicriteria import evaluate_candidates, sample_ratio
+from repro.core.bicriteria import PriceSheet, sample_ratio
 from repro.core.decision import DecisionInputs
 from repro.core.engine import BlockStats
 from repro.core.monitor import ReducingSpeedMonitor
 from repro.core.policy import AdaptivePolicy, FixedPolicy
-from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE
+from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE, CpuModel
 from repro.obs.metrics import get_registry
 from tests.core.test_engine_equivalence import DECISION_PRESETS
 from tests.strategies import examples
@@ -140,13 +140,16 @@ class TestPriceOnce:
         ],
     )
     def test_evaluate_candidates_calls_per_choose(self, monkeypatch, kwargs, expected):
+        """``PriceSheet.price`` is the one pricing call (``evaluate_candidates``
+        is a sheet priced once)."""
         calls = []
+        price = PriceSheet.price
 
         def counting(*args, **kw):
             calls.append(1)
-            return evaluate_candidates(*args, **kw)
+            return price(*args, **kw)
 
-        monkeypatch.setattr(policy_module, "evaluate_candidates", counting)
+        monkeypatch.setattr(PriceSheet, "price", counting)
         policy = AdaptivePolicy(**kwargs)
         monitor = ReducingSpeedMonitor()
         sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1400, 0.001)
@@ -156,6 +159,37 @@ class TestPriceOnce:
             policy.choose(128 * 1024, sending_time, monitor, sample)
             assert len(calls) == expected
 
+
+    def test_sheet_is_built_once_per_block_size_and_cpu_load(self, monkeypatch):
+        builds = []
+        build = PriceSheet.__init__
+
+        def counting(self, *args):
+            builds.append(1)
+            build(self, *args)
+
+        monkeypatch.setattr(PriceSheet, "__init__", counting)
+        monkeypatch.setattr(policy_module, "_SHEETS", {})
+        cpu = CpuModel("host")
+        policy = AdaptivePolicy(
+            policy="bicriteria", cost_model=DEFAULT_COSTS, cpu=cpu, native=False
+        )
+        monitor = ReducingSpeedMonitor()
+        sample = BlockStats("lempel-ziv", "lempel-ziv", 4096, 1400, 0.001)
+        steps = [(128 * 1024, 0.0)] * 3 + [(4096, 0.0)] * 2 + [(4096, 0.5)] * 2 + [(4096, 0.0)]
+        for block_size, load in steps:
+            cpu.load = load
+            decision = policy.choose(block_size, 0.01, monitor, sample)
+            unpriced = AdaptivePolicy(
+                policy="bicriteria", cost_model=DEFAULT_COSTS, cpu=CpuModel("host", load=load),
+                native=False,
+            )
+            with monkeypatch.context() as fresh:
+                fresh.setattr(policy_module, "_SHEETS", {})
+                assert decision == unpriced.choose(block_size, 0.01, monitor, sample)
+        # 128 KB; 4 KB; 4 KB loaded — the unloaded 4 KB sheet is still
+        # there — plus one for each decision made from an empty memo.
+        assert len(builds) == 3 + len(steps)
 
 # -- decide: a pure function of one DecisionInputs ---------------------------------
 

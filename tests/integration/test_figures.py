@@ -91,14 +91,14 @@ class TestFigure4:
 
 class TestFigure5:
     def test_link_speeds_match_paper(self):
-        measured = figure5_link_speeds(transfers=300)
+        measured = figure5_link_speeds()
         for name, (paper_speed, paper_stddev) in PAPER_FIG5.items():
             m = measured[name]
             assert m.mean_mb_per_s == pytest.approx(paper_speed, rel=0.08), name
             assert m.stddev_percent == pytest.approx(paper_stddev, rel=0.35), name
 
     def test_ordering(self):
-        measured = figure5_link_speeds(transfers=100)
+        measured = figure5_link_speeds()
         assert (
             measured["1gbit"].mean_mb_per_s
             > measured["100mbit"].mean_mb_per_s

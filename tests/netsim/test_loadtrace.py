@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim.loadtrace import LoadTrace, mbone_trace
+from repro.netsim.loadtrace import MBONE_PEAK, LoadTrace, mbone_trace
 
 
 class TestLoadTrace:
@@ -90,15 +90,15 @@ class TestMboneTrace:
 
     def test_figure7_shape(self):
         """Quiet start, busy middle peaking under ~20, 160 s span."""
-        trace = mbone_trace(duration=160.0, seed=7, peak=19.0)
+        trace = mbone_trace(duration=160.0, seed=7)
         assert trace.connections_at(0.0) == 0
         assert trace.duration == 160.0
         levels = [c for _, c in trace.sample(1.0)]
-        assert max(levels) <= 19.0
+        assert max(levels) <= MBONE_PEAK == 19.0
         assert max(levels) >= 10.0  # a genuinely busy phase exists
 
     def test_lull_exists(self):
-        trace = mbone_trace(duration=160.0, seed=7, peak=19.0)
+        trace = mbone_trace(duration=160.0, seed=7)
         lull = [trace.connections_at(t) for t in range(95, 118)]
         busy = [trace.connections_at(t) for t in range(20, 90)]
         assert min(lull) < max(busy) / 2

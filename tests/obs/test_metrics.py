@@ -4,16 +4,19 @@ import json
 
 import pytest
 
-from repro.obs.catalogue import BLOCK_RATIO, BLOCKS_TOTAL, DEFAULT_RATIO_BUCKETS
+from repro.obs import metrics as metrics_module
+from repro.obs.catalogue import BLOCK_RATIO, BLOCKS_TOTAL, DEFAULT_RATIO_BUCKETS, REDUCING_SPEED
 from repro.obs.metrics import (
     DEFAULT_SECONDS_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
+    _MetricFamily,
     get_registry,
     set_registry,
 )
+from tests.core.test_engine_equivalence import DECISION_PRESETS, _decision_trace
 
 
 class TestCounter:
@@ -195,3 +198,85 @@ class TestMetricsRegistry:
         finally:
             set_registry(previous)
         assert get_registry() is previous
+
+
+class TestLabelResolution:
+    """A label set already seen resolves to its key by one lookup on the
+    call's own pairs; what a series is, and what may become one, is unchanged."""
+
+    def test_any_kwarg_order_lands_on_one_series(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c")
+        gauge = registry.gauge("g")
+        histogram = registry.histogram("h", boundaries=[1.0])
+        for order in ("ab", "ba", "ab"):
+            labels = {key: {"a": "1", "b": "2"}[key] for key in order}
+            counter.inc(**labels)
+            gauge.add(1.0, **labels)
+            histogram.observe(0.5, **labels)
+        for labels in ({"a": "1", "b": "2"}, {"b": "2", "a": "1"}):
+            assert counter.value(**labels) == gauge.value(**labels) == 3
+            assert histogram.snapshot(**labels)["count"] == 3
+        assert counter.series_count == gauge.series_count == histogram.series_count == 1
+
+    def test_values_that_stringify_alike_share_a_series(self):
+        counter = Counter("c")
+        counter.inc(codec="1")
+        counter.inc(codec=1)
+        counter.inc(codec="1")
+        assert counter.value(codec=1) == counter.value(codec="1") == 3
+        assert counter.series_count == 1
+
+    def test_values_that_compare_equal_but_stringify_apart_do_not(self):
+        """``1 == 1.0 == True`` share a hash; their series are "1", "1.0", "True"."""
+        counter = Counter("c")
+        for value in ("1", 1, 1.0, True, 1, "1"):
+            counter.inc(codec=value)
+        assert counter.labelsets() == [{"codec": "1"}, {"codec": "1.0"}, {"codec": "True"}]
+        assert [counter.value(codec=v) for v in ("1", 1.0, True)] == [4, 1, 1]
+
+    def test_new_label_sets_are_still_validated_after_reads_and_writes(self):
+        speeds = MetricsRegistry().family(REDUCING_SPEED)
+        speeds.set(1.0, codec="huffman")
+        assert speeds.value(codac="huffman") is None  # a read never validates or creates
+        with pytest.raises(ValueError, match="'codac' is unknown"):
+            speeds.set(2.0, codac="huffman")
+        with pytest.raises(ValueError, match="'codec' is missing"):
+            speeds.set(2.0)
+        assert speeds.labelsets() == [{"codec": "huffman"}]
+
+    def test_max_series_holds_after_warm_reads(self):
+        counter = Counter("c", max_series=3)
+        for i in range(10):
+            assert counter.value(key=str(i)) == 0.0
+        assert len(counter._keys) <= 2 * counter.max_series  # the memo is bounded
+        for i in range(3):
+            counter.inc(key=str(i))
+        with pytest.raises(ValueError, match="max_series"):
+            counter.inc(key="5")
+        assert [counter.value(key=str(i)) for i in range(6)] == [1, 1, 1, 0, 0, 0]
+
+    def test_a_series_read_as_absent_is_found_once_written(self):
+        gauge = Gauge("g")
+        assert gauge.value(b="2", a="1") is None and not gauge.has(a="1", b="2")
+        gauge.set(4.0, a="1", b="2")
+        assert gauge.value(b="2", a="1") == 4.0 and gauge.has(a="1", b="2")
+        gauge.remove(b="2", a="1")
+        assert gauge.value(a="1", b="2") is None and gauge.series_count == 0
+        gauge.set(5.0, b="2", a="1")
+        assert gauge.value(a="1", b="2") == 5.0
+        gauge.clear()
+        assert gauge.value(a="1", b="2") is None
+
+    @pytest.mark.parametrize("preset", sorted(DECISION_PRESETS))
+    def test_golden_replay_export_does_not_depend_on_the_memo(self, monkeypatch, preset):
+        """The registry a golden replay fills exports byte for byte as one
+        whose every call resolves through ``_label_key``."""
+        memoized = _decision_trace(preset)["metrics_crc32"]
+        calls = []
+        label_key = metrics_module._label_key
+        monkeypatch.setattr(
+            _MetricFamily, "_key", lambda self, labels: calls.append(1) or label_key(labels)
+        )
+        assert _decision_trace(preset)["metrics_crc32"] == memoized
+        assert calls

@@ -2,14 +2,25 @@
 
 import bz2
 import functools
+import math
 import types
 import zlib
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.bicriteria import default_candidates, evaluate_candidates
+from repro.core.engine import BlockStats
+from repro.netsim.cpu import DEFAULT_COSTS, CpuModel
 from repro.verify import references
 from repro.verify.corpus import CorpusGenerator
+from repro.verify.references import reference_evaluate_candidates
+from tests.strategies import examples
 from repro.verify.differential import (
     _ROWS,
     REFERENCE_COUNTERPARTS,
+    _priced_exactly,
     counterpart_for,
     diff_scalar_vectorized,
     diff_wire_counterpart,
@@ -94,7 +105,7 @@ class TestRowTable:
         "mtf-decode", "rle-decode", "bwt-transform", "bwt-inverse",
         "delta-zigzag", "undelta-zigzag",
         "bitpack-1", "bitpack-7", "bitpack-12", "bitpack-24", "bitpack-33", "bitpack-64",
-        "template-values",
+        "template-values", "evaluate-candidates",
     }
 
     def test_every_reference_is_some_rows_oracle(self):
@@ -104,7 +115,7 @@ class TestRowTable:
         for row in _ROWS:
             oracles |= _reachable_names(row.oracle)
         wanted = {name for name in references.__all__ if name.startswith("reference_")}
-        assert len(wanted) == 19
+        assert len(wanted) == 20
         assert not wanted - oracles, f"oracles without a row: {sorted(wanted - oracles)}"
 
     def test_kernel_side_never_calls_an_oracle(self):
@@ -119,9 +130,9 @@ class TestRowTable:
         wire = set(REFERENCE_COUNTERPARTS) & {r.subject for r in results}
         pooled = {"burrows-wheeler"}
         assert {r.subject for r in results} == self.SUBJECTS | wire | pooled
-        # 5 cases x (24 rows + 2 directions per wire counterpart) + 2 pool checks
-        assert len(results) == 5 * (24 + 2 * len(wire)) + 2
-        assert len(wire) != 2 or (len(results), len(self.SUBJECTS | wire | pooled)) == (142, 27)
+        # 5 cases x (25 rows + 2 directions per wire counterpart) + 2 pool checks
+        assert len(results) == 5 * (25 + 2 * len(wire)) + 2
+        assert len(wire) != 2 or (len(results), len(self.SUBJECTS | wire | pooled)) == (147, 28)
         assert all(r.subject_seconds > 0 and r.reference_seconds > 0
                    for r in results if r.kind == "scalar-vectorized")
 
@@ -143,3 +154,61 @@ def test_full_sweep_passes():
     assert not failures, "\n".join(
         f"{f.kind} {f.subject} {f.case}: {f.detail}" for f in failures
     )
+
+
+_BLOCK_SIZES = (1000, 4096, 64 * 1024, 128 * 1024)
+_grids = st.lists(st.sampled_from(_BLOCK_SIZES), min_size=1, max_size=3).map(
+    lambda sizes: sum((default_candidates(size, native=False) for size in sizes), ())
+)
+_speed = st.one_of(
+    st.sampled_from((math.inf, 0.0, -1.0, math.nan)), st.floats(1.0, 1e9)
+)
+_probe = st.one_of(
+    st.none(),
+    st.sampled_from((math.nan, -0.25, 1.5, 0.0)),
+    st.floats(0.0, 3.0),
+    st.integers(1, 8192).map(
+        lambda size: BlockStats("lempel-ziv", "lempel-ziv", 4096, size, 0.001)
+    ),
+)
+_cpu = st.one_of(
+    st.none(), st.sampled_from((0.0, 0.5, 3.0)).map(lambda load: CpuModel("c", load=load))
+)
+_speeds = st.dictionaries(st.sampled_from(("lempel-ziv", "huffman", "burrows-wheeler")), _speed)
+_pricing_case = st.tuples(
+    _grids,
+    st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    st.sampled_from((None, DEFAULT_COSTS)),
+    _cpu,
+    st.one_of(st.none(), _speeds),
+    _probe,
+    st.one_of(st.none(), st.sampled_from(_BLOCK_SIZES)),
+)
+
+
+class TestEvaluateCandidatesOracle:
+    """The price sheet prices every spec bit for bit as the per-spec loop."""
+
+    @given(case=_pricing_case)
+    @examples(200)
+    def test_every_frontier_point_field_is_bit_identical(self, case):
+        assert _priced_exactly(evaluate_candidates, [case]) == _priced_exactly(
+            reference_evaluate_candidates, [case]
+        )
+
+    def test_negative_sending_time_is_refused_by_both(self):
+        case = (default_candidates(4096, native=False), -1.0, DEFAULT_COSTS, None, None, None, None)
+        for evaluate in (evaluate_candidates, reference_evaluate_candidates):
+            with pytest.raises(ValueError):
+                evaluate(*case)
+
+    def test_a_one_ulp_drift_is_caught(self):
+        case = (default_candidates(4096, native=False), 0.01, DEFAULT_COSTS, None, None, 0.3, None)
+
+        def drifted(*args):
+            return {
+                spec: type(point)(**{**vars(point), "ratio": math.nextafter(point.ratio, 9.0)})
+                for spec, point in evaluate_candidates(*args).items()
+            }
+
+        assert _priced_exactly(drifted, [case]) != _priced_exactly(evaluate_candidates, [case])
