@@ -6,7 +6,8 @@
 #                          metric names outside the catalogue, retry
 #                          loops outside RetryPolicy.attempts(), worker
 #                          pools outside compression/parallel.py, size-only
-#                          codec runs outside the modeled probe, mallopt
+#                          codec runs outside the modeled probe, metric
+#                          internals outside obs/metrics.py, mallopt
 #                          outside compression/heap.py, DESIGN.md
 #                          inventory rows naming modules that do not exist,
 #                          settable values or front-door keywords over
@@ -223,6 +224,22 @@ stray=$({ grep -rnE "compressed_size\(|\btimed\b.*compressed_size" src/repro --i
     grep -HnE "\btimed\b.*compressed_size" src/repro/core/sampler.py; } || true)
 if [ -n "$stray" ]; then
     echo "FAIL: compressed_size( called outside the modeled probe (a size-only run must never be timed or accounted as one):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+echo "ok"
+
+# --- Invariant: series are reached through the registry's public API --------
+# A per-block emitter binds its label sets once (MetricsRegistry.series, a
+# SeriesBook); the family's slot map, label resolution and canonical keys
+# stay private to obs/metrics.py, where remove/clear keep every handle
+# correct.  Code that reached into them elsewhere would write to slots no
+# handle knows have been dropped.
+echo "== invariant: no ._slot(, ._key( or ._series in src/repro outside obs/metrics.py"
+stray=$(grep -rnE "\._(slot|key)\(|\._series\b" src/repro --include="*.py" \
+    | grep -v "^src/repro/obs/metrics.py:" || true)
+if [ -n "$stray" ]; then
+    echo "FAIL: metric internals reached outside obs/metrics.py (bind a series with registry.series or a SeriesBook):" >&2
     echo "$stray" >&2
     exit 1
 fi

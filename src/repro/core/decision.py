@@ -256,6 +256,20 @@ def select_method(
         Else
             Don't Compress
     """
+    method, lz_reduce_time, ratio = _table_choice(inputs, thresholds)
+    return Decision(
+        method=method,
+        lz_reduce_time=lz_reduce_time,
+        sending_time=inputs.sending_time,
+        effective_ratio=ratio,
+    )
+
+
+def _table_choice(
+    inputs: DecisionInputs, thresholds: DecisionThresholds
+) -> Tuple[str, float, float]:
+    """:func:`select_method`'s (method, Lempel-Ziv reduce time, effective
+    ratio), for a chooser that reads the table without returning it."""
     ratio = inputs.sampled_ratio if inputs.sampled_ratio is not None else _UNSAMPLED_RATIO
     ratio = min(ratio, 1.0)
     if math.isinf(inputs.lz_reducing_speed):
@@ -275,9 +289,4 @@ def select_method(
             method = "huffman"
     else:
         method = "none"
-    return Decision(
-        method=method,
-        lz_reduce_time=lz_reduce_time,
-        sending_time=inputs.sending_time,
-        effective_ratio=ratio,
-    )
+    return method, lz_reduce_time, ratio

@@ -355,14 +355,19 @@ class BlockEngine:
         :class:`~repro.core.workers.PipelinedBlockEngine` for each pooled
         block, in block order.
         """
-        decompression_seconds = self.executor.decompression_time(
-            execution.method, execution.original_size, execution.payload, codec=codec
-        )
-        stats = replace(
-            execution,
-            index=index,
-            decompression_seconds=decompression_seconds,
-            payload=None,
+        method = execution.method
+        original_size = execution.original_size
+        # Built once, positionally in field order (no ``replace`` copy).
+        stats = BlockStats(
+            execution.requested_method,
+            method,
+            original_size,
+            execution.compressed_size,
+            execution.compression_seconds,
+            self.executor.decompression_time(method, original_size, execution.payload, codec=codec),
+            execution.fell_back,
+            None,
+            index,
         )
         self.blocks_executed += 1
         for observer in list(self.observers):

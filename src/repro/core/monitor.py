@@ -13,7 +13,9 @@ The monitor is a thin view over a
 :class:`~repro.obs.metrics.MetricsRegistry`: the EWMA state lives in
 labeled gauges (``repro_reducing_speed_bytes_per_second{codec=...}``),
 so ``repro stats`` and any other obs consumer read the same numbers the
-selector acts on.  Pass a shared
+selector acts on.  Each codec's two series are bound once, in a
+:class:`~repro.obs.catalogue.SeriesBook`, so a read or a fold is a slot
+access, not a label resolution.  Pass a shared
 registry to co-locate them with the rest of a process's telemetry; by
 default each monitor owns a private one.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..obs.catalogue import CODEC_OBSERVATIONS_TOTAL, REDUCING_SPEED
+from ..obs.catalogue import CODEC_OBSERVATIONS_TOTAL, REDUCING_SPEED, SeriesBook
 from ..obs.metrics import MetricsRegistry
 
 __all__ = ["ReducingSpeedMonitor"]
@@ -43,17 +45,20 @@ class ReducingSpeedMonitor:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._speeds = self.registry.family(REDUCING_SPEED)
-        self._observations = self.registry.family(CODEC_OBSERVATIONS_TOTAL)
+        # Both families exist from the start, series or not.
+        self.registry.family(REDUCING_SPEED)
+        self.registry.family(CODEC_OBSERVATIONS_TOTAL)
+        self._book = SeriesBook(self.registry)
 
     def _fold_speed(self, codec_name: str, speed: float) -> None:
-        previous = self._speeds.value(codec=codec_name)
+        speeds = self._book(REDUCING_SPEED, codec_name)
+        previous = speeds.value()
         if previous is None or math.isinf(previous):
             updated = speed
         else:
             updated = previous + ALPHA * (speed - previous)
-        self._speeds.set(updated, codec=codec_name)
-        self._observations.inc(codec=codec_name)
+        speeds.set(updated)
+        self._book(CODEC_OBSERVATIONS_TOTAL, codec_name).inc()
 
     def observe_raw(self, codec_name: str, bytes_saved: int, seconds: float) -> None:
         """Fold one timed run: ``bytes_saved`` removed in ``seconds``."""
@@ -69,7 +74,7 @@ class ReducingSpeedMonitor:
 
     def reducing_speed(self, codec_name: str) -> float:
         """Current estimate; ``inf`` until first observation (pseudocode line 1)."""
-        value = self._speeds.value(codec=codec_name)
+        value = self._book(REDUCING_SPEED, codec_name).value()
         return value if value is not None else math.inf
 
     def observations(self, codec_name: str) -> int:
@@ -79,4 +84,4 @@ class ReducingSpeedMonitor:
         feedback — the count stops moving when the measurement path breaks
         — which is what drives the selector's degraded fallback.
         """
-        return int(self._observations.value(codec=codec_name))
+        return int(self._book(CODEC_OBSERVATIONS_TOTAL, codec_name).value())

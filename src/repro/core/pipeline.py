@@ -200,9 +200,25 @@ class StreamResult:
     __slots__ = ("total_time", "_count", "_stores", "_layout")
 
     def __init__(self, records: Sequence[BlockRecord], total_time: float) -> None:
+        self._keep([(r.stats, r.decision, _OWN_VALUES(r)) for r in records], total_time)
+
+    @classmethod
+    def _of(
+        cls, parts: Sequence[Tuple[BlockStats, Decision, tuple]], total_time: float
+    ) -> "StreamResult":
+        """The result of records given as ``(stats, decision, own values)``,
+        the own values in ``BlockRecord`` field order: what the loop keeps
+        instead of building a record per block only to take it apart."""
+        result = cls.__new__(cls)
+        result._keep(parts, total_time)
+        return result
+
+    def _keep(
+        self, parts: Sequence[Tuple[BlockStats, Decision, tuple]], total_time: float
+    ) -> None:
         rows = [
-            _STATS_VALUES(r.stats) + _DECISION_VALUES(r.decision) + _OWN_VALUES(r)
-            for r in records
+            _STATS_VALUES(stats) + _DECISION_VALUES(decision) + own
+            for stats, decision, own in parts
         ]
         stores: Tuple[List[object], ...] = ([], [], [], [])
         layout = bytearray()
@@ -416,7 +432,8 @@ class AdaptivePipeline:
         monitor = ReducingSpeedMonitor(registry=self.registry)
         estimator = EwmaBandwidthEstimator()
 
-        records: List[BlockRecord] = []
+        #: Each block's (stats, decision, own BlockRecord values).
+        parts: List[Tuple[BlockStats, Decision, tuple]] = []
         sample: Optional[BlockStats] = None
         link_free = clock.now()
         last_delivery_done = clock.now()
@@ -479,21 +496,25 @@ class AdaptivePipeline:
                 if clock.now() < link_free:
                     clock.advance(link_free - clock.now())
 
-            records.append(
-                BlockRecord(
-                    stats=stats,
-                    decision=decision,
-                    start_time=start_time,
-                    send_start_time=send_start,
-                    send_time=send_time,
-                    sample_time=sample_time,
-                    connections=connections,
-                    lz_reducing_speed=lz_speed,
-                    sampled_ratio=sample.ratio if sample is not None else None,
-                    payload_crc32=zlib.crc32(payload) & 0xFFFFFFFF,
+            # A BlockRecord's own fields, in order: the result keeps them as
+            # columns, so no record is built here.
+            parts.append(
+                (
+                    stats,
+                    decision,
+                    (
+                        start_time,
+                        send_start,
+                        send_time,
+                        sample_time,
+                        connections,
+                        lz_speed,
+                        sample.ratio if sample is not None else None,
+                        zlib.crc32(payload) & 0xFFFFFFFF,
+                    ),
                 )
             )
             sample = next_sample
 
         total_time = max(clock.now(), last_delivery_done)
-        return StreamResult(records, total_time)
+        return StreamResult._of(parts, total_time)

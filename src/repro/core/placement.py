@@ -47,8 +47,7 @@ a real float boundary that ``math.nextafter`` tests can straddle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from .bicriteria import FrontierPoint
 
@@ -74,15 +73,16 @@ PLACEMENT_MODES = ("auto",) + PLACEMENTS
 _PREFERENCE: Dict[str, int] = {"producer": 0, "consumer": 1, "raw": 2}
 
 
-@dataclass(frozen=True)
-class PlacementCost:
+class PlacementCost(NamedTuple):
     """Modeled per-block phase breakdown of one placement.
 
     The four phase fields are the columns of the DTSchedule-style
     stacked time-breakdown figure: producer-side compression, wire
     transfer (both hops), relay-side compression, and subscriber-side
     decompression.  ``ratio`` is the modeled compressed/original ratio
-    of whatever hop carries compressed bytes (1.0 for ``raw``).
+    of whatever hop carries compressed bytes (1.0 for ``raw``).  A
+    named tuple: every decision builds up to three, so building one is
+    a tuple, not a frozen-dataclass ``__init__``.
     """
 
     placement: str
@@ -142,26 +142,28 @@ def placement_costs(
     costs = {"raw": PlacementCost("raw", "none", (), 0.0, wire_seconds["raw"], 0.0, 0.0, 1.0)}
     if point is None or point.method == "none":
         return costs
-    codec = dict(
-        method=point.method,
-        params=point.params,
-        decompress_seconds=point.decompress_seconds,
-        ratio=point.ratio,
-    )
+    method, params = point.method, point.params
+    decompress, ratio = point.decompress_seconds, point.ratio
     costs["producer"] = PlacementCost(
-        placement="producer",
-        compress_seconds=point.compress_seconds * (1.0 + interference),
-        wire_seconds=wire_seconds["producer"],
-        relay_seconds=0.0,
-        **codec,
+        "producer",
+        method,
+        params,
+        point.compress_seconds * (1.0 + interference),
+        wire_seconds["producer"],
+        0.0,
+        decompress,
+        ratio,
     )
     if "consumer" in wire_seconds:
         costs["consumer"] = PlacementCost(
-            placement="consumer",
-            compress_seconds=0.0,
-            wire_seconds=wire_seconds["consumer"],
-            relay_seconds=point.compress_seconds,
-            **codec,
+            "consumer",
+            method,
+            params,
+            0.0,
+            wire_seconds["consumer"],
+            point.compress_seconds,
+            decompress,
+            ratio,
         )
     return costs
 
@@ -209,7 +211,12 @@ def choose_placement(costs: Mapping[str, PlacementCost]) -> PlacementCost:
     """
     if not costs:
         raise ValueError("no placements to choose from")
-    return min(
-        costs.values(),
-        key=lambda c: (c.total_seconds, _PREFERENCE.get(c.placement, len(_PREFERENCE))),
-    )
+    # ``min`` over (total, preference) in the mapping's order, spelled out:
+    # the first strictly smaller rank replaces the best.
+    unranked = len(_PREFERENCE)
+    best = best_rank = None
+    for cost in costs.values():
+        rank = (cost.total_seconds, _PREFERENCE.get(cost.placement, unranked))
+        if best is None or rank < best_rank:
+            best, best_rank = cost, rank
+    return best

@@ -35,6 +35,7 @@ from ..compression.registry import get_codec
 from ..obs.catalogue import (
     PLACEMENT_DEGRADED_TOTAL,
     SELECTOR_DEGRADED_TOTAL,
+    SeriesBook,
     record_choice,
     record_placement,
 )
@@ -46,7 +47,13 @@ from .bicriteria import (
     default_candidates,
     sample_ratio,
 )
-from .decision import Decision, DecisionInputs, DecisionThresholds, select_method
+from .decision import (
+    Decision,
+    DecisionInputs,
+    DecisionThresholds,
+    _table_choice,
+    select_method,
+)
 from .engine import BlockStats
 from .monitor import ReducingSpeedMonitor
 from .placement import (
@@ -110,23 +117,28 @@ def _sheet(
 
 
 def _frontier_decision(
-    sheet: PriceSheet, priced: List[tuple], table: Decision, space_budget: float
+    sheet: PriceSheet,
+    priced: List[tuple],
+    table: Tuple[str, float, float],
+    sending_time: float,
+    space_budget: float,
 ) -> Decision:
     """The bicriteria chooser: argmin over the frontier, within the budget.
 
-    ``table`` is what §2.5 chose on the same inputs (a method and the
-    three numbers behind it); its default-param spec is always in the
-    priced set, so ``table_modeled_seconds`` prices both choices
-    identically.
+    ``table`` is what §2.5 chose on the same inputs (its method, reduce
+    time and ratio, :func:`~repro.core.decision._table_choice`); its
+    default-param spec is always in the priced set, so
+    ``table_modeled_seconds`` prices both choices identically.
     """
     frontier = _pareto(priced)
     row, violated = _select(frontier, space_budget)
     spec = sheet.specs[row[-1]]
-    table_position = sheet.index.get((table.method, (), spec.block_size))
+    table_method, lz_reduce_time, _ = table
+    table_position = sheet.index.get((table_method, (), spec.block_size))
     return Decision(
         method=spec.method,
-        lz_reduce_time=table.lz_reduce_time,
-        sending_time=table.sending_time,
+        lz_reduce_time=lz_reduce_time,
+        sending_time=sending_time,
         effective_ratio=row[1],
         params=spec.params,
         frontier_size=len(frontier),
@@ -225,7 +237,9 @@ class AdaptivePolicy:
       be priced.
 
     The record step writes bicriteria choices to the monitor's registry
-    as ``repro_bicriteria_*`` and placements as ``repro_placement_*``.
+    as ``repro_bicriteria_*`` and placements as ``repro_placement_*``,
+    through a :class:`~repro.obs.catalogue.SeriesBook` kept while the
+    registry stays the same, so each label set is resolved once per run.
     """
 
     def __init__(
@@ -274,6 +288,8 @@ class AdaptivePolicy:
         self._prices = policy == "bicriteria" or placement != "producer"
         self._last_observations: Optional[int] = None
         self._stale_decisions = 0
+        #: The bound series of the registry last recorded to.
+        self._book: Optional[SeriesBook] = None
 
     def _stale_count(self, monitor: ReducingSpeedMonitor) -> int:
         if self.staleness_horizon is None:
@@ -322,10 +338,10 @@ class AdaptivePolicy:
                 degraded=True,
             )
             return degraded, degraded
-        table = select_method(inputs, self.thresholds)
         if not self._prices:
             # The table/producer preset is the paper's pseudocode: §2.5
             # verbatim is the chooser, and nothing is priced.
+            table = select_method(inputs, self.thresholds)
             return table, table
         # candidates -> price: one pass, shared by every stage below.
         sheet = _sheet(inputs.block_size, self.native, self.cost_model, self.cpu)
@@ -333,11 +349,18 @@ class AdaptivePolicy:
             inputs.sending_time, inputs.speeds, inputs.sampled_ratio, inputs.block_size
         )
         if self.policy == "bicriteria":
-            # constrain (space budget) + choose (argmin over the frontier).
-            choice = _frontier_decision(sheet, priced, table, self.space_budget)
+            # constrain (space budget) + choose (argmin over the frontier);
+            # the table is read, not built into a second Decision.
+            choice = _frontier_decision(
+                sheet,
+                priced,
+                _table_choice(inputs, self.thresholds),
+                inputs.sending_time,
+                self.space_budget,
+            )
         else:
             # choose (table preset): §2.5 verbatim is the chooser.
-            choice = table
+            choice = select_method(inputs, self.thresholds)
         if self.placement == "producer":
             return choice, choice
 
@@ -374,17 +397,20 @@ class AdaptivePolicy:
 
     def _record(self, registry, choice: Decision, decision: Decision) -> None:
         """The one registry write; ``choice`` is what the chooser picked before placement."""
+        book = self._book
+        if book is None or book.registry is not registry:
+            book = self._book = SeriesBook(registry)
         if decision.degraded:
-            registry.family(SELECTOR_DEGRADED_TOTAL).inc()
+            book(SELECTOR_DEGRADED_TOTAL).inc()
             if self.placement != "producer":
                 # The break-even numbers are no more trustworthy than the
                 # thresholds: scheduling degrades to the paper's
                 # producer-side arrangement alongside the method fallback.
-                registry.family(PLACEMENT_DEGRADED_TOTAL).inc()
+                book(PLACEMENT_DEGRADED_TOTAL).inc()
             return
         if self.policy == "bicriteria":
             record_choice(
-                registry,
+                book,
                 frontier_size=choice.frontier_size,
                 method=choice.method,
                 params=params_label(choice.params),
@@ -394,7 +420,7 @@ class AdaptivePolicy:
         if not math.isnan(decision.placement_seconds):
             at_producer = decision.placement == "producer"
             record_placement(
-                registry,
+                book,
                 placement=decision.placement,
                 method=decision.method if at_producer else decision.relay_method,
                 params=params_label(decision.params if at_producer else decision.relay_params),

@@ -93,13 +93,13 @@ class LzSampler:
 
     def account(self, block: bytes, run: ProbeRun) -> BlockStats:
         """The record of ``block``'s probe ``run``, priced at the CPU's load now."""
-        head = block[: self.sample_size]
+        head_size = min(len(block), self.sample_size)
         name = self.codec.name
-        if not head:
+        if not head_size:
             return BlockStats(name, name, 0, 0, 0.0)
         size, seconds = run
-        seconds = self.executor.compression_time(name, len(head), seconds)
-        return BlockStats(name, name, len(head), size, seconds)
+        seconds = self.executor.compression_time(name, head_size, seconds)
+        return BlockStats(name, name, head_size, size, seconds)
 
     def sample(self, next_block: bytes) -> BlockStats:
         """Probe ``next_block``'s first ``sample_size`` bytes: one accounted run."""

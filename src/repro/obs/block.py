@@ -55,13 +55,13 @@ class BlockTelemetry:
         self.channel = channel
         self.keep_series = keep_series
         self.blocks_seen = 0
-        self._series: List[Tuple[str, int, int]] = []
+        self._rows: List[Tuple[str, int, int]] = []
 
     def __call__(self, stats: "BlockStats") -> None:
         self.blocks_seen += 1
         record_execution(self.registry, self.channel, stats)
         if self.keep_series:
-            self._series.append(
+            self._rows.append(
                 (stats.method, stats.original_size, stats.compressed_size)
             )
         if self.trace is not None:
@@ -81,10 +81,10 @@ class BlockTelemetry:
     # -- series views (golden-fixture comparisons) -------------------------------
 
     def method_series(self) -> List[str]:
-        return [method for method, _, _ in self._series]
+        return [method for method, _, _ in self._rows]
 
     def original_size_series(self) -> List[int]:
-        return [original for _, original, _ in self._series]
+        return [original for _, original, _ in self._rows]
 
     def compressed_size_series(self) -> List[int]:
-        return [compressed for _, _, compressed in self._series]
+        return [compressed for _, _, compressed in self._rows]

@@ -11,6 +11,9 @@ Emitters resolve a row on their registry and write to the family::
 
     registry.family(CACHE_HITS_TOTAL).inc(method=method, params=label)
 
+A per-block emitter binds its label sets once instead, through
+``registry.series(ROW, **labels)`` or a :class:`SeriesBook`.
+
 The registry builds the family from the row on first use and holds
 every new series to the row's label keys, so a typo'd label fails
 loudly instead of forking a series.  Where one domain event lands in
@@ -47,7 +50,7 @@ CATALOGUE = {}
 class Metric:
     """One catalogue row; constructing it declares the series."""
 
-    __slots__ = ("kind", "name", "help", "labels", "boundaries")
+    __slots__ = ("kind", "name", "help", "labels", "label_order", "boundaries")
 
     def __init__(self, kind, name, help, labels=(), boundaries=()):
         if name in CATALOGUE:
@@ -57,9 +60,35 @@ class Metric:
         self.help = help
         #: The exact label keys every series of this family carries.
         self.labels = frozenset(labels)
+        #: The same keys in declaration order (how a :class:`SeriesBook` takes values).
+        self.label_order = tuple(labels)
         #: Upper-inclusive bucket edges (histograms only, else empty).
         self.boundaries = tuple(boundaries)
         CATALOGUE[name] = self
+
+
+class SeriesBook:
+    """One registry's bound series, by row and label values, each bound on
+    first use (``registry.series``).
+
+    Per-block emitters (the reducing-speed monitor, the selector's
+    ``record_*`` helpers) write through one: a label set seen before costs
+    one dict lookup on its values, with no family lookup and no label
+    resolution.  Values come in the row's declared label order.
+    """
+
+    __slots__ = ("registry", "_bound")
+
+    def __init__(self, registry):
+        self.registry = registry
+        self._bound = {}
+
+    def __call__(self, row, *values):
+        bound = self._bound.get((row, values))
+        if bound is None:
+            labels = dict(zip(row.label_order, values))
+            bound = self._bound[row, values] = self.registry.series(row, **labels)
+        return bound
 
 
 def _counter(name, help, *labels):
@@ -166,19 +195,20 @@ CHOSEN_SECONDS_GAUGE = _gauge(
 
 
 def record_choice(
-    registry,
+    book,
     frontier_size: int,
     method: str,
     params: str,
     modeled_seconds: float,
     budget_violated: bool,
 ) -> None:
-    """Fold one bicriteria decision into ``registry`` (``params`` is the label)."""
-    registry.family(FRONTIER_SIZE_GAUGE).set(float(frontier_size))
-    registry.family(CHOICES_TOTAL).inc(method=method, params=params)
-    registry.family(CHOSEN_SECONDS_GAUGE).set(modeled_seconds, method=method, params=params)
+    """Fold one bicriteria decision through ``book``, a :class:`SeriesBook`
+    (``params`` is the label)."""
+    book(FRONTIER_SIZE_GAUGE).set(float(frontier_size))
+    book(CHOICES_TOTAL, method, params).inc()
+    book(CHOSEN_SECONDS_GAUGE, method, params).set(modeled_seconds)
     if budget_violated:
-        registry.family(BUDGET_VIOLATIONS_TOTAL).inc()
+        book(BUDGET_VIOLATIONS_TOTAL).inc()
 
 
 # -- placement scheduler and the consumer-offload relay -----------------------------
@@ -201,19 +231,18 @@ PLACEMENT_DEGRADED_TOTAL = _counter(
 
 
 def record_placement(
-    registry,
+    book,
     placement: str,
     method: str,
     params: str,
     modeled_seconds: float,
     producer_seconds: float,
 ) -> None:
-    """Fold one placement decision into ``registry`` (``params`` is the label)."""
-    registry.family(PLACEMENT_CHOICES_TOTAL).inc(
-        placement=placement, method=method, params=params
-    )
-    registry.family(PLACEMENT_SECONDS_GAUGE).set(modeled_seconds, placement=placement)
-    registry.family(PLACEMENT_PRODUCER_SECONDS_GAUGE).set(producer_seconds)
+    """Fold one placement decision through ``book``, a :class:`SeriesBook`
+    (``params`` is the label)."""
+    book(PLACEMENT_CHOICES_TOTAL, placement, method, params).inc()
+    book(PLACEMENT_SECONDS_GAUGE, placement).set(modeled_seconds)
+    book(PLACEMENT_PRODUCER_SECONDS_GAUGE).set(producer_seconds)
 
 
 RELAY_EVENTS_TOTAL = _counter(

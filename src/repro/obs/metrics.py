@@ -28,6 +28,11 @@ Design constraints:
 * **Declared label keys.**  A family built from a
   :mod:`~repro.obs.catalogue` row refuses a new series whose label keys
   differ from the row's, so a misspelt key cannot silently fork one.
+* **Bound series.**  A per-block emitter writes through a
+  :class:`BoundCounter` / :class:`BoundGauge` from
+  :meth:`MetricsRegistry.series`: its label set is resolved once, and a
+  write is then one slot access instead of a family lookup plus a label
+  resolution.  Keyword writes and bound writes export identically.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tupl
 from .catalogue import DEFAULT_SECONDS_BUCKETS, Metric
 
 __all__ = [
+    "BoundCounter",
+    "BoundGauge",
     "Counter",
     "Gauge",
     "Histogram",
@@ -79,6 +86,9 @@ class _MetricFamily:
         self._series: Dict[LabelKey, object] = {}
         #: A label set as a call spelled it -> its canonical key (a pure memo).
         self._keys: Dict[Tuple[Tuple[str, Any], ...], LabelKey] = {}
+        #: Moves whenever a series leaves (``remove``, ``clear``, a cleared
+        #: registry), so a :class:`BoundSeries` never writes to a dropped slot.
+        self._epoch = 0
 
     def _key(self, labels: Mapping[str, str]) -> LabelKey:
         """The canonical key of ``labels``: one dict lookup on the call's own
@@ -105,10 +115,16 @@ class _MetricFamily:
         slot = self._series.get(key)
         if slot is None:
             if self.label_keys is not None and labels.keys() != self.label_keys:
-                stray = sorted(labels.keys() ^ self.label_keys)[0]
+                # A misspelt key is both: name the typo, not the key it replaced.
+                unknown = sorted(labels.keys() - self.label_keys)
+                stray, state = (
+                    (unknown[0], "unknown")
+                    if unknown
+                    else (min(self.label_keys - labels.keys()), "missing")
+                )
                 raise ValueError(
                     f"metric {self.name!r} declares labels {sorted(self.label_keys)}; "
-                    f"label {stray!r} is {'unknown' if stray in labels else 'missing'}"
+                    f"label {stray!r} is {state}"
                 )
             if len(self._series) >= self.max_series:
                 raise ValueError(
@@ -133,6 +149,7 @@ class _MetricFamily:
     def clear(self) -> None:
         """Drop every series (used by view resets)."""
         self._series.clear()
+        self._epoch += 1
 
 
 class Counter(_MetricFamily):
@@ -189,7 +206,8 @@ class Gauge(_MetricFamily):
         return self._key(labels) in self._series
 
     def remove(self, **labels: str) -> None:
-        self._series.pop(self._key(labels), None)
+        if self._series.pop(self._key(labels), None) is not None:
+            self._epoch += 1
 
     def as_dict(self) -> dict:
         return {
@@ -283,6 +301,83 @@ class Histogram(_MetricFamily):
 _KINDS = {"counter": Counter, "gauge": Gauge}
 
 
+class BoundSeries:
+    """One series of a catalogue family, its label set resolved once.
+
+    :meth:`MetricsRegistry.series` hands it out with its canonical key
+    computed and the registry untouched.  The first write finds the family (building it from its
+    row) and creates the series exactly as a keyword write would, label
+    keys validated; a read of a series nobody wrote answers the default
+    and creates nothing, family included.  After that an access is one
+    slot read or write.  A removed series, a cleared family or a cleared
+    registry moves the family's epoch, and the next access resolves
+    again, so a handle never writes to a dropped slot.
+    """
+
+    __slots__ = ("_registry", "_row", "_labels", "_key", "_family", "_epoch", "_slot")
+
+    def __init__(self, registry: MetricsRegistry, row: Metric, labels: Dict[str, str]) -> None:
+        self._registry = registry
+        self._row = row
+        self._labels = labels
+        self._key = _label_key(labels)
+        self._family: Optional[_MetricFamily] = None
+        self._epoch = -1
+        self._slot: Any = None
+
+    def _live(self) -> Any:
+        """The series' slot, created on first use."""
+        slot = self._slot
+        if slot is None or self._family._epoch != self._epoch:  # type: ignore[union-attr]
+            family = self._registry.family(self._row)
+            slot = family._slot(self._labels)
+            self._family, self._epoch, self._slot = family, family._epoch, slot
+        return slot
+
+    def _found(self) -> Any:
+        """The series' slot, or ``None`` while it does not exist."""
+        family = self._family
+        if family is None or family._epoch != self._epoch:
+            family = self._registry._existing(self._row.name, self._row.kind)
+            if family is None:
+                return None
+            self._family, self._epoch, self._slot = family, family._epoch, None
+        slot = self._slot
+        if slot is None:
+            slot = self._slot = family._series.get(self._key)
+        return slot
+
+
+class BoundCounter(BoundSeries):
+    """A bound :class:`Counter` series, counting one event per :meth:`inc`."""
+
+    __slots__ = ()
+
+    def inc(self) -> None:
+        self._live()[0] += 1.0
+
+    def value(self) -> float:
+        slot = self._found()
+        return slot[0] if slot is not None else 0.0
+
+
+class BoundGauge(BoundSeries):
+    """A bound :class:`Gauge` series."""
+
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        self._live()[0] = float(value)
+
+    def value(self) -> Optional[float]:
+        """The gauge's value, ``None`` while it was never set."""
+        slot = self._found()
+        return slot[0] if slot is not None else None
+
+
+_BOUND = {"counter": BoundCounter, "gauge": BoundGauge}
+
+
 class MetricsRegistry:
     """A process-local namespace of metric families.
 
@@ -325,6 +420,15 @@ class MetricsRegistry:
             family = self._metrics.setdefault(row.name, family)
         return family
 
+    def series(self, row: Metric, **labels: str) -> Any:
+        """A :class:`BoundCounter` or :class:`BoundGauge` on one label set
+        of ``row``'s family; the family is not looked up, and nothing is
+        created, until the handle is used."""
+        bound = _BOUND.get(row.kind)
+        if bound is None:
+            raise ValueError(f"metric {row.name!r} is a {row.kind}; only counters and gauges bind")
+        return bound(self, row, labels)
+
     def counter(self, name: str, help: str = "", max_series: int = DEFAULT_MAX_SERIES) -> Counter:
         family = self._existing(name, "counter")
         if family is None:
@@ -363,6 +467,8 @@ class MetricsRegistry:
         return name in self._metrics
 
     def clear(self) -> None:
+        for family in self._metrics.values():
+            family._epoch += 1
         self._metrics.clear()
 
     # -- export ------------------------------------------------------------------

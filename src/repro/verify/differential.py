@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import bz2
 import lzma
+import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -64,6 +65,7 @@ from ..compression.rle import rle_decode, rle_encode
 from ..compression.structured import _VALUE_RE, bitpack, bitunpack, delta_zigzag, undelta_zigzag
 from ..core.bicriteria import default_candidates, evaluate_candidates
 from ..core.engine import timed
+from ..core.placement import choose_placement, evaluate_placements, raw_breakeven_seconds
 from ..netsim.cpu import DEFAULT_COSTS, SUN_FIRE, CpuModel
 from .corpus import CorpusGenerator
 from .references import (
@@ -75,6 +77,7 @@ from .references import (
     reference_decode_tables,
     reference_delta_zigzag,
     reference_evaluate_candidates,
+    reference_evaluate_placements,
     reference_huffman_code_lengths,
     reference_huffman_decode,
     reference_huffman_encode,
@@ -322,6 +325,61 @@ def _priced_exactly(evaluate: Callable, cases: Iterable[tuple]) -> List[list]:
     ]
 
 
+def _placement_cases(data: bytes) -> Optional[List[tuple]]:
+    """``evaluate_placements`` arguments drawn from a corpus buffer: every
+    compressing point the grid prices at its size (its zlib ratio as the
+    probe), that point at ratio 1 and above 1, and ``None``; each sent raw
+    in a fixed time and one ``nextafter`` step below, on and above its
+    break-even knee; with no relay, a relay hop as fast as the upstream
+    one and one eight times slower, and the fixed time upstream of a hop
+    eight knees long (where offloading to the relay wins); at
+    interference 0 and 0.15."""
+    if not data:
+        return None
+    size = len(data)
+    send = size / 1e8
+    probe = len(zlib.compress(data)) / size
+    priced = evaluate_candidates(
+        default_candidates(size, native=False), send, DEFAULT_COSTS, SUN_FIRE, {}, probe, size
+    )
+    points: List[Optional[object]] = [p for p in priced.values() if p.method != "none"]
+    points += [replace(points[0], ratio=1.0), replace(points[0], ratio=1.0 + data[0] / 256)]
+    cases = []
+    for interference in (0.0, 0.15):
+        for point in [None, *points]:
+            raws = [send]
+            if point is not None:
+                knee = raw_breakeven_seconds(point, interference)
+                if math.isfinite(knee):
+                    raws += [math.nextafter(knee, 0.0), knee, math.nextafter(knee, math.inf)]
+                    cases.append((point, send, 8 * knee, interference))
+            for raw in raws:
+                cases += [(point, raw, down, interference) for down in (None, raw, 8 * raw)]
+    return cases
+
+
+_PLACEMENT_FIELDS = attrgetter(
+    "placement", "method", "params", "compress_seconds", "wire_seconds",
+    "relay_seconds", "decompress_seconds", "ratio", "total_seconds",
+)
+
+
+def _placed(point, raw_seconds, downstream_seconds, interference) -> tuple:
+    costs = evaluate_placements(point, raw_seconds, downstream_seconds, interference)
+    return costs, choose_placement(costs)
+
+
+def _placed_exactly(place: Callable, cases: Iterable[tuple]) -> List[list]:
+    """Every row ``place`` builds for each case, then the row it chose,
+    every field (the total too) with floats exact."""
+    out = []
+    for case in cases:
+        costs, chosen = place(*case)
+        rows = [*costs.values(), chosen]
+        out.append([tuple(map(_exact, _PLACEMENT_FIELDS(row))) for row in rows])
+    return out
+
+
 class _Row(NamedTuple):
     """One scalar-vs-kernel comparison — a line of :data:`_ROWS`.
 
@@ -448,6 +506,14 @@ _ROWS: Tuple[_Row, ...] = (
         partial(_priced_exactly, evaluate_candidates),
         partial(_priced_exactly, reference_evaluate_candidates),
         _pricing_cases,
+    ),
+    # The placement rows and choice against the dataclass rows and keyed
+    # min, every field and the exact-float tie rule bit for bit.
+    _Row(
+        "evaluate-placements",
+        partial(_placed_exactly, _placed),
+        partial(_placed_exactly, reference_evaluate_placements),
+        _placement_cases,
     ),
     # The template tokenizer's value spans against the lookahead pattern.
     _Row(

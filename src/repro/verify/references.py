@@ -8,7 +8,8 @@ zigzag/delta/bitpack column primitives) are array or index-queue
 rewrites of classic per-symbol algorithms; the template codec's value
 pattern is a shortened regular expression; and the selector prices its
 grid from a :class:`~repro.core.bicriteria.PriceSheet` built once, not by
-re-deriving every spec's operating point per block.
+re-deriving every spec's operating point per block, and its placement
+rows as named tuples compared in one loop.
 This module keeps the classic formulations — short, obviously-correct
 Python loops straight out of the textbook — as the differential oracle:
 the optimized path must be **byte-identical** (for the pricing model:
@@ -23,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,6 +77,7 @@ __all__ = [
     "reference_undelta_zigzag",
     "reference_template_value_spans",
     "reference_evaluate_candidates",
+    "reference_evaluate_placements",
 ]
 
 _U64_MASK = (1 << 64) - 1
@@ -802,3 +805,76 @@ def reference_evaluate_candidates(
             decompress_seconds=spec.block_size / decompress_throughput,
         )
     return points
+
+
+@dataclass(frozen=True)
+class _ReferencePlacementCost:
+    """:class:`repro.core.placement.PlacementCost` as a frozen dataclass."""
+
+    placement: str
+    method: str
+    params: Tuple[Tuple[str, object], ...]
+    compress_seconds: float
+    wire_seconds: float
+    relay_seconds: float
+    decompress_seconds: float
+    ratio: float
+
+    @property
+    def total_seconds(self) -> float:
+        return (
+            self.compress_seconds
+            + self.wire_seconds
+            + self.relay_seconds
+            + self.decompress_seconds
+        )
+
+
+def reference_evaluate_placements(
+    point: Optional[FrontierPoint],
+    raw_seconds: float,
+    downstream_seconds: Optional[float],
+    interference: float,
+) -> Tuple[Dict[str, _ReferencePlacementCost], _ReferencePlacementCost]:
+    """:func:`repro.core.placement.evaluate_placements` then
+    :func:`~repro.core.placement.choose_placement`: the rows built by
+    keyword from one shared codec splat, and the choice as ``min`` over
+    ``(total seconds, preference)`` (producer, consumer, raw) through a key
+    function, exact float ties going to the preferred arrangement."""
+    down = downstream_seconds if downstream_seconds is not None else 0.0
+    wire = {"raw": raw_seconds + down}
+    if point is not None:
+        wire["producer"] = (raw_seconds + down) * point.ratio
+        if downstream_seconds is not None:
+            wire["consumer"] = raw_seconds + downstream_seconds * point.ratio
+    costs = {
+        "raw": _ReferencePlacementCost("raw", "none", (), 0.0, wire["raw"], 0.0, 0.0, 1.0)
+    }
+    if point is not None and point.method != "none":
+        codec = dict(
+            method=point.method,
+            params=point.params,
+            decompress_seconds=point.decompress_seconds,
+            ratio=point.ratio,
+        )
+        costs["producer"] = _ReferencePlacementCost(
+            placement="producer",
+            compress_seconds=point.compress_seconds * (1.0 + interference),
+            wire_seconds=wire["producer"],
+            relay_seconds=0.0,
+            **codec,
+        )
+        if "consumer" in wire:
+            costs["consumer"] = _ReferencePlacementCost(
+                placement="consumer",
+                compress_seconds=0.0,
+                wire_seconds=wire["consumer"],
+                relay_seconds=point.compress_seconds,
+                **codec,
+            )
+    preference = {"producer": 0, "consumer": 1, "raw": 2}
+    chosen = min(
+        costs.values(),
+        key=lambda c: (c.total_seconds, preference.get(c.placement, len(preference))),
+    )
+    return costs, chosen

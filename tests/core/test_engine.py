@@ -1,5 +1,7 @@
 """Unit tests for the unified execution substrate (repro.core.engine)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.compression.base import Codec, CodecError
@@ -175,6 +177,24 @@ class TestBlockEngine:
         detach()
         engine.execute(commercial_block[: 32 * 1024], method="huffman")
         assert len(seen) == 1
+
+    @pytest.mark.parametrize("method", ["none", "huffman"])
+    def test_emitted_stats_are_the_execution_indexed_priced_and_payload_free(
+        self, commercial_block, method
+    ):
+        """``emit`` builds its record field by field: it must be the
+        ``replace`` copy it stands for, whatever fields ``BlockStats`` gains."""
+        executor = CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+        block = commercial_block[: 32 * 1024]
+        execution = executor.compress(method, block)
+        payload, stats = BlockEngine(executor=executor, block_size=32 * 1024).emit(execution, 7)
+        assert payload is execution.payload
+        assert stats == replace(
+            execution,
+            index=7,
+            decompression_seconds=executor.decompression_time(method, len(block), payload),
+            payload=None,
+        )
 
     def test_engine_with_modeled_executor_is_deterministic(self, commercial_block):
         executor = CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)

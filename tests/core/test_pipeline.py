@@ -30,6 +30,7 @@ from repro.netsim.clock import VirtualClock
 from repro.netsim.cpu import DEFAULT_COSTS, SUN_FIRE, CpuModel
 from repro.netsim.link import PAPER_LINKS, SimulatedLink, make_link
 from repro.netsim.loadtrace import LoadTrace
+from repro.obs import metrics
 from tests.strategies import examples, link_names, serial_pool
 
 
@@ -456,6 +457,57 @@ class TestRunWideProbes:
         assert [r.sampled_ratio for r in records[1:]] == [
             codec.compressed_size(block[:4096]) / 4096 for block in data[1:]
         ]
+
+
+#: The ``adaptive_fastlink`` dialects: the table, bicriteria, and
+#: bicriteria placed ``auto`` with a relay and interference.
+_FASTLINK_POLICIES = {
+    "table": {},
+    "bicriteria": dict(policy="bicriteria", cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, native=False),
+    "placement": dict(
+        policy="bicriteria", cost_model=DEFAULT_COSTS, cpu=SUN_FIRE, native=False,
+        placement="auto", interference=0.15, downstream_factor=1.0,
+    ),
+}
+
+
+class TestSteadyStateBookkeeping:
+    """After a run's first block, a block of the §2.5 loop on a fast link
+    resolves no metric label set and looks up no registry family: the
+    monitor and the policy write through series bound once per run."""
+
+    @pytest.mark.parametrize("dialect", sorted(_FASTLINK_POLICIES))
+    def test_blocks_after_the_first_resolve_no_label_set(self, dialect, monkeypatch, shared_pool):
+        shared_pool(serial_pool())
+        resolved = Counter()
+        key, label_key, family = (
+            metrics._MetricFamily._key, metrics._label_key, metrics.MetricsRegistry.family
+        )
+        monkeypatch.setattr(
+            metrics._MetricFamily, "_key",
+            lambda self, labels: resolved.update(["key"]) or key(self, labels),
+        )
+        monkeypatch.setattr(
+            metrics, "_label_key", lambda labels: resolved.update(["key"]) or label_key(labels)
+        )
+        monkeypatch.setattr(
+            metrics.MetricsRegistry, "family",
+            lambda self, row: resolved.update(["family"]) or family(self, row),
+        )
+        policy = AdaptivePolicy(**_FASTLINK_POLICIES[dialect])
+        marks = []  # the counts as each block's decision starts, then at the end
+        choose = policy.choose
+        monkeypatch.setattr(
+            policy, "choose", lambda *args: marks.append(resolved.copy()) or choose(*args)
+        )
+        result = pipeline(policy=policy, block_size=128 * 1024).run(
+            blocks(6, size=128 * 1024), make_link("1gbit")
+        )
+        marks.append(resolved.copy())
+        per_block = [dict(after - before) for before, after in zip(marks, marks[1:])]
+        assert len(per_block) == len(result.records) == 6
+        assert per_block[0]  # the first block binds what the run writes
+        assert per_block[1:] == [{}] * 5
 
 
 class TestCpuLoadRestored:

@@ -3,11 +3,22 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs import metrics as metrics_module
-from repro.obs.catalogue import BLOCK_RATIO, BLOCKS_TOTAL, DEFAULT_RATIO_BUCKETS, REDUCING_SPEED
+from repro.obs.catalogue import (
+    BLOCK_RATIO,
+    BLOCKS_TOTAL,
+    CODEC_OBSERVATIONS_TOTAL,
+    DEFAULT_RATIO_BUCKETS,
+    FRONTIER_SIZE_GAUGE,
+    REDUCING_SPEED,
+)
 from repro.obs.metrics import (
     DEFAULT_SECONDS_BUCKETS,
+    BoundCounter,
+    BoundGauge,
     Counter,
     Gauge,
     Histogram,
@@ -17,6 +28,27 @@ from repro.obs.metrics import (
     set_registry,
 )
 from tests.core.test_engine_equivalence import DECISION_PRESETS, _decision_trace
+from tests.strategies import examples
+
+
+class KeywordSeries:
+    """What :meth:`MetricsRegistry.series` hands out, resolved on every
+    access through the family's keyword API: the handles bypassed."""
+
+    def __init__(self, registry, row, **labels):
+        self.registry, self.row, self.labels = registry, row, labels
+
+    def inc(self):
+        self.registry.family(self.row).inc(**self.labels)
+
+    def set(self, value):
+        self.registry.family(self.row).set(value, **self.labels)
+
+    def value(self):
+        family = self.registry.get(self.row.name)
+        if family is None:
+            return 0.0 if self.row.kind == "counter" else None
+        return family.value(**self.labels)
 
 
 class TestCounter:
@@ -235,6 +267,20 @@ class TestLabelResolution:
         assert counter.labelsets() == [{"codec": "1"}, {"codec": "1.0"}, {"codec": "True"}]
         assert [counter.value(codec=v) for v in ("1", 1.0, True)] == [4, 1, 1]
 
+    def test_a_misspelt_key_is_unknown_and_a_dropped_one_missing(self):
+        """The typo is named even when it sorts after the key it replaced."""
+        registry = MetricsRegistry()
+        speeds = registry.family(REDUCING_SPEED)
+        with pytest.raises(ValueError, match="label 'codek' is unknown"):
+            speeds.set(1.0, codek="lempel-ziv")
+        with pytest.raises(ValueError, match="label 'codek' is unknown"):
+            registry.series(REDUCING_SPEED, codek="lempel-ziv").set(1.0)
+        with pytest.raises(ValueError, match="label 'codec' is missing"):
+            speeds.set(1.0)
+        with pytest.raises(ValueError, match="label 'codec' is missing"):
+            registry.series(REDUCING_SPEED).set(1.0)
+        assert speeds.series_count == 0
+
     def test_new_label_sets_are_still_validated_after_reads_and_writes(self):
         speeds = MetricsRegistry().family(REDUCING_SPEED)
         speeds.set(1.0, codec="huffman")
@@ -271,12 +317,82 @@ class TestLabelResolution:
     @pytest.mark.parametrize("preset", sorted(DECISION_PRESETS))
     def test_golden_replay_export_does_not_depend_on_the_memo(self, monkeypatch, preset):
         """The registry a golden replay fills exports byte for byte as one
-        whose every call resolves through ``_label_key``."""
+        whose every write is a keyword call resolved through ``_label_key``:
+        the memo and the bound series both bypassed."""
         memoized = _decision_trace(preset)["metrics_crc32"]
         calls = []
         label_key = metrics_module._label_key
         monkeypatch.setattr(
             _MetricFamily, "_key", lambda self, labels: calls.append(1) or label_key(labels)
         )
+        monkeypatch.setattr(
+            MetricsRegistry, "series", lambda self, row, **labels: KeywordSeries(self, row, **labels)
+        )
         assert _decision_trace(preset)["metrics_crc32"] == memoized
         assert calls
+
+
+#: Series a bound-vs-keyword trace writes: two label sets of a counter and
+#: of a gauge, and an unlabelled gauge.
+_TRACED = (
+    (CODEC_OBSERVATIONS_TOTAL, {"codec": "huffman"}),
+    (CODEC_OBSERVATIONS_TOTAL, {"codec": "lempel-ziv"}),
+    (REDUCING_SPEED, {"codec": "huffman"}),
+    (REDUCING_SPEED, {"codec": "lempel-ziv"}),
+    (FRONTIER_SIZE_GAUGE, {}),
+)
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(("write", "write", "write", "remove", "clear-family", "clear")),
+        st.integers(0, len(_TRACED) - 1),
+        st.floats(0.0, 1e6, allow_nan=False),
+    ),
+    max_size=40,
+)
+
+
+class TestBoundSeries:
+    """A handle is the keyword call it replaces, resolved once."""
+
+    @examples(100)
+    @given(_STEPS)
+    def test_handle_writes_export_as_keyword_writes(self, steps):
+        """Handles bound before the first step, reused across every remove
+        and clear, leave the registry keyword calls leave, step by step."""
+        bound_registry, keyword_registry = MetricsRegistry(), MetricsRegistry()
+        handles = [bound_registry.series(row, **labels) for row, labels in _TRACED]
+        keywords = [KeywordSeries(keyword_registry, row, **labels) for row, labels in _TRACED]
+        for action, index, amount in steps:
+            row, labels = _TRACED[index]
+            for registry, series in ((bound_registry, handles), (keyword_registry, keywords)):
+                if action == "write":
+                    if row.kind == "counter":
+                        series[index].inc()
+                    else:
+                        series[index].set(amount)
+                elif action == "remove" and row.kind == "gauge" and row.name in registry:
+                    registry.family(row).remove(**labels)
+                elif action == "clear-family" and row.name in registry:
+                    registry.family(row).clear()
+                elif action == "clear":
+                    registry.clear()
+            assert bound_registry.to_json() == keyword_registry.to_json()
+            assert [h.value() for h in handles] == [k.value() for k in keywords]
+
+    def test_a_read_creates_nothing(self):
+        registry = MetricsRegistry()
+        speed = registry.series(REDUCING_SPEED, codec="huffman")
+        observations = registry.series(CODEC_OBSERVATIONS_TOTAL, codec="huffman")
+        assert (speed.value(), observations.value()) == (None, 0.0)
+        assert registry.names() == []
+        registry.family(REDUCING_SPEED)
+        assert speed.value() is None and registry.family(REDUCING_SPEED).series_count == 0
+        speed.set(3.0)
+        assert speed.value() == registry.family(REDUCING_SPEED).value(codec="huffman") == 3.0
+
+    def test_kinds(self):
+        registry = MetricsRegistry()
+        assert isinstance(registry.series(CODEC_OBSERVATIONS_TOTAL, codec="x"), BoundCounter)
+        assert isinstance(registry.series(REDUCING_SPEED, codec="x"), BoundGauge)
+        with pytest.raises(ValueError, match="only counters and gauges bind"):
+            registry.series(BLOCK_RATIO, channel="c", method="m")

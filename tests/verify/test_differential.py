@@ -10,16 +10,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.bicriteria import default_candidates, evaluate_candidates
+from repro.core.bicriteria import FrontierPoint, default_candidates, evaluate_candidates
 from repro.core.engine import BlockStats
+from repro.core.placement import raw_breakeven_seconds
 from repro.netsim.cpu import DEFAULT_COSTS, CpuModel
 from repro.verify import references
 from repro.verify.corpus import CorpusGenerator
-from repro.verify.references import reference_evaluate_candidates
+from repro.verify.references import reference_evaluate_candidates, reference_evaluate_placements
 from tests.strategies import examples
 from repro.verify.differential import (
     _ROWS,
     REFERENCE_COUNTERPARTS,
+    _placed,
+    _placed_exactly,
     _priced_exactly,
     counterpart_for,
     diff_scalar_vectorized,
@@ -105,7 +108,7 @@ class TestRowTable:
         "mtf-decode", "rle-decode", "bwt-transform", "bwt-inverse",
         "delta-zigzag", "undelta-zigzag",
         "bitpack-1", "bitpack-7", "bitpack-12", "bitpack-24", "bitpack-33", "bitpack-64",
-        "template-values", "evaluate-candidates",
+        "template-values", "evaluate-candidates", "evaluate-placements",
     }
 
     def test_every_reference_is_some_rows_oracle(self):
@@ -115,7 +118,7 @@ class TestRowTable:
         for row in _ROWS:
             oracles |= _reachable_names(row.oracle)
         wanted = {name for name in references.__all__ if name.startswith("reference_")}
-        assert len(wanted) == 20
+        assert len(wanted) == 21
         assert not wanted - oracles, f"oracles without a row: {sorted(wanted - oracles)}"
 
     def test_kernel_side_never_calls_an_oracle(self):
@@ -130,9 +133,9 @@ class TestRowTable:
         wire = set(REFERENCE_COUNTERPARTS) & {r.subject for r in results}
         pooled = {"burrows-wheeler"}
         assert {r.subject for r in results} == self.SUBJECTS | wire | pooled
-        # 5 cases x (25 rows + 2 directions per wire counterpart) + 2 pool checks
-        assert len(results) == 5 * (25 + 2 * len(wire)) + 2
-        assert len(wire) != 2 or (len(results), len(self.SUBJECTS | wire | pooled)) == (147, 28)
+        # 5 cases x (26 rows + 2 directions per wire counterpart) + 2 pool checks
+        assert len(results) == 5 * (26 + 2 * len(wire)) + 2
+        assert len(wire) != 2 or (len(results), len(self.SUBJECTS | wire | pooled)) == (152, 29)
         assert all(r.subject_seconds > 0 and r.reference_seconds > 0
                    for r in results if r.kind == "scalar-vectorized")
 
@@ -212,3 +215,63 @@ class TestEvaluateCandidatesOracle:
             }
 
         assert _priced_exactly(drifted, [case]) != _priced_exactly(evaluate_candidates, [case])
+
+
+_seconds = st.one_of(st.sampled_from((0.0, 1e-3, 0.25)), st.floats(0.0, 10.0))
+_point = st.builds(
+    FrontierPoint,
+    method=st.sampled_from(("lempel-ziv", "huffman", "none")),
+    params=st.sampled_from(((), (("max_chain", 4),))),
+    block_size=st.just(128 * 1024),
+    ratio=st.one_of(st.sampled_from((0.0, 0.5, 1.0, 1.25)), st.floats(0.0, 2.0)),
+    compress_seconds=_seconds,
+    transfer_seconds=_seconds,
+    decompress_seconds=_seconds,
+)
+_placement_case = st.tuples(
+    st.one_of(st.none(), _point),
+    _seconds,
+    st.one_of(st.none(), _seconds),
+    st.sampled_from((0.0, 0.15, 1.0)),
+)
+
+
+class TestEvaluatePlacementsOracle:
+    """The named-tuple rows and the spelled-out ``min`` are the dataclass
+    rows and keyed ``min`` they replaced, every field bit for bit."""
+
+    @given(case=_placement_case)
+    @examples(200)
+    def test_every_row_and_the_choice_are_bit_identical(self, case):
+        assert _placed_exactly(_placed, [case]) == _placed_exactly(
+            reference_evaluate_placements, [case]
+        )
+
+    @given(point=_point.filter(lambda p: p.method != "none" and p.ratio < 1.0))
+    @examples(100)
+    def test_nextafter_steps_across_the_knee_choose_alike(self, point):
+        knee = raw_breakeven_seconds(point, 0.15)
+        cases = [
+            (point, raw, down, 0.15)
+            for raw in (math.nextafter(knee, 0.0), knee, math.nextafter(knee, math.inf))
+            for down in (None, raw)
+        ]
+        assert _placed_exactly(_placed, cases) == _placed_exactly(
+            reference_evaluate_placements, cases
+        )
+
+    def test_a_changed_tie_rule_is_caught(self):
+        """``raw`` and ``producer`` tie exactly on the knee: a choice that
+        takes the first listed tie (``raw``) instead of the preferred one
+        no longer matches."""
+        point = FrontierPoint("lempel-ziv", (), 4096, 0.5, 1.0, 0.0, 0.0)
+        case = (point, raw_breakeven_seconds(point), None, 0.0)
+
+        def first_listed_tie(*args):
+            costs, _ = _placed(*args)
+            return costs, min(costs.values(), key=lambda c: c.total_seconds)
+
+        assert _placed(*case)[1].placement == "producer"
+        assert _placed_exactly(first_listed_tie, [case]) != _placed_exactly(
+            reference_evaluate_placements, [case]
+        )
