@@ -9,7 +9,7 @@ overhead; large blocks adapt sluggishly.
 from repro.experiments import ReplayConfig, sweep_block_size
 
 _CONFIG = ReplayConfig(
-    block_count=0, production_interval=0.0, trace_offset=20.0, pipelined=True
+    block_count=24, production_interval=0.0, trace_offset=20.0, pipelined=True
 )
 _SIZES = (32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024)
 
@@ -17,7 +17,7 @@ _SIZES = (32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024)
 def test_ablate_block_size(benchmark):
     points = benchmark.pedantic(
         sweep_block_size,
-        kwargs={"sizes": _SIZES, "config": _CONFIG, "total_bytes": 3 * 1024 * 1024},
+        kwargs={"sizes": _SIZES, "config": _CONFIG},
         rounds=1,
         iterations=1,
     )

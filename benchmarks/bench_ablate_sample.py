@@ -7,7 +7,7 @@ from the send path; smaller probes are noisy around the 48.78 % gate.
 from repro.experiments import ReplayConfig, sweep_sample_size
 
 _CONFIG = ReplayConfig(
-    block_count=0, production_interval=0.0, trace_offset=20.0, pipelined=True
+    block_count=24, production_interval=0.0, trace_offset=20.0, pipelined=True
 )
 
 
@@ -17,7 +17,6 @@ def test_ablate_sample_size(benchmark):
         kwargs={
             "sizes": (1024, 4096, 16384),
             "config": _CONFIG,
-            "total_bytes": 3 * 1024 * 1024,
         },
         rounds=1,
         iterations=1,

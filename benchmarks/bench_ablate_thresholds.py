@@ -8,14 +8,14 @@ perturbs each constant and reports the end-to-end impact.
 from repro.experiments import ReplayConfig, sweep_thresholds
 
 _CONFIG = ReplayConfig(
-    block_count=0, production_interval=0.0, trace_offset=20.0, pipelined=True
+    block_count=24, production_interval=0.0, trace_offset=20.0, pipelined=True
 )
 
 
 def test_ablate_thresholds(benchmark):
     points = benchmark.pedantic(
         sweep_thresholds,
-        kwargs={"config": _CONFIG, "total_bytes": 3 * 1024 * 1024},
+        kwargs={"config": _CONFIG},
         rounds=1,
         iterations=1,
     )

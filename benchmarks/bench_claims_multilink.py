@@ -10,9 +10,7 @@ from repro.experiments.multilink import multilink_matrix
 
 
 def test_claims_multilink(benchmark):
-    cells = benchmark.pedantic(
-        multilink_matrix, kwargs={"total_blocks": 12}, rounds=1, iterations=1
-    )
+    cells = benchmark.pedantic(multilink_matrix, rounds=1, iterations=1)
     print("\nmultilink utility matrix (1.5 MB commercial bulk, adaptive vs none)")
     print(f"{'link':14s} {'load':10s} {'adaptive s':>11s} {'none s':>9s} {'speedup':>8s}")
     for cell in cells:

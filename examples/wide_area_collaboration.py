@@ -10,14 +10,13 @@ fixed choice without being told anything about the data.
 Run:  python examples/wide_area_collaboration.py
 """
 
-from repro import AdaptivePipeline, FixedPolicy, MolecularDataGenerator
-from repro.netsim import DEFAULT_COSTS, SUN_FIRE, make_link
+from repro import FixedPolicy, MolecularDataGenerator
+from repro.experiments import ReplayConfig, run_replay
 
-
-def replay(policy, blocks):
-    link = make_link("international", seed=7)
-    pipeline = AdaptivePipeline(policy=policy, cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
-    return pipeline.run(blocks, link, pipelined=True)
+# Bulk transfer on an otherwise idle international link, sent asynchronously.
+CONFIG = ReplayConfig(
+    link="international", link_seed=7, load=0.0, production_interval=0.0, pipelined=True
+)
 
 
 def main() -> None:
@@ -35,7 +34,7 @@ def main() -> None:
         ("fixed: burrows-wheeler", FixedPolicy("burrows-wheeler")),
         ("adaptive (paper §2.5)", None),
     ]:
-        result = replay(policy, blocks)
+        result = run_replay(blocks, CONFIG, policy=policy)
         results[label] = result
         print(
             f"{label:24s} {result.total_time:9.1f} "

@@ -16,12 +16,12 @@ cost model's Lempel-Ziv and Burrows-Wheeler operating points, and applied
 to the paper's own Figure 2/4 numbers (``calibrate_thresholds(DEFAULT_COSTS)``)
 it *reproduces them*:
 
-* ``compress_factor = 1 - margin``.  The §2.5 inequality ``sending_time >
+* ``compress_factor = 1 - MARGIN``.  The §2.5 inequality ``sending_time >
   f * block/reducing_speed`` marks the exact break-even between "send
   raw" and "compress with LZ, then send" at ``f = 1`` (algebra: LZ wins
   when ``block/throughput < sending_time * (1 - ratio)``; dividing by
   ``reducing_speed = throughput * (1 - ratio)`` cancels the ratio).  The
-  paper's 0.83 is that knee with a 17 % eagerness margin.
+  paper's 0.83 is that knee with a 17 % eagerness margin (:data:`MARGIN`).
 * ``bw_factor = 2 * compress_factor * rs_lz / rs_bw`` — "escalate to
   Burrows-Wheeler once the sending time exceeds (with the same margin)
   twice *Burrows-Wheeler's own* reduce time", re-expressed in the LZ
@@ -50,6 +50,8 @@ __all__ = ["calibrate", "calibrate_thresholds"]
 GATE_HEADROOM = 1.19
 #: Sending time must exceed this multiple of BW's own reduce time.
 BW_PATIENCE = 2.0
+#: Eagerness margin below the raw-vs-LZ break-even (the paper's 0.83 = 1 - 0.17).
+MARGIN = 0.17
 #: Timed round trips per codec after the warm-up; the model keeps their median.
 ROUNDS = 5
 
@@ -74,21 +76,19 @@ def calibrate(codecs: Dict[str, Codec], sample: bytes) -> CodecCostModel:
     return CodecCostModel(costs)
 
 
-def calibrate_thresholds(costs: CodecCostModel, margin: float = 0.17) -> DecisionThresholds:
+def calibrate_thresholds(costs: CodecCostModel) -> DecisionThresholds:
     """Derive decision thresholds from ``costs``' LZ and BW points (§2.5).
 
     ``costs`` is the paper's (:data:`~repro.netsim.cpu.DEFAULT_COSTS`) or a
     :func:`calibrate` model of a small sample run "employing unloaded CPUs".
     """
-    if not 0.0 <= margin < 1.0:
-        raise ValueError("margin must be in [0, 1)")
     lz_speed = costs.reducing_speed("lempel-ziv")
     bw_speed = costs.reducing_speed("burrows-wheeler")
     if lz_speed <= 0 or bw_speed <= 0:
         raise ValueError(
             "calibration sample is incompressible; pick a representative sample"
         )
-    compress_factor = 1.0 - margin
+    compress_factor = 1.0 - MARGIN
     return DecisionThresholds(
         compress_factor=compress_factor,
         bw_factor=max(compress_factor, BW_PATIENCE * compress_factor * lz_speed / bw_speed),

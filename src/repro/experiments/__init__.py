@@ -8,12 +8,11 @@ from .ablation import (
     sweep_thresholds,
 )
 from .config import (
-    BLOCK_SIZE,
     FIG8_CONFIG,
     FIG11_CONFIG,
     HEADLINE_CONFIG,
     MBONE_SCALE,
-    SAMPLE_SIZE,
+    MULTILINK_CONFIG,
     TRACE_DURATION,
     ReplayConfig,
 )
@@ -48,7 +47,6 @@ from .replay import (
 
 __all__ = [
     "AblationPoint",
-    "BLOCK_SIZE",
     "DEFAULT_INTERFERENCE",
     "FIG11_CONFIG",
     "FIG8_CONFIG",
@@ -58,12 +56,12 @@ __all__ = [
     "LinkMeasurement",
     "MBONE_SCALE",
     "METHOD_ORDER",
+    "MULTILINK_CONFIG",
     "MultilinkCell",
     "PAPER_FIG5",
     "PAPER_HEADLINE",
     "PlacementBreakdown",
     "ReplayConfig",
-    "SAMPLE_SIZE",
     "TRACE_DURATION",
     "UPSTREAM_LINK",
     "build_trace",

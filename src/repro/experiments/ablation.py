@@ -4,23 +4,20 @@ The paper fixes three groups of constants — block size (128 KB), sample
 size (4 KB), and the decision thresholds (0.83 / 3.48 / 48.78 %) — noting
 only that they were "chosen according to the efficiency of compression
 methods" and "can be tuned easily".  These sweeps quantify the
-sensitivity on the commercial bulk-transfer scenario.
+sensitivity on the commercial bulk-transfer scenario: each point is one
+:func:`~repro.experiments.replay.run_replay` cell of the given config.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..core.decision import DecisionThresholds
-from ..core.pipeline import AdaptivePipeline
+from ..core.pipeline import StreamResult
 from ..core.policy import AdaptivePolicy
-from ..core.sampler import LzSampler
-from ..data.commercial import CommercialDataGenerator
-from ..netsim.cpu import DEFAULT_COSTS, SUN_FIRE
-from ..netsim.link import PAPER_LINKS, SimulatedLink
-from .config import HEADLINE_CONFIG, ReplayConfig
-from .replay import build_trace
+from .config import ReplayConfig
+from .replay import commercial_blocks, run_replay
 
 __all__ = [
     "AblationPoint",
@@ -40,90 +37,65 @@ class AblationPoint:
     overall_ratio: float
     method_counts: Dict[str, int]
 
-
-def _run(
-    config: ReplayConfig,
-    total_bytes: int,
-    block_size: int,
-    sampler: Optional[LzSampler] = None,
-    thresholds: Optional[DecisionThresholds] = None,
-    seed: int = 2004,
-) -> AblationPoint:
-    generator = CommercialDataGenerator(seed=seed)
-    block_count = max(1, total_bytes // block_size)
-    blocks = list(generator.stream(block_size, block_count))
-    link = SimulatedLink(
-        PAPER_LINKS[config.link],
-        seed=config.link_seed,
-        congestion_per_connection=config.congestion_per_connection,
-    )
-    pipeline = AdaptivePipeline(
-        policy=AdaptivePolicy(thresholds if thresholds is not None else DecisionThresholds()),
-        block_size=block_size,
-        sampler=sampler if sampler is not None else LzSampler(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE),
-        cost_model=DEFAULT_COSTS,
-        cpu=SUN_FIRE,
-    )
-    result = pipeline.run(
-        blocks,
-        link,
-        load=build_trace(config),
-        production_interval=config.production_interval,
-        pipelined=config.pipelined,
-    )
-    return AblationPoint(
-        parameter="",
-        value="",
-        total_seconds=result.total_time,
-        overall_ratio=result.overall_ratio,
-        method_counts=result.method_counts(),
-    )
+    @classmethod
+    def from_result(cls, parameter: str, value: str, result: StreamResult) -> "AblationPoint":
+        return cls(
+            parameter=parameter,
+            value=value,
+            total_seconds=result.total_time,
+            overall_ratio=result.overall_ratio,
+            method_counts=result.method_counts(),
+        )
 
 
 def sweep_block_size(
+    config: ReplayConfig,
     sizes: Sequence[int] = (16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024),
-    config: Optional[ReplayConfig] = None,
-    total_bytes: int = 8 * 1024 * 1024,
 ) -> List[AblationPoint]:
-    """Vary the pipeline block size around the paper's 128 KB."""
-    cfg = config if config is not None else HEADLINE_CONFIG
+    """Vary the pipeline block size around the paper's 128 KB.
+
+    Every point streams the config's byte budget, ``block_size x
+    block_count``, cut into blocks of that point's size.
+    """
+    budget = config.block_size * config.block_count
     points = []
     for size in sizes:
-        point = _run(cfg, total_bytes, size)
-        points.append(replace(point, parameter="block_size", value=str(size)))
+        cell = replace(config, block_size=size, block_count=max(1, budget // size))
+        result = run_replay(commercial_blocks(cell), cell)
+        points.append(AblationPoint.from_result("block_size", str(size), result))
     return points
 
 
 def sweep_sample_size(
+    config: ReplayConfig,
     sizes: Sequence[int] = (1024, 2048, 4096, 8192, 16384, 32768),
-    config: Optional[ReplayConfig] = None,
-    total_bytes: int = 8 * 1024 * 1024,
 ) -> List[AblationPoint]:
     """Vary the sampling probe size around the paper's 4 KB."""
-    cfg = config if config is not None else HEADLINE_CONFIG
-    points = []
-    for size in sizes:
-        sampler = LzSampler(sample_size=size, cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
-        point = _run(cfg, total_bytes, cfg.block_size, sampler=sampler)
-        points.append(replace(point, parameter="sample_size", value=str(size)))
-    return points
+    blocks = commercial_blocks(config)
+    return [
+        AblationPoint.from_result(
+            "sample_size", str(size), run_replay(blocks, replace(config, sample_size=size))
+        )
+        for size in sizes
+    ]
 
 
-def sweep_thresholds(
-    config: Optional[ReplayConfig] = None,
-    total_bytes: int = 8 * 1024 * 1024,
-) -> List[AblationPoint]:
+#: The threshold variants, each perturbing the paper's constants.
+THRESHOLD_VARIANTS = {
+    "paper(0.83/3.48/0.4878)": DecisionThresholds(),
+    "eager(0.4/2.0/0.4878)": DecisionThresholds(compress_factor=0.4, bw_factor=2.0),
+    "lazy(1.6/6.0/0.4878)": DecisionThresholds(compress_factor=1.6, bw_factor=6.0),
+    "tight-gate(0.83/3.48/0.30)": DecisionThresholds(ratio_gate=0.30),
+    "loose-gate(0.83/3.48/0.70)": DecisionThresholds(ratio_gate=0.70),
+}
+
+
+def sweep_thresholds(config: ReplayConfig) -> List[AblationPoint]:
     """Perturb each decision constant independently around the paper's values."""
-    cfg = config if config is not None else HEADLINE_CONFIG
-    variants = {
-        "paper(0.83/3.48/0.4878)": DecisionThresholds(),
-        "eager(0.4/2.0/0.4878)": DecisionThresholds(compress_factor=0.4, bw_factor=2.0),
-        "lazy(1.6/6.0/0.4878)": DecisionThresholds(compress_factor=1.6, bw_factor=6.0),
-        "tight-gate(0.83/3.48/0.30)": DecisionThresholds(ratio_gate=0.30),
-        "loose-gate(0.83/3.48/0.70)": DecisionThresholds(ratio_gate=0.70),
-    }
-    points = []
-    for label, thresholds in variants.items():
-        point = _run(cfg, total_bytes, cfg.block_size, thresholds=thresholds)
-        points.append(replace(point, parameter="thresholds", value=label))
-    return points
+    blocks = commercial_blocks(config)
+    return [
+        AblationPoint.from_result(
+            "thresholds", label, run_replay(blocks, config, policy=AdaptivePolicy(thresholds))
+        )
+        for label, thresholds in THRESHOLD_VARIANTS.items()
+    ]

@@ -12,12 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["ReplayConfig", "FIG8_CONFIG", "FIG11_CONFIG", "HEADLINE_CONFIG"]
+from ..core.engine import DEFAULT_BLOCK_SIZE
+from ..core.sampler import DEFAULT_SAMPLE_SIZE
 
-#: Paper §2.5: "Take a block of 128KB."
-BLOCK_SIZE = 128 * 1024
-#: Paper §2.5: "compress the first 4KB of the next block".
-SAMPLE_SIZE = 4096
+__all__ = [
+    "ReplayConfig",
+    "FIG8_CONFIG",
+    "FIG11_CONFIG",
+    "HEADLINE_CONFIG",
+    "MULTILINK_CONFIG",
+]
+
 #: Paper §4.2: "the raw MBone numbers multiplied by a factor of 4".
 MBONE_SCALE = 4.0
 #: Paper Figure 7: the trace spans 160 seconds.
@@ -29,8 +34,12 @@ class ReplayConfig:
     """Parameters of one end-to-end replay."""
 
     link: str = "100mbit"
-    block_size: int = BLOCK_SIZE
+    #: Paper §2.5: "Take a block of 128KB."
+    block_size: int = DEFAULT_BLOCK_SIZE
     block_count: int = 128
+    #: Paper §2.5: "compress the first 4KB of the next block" — the
+    #: sampling probe's length in bytes.
+    sample_size: int = DEFAULT_SAMPLE_SIZE
     #: Selection dialect: "table" (the paper-faithful §2.5 threshold
     #: grid, default — baseline CRCs never move) or "bicriteria" (the
     #: Pareto optimizer of :mod:`repro.core.bicriteria`).
@@ -53,6 +62,9 @@ class ReplayConfig:
     production_interval: float = 1.25
     #: Per-connection bandwidth erosion (calibrated, see DESIGN.md §3).
     congestion_per_connection: float = 0.4
+    #: Competing connections held constant for the whole run; None (the
+    #: default) replays the scaled MBone trace instead.
+    load: Optional[float] = None
     #: Seconds of quiet MBone prologue to skip (bulk runs face load at once).
     trace_offset: float = 0.0
     link_seed: int = 2
@@ -80,5 +92,14 @@ HEADLINE_CONFIG = ReplayConfig(
     block_count=126,
     production_interval=0.0,
     trace_offset=20.0,
+    pipelined=True,
+)
+
+#: The §1 multi-link matrix: 12 commercial blocks in bulk, pipelined, on
+#: a constant load (each cell sets ``link`` and ``load``).
+MULTILINK_CONFIG = ReplayConfig(
+    block_count=12,
+    production_interval=0.0,
+    link_seed=5,
     pipelined=True,
 )

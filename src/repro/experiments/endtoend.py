@@ -10,13 +10,13 @@ roughly 29 to 30.5 seconds" — i.e. no benefit.
 
 :func:`headline_comparison` reruns that bulk transfer for both datasets
 with the adaptive policy and with every fixed baseline (none / huffman /
-lempel-ziv / burrows-wheeler), under both the synchronous (pseudocode-
-literal) and pipelined (asynchronous-transport) models.
+lempel-ziv / burrows-wheeler) under the config's transport model
+(``HEADLINE_CONFIG`` is pipelined, the asynchronous-transport model).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.policy import AdaptivePolicy, FixedPolicy
@@ -61,16 +61,14 @@ class HeadlineRow:
 def headline_comparison(
     config: Optional[ReplayConfig] = None,
     baselines: Optional[List[str]] = None,
-    pipelined: Optional[bool] = None,
 ) -> List[HeadlineRow]:
     """Run adaptive vs. fixed baselines on both datasets.
 
-    Returns rows ordered dataset-major.  ``pipelined`` overrides the
-    config's transport model when given.
+    Each row is one :func:`~repro.experiments.replay.run_replay` cell of
+    ``config`` that differs only in its policy.  Returns rows ordered
+    dataset-major.
     """
     cfg = config if config is not None else HEADLINE_CONFIG
-    if pipelined is not None:
-        cfg = replace(cfg, pipelined=pipelined)
     methods = baselines if baselines is not None else ["none", "huffman", "lempel-ziv", "burrows-wheeler"]
 
     datasets = {

@@ -14,8 +14,8 @@ from typing import Dict, List
 
 import numpy as np
 
+from ..core.engine import DEFAULT_BLOCK_SIZE
 from ..netsim.link import MEGABYTE, PAPER_LINKS, SimulatedLink
-from .config import BLOCK_SIZE
 
 __all__ = ["LinkMeasurement", "figure5_link_speeds", "PAPER_FIG5"]
 
@@ -45,14 +45,14 @@ FIGURE5_SEED = 11
 
 def figure5_link_speeds() -> Dict[str, LinkMeasurement]:
     """Measure every paper link with :data:`FIGURE5_TRANSFERS` transfers of
-    one :data:`~repro.experiments.config.BLOCK_SIZE` block."""
+    one :data:`~repro.core.engine.DEFAULT_BLOCK_SIZE` (128 KB) block."""
     results: Dict[str, LinkMeasurement] = {}
     for name, spec in PAPER_LINKS.items():
         link = SimulatedLink(spec, seed=FIGURE5_SEED)
         speeds: List[float] = []
         for _ in range(FIGURE5_TRANSFERS):
-            seconds = link.transfer_time(BLOCK_SIZE)
-            speeds.append(BLOCK_SIZE / seconds / MEGABYTE)
+            seconds = link.transfer_time(DEFAULT_BLOCK_SIZE)
+            speeds.append(DEFAULT_BLOCK_SIZE / seconds / MEGABYTE)
         mean = float(np.mean(speeds))
         stddev = float(np.std(speeds))
         results[name] = LinkMeasurement(

@@ -20,16 +20,13 @@ utility of compression is less evident" (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List
 
-from ..core.pipeline import AdaptivePipeline
-from ..core.policy import AdaptivePolicy, CompressionPolicy, FixedPolicy
-from ..data.commercial import CommercialDataGenerator
-from ..netsim.cpu import DEFAULT_COSTS, SUN_FIRE
-from ..netsim.link import make_link
-from ..netsim.loadtrace import LoadTrace
+from ..core.policy import FixedPolicy
+from .config import MULTILINK_CONFIG
 from .placement import DEFAULT_INTERFERENCE
+from .replay import commercial_blocks, run_replay
 
 __all__ = ["MultilinkCell", "multilink_matrix", "DEFAULT_LINK_ORDER"]
 
@@ -52,8 +49,8 @@ class MultilinkCell:
     #: Same stream under the placement-aware selector
     #: (``placement="auto"``): end-to-end seconds and the arrangements
     #: it chose per block.
-    auto_seconds: float = 0.0
-    auto_placements: Dict[str, int] = field(default_factory=dict)
+    auto_seconds: float
+    auto_placements: Dict[str, int]
 
     @property
     def speedup(self) -> float:
@@ -68,63 +65,31 @@ class MultilinkCell:
         return self.uncompressed_seconds / self.auto_seconds
 
 
-def _run(
-    blocks: Sequence[bytes],
-    link_name: str,
-    connections: float,
-    policy: Optional[CompressionPolicy],
-    pipelined: bool,
-) -> Tuple[float, Dict[str, int], Dict[str, int]]:
-    link = make_link(link_name, seed=5, congestion_per_connection=0.4)
-    load = LoadTrace.from_pairs([(0.0, connections)]) if connections else None
-    pipeline = AdaptivePipeline(policy=policy, cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
-    result = pipeline.run(list(blocks), link, load=load, pipelined=pipelined)
-    return result.total_time, result.method_counts(), result.placement_counts()
-
-
-def multilink_matrix(
-    total_blocks: int = 24,
-    block_size: int = 128 * 1024,
-    links: Optional[List[str]] = None,
-    pipelined: bool = True,
-    seed: int = 2004,
-) -> List[MultilinkCell]:
-    """Run the low/high-load × link matrix; returns one cell per combination."""
-    link_names = links if links is not None else DEFAULT_LINK_ORDER
-    blocks = list(CommercialDataGenerator(seed=seed).stream(block_size, total_blocks))
+def multilink_matrix() -> List[MultilinkCell]:
+    """Run the low/high-load × link matrix over :data:`MULTILINK_CONFIG`;
+    returns one cell per combination."""
+    blocks = commercial_blocks(MULTILINK_CONFIG)
     cells: List[MultilinkCell] = []
-    for link_name in link_names:
+    for link_name in DEFAULT_LINK_ORDER:
         for label, connections in (
             ("low-load", LOW_LOAD_CONNECTIONS),
             ("high-load", HIGH_LOAD_CONNECTIONS),
         ):
-            adaptive_seconds, methods, _ = _run(
-                blocks, link_name, connections, AdaptivePolicy(), pipelined
-            )
-            plain_seconds, _, _ = _run(
-                blocks, link_name, connections, FixedPolicy("none"), pipelined
-            )
-            auto_seconds, _, auto_placements = _run(
-                blocks,
-                link_name,
-                connections,
-                AdaptivePolicy(
-                    placement="auto",
-                    cost_model=DEFAULT_COSTS,
-                    cpu=SUN_FIRE,
-                    interference=DEFAULT_INTERFERENCE,
-                ),
-                pipelined,
+            cell = replace(MULTILINK_CONFIG, link=link_name, load=connections)
+            adaptive = run_replay(blocks, cell)
+            plain = run_replay(blocks, cell, policy=FixedPolicy("none"))
+            auto = run_replay(
+                blocks, replace(cell, placement="auto", interference=DEFAULT_INTERFERENCE)
             )
             cells.append(
                 MultilinkCell(
                     link=link_name,
                     load_label=label,
-                    adaptive_seconds=adaptive_seconds,
-                    uncompressed_seconds=plain_seconds,
-                    adaptive_methods=methods,
-                    auto_seconds=auto_seconds,
-                    auto_placements=auto_placements,
+                    adaptive_seconds=adaptive.total_time,
+                    uncompressed_seconds=plain.total_time,
+                    adaptive_methods=adaptive.method_counts(),
+                    auto_seconds=auto.total_time,
+                    auto_placements=auto.placement_counts(),
                 )
             )
     return cells

@@ -33,13 +33,13 @@ from ..core.bicriteria import (
     evaluate_candidates,
     fastest_compressing_point,
 )
-from ..core.engine import CodecExecutor
+from ..core.engine import DEFAULT_BLOCK_SIZE, CodecExecutor
 from ..core.placement import PLACEMENTS, PlacementCost, choose_placement, placement_costs
-from ..core.sampler import LzSampler
 from ..core.workers import DEFAULT_QUEUE_DEPTH, RelaySchedule, simulate_relay_pipeline
 from ..data.commercial import CommercialDataGenerator
 from ..netsim.cpu import DEFAULT_COSTS, SUN_FIRE
-from ..netsim.link import make_link
+from .config import ReplayConfig
+from .replay import build_link, build_sampler
 
 __all__ = [
     "LINK_CLASSES",
@@ -119,7 +119,7 @@ class PlacementBreakdown:
 
 def placement_breakdown(
     total_blocks: int = 16,
-    block_size: int = 128 * 1024,
+    block_size: int = DEFAULT_BLOCK_SIZE,
     links: Optional[Sequence[str]] = None,
     interference: float = DEFAULT_INTERFERENCE,
     workers: int = 1,
@@ -141,9 +141,11 @@ def placement_breakdown(
         raise ValueError("interference must be non-negative")
     link_names = tuple(links) if links is not None else LINK_CLASSES
     blocks = list(CommercialDataGenerator(seed=seed).stream(block_size, total_blocks))
-    up_link = make_link(UPSTREAM_LINK, seed=5)
+    # Wire legs are mean transfer times, which neither a link's seed nor
+    # its congestion factor enters: the links are the replay's own.
+    up_link = build_link(ReplayConfig(link=UPSTREAM_LINK))
     executor = CodecExecutor(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
-    sampler = LzSampler(cost_model=DEFAULT_COSTS, cpu=SUN_FIRE)
+    sampler = build_sampler(ReplayConfig())
     candidates = default_candidates(block_size, native=False)
     # The sampler's CPU load never changes here, so a block's probe is the
     # same under every link class: run and account each one once.
@@ -153,7 +155,7 @@ def placement_breakdown(
 
     cells: List[PlacementBreakdown] = []
     for link_name in link_names:
-        down_link = make_link(link_name, seed=5)
+        down_link = build_link(ReplayConfig(link=link_name))
         per_block: List[Dict[str, PlacementCost]] = []
         payloads: List[bytes] = []
         for block, sample in zip(blocks, samples):

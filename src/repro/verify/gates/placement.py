@@ -47,10 +47,10 @@ from ...netsim.faults import FaultPlan, FaultRule
 from .fixtures import WireRun, run_hostile, seeded_blocks, seeded_events
 from .runner import GateContext
 
-#: Breakdown-leg scale: big enough that every placement regime appears
-#: (raw wins the intranet links, consumer offload wins the slow ones).
+#: Breakdown-leg scale (blocks of the paper's 128 KB): big enough that
+#: every placement regime appears (raw wins the intranet links, consumer
+#: offload wins the slow ones).
 BLOCKS = 12
-BLOCK_SIZE = 128 * 1024
 
 #: Relay-leg traffic and fault schedule (seeded, so fully reproducible).
 RELAY_BLOCKS = 24
@@ -78,9 +78,7 @@ def judge_cells(
 def breakdown_leg(ctx: GateContext) -> None:
     """The DTSchedule matrix satisfies the placement verdict, reproducibly."""
     cells = ctx.twice(
-        lambda: placement_breakdown(
-            total_blocks=BLOCKS, block_size=BLOCK_SIZE, interference=DEFAULT_INTERFERENCE
-        ),
+        lambda: placement_breakdown(total_blocks=BLOCKS, interference=DEFAULT_INTERFERENCE),
         "breakdown matrix",
     )
     for cell in cells:

@@ -31,7 +31,7 @@ from ...core.bicriteria import (
     select_point,
 )
 from ...core.decision import DecisionInputs, DecisionThresholds, select_method
-from ...core.engine import BlockEngine, CodecExecutor, timed
+from ...core.engine import DEFAULT_BLOCK_SIZE, BlockEngine, CodecExecutor, timed
 from ...core.workers import PipelinedBlockEngine, simulate_pipeline
 from ...data.logs import LogDataGenerator
 from ...data.timeseries import TimeSeriesGenerator
@@ -59,9 +59,9 @@ SMOKE_REPLAY = ReplayConfig(block_count=64, production_interval=2.5)
 
 PAPER_METHODS = ("none", "huffman", "lempel-ziv", "burrows-wheeler")
 
-#: Decision-table sweep axes: spans the "compress at all" knee, the
-#: Burrows-Wheeler slack knee, and the sampled-ratio gate.
-BLOCK_SIZE = 128 * 1024
+#: Decision-table sweep axes (at the paper's 128 KB block): spans the
+#: "compress at all" knee, the Burrows-Wheeler slack knee, and the
+#: sampled-ratio gate.
 SENDING_TIMES = (0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0)
 LZ_SPEEDS = (1e5, 5e5, 1.4e6, 5e6, 2e7)
 SAMPLED_RATIOS = (None, 0.2, 0.35, 0.6, 0.9)
@@ -110,7 +110,10 @@ RAW_MIN_SPEEDUP = 2.0
 #: small enough for the smoke job, large enough that both regimes appear
 #: (raw wins the intranet links, consumer offload wins the slow ones).
 PLACEMENT = dict(
-    blocks=8, block_size=128 * 1024, interference=DEFAULT_INTERFERENCE, upstream=UPSTREAM_LINK
+    blocks=8,
+    block_size=DEFAULT_BLOCK_SIZE,
+    interference=DEFAULT_INTERFERENCE,
+    upstream=UPSTREAM_LINK,
 )
 
 #: Structured-codec geometry: one engine-sized block of each structured
@@ -141,7 +144,7 @@ def _table_method(sending_time: float, lz_speed: float, ratio) -> str:
     """The decision table's verdict for one grid point."""
     return select_method(
         DecisionInputs(
-            block_size=BLOCK_SIZE,
+            block_size=DEFAULT_BLOCK_SIZE,
             sending_time=sending_time,
             sampled_ratio=ratio,
             speeds={"lempel-ziv": lz_speed},
@@ -380,22 +383,24 @@ def bicriteria_model_grid(ctx: GateContext) -> None:
     model_advantage = 0.0
     model_violations = 0
     for link_name in LINK_CLASSES:
-        sending_time = BLOCK_SIZE / PAPER_LINKS[link_name].throughput
+        sending_time = DEFAULT_BLOCK_SIZE / PAPER_LINKS[link_name].throughput
         for lz_speed in LZ_SPEEDS:
             for ratio in SAMPLED_RATIOS:
                 points = evaluate_candidates(
-                    default_candidates(BLOCK_SIZE),
+                    default_candidates(DEFAULT_BLOCK_SIZE),
                     sending_time,
                     calibration=DEFAULT_COSTS,
                     cpu=SUN_FIRE,
                     speeds={"lempel-ziv": lz_speed},
                     sample=ratio,
-                    base_block_size=BLOCK_SIZE,
+                    base_block_size=DEFAULT_BLOCK_SIZE,
                 )
                 frontier = pareto_frontier(points.values())
                 point, violated = select_point(frontier, space_budget=1.0)
                 table_method = _table_method(sending_time, lz_speed, ratio)
-                table_point = points[CandidateSpec(method=table_method, block_size=BLOCK_SIZE)]
+                table_point = points[
+                    CandidateSpec(method=table_method, block_size=DEFAULT_BLOCK_SIZE)
+                ]
                 if point.total_seconds > table_point.total_seconds + 1e-9:
                     ctx.fail(
                         f"bicriteria lost to the table on {link_name} "

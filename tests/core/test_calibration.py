@@ -120,12 +120,6 @@ class TestCalibrateThresholds:
         assert thresholds.bw_factor >= thresholds.compress_factor
         assert 0.2 < thresholds.ratio_gate <= 0.95
 
-    def test_margin_controls_eagerness(self):
-        eager = calibrate_thresholds(DEFAULT_COSTS, margin=0.4)
-        lazy = calibrate_thresholds(DEFAULT_COSTS, margin=0.0)
-        assert eager.compress_factor < lazy.compress_factor
-        assert lazy.compress_factor == 1.0
-
     def test_slower_bw_raises_bw_factor(self):
         slow_bw = CodecCost(0.4 * _MB, 2.4 * _MB, typical_ratio=0.34)
         slow = calibrate_thresholds(_model(bw=slow_bw))
@@ -138,10 +132,6 @@ class TestCalibrateThresholds:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             calibrate_thresholds(calibrate({"lempel-ziv": get_codec("lempel-ziv")}, b""))
-
-    def test_invalid_margin_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_thresholds(DEFAULT_COSTS, margin=1.0)
 
     def test_incompressible_points_rejected(self):
         flat = CodecCost(1e6, 1e6, typical_ratio=1.0)
