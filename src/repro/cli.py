@@ -478,13 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_methods)
 
     def add_replay_options(p: argparse.ArgumentParser) -> None:
-        datasets = ["commercial", "molecular", "logs", "timeseries"]
-        p.add_argument("--dataset", choices=datasets, default="commercial")
         p.add_argument(
-            "--source",
-            dest="dataset",
-            choices=datasets,
-            help="alias for --dataset (structured workloads: logs, timeseries)",
+            "--dataset",
+            choices=["commercial", "molecular", "logs", "timeseries"],
+            default="commercial",
         )
         p.add_argument("--link", choices=list(PAPER_LINKS), default="100mbit")
         p.add_argument("--blocks", dest="block_count", type=_positive, default=64)

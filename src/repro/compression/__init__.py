@@ -29,7 +29,6 @@ from .bwt import bwt_inverse, bwt_transform, suffix_array
 from .heap import keep_heap_resident
 from .huffman import HuffmanCode, HuffmanCodec, huffman_code_lengths
 from .identity import IdentityCodec
-from .lossy import QuantizedFloatCodec, TruncatedFloatCodec
 from .lz77 import Lz77Codec, tokenize
 from .lzw import LzwCodec
 from .mtf import mtf_decode, mtf_encode
@@ -94,10 +93,8 @@ __all__ = [
     "MAX_STRUCTURED_OUTPUT",
     "PAPER_METHODS",
     "TemplateCodec",
-    "QuantizedFloatCodec",
     "StreamingCompressor",
     "StreamingDecompressor",
-    "TruncatedFloatCodec",
     "available_codecs",
     "bitpack",
     "bitunpack",

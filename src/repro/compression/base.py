@@ -124,8 +124,10 @@ class Codec(abc.ABC):
     #: Stable identifier used by the registry and the wire protocol.
     name: str = "abstract"
 
-    #: Relative implementation complexity class used in documentation and
-    #: the qualitative decision table; not consumed by the algorithm.
+    #: Method family (``entropy``, ``dictionary``, ``block-sorting``,
+    #: ``structured``, ``identity``).  ``repro methods`` prints it and the
+    #: conformance kit runs ``structured-fallback`` on the ``structured``
+    #: family; the selector does not read it.
     family: str = "generic"
 
     @abc.abstractmethod

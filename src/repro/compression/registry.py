@@ -16,7 +16,6 @@ from .base import Codec, CodecError
 from .bwhuff import BurrowsWheelerCodec
 from .huffman import HuffmanCodec
 from .identity import IdentityCodec
-from .lossy import QuantizedFloatCodec, TruncatedFloatCodec
 from .lz77 import Lz77Codec
 from .lzw import LzwCodec
 from .native import (
@@ -105,10 +104,6 @@ def _register_builtins() -> None:
     # data.analysis sniffing says the block looks structured.
     register_codec("template", TemplateCodec)
     register_codec("columnar", ColumnarCodec)
-    # Application-specific lossy methods (§5) with default parameters;
-    # users register tighter-tolerance instances under their own names.
-    register_codec("quantized-float", QuantizedFloatCodec)
-    register_codec("truncated-float", TruncatedFloatCodec)
 
 
 _register_builtins()

@@ -39,6 +39,8 @@ _SPECIES_COUNT = 5
 _VELOCITY_QUANTUM = 1.0 / 512.0
 #: Edge of the periodic box the positions diffuse in.
 _BOX = 64.0
+#: One contribution in this many is a type/topology refresh.
+_METADATA_PERIOD = 12
 
 
 class MolecularDataGenerator:
@@ -97,15 +99,10 @@ class MolecularDataGenerator:
         self.advance()
         return encode_records(FRAME_FORMAT, [record])
 
-    def stream(
-        self,
-        block_size: int,
-        block_count: int,
-        metadata_period: int = 12,
-    ) -> Iterator[bytes]:
+    def stream(self, block_size: int, block_count: int) -> Iterator[bytes]:
         """Fixed-size blocks cut from the trajectory byte stream.
 
-        Every ``metadata_period``-th contribution is a type/topology refresh
+        Every ``_METADATA_PERIOD``-th contribution is a type/topology refresh
         (pure species tables) — the "small portions of the data that have
         string repetitions" which the paper's selector catches and routes
         to Lempel-Ziv or Burrows-Wheeler (Figure 11); everything else is
@@ -117,7 +114,7 @@ class MolecularDataGenerator:
         while emitted < block_count:
             while len(pending) < block_size:
                 contribution += 1
-                if metadata_period and contribution % metadata_period == 0:
+                if contribution % _METADATA_PERIOD == 0:
                     # Topology refresh: repeat the species table several
                     # times (bond tables, group maps, exclusion lists all
                     # derive from it in real MD codes).

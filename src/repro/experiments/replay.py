@@ -114,7 +114,7 @@ def timeseries_blocks(config: ReplayConfig, seed: int = 2004) -> List[bytes]:
 
 
 def dataset_blocks(name: str, config: ReplayConfig) -> List[bytes]:
-    """Blocks for a replay dataset name (``repro replay --source``)."""
+    """Blocks for a replay dataset name (``repro replay --dataset``)."""
     builders = {
         "commercial": commercial_blocks,
         "molecular": molecular_blocks,

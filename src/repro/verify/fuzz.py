@@ -239,10 +239,7 @@ def _framed_seed_streams(corpus: Dict[str, bytes]) -> Tuple[bytes, ...]:
     return tuple(streams)
 
 
-def build_default_targets(
-    corpus: Optional[Dict[str, bytes]] = None,
-    codec_names: Optional[Sequence[str]] = None,
-) -> List[FuzzTarget]:
+def build_default_targets(corpus: Optional[Dict[str, bytes]] = None) -> List[FuzzTarget]:
     """The default attack surface: framing, streaming, wire, every codec."""
     if corpus is None:
         corpus = CorpusGenerator(size=4096).as_dict()
@@ -273,18 +270,10 @@ def build_default_targets(
         )
     except ImportError:  # pragma: no cover - middleware is always present today
         pass
-    names = list(codec_names) if codec_names is not None else available_codecs()
-    for name in names:
+    for name in available_codecs():
         codec = get_codec(name)
-        if codec.family == "lossy":
-            # Lossy codecs consume float64 blocks; their decode surface
-            # obeys the same contract over arbitrary payload bytes.
-            import numpy as np
-
-            sample = np.linspace(-2.0, 2.0, 512).astype("<f8").tobytes()
-        else:
-            size = 2048 if name.startswith("arithmetic") else 4096
-            sample = (corpus.get("commercial") or b"codec seed corpus ")[:size]
+        size = 2048 if name.startswith("arithmetic") else 4096
+        sample = (corpus.get("commercial") or b"codec seed corpus ")[:size]
         seeds = (codec.compress(sample), codec.compress(b""))
         targets.append(
             FuzzTarget(name=f"codec:{name}", execute=codec.decompress, seeds=seeds)

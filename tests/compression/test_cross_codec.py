@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 from repro.compression import available_codecs, get_codec
 from tests.strategies import examples
 
-# The lossy codecs only accept float64 payloads and are not lossless;
-# they have their own suite (test_lossy.py).
-ALL_CODECS = sorted(
-    name for name in available_codecs() if get_codec(name).family != "lossy"
-)
+ALL_CODECS = available_codecs()
 FAST_CODECS = [c for c in ALL_CODECS if not c.startswith("arithmetic")]
 
 

@@ -8,7 +8,6 @@ and they still emit in order.
 
 import os
 import random
-import struct
 import time
 import zlib
 from functools import partial
@@ -36,17 +35,6 @@ from repro.obs.catalogue import (
 )
 from repro.obs.metrics import MetricsRegistry
 from tests.strategies import examples, serial_pool
-
-
-def family_block(method: str, base: bytes) -> bytes:
-    """Shape ``base`` so ``method`` accepts it (lossy codecs eat float64)."""
-    codec = get_codec(method)
-    if codec.family == "lossy":
-        count = max(8, len(base) // 8)
-        return b"".join(
-            struct.pack("<d", (b - 128) / 16.0) for b in base[:count]
-        )
-    return base
 
 
 def kill_workers(pool: DegradingPool) -> None:
@@ -84,9 +72,8 @@ class TestWorkerPool:
         """Worker bytes == in-process bytes for the whole registry."""
         pool = shared_pool(DegradingPool(2))
         assert chunk_map(len, [b"warm", b"up"]) == [4, 2]
-        base = commercial_block[: 32 * 1024]
+        block = commercial_block[: 32 * 1024]
         for method in available_codecs():
-            block = family_block(method, base)
             codec = get_codec(method)
             runs = chunk_map(partial(_compress_with_pid, codec.compress), [block] * 4)
             assert [payload for _, payload in runs] == [codec.compress(block)] * 4, method

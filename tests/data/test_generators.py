@@ -130,7 +130,7 @@ class TestMolecularGenerator:
     def test_metadata_blocks_are_repetitive(self):
         """The periodic topology refreshes must trigger dictionary wins."""
         gen = MolecularDataGenerator(2048)
-        blocks = list(gen.stream(64 * 1024, 14, metadata_period=3))
+        blocks = list(gen.stream(64 * 1024, 14))
         lz = get_codec("lempel-ziv")
         ratios = [len(lz.compress(b)) / len(b) for b in blocks]
         assert min(ratios) < 0.35  # some block is dominated by type tables

@@ -342,7 +342,7 @@ class TestFuzzCommand:
     def test_crash_corpus_written_on_failure(self, tmp_path, capsys, monkeypatch):
         from repro.verify import fuzz as fuzz_module
 
-        def broken_targets(corpus=None, codec_names=None):
+        def broken_targets(corpus=None):
             return [
                 fuzz_module.FuzzTarget(
                     name="always-crashes",

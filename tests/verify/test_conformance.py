@@ -45,9 +45,20 @@ class TestRegistryConformance:
 
     def test_every_check_ran(self, full_results):
         ran = {result.check for result in full_results}
-        # Lossy-only and lossless-only checks still emit skipped-as-passed
-        # results, so the full registry exercises the complete kit.
         assert ran == set(CONFORMANCE_CHECKS)
+
+    def test_no_codec_opts_out_of_an_ungated_check(self, full_results):
+        """Every codec meets every check but the capability-gated two: a
+        codec that yields no result from one has left the lossless contract."""
+        gated = {"block-boundary-resume", "structured-fallback"}
+        ran = {(result.codec, result.check) for result in full_results}
+        missing = sorted(
+            (name, check)
+            for name in available_codecs()
+            for check in set(CONFORMANCE_CHECKS) - gated
+            if (name, check) not in ran
+        )
+        assert not missing, missing
 
 
 class _TruncatingCodec(Codec):
